@@ -14,26 +14,33 @@ and synthesis maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, NotPositive, ZeroDenominator
+from .errors import (
+    DimensionMismatch,
+    GFusionError,
+    NotHermitian,
+    NotPositive,
+    ZeroDenominator,
+)
 from .linalg import (
     SpectralInterval,
     Subspace,
+    antihermitian_norm,
     as_operator,
     as_vector,
     gen_rayleigh_min,
-    hermitian_extremes,
     inner,
     opnorm,
     pinv,
     positive_sqrt,
     projector,
-    require_hermitian,
     require_invertible,
+    within_frobenius,
 )
 
 
@@ -149,11 +156,158 @@ def _check_dims(fam: FrameFamily, cp: ControlPair):
         )
 
 
+def _cross(a, t, u) -> np.ndarray:
+    """(a t)* (a u): the cross operator of one item operator a = L P."""
+    return (a @ t).conj().T @ (a @ u)
+
+
 def item_cross_operator(sub: Subspace, lam, weight, cp: ControlPair) -> np.ndarray:
     """Single term t* P L* L P u (weight excluded)."""
-    p = projector(sub)
-    lp = as_operator(lam) @ p
-    return cp.t.conj().T @ lp.conj().T @ lp @ cp.u
+    return _cross(as_operator(lam) @ projector(sub), cp.t, cp.u)
+
+
+class FrameEvaluation:
+    """A family under a control pair, evaluated once for one public call.
+
+    Holds the cross operators G_j = (A_j t)* (A_j u), A_j = L_j P_j, stacked
+    as `terms`, and S = sum_j v_j^2 G_j.  The norms, the Hermitian residual,
+    the spectrum, the bounds report and the per-item square roots are
+    computed on first use.  Nothing outlives the call that built it:
+    families hold mutable arrays.
+    """
+
+    def __init__(self, fam: FrameFamily, cp: ControlPair):
+        _check_dims(fam, cp)
+        self.fam = fam
+        self.weights_sq = np.array([w * w for w in fam.weights])
+        self.terms = self.cross_terms(cp.t, cp.u)
+        self.s = self.weighted_sum(self.terms)
+
+    def cross_terms(self, t, u) -> np.ndarray:
+        """Stack of (A_j t)* (A_j u), one n x n slice per item."""
+        n = self.fam.ambient_dim
+        out = np.empty((len(self.fam), n, n), dtype=complex)
+        for j, (sub, lam, _) in enumerate(self.fam.items):
+            out[j] = _cross(lam @ projector(sub), t, u)
+        return out
+
+    def weighted(self, stack) -> np.ndarray:
+        """Scale slice j of `stack` by v_j^2 in place; returns `stack`."""
+        stack *= self.weights_sq[:, None, None]
+        return stack
+
+    def weighted_sum(self, stack) -> np.ndarray:
+        """sum_j v_j^2 stack_j."""
+        return np.tensordot(self.weights_sq, stack, axes=1)
+
+    @cached_property
+    def norm(self) -> float:
+        return opnorm(self.s)
+
+    @cached_property
+    def asymmetry(self) -> float:
+        """||S - S*||_2."""
+        return antihermitian_norm(self.s - self.s.conj().T)
+
+    @property
+    def herm_residual(self) -> float:
+        """||S - S*||_2 / ||S||_2."""
+        return self.asymmetry / max(self.norm, 1e-300)
+
+    @cached_property
+    def is_bessel(self) -> bool:
+        """herm_residual <= TOL_FACTOR, passed by the Frobenius bracket when it can."""
+        return within_frobenius(
+            self.s - self.s.conj().T, self.s, tol.TOL_FACTOR
+        ) or self.herm_residual <= tol.TOL_FACTOR
+
+    @cached_property
+    def hermitian(self) -> np.ndarray:
+        return 0.5 * (self.s + self.s.conj().T)
+
+    @cached_property
+    def bounds(self) -> SpectralInterval:
+        vals = np.linalg.eigvalsh(self.hermitian)
+        return SpectralInterval(float(vals[0]), float(vals[-1]))
+
+    @property
+    def is_frame(self) -> bool:
+        b = self.bounds
+        return self.is_bessel and b.lambda_min > tol.TOL_PSD * b.lambda_max
+
+    def report(self) -> FrameReport:
+        return FrameReport(
+            self.is_bessel, self.is_frame, self.bounds, self.s, self.herm_residual
+        )
+
+    @cached_property
+    def roots(self) -> list:
+        """Positive square roots of the per-item cross operators."""
+        roots = []
+        for j, g in enumerate(self.terms):
+            try:
+                roots.append(positive_sqrt(g))
+            except (GFusionError, ValueError) as exc:
+                raise NotPositive(
+                    f"item {j}: cross operator is not Hermitian PSD ({exc})", index=j
+                ) from exc
+        return roots
+
+    @cached_property
+    def synthesis_matrix(self) -> np.ndarray:
+        return np.hstack([w * r.conj().T for w, r in zip(self.fam.weights, self.roots)])
+
+    def analysis(self, f) -> BlockVector:
+        f = as_vector(f)
+        if f.shape[0] != self.fam.ambient_dim:
+            raise DimensionMismatch(f"vector dim {f.shape[0]} != {self.fam.ambient_dim}")
+        return BlockVector([w * (r @ f) for w, r in zip(self.fam.weights, self.roots)])
+
+    def _check_k(self, k) -> np.ndarray:
+        k = as_operator(k)
+        if k.shape != (self.fam.ambient_dim, self.fam.ambient_dim):
+            raise DimensionMismatch("k must be square on the ambient space")
+        return k
+
+    def kgf(self, k):
+        """(a_opt, b, is_kgf) as returned by `kgf_bounds`."""
+        k = self._check_k(k)
+        if not self.is_bessel:
+            raise NotHermitian(
+                f"asymmetry {self.asymmetry:.3e} exceeds {tol.TOL_FACTOR:.1e}"
+                f" * norm {self.norm:.3e}"
+            )
+        b = self.bounds.lambda_max
+        try:
+            a_opt = gen_rayleigh_min(self.hermitian, k @ k.conj().T)
+        except ZeroDenominator:
+            return math.inf, b, True
+        # positivity at the same relative floor used for the frame flag, so
+        # roundoff dust around zero does not flip the verdict
+        return a_opt, b, bool(a_opt > tol.TOL_PSD * max(b, 0.0))
+
+    def atomic(self, k) -> AtomicReport:
+        """The report of `atomic_check`."""
+        k = self._check_k(k)
+        a_opt, b, is_kgf = self.kgf(k)
+        scale_k = max(opnorm(k), 1e-300)
+        literal_residual = opnorm(k - self.s) / scale_k
+        # Minimum-norm solution of T_C L = k through the n x n Gram T_C T_C*:
+        # the square roots leave ~sqrt(eps) noise singular values in T_C that
+        # a pseudoinverse of T_C itself would invert.
+        t_c = self.synthesis_matrix
+        coeff_map = t_c.conj().T @ (pinv(t_c @ t_c.conj().T) @ k)
+        coeff_residual = opnorm(t_c @ coeff_map - k) / scale_k
+        c = math.sqrt(1.0 / a_opt) if (a_opt > 0 and math.isfinite(a_opt)) else math.inf
+        return AtomicReport(
+            is_atomic=is_kgf,
+            bessel_bound=b,
+            coefficient_norm_bound=c,
+            lower_bound=a_opt,
+            coefficient_map=coeff_map,
+            coefficient_residual=coeff_residual,
+            literal_residual=literal_residual,
+        )
 
 
 def frame_sum(fam: FrameFamily, cp: ControlPair, f) -> complex:
@@ -173,46 +327,18 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f) -> complex:
 
 def frame_operator(fam: FrameFamily, cp: ControlPair) -> np.ndarray:
     """Matrix  sum_j v_j^2 t* P_j L_j* L_j P_j u."""
-    _check_dims(fam, cp)
-    n = fam.ambient_dim
-    s = np.zeros((n, n), dtype=complex)
-    for sub, lam, w in fam.items:
-        s += (w * w) * item_cross_operator(sub, lam, w, cp)
-    return s
-
-
-def _item_sqrts(fam: FrameFamily, cp: ControlPair):
-    """Positive square roots of the per-item cross operators."""
-    roots = []
-    for j, (sub, lam, w) in enumerate(fam.items):
-        g = item_cross_operator(sub, lam, w, cp)
-        try:
-            roots.append(positive_sqrt(g))
-        except Exception as exc:
-            raise NotPositive(
-                f"item {j}: cross operator is not Hermitian PSD ({exc})", index=j
-            ) from exc
-    return roots
+    return FrameEvaluation(fam, cp).s
 
 
 def analysis(fam: FrameFamily, cp: ControlPair, f) -> BlockVector:
     """Coefficient map f -> { v_j (t* P_j L_j* L_j P_j u)^{1/2} f }."""
-    _check_dims(fam, cp)
-    f = as_vector(f)
-    if f.shape[0] != fam.ambient_dim:
-        raise DimensionMismatch(f"vector dim {f.shape[0]} != {fam.ambient_dim}")
-    roots = _item_sqrts(fam, cp)
-    return BlockVector(
-        [w * (r @ f) for (_, _, w), r in zip(fam.items, roots)]
-    )
+    return FrameEvaluation(fam, cp).analysis(f)
 
 
 def synthesis_matrix(fam: FrameFamily, cp: ControlPair) -> np.ndarray:
     """Stacked synthesis map  [v_1 R_1*, ..., v_m R_m*]  from the l^2 sum
     space (blocks concatenated) back to H, with R_j the per-item square root."""
-    roots = _item_sqrts(fam, cp)
-    blocks = [w * r.conj().T for (_, _, w), r in zip(fam.items, roots)]
-    return np.hstack(blocks)
+    return FrameEvaluation(fam, cp).synthesis_matrix
 
 
 def synthesis(fam: FrameFamily, cp: ControlPair, g: BlockVector, f_hint=None):
@@ -222,20 +348,19 @@ def synthesis(fam: FrameFamily, cp: ControlPair, g: BlockVector, f_hint=None):
     `f_hint` is supplied, membership is certified by comparing `g` against
     analysis(f_hint).  Returns (vector, range_certified).
     """
-    _check_dims(fam, cp)
+    ev = FrameEvaluation(fam, cp)
     if len(g.blocks) != len(fam):
         raise DimensionMismatch(
             f"block count {len(g.blocks)} != item count {len(fam)}"
         )
-    roots = _item_sqrts(fam, cp)
     out = np.zeros(fam.ambient_dim, dtype=complex)
-    for (_, _, w), r, b in zip(fam.items, roots, g.blocks):
+    for w, r, b in zip(fam.weights, ev.roots, g.blocks):
         if b.shape[0] != r.shape[0]:
             raise DimensionMismatch("block dimension mismatch with square-root operator")
         out += w * (r.conj().T @ b)
     certified = False
     if f_hint is not None:
-        ref = analysis(fam, cp, f_hint)
+        ref = ev.analysis(f_hint)
         scale = max(ref.norm(), g.norm(), 1e-300)
         dev = math.sqrt(
             sum(
@@ -249,37 +374,17 @@ def synthesis(fam: FrameFamily, cp: ControlPair, g: BlockVector, f_hint=None):
 
 def controlled_frame_bounds(fam: FrameFamily, cp: ControlPair) -> FrameReport:
     """Optimal frame bounds as spectral extremes of the frame operator."""
-    s = frame_operator(fam, cp)
-    scale = max(opnorm(s), 1e-300)
-    herm_residual = opnorm(s - s.conj().T) / scale
-    h = 0.5 * (s + s.conj().T)
-    vals = np.linalg.eigvalsh(h)
-    bounds = SpectralInterval(float(vals[0]), float(vals[-1]))
-    is_bessel = herm_residual <= tol.TOL_FACTOR
-    is_frame = is_bessel and bounds.lambda_min > tol.TOL_PSD * bounds.lambda_max
-    return FrameReport(is_bessel, is_frame, bounds, s, herm_residual)
+    return FrameEvaluation(fam, cp).report()
 
 
 def kgf_bounds(fam: FrameFamily, cp: ControlPair, k):
     """Optimal bounds for the frame inequality measured against ||k* f||^2.
 
     Returns (a_opt, b, is_kgf).  A zero k yields the vacuous case with the
-    +inf sentinel for a_opt.
+    +inf sentinel for a_opt.  A frame operator that fails the Hermitian gate
+    at TOL_FACTOR (not Bessel) raises NotHermitian.
     """
-    k = as_operator(k)
-    if k.shape != (fam.ambient_dim, fam.ambient_dim):
-        raise DimensionMismatch("k must be square on the ambient space")
-    report = controlled_frame_bounds(fam, cp)
-    h = require_hermitian(report.s_c, rtol=tol.TOL_FACTOR)
-    b = report.bounds.lambda_max
-    kk = k @ k.conj().T
-    try:
-        a_opt = gen_rayleigh_min(h, kk)
-    except ZeroDenominator:
-        return math.inf, b, report.is_bessel
-    # positivity at the same relative floor used for the frame flag, so
-    # roundoff dust around zero does not flip the verdict
-    return a_opt, b, bool(a_opt > tol.TOL_PSD * max(b, 0.0) and report.is_bessel)
+    return FrameEvaluation(fam, cp).kgf(k)
 
 
 def atomic_check(fam: FrameFamily, cp: ControlPair, k) -> AtomicReport:
@@ -289,45 +394,18 @@ def atomic_check(fam: FrameFamily, cp: ControlPair, k) -> AtomicReport:
     ||T_C L - k|| <= tol * ||k||, and the residual of the literal reading
     k == S (which the display equation of the definition forces).
     """
-    k = as_operator(k)
-    a_opt, b, is_kgf = kgf_bounds(fam, cp, k)
-    s = frame_operator(fam, cp)
-    scale_k = max(opnorm(k), 1e-300)
-    literal_residual = opnorm(k - s) / scale_k
-    t_c = synthesis_matrix(fam, cp)
-    coeff_map = pinv(t_c) @ k
-    coeff_residual = opnorm(t_c @ coeff_map - k) / scale_k
-    c = math.sqrt(1.0 / a_opt) if (a_opt > 0 and math.isfinite(a_opt)) else math.inf
-    return AtomicReport(
-        is_atomic=is_kgf,
-        bessel_bound=b,
-        coefficient_norm_bound=c,
-        lower_bound=a_opt,
-        coefficient_map=coeff_map,
-        coefficient_residual=coeff_residual,
-        literal_residual=literal_residual,
-    )
+    return FrameEvaluation(fam, cp).atomic(k)
 
 
 def atomic_wrt_frame_operator(fam: FrameFamily, cp: ControlPair) -> AtomicReport:
     """Atomicity with respect to the family's own frame operator."""
-    s = frame_operator(fam, cp)
-    report = atomic_check(fam, cp, s)
-    h = require_hermitian(s, rtol=tol.TOL_FACTOR)
+    ev = FrameEvaluation(fam, cp)
+    report = ev.atomic(ev.s)
     try:
-        alpha_opt = gen_rayleigh_min(h, s @ s.conj().T)
+        alpha_opt = gen_rayleigh_min(ev.hermitian, ev.s @ ev.s.conj().T)
     except ZeroDenominator:
         alpha_opt = math.inf
-    return AtomicReport(
-        is_atomic=report.is_atomic,
-        bessel_bound=report.bessel_bound,
-        coefficient_norm_bound=report.coefficient_norm_bound,
-        lower_bound=report.lower_bound,
-        coefficient_map=report.coefficient_map,
-        coefficient_residual=report.coefficient_residual,
-        literal_residual=report.literal_residual,
-        alpha_opt=alpha_opt,
-    )
+    return replace(report, alpha_opt=alpha_opt)
 
 
 def linear_combination_atomic(fam: FrameFamily, cp: ControlPair, k1, k2, alpha, beta):
@@ -336,6 +414,7 @@ def linear_combination_atomic(fam: FrameFamily, cp: ControlPair, k1, k2, alpha, 
     Returns the pair of reports (combination, product)."""
     k1 = as_operator(k1)
     k2 = as_operator(k2)
-    combo = atomic_check(fam, cp, alpha * k1 + beta * k2)
-    prod = atomic_check(fam, cp, k1 @ k2)
+    ev = FrameEvaluation(fam, cp)
+    combo = ev.atomic(alpha * k1 + beta * k2)
+    prod = ev.atomic(k1 @ k2)
     return combo, prod

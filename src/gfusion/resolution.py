@@ -29,7 +29,7 @@ from .errors import (
     NotPositive,
     ResolutionFailed,
 )
-from .frames import ControlPair, FrameFamily, controlled_frame_bounds, frame_operator
+from .frames import ControlPair, FrameEvaluation, FrameFamily
 from .linalg import as_operator, opnorm, projector, require_invertible
 
 
@@ -87,11 +87,9 @@ def swapped(pair: PairOperator) -> PairOperator:
     )
 
 
-def _resolution_report(terms, n: int) -> ResolutionReport:
-    total = np.zeros((n, n), dtype=complex)
-    for term in terms:
-        total += term
-    residual = opnorm(total - np.eye(n)) / math.sqrt(n)
+def _resolution_report(terms: np.ndarray) -> ResolutionReport:
+    """Spectral residual ||sum_j terms_j - I||_2 of a stack of n x n terms."""
+    residual = opnorm(terms.sum(axis=0) - np.eye(terms.shape[-1]))
     return ResolutionReport(residual, len(terms), residual <= tol.TOL_RESOLUTION)
 
 
@@ -101,23 +99,17 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair):
     Term families {v_j^2 G_j S^{-1}} and {v_j^2 S^{-1} G_j} with G_j the
     per-item cross operators; both must sum to the identity.
     """
-    report = controlled_frame_bounds(fam, cp)
-    if not report.is_frame:
+    ev = FrameEvaluation(fam, cp)
+    if not ev.is_frame:
         raise NotAFrame("frame operator is not invertible at threshold")
-    s_inv = np.linalg.inv(report.s_c)
-    right_terms = []
-    left_terms = []
-    for sub, lam, w in fam.items:
-        lp = lam @ projector(sub)
-        g = (w * w) * (cp.t.conj().T @ lp.conj().T @ lp @ cp.u)
-        right_terms.append(g @ s_inv)
-        left_terms.append(s_inv @ g)
-    n = fam.ambient_dim
+    s_inv = np.linalg.inv(ev.s)
+    right_terms = ev.weighted(ev.terms @ s_inv)
+    left_terms = ev.weighted(s_inv @ ev.terms)
     return (
-        right_terms,
-        left_terms,
-        _resolution_report(right_terms, n),
-        _resolution_report(left_terms, n),
+        list(right_terms),
+        list(left_terms),
+        _resolution_report(right_terms),
+        _resolution_report(left_terms),
     )
 
 
@@ -139,10 +131,10 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     sum_j v_j^2 <L_j P_j S^{-1} u f, L_j P_j S^{-1} t f> then has spectral
     extremes inside [A/B^2, B/A^2] for measured frame bounds (A, B).
     """
-    report = controlled_frame_bounds(fam, cp)
-    if not report.is_frame:
+    ev = FrameEvaluation(fam, cp)
+    if not ev.is_frame:
         raise NotAFrame("input is not a controlled frame")
-    s_inv = np.linalg.inv(report.s_c)
+    s_inv = np.linalg.inv(ev.s)
     scale = max(opnorm(s_inv), 1e-300)
     comm = max(
         opnorm(s_inv @ cp.t - cp.t @ s_inv) / (scale * max(opnorm(cp.t), 1e-300)),
@@ -154,19 +146,11 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
             f"(residual {comm:.3e})",
             name="inverse_commutes_with_controls",
         )
-    n = fam.ambient_dim
-    m = np.zeros((n, n), dtype=complex)
-    res_terms = []
-    for sub, lam, w in fam.items:
-        lp = lam @ projector(sub) @ s_inv
-        m += (w * w) * (cp.t.conj().T @ lp.conj().T @ lp @ cp.u)
-        res_terms.append(
-            (w * w)
-            * (cp.t.conj().T @ projector(sub) @ lam.conj().T @ lam
-               @ projector(sub) @ s_inv @ cp.u)
-        )
-    resolution = _resolution_report(res_terms, n)
-    a, b = report.bounds.lambda_min, report.bounds.lambda_max
+    # terms v_j^2 t* P_j L_j* L_j P_j S^{-1} u, and the modified frame sum
+    # as the frame operator under the controls (S^{-1} t, S^{-1} u)
+    resolution = _resolution_report(ev.weighted(ev.cross_terms(cp.t, s_inv @ cp.u)))
+    m = ev.weighted_sum(ev.cross_terms(s_inv @ cp.t, s_inv @ cp.u))
+    a, b = ev.bounds.lambda_min, ev.bounds.lambda_max
     h = 0.5 * (m + m.conj().T)
     vals = np.linalg.eigvalsh(h)
     lower, upper = float(vals[0]), float(vals[-1])
@@ -197,21 +181,16 @@ def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionRep
     is a (u,u)-controlled frame with lower bound at least 1/B."""
     t = require_invertible(as_operator(t), "t")
     u = require_invertible(as_operator(u), "u")
-    bessel = controlled_frame_bounds(fam, ControlPair(t, t))
+    bessel = FrameEvaluation(fam, ControlPair(t, t))
     if not bessel.is_bessel:
         raise NotBessel("family is not a controlled Bessel sequence under (t, t)")
     b = bessel.bounds.lambda_max
-    n = fam.ambient_dim
-    terms = []
-    for sub, lam, w in fam.items:
-        lp = lam @ projector(sub)
-        terms.append((w * w) * (t.conj().T @ lp.conj().T @ lp @ u))
-    resolution = _resolution_report(terms, n)
+    resolution = _resolution_report(bessel.weighted(bessel.cross_terms(t, u)))
     if not resolution.converged:
         raise ResolutionFailed(
             f"terms do not sum to the identity (residual {resolution.residual:.3e})"
         )
-    out = controlled_frame_bounds(fam, ControlPair(u, u))
+    out = FrameEvaluation(fam, ControlPair(u, u))
     lower, upper = out.bounds.lambda_min, out.bounds.lambda_max
     predicted_lower = 1.0 / b
     predicted_upper = b * opnorm(np.linalg.inv(t)) ** 2 * opnorm(u) ** 2
@@ -243,7 +222,7 @@ def coercive_pair_check(pair: PairOperator, gamma_bessel_bound: float) -> Coerci
     if m <= 0:
         raise NotPositive(f"swapped pair operator is not coercive (m = {m:.3e})")
     predicted_lower = m * m / gamma_bessel_bound
-    left = controlled_frame_bounds(
+    left = FrameEvaluation(
         pair.left_family, ControlPair(pair.left_control, pair.left_control)
     )
     measured_lower = left.bounds.lambda_min
@@ -312,7 +291,7 @@ def perturbation_check(
         )
     certified = spectral_ok
 
-    gamma_bounds = controlled_frame_bounds(
+    gamma_bounds = FrameEvaluation(
         pair.right_family, ControlPair(pair.right_control, pair.right_control)
     )
     lower_gamma = gamma_bounds.bounds.lambda_min
@@ -325,7 +304,7 @@ def perturbation_check(
             raise InvalidParameters(
                 f"one-parameter path requires lambda1 in [0, 1), got {lambda1}"
             )
-        lam_bounds = controlled_frame_bounds(
+        lam_bounds = FrameEvaluation(
             pair.left_family, ControlPair(pair.left_control, pair.left_control)
         )
         lower_lambda = lam_bounds.bounds.lambda_min

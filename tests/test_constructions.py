@@ -90,6 +90,17 @@ class TestSumTransform:
                 famL, short, np.eye(4), np.eye(4), ControlPair.identity(4), np.eye(4)
             )
 
+    def test_subspace_mismatch(self):
+        famL, famG = orthogonal_codomain_pair()
+        items = list(famG.items)
+        _, lam, wt = items[1]
+        items[1] = (Subspace(4, np.eye(4, 3, dtype=complex)), lam, wt)
+        with pytest.raises(ItemCountMismatch):
+            sum_transform(
+                famL, FrameFamily(4, items), np.eye(4), np.eye(4),
+                ControlPair.identity(4), np.eye(4),
+            )
+
     def test_weight_mismatch(self):
         famL, famG = orthogonal_codomain_pair()
         reweighted = FrameFamily(

@@ -20,7 +20,7 @@ from gfusion.frames import (
     synthesis,
     synthesis_matrix,
 )
-from gfusion.linalg import Subspace, projector
+from gfusion.linalg import Subspace, orth, projector
 
 from conftest import (
     complex_gaussian,
@@ -268,6 +268,46 @@ class TestAtomic:
         k2 = complex_gaussian(rng, 4, 4)
         combo, prod = linear_combination_atomic(fam, cp, k1, k2, 1.5, -2j)
         assert combo.is_atomic and prod.is_atomic
+
+
+def deficient_family(rng, dim, items, rank, zero_item=False):
+    """Family whose subspaces all lie in one random rank-`rank` subspace V,
+    so that S has range V under scalar controls.  Returns (family, basis of V)."""
+    q = orth(complex_gaussian(rng, dim, rank))
+    out = []
+    for i in range(items):
+        sub_dim = rank if i == 0 else int(rng.integers(1, rank + 1))
+        rows = dim if i == 0 else int(rng.integers(1, dim + 1))
+        sub = Subspace(dim, orth(q @ complex_gaussian(rng, rank, sub_dim)))
+        lam = complex_gaussian(rng, rows, dim) / np.sqrt(dim)
+        out.append((sub, lam, float(rng.uniform(0.5, 2.0))))
+    if zero_item:
+        out.append((Subspace.zero(dim), complex_gaussian(rng, 3, dim), 1.0))
+    return FrameFamily(dim, out), q
+
+
+class TestCoefficientMapRankDeficient:
+    @pytest.mark.parametrize(
+        "dim, items, rank, zero_item",
+        [(16, 4, 15, False), (64, 32, 44, False), (12, 3, 11, True)],
+        ids=["rank-n-1", "64x32-rank-n-20", "zero-subspace-item"],
+    )
+    def test_minimum_norm_map(self, rng, dim, items, rank, zero_item):
+        fam, q = deficient_family(rng, dim, items, rank, zero_item)
+        cp = scalar_controls(rng, dim)
+        s = frame_operator(fam, cp)
+        tmat = synthesis_matrix(fam, cp)
+        sv = np.linalg.svd(tmat, compute_uv=False)
+        # singular values of T_C below 1e-6 sigma_max are the square roots of
+        # eigenvalue roundoff, not part of its range
+        assert int(np.sum(sv > 1e-6 * sv[0])) == rank
+        for k in (q @ q.conj().T @ complex_gaussian(rng, dim, dim), s):
+            rep = atomic_check(fam, cp, k)
+            assert rep.is_atomic
+            assert rep.coefficient_residual <= 1e-12
+            ref = np.linalg.lstsq(tmat, k, rcond=1e-6)[0]
+            dev = np.linalg.norm(rep.coefficient_map - ref, 2)
+            assert dev <= 1e-10 * np.linalg.norm(ref, 2)
 
 
 class TestValidation:

@@ -1,0 +1,97 @@
+"""The Hermitian and PSD gates decide exactly as their spectral-norm definition.
+
+`require_hermitian` and `positive_sqrt` may pass a matrix through a Frobenius
+bracket or take a norm from eigenvalues instead of an SVD.  The reference
+implementations below are the plain definitions with `np.linalg.norm(., 2)`;
+every drawn matrix must get the same verdict and the same output from both.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gfusion import tolerances as tol
+from gfusion.errors import NotHermitian, NotPSD
+from gfusion.linalg import positive_sqrt, require_hermitian
+
+from conftest import complex_gaussian
+
+GATE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def reference_require_hermitian(a, rtol):
+    scale = np.linalg.norm(a, 2)
+    dev = np.linalg.norm(a - a.conj().T, 2)
+    if dev > rtol * max(scale, 1e-300):
+        raise NotHermitian("reference")
+    return 0.5 * (a + a.conj().T)
+
+
+def reference_positive_sqrt(a):
+    h = reference_require_hermitian(a, tol.TOL_HERM)
+    scale = np.linalg.norm(h, 2)
+    vals, vecs = np.linalg.eigh(h)
+    if np.any(vals < -tol.TOL_PSD * max(scale, 1e-300)):
+        raise NotPSD("reference")
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def unitary(rng, n):
+    q, _ = np.linalg.qr(complex_gaussian(rng, n, n))
+    return q
+
+
+def perturbed(rng, n, eigenvalues, eps):
+    """h + eps K: h Hermitian with the given eigenvalues, K anti-Hermitian
+    with ||K||_2 = 1/2, so ||a - a*||_2 = eps."""
+    q = unitary(rng, n)
+    h = (q * eigenvalues) @ q.conj().T
+    k = complex_gaussian(rng, n, n)
+    k = k - k.conj().T
+    k /= 2 * np.linalg.norm(k, 2)
+    return h + eps * k
+
+
+def same_outcome(fn, ref, *args):
+    """Both raise the same error type, or both return arrays equal to 1e-12."""
+    try:
+        expected = ref(*args)
+    except (NotHermitian, NotPSD) as exc:
+        with pytest.raises(type(exc)):
+            fn(*args)
+        return
+    got = fn(*args)
+    scale = max(np.linalg.norm(expected), 1e-300)
+    assert np.linalg.norm(got - expected) <= 1e-12 * scale
+
+
+@GATE_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    rtol=st.sampled_from([tol.TOL_HERM, tol.TOL_FACTOR, 1e-6, 1e-3]),
+    log_ratio=st.floats(-2.0, 2.0),
+)
+def test_require_hermitian_matches_spectral_definition(seed, n, rtol, log_ratio):
+    rng = np.random.default_rng(seed)
+    a = perturbed(rng, n, rng.uniform(-1.0, 1.0, n), rtol * 10.0**log_ratio)
+    same_outcome(require_hermitian, reference_require_hermitian, a, rtol)
+
+
+@GATE_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    log_ratio=st.floats(-2.0, 2.0),
+    log_dip=st.floats(-2.0, 2.0),
+)
+def test_positive_sqrt_matches_spectral_definition(seed, n, log_ratio, log_dip):
+    # asymmetry eps around TOL_HERM, and a smallest eigenvalue dipping below
+    # zero by a multiple of the PSD floor
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.0, 1.0, n)
+    vals[0] = -tol.TOL_PSD * 10.0**log_dip
+    a = perturbed(rng, n, vals, tol.TOL_HERM * 10.0**log_ratio)
+    same_outcome(positive_sqrt, reference_positive_sqrt, a)

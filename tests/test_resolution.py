@@ -12,6 +12,7 @@ from gfusion.errors import (
 )
 from gfusion.frames import ControlPair, FrameFamily, frame_operator
 from gfusion.resolution import (
+    _resolution_report,
     bessel_resolution_frame_check,
     canonical_resolutions,
     coercive_pair_check,
@@ -21,7 +22,7 @@ from gfusion.resolution import (
     swapped,
 )
 
-from conftest import random_family, scalar_controls, scaled_partition_family
+from conftest import complex_gaussian, random_family, scalar_controls, scaled_partition_family
 
 
 class TestPairOperator:
@@ -157,6 +158,24 @@ class TestBesselResolution:
         s = frame_operator(fam, ControlPair.identity(4))
         rep = bessel_resolution_frame_check(fam, np.eye(4), np.linalg.inv(s))
         assert rep.resolution_residual <= 1e-8
+
+
+class TestResolutionResidual:
+    # an identity resolution off by 5e-8 in spectral norm at n = 64 exceeds
+    # TOL_RESOLUTION = 1e-8; the residual is not rescaled by the dimension
+    def test_perturbed_identity_not_converged(self, rng):
+        n = 64
+        terms = np.stack([np.eye(n, dtype=complex) / 4] * 4)
+        e = complex_gaussian(rng, n, n)
+        terms[2] += 5e-8 * e / np.linalg.norm(e, 2)
+        rep = _resolution_report(terms)
+        assert abs(rep.residual - 5e-8) <= 1e-12
+        assert not rep.converged
+
+    def test_bessel_resolution_rejects_perturbed_identity(self):
+        fam = scaled_partition_family(64, (1.0, 1.0 + 5e-8))
+        with pytest.raises(ResolutionFailed):
+            bessel_resolution_frame_check(fam, np.eye(64), np.eye(64))
 
 
 class TestCoercivity:
