@@ -285,7 +285,6 @@ def cmd_thm(args) -> int:
 def cmd_fourier_demo(args) -> int:
     params = fourier.FourierParams(args.nmax, args.m, args.alpha, args.beta)
     rep = fourier.verify_fourier(params, trials=args.trials, seed=args.seed)
-    fam, cp, k = fourier.build_fourier_example(params)
     report = {
         "command": "fourier-demo",
         "a_opt": _finite(rep.a_opt),
@@ -295,9 +294,9 @@ def cmd_fourier_demo(args) -> int:
         "trials": rep.trials,
         "worst_lower_slack": rep.worst_lower_slack,
         "worst_upper_slack": rep.worst_upper_slack,
-        "family": serialize.family_to_dict(fam),
-        "control": serialize.control_pair_to_dict(cp),
-        "k": serialize.operator_to_dict(k),
+        "family": serialize.family_to_dict(rep.family),
+        "control": serialize.control_pair_to_dict(rep.control),
+        "k": serialize.operator_to_dict(rep.k),
     }
     _write_report(report, args.out)
     return 0 if rep.sandwich_ok else 1

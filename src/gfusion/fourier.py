@@ -11,14 +11,14 @@ projector onto indices 1..m, the tied operator k projects onto indices
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tolerances as tol
 from .errors import InvalidParameters
 from .frames import ControlPair, FrameFamily, frame_sum, kgf_bounds
-from .linalg import Subspace
+from .linalg import Subspace, random_unit_columns
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,10 @@ class FourierReport:
     trials: int
     worst_lower_slack: float
     worst_upper_slack: float
+    # the example that was verified, as built by build_fourier_example
+    family: FrameFamily = field(repr=False, compare=False)
+    control: ControlPair = field(repr=False, compare=False)
+    k: np.ndarray = field(repr=False, compare=False)
 
 
 def verify_fourier(p: FourierParams, trials: int = 100, seed: int = 0) -> FourierReport:
@@ -107,18 +111,15 @@ def verify_fourier(p: FourierParams, trials: int = 100, seed: int = 0) -> Fourie
     bounds_ok = a_opt >= ab - 1e-9 and upper <= 1.0 + 1e-9
 
     rng = np.random.default_rng(seed)
-    d = p.dim
     worst_lo = math.inf
     worst_hi = math.inf
-    for _ in range(trials):
-        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        x /= np.linalg.norm(x)
+    for x in random_unit_columns(rng, p.dim, trials):
         fs = frame_sum(fam, cp, x).real
         kx = k.conj().T @ x
-        lo_slack = fs - ab * float(np.vdot(kx, kx).real)
-        hi_slack = float(np.vdot(x, x).real) - fs
-        worst_lo = min(worst_lo, lo_slack)
-        worst_hi = min(worst_hi, hi_slack)
+        lo_slack = fs - ab * np.vecdot(kx, kx, axis=0).real
+        hi_slack = np.vecdot(x, x, axis=0).real - fs
+        worst_lo = min(worst_lo, float(lo_slack.min()))
+        worst_hi = min(worst_hi, float(hi_slack.min()))
     sampled_ok = worst_lo >= -tol.TOL_HERM and worst_hi >= -tol.TOL_HERM
     return FourierReport(
         a_opt,
@@ -128,4 +129,7 @@ def verify_fourier(p: FourierParams, trials: int = 100, seed: int = 0) -> Fourie
         trials,
         worst_lo,
         worst_hi,
+        fam,
+        cp,
+        k,
     )

@@ -34,11 +34,9 @@ from .linalg import (
     as_operator,
     as_vector,
     gen_rayleigh_min,
-    inner,
     opnorm,
     pinv,
     positive_sqrt,
-    projector,
     require_invertible,
     within_frobenius,
 )
@@ -156,14 +154,27 @@ def _check_dims(fam: FrameFamily, cp: ControlPair):
         )
 
 
-def _cross(a, t, u) -> np.ndarray:
-    """(a t)* (a u): the cross operator of one item operator a = L P."""
-    return (a @ t).conj().T @ (a @ u)
+def factored_cross(t_adj, basis_t, core, basis_u, u) -> np.ndarray:
+    """(t* B_t) core (B_u* u), with B_t, B_u orthonormal bases and t_adj = t*.
+
+    With C = L B for each basis, the item operator L P equals C B*, so
+    t* P_t L_t* L_u P_u u = (t* B_t) (C_t* C_u) (B_u* u): O(n^2 d) for
+    subspaces of dimension d, where the n x n projectors cost O(n^3).
+    """
+    return (t_adj @ basis_t) @ (core @ (basis_u.conj().T @ u))
+
+
+def _gram(sub: Subspace, lam) -> np.ndarray:
+    """C* C with C = L B: the core of an item's cross operator."""
+    c = lam @ sub.basis
+    return c.conj().T @ c
 
 
 def item_cross_operator(sub: Subspace, lam, weight, cp: ControlPair) -> np.ndarray:
     """Single term t* P L* L P u (weight excluded)."""
-    return _cross(as_operator(lam) @ projector(sub), cp.t, cp.u)
+    return factored_cross(
+        cp.t.conj().T, sub.basis, _gram(sub, as_operator(lam)), sub.basis, cp.u
+    )
 
 
 class FrameEvaluation:
@@ -180,6 +191,7 @@ class FrameEvaluation:
         _check_dims(fam, cp)
         self.fam = fam
         self.weights_sq = np.array([w * w for w in fam.weights])
+        self.grams = [_gram(sub, lam) for sub, lam, _ in fam.items]
         self.terms = self.cross_terms(cp.t, cp.u)
         self.s = self.weighted_sum(self.terms)
 
@@ -187,8 +199,9 @@ class FrameEvaluation:
         """Stack of (A_j t)* (A_j u), one n x n slice per item."""
         n = self.fam.ambient_dim
         out = np.empty((len(self.fam), n, n), dtype=complex)
-        for j, (sub, lam, _) in enumerate(self.fam.items):
-            out[j] = _cross(lam @ projector(sub), t, u)
+        t_adj = t.conj().T
+        for j, ((sub, _, _), gram) in enumerate(zip(self.fam.items, self.grams)):
+            out[j] = factored_cross(t_adj, sub.basis, gram, sub.basis, u)
         return out
 
     def weighted(self, stack) -> np.ndarray:
@@ -310,19 +323,36 @@ class FrameEvaluation:
         )
 
 
-def frame_sum(fam: FrameFamily, cp: ControlPair, f) -> complex:
-    """Literal sum  sum_j v_j^2 <L_j P_j u f, L_j P_j t f>."""
+def frame_sum(fam: FrameFamily, cp: ControlPair, f):
+    """Literal sum  sum_j v_j^2 <L_j P_j u f, L_j P_j t f>.
+
+    `f` is one vector of shape (n,), giving a complex number, or a block of
+    k column vectors of shape (n, k), giving the k sums as an array.  Each
+    L_j P_j is applied through the basis B_j of W_j, in the association with
+    fewer flops: as C_j B_j* with C_j = L_j B_j when dim W_j < 2k,
+    otherwise as L_j (B_j (B_j* .)).
+    """
     _check_dims(fam, cp)
-    f = as_vector(f)
+    f = np.asarray(f, dtype=complex)
+    if f.ndim not in (1, 2):
+        raise DimensionMismatch(f"vector must be 1-D or 2-D, got shape {f.shape}")
     if f.shape[0] != fam.ambient_dim:
         raise DimensionMismatch(f"vector dim {f.shape[0]} != {fam.ambient_dim}")
-    tf = cp.t @ f
-    uf = cp.u @ f
-    total = 0.0 + 0.0j
+    block = f.reshape(fam.ambient_dim, -1)
+    k = block.shape[1]
+    # rows: the k vectors t f, then the k vectors u f; each per-item sum
+    # then runs along contiguous memory
+    rows = np.concatenate((cp.t @ block, cp.u @ block), axis=1).T
+    total = np.zeros(k, dtype=complex)
     for sub, lam, w in fam.items:
-        lp = lam @ projector(sub)
-        total += w * w * inner(lp @ uf, lp @ tf)
-    return total
+        b = sub.basis
+        coords = rows @ b.conj()
+        if b.shape[1] < 2 * k:
+            a = coords @ (lam @ b).T
+        else:
+            a = (coords @ b.T) @ lam.T
+        total += w * w * np.vecdot(a[:k], a[k:])
+    return complex(total[0]) if f.ndim == 1 else total
 
 
 def frame_operator(fam: FrameFamily, cp: ControlPair) -> np.ndarray:

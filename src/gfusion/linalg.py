@@ -44,6 +44,23 @@ def inner(x, y) -> complex:
     return complex(np.vdot(np.asarray(y), np.asarray(x)))
 
 
+# Sampled checks draw and test their random unit vectors this many at a
+# time, which bounds their memory for any trial count.
+SAMPLE_CHUNK = 1024
+
+
+def random_unit_columns(rng, n: int, trials: int):
+    """Yield `trials` random complex unit vectors of C^n as (n, c) blocks.
+
+    Each vector takes n standard normals for its real part, then n for its
+    imaginary part: the stream of drawing the vectors one at a time.
+    """
+    for start in range(0, trials, SAMPLE_CHUNK):
+        z = rng.standard_normal((min(SAMPLE_CHUNK, trials - start), 2, n))
+        x = (z[:, 0] + 1j * z[:, 1]).T
+        yield x / np.linalg.norm(x, axis=0)
+
+
 def opnorm(a) -> float:
     """Spectral norm; zero-size matrices have norm 0."""
     a = np.asarray(a)

@@ -6,9 +6,10 @@ The pair operator for two controlled Bessel families (L under (t,t), G under
 
     S_pair = sum_j v_j w_j  t* P_j L_j* G_j Q_j u
 
-with P_j, Q_j the projectors of the two subspace families.  Its adjoint is
-the swapped construction; coercivity (S_swapped >= m I with m > 0) or
-proximity to the identity force frame properties on the inputs.
+with P_j, Q_j the projectors of the two subspace families, applied through
+their bases (`frames.factored_cross`).  Its adjoint is the swapped
+construction; coercivity (S_swapped >= m I with m > 0) or proximity to the
+identity force frame properties on the inputs.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .errors import (
     NotPositive,
     ResolutionFailed,
 )
-from .frames import ControlPair, FrameEvaluation, FrameFamily
-from .linalg import as_operator, opnorm, projector, require_invertible
+from .frames import ControlPair, FrameEvaluation, FrameFamily, factored_cross
+from .linalg import as_operator, opnorm, random_unit_columns, require_invertible
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,7 @@ def pair_frame_operator(
     u = require_invertible(as_operator(u), "right control")
     n = famL.ambient_dim
     s = np.zeros((n, n), dtype=complex)
+    t_adj = t.conj().T
     for j, ((subL, lamL, wL), (subG, lamG, wG)) in enumerate(
         zip(famL.items, famG.items)
     ):
@@ -68,15 +70,8 @@ def pair_frame_operator(
             raise CodomainMismatch(
                 f"item {j}: codomain dims {lamL.shape[0]} != {lamG.shape[0]}"
             )
-        term = (
-            t.conj().T
-            @ projector(subL)
-            @ lamL.conj().T
-            @ lamG
-            @ projector(subG)
-            @ u
-        )
-        s += wL * wG * term
+        core = (lamL @ subL.basis).conj().T @ (lamG @ subG.basis)
+        s += wL * wG * factored_cross(t_adj, subL.basis, core, subG.basis, u)
     return PairOperator(s, famL, famG, t, u)
 
 
@@ -262,6 +257,8 @@ def perturbation_check(
         raise InvalidParameters(f"lambda1 must be < 1, got {lambda1}")
     if not (lambda2 > -1):
         raise InvalidParameters(f"lambda2 must be > -1, got {lambda2}")
+    if trials < 1:
+        raise InvalidParameters("trials must be >= 1")
     s = pair.matrix
     n = s.shape[0]
     eye = np.eye(n)
@@ -272,16 +269,14 @@ def perturbation_check(
 
     rng = np.random.default_rng(seed)
     worst = math.inf
-    for _ in range(trials):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        f /= np.linalg.norm(f)
+    for f in random_unit_columns(rng, n, trials):
         sf = s @ f
         slack = (
-            lambda1 * 1.0
-            + lambda2 * float(np.linalg.norm(sf))
-            - float(np.linalg.norm(f - sf))
+            lambda1
+            + lambda2 * np.linalg.norm(sf, axis=0)
+            - np.linalg.norm(f - sf, axis=0)
         )
-        worst = min(worst, slack)
+        worst = min(worst, float(slack.min()))
     sampled_ok = worst >= -1e-12
     if not sampled_ok:
         raise HypothesisFailed(

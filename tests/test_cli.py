@@ -234,3 +234,44 @@ class TestTolOverride:
             assert rep["is_frame"] is False
         finally:
             tolerances.TOL_PSD = saved
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_perturb_nonpositive_trials_exit_2(tmp_path, capsys, trials):
+    out = tmp_path / "inst"
+    assert main(["random", "--seed", "5", "--dim", "8", "--items", "4",
+                 "--structure", "near-identity-pair", "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main([
+        "thm", "perturb",
+        "--in", str(out / "family.json"), "--in", str(out / "family2.json"),
+        "--control", str(out / "pair_control.json"),
+        "--lambda1", "0.1", "--lambda2", "0.0", "--trials", trials,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "trials" in captured.err
+
+
+def test_fourier_demo_builds_example_once(tmp_path, monkeypatch):
+    from gfusion import fourier
+
+    calls = []
+    build = fourier.build_fourier_example
+
+    def counting_build(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(fourier, "build_fourier_example", counting_build)
+    out = tmp_path / "demo.json"
+    argv = ["fourier-demo", "--nmax", "5", "--m", "2", "--alpha", "0.5",
+            "--beta", "0.8", "--trials", "20", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    fam, cp, k = build(calls[0])
+    rep = json.loads(out.read_text())
+    assert rep["family"] == json.loads(serialize.dumps(serialize.family_to_dict(fam)))
+    assert rep["control"] == json.loads(serialize.dumps(serialize.control_pair_to_dict(cp)))
+    assert rep["k"] == json.loads(serialize.dumps(serialize.operator_to_dict(k)))

@@ -1,0 +1,219 @@
+"""Batched sampling and basis-factored item operators against literal forms.
+
+`frame_sum` on an (n, k) block, the chunked samplers of `verify_fourier` and
+`perturbation_check`, and the cross operators built through the subspace
+bases must agree with the one-vector loops and the n x n projector forms
+they replace.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gfusion import generate
+from gfusion.errors import DimensionMismatch, InvalidParameters
+from gfusion.fourier import FourierParams, build_fourier_example, verify_fourier
+from gfusion.frames import (
+    ControlPair,
+    FrameEvaluation,
+    FrameFamily,
+    frame_operator,
+    frame_sum,
+    item_cross_operator,
+    kgf_bounds,
+)
+from gfusion.linalg import SAMPLE_CHUNK, Subspace, projector
+from gfusion.resolution import pair_frame_operator, perturbation_check
+
+from conftest import complex_gaussian, random_subspace, scaled_partition_family
+
+SAMPLING_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def rel_err(a, b):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b))) / max(np.max(np.abs(b)), 1e-300)
+
+
+def projector_cross(sub, lam, t, u):
+    """(L P t)* (L P u) through the n x n projector."""
+    lp = lam @ projector(sub)
+    return (lp @ t).conj().T @ (lp @ u)
+
+
+@st.composite
+def block_cases(draw, structure):
+    """A generated family of the given structure, with a zero-subspace item
+    and a rectangular operator appended, its control pair and an (n, k) block."""
+    dim = draw(st.integers(1, 12))
+    items = draw(st.integers(1, dim if structure in ("parseval", "near-identity-pair") else 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.sampled_from((1, 2, 3, 7, 25)))
+    inst = generate.random_instance(seed, dim, items, structure)
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 2 * dim + 1))
+    extra = [
+        (Subspace.zero(dim), complex_gaussian(rng, 3, dim), 1.5),
+        (random_subspace(rng, dim, int(rng.integers(1, dim + 1))),
+         complex_gaussian(rng, rows, dim), 0.7),
+    ]
+    fam = FrameFamily(dim, list(inst.family.items) + extra)
+    return fam, inst.control, complex_gaussian(rng, dim, k)
+
+
+@pytest.mark.parametrize("structure", generate.STRUCTURES)
+@SAMPLING_SETTINGS
+@given(data=st.data())
+def test_block_frame_sum_matches_columns_and_quadratic_form(structure, data):
+    fam, cp, block = data.draw(block_cases(structure))
+    s = frame_operator(fam, cp)
+    sums = frame_sum(fam, cp, block)
+    assert sums.shape == (block.shape[1],)
+    for col, value in zip(block.T, sums):
+        scale = max(np.linalg.norm(s, 2) * np.vdot(col, col).real, 1e-300)
+        single = frame_sum(fam, cp, col)
+        assert isinstance(single, complex)
+        assert abs(value - single) <= 1e-12 * scale
+        assert abs(value - np.vdot(col, s @ col)) <= 1e-12 * scale
+
+
+def test_frame_sum_rejects_three_dimensional_input():
+    fam = scaled_partition_family(4, (1.0, 2.0))
+    with pytest.raises(DimensionMismatch):
+        frame_sum(fam, ControlPair.identity(4), np.ones((4, 2, 2)))
+
+
+def reference_fourier_slacks(p, trials, seed):
+    """The one-vector-per-trial loop, with each item applied as L P."""
+    fam, cp, k = build_fourier_example(p)
+    ab = p.alpha * p.beta
+    rng = np.random.default_rng(seed)
+    worst_lo = worst_hi = math.inf
+    for _ in range(trials):
+        x = rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
+        x /= np.linalg.norm(x)
+        fs = sum(
+            w * w * np.vdot(lam @ projector(sub) @ cp.t @ x,
+                            lam @ projector(sub) @ cp.u @ x)
+            for sub, lam, w in fam.items
+        ).real
+        kx = k.conj().T @ x
+        worst_lo = min(worst_lo, fs - ab * np.vdot(kx, kx).real)
+        worst_hi = min(worst_hi, np.vdot(x, x).real - fs)
+    return worst_lo, worst_hi
+
+
+@pytest.mark.parametrize(
+    "params, trials, seed",
+    [
+        (FourierParams(4, 2, 0.5, 0.9), 37, 3),
+        (FourierParams(3, 3, 0.3, 0.8), SAMPLE_CHUNK + 301, 11),
+    ],
+)
+def test_verify_fourier_samples_match_reference_loop(params, trials, seed):
+    rep = verify_fourier(params, trials=trials, seed=seed)
+    lo, hi = reference_fourier_slacks(params, trials, seed)
+    assert rep.trials == trials
+    assert abs(rep.worst_lower_slack - lo) <= 1e-12
+    assert abs(rep.worst_upper_slack - hi) <= 1e-12
+
+
+def test_verify_fourier_report_carries_its_example():
+    p = FourierParams(4, 2, 0.5, 0.9)
+    rep = verify_fourier(p, trials=5)
+    fam, cp, k = build_fourier_example(p)
+    np.testing.assert_array_equal(rep.k, k)
+    np.testing.assert_array_equal(rep.control.t, cp.t)
+    assert len(rep.family) == len(fam)
+    assert (rep.a_opt, rep.upper, rep.is_kgf) == kgf_bounds(fam, cp, k)
+
+
+def near_identity_pair(dim, eps=0.02, seed=3):
+    fam = scaled_partition_family(dim, tuple([1.0] * dim))
+    rng = np.random.default_rng(seed)
+    e = complex_gaussian(rng, dim, dim)
+    e /= np.linalg.norm(e, 2)
+    return pair_frame_operator(fam, np.eye(dim), fam, np.eye(dim) + eps * e)
+
+
+def reference_perturbation_slack(s, lambda1, lambda2, trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for _ in range(trials):
+        f = rng.standard_normal(s.shape[0]) + 1j * rng.standard_normal(s.shape[0])
+        f /= np.linalg.norm(f)
+        sf = s @ f
+        worst = min(worst, lambda1 + lambda2 * np.linalg.norm(sf) - np.linalg.norm(f - sf))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "dim, lambda2, trials",
+    [(4, 0.0, 200), (5, 0.05, SAMPLE_CHUNK), (6, 0.02, 2 * SAMPLE_CHUNK + 17)],
+)
+def test_perturbation_samples_match_reference_loop(dim, lambda2, trials):
+    pair = near_identity_pair(dim)
+    rep = perturbation_check(pair, 0.05, lambda2, 2.0, 2.0, trials=trials, seed=9)
+    ref = reference_perturbation_slack(pair.matrix, 0.05, lambda2, trials, 9)
+    assert abs(rep.worst_sample_slack - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_perturbation_rejects_nonpositive_trials(trials):
+    with pytest.raises(InvalidParameters):
+        perturbation_check(near_identity_pair(4), 0.05, 0.0, 2.0, 2.0, trials=trials)
+
+
+def cross_cases():
+    """(subspace, operator, control pair): zero and full subspaces, a
+    rectangular operator, and non-normal controls."""
+    rng = np.random.default_rng(2718)
+    n = 6
+    shear = np.eye(n) + np.triu(complex_gaussian(rng, n, n), 1)
+    non_normal = ControlPair(shear, np.eye(n) + 0.4 * complex_gaussian(rng, n, n))
+    assert np.linalg.norm(shear @ shear.conj().T - shear.conj().T @ shear) > 1e-3
+    lam = complex_gaussian(rng, n, n)
+    rect = complex_gaussian(rng, 3, n)
+    return [
+        (Subspace.zero(n), lam, non_normal),
+        (Subspace.full(n), lam, non_normal),
+        (Subspace.full(n), rect, ControlPair.identity(n)),
+        (random_subspace(rng, n, 2), rect, non_normal),
+        (random_subspace(rng, n, 4), lam, ControlPair.scalars(n, 0.5, 2.0)),
+    ]
+
+
+@pytest.mark.parametrize("sub, lam, cp", cross_cases())
+def test_factored_cross_terms_match_projector_form(sub, lam, cp):
+    ref = projector_cross(sub, lam, cp.t, cp.u)
+    scale = np.linalg.norm(ref, 2)  # 0 for the zero subspace: exact zeros
+    got = item_cross_operator(sub, lam, 1.0, cp)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    fam = FrameFamily(sub.ambient_dim, [(sub, lam, 1.3), (Subspace.full(sub.ambient_dim), lam, 0.5)])
+    terms = FrameEvaluation(fam, cp).terms
+    assert np.max(np.abs(terms[0] - ref)) <= 1e-12 * scale
+
+
+def test_pair_operator_matches_projector_form():
+    rng = np.random.default_rng(161)
+    n = 5
+    left = FrameFamily(n, [
+        (Subspace.zero(n), complex_gaussian(rng, 3, n), 1.0),
+        (random_subspace(rng, n, 2), complex_gaussian(rng, 4, n), 0.8),
+        (Subspace.full(n), complex_gaussian(rng, 2, n), 1.4),
+    ])
+    right = FrameFamily(n, [
+        (Subspace.full(n), complex_gaussian(rng, 3, n), 1.2),
+        (random_subspace(rng, n, 3), complex_gaussian(rng, 4, n), 0.6),
+        (random_subspace(rng, n, 1), complex_gaussian(rng, 2, n), 0.9),
+    ])
+    t = np.eye(n) + np.triu(complex_gaussian(rng, n, n), 1)
+    u = np.eye(n) + 0.3 * complex_gaussian(rng, n, n)
+    ref = sum(
+        wl * wr * t.conj().T @ projector(sl) @ ll.conj().T @ lr @ projector(sr) @ u
+        for (sl, ll, wl), (sr, lr, wr) in zip(left.items, right.items)
+    )
+    got = pair_frame_operator(left, t, right, u).matrix
+    assert rel_err(got, ref) <= 1e-12
