@@ -10,29 +10,21 @@ and 2 on input or parse errors.  Reports are deterministic functions of
 from __future__ import annotations
 
 import argparse
-import math
+import os
 import sys
-
-import numpy as np
 
 from . import constructions, fourier, frames, generate, resolution, serialize
 from . import tolerances
 from .errors import GFusionError, InvalidParameters, ParseError
 from .frames import ControlPair
-from .linalg import SpectralInterval, opnorm
+from .linalg import opnorm
 
 
-def _finite(x):
-    if x is None:
-        return None
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
-def _interval(iv: SpectralInterval):
-    return {"lambda_min": _finite(iv.lambda_min), "lambda_max": _finite(iv.lambda_max)}
+def _report(command, rep=None, **extra):
+    """A command's report: `command`, the fields of the library report `rep`
+    and the values only the CLI computes, all through `serialize.to_json`."""
+    fields = serialize.to_json(rep) if rep is not None else {}
+    return {"command": command, **fields, **serialize.to_json(extra)}
 
 
 def _write_report(report: dict, out_path):
@@ -66,67 +58,29 @@ def _load_operator(path):
     return serialize.operator_from_dict(serialize.load_json(path))
 
 
-def _frame_report_dict(rep: frames.FrameReport) -> dict:
-    return {
-        "is_bessel": rep.is_bessel,
-        "is_frame": rep.is_frame,
-        "bounds": _interval(rep.bounds),
-        "herm_residual": rep.herm_residual,
-        "s_c": serialize.operator_to_dict(rep.s_c),
-    }
-
-
-def cmd_check_frame(args) -> int:
+def cmd_check_frame(args):
     fam = _load_family(args.inputs[0])
     cp = _load_control(args.control[0])
     rep = frames.controlled_frame_bounds(fam, cp)
-    _write_report({"command": "check-frame", **_frame_report_dict(rep)}, args.out)
-    return 0 if rep.is_frame else 1
+    return _report("check-frame", rep), rep.is_frame
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     fam = _load_family(args.inputs[0])
     cp = _load_control(args.control[0])
     rep = frames.controlled_frame_bounds(fam, cp)
-    _write_report({"command": "bounds", **_frame_report_dict(rep)}, args.out)
-    return 0 if rep.is_bessel else 1
+    return _report("bounds", rep), rep.is_bessel
 
 
-def cmd_atomic(args) -> int:
+def cmd_atomic(args):
     fam = _load_family(args.inputs[0])
     cp = _load_control(args.control[0])
     k = _load_operator(args.k[0])
     rep = frames.atomic_check(fam, cp, k)
-    report = {
-        "command": "atomic",
-        "is_atomic": rep.is_atomic,
-        "bessel_bound": _finite(rep.bessel_bound),
-        "coefficient_norm_bound": _finite(rep.coefficient_norm_bound),
-        "lower_bound": _finite(rep.lower_bound),
-        "coefficient_residual": rep.coefficient_residual,
-        "literal_residual": rep.literal_residual,
-    }
-    _write_report(report, args.out)
-    return 0 if rep.is_atomic else 1
+    return _report("atomic", rep), rep.is_atomic
 
 
-def _transform_report_dict(command, rep: constructions.TransformReport) -> dict:
-    return {
-        "command": command,
-        "predicted_lower": _finite(rep.predicted_lower),
-        "predicted_upper": _finite(rep.predicted_upper),
-        "measured": _interval(rep.measured),
-        "hypothesis_certificates": [
-            {"name": name, "residual": res} for name, res in rep.hypothesis_certificates
-        ],
-        "all_hypotheses_pass": rep.all_hypotheses_pass,
-        "family_out": serialize.family_to_dict(rep.family_out),
-        "control_out": serialize.control_pair_to_dict(rep.control_out),
-        "k_out": serialize.operator_to_dict(rep.k_out),
-    }
-
-
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     kind = args.kind
     if kind == "sum-transform":
         famL = _load_family(args.inputs[0])
@@ -152,11 +106,10 @@ def cmd_construct(args) -> int:
     ok = rep.all_hypotheses_pass and rep.measured.lambda_min >= (
         rep.predicted_lower - 1e-6 * max(rep.predicted_upper, 1.0)
     )
-    _write_report(_transform_report_dict(f"construct-{kind}", rep), args.out)
-    return 0 if ok else 1
+    return _report(f"construct-{kind}", rep), ok
 
 
-def cmd_pair_op(args) -> int:
+def cmd_pair_op(args):
     famL = _load_family(args.inputs[0])
     famG = _load_family(args.inputs[1])
     cp = _load_control(args.control[0])
@@ -164,167 +117,81 @@ def cmd_pair_op(args) -> int:
     sw = resolution.swapped(pair)
     scale = max(opnorm(pair.matrix), 1e-300)
     adjoint_residual = opnorm(pair.matrix.conj().T - sw.matrix) / scale
-    report = {
-        "command": "pair-op",
-        "matrix": serialize.operator_to_dict(pair.matrix),
-        "adjoint_residual": adjoint_residual,
-    }
-    _write_report(report, args.out)
-    return 0 if adjoint_residual <= 1e-12 else 1
+    report = _report("pair-op", matrix=pair.matrix, adjoint_residual=adjoint_residual)
+    return report, adjoint_residual <= 1e-12
 
 
-def cmd_resolutions(args) -> int:
+def cmd_resolutions(args):
     fam = _load_family(args.inputs[0])
     cp = _load_control(args.control[0])
     right, left, rep_r, rep_l = resolution.canonical_resolutions(fam, cp)
-    report = {
-        "command": "resolutions",
-        "right_multiplied": {
-            "residual": rep_r.residual,
-            "term_count": rep_r.term_count,
-            "converged": rep_r.converged,
-        },
-        "left_multiplied": {
-            "residual": rep_l.residual,
-            "term_count": rep_l.term_count,
-            "converged": rep_l.converged,
-        },
-        "terms_right": [serialize.operator_to_dict(term) for term in right],
-        "terms_left": [serialize.operator_to_dict(term) for term in left],
-    }
-    _write_report(report, args.out)
-    return 0 if (rep_r.converged and rep_l.converged) else 1
+    report = _report(
+        "resolutions",
+        right_multiplied=rep_r,
+        left_multiplied=rep_l,
+        terms_right=right,
+        terms_left=left,
+    )
+    return report, rep_r.converged and rep_l.converged
 
 
-def cmd_thm(args) -> int:
+def _bessel_bound(fam, c):
+    """Optimal upper bound of `fam` under the control pair (c, c)."""
+    return frames.controlled_frame_bounds(fam, ControlPair(c, c)).bounds.lambda_max
+
+
+def cmd_thm(args):
     which = args.which
-    if which == "4.1":
-        fam = _load_family(args.inputs[0])
-        cp = _load_control(args.control[0])
-        rep = resolution.inverse_commutation_check(fam, cp)
-        report = {
-            "command": "thm-4.1",
-            "resolution_residual": rep.resolution.residual,
-            "lower": rep.lower,
-            "upper": rep.upper,
-            "predicted_lower": rep.predicted_lower,
-            "predicted_upper": rep.predicted_upper,
-            "commutation_residual": rep.commutation_residual,
-            "certified": rep.certified,
-        }
-        _write_report(report, args.out)
-        return 0 if rep.certified else 1
-    if which == "4.2":
-        fam = _load_family(args.inputs[0])
-        cp = _load_control(args.control[0])
-        rep = resolution.bessel_resolution_frame_check(fam, cp.t, cp.u)
-        report = {
-            "command": "thm-4.2",
-            "lower": rep.lower,
-            "upper": rep.upper,
-            "is_frame": rep.is_frame,
-            "predicted_lower": rep.predicted_lower,
-            "predicted_upper": rep.predicted_upper,
-            "resolution_residual": rep.resolution_residual,
-        }
-        _write_report(report, args.out)
-        return 0 if rep.is_frame else 1
-    if which == "4.4":
-        famL = _load_family(args.inputs[0])
+    fam = _load_family(args.inputs[0])
+    if which in ("4.4", "perturb"):
         famG = _load_family(args.inputs[1])
-        cp = _load_control(args.control[0])
-        pair = resolution.pair_frame_operator(famL, cp.t, famG, cp.u)
-        d = frames.controlled_frame_bounds(
-            famG, ControlPair(cp.u, cp.u)
-        ).bounds.lambda_max
-        rep = resolution.coercive_pair_check(pair, d)
-        report = {
-            "command": "thm-4.4",
-            "m": rep.m,
-            "predicted_lower": rep.predicted_lower,
-            "measured_lower": rep.measured_lower,
-            "is_frame": rep.is_frame,
-            "gamma_bessel_bound": d,
-        }
-        _write_report(report, args.out)
-        return 0 if rep.is_frame else 1
-    # perturb
-    famL = _load_family(args.inputs[0])
-    famG = _load_family(args.inputs[1])
     cp = _load_control(args.control[0])
-    pair = resolution.pair_frame_operator(famL, cp.t, famG, cp.u)
-    d1 = args.d1
-    d2 = args.d2
-    if d1 is None:
-        d1 = frames.controlled_frame_bounds(
-            famL, ControlPair(cp.t, cp.t)
-        ).bounds.lambda_max
-    if d2 is None:
-        d2 = frames.controlled_frame_bounds(
-            famG, ControlPair(cp.u, cp.u)
-        ).bounds.lambda_max
+    if which == "4.1":
+        rep = resolution.inverse_commutation_check(fam, cp)
+        report = _report("thm-4.1", rep, resolution_residual=rep.resolution.residual)
+        return report, rep.certified
+    if which == "4.2":
+        rep = resolution.bessel_resolution_frame_check(fam, cp.t, cp.u)
+        return _report("thm-4.2", rep), rep.is_frame
+    pair = resolution.pair_frame_operator(fam, cp.t, famG, cp.u)
+    if which == "4.4":
+        d = _bessel_bound(famG, cp.u)
+        rep = resolution.coercive_pair_check(pair, d)
+        return _report("thm-4.4", rep, gamma_bessel_bound=d), rep.is_frame
+    d1 = _bessel_bound(fam, cp.t) if args.d1 is None else args.d1
+    d2 = _bessel_bound(famG, cp.u) if args.d2 is None else args.d2
     rep = resolution.perturbation_check(
         pair, args.lambda1, args.lambda2, d1, d2, trials=args.trials, seed=args.seed
     )
     ok = rep.hyp_certified and rep.lower_gamma >= rep.lower_gamma_predicted - 1e-8
     if rep.lower_lambda is not None:
         ok = ok and rep.lower_lambda >= rep.lower_lambda_predicted - 1e-8
-    report = {
-        "command": "thm-perturb",
-        "hyp_certified": rep.hyp_certified,
-        "lower_gamma": rep.lower_gamma,
-        "lower_gamma_predicted": rep.lower_gamma_predicted,
-        "lower_lambda": _finite(rep.lower_lambda),
-        "lower_lambda_predicted": _finite(rep.lower_lambda_predicted),
-        "worst_sample_slack": rep.worst_sample_slack,
-    }
-    _write_report(report, args.out)
-    return 0 if ok else 1
+    return _report("thm-perturb", rep), ok
 
 
-def cmd_fourier_demo(args) -> int:
+def cmd_fourier_demo(args):
     params = fourier.FourierParams(args.nmax, args.m, args.alpha, args.beta)
     rep = fourier.verify_fourier(params, trials=args.trials, seed=args.seed)
-    report = {
-        "command": "fourier-demo",
-        "a_opt": _finite(rep.a_opt),
-        "upper": _finite(rep.upper),
-        "is_kgf": rep.is_kgf,
-        "sandwich_ok": rep.sandwich_ok,
-        "trials": rep.trials,
-        "worst_lower_slack": rep.worst_lower_slack,
-        "worst_upper_slack": rep.worst_upper_slack,
-        "family": serialize.family_to_dict(rep.family),
-        "control": serialize.control_pair_to_dict(rep.control),
-        "k": serialize.operator_to_dict(rep.k),
-    }
-    _write_report(report, args.out)
-    return 0 if rep.sandwich_ok else 1
+    return _report("fourier-demo", rep), rep.sandwich_ok
 
 
-def cmd_random(args) -> int:
+def cmd_random(args):
+    """Writes the instance files to --out; there is no report."""
     inst = generate.random_instance(args.seed, args.dim, args.items, args.structure)
-    import os
-
     os.makedirs(args.out_dir, exist_ok=True)
 
     def write(name, obj):
         with open(os.path.join(args.out_dir, name), "w") as fh:
-            fh.write(serialize.dumps(obj))
+            fh.write(serialize.dumps(serialize.to_json(obj)))
 
-    write("family.json", serialize.family_to_dict(inst.family))
-    write("control.json", serialize.control_pair_to_dict(inst.control))
-    write("k.json", serialize.operator_to_dict(inst.k))
+    write("family.json", inst.family)
+    write("control.json", inst.control)
+    write("k.json", inst.k)
     if inst.family2 is not None:
-        write("family2.json", serialize.family_to_dict(inst.family2))
+        write("family2.json", inst.family2)
         # combined pair control (t from the first, u from the second)
-        write(
-            "pair_control.json",
-            serialize.control_pair_to_dict(
-                ControlPair(inst.control.t, inst.control2.u)
-            ),
-        )
-    return 0
+        write("pair_control.json", ControlPair(inst.control.t, inst.control2.u))
+    return None, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,17 +275,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; it returns (report, ok), and the report is written
+    (when there is one) before exiting 0 if ok, else 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --tol overrides last for this call only
+    saved = {name: getattr(tolerances, name.upper()) for name in tolerances.DEFAULTS}
     try:
         _apply_tolerance_overrides(args.tol)
-        return args.func(args)
+        report, ok = args.func(args)
+        if report is not None:
+            _write_report(report, args.out)
+        return 0 if ok else 1
     except (ParseError, InvalidParameters) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GFusionError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for name, value in saved.items():
+            setattr(tolerances, name.upper(), value)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ no bound claim is asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,13 @@ from .linalg import (
 )
 
 
+class Certificate(NamedTuple):
+    """A named hypothesis residual; the hypothesis holds when it is small."""
+
+    name: str
+    residual: float
+
+
 @dataclass(frozen=True)
 class TransformReport:
     family_out: FrameFamily
@@ -40,7 +48,7 @@ class TransformReport:
     predicted_lower: float
     predicted_upper: float
     measured: SpectralInterval
-    hypothesis_certificates: tuple
+    hypothesis_certificates: tuple[Certificate, ...]
     all_hypotheses_pass: bool
 
 
@@ -54,6 +62,34 @@ def _bounds_and_operator(fam: FrameFamily, cp: ControlPair, k):
     ev = FrameEvaluation(fam, cp)
     a_opt, b, _ = ev.kgf(k)
     return a_opt, b, ev.s
+
+
+def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
+    """Prologue of the H (+) X constructions.
+
+    Checks item counts and weights, then that each named conjugator is
+    invertible, and only then evaluates each family under its control pair.
+    Returns the checked conjugators (in the order given), the direct-sum
+    control pair and k, and (a_opt, b, S) of each family.
+    """
+    if len(famH) != len(famX):
+        raise ItemCountMismatch(f"{len(famH)} vs {len(famX)} items")
+    for j, (wH, wX) in enumerate(zip(famH.weights, famX.weights)):
+        if abs(wH - wX) > 0:
+            raise WeightMismatch(f"item {j}: weights {wH} != {wX}")
+    checked = [
+        require_invertible(as_operator(c), name) for name, c in conjugators.items()
+    ]
+    kH = as_operator(kH)
+    kX = as_operator(kX)
+    cp_out = ControlPair(dsum_op(cpH.t, cpX.t), dsum_op(cpH.u, cpX.u))
+    return (
+        checked,
+        cp_out,
+        dsum_op(kH, kX),
+        _bounds_and_operator(famH, cpH, kH),
+        _bounds_and_operator(famX, cpX, kX),
+    )
 
 
 def _measure(ev: FrameEvaluation, k) -> SpectralInterval:
@@ -93,9 +129,9 @@ def sum_transform(
     require_invertible(r, "v + w")
     rstar = r.conj().T
     certs = [
-        ("k_commutes_with_sum", _commutator_residual(k, r)),
-        ("sum_adjoint_commutes_with_t", _commutator_residual(rstar, cp.t)),
-        ("sum_adjoint_commutes_with_u", _commutator_residual(rstar, cp.u)),
+        Certificate("k_commutes_with_sum", _commutator_residual(k, r)),
+        Certificate("sum_adjoint_commutes_with_t", _commutator_residual(rstar, cp.t)),
+        Certificate("sum_adjoint_commutes_with_u", _commutator_residual(rstar, cp.u)),
     ]
     # Cross-orthogonality: both sesquilinear forms vanish for all f iff the
     # assembled matrices vanish (complex polarization).
@@ -110,8 +146,8 @@ def sum_transform(
         cross1 = max(cross1, opnorm((a @ cp.t).conj().T @ (b @ cp.u)) / scale)
         cross2 = max(cross2, opnorm((b @ cp.t).conj().T @ (a @ cp.u)) / scale)
         items_out.append((subspace_image(r, sub), (lamL + lamG) @ p @ rstar, wt))
-    certs.append(("cross_terms_gamma_lambda", cross1))
-    certs.append(("cross_terms_lambda_gamma", cross2))
+    certs.append(Certificate("cross_terms_gamma_lambda", cross1))
+    certs.append(Certificate("cross_terms_lambda_gamma", cross2))
     fam_out = FrameFamily(famL.ambient_dim, items_out)
 
     a_l, b_l, _ = kgf_bounds(famL, cp, k)
@@ -139,28 +175,19 @@ def direct_sum_frame(
     Output frame operator is the block-diagonal sum of the two input frame
     operators; bounds combine as (min of lowers, max of uppers).
     """
-    if len(famH) != len(famX):
-        raise ItemCountMismatch(f"{len(famH)} vs {len(famX)} items")
-    for j, (wH, wX) in enumerate(zip(famH.weights, famX.weights)):
-        if abs(wH - wX) > 0:
-            raise WeightMismatch(f"item {j}: weights {wH} != {wX}")
-    kH = as_operator(kH)
-    kX = as_operator(kX)
+    _, cp_out, k_out, (a_h, b_h, s_h), (a_x, b_x, s_x) = _paired(
+        famH, cpH, kH, famX, cpX, kX
+    )
     items_out = []
     for (subH, lamH, wt), (subX, lamX, _) in zip(famH.items, famX.items):
         items_out.append((dsum_subspace(subH, subX), dsum_op(lamH, lamX), wt))
     fam_out = FrameFamily(famH.ambient_dim + famX.ambient_dim, items_out)
-    cp_out = ControlPair(dsum_op(cpH.t, cpX.t), dsum_op(cpH.u, cpX.u))
-    k_out = dsum_op(kH, kX)
-
-    a_h, b_h, s_h = _bounds_and_operator(famH, cpH, kH)
-    a_x, b_x, s_x = _bounds_and_operator(famX, cpX, kX)
     predicted_lower = min(a_h, a_x)
     predicted_upper = max(b_h, b_x)
     s_blocks = dsum_op(s_h, s_x)
     evO = FrameEvaluation(fam_out, cp_out)
     block_residual = opnorm(evO.s - s_blocks) / max(opnorm(s_blocks), 1e-300)
-    certs = (("frame_operator_block_diagonal", block_residual),)
+    certs = (Certificate("frame_operator_block_diagonal", block_residual),)
     measured = _measure(evO, k_out)
     return TransformReport(
         fam_out,
@@ -189,22 +216,17 @@ def conjugate_transform(
     Output frame operator equals (w (+) v) (S_H (+) S_X) (w (+) v)* whenever
     the commutation hypotheses hold.
     """
-    if len(famH) != len(famX):
-        raise ItemCountMismatch(f"{len(famH)} vs {len(famX)} items")
-    for j, (wH, wX) in enumerate(zip(famH.weights, famX.weights)):
-        if abs(wH - wX) > 0:
-            raise WeightMismatch(f"item {j}: weights {wH} != {wX}")
-    w = require_invertible(as_operator(w), "w")
-    v = require_invertible(as_operator(v), "v")
-    kH = as_operator(kH)
-    kX = as_operator(kX)
+    (w, v), cp_out, k_out, (a_h, b_h, s_h), (a_x, b_x, s_x) = _paired(
+        famH, cpH, kH, famX, cpX, kX, w=w, v=v
+    )
+    w_adj, v_adj = w.conj().T, v.conj().T
     certs = [
-        ("w_adjoint_commutes_with_t", _commutator_residual(w.conj().T, cpH.t)),
-        ("w_adjoint_commutes_with_t1", _commutator_residual(w.conj().T, cpH.u)),
-        ("v_adjoint_commutes_with_u", _commutator_residual(v.conj().T, cpX.t)),
-        ("v_adjoint_commutes_with_u1", _commutator_residual(v.conj().T, cpX.u)),
-        ("k_h_commutes_with_w", _commutator_residual(kH, w)),
-        ("k_x_commutes_with_v", _commutator_residual(kX, v)),
+        Certificate("w_adjoint_commutes_with_t", _commutator_residual(w_adj, cpH.t)),
+        Certificate("w_adjoint_commutes_with_t1", _commutator_residual(w_adj, cpH.u)),
+        Certificate("v_adjoint_commutes_with_u", _commutator_residual(v_adj, cpX.t)),
+        Certificate("v_adjoint_commutes_with_u1", _commutator_residual(v_adj, cpX.u)),
+        Certificate("k_h_commutes_with_w", _commutator_residual(as_operator(kH), w)),
+        Certificate("k_x_commutes_with_v", _commutator_residual(as_operator(kX), v)),
     ]
     wv = dsum_op(w, v)
     items_out = []
@@ -214,15 +236,10 @@ def conjugate_transform(
         lam_out = dsum_op(lamH, lamX) @ projector(sub_in) @ wv.conj().T
         items_out.append((sub_out, lam_out, wt))
     fam_out = FrameFamily(famH.ambient_dim + famX.ambient_dim, items_out)
-    cp_out = ControlPair(dsum_op(cpH.t, cpX.t), dsum_op(cpH.u, cpX.u))
-    k_out = dsum_op(kH, kX)
-
-    a_h, b_h, s_h = _bounds_and_operator(famH, cpH, kH)
-    a_x, b_x, s_x = _bounds_and_operator(famX, cpX, kX)
     s_expected = wv @ dsum_op(s_h, s_x) @ wv.conj().T
     evO = FrameEvaluation(fam_out, cp_out)
     conj_residual = opnorm(evO.s - s_expected) / max(opnorm(s_expected), 1e-300)
-    certs.append(("frame_operator_conjugated", conj_residual))
+    certs.append(Certificate("frame_operator_conjugated", conj_residual))
 
     w_inv = opnorm(np.linalg.inv(w))
     v_inv = opnorm(np.linalg.inv(v))

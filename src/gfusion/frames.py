@@ -141,10 +141,12 @@ class AtomicReport:
     bessel_bound: float
     coefficient_norm_bound: float
     lower_bound: float
-    coefficient_map: np.ndarray | None = None
+    # fields marked "report": False are for library callers only; the CLI
+    # report (serialize.to_json) skips them
+    coefficient_map: np.ndarray | None = field(default=None, metadata={"report": False})
     coefficient_residual: float | None = None
     literal_residual: float | None = field(default=None)
-    alpha_opt: float | None = field(default=None)
+    alpha_opt: float | None = field(default=None, metadata={"report": False})
 
 
 def _check_dims(fam: FrameFamily, cp: ControlPair):

@@ -129,8 +129,9 @@ class SpectralInterval:
             raise ValueError("lambda_min exceeds lambda_max")
 
 
-def orth(a, rtol: float = tol.TOL_RANK) -> np.ndarray:
-    """Orthonormal basis for the column space of `a` (SVD with relative cutoff)."""
+def orth(a, rtol: float | None = None) -> np.ndarray:
+    """Orthonormal basis for the column space of `a` (SVD with relative cutoff, default TOL_RANK)."""
+    rtol = tol.TOL_RANK if rtol is None else rtol
     a = as_operator(a)
     if a.shape[1] == 0 or not np.any(a):
         return np.zeros((a.shape[0], 0), dtype=complex)
@@ -172,12 +173,13 @@ def antihermitian_norm(d) -> float:
     return _largest_abs(np.linalg.eigvalsh(1j * d)) if d.size else 0.0
 
 
-def _hermitian_part(a: np.ndarray, rtol: float = tol.TOL_HERM) -> np.ndarray:
-    """Gate ||a - a*||_2 <= rtol * ||a||_2 and return (a + a*)/2.
+def _hermitian_part(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
+    """Gate ||a - a*||_2 <= rtol * ||a||_2 (default TOL_HERM) and return (a + a*)/2.
 
     The Frobenius bracket passes most inputs without an SVD; otherwise the
     two spectral norms decide, and the error quotes them.
     """
+    rtol = tol.TOL_HERM if rtol is None else rtol
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is not square: {a.shape}")
     d = a - a.conj().T
@@ -191,7 +193,7 @@ def _hermitian_part(a: np.ndarray, rtol: float = tol.TOL_HERM) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def require_hermitian(a, rtol: float = tol.TOL_HERM) -> np.ndarray:
+def require_hermitian(a, rtol: float | None = None) -> np.ndarray:
     """Check Hermitian symmetry and return the Hermitian part (a + a*)/2."""
     return _hermitian_part(as_operator(a), rtol)
 
@@ -211,8 +213,9 @@ def positive_sqrt(a) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def pinv(a, rtol: float = tol.TOL_RANK) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff."""
+def pinv(a, rtol: float | None = None) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with relative cutoff rtol (default TOL_RANK)."""
+    rtol = tol.TOL_RANK if rtol is None else rtol
     a = as_operator(a)
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=complex)

@@ -15,7 +15,7 @@ identity force frame properties on the inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,7 +110,7 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair):
 
 @dataclass(frozen=True)
 class ResolutionBoundsReport:
-    resolution: ResolutionReport
+    resolution: ResolutionReport = field(metadata={"report": False})
     lower: float
     upper: float
     predicted_lower: float

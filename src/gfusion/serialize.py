@@ -1,4 +1,5 @@
-"""JSON (de)serialization of operators, subspaces, families and control pairs.
+"""JSON (de)serialization of operators, subspaces, families and control pairs,
+and the one encoder of report values.
 
 Numbers are written as Python floats (shortest round-tripping decimal, up to
 17 significant digits); values survive a round trip exactly.
@@ -6,7 +7,9 @@ Numbers are written as Python floats (shortest round-tripping decimal, up to
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -107,6 +110,41 @@ def control_pair_from_dict(d) -> ControlPair:
         return ControlPair(t, u)
     except Exception as exc:
         raise ParseError(f"invalid control pair: {exc}") from exc
+
+
+def to_json(value):
+    """JSON-ready form of a report value, by one rule for every command.
+
+    Operators, families and control pairs take their `*_to_dict` form (checked
+    before dataclasses, which the latter two are).  A dataclass becomes the
+    dict of its fields, skipping those marked `field(metadata={"report":
+    False})`; a NamedTuple becomes its `_asdict()`; dicts, lists and tuples
+    are encoded item by item; +-inf becomes the string "inf" or "-inf".
+    """
+    if isinstance(value, np.ndarray):
+        return operator_to_dict(value)
+    if isinstance(value, FrameFamily):
+        return family_to_dict(value)
+    if isinstance(value, ControlPair):
+        return control_pair_to_dict(value)
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: to_json(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.metadata.get("report", True)
+        }
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    if isinstance(value, float):
+        value = float(value)
+        return ("inf" if value > 0 else "-inf") if math.isinf(value) else value
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    raise TypeError(f"cannot encode {type(value).__name__} in a report")
 
 
 def dumps(obj: dict) -> str:

@@ -235,6 +235,22 @@ class TestTolOverride:
         finally:
             tolerances.TOL_PSD = saved
 
+    def test_override_lasts_one_call(self, capsys, partition_inputs):
+        _, fam, cp, _ = partition_inputs
+        argv = ["check-frame", "--in", str(fam), "--control", str(cp)]
+        saved = tolerances.TOL_PSD
+        try:
+            assert run(capsys, *argv, "--tol", "tol_psd=2")[0] == 1
+            assert tolerances.TOL_PSD == saved
+            code, rep = run(capsys, *argv)
+            assert code == 0
+            assert rep["is_frame"] is True
+            # restored on the error path too
+            assert main([*argv, "--tol", "tol_psd=2", "--tol", "nope=1"]) == 2
+            assert tolerances.TOL_PSD == saved
+        finally:
+            tolerances.TOL_PSD = saved
+
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_perturb_nonpositive_trials_exit_2(tmp_path, capsys, trials):
@@ -275,3 +291,68 @@ def test_fourier_demo_builds_example_once(tmp_path, monkeypatch):
     assert rep["family"] == json.loads(serialize.dumps(serialize.family_to_dict(fam)))
     assert rep["control"] == json.loads(serialize.dumps(serialize.control_pair_to_dict(cp)))
     assert rep["k"] == json.loads(serialize.dumps(serialize.operator_to_dict(k)))
+
+
+FRAME_KEYS = {"is_bessel", "is_frame", "bounds", "herm_residual", "s_c"}
+TRANSFORM_KEYS = {
+    "predicted_lower", "predicted_upper", "measured", "hypothesis_certificates",
+    "all_hypotheses_pass", "family_out", "control_out", "k_out",
+}
+REPORT_SCHEMAS = [
+    (["check-frame", "--in", "F", "--control", "C"], "check-frame", FRAME_KEYS),
+    (["bounds", "--in", "F", "--control", "C"], "bounds", FRAME_KEYS),
+    (["atomic", "--in", "F", "--control", "C", "--k", "K"], "atomic",
+     {"is_atomic", "bessel_bound", "coefficient_norm_bound", "lower_bound",
+      "coefficient_residual", "literal_residual"}),
+    (["construct", "direct-sum", "--in", "F", "--in", "F", "--control", "C",
+      "--control", "C", "--k", "K", "--k", "K"], "construct-direct-sum", TRANSFORM_KEYS),
+    (["construct", "sum-transform", "--in", "F", "--in", "F", "--control", "C",
+      "--k", "K", "--v", "V", "--w", "W"], "construct-sum-transform", TRANSFORM_KEYS),
+    (["construct", "conjugate", "--in", "F", "--in", "F", "--control", "C",
+      "--control", "C", "--k", "K", "--k", "K", "--v", "V", "--w", "W"],
+     "construct-conjugate", TRANSFORM_KEYS),
+    (["pair-op", "--in", "F", "--in", "F", "--control", "C"], "pair-op",
+     {"matrix", "adjoint_residual"}),
+    (["resolutions", "--in", "F", "--control", "C"], "resolutions",
+     {"right_multiplied", "left_multiplied", "terms_right", "terms_left"}),
+    (["thm", "4.1", "--in", "F", "--control", "C"], "thm-4.1",
+     {"resolution_residual", "lower", "upper", "predicted_lower", "predicted_upper",
+      "commutation_residual", "certified"}),
+    (["thm", "4.2", "--in", "F", "--control", "CI"], "thm-4.2",
+     {"lower", "upper", "is_frame", "predicted_lower", "predicted_upper",
+      "resolution_residual"}),
+    (["thm", "4.4", "--in", "F", "--in", "F", "--control", "C"], "thm-4.4",
+     {"m", "predicted_lower", "measured_lower", "is_frame", "gamma_bessel_bound"}),
+    (["thm", "perturb", "--in", "F", "--in", "F", "--control", "CI",
+      "--lambda1", "0.9", "--lambda2", "0.5", "--seed", "3"], "thm-perturb",
+     {"hyp_certified", "lower_gamma", "lower_gamma_predicted", "lower_lambda",
+      "lower_lambda_predicted", "worst_sample_slack"}),
+    (["fourier-demo", "--nmax", "6", "--m", "2", "--alpha", "0.5", "--beta", "0.5",
+      "--seed", "4"], "fourier-demo",
+     {"a_opt", "upper", "is_kgf", "sandwich_ok", "trials", "worst_lower_slack",
+      "worst_upper_slack", "family", "control", "k"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, command, keys", REPORT_SCHEMAS, ids=[c for _, c, _ in REPORT_SCHEMAS]
+)
+def test_report_schema(tmp_path, capsys, argv, command, keys):
+    """Every report is `command` plus an exact, pinned set of top-level keys."""
+    fam = scaled_partition_family(4, (2.0, 1.5))
+    s = frame_operator(fam, ControlPair.identity(4))
+    inputs = {
+        "F": serialize.family_to_dict(fam),
+        "C": serialize.control_pair_to_dict(ControlPair.identity(4)),
+        "CI": serialize.control_pair_to_dict(ControlPair(np.eye(4), np.linalg.inv(s))),
+        "K": serialize.operator_to_dict(np.eye(4)),
+        "V": serialize.operator_to_dict(0.5 * np.eye(4)),
+        "W": serialize.operator_to_dict(1.5 * np.eye(4)),
+    }
+    for name, obj in inputs.items():
+        (tmp_path / name).write_text(serialize.dumps(obj))
+    argv = [str(tmp_path / a) if a in inputs else a for a in argv]
+    code, rep = run(capsys, *argv)
+    assert code in (0, 1)
+    assert rep["command"] == command
+    assert set(rep) == keys | {"command"}

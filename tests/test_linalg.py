@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gfusion import tolerances
 from gfusion.errors import NotHermitian, NotPSD, RangeNotContained, ZeroDenominator
 from gfusion.linalg import (
     Subspace,
@@ -12,9 +13,11 @@ from gfusion.linalg import (
     gen_rayleigh_min,
     hermitian_extremes,
     inner,
+    orth,
     pinv,
     positive_sqrt,
     projector,
+    require_hermitian,
     subspace_image,
 )
 
@@ -318,3 +321,27 @@ def test_inner_linear_first_argument(rng):
     y = complex_gaussian(rng, 4)
     assert abs(inner(2j * x, y) - 2j * inner(x, y)) < 1e-12
     assert abs(inner(x, y) - np.conj(inner(y, x))) < 1e-12
+
+
+class TestToleranceOverrides:
+    """Defaults are read from `tolerances` at call time, so overrides apply."""
+
+    def test_tol_herm_override(self, monkeypatch):
+        a = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(NotHermitian):
+            require_hermitian(a)
+        monkeypatch.setattr(tolerances, "TOL_HERM", 1.0)
+        np.testing.assert_allclose(require_hermitian(a), [[1.0, 0.25], [0.25, 1.0]])
+        np.testing.assert_allclose(positive_sqrt(a) @ positive_sqrt(a), [[1.0, 0.25], [0.25, 1.0]])
+
+    def test_tol_rank_override(self, monkeypatch):
+        a = np.diag([1.0, 0.1])
+        np.testing.assert_allclose(pinv(a), np.diag([1.0, 10.0]))
+        assert orth(a).shape == (2, 2)
+        monkeypatch.setattr(tolerances, "TOL_RANK", 0.5)
+        np.testing.assert_allclose(pinv(a), np.diag([1.0, 0.0]))
+        assert orth(a).shape == (2, 1)
+
+    def test_explicit_rtol_wins(self, monkeypatch):
+        monkeypatch.setattr(tolerances, "TOL_RANK", 0.5)
+        np.testing.assert_allclose(pinv(np.diag([1.0, 0.1]), rtol=1e-12), np.diag([1.0, 10.0]))

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from gfusion.errors import ParseError
-from gfusion.frames import ControlPair
+from gfusion.constructions import Certificate
+from gfusion.frames import AtomicReport, ControlPair
+from gfusion.linalg import SpectralInterval
+from gfusion.resolution import ResolutionBoundsReport, ResolutionReport
 from gfusion.serialize import (
     control_pair_from_dict,
     control_pair_to_dict,
@@ -14,6 +19,7 @@ from gfusion.serialize import (
     operator_to_dict,
     subspace_from_dict,
     subspace_to_dict,
+    to_json,
 )
 
 from conftest import complex_gaussian, random_family, random_subspace
@@ -113,3 +119,41 @@ def test_full_precision_round_trip():
     a = np.array([[val + 1j * np.pi]])
     b = operator_from_dict(operator_to_dict(a))
     assert b[0, 0] == a[0, 0]
+
+
+class TestToJson:
+    def test_library_objects_use_their_dict_forms(self, rng):
+        fam = random_family(rng, 3, 2)
+        cp = ControlPair.identity(3)
+        a = complex_gaussian(rng, 2, 3)
+        assert to_json(a) == operator_to_dict(a)
+        assert to_json(fam) == family_to_dict(fam)
+        assert to_json(cp) == control_pair_to_dict(cp)
+
+    def test_dataclass_fields_skip_library_only(self):
+        rep = AtomicReport(True, 2.0, 3.0, 0.5, np.eye(2), 1e-16, 2e-16, 0.25)
+        assert to_json(rep) == {
+            "is_atomic": True,
+            "bessel_bound": 2.0,
+            "coefficient_norm_bound": 3.0,
+            "lower_bound": 0.5,
+            "coefficient_residual": 1e-16,
+            "literal_residual": 2e-16,
+        }
+        res = ResolutionBoundsReport(ResolutionReport(1e-9, 3, True), 1, 2, 1, 2, True, 0.0)
+        assert "resolution" not in to_json(res)
+        assert to_json(res.resolution) == {"residual": 1e-9, "term_count": 3, "converged": True}
+
+    def test_containers_and_scalars(self):
+        certs = (Certificate("a", 0.5), Certificate("b", math.inf))
+        assert to_json(certs) == [{"name": "a", "residual": 0.5}, {"name": "b", "residual": "inf"}]
+        assert dict(certs) == {"a": 0.5, "b": math.inf}
+        assert to_json({"x": [np.float64(-math.inf), None, 3, "s", False]}) == {
+            "x": ["-inf", None, 3, "s", False]
+        }
+        assert type(to_json(np.float64(0.25))) is float
+        assert to_json(SpectralInterval(1.0, math.inf)) == {"lambda_min": 1.0, "lambda_max": "inf"}
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError, match="complex"):
+            to_json({"z": 1j})
