@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import constructions, fourier, frames, generate, resolution, serialize
-from . import tolerances
+from . import tolerances as tol
 from .errors import GFusionError, InvalidParameters, ParseError
 from .frames import ControlPair
 from .linalg import opnorm
@@ -34,16 +34,6 @@ def _write_report(report: dict, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _apply_tolerance_overrides(pairs):
-    for spec in pairs or []:
-        if "=" not in spec:
-            raise ParseError(f"--tol expects name=value, got {spec!r}")
-        name, value = spec.split("=", 1)
-        if name not in tolerances.DEFAULTS:
-            raise ParseError(f"unknown tolerance {name!r}")
-        setattr(tolerances, name.upper(), float(value))
 
 
 def _load_family(path):
@@ -104,7 +94,7 @@ def cmd_construct(args):
             v = _load_operator(args.v)
             rep = constructions.conjugate_transform(famH, cpH, kH, famX, cpX, kX, w, v)
     ok = rep.all_hypotheses_pass and rep.measured.lambda_min >= (
-        rep.predicted_lower - 1e-6 * max(rep.predicted_upper, 1.0)
+        rep.predicted_lower - tol.TOL_CONSTRUCT * max(rep.predicted_upper, 1.0)
     )
     return _report(f"construct-{kind}", rep), ok
 
@@ -118,7 +108,7 @@ def cmd_pair_op(args):
     scale = max(opnorm(pair.matrix), 1e-300)
     adjoint_residual = opnorm(pair.matrix.conj().T - sw.matrix) / scale
     report = _report("pair-op", matrix=pair.matrix, adjoint_residual=adjoint_residual)
-    return report, adjoint_residual <= 1e-12
+    return report, adjoint_residual <= tol.TOL_ADJOINT
 
 
 def cmd_resolutions(args):
@@ -163,9 +153,9 @@ def cmd_thm(args):
     rep = resolution.perturbation_check(
         pair, args.lambda1, args.lambda2, d1, d2, trials=args.trials, seed=args.seed
     )
-    ok = rep.hyp_certified and rep.lower_gamma >= rep.lower_gamma_predicted - 1e-8
+    ok = rep.hyp_certified and rep.lower_gamma >= rep.lower_gamma_predicted - tol.TOL_FACTOR
     if rep.lower_lambda is not None:
-        ok = ok and rep.lower_lambda >= rep.lower_lambda_predicted - 1e-8
+        ok = ok and rep.lower_lambda >= rep.lower_lambda_predicted - tol.TOL_FACTOR
     return _report("thm-perturb", rep), ok
 
 
@@ -268,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", type=int, default=3)
     p.add_argument("--structure", choices=generate.STRUCTURES, default="generic")
     p.add_argument("--out", dest="out_dir", required=True, help="output directory")
-    p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
     p.set_defaults(func=cmd_random)
 
     return parser
@@ -279,11 +268,15 @@ def main(argv=None) -> int:
     (when there is one) before exiting 0 if ok, else 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --tol overrides last for this call only
-    saved = {name: getattr(tolerances, name.upper()) for name in tolerances.DEFAULTS}
     try:
-        _apply_tolerance_overrides(args.tol)
-        report, ok = args.func(args)
+        overrides = {}
+        for spec in getattr(args, "tol", []):
+            name, sep, value = spec.partition("=")
+            if not sep:
+                raise ParseError(f"--tol expects name=value, got {spec!r}")
+            overrides[name] = value
+        with tol.override(**overrides):
+            report, ok = args.func(args)
         if report is not None:
             _write_report(report, args.out)
         return 0 if ok else 1
@@ -293,9 +286,6 @@ def main(argv=None) -> int:
     except GFusionError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        for name, value in saved.items():
-            setattr(tolerances, name.upper(), value)
 
 
 if __name__ == "__main__":

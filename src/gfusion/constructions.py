@@ -197,7 +197,7 @@ def direct_sum_frame(
         predicted_upper,
         measured,
         certs,
-        block_residual <= 1e-10,
+        block_residual <= tol.TOL_DIRECT_SUM,
     )
 
 
@@ -246,7 +246,7 @@ def conjugate_transform(
     predicted_lower = min(a_h / w_inv**2, a_x / v_inv**2)
     predicted_upper = max(b_h * opnorm(w) ** 2, b_x * opnorm(v) ** 2)
     measured = _measure(evO, k_out)
-    ok = all(res <= tol.TOL_FACTOR for _, res in certs[:-1]) and conj_residual <= 1e-9
+    hypotheses_ok = all(res <= tol.TOL_FACTOR for _, res in certs[:-1])
     return TransformReport(
         fam_out,
         cp_out,
@@ -255,5 +255,5 @@ def conjugate_transform(
         predicted_upper,
         measured,
         tuple(certs),
-        ok,
+        hypotheses_ok and conj_residual <= tol.TOL_CONJUGATED,
     )

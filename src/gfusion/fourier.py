@@ -35,7 +35,7 @@ class FourierParams:
             raise InvalidParameters(f"m must lie in [1, n_max], got {self.m}")
         if self.alpha <= 0 or self.beta <= 0:
             raise InvalidParameters("alpha and beta must be positive")
-        if self.alpha * self.beta > 1 + 1e-12:
+        if self.alpha * self.beta > 1 + tol.TOL_UNIT_PRODUCT:
             raise InvalidParameters(
                 "alpha * beta must be <= 1 for the unit upper bound to hold"
             )
@@ -108,7 +108,7 @@ def verify_fourier(p: FourierParams, trials: int = 100, seed: int = 0) -> Fourie
     fam, cp, k = build_fourier_example(p)
     a_opt, upper, is_kgf = kgf_bounds(fam, cp, k)
     ab = p.alpha * p.beta
-    bounds_ok = a_opt >= ab - 1e-9 and upper <= 1.0 + 1e-9
+    bounds_ok = a_opt >= ab - tol.TOL_SANDWICH and upper <= 1.0 + tol.TOL_SANDWICH
 
     rng = np.random.default_rng(seed)
     worst_lo = math.inf
@@ -120,7 +120,7 @@ def verify_fourier(p: FourierParams, trials: int = 100, seed: int = 0) -> Fourie
         hi_slack = np.vecdot(x, x, axis=0).real - fs
         worst_lo = min(worst_lo, float(lo_slack.min()))
         worst_hi = min(worst_hi, float(hi_slack.min()))
-    sampled_ok = worst_lo >= -tol.TOL_HERM and worst_hi >= -tol.TOL_HERM
+    sampled_ok = worst_lo >= -tol.TOL_SANDWICH and worst_hi >= -tol.TOL_SANDWICH
     return FourierReport(
         a_opt,
         upper,

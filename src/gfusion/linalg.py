@@ -129,16 +129,15 @@ class SpectralInterval:
             raise ValueError("lambda_min exceeds lambda_max")
 
 
-def orth(a, rtol: float | None = None) -> np.ndarray:
-    """Orthonormal basis for the column space of `a` (SVD with relative cutoff, default TOL_RANK)."""
-    rtol = tol.TOL_RANK if rtol is None else rtol
+def orth(a) -> np.ndarray:
+    """Orthonormal basis for the column space of `a` (SVD with relative cutoff TOL_RANK)."""
     a = as_operator(a)
     if a.shape[1] == 0 or not np.any(a):
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > tol.TOL_RANK * s[0]))
     return u[:, :rank]
 
 
@@ -173,29 +172,28 @@ def antihermitian_norm(d) -> float:
     return _largest_abs(np.linalg.eigvalsh(1j * d)) if d.size else 0.0
 
 
-def _hermitian_part(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
-    """Gate ||a - a*||_2 <= rtol * ||a||_2 (default TOL_HERM) and return (a + a*)/2.
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """Gate ||a - a*||_2 <= TOL_HERM * ||a||_2 and return (a + a*)/2.
 
     The Frobenius bracket passes most inputs without an SVD; otherwise the
     two spectral norms decide, and the error quotes them.
     """
-    rtol = tol.TOL_HERM if rtol is None else rtol
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is not square: {a.shape}")
     d = a - a.conj().T
-    if not within_frobenius(d, a, rtol):
+    if not within_frobenius(d, a, tol.TOL_HERM):
         scale = opnorm(a)
         dev = opnorm(d)
-        if dev > rtol * max(scale, 1e-300):
+        if dev > tol.TOL_HERM * max(scale, 1e-300):
             raise NotHermitian(
-                f"asymmetry {dev:.3e} exceeds {rtol:.1e} * norm {scale:.3e}"
+                f"asymmetry {dev:.3e} exceeds {tol.TOL_HERM:.1e} * norm {scale:.3e}"
             )
     return 0.5 * (a + a.conj().T)
 
 
-def require_hermitian(a, rtol: float | None = None) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """Check Hermitian symmetry and return the Hermitian part (a + a*)/2."""
-    return _hermitian_part(as_operator(a), rtol)
+    return _hermitian_part(as_operator(a))
 
 
 def positive_sqrt(a) -> np.ndarray:
@@ -213,15 +211,14 @@ def positive_sqrt(a) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def pinv(a, rtol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with relative cutoff rtol (default TOL_RANK)."""
-    rtol = tol.TOL_RANK if rtol is None else rtol
+def pinv(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with relative cutoff TOL_RANK."""
     a = as_operator(a)
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=complex)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size and s[0] > 0:
-        inv = np.where(s > rtol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+        inv = np.where(s > tol.TOL_RANK * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     else:
         inv = np.zeros_like(s)
     return vh.conj().T @ (inv[:, None] * u.conj().T)

@@ -265,7 +265,7 @@ def perturbation_check(
     sv = np.linalg.svd(s, compute_uv=False)
     sigma_min = float(sv[-1]) if sv.size else 0.0
     gap = float(np.linalg.norm(eye - s, 2))
-    spectral_ok = gap <= lambda1 + lambda2 * sigma_min + 1e-12
+    spectral_ok = gap <= lambda1 + lambda2 * sigma_min + tol.TOL_PERTURB
 
     rng = np.random.default_rng(seed)
     worst = math.inf
@@ -277,7 +277,7 @@ def perturbation_check(
             - np.linalg.norm(f - sf, axis=0)
         )
         worst = min(worst, float(slack.min()))
-    sampled_ok = worst >= -1e-12
+    sampled_ok = worst >= -tol.TOL_PERTURB
     if not sampled_ok:
         raise HypothesisFailed(
             f"a sampled vector violates the perturbation inequality "

@@ -2,8 +2,13 @@
 
 All tolerances are relative unless stated otherwise; the dense double-precision
 decompositions used throughout are reliable at these levels for matrices up to
-dimension ~64.
+dimension ~64.  Library code reads them at call time; `override` sets them.
 """
+
+import math
+from contextlib import contextmanager
+
+from .errors import InvalidParameters
 
 # Hermitian symmetry check: ||a - a*|| <= TOL_HERM * ||a||
 TOL_HERM = 1e-9
@@ -31,13 +36,36 @@ COND_MAX = 1e12
 # Residual threshold for a family of operators summing to the identity.
 TOL_RESOLUTION = 1e-8
 
+OVERRIDABLE = ("tol_herm", "tol_psd", "tol_factor", "tol_rank", "tol_orth", "cond_max",
+               "tol_resolution")
 
-DEFAULTS = {
-    "tol_herm": TOL_HERM,
-    "tol_psd": TOL_PSD,
-    "tol_factor": TOL_FACTOR,
-    "tol_rank": TOL_RANK,
-    "tol_orth": TOL_ORTH,
-    "cond_max": COND_MAX,
-    "tol_resolution": TOL_RESOLUTION,
-}
+TOL_CONSTRUCT = 1e-6  # measured lower bound below predicted, relative to max(upper, 1)
+TOL_ADJOINT = 1e-12  # pair operator against the adjoint of its swapped form
+TOL_DIRECT_SUM = 1e-10  # direct-sum frame operator against S_H (+) S_X
+TOL_CONJUGATED = 1e-9  # conjugated frame operator against its prediction
+TOL_PERTURB = 1e-12  # absolute: perturbation inequality, spectral and sampled
+TOL_SANDWICH = 1e-9  # absolute: Fourier sandwich, optimal bounds and samples
+TOL_UNIT_PRODUCT = 1e-12  # absolute: Fourier parameters' alpha * beta <= 1
+
+
+@contextmanager
+def override(**values):
+    """Set OVERRIDABLE tolerances (finite numbers >= 0, or strings of them) in a
+    `with` block; all are restored on leaving it, also when it raises."""
+    saved = {name.upper(): globals()[name.upper()] for name in OVERRIDABLE}
+    try:
+        for name, value in values.items():
+            if name not in OVERRIDABLE:
+                raise InvalidParameters(f"unknown tolerance {name!r}")
+            try:
+                x = float(value)
+            except (TypeError, ValueError):
+                x = math.nan
+            if not (math.isfinite(x) and x >= 0):
+                raise InvalidParameters(
+                    f"tolerance {name} must be a finite number >= 0, got {value!r}"
+                )
+            globals()[name.upper()] = x
+        yield
+    finally:
+        globals().update(saved)

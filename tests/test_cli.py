@@ -199,6 +199,15 @@ class TestRandom:
         assert fam.ambient_dim == 5
         assert cp.t.shape == (5, 5)
 
+    def test_tol_rejected(self, tmp_path, capsys):
+        # random decides no verdict, so it takes no tolerance override
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "--seed", "1", "--out", str(tmp_path / "r"),
+                  "--tol", "tol_psd=1e-8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_seed_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -215,11 +224,20 @@ class TestRandom:
 
 
 class TestTolOverride:
-    def test_unknown_tol_exit_2(self, capsys, partition_inputs):
+    @pytest.mark.parametrize("spec", [
+        "nope=1", "tol_psd", "tol_psd=abc", "tol_psd=nan", "tol_psd=inf",
+        "tol_psd=-1e-9",
+    ])
+    def test_unknown_tol_exit_2(self, capsys, partition_inputs, spec):
         _, fam, cp, _ = partition_inputs
-        code = main(["bounds", "--in", str(fam), "--control", str(cp),
-                     "--tol", "nope=1"])
+        saved = tolerances.TOL_PSD
+        code = main(["check-frame", "--in", str(fam), "--control", str(cp),
+                     "--tol", spec])
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert tolerances.TOL_PSD == saved
 
     def test_override_applies(self, capsys, partition_inputs):
         _, fam, cp, _ = partition_inputs

@@ -341,7 +341,3 @@ class TestToleranceOverrides:
         monkeypatch.setattr(tolerances, "TOL_RANK", 0.5)
         np.testing.assert_allclose(pinv(a), np.diag([1.0, 0.0]))
         assert orth(a).shape == (2, 1)
-
-    def test_explicit_rtol_wins(self, monkeypatch):
-        monkeypatch.setattr(tolerances, "TOL_RANK", 0.5)
-        np.testing.assert_allclose(pinv(np.diag([1.0, 0.1]), rtol=1e-12), np.diag([1.0, 10.0]))
