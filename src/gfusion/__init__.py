@@ -20,10 +20,8 @@ from .frames import (
 from .linalg import (
     SpectralInterval,
     Subspace,
-    adjoint,
     douglas_factor,
     dsum_op,
-    dsum_vec,
     gen_rayleigh_min,
     hermitian_extremes,
     pinv,
@@ -42,14 +40,12 @@ __all__ = [
     "FrameReport",
     "SpectralInterval",
     "Subspace",
-    "adjoint",
     "analysis",
     "atomic_check",
     "atomic_wrt_frame_operator",
     "controlled_frame_bounds",
     "douglas_factor",
     "dsum_op",
-    "dsum_vec",
     "frame_operator",
     "frame_sum",
     "gen_rayleigh_min",

@@ -125,11 +125,6 @@ def cmd_resolutions(args):
     return report, rep_r.converged and rep_l.converged
 
 
-def _bessel_bound(fam, c):
-    """Optimal upper bound of `fam` under the control pair (c, c)."""
-    return frames.controlled_frame_bounds(fam, ControlPair(c, c)).bounds.lambda_max
-
-
 def cmd_thm(args):
     which = args.which
     fam = _load_family(args.inputs[0])
@@ -145,13 +140,11 @@ def cmd_thm(args):
         return _report("thm-4.2", rep), rep.is_frame
     pair = resolution.pair_frame_operator(fam, cp.t, famG, cp.u)
     if which == "4.4":
-        d = _bessel_bound(famG, cp.u)
+        d = frames.controlled_frame_bounds(famG, ControlPair(cp.u, cp.u)).bounds.lambda_max
         rep = resolution.coercive_pair_check(pair, d)
         return _report("thm-4.4", rep, gamma_bessel_bound=d), rep.is_frame
-    d1 = _bessel_bound(fam, cp.t) if args.d1 is None else args.d1
-    d2 = _bessel_bound(famG, cp.u) if args.d2 is None else args.d2
     rep = resolution.perturbation_check(
-        pair, args.lambda1, args.lambda2, d1, d2, trials=args.trials, seed=args.seed
+        pair, args.lambda1, args.lambda2, args.d1, args.d2, args.trials, args.seed
     )
     ok = rep.hyp_certified and rep.lower_gamma >= rep.lower_gamma_predicted - tol.TOL_FACTOR
     if rep.lower_lambda is not None:

@@ -19,6 +19,8 @@ from .frames import (
     ControlPair,
     FrameEvaluation,
     FrameFamily,
+    cross_terms,
+    item_factors,
     kgf_bounds,
 )
 from .linalg import (
@@ -27,7 +29,6 @@ from .linalg import (
     dsum_op,
     dsum_subspace,
     opnorm,
-    projector,
     require_invertible,
     subspace_image,
 )
@@ -111,17 +112,18 @@ def sum_transform(
         raise ItemCountMismatch(f"{len(famL)} vs {len(famG)} items")
     if famL.ambient_dim != famG.ambient_dim:
         raise ItemCountMismatch("families live on different ambient spaces")
-    projectors = []
-    same_subspace = tol.TOL_ORTH * 10
     for j, ((subL, _, wL), (subG, _, wG)) in enumerate(zip(famL.items, famG.items)):
         if abs(wL - wG) > 0:
             raise WeightMismatch(f"item {j}: weights {wL} != {wG}")
-        p = projector(subL)
-        d = p - projector(subG)
-        # ||d||_2 <= ||d||_F, so a small Frobenius norm passes without an SVD
-        if np.linalg.norm(d) > same_subspace and opnorm(d) > same_subspace:
+        # ||P_L - P_G||_2 is 1 for unequal dimensions and ||B_G - P_L B_G||_2
+        # for equal ones; ||d||_2 <= ||d||_F, so a small Frobenius norm passes
+        # without an SVD
+        d = subG.basis - subL.basis @ (subL.basis.conj().T @ subG.basis)
+        if subL.dim != subG.dim or (
+            np.linalg.norm(d) > tol.TOL_SAME_SUBSPACE
+            and opnorm(d) > tol.TOL_SAME_SUBSPACE
+        ):
             raise ItemCountMismatch(f"item {j}: subspaces differ")
-        projectors.append(p)
     v = as_operator(v)
     w = as_operator(w)
     k = as_operator(k)
@@ -133,19 +135,28 @@ def sum_transform(
         Certificate("sum_adjoint_commutes_with_t", _commutator_residual(rstar, cp.t)),
         Certificate("sum_adjoint_commutes_with_u", _commutator_residual(rstar, cp.u)),
     ]
+    # Both families are applied through famL's bases: A_j = C_j B_j*, and the
+    # output operators (L_j + G_j) P_j r* are (C_Lj + C_Gj)(B_j* r*).
+    fL = item_factors(famL)
+    fG = [(b, lamG @ b) for (b, _), (_, lamG, _) in zip(fL, famG.items)]
     # Cross-orthogonality: both sesquilinear forms vanish for all f iff the
-    # assembled matrices vanish (complex polarization).
+    # assembled matrices (A_L r* t)* (A_G r* u) and (A_G r* t)* (A_L r* u)
+    # vanish (complex polarization).
+    rt, ru = rstar @ cp.t, rstar @ cp.u
+    terms1 = cross_terms(rt, fL, fG, ru)
+    terms2 = cross_terms(rt, fG, fL, ru)
     cross1 = 0.0
     cross2 = 0.0
     control_scale = opnorm(cp.t) * opnorm(cp.u)
     items_out = []
-    for (sub, lamL, wt), (_, lamG, _), p in zip(famL.items, famG.items, projectors):
-        a = lamL @ p @ rstar
-        b = lamG @ p @ rstar
-        scale = max(opnorm(a) * opnorm(b) * control_scale, 1e-300)
-        cross1 = max(cross1, opnorm((a @ cp.t).conj().T @ (b @ cp.u)) / scale)
-        cross2 = max(cross2, opnorm((b @ cp.t).conj().T @ (a @ cp.u)) / scale)
-        items_out.append((subspace_image(r, sub), (lamL + lamG) @ p @ rstar, wt))
+    for (b, cL), (_, cG), (sub, _, wt), g1, g2 in zip(
+        fL, fG, famL.items, terms1, terms2
+    ):
+        br = b.conj().T @ rstar
+        scale = max(opnorm(cL @ br) * opnorm(cG @ br) * control_scale, 1e-300)
+        cross1 = max(cross1, opnorm(g1) / scale)
+        cross2 = max(cross2, opnorm(g2) / scale)
+        items_out.append((subspace_image(r, sub), (cL + cG) @ br, wt))
     certs.append(Certificate("cross_terms_gamma_lambda", cross1))
     certs.append(Certificate("cross_terms_lambda_gamma", cross2))
     fam_out = FrameFamily(famL.ambient_dim, items_out)
@@ -232,9 +243,9 @@ def conjugate_transform(
     items_out = []
     for (subH, lamH, wt), (subX, lamX, _) in zip(famH.items, famX.items):
         sub_in = dsum_subspace(subH, subX)
-        sub_out = subspace_image(wv, sub_in)
-        lam_out = dsum_op(lamH, lamX) @ projector(sub_in) @ wv.conj().T
-        items_out.append((sub_out, lam_out, wt))
+        b = sub_in.basis
+        lam_out = (dsum_op(lamH, lamX) @ b) @ (b.conj().T @ wv.conj().T)
+        items_out.append((subspace_image(wv, sub_in), lam_out, wt))
     fam_out = FrameFamily(famH.ambient_dim + famX.ambient_dim, items_out)
     s_expected = wv @ dsum_op(s_h, s_x) @ wv.conj().T
     evO = FrameEvaluation(fam_out, cp_out)

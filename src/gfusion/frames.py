@@ -156,34 +156,38 @@ def _check_dims(fam: FrameFamily, cp: ControlPair):
         )
 
 
-def factored_cross(t_adj, basis_t, core, basis_u, u) -> np.ndarray:
-    """(t* B_t) core (B_u* u), with B_t, B_u orthonormal bases and t_adj = t*.
+def item_factors(fam: FrameFamily) -> list:
+    """Per-item factors (B_j, C_j = L_j B_j), B_j the orthonormal basis of W_j.
 
-    With C = L B for each basis, the item operator L P equals C B*, so
-    t* P_t L_t* L_u P_u u = (t* B_t) (C_t* C_u) (B_u* u): O(n^2 d) for
-    subspaces of dimension d, where the n x n projectors cost O(n^3).
+    The item operator L_j P_j equals C_j B_j*, so no n x n projector is formed.
     """
-    return (t_adj @ basis_t) @ (core @ (basis_u.conj().T @ u))
+    return [(sub.basis, lam @ sub.basis) for sub, lam, _ in fam.items]
 
 
-def _gram(sub: Subspace, lam) -> np.ndarray:
-    """C* C with C = L B: the core of an item's cross operator."""
-    c = lam @ sub.basis
-    return c.conj().T @ c
+def cross_terms(t, left, right, u) -> np.ndarray:
+    """Stack of (t* B_j)(C_j* C'_j)(B'_j* u) over the factor lists `left`
+    (B_j, C_j) and `right` (B'_j, C'_j): slice j is (A_j t)* (A'_j u) with
+    A_j = C_j B_j*.  O(n^2 dim W_j) per item, where projectors cost O(n^3).
+    """
+    out = np.empty((len(left), t.shape[1], u.shape[1]), dtype=complex)
+    t_adj = t.conj().T
+    for j, ((b_l, c_l), (b_r, c_r)) in enumerate(zip(left, right)):
+        out[j] = (t_adj @ b_l) @ ((c_l.conj().T @ c_r) @ (b_r.conj().T @ u))
+    return out
 
 
-def item_cross_operator(sub: Subspace, lam, weight, cp: ControlPair) -> np.ndarray:
+def item_cross_operator(sub: Subspace, lam, cp: ControlPair) -> np.ndarray:
     """Single term t* P L* L P u (weight excluded)."""
-    return factored_cross(
-        cp.t.conj().T, sub.basis, _gram(sub, as_operator(lam)), sub.basis, cp.u
-    )
+    factors = [(sub.basis, as_operator(lam) @ sub.basis)]
+    return cross_terms(cp.t, factors, factors, cp.u)[0]
 
 
 class FrameEvaluation:
     """A family under a control pair, evaluated once for one public call.
 
-    Holds the cross operators G_j = (A_j t)* (A_j u), A_j = L_j P_j, stacked
-    as `terms`, and S = sum_j v_j^2 G_j.  The norms, the Hermitian residual,
+    Holds the per-item factors (B_j, C_j) of A_j = L_j P_j = C_j B_j*, the
+    cross operators G_j = (A_j t)* (A_j u) stacked as `terms`, and
+    S = sum_j v_j^2 G_j.  The norms, the Hermitian residual,
     the spectrum, the bounds report and the per-item square roots are
     computed on first use.  Nothing outlives the call that built it:
     families hold mutable arrays.
@@ -193,18 +197,13 @@ class FrameEvaluation:
         _check_dims(fam, cp)
         self.fam = fam
         self.weights_sq = np.array([w * w for w in fam.weights])
-        self.grams = [_gram(sub, lam) for sub, lam, _ in fam.items]
+        self.factors = item_factors(fam)
         self.terms = self.cross_terms(cp.t, cp.u)
         self.s = self.weighted_sum(self.terms)
 
     def cross_terms(self, t, u) -> np.ndarray:
         """Stack of (A_j t)* (A_j u), one n x n slice per item."""
-        n = self.fam.ambient_dim
-        out = np.empty((len(self.fam), n, n), dtype=complex)
-        t_adj = t.conj().T
-        for j, ((sub, _, _), gram) in enumerate(zip(self.fam.items, self.grams)):
-            out[j] = factored_cross(t_adj, sub.basis, gram, sub.basis, u)
-        return out
+        return cross_terms(t, self.factors, self.factors, u)
 
     def weighted(self, stack) -> np.ndarray:
         """Scale slice j of `stack` by v_j^2 in place; returns `stack`."""

@@ -39,11 +39,6 @@ def as_vector(f) -> np.ndarray:
     return v
 
 
-def inner(x, y) -> complex:
-    """Inner product <x, y>, linear in the first argument."""
-    return complex(np.vdot(np.asarray(y), np.asarray(x)))
-
-
 # Sampled checks draw and test their random unit vectors this many at a
 # time, which bounds their memory for any trial count.
 SAMPLE_CHUNK = 1024
@@ -139,11 +134,6 @@ def orth(a) -> np.ndarray:
         return np.zeros((a.shape[0], 0), dtype=complex)
     rank = int(np.sum(s > tol.TOL_RANK * s[0]))
     return u[:, :rank]
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_operator(a).conj().T
 
 
 def within_frobenius(d, a, rtol: float) -> bool:
@@ -287,13 +277,10 @@ def gen_rayleigh_extremes(a, b) -> SpectralInterval:
     keep = vals > tol.TOL_RANK * max(vmax, 0.0)
     if not np.any(keep):
         raise ZeroDenominator("denominator operator is numerically zero")
-    q = vecs[:, keep]
-    a_r = q.conj().T @ ah @ q
-    b_r = q.conj().T @ bh @ q
-    # b_r is positive definite on range(b); whiten and take ordinary extremes
-    bvals, bvecs = np.linalg.eigh(0.5 * (b_r + b_r.conj().T))
-    w = (bvecs / np.sqrt(bvals)) @ bvecs.conj().T
-    reduced = w.conj().T @ a_r @ w
+    # q* b q = diag(vals[keep]) on the kept eigenvectors q of b: whiten with
+    # q diag(vals[keep])^{-1/2} and take ordinary extremes
+    w = vecs[:, keep] / np.sqrt(vals[keep])
+    reduced = w.conj().T @ ah @ w
     evals = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
     return SpectralInterval(float(evals[0]), float(evals[-1]))
 
@@ -337,11 +324,6 @@ def dsum_op(r, v) -> np.ndarray:
     out[: r.shape[0], : r.shape[1]] = r
     out[r.shape[0] :, r.shape[1] :] = v
     return out
-
-
-def dsum_vec(f, g) -> np.ndarray:
-    """Concatenation realizing the direct sum of two vectors."""
-    return np.concatenate([as_vector(f), as_vector(g)])
 
 
 def dsum_subspace(m: Subspace, n: Subspace) -> Subspace:

@@ -7,9 +7,9 @@ The pair operator for two controlled Bessel families (L under (t,t), G under
     S_pair = sum_j v_j w_j  t* P_j L_j* G_j Q_j u
 
 with P_j, Q_j the projectors of the two subspace families, applied through
-their bases (`frames.factored_cross`).  Its adjoint is the swapped
-construction; coercivity (S_swapped >= m I with m > 0) or proximity to the
-identity force frame properties on the inputs.
+the per-item factors of both families (`frames.cross_terms`).  Its adjoint
+is the swapped construction; coercivity (S_swapped >= m I with m > 0) or
+proximity to the identity force frame properties on the inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     NotPositive,
     ResolutionFailed,
 )
-from .frames import ControlPair, FrameEvaluation, FrameFamily, factored_cross
+from .frames import ControlPair, FrameEvaluation, FrameFamily, cross_terms, item_factors
 from .linalg import as_operator, opnorm, random_unit_columns, require_invertible
 
 
@@ -60,18 +60,11 @@ def pair_frame_operator(
         raise ItemCountMismatch("families live on different ambient spaces")
     t = require_invertible(as_operator(t), "left control")
     u = require_invertible(as_operator(u), "right control")
-    n = famL.ambient_dim
-    s = np.zeros((n, n), dtype=complex)
-    t_adj = t.conj().T
-    for j, ((subL, lamL, wL), (subG, lamG, wG)) in enumerate(
-        zip(famL.items, famG.items)
-    ):
-        if lamL.shape[0] != lamG.shape[0]:
-            raise CodomainMismatch(
-                f"item {j}: codomain dims {lamL.shape[0]} != {lamG.shape[0]}"
-            )
-        core = (lamL @ subL.basis).conj().T @ (lamG @ subG.basis)
-        s += wL * wG * factored_cross(t_adj, subL.basis, core, subG.basis, u)
+    for j, (dL, dG) in enumerate(zip(famL.block_dims(), famG.block_dims())):
+        if dL != dG:
+            raise CodomainMismatch(f"item {j}: codomain dims {dL} != {dG}")
+    terms = cross_terms(t, item_factors(famL), item_factors(famG), u)
+    s = sum(wL * wG * g for wL, wG, g in zip(famL.weights, famG.weights, terms))
     return PairOperator(s, famL, famG, t, u)
 
 
@@ -239,8 +232,8 @@ def perturbation_check(
     pair: PairOperator,
     lambda1: float,
     lambda2: float,
-    d1: float,
-    d2: float,
+    d1: float | None = None,
+    d2: float | None = None,
     trials: int = 200,
     seed: int = 0,
 ) -> PerturbationReport:
@@ -251,7 +244,9 @@ def perturbation_check(
     sigma_min(S), plus sampled verification on random unit vectors.  When
     certified, the right family is a frame under (u, u) with lower bound at
     least ((1 - lambda1) / (1 + lambda2))^2 / d1; with lambda2 == 0 the left
-    family additionally gets lower bound (1 - lambda1)^2 / d2.
+    family additionally gets lower bound (1 - lambda1)^2 / d2.  d1 and d2
+    default to the optimal Bessel bounds of the left family under (t, t) and
+    the right family under (u, u).
     """
     if not (lambda1 < 1):
         raise InvalidParameters(f"lambda1 must be < 1, got {lambda1}")
@@ -288,8 +283,13 @@ def perturbation_check(
 
     gamma_bounds = FrameEvaluation(
         pair.right_family, ControlPair(pair.right_control, pair.right_control)
-    )
-    lower_gamma = gamma_bounds.bounds.lambda_min
+    ).bounds
+    lam_bounds = FrameEvaluation(
+        pair.left_family, ControlPair(pair.left_control, pair.left_control)
+    ).bounds
+    d1 = lam_bounds.lambda_max if d1 is None else d1
+    d2 = gamma_bounds.lambda_max if d2 is None else d2
+    lower_gamma = gamma_bounds.lambda_min
     lower_gamma_predicted = ((1.0 - lambda1) / (1.0 + lambda2)) ** 2 / d1
 
     lower_lambda = None
@@ -299,10 +299,7 @@ def perturbation_check(
             raise InvalidParameters(
                 f"one-parameter path requires lambda1 in [0, 1), got {lambda1}"
             )
-        lam_bounds = FrameEvaluation(
-            pair.left_family, ControlPair(pair.left_control, pair.left_control)
-        )
-        lower_lambda = lam_bounds.bounds.lambda_min
+        lower_lambda = lam_bounds.lambda_min
         lower_lambda_predicted = (1.0 - lambda1) ** 2 / d2
 
     return PerturbationReport(

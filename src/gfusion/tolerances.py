@@ -39,6 +39,7 @@ TOL_RESOLUTION = 1e-8
 OVERRIDABLE = ("tol_herm", "tol_psd", "tol_factor", "tol_rank", "tol_orth", "cond_max",
                "tol_resolution")
 
+TOL_SAME_SUBSPACE = 1e-9  # sum transform: ||P_L - P_G||_2 of the shared subspaces
 TOL_CONSTRUCT = 1e-6  # measured lower bound below predicted, relative to max(upper, 1)
 TOL_ADJOINT = 1e-12  # pair operator against the adjoint of its swapped form
 TOL_DIRECT_SUM = 1e-10  # direct-sum frame operator against S_H (+) S_X

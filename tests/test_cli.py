@@ -311,6 +311,37 @@ def test_fourier_demo_builds_example_once(tmp_path, monkeypatch):
     assert rep["k"] == json.loads(serialize.dumps(serialize.operator_to_dict(k)))
 
 
+def test_thm_perturb_evaluates_each_family_once(tmp_path, capsys, monkeypatch):
+    # left bounds (1.5, 2), right bounds (1, 1): the default d1 is the left
+    # family's Bessel bound and d2 the right family's
+    from gfusion import frames
+
+    paths = []
+    for name, scales in (("left", (2.0, 1.5)), ("right", (1.0, 1.0))):
+        path = tmp_path / f"{name}.json"
+        fam = scaled_partition_family(4, scales)
+        path.write_text(serialize.dumps(serialize.family_to_dict(fam)))
+        paths.append(str(path))
+    cp_path = tmp_path / "c.json"
+    cp_path.write_text(serialize.dumps(serialize.control_pair_to_dict(ControlPair.identity(4))))
+    calls = []
+    init = frames.FrameEvaluation.__init__
+
+    def counting_init(self, fam, cp):
+        calls.append(fam)
+        init(self, fam, cp)
+
+    monkeypatch.setattr(frames.FrameEvaluation, "__init__", counting_init)
+    code, rep = run(
+        capsys, "thm", "perturb", "--in", paths[0], "--in", paths[1],
+        "--control", str(cp_path), "--lambda1", "0.5", "--lambda2", "0.0",
+    )
+    assert code == 0
+    assert len(calls) == 2
+    assert rep["lower_gamma_predicted"] == pytest.approx(0.5**2 / 2.0, rel=1e-12)
+    assert rep["lower_lambda_predicted"] == pytest.approx(0.5**2 / 1.0, rel=1e-12)
+
+
 FRAME_KEYS = {"is_bessel", "is_frame", "bounds", "herm_residual", "s_c"}
 TRANSFORM_KEYS = {
     "predicted_lower", "predicted_upper", "measured", "hypothesis_certificates",

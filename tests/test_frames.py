@@ -73,7 +73,7 @@ class TestFrameOperator:
         fam = random_family(rng, 5, 3)
         cp = scalar_controls(rng, 5)
         manual = sum(
-            w**2 * item_cross_operator(sub, lam, w, cp) for sub, lam, w in fam.items
+            w**2 * item_cross_operator(sub, lam, cp) for sub, lam, w in fam.items
         )
         np.testing.assert_allclose(frame_operator(fam, cp), manual, atol=1e-12)
 

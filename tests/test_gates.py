@@ -1,21 +1,26 @@
-"""The Hermitian and PSD gates decide exactly as their spectral-norm definition.
+"""The Hermitian, PSD and same-subspace gates decide exactly as their
+spectral-norm definition.
 
 `require_hermitian` and `positive_sqrt` may pass a matrix through a Frobenius
-bracket or take a norm from eigenvalues instead of an SVD.  The reference
-implementations below are the plain definitions with `np.linalg.norm(., 2)`;
-every drawn matrix must get the same verdict and the same output from both.
+bracket or take a norm from eigenvalues instead of an SVD, and `sum_transform`
+compares subspaces through their bases instead of their projectors.  The
+reference implementations below are the plain definitions with
+`np.linalg.norm(., 2)`; every drawn input must get the same verdict and the
+same output from both.
 """
 
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfusion import tolerances as tol
-from gfusion.errors import NotHermitian, NotPSD
-from gfusion.linalg import positive_sqrt, require_hermitian
+from gfusion.constructions import sum_transform
+from gfusion.errors import ItemCountMismatch, NotHermitian, NotPSD
+from gfusion.frames import ControlPair, FrameFamily
+from gfusion.linalg import Subspace, positive_sqrt, projector, require_hermitian
 
 from conftest import complex_gaussian
 
@@ -98,3 +103,51 @@ def test_positive_sqrt_matches_spectral_definition(seed, n, log_ratio, log_dip):
     vals[0] = -tol.TOL_PSD * 10.0**log_dip
     a = perturbed(rng, n, vals, tol.TOL_HERM * 10.0**log_ratio)
     same_outcome(positive_sqrt, reference_positive_sqrt, a)
+
+
+def rotated_pair(rng, n, dim_l, dim_g, angle):
+    """Orthonormal bases of W_L and W_G.  With equal dimensions
+    0 < dim < n, W_G is W_L with min(dim, n - dim) directions turned out of
+    it, the first by `angle` and the others by less, given in a random
+    basis; otherwise W_G is a random subspace, nested in W_L when it is the
+    smaller one."""
+    q = unitary(rng, n)
+    b_l = q[:, :dim_l]
+    if dim_g != dim_l:
+        b_g = b_l[:, :dim_g] if dim_g < dim_l else unitary(rng, n)[:, :dim_g]
+        return b_l, b_g
+    turned = min(dim_l, n - dim_l)
+    angles = angle * np.concatenate(([1.0], rng.uniform(0.0, 1.0, turned - 1)))
+    b_g = b_l.copy()
+    for i, a in enumerate(angles):
+        b_g[:, i] = np.cos(a) * b_l[:, i] + np.sin(a) * q[:, dim_l + i]
+    return b_l, b_g @ unitary(rng, dim_l)
+
+
+@GATE_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    data=st.data(),
+    log_ratio=st.floats(-2.0, 2.0),
+)
+def test_same_subspace_gate_matches_projector_distance(seed, n, data, log_ratio):
+    # principal angles two decades either side of TOL_SAME_SUBSPACE, and
+    # subspaces of unequal dimension (||P_L - P_G||_2 = 1), zero and full
+    # ones among them
+    rng = np.random.default_rng(seed)
+    dim_l = data.draw(st.integers(1, n - 1))
+    dim_g = data.draw(st.one_of(st.just(dim_l), st.integers(0, n)))
+    b_l, b_g = rotated_pair(rng, n, dim_l, dim_g, tol.TOL_SAME_SUBSPACE * 10.0**log_ratio)
+    sub_l, sub_g = Subspace(n, b_l), Subspace(n, b_g)
+    distance = np.linalg.norm(projector(sub_l) - projector(sub_g), 2)
+    # within roundoff of the threshold neither computation decides
+    assume(abs(distance - tol.TOL_SAME_SUBSPACE) > 1e-6 * tol.TOL_SAME_SUBSPACE)
+    eye = np.eye(n)
+    args = (FrameFamily(n, [(sub_l, eye, 1.0)]), FrameFamily(n, [(sub_g, eye, 1.0)]),
+            eye, eye, ControlPair.identity(n), eye)
+    if distance > tol.TOL_SAME_SUBSPACE:
+        with pytest.raises(ItemCountMismatch, match="subspaces differ"):
+            sum_transform(*args)
+    else:
+        sum_transform(*args)

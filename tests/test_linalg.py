@@ -5,14 +5,11 @@ from gfusion import tolerances
 from gfusion.errors import NotHermitian, NotPSD, RangeNotContained, ZeroDenominator
 from gfusion.linalg import (
     Subspace,
-    adjoint,
     douglas_factor,
     dsum_op,
     dsum_subspace,
-    dsum_vec,
     gen_rayleigh_min,
     hermitian_extremes,
-    inner,
     orth,
     pinv,
     positive_sqrt,
@@ -22,30 +19,6 @@ from gfusion.linalg import (
 )
 
 from conftest import complex_gaussian, random_subspace, random_unit
-
-
-class TestAdjoint:
-    def test_identity_self_adjoint(self):
-        np.testing.assert_array_equal(adjoint(np.eye(3)), np.eye(3))
-
-    def test_conjugation(self):
-        np.testing.assert_array_equal(adjoint([[1j]]), [[-1j]])
-
-    def test_involution(self, rng):
-        a = complex_gaussian(rng, 4, 3)
-        np.testing.assert_allclose(adjoint(adjoint(a)), a)
-
-    def test_inner_product_oracle(self, rng):
-        # <A x, y> == <x, A* y> with the inner product evaluated by direct
-        # summation, independent of the matrix transpose path
-        a = complex_gaussian(rng, 4, 3)
-        astar = adjoint(a)
-        for _ in range(20):
-            x = complex_gaussian(rng, 3)
-            y = complex_gaussian(rng, 4)
-            lhs = sum((a @ x)[i] * np.conj(y[i]) for i in range(4))
-            rhs = sum(x[i] * np.conj((astar @ y))[i] for i in range(3))
-            assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
 
 
 class TestPositiveSqrt:
@@ -297,12 +270,6 @@ class TestDirectSum:
             atol=1e-12,
         )
 
-    def test_vec_norm_additive(self, rng):
-        f = complex_gaussian(rng, 3)
-        g = complex_gaussian(rng, 4)
-        total = np.linalg.norm(dsum_vec(f, g)) ** 2
-        assert abs(total - (np.linalg.norm(f) ** 2 + np.linalg.norm(g) ** 2)) < 1e-12
-
 
 def test_projection_commutation_identity(rng):
     # P_M T* == P_M T* P_{image(T, M)} for random pairs
@@ -314,13 +281,6 @@ def test_projection_commutation_identity(rng):
         lhs = p @ t.conj().T
         rhs = p @ t.conj().T @ q
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-9 * np.linalg.norm(t, 2)
-
-
-def test_inner_linear_first_argument(rng):
-    x = complex_gaussian(rng, 4)
-    y = complex_gaussian(rng, 4)
-    assert abs(inner(2j * x, y) - 2j * inner(x, y)) < 1e-12
-    assert abs(inner(x, y) - np.conj(inner(y, x))) < 1e-12
 
 
 class TestToleranceOverrides:

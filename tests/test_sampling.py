@@ -1,19 +1,25 @@
 """Batched sampling and basis-factored item operators against literal forms.
 
 `frame_sum` on an (n, k) block, the chunked samplers of `verify_fourier` and
-`perturbation_check`, and the cross operators built through the subspace
-bases must agree with the one-vector loops and the n x n projector forms
-they replace.
+`perturbation_check`, and the cross operators, pair operator and
+construction outputs built through the subspace bases must agree with the
+one-vector loops and the n x n projector forms they replace.  No module but
+`linalg` forms a projector.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfusion
 from gfusion import generate
+from gfusion import tolerances as tol
+from gfusion.constructions import conjugate_transform, sum_transform
 from gfusion.errors import DimensionMismatch, InvalidParameters
 from gfusion.fourier import FourierParams, build_fourier_example, verify_fourier
 from gfusion.frames import (
@@ -25,7 +31,7 @@ from gfusion.frames import (
     item_cross_operator,
     kgf_bounds,
 )
-from gfusion.linalg import SAMPLE_CHUNK, Subspace, projector
+from gfusion.linalg import SAMPLE_CHUNK, Subspace, dsum_op, dsum_subspace, projector
 from gfusion.resolution import pair_frame_operator, perturbation_check
 
 from conftest import complex_gaussian, random_subspace, scaled_partition_family
@@ -189,7 +195,7 @@ def cross_cases():
 def test_factored_cross_terms_match_projector_form(sub, lam, cp):
     ref = projector_cross(sub, lam, cp.t, cp.u)
     scale = np.linalg.norm(ref, 2)  # 0 for the zero subspace: exact zeros
-    got = item_cross_operator(sub, lam, 1.0, cp)
+    got = item_cross_operator(sub, lam, cp)
     assert np.max(np.abs(got - ref)) <= 1e-12 * scale
     fam = FrameFamily(sub.ambient_dim, [(sub, lam, 1.3), (Subspace.full(sub.ambient_dim), lam, 0.5)])
     terms = FrameEvaluation(fam, cp).terms
@@ -217,3 +223,96 @@ def test_pair_operator_matches_projector_form():
     )
     got = pair_frame_operator(left, t, right, u).matrix
     assert rel_err(got, ref) <= 1e-12
+
+
+def construction_cases():
+    """Families on zero, full and random subspaces with rectangular operators,
+    (G_j) on the same subspaces as (L_j), and a non-normal control pair."""
+    rng = np.random.default_rng(577)
+    n = 5
+    subs = [Subspace.zero(n), Subspace.full(n), random_subspace(rng, n, 2),
+            random_subspace(rng, n, 4)]
+    rows = [3, n, 2, 4]
+    weights = [1.0, 0.8, 1.3, 0.6]
+
+    def family():
+        return FrameFamily(n, [
+            (sub, complex_gaussian(rng, d, n), wt) for sub, d, wt in zip(subs, rows, weights)
+        ])
+
+    t = np.eye(n) + np.triu(complex_gaussian(rng, n, n), 1)
+    u = np.eye(n) + 0.3 * complex_gaussian(rng, n, n)
+    return rng, family(), family(), ControlPair(t, u)
+
+
+def opened_bessel_gate():
+    """Non-normal (t, u) make S non-Hermitian, which the Bessel gate rejects;
+    opening it lets the constructions reach their item algebra."""
+    return tol.override(tol_factor=10.0)
+
+
+def test_sum_transform_matches_projector_form():
+    rng, famL, famG, cp = construction_cases()
+    n = famL.ambient_dim
+    v = complex_gaussian(rng, n, n)
+    w = 2.0 * np.eye(n)
+    with opened_bessel_gate():
+        rep = sum_transform(famL, famG, v, w, cp, np.eye(n))
+    rstar = (v + w).conj().T
+    control_scale = np.linalg.norm(cp.t, 2) * np.linalg.norm(cp.u, 2)
+    cross1 = cross2 = 0.0
+    for (sub, lamL, _), (_, lamG, _), (_, lam_out, _) in zip(
+        famL.items, famG.items, rep.family_out.items
+    ):
+        a = lamL @ projector(sub) @ rstar
+        b = lamG @ projector(sub) @ rstar
+        scale = max(np.linalg.norm(a, 2) * np.linalg.norm(b, 2) * control_scale, 1e-300)
+        cross1 = max(cross1, np.linalg.norm((a @ cp.t).conj().T @ (b @ cp.u), 2) / scale)
+        cross2 = max(cross2, np.linalg.norm((b @ cp.t).conj().T @ (a @ cp.u), 2) / scale)
+        ref = (lamL + lamG) @ projector(sub) @ rstar
+        assert np.max(np.abs(lam_out - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+    certs = dict(rep.hypothesis_certificates)
+    # the certificates are already relative to ||A_L r*|| ||A_G r*|| ||t|| ||u||
+    assert abs(certs["cross_terms_gamma_lambda"] - cross1) <= 1e-12
+    assert abs(certs["cross_terms_lambda_gamma"] - cross2) <= 1e-12
+    assert abs(cross1 - cross2) > 1e-3  # (t, u) tell the two certificates apart
+
+
+def test_conjugate_transform_matches_projector_form():
+    rng, famH, famX, cp = construction_cases()
+    n = famH.ambient_dim
+    w = np.eye(n) + np.triu(complex_gaussian(rng, n, n), 1)
+    v = 2.0 * np.eye(n) + 0.3 * complex_gaussian(rng, n, n)
+    with opened_bessel_gate():
+        rep = conjugate_transform(famH, cp, np.eye(n), famX, cp, np.eye(n), w, v)
+    wv_adj = dsum_op(w, v).conj().T
+    for (subH, lamH, _), (subX, lamX, _), (_, lam_out, _) in zip(
+        famH.items, famX.items, rep.family_out.items
+    ):
+        ref = dsum_op(lamH, lamX) @ projector(dsum_subspace(subH, subX)) @ wv_adj
+        assert np.max(np.abs(lam_out - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+
+
+def projector_calls(source):
+    """Line numbers of the calls to a function named `projector`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "projector"
+    )
+
+
+def test_no_projector_outside_linalg():
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(gfusion.__file__).parent.glob("*.py"))
+        if path.name != "linalg.py"
+        for line in projector_calls(path.read_text())
+    ]
+    assert sites == [], f"apply P_j through its basis, not a projector: {sites}"
+
+
+def test_projector_guard_sees_both_call_forms():
+    source = "p = projector(sub)\nq = linalg.projector(sub) @ x\nprojector_calls = 1\n"
+    assert projector_calls(source) == [1, 2]
