@@ -17,14 +17,12 @@ from . import constructions, fourier, frames, generate, resolution, serialize
 from . import tolerances as tol
 from .errors import GFusionError, InvalidParameters, ParseError
 from .frames import ControlPair
-from .linalg import opnorm
 
 
-def _report(command, rep=None, **extra):
-    """A command's report: `command`, the fields of the library report `rep`
-    and the values only the CLI computes, all through `serialize.to_json`."""
-    fields = serialize.to_json(rep) if rep is not None else {}
-    return {"command": command, **fields, **serialize.to_json(extra)}
+def _report(command, rep):
+    """A command's report: `command` and the fields of the library report
+    `rep`, through `serialize.to_json`."""
+    return {"command": command, **serialize.to_json(rep)}
 
 
 def _write_report(report: dict, out_path):
@@ -93,63 +91,47 @@ def cmd_construct(args):
             w = _load_operator(args.w)
             v = _load_operator(args.v)
             rep = constructions.conjugate_transform(famH, cpH, kH, famX, cpX, kX, w, v)
-    ok = rep.all_hypotheses_pass and rep.measured.lambda_min >= (
-        rep.predicted_lower - tol.TOL_CONSTRUCT * max(rep.predicted_upper, 1.0)
-    )
-    return _report(f"construct-{kind}", rep), ok
+    return _report(f"construct-{kind}", rep), rep.verified
 
 
-def cmd_pair_op(args):
+def _load_pair(args):
+    """The pair operator of the two --in families under --control's (t, u)."""
     famL = _load_family(args.inputs[0])
     famG = _load_family(args.inputs[1])
     cp = _load_control(args.control[0])
-    pair = resolution.pair_frame_operator(famL, cp.t, famG, cp.u)
-    sw = resolution.swapped(pair)
-    scale = max(opnorm(pair.matrix), 1e-300)
-    adjoint_residual = opnorm(pair.matrix.conj().T - sw.matrix) / scale
-    report = _report("pair-op", matrix=pair.matrix, adjoint_residual=adjoint_residual)
-    return report, adjoint_residual <= tol.TOL_ADJOINT
+    return resolution.pair_frame_operator(famL, cp.t, famG, cp.u)
+
+
+def cmd_pair_op(args):
+    rep = resolution.adjoint_check(_load_pair(args))
+    return _report("pair-op", rep), rep.is_adjoint
 
 
 def cmd_resolutions(args):
     fam = _load_family(args.inputs[0])
     cp = _load_control(args.control[0])
-    right, left, rep_r, rep_l = resolution.canonical_resolutions(fam, cp)
-    report = _report(
-        "resolutions",
-        right_multiplied=rep_r,
-        left_multiplied=rep_l,
-        terms_right=right,
-        terms_left=left,
-    )
-    return report, rep_r.converged and rep_l.converged
+    rep = resolution.canonical_resolutions(fam, cp)
+    return _report("resolutions", rep), rep.converged
 
 
 def cmd_thm(args):
     which = args.which
+    if which == "4.4":
+        rep = resolution.coercive_pair_check(_load_pair(args))
+        return _report("thm-4.4", rep), rep.is_frame
+    if which == "perturb":
+        rep = resolution.perturbation_check(
+            _load_pair(args), args.lambda1, args.lambda2, args.d1, args.d2,
+            args.trials, args.seed,
+        )
+        return _report("thm-perturb", rep), rep.verified
     fam = _load_family(args.inputs[0])
-    if which in ("4.4", "perturb"):
-        famG = _load_family(args.inputs[1])
     cp = _load_control(args.control[0])
     if which == "4.1":
         rep = resolution.inverse_commutation_check(fam, cp)
-        report = _report("thm-4.1", rep, resolution_residual=rep.resolution.residual)
-        return report, rep.certified
-    if which == "4.2":
-        rep = resolution.bessel_resolution_frame_check(fam, cp.t, cp.u)
-        return _report("thm-4.2", rep), rep.is_frame
-    pair = resolution.pair_frame_operator(fam, cp.t, famG, cp.u)
-    if which == "4.4":
-        d = frames.controlled_frame_bounds(famG, ControlPair(cp.u, cp.u)).bounds.lambda_max
-        rep = resolution.coercive_pair_check(pair, d)
-        return _report("thm-4.4", rep, gamma_bessel_bound=d), rep.is_frame
-    rep = resolution.perturbation_check(
-        pair, args.lambda1, args.lambda2, args.d1, args.d2, args.trials, args.seed
-    )
-    ok = rep.hyp_certified and rep.lower_gamma >= rep.lower_gamma_predicted - tol.TOL_FACTOR
-    if rep.lower_lambda is not None:
-        ok = ok and rep.lower_lambda >= rep.lower_lambda_predicted - tol.TOL_FACTOR
-    return _report("thm-perturb", rep), ok
+        return _report("thm-4.1", rep), rep.certified
+    rep = resolution.bessel_resolution_frame_check(fam, cp.t, cp.u)
+    return _report("thm-4.2", rep), rep.is_frame
 
 
 def cmd_fourier_demo(args):

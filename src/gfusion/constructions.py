@@ -8,7 +8,7 @@ no bound claim is asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +51,21 @@ class TransformReport:
     measured: SpectralInterval
     hypothesis_certificates: tuple[Certificate, ...]
     all_hypotheses_pass: bool
+    # the construction's verdict: the hypotheses hold and the measured lower
+    # bound reaches the predicted one within TOL_CONSTRUCT * max(upper, 1)
+    verified: bool = field(metadata={"report": False})
+
+
+def _transform_report(
+    fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, certs, ok
+) -> TransformReport:
+    verified = ok and measured.lambda_min >= (
+        predicted_lower - tol.TOL_CONSTRUCT * max(predicted_upper, 1.0)
+    )
+    return TransformReport(
+        fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured,
+        tuple(certs), ok, verified,
+    )
 
 
 def _commutator_residual(a, b) -> float:
@@ -168,8 +183,8 @@ def sum_transform(
     predicted_upper = (b_l + b_g) * opnorm(r) ** 2
     measured = _measure(FrameEvaluation(fam_out, cp), k)
     ok = all(res <= tol.TOL_FACTOR for _, res in certs)
-    return TransformReport(
-        fam_out, cp, k, predicted_lower, predicted_upper, measured, tuple(certs), ok
+    return _transform_report(
+        fam_out, cp, k, predicted_lower, predicted_upper, measured, certs, ok
     )
 
 
@@ -200,14 +215,8 @@ def direct_sum_frame(
     block_residual = opnorm(evO.s - s_blocks) / max(opnorm(s_blocks), 1e-300)
     certs = (Certificate("frame_operator_block_diagonal", block_residual),)
     measured = _measure(evO, k_out)
-    return TransformReport(
-        fam_out,
-        cp_out,
-        k_out,
-        predicted_lower,
-        predicted_upper,
-        measured,
-        certs,
+    return _transform_report(
+        fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, certs,
         block_residual <= tol.TOL_DIRECT_SUM,
     )
 
@@ -258,13 +267,7 @@ def conjugate_transform(
     predicted_upper = max(b_h * opnorm(w) ** 2, b_x * opnorm(v) ** 2)
     measured = _measure(evO, k_out)
     hypotheses_ok = all(res <= tol.TOL_FACTOR for _, res in certs[:-1])
-    return TransformReport(
-        fam_out,
-        cp_out,
-        k_out,
-        predicted_lower,
-        predicted_upper,
-        measured,
-        tuple(certs),
+    return _transform_report(
+        fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, certs,
         hypotheses_ok and conj_residual <= tol.TOL_CONJUGATED,
     )

@@ -312,7 +312,9 @@ class FrameEvaluation:
         t_c = self.synthesis_matrix
         coeff_map = t_c.conj().T @ (pinv(t_c @ t_c.conj().T) @ k)
         coeff_residual = opnorm(t_c @ coeff_map - k) / scale_k
-        c = math.sqrt(1.0 / a_opt) if (a_opt > 0 and math.isfinite(a_opt)) else math.inf
+        # finite only with the verdict: a roundoff-level a_opt below the
+        # positivity floor would give a huge, meaningless bound
+        c = math.sqrt(1.0 / a_opt) if (is_kgf and math.isfinite(a_opt)) else math.inf
         return AtomicReport(
             is_atomic=is_kgf,
             bessel_bound=b,
@@ -432,11 +434,8 @@ def atomic_wrt_frame_operator(fam: FrameFamily, cp: ControlPair) -> AtomicReport
     """Atomicity with respect to the family's own frame operator."""
     ev = FrameEvaluation(fam, cp)
     report = ev.atomic(ev.s)
-    try:
-        alpha_opt = gen_rayleigh_min(ev.hermitian, ev.s @ ev.s.conj().T)
-    except ZeroDenominator:
-        alpha_opt = math.inf
-    return replace(report, alpha_opt=alpha_opt)
+    # the same generalized Rayleigh minimum, of H against S S*
+    return replace(report, alpha_opt=report.lower_bound)
 
 
 def linear_combination_atomic(fam: FrameFamily, cp: ControlPair, k1, k2, alpha, beta):

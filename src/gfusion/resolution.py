@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,13 +76,41 @@ def swapped(pair: PairOperator) -> PairOperator:
     )
 
 
+@dataclass(frozen=True)
+class AdjointReport:
+    matrix: np.ndarray
+    adjoint_residual: float
+    # adjoint_residual <= TOL_ADJOINT
+    is_adjoint: bool = field(metadata={"report": False})
+
+
+def adjoint_check(pair: PairOperator) -> AdjointReport:
+    """The pair operator with the certificate that its adjoint is the swapped
+    construction: ||S_pair* - S_swapped||_2 / ||S_pair||_2."""
+    s = pair.matrix
+    residual = opnorm(s.conj().T - swapped(pair).matrix) / max(opnorm(s), 1e-300)
+    return AdjointReport(s, residual, residual <= tol.TOL_ADJOINT)
+
+
 def _resolution_report(terms: np.ndarray) -> ResolutionReport:
     """Spectral residual ||sum_j terms_j - I||_2 of a stack of n x n terms."""
     residual = opnorm(terms.sum(axis=0) - np.eye(terms.shape[-1]))
     return ResolutionReport(residual, len(terms), residual <= tol.TOL_RESOLUTION)
 
 
-def canonical_resolutions(fam: FrameFamily, cp: ControlPair):
+class CanonicalResolutions(NamedTuple):
+    terms_right: list
+    terms_left: list
+    right_multiplied: ResolutionReport
+    left_multiplied: ResolutionReport
+
+    @property
+    def converged(self) -> bool:
+        """Both term families sum to the identity."""
+        return self.right_multiplied.converged and self.left_multiplied.converged
+
+
+def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolutions:
     """The two canonical identity resolutions of a controlled frame.
 
     Term families {v_j^2 G_j S^{-1}} and {v_j^2 S^{-1} G_j} with G_j the
@@ -93,7 +122,7 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair):
     s_inv = np.linalg.inv(ev.s)
     right_terms = ev.weighted(ev.terms @ s_inv)
     left_terms = ev.weighted(s_inv @ ev.terms)
-    return (
+    return CanonicalResolutions(
         list(right_terms),
         list(left_terms),
         _resolution_report(right_terms),
@@ -110,6 +139,10 @@ class ResolutionBoundsReport:
     predicted_upper: float
     certified: bool
     commutation_residual: float
+    resolution_residual: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "resolution_residual", self.resolution.residual)
 
 
 def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBoundsReport:
@@ -198,24 +231,33 @@ class CoercivityReport:
     predicted_lower: float
     measured_lower: float
     is_frame: bool
+    gamma_bessel_bound: float
 
 
-def coercive_pair_check(pair: PairOperator, gamma_bessel_bound: float) -> CoercivityReport:
+def coercive_pair_check(
+    pair: PairOperator, gamma_bessel_bound: float | None = None
+) -> CoercivityReport:
     """If the swapped pair operator is coercive (>= m I, m > 0), the left
     family is a frame under its own control with lower bound >= m^2 / D,
-    where D is the Bessel bound of the right family."""
-    sw = swapped(pair).matrix
-    h = 0.5 * (sw + sw.conj().T)
+    where D is the Bessel bound of the right family; D defaults to the
+    optimal one, under (u, u)."""
+    # S_swapped = S_pair*, and both have the same Hermitian part
+    s = pair.matrix
+    h = 0.5 * (s + s.conj().T)
     m = float(np.linalg.eigvalsh(h)[0])
     if m <= 0:
         raise NotPositive(f"swapped pair operator is not coercive (m = {m:.3e})")
+    if gamma_bessel_bound is None:
+        gamma_bessel_bound = FrameEvaluation(
+            pair.right_family, ControlPair(pair.right_control, pair.right_control)
+        ).bounds.lambda_max
     predicted_lower = m * m / gamma_bessel_bound
     left = FrameEvaluation(
         pair.left_family, ControlPair(pair.left_control, pair.left_control)
     )
     measured_lower = left.bounds.lambda_min
     ok = left.is_frame and measured_lower >= predicted_lower - tol.TOL_FACTOR
-    return CoercivityReport(m, predicted_lower, measured_lower, ok)
+    return CoercivityReport(m, predicted_lower, measured_lower, ok, gamma_bessel_bound)
 
 
 @dataclass(frozen=True)
@@ -226,6 +268,9 @@ class PerturbationReport:
     lower_lambda: float | None
     lower_lambda_predicted: float | None
     worst_sample_slack: float
+    # hyp_certified, and each measured lower bound reaches its prediction
+    # within TOL_FACTOR
+    verified: bool = field(metadata={"report": False})
 
 
 def perturbation_check(
@@ -302,6 +347,9 @@ def perturbation_check(
         lower_lambda = lam_bounds.lambda_min
         lower_lambda_predicted = (1.0 - lambda1) ** 2 / d2
 
+    verified = certified and lower_gamma >= lower_gamma_predicted - tol.TOL_FACTOR
+    if lower_lambda is not None:
+        verified = verified and lower_lambda >= lower_lambda_predicted - tol.TOL_FACTOR
     return PerturbationReport(
         certified,
         lower_gamma,
@@ -309,4 +357,5 @@ def perturbation_check(
         lower_lambda,
         lower_lambda_predicted,
         worst,
+        verified,
     )

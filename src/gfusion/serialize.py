@@ -23,8 +23,8 @@ def operator_to_dict(a) -> dict:
     return {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "re": [float(x) for x in a.real.ravel(order="C")],
-        "im": [float(x) for x in a.imag.ravel(order="C")],
+        "re": a.real.ravel().tolist(),
+        "im": a.imag.ravel().tolist(),
     }
 
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from gfusion import serialize, tolerances
+from gfusion import constructions, fourier, frames, resolution, serialize, tolerances
 from gfusion.cli import main
+from gfusion.errors import GFusionError
 from gfusion.frames import ControlPair, frame_operator
 
 from conftest import scaled_partition_family
@@ -405,3 +406,69 @@ def test_report_schema(tmp_path, capsys, argv, command, keys):
     assert code in (0, 1)
     assert rep["command"] == command
     assert set(rep) == keys | {"command"}
+
+
+def _pair(x, control):
+    return resolution.pair_frame_operator(x["F"], x[control].t, x["F"], x[control].u)
+
+
+# The library call behind each REPORT_SCHEMAS command, on the same inputs
+# and options, and the name of the verdict it returns.
+LIBRARY_CALLS = {
+    "check-frame": (lambda x: frames.controlled_frame_bounds(x["F"], x["C"]), "is_frame"),
+    "bounds": (lambda x: frames.controlled_frame_bounds(x["F"], x["C"]), "is_bessel"),
+    "atomic": (lambda x: frames.atomic_check(x["F"], x["C"], x["K"]), "is_atomic"),
+    "construct-direct-sum": (lambda x: constructions.direct_sum_frame(
+        x["F"], x["C"], x["K"], x["F"], x["C"], x["K"]), "verified"),
+    "construct-sum-transform": (lambda x: constructions.sum_transform(
+        x["F"], x["F"], x["V"], x["W"], x["C"], x["K"]), "verified"),
+    "construct-conjugate": (lambda x: constructions.conjugate_transform(
+        x["F"], x["C"], x["K"], x["F"], x["C"], x["K"], x["W"], x["V"]), "verified"),
+    "pair-op": (lambda x: resolution.adjoint_check(_pair(x, "C")), "is_adjoint"),
+    "resolutions": (lambda x: resolution.canonical_resolutions(x["F"], x["C"]), "converged"),
+    "thm-4.1": (lambda x: resolution.inverse_commutation_check(x["F"], x["C"]), "certified"),
+    "thm-4.2": (lambda x: resolution.bessel_resolution_frame_check(
+        x["F"], x["CI"].t, x["CI"].u), "is_frame"),
+    "thm-4.4": (lambda x: resolution.coercive_pair_check(_pair(x, "C")), "is_frame"),
+    "thm-perturb": (lambda x: resolution.perturbation_check(
+        _pair(x, "CI"), 0.9, 0.5, trials=200, seed=3), "verified"),
+    "fourier-demo": (lambda x: fourier.verify_fourier(
+        fourier.FourierParams(6, 2, 0.5, 0.5), trials=100, seed=4), "sandwich_ok"),
+}
+
+
+@pytest.mark.parametrize("overrides", [{}, {"tol_psd": "0.9"}], ids=["default", "tol_psd"])
+@pytest.mark.parametrize(
+    "argv, command", [(a, c) for a, c, _ in REPORT_SCHEMAS],
+    ids=[c for _, c, _ in REPORT_SCHEMAS],
+)
+def test_exit_code_is_library_verdict(tmp_path, capsys, argv, command, overrides):
+    """Each command writes its library call's report and exits with the
+    verdict that call returns under the same tolerances; where the call
+    raises, it exits 1 without a report."""
+    fam = scaled_partition_family(4, (2.0, 1.5))
+    s = frame_operator(fam, ControlPair.identity(4))
+    objects = {
+        "F": fam,
+        "C": ControlPair.identity(4),
+        "CI": ControlPair(np.eye(4), np.linalg.inv(s)),
+        "K": np.eye(4),
+        "V": 0.5 * np.eye(4),
+        "W": 1.5 * np.eye(4),
+    }
+    for name, obj in objects.items():
+        (tmp_path / name).write_text(serialize.dumps(serialize.to_json(obj)))
+    argv = [str(tmp_path / a) if a in objects else a for a in argv]
+    for name, value in overrides.items():
+        argv += ["--tol", f"{name}={value}"]
+    code, rep = run(capsys, *argv)
+    call, verdict = LIBRARY_CALLS[command]
+    try:
+        with tolerances.override(**overrides):
+            lib = call(objects)
+    except GFusionError:
+        assert (code, rep) == (1, None)
+        return
+    assert code == (0 if getattr(lib, verdict) else 1)
+    expected = {"command": command, **serialize.to_json(lib)}
+    assert rep == json.loads(serialize.dumps(expected))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gfusion import generate
 from gfusion.errors import DimensionMismatch, NotPositive
 from gfusion.frames import (
     BlockVector,
@@ -20,7 +21,7 @@ from gfusion.frames import (
     synthesis,
     synthesis_matrix,
 )
-from gfusion.linalg import Subspace, orth, projector
+from gfusion.linalg import Subspace, gen_rayleigh_min, orth, projector
 
 from conftest import (
     complex_gaussian,
@@ -252,6 +253,18 @@ class TestAtomic:
         rep = atomic_wrt_frame_operator(fam, cp)
         assert rep.is_atomic
         assert rep.alpha_opt is not None and rep.alpha_opt > 0
+        s = frame_operator(fam, cp)
+        h = 0.5 * (s + s.conj().T)
+        assert rep.alpha_opt == pytest.approx(gen_rayleigh_min(h, s @ s.conj().T), rel=1e-12)
+
+    def test_coefficient_norm_bound_only_with_verdict(self):
+        # a_opt is roundoff (~1e-15) below the positivity floor: the verdict
+        # is false, and 1/sqrt(a_opt) would read ~3e7
+        inst = generate.random_instance(3002, 4, 2, "scalar-controls")
+        rep = atomic_check(inst.family, inst.control, inst.k)
+        assert not rep.is_atomic
+        assert 0 < rep.lower_bound < 1e-12
+        assert rep.coefficient_norm_bound == math.inf
 
     def test_not_atomic_when_range_escapes(self):
         # K maps onto a direction the family cannot see

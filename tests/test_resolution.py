@@ -12,6 +12,8 @@ from gfusion.errors import (
 )
 from gfusion.frames import ControlPair, FrameFamily, frame_operator
 from gfusion.resolution import (
+    CanonicalResolutions,
+    ResolutionReport,
     _resolution_report,
     bessel_resolution_frame_check,
     canonical_resolutions,
@@ -70,9 +72,17 @@ class TestCanonicalResolutions:
     def test_random_frame_converges(self, rng):
         fam = random_family(rng, 5, 3)
         cp = scalar_controls(rng, 5)
-        right, left, rep_r, rep_l = canonical_resolutions(fam, cp)
-        assert rep_r.converged and rep_l.converged
+        res = canonical_resolutions(fam, cp)
+        right, left, rep_r, rep_l = res
+        assert rep_r.converged and rep_l.converged and res.converged
         assert rep_r.term_count == len(fam)
+        assert res.right_multiplied is rep_r and res.terms_left is left
+
+    def test_verdict_needs_both(self):
+        ok, bad = ResolutionReport(0.0, 1, True), ResolutionReport(1.0, 1, False)
+        assert CanonicalResolutions([], [], ok, ok).converged
+        assert not CanonicalResolutions([], [], ok, bad).converged
+        assert not CanonicalResolutions([], [], bad, ok).converged
 
     def test_terms_conjugate_of_each_other(self, rng):
         # S^{-1} G_j and G_j S^{-1} are similar via S
@@ -189,6 +199,23 @@ class TestCoercivity:
         assert abs(rep.predicted_lower - 0.125) < 1e-9
         assert rep.is_frame
         assert rep.measured_lower >= rep.predicted_lower
+
+    def test_default_bessel_bound_is_right_family_optimal(self, monkeypatch):
+        # m = sqrt(0.5 * 1) from the pair's Hermitian part; D defaults to the
+        # right family's optimal Bessel bound 3 (not the left family's 2)
+        from gfusion import resolution
+
+        left = scaled_partition_family(4, (0.5, 2.0))
+        right = scaled_partition_family(4, (1.0, 3.0))
+        pair = pair_frame_operator(left, np.eye(4), right, np.eye(4))
+        calls = []
+        monkeypatch.setattr(resolution, "pair_frame_operator", lambda *a: calls.append(a))
+        rep = coercive_pair_check(pair)
+        assert calls == []  # the swapped operator is not rebuilt
+        assert rep.gamma_bessel_bound == pytest.approx(3.0, rel=1e-12)
+        assert rep.m == pytest.approx(np.sqrt(0.5), rel=1e-12)
+        assert rep.predicted_lower == pytest.approx(0.5 / 3.0, rel=1e-12)
+        assert coercive_pair_check(pair, rep.gamma_bessel_bound) == rep
 
     def test_non_coercive_raises(self):
         from gfusion.linalg import Subspace, projector

@@ -37,6 +37,22 @@ def test_operator_row_major_layout():
     assert d["im"] == [0.0, 0.0, 0.0, 0.0]
 
 
+def test_operator_text_matches_elementwise_floats(rng):
+    # reference: one float(x) per entry, row-major; signed zeros, subnormals,
+    # extremes and a non-contiguous (transposed) array
+    a = complex_gaussian(rng, 4, 3).T
+    a[0, :4] = [-0.0 - 0.0j, 5e-324 - 1e-310j, -1.7e308 + 0.0j, 1e-320j]
+    ref = {
+        "rows": 3,
+        "cols": 4,
+        "re": [float(x) for x in a.real.ravel(order="C")],
+        "im": [float(x) for x in a.imag.ravel(order="C")],
+    }
+    d = operator_to_dict(a)
+    assert all(type(x) is float for x in d["re"] + d["im"])
+    assert dumps(d) == dumps(ref)
+
+
 def test_operator_bad_entry_count():
     with pytest.raises(ParseError):
         operator_from_dict({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
@@ -142,6 +158,7 @@ class TestToJson:
         }
         res = ResolutionBoundsReport(ResolutionReport(1e-9, 3, True), 1, 2, 1, 2, True, 0.0)
         assert "resolution" not in to_json(res)
+        assert to_json(res)["resolution_residual"] == 1e-9
         assert to_json(res.resolution) == {"residual": 1e-9, "term_count": 3, "converged": True}
 
     def test_containers_and_scalars(self):

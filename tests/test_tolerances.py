@@ -57,6 +57,55 @@ def test_guard_sees_a_literal_and_skips_the_zero_division_guard():
     assert literal_thresholds(source) == [1, 1]
 
 
+def cli_verdict_sites(source):
+    """Line numbers where CLI source reads a threshold (`TOL_*`, `COND_MAX`,
+    by attribute or imported name) or reaches for a norm or decomposition
+    (`opnorm`, `numpy.linalg`, any `linalg` import)."""
+    def banned(name):
+        return name.startswith("TOL_") or name in ("COND_MAX", "opnorm") or (
+            "linalg" in name.split(".")
+        )
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(banned(name) for name in names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_cli_decides_no_verdict():
+    # `tol.override` is the CLI's one use of the tolerance store
+    sites = cli_verdict_sites((PACKAGE / "cli.py").read_text())
+    assert sites == [], f"cli.py lines {sites}: move this decision into the library"
+
+
+def test_cli_guard_sees_verdict_code():
+    # the verdict code cli.py carried before the library owned every verdict
+    source = "\n".join([
+        "from .linalg import opnorm",
+        "ok = rep.measured.lambda_min >= rep.predicted_lower - tol.TOL_CONSTRUCT * u",
+        "scale = max(opnorm(pair.matrix), 1e-300)",
+        "return report, adjoint_residual <= tol.TOL_ADJOINT",
+        "ok = ok and rep.lower_lambda >= rep.lower_lambda_predicted - tol.TOL_FACTOR",
+        "x = np.linalg.inv(s)",
+        "import numpy.linalg as la",
+        "from gfusion.tolerances import COND_MAX",
+        "with tol.override(**overrides):",
+        "    pass",
+    ])
+    assert cli_verdict_sites(source) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
 def current():
     return {name: getattr(tol, name.upper()) for name in tol.OVERRIDABLE}
 
