@@ -146,8 +146,7 @@ def cmd_random(args):
     os.makedirs(args.out_dir, exist_ok=True)
 
     def write(name, obj):
-        with open(os.path.join(args.out_dir, name), "w") as fh:
-            fh.write(serialize.dumps(serialize.to_json(obj)))
+        _write_report(serialize.to_json(obj), os.path.join(args.out_dir, name))
 
     write("family.json", inst.family)
     write("control.json", inst.control)

@@ -26,6 +26,7 @@ from .frames import (
 from .linalg import (
     SpectralInterval,
     as_operator,
+    commutator_residual,
     dsum_op,
     dsum_subspace,
     opnorm,
@@ -66,11 +67,6 @@ def _transform_report(
         fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured,
         tuple(certs), ok, verified,
     )
-
-
-def _commutator_residual(a, b) -> float:
-    scale = max(opnorm(a) * opnorm(b), 1e-300)
-    return opnorm(a @ b - b @ a) / scale
 
 
 def _bounds_and_operator(fam: FrameFamily, cp: ControlPair, k):
@@ -146,9 +142,9 @@ def sum_transform(
     require_invertible(r, "v + w")
     rstar = r.conj().T
     certs = [
-        Certificate("k_commutes_with_sum", _commutator_residual(k, r)),
-        Certificate("sum_adjoint_commutes_with_t", _commutator_residual(rstar, cp.t)),
-        Certificate("sum_adjoint_commutes_with_u", _commutator_residual(rstar, cp.u)),
+        Certificate("k_commutes_with_sum", commutator_residual(k, r)),
+        Certificate("sum_adjoint_commutes_with_t", commutator_residual(rstar, cp.t)),
+        Certificate("sum_adjoint_commutes_with_u", commutator_residual(rstar, cp.u)),
     ]
     # Both families are applied through famL's bases: A_j = C_j B_j*, and the
     # output operators (L_j + G_j) P_j r* are (C_Lj + C_Gj)(B_j* r*).
@@ -241,12 +237,12 @@ def conjugate_transform(
     )
     w_adj, v_adj = w.conj().T, v.conj().T
     certs = [
-        Certificate("w_adjoint_commutes_with_t", _commutator_residual(w_adj, cpH.t)),
-        Certificate("w_adjoint_commutes_with_t1", _commutator_residual(w_adj, cpH.u)),
-        Certificate("v_adjoint_commutes_with_u", _commutator_residual(v_adj, cpX.t)),
-        Certificate("v_adjoint_commutes_with_u1", _commutator_residual(v_adj, cpX.u)),
-        Certificate("k_h_commutes_with_w", _commutator_residual(as_operator(kH), w)),
-        Certificate("k_x_commutes_with_v", _commutator_residual(as_operator(kX), v)),
+        Certificate("w_adjoint_commutes_with_t", commutator_residual(w_adj, cpH.t)),
+        Certificate("w_adjoint_commutes_with_t1", commutator_residual(w_adj, cpH.u)),
+        Certificate("v_adjoint_commutes_with_u", commutator_residual(v_adj, cpX.t)),
+        Certificate("v_adjoint_commutes_with_u1", commutator_residual(v_adj, cpX.u)),
+        Certificate("k_h_commutes_with_w", commutator_residual(as_operator(kH), w)),
+        Certificate("k_x_commutes_with_v", commutator_residual(as_operator(kX), v)),
     ]
     wv = dsum_op(w, v)
     items_out = []

@@ -5,10 +5,6 @@ class GFusionError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DimensionMismatch(GFusionError):
-    pass
-
-
 class NotHermitian(GFusionError):
     pass
 
@@ -39,18 +35,6 @@ class NotPositive(GFusionError):
         self.index = index
 
 
-class ItemCountMismatch(GFusionError):
-    pass
-
-
-class WeightMismatch(GFusionError):
-    pass
-
-
-class CodomainMismatch(GFusionError):
-    pass
-
-
 class NotAFrame(GFusionError):
     pass
 
@@ -73,6 +57,22 @@ class HypothesisFailed(GFusionError):
 
 
 class InvalidParameters(GFusionError):
+    """Bad input: the CLI exits 2 on it."""
+
+
+class DimensionMismatch(InvalidParameters):
+    pass
+
+
+class ItemCountMismatch(InvalidParameters):
+    pass
+
+
+class WeightMismatch(InvalidParameters):
+    pass
+
+
+class CodomainMismatch(InvalidParameters):
     pass
 
 

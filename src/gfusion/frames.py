@@ -23,6 +23,7 @@ from . import tolerances as tol
 from .errors import (
     DimensionMismatch,
     GFusionError,
+    NotAFrame,
     NotHermitian,
     NotPositive,
     ZeroDenominator,
@@ -34,6 +35,7 @@ from .linalg import (
     as_operator,
     as_vector,
     gen_rayleigh_min,
+    hermitian_spectrum,
     opnorm,
     pinv,
     positive_sqrt,
@@ -188,7 +190,7 @@ class FrameEvaluation:
     Holds the per-item factors (B_j, C_j) of A_j = L_j P_j = C_j B_j*, the
     cross operators G_j = (A_j t)* (A_j u) stacked as `terms`, and
     S = sum_j v_j^2 G_j.  The norms, the Hermitian residual,
-    the spectrum, the bounds report and the per-item square roots are
+    the spectrum, S^-1, the bounds report and the per-item square roots are
     computed on first use.  Nothing outlives the call that built it:
     families hold mutable arrays.
     """
@@ -241,13 +243,19 @@ class FrameEvaluation:
 
     @cached_property
     def bounds(self) -> SpectralInterval:
-        vals = np.linalg.eigvalsh(self.hermitian)
-        return SpectralInterval(float(vals[0]), float(vals[-1]))
+        return hermitian_spectrum(self.s)
 
     @property
     def is_frame(self) -> bool:
         b = self.bounds
         return self.is_bessel and b.lambda_min > tol.TOL_PSD * b.lambda_max
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """S^-1; raises NotAFrame unless `is_frame`."""
+        if not self.is_frame:
+            raise NotAFrame("frame operator is not invertible at threshold")
+        return np.linalg.inv(self.s)
 
     def report(self) -> FrameReport:
         return FrameReport(

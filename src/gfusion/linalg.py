@@ -101,18 +101,6 @@ class Subspace:
     def zero(n: int) -> "Subspace":
         return Subspace(n, np.zeros((n, 0), dtype=complex))
 
-    @staticmethod
-    def span(vectors) -> "Subspace":
-        """Subspace spanned by the given columns (orthonormalized via SVD)."""
-        m = np.atleast_2d(np.asarray(vectors, dtype=complex))
-        if m.ndim != 2:
-            raise DimensionMismatch("span expects a matrix of column vectors")
-        n = m.shape[0]
-        if m.shape[1] == 0:
-            return Subspace.zero(n)
-        q = orth(m)
-        return Subspace(n, q)
-
 
 @dataclass(frozen=True)
 class SpectralInterval:
@@ -166,14 +154,15 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     """Gate ||a - a*||_2 <= TOL_HERM * ||a||_2 and return (a + a*)/2.
 
     The Frobenius bracket passes most inputs without an SVD; otherwise the
-    two spectral norms decide, and the error quotes them.
+    two spectral norms decide (||a - a*||_2 by `antihermitian_norm`), and
+    the error quotes them.
     """
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is not square: {a.shape}")
     d = a - a.conj().T
     if not within_frobenius(d, a, tol.TOL_HERM):
         scale = opnorm(a)
-        dev = opnorm(d)
+        dev = antihermitian_norm(d)
         if dev > tol.TOL_HERM * max(scale, 1e-300):
             raise NotHermitian(
                 f"asymmetry {dev:.3e} exceeds {tol.TOL_HERM:.1e} * norm {scale:.3e}"
@@ -252,11 +241,21 @@ def require_invertible(a, what: str = "operator") -> np.ndarray:
     return a
 
 
+def hermitian_spectrum(a) -> SpectralInterval:
+    """Extreme eigenvalues of the Hermitian part (a + a*)/2, with no gate."""
+    vals = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    return SpectralInterval(float(vals[0]), float(vals[-1]))
+
+
 def hermitian_extremes(a) -> SpectralInterval:
     """Extreme eigenvalues of the Hermitian part of a (nearly) Hermitian matrix."""
-    h = require_hermitian(a)
-    vals = np.linalg.eigvalsh(h)
-    return SpectralInterval(float(vals[0]), float(vals[-1]))
+    return hermitian_spectrum(require_hermitian(a))
+
+
+def commutator_residual(a, b) -> float:
+    """||a b - b a||_2 / (||a||_2 ||b||_2)."""
+    scale = max(opnorm(a) * opnorm(b), 1e-300)
+    return opnorm(a @ b - b @ a) / scale
 
 
 def gen_rayleigh_extremes(a, b) -> SpectralInterval:
@@ -280,9 +279,7 @@ def gen_rayleigh_extremes(a, b) -> SpectralInterval:
     # q* b q = diag(vals[keep]) on the kept eigenvectors q of b: whiten with
     # q diag(vals[keep])^{-1/2} and take ordinary extremes
     w = vecs[:, keep] / np.sqrt(vals[keep])
-    reduced = w.conj().T @ ah @ w
-    evals = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
-    return SpectralInterval(float(evals[0]), float(evals[-1]))
+    return hermitian_spectrum(w.conj().T @ ah @ w)
 
 
 def gen_rayleigh_min(a, b) -> float:

@@ -26,13 +26,19 @@ from .errors import (
     HypothesisFailed,
     InvalidParameters,
     ItemCountMismatch,
-    NotAFrame,
     NotBessel,
     NotPositive,
     ResolutionFailed,
 )
 from .frames import ControlPair, FrameEvaluation, FrameFamily, cross_terms, item_factors
-from .linalg import as_operator, opnorm, random_unit_columns, require_invertible
+from .linalg import (
+    as_operator,
+    commutator_residual,
+    hermitian_spectrum,
+    opnorm,
+    random_unit_columns,
+    require_invertible,
+)
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,11 @@ def adjoint_check(pair: PairOperator) -> AdjointReport:
     return AdjointReport(s, residual, residual <= tol.TOL_ADJOINT)
 
 
+def _own_control(fam: FrameFamily, c) -> FrameEvaluation:
+    """The family under the control pair (c, c)."""
+    return FrameEvaluation(fam, ControlPair(c, c))
+
+
 def _resolution_report(terms: np.ndarray) -> ResolutionReport:
     """Spectral residual ||sum_j terms_j - I||_2 of a stack of n x n terms."""
     residual = opnorm(terms.sum(axis=0) - np.eye(terms.shape[-1]))
@@ -117,9 +128,7 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolut
     per-item cross operators; both must sum to the identity.
     """
     ev = FrameEvaluation(fam, cp)
-    if not ev.is_frame:
-        raise NotAFrame("frame operator is not invertible at threshold")
-    s_inv = np.linalg.inv(ev.s)
+    s_inv = ev.inverse
     right_terms = ev.weighted(ev.terms @ s_inv)
     left_terms = ev.weighted(s_inv @ ev.terms)
     return CanonicalResolutions(
@@ -153,14 +162,8 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     extremes inside [A/B^2, B/A^2] for measured frame bounds (A, B).
     """
     ev = FrameEvaluation(fam, cp)
-    if not ev.is_frame:
-        raise NotAFrame("input is not a controlled frame")
-    s_inv = np.linalg.inv(ev.s)
-    scale = max(opnorm(s_inv), 1e-300)
-    comm = max(
-        opnorm(s_inv @ cp.t - cp.t @ s_inv) / (scale * max(opnorm(cp.t), 1e-300)),
-        opnorm(s_inv @ cp.u - cp.u @ s_inv) / (scale * max(opnorm(cp.u), 1e-300)),
-    )
+    s_inv = ev.inverse
+    comm = max(commutator_residual(s_inv, cp.t), commutator_residual(s_inv, cp.u))
     if comm > tol.TOL_FACTOR:
         raise HypothesisFailed(
             f"inverse frame operator does not commute with controls "
@@ -172,9 +175,8 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     resolution = _resolution_report(ev.weighted(ev.cross_terms(cp.t, s_inv @ cp.u)))
     m = ev.weighted_sum(ev.cross_terms(s_inv @ cp.t, s_inv @ cp.u))
     a, b = ev.bounds.lambda_min, ev.bounds.lambda_max
-    h = 0.5 * (m + m.conj().T)
-    vals = np.linalg.eigvalsh(h)
-    lower, upper = float(vals[0]), float(vals[-1])
+    spectrum = hermitian_spectrum(m)
+    lower, upper = spectrum.lambda_min, spectrum.lambda_max
     predicted_lower = a / (b * b)
     predicted_upper = b / (a * a)
     certified = (
@@ -200,9 +202,8 @@ class BesselResolutionReport:
 def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionReport:
     """A (t,t)-controlled Bessel family whose mixed terms resolve the identity
     is a (u,u)-controlled frame with lower bound at least 1/B."""
-    t = require_invertible(as_operator(t), "t")
-    u = require_invertible(as_operator(u), "u")
-    bessel = FrameEvaluation(fam, ControlPair(t, t))
+    t, u = as_operator(t), as_operator(u)
+    bessel, out = _own_control(fam, t), _own_control(fam, u)
     if not bessel.is_bessel:
         raise NotBessel("family is not a controlled Bessel sequence under (t, t)")
     b = bessel.bounds.lambda_max
@@ -211,7 +212,6 @@ def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionRep
         raise ResolutionFailed(
             f"terms do not sum to the identity (residual {resolution.residual:.3e})"
         )
-    out = FrameEvaluation(fam, ControlPair(u, u))
     lower, upper = out.bounds.lambda_min, out.bounds.lambda_max
     predicted_lower = 1.0 / b
     predicted_upper = b * opnorm(np.linalg.inv(t)) ** 2 * opnorm(u) ** 2
@@ -242,19 +242,15 @@ def coercive_pair_check(
     where D is the Bessel bound of the right family; D defaults to the
     optimal one, under (u, u)."""
     # S_swapped = S_pair*, and both have the same Hermitian part
-    s = pair.matrix
-    h = 0.5 * (s + s.conj().T)
-    m = float(np.linalg.eigvalsh(h)[0])
+    m = hermitian_spectrum(pair.matrix).lambda_min
     if m <= 0:
         raise NotPositive(f"swapped pair operator is not coercive (m = {m:.3e})")
     if gamma_bessel_bound is None:
-        gamma_bessel_bound = FrameEvaluation(
-            pair.right_family, ControlPair(pair.right_control, pair.right_control)
+        gamma_bessel_bound = _own_control(
+            pair.right_family, pair.right_control
         ).bounds.lambda_max
     predicted_lower = m * m / gamma_bessel_bound
-    left = FrameEvaluation(
-        pair.left_family, ControlPair(pair.left_control, pair.left_control)
-    )
+    left = _own_control(pair.left_family, pair.left_control)
     measured_lower = left.bounds.lambda_min
     ok = left.is_frame and measured_lower >= predicted_lower - tol.TOL_FACTOR
     return CoercivityReport(m, predicted_lower, measured_lower, ok, gamma_bessel_bound)
@@ -297,6 +293,10 @@ def perturbation_check(
         raise InvalidParameters(f"lambda1 must be < 1, got {lambda1}")
     if not (lambda2 > -1):
         raise InvalidParameters(f"lambda2 must be > -1, got {lambda2}")
+    if lambda2 == 0 and not (0 <= lambda1 < 1):
+        raise InvalidParameters(
+            f"one-parameter path requires lambda1 in [0, 1), got {lambda1}"
+        )
     if trials < 1:
         raise InvalidParameters("trials must be >= 1")
     s = pair.matrix
@@ -326,12 +326,8 @@ def perturbation_check(
         )
     certified = spectral_ok
 
-    gamma_bounds = FrameEvaluation(
-        pair.right_family, ControlPair(pair.right_control, pair.right_control)
-    ).bounds
-    lam_bounds = FrameEvaluation(
-        pair.left_family, ControlPair(pair.left_control, pair.left_control)
-    ).bounds
+    gamma_bounds = _own_control(pair.right_family, pair.right_control).bounds
+    lam_bounds = _own_control(pair.left_family, pair.left_control).bounds
     d1 = lam_bounds.lambda_max if d1 is None else d1
     d2 = gamma_bounds.lambda_max if d2 is None else d2
     lower_gamma = gamma_bounds.lambda_min
@@ -340,10 +336,6 @@ def perturbation_check(
     lower_lambda = None
     lower_lambda_predicted = None
     if lambda2 == 0:
-        if not (0 <= lambda1 < 1):
-            raise InvalidParameters(
-                f"one-parameter path requires lambda1 in [0, 1), got {lambda1}"
-            )
         lower_lambda = lam_bounds.lambda_min
         lower_lambda_predicted = (1.0 - lambda1) ** 2 / d2
 

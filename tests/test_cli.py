@@ -289,6 +289,58 @@ def test_perturb_nonpositive_trials_exit_2(tmp_path, capsys, trials):
     assert "trials" in captured.err
 
 
+def test_perturb_negative_lambda1_one_parameter_exit_2(tmp_path, capsys):
+    # rejected with the other parameter checks, before any vector is sampled
+    out = tmp_path / "inst"
+    assert main(["random", "--seed", "3", "--dim", "8", "--items", "4",
+                 "--structure", "near-identity-pair", "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main([
+        "thm", "perturb",
+        "--in", str(out / "family.json"), "--in", str(out / "family2.json"),
+        "--control", str(out / "pair_control.json"),
+        "--lambda1", "-0.5", "--lambda2", "0",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "one-parameter path requires lambda1 in [0, 1)" in captured.err
+
+
+def _write(path, obj):
+    path.write_text(serialize.dumps(serialize.to_json(obj)))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["item-count", "weights", "control-dim", "k-shape"])
+def test_mismatched_inputs_exit_2(tmp_path, capsys, case):
+    """Shape, item-count and weight mismatches are bad input: exit 2, no report."""
+    fam6 = _write(tmp_path / "f6.json", scaled_partition_family(6, (1.0, 2.0, 3.0)))
+    cp6 = _write(tmp_path / "c6.json", ControlPair.identity(6))
+    k6 = _write(tmp_path / "k6.json", np.eye(6))
+    if case == "item-count":
+        fam2 = _write(tmp_path / "f2.json", scaled_partition_family(6, (1.0, 2.0)))
+        argv = ["construct", "direct-sum", "--in", fam6, "--in", fam2,
+                "--control", cp6, "--control", cp6, "--k", k6, "--k", k6]
+    elif case == "weights":
+        fam = scaled_partition_family(6, (1.0, 2.0, 3.0))
+        heavy = frames.FrameFamily(6, [(s, lam, 2.0) for s, lam, _ in fam.items])
+        argv = ["construct", "direct-sum", "--in", fam6,
+                "--in", _write(tmp_path / "fw.json", heavy),
+                "--control", cp6, "--control", cp6, "--k", k6, "--k", k6]
+    elif case == "control-dim":
+        cp5 = _write(tmp_path / "c5.json", ControlPair.identity(5))
+        argv = ["check-frame", "--in", fam6, "--control", cp5]
+    else:
+        k5 = _write(tmp_path / "k5.json", np.eye(5))
+        argv = ["atomic", "--in", fam6, "--control", cp6, "--k", k5]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_fourier_demo_builds_example_once(tmp_path, monkeypatch):
     from gfusion import fourier
 

@@ -5,11 +5,13 @@ from gfusion import tolerances
 from gfusion.errors import NotHermitian, NotPSD, RangeNotContained, ZeroDenominator
 from gfusion.linalg import (
     Subspace,
+    commutator_residual,
     douglas_factor,
     dsum_op,
     dsum_subspace,
     gen_rayleigh_min,
     hermitian_extremes,
+    hermitian_spectrum,
     orth,
     pinv,
     positive_sqrt,
@@ -195,6 +197,29 @@ class TestHermitianExtremes:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_extremes([[0.0, 1.0], [0.0, 0.0]])
+
+
+class TestHermitianSpectrum:
+    def test_no_gate(self):
+        # the Hermitian part of [[0, 1], [0, 0]] has eigenvalues -1/2, 1/2
+        ext = hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        assert (ext.lambda_min, ext.lambda_max) == (-0.5, 0.5)
+
+    def test_matches_gated_extremes(self, rng):
+        b = complex_gaussian(rng, 6, 6)
+        h = 0.5 * (b + b.conj().T)
+        assert hermitian_spectrum(h) == hermitian_extremes(h)
+
+
+class TestCommutatorResidual:
+    def test_commuting(self):
+        assert commutator_residual(np.diag([1.0, 2.0]), np.diag([3.0, -1.0])) == 0.0
+
+    def test_relative_to_norms(self):
+        # [e12, e21] = diag(1, -1), of norm 1; both factors have norm 1
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert commutator_residual(a, a.T) == pytest.approx(1.0, rel=1e-15)
+        assert commutator_residual(2.0 * a, a.T) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestGenRayleighMin:

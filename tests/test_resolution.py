@@ -10,7 +10,7 @@ from gfusion.errors import (
     NotPositive,
     ResolutionFailed,
 )
-from gfusion.frames import ControlPair, FrameFamily, frame_operator
+from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily, frame_operator
 from gfusion.resolution import (
     CanonicalResolutions,
     ResolutionReport,
@@ -102,6 +102,13 @@ class TestCanonicalResolutions:
         fam = FrameFamily(3, [(sub, projector(sub), 1.0)])
         with pytest.raises(NotAFrame):
             canonical_resolutions(fam, ControlPair.identity(3))
+        with pytest.raises(NotAFrame, match="not invertible at threshold"):
+            FrameEvaluation(fam, ControlPair.identity(3)).inverse
+
+    def test_inverse_of_a_frame(self):
+        ev = FrameEvaluation(scaled_partition_family(4, (2.0, 5.0)), ControlPair.identity(4))
+        np.testing.assert_allclose(ev.inverse, np.diag([0.5, 0.2, 0.5, 0.2]), atol=1e-15)
+        assert ev.inverse is ev.inverse
 
 
 class TestInverseCommutation:
@@ -268,6 +275,10 @@ class TestPerturbation:
         pair = self.make_near_identity_pair()
         with pytest.raises(InvalidParameters):
             perturbation_check(pair, 1.5, 0.0, 1.0, 1.0)
+        # checked before sampling: every sampled slack -0.5 - ||f - S f|| is
+        # negative, and would report a violated inequality instead
+        with pytest.raises(InvalidParameters, match=r"lambda1 in \[0, 1\)"):
+            perturbation_check(pair, -0.5, 0.0, 1.0, 1.0)
 
     def test_invalid_lambda2(self):
         pair = self.make_near_identity_pair()

@@ -4,7 +4,7 @@
 `perturbation_check`, and the cross operators, pair operator and
 construction outputs built through the subspace bases must agree with the
 one-vector loops and the n x n projector forms they replace.  No module but
-`linalg` forms a projector.
+`linalg` forms a projector or calls an eigensolver.
 """
 
 import ast
@@ -293,26 +293,41 @@ def test_conjugate_transform_matches_projector_form():
         assert np.max(np.abs(lam_out - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
 
 
-def projector_calls(source):
-    """Line numbers of the calls to a function named `projector`."""
+def call_lines(source, names):
+    """Line numbers of the calls to a function with a name in `names`."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "projector"
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
     )
 
 
-def test_no_projector_outside_linalg():
-    sites = [
+def calls_outside_linalg(names):
+    """`module:line` of each call to one of `names` in a module but linalg."""
+    return [
         f"{path.name}:{line}"
         for path in sorted(Path(gfusion.__file__).parent.glob("*.py"))
         if path.name != "linalg.py"
-        for line in projector_calls(path.read_text())
+        for line in call_lines(path.read_text(), names)
     ]
+
+
+def test_no_projector_outside_linalg():
+    sites = calls_outside_linalg({"projector"})
     assert sites == [], f"apply P_j through its basis, not a projector: {sites}"
 
 
 def test_projector_guard_sees_both_call_forms():
     source = "p = projector(sub)\nq = linalg.projector(sub) @ x\nprojector_calls = 1\n"
-    assert projector_calls(source) == [1, 2]
+    assert call_lines(source, {"projector"}) == [1, 2]
+
+
+def test_no_eigensolver_outside_linalg():
+    sites = calls_outside_linalg({"eigh", "eigvalsh"})
+    assert sites == [], f"take spectra through linalg (hermitian_spectrum): {sites}"
+
+
+def test_eigensolver_guard_sees_both_call_forms():
+    source = "v = eigvalsh(h)\nw, q = np.linalg.eigh(h)\neigh = 1\n"
+    assert call_lines(source, {"eigh", "eigvalsh"}) == [1, 2]
