@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tolerances as tol
-from .errors import ItemCountMismatch, WeightMismatch
+from .errors import DimensionMismatch, ItemCountMismatch, WeightMismatch
 from .frames import (
     ControlPair,
     FrameEvaluation,
@@ -81,17 +81,19 @@ def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
 
     Checks item counts and weights, then that each named conjugator is
     invertible, and only then evaluates each family under its control pair.
-    Returns the checked conjugators (in the order given), the direct-sum
-    control pair and k, and (a_opt, b, S) of each family.
+    Returns each checked conjugator with its singular extremes (in the order
+    given), the direct-sum control pair and k, and (a_opt, b, S) of each
+    family.
     """
     if len(famH) != len(famX):
         raise ItemCountMismatch(f"{len(famH)} vs {len(famX)} items")
     for j, (wH, wX) in enumerate(zip(famH.weights, famX.weights)):
         if abs(wH - wX) > 0:
             raise WeightMismatch(f"item {j}: weights {wH} != {wX}")
-    checked = [
-        require_invertible(as_operator(c), name) for name, c in conjugators.items()
-    ]
+    checked = []
+    for name, c in conjugators.items():
+        c = as_operator(c)
+        checked.append((c, require_invertible(c, name)))
     kH = as_operator(kH)
     kX = as_operator(kX)
     cp_out = ControlPair(dsum_op(cpH.t, cpX.t), dsum_op(cpH.u, cpX.u))
@@ -122,7 +124,7 @@ def sum_transform(
     if len(famL) != len(famG):
         raise ItemCountMismatch(f"{len(famL)} vs {len(famG)} items")
     if famL.ambient_dim != famG.ambient_dim:
-        raise ItemCountMismatch("families live on different ambient spaces")
+        raise DimensionMismatch("families live on different ambient spaces")
     for j, ((subL, _, wL), (subG, _, wG)) in enumerate(zip(famL.items, famG.items)):
         if abs(wL - wG) > 0:
             raise WeightMismatch(f"item {j}: weights {wL} != {wG}")
@@ -139,7 +141,7 @@ def sum_transform(
     w = as_operator(w)
     k = as_operator(k)
     r = v + w
-    require_invertible(r, "v + w")
+    r_sigma = require_invertible(r, "v + w")
     rstar = r.conj().T
     certs = [
         Certificate("k_commutes_with_sum", commutator_residual(k, r)),
@@ -158,7 +160,7 @@ def sum_transform(
     terms2 = cross_terms(rt, fG, fL, ru)
     cross1 = 0.0
     cross2 = 0.0
-    control_scale = opnorm(cp.t) * opnorm(cp.u)
+    control_scale = cp.t_sigma.sigma_max * cp.u_sigma.sigma_max
     items_out = []
     for (b, cL), (_, cG), (sub, _, wt), g1, g2 in zip(
         fL, fG, famL.items, terms1, terms2
@@ -174,9 +176,9 @@ def sum_transform(
 
     a_l, b_l, _ = kgf_bounds(famL, cp, k)
     _, b_g, _ = kgf_bounds(famG, cp, k)
-    r_inv_norm = opnorm(np.linalg.inv(r))
-    predicted_lower = a_l / (r_inv_norm**2)
-    predicted_upper = (b_l + b_g) * opnorm(r) ** 2
+    # ||r^-1||^-2 = sigma_min(r)^2 and ||r||^2 = sigma_max(r)^2
+    predicted_lower = a_l * r_sigma.sigma_min**2
+    predicted_upper = (b_l + b_g) * r_sigma.sigma_max**2
     measured = _measure(FrameEvaluation(fam_out, cp), k)
     ok = all(res <= tol.TOL_FACTOR for _, res in certs)
     return _transform_report(
@@ -232,9 +234,10 @@ def conjugate_transform(
     Output frame operator equals (w (+) v) (S_H (+) S_X) (w (+) v)* whenever
     the commutation hypotheses hold.
     """
-    (w, v), cp_out, k_out, (a_h, b_h, s_h), (a_x, b_x, s_x) = _paired(
+    conjugators, cp_out, k_out, (a_h, b_h, s_h), (a_x, b_x, s_x) = _paired(
         famH, cpH, kH, famX, cpX, kX, w=w, v=v
     )
+    (w, w_sigma), (v, v_sigma) = conjugators
     w_adj, v_adj = w.conj().T, v.conj().T
     certs = [
         Certificate("w_adjoint_commutes_with_t", commutator_residual(w_adj, cpH.t)),
@@ -257,10 +260,8 @@ def conjugate_transform(
     conj_residual = opnorm(evO.s - s_expected) / max(opnorm(s_expected), 1e-300)
     certs.append(Certificate("frame_operator_conjugated", conj_residual))
 
-    w_inv = opnorm(np.linalg.inv(w))
-    v_inv = opnorm(np.linalg.inv(v))
-    predicted_lower = min(a_h / w_inv**2, a_x / v_inv**2)
-    predicted_upper = max(b_h * opnorm(w) ** 2, b_x * opnorm(v) ** 2)
+    predicted_lower = min(a_h * w_sigma.sigma_min**2, a_x * v_sigma.sigma_min**2)
+    predicted_upper = max(b_h * w_sigma.sigma_max**2, b_x * v_sigma.sigma_max**2)
     measured = _measure(evO, k_out)
     hypotheses_ok = all(res <= tol.TOL_FACTOR for _, res in certs[:-1])
     return _transform_report(

@@ -33,8 +33,10 @@ class FourierParams:
             raise InvalidParameters("n_max must be a positive integer")
         if not (1 <= self.m <= self.n_max):
             raise InvalidParameters(f"m must lie in [1, n_max], got {self.m}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise InvalidParameters("alpha and beta must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise InvalidParameters(
+                f"alpha and beta must be finite and > 0, got {self.alpha}, {self.beta}"
+            )
         if self.alpha * self.beta > 1 + tol.TOL_UNIT_PRODUCT:
             raise InvalidParameters(
                 "alpha * beta must be <= 1 for the unit upper bound to hold"

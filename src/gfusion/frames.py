@@ -29,6 +29,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .linalg import (
+    SingularExtremes,
     SpectralInterval,
     Subspace,
     antihermitian_norm,
@@ -84,18 +85,31 @@ class FrameFamily:
 
 @dataclass(frozen=True)
 class ControlPair:
-    """Ordered pair (t, u) of invertible operators on the ambient space."""
+    """Ordered pair (t, u) of invertible operators on the ambient space.
+
+    Keeps the singular extremes of t and u from its invertibility check, so
+    ||t||, ||t^-1||, ||u|| and ||u^-1|| need no further SVD.  In
+    ControlPair(c, c) the one operator c is checked once.
+    """
 
     t: np.ndarray
     u: np.ndarray
+    t_sigma: SingularExtremes = field(init=False, repr=False, compare=False)
+    u_sigma: SingularExtremes = field(init=False, repr=False, compare=False)
 
     def __init__(self, t, u):
-        t = require_invertible(t, "control t")
-        u = require_invertible(u, "control u")
+        t, u = as_operator(t), as_operator(u)
         if t.shape != u.shape or t.shape[0] != t.shape[1]:
             raise DimensionMismatch("controls must be square of equal size")
+        if np.array_equal(t, u):
+            t_sigma = u_sigma = require_invertible(t, "control t = u")
+        else:
+            t_sigma = require_invertible(t, "control t")
+            u_sigma = require_invertible(u, "control u")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "t_sigma", t_sigma)
+        object.__setattr__(self, "u_sigma", u_sigma)
 
     @staticmethod
     def identity(n: int) -> "ControlPair":

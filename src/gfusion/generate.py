@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameters
 from .frames import ControlPair, FrameFamily
-from .linalg import Subspace, orth
+from .linalg import Subspace, opnorm, orth
 
 STRUCTURES = ("generic", "scalar-controls", "parseval", "near-identity-pair")
 
@@ -72,7 +72,7 @@ def random_instance(seed: int, dim: int, item_count: int, structure: str) -> Ins
         fam = _partition_parseval(dim, item_count)
         eps = 0.02
         e = _complex_gaussian(rng, dim, dim)
-        e *= eps / max(np.linalg.norm(e, 2), 1e-300)
+        e *= eps / max(opnorm(e), 1e-300)
         t = np.eye(dim, dtype=complex)
         u = np.eye(dim, dtype=complex) + e
         return Instance(

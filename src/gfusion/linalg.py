@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,22 +224,45 @@ def subspace_image(r, m: Subspace) -> Subspace:
     return Subspace(r.shape[0], orth(r @ m.basis))
 
 
+class SingularExtremes(NamedTuple):
+    """Extreme singular values: ||a||_2 = sigma_max, ||a^-1||_2 = 1 / sigma_min."""
+
+    sigma_min: float
+    sigma_max: float
+
+
+def singular_extremes(a) -> SingularExtremes:
+    """Smallest and largest singular value of `a` from one SVD; (0, 0) when empty."""
+    s = np.linalg.svd(as_operator(a), compute_uv=False)
+    if s.size == 0:
+        return SingularExtremes(0.0, 0.0)
+    return SingularExtremes(float(s[-1]), float(s[0]))
+
+
+def _condition(sigma: SingularExtremes) -> float:
+    return sigma.sigma_max / sigma.sigma_min if sigma.sigma_min > 0 else math.inf
+
+
 def condition_number(a) -> float:
     a = as_operator(a)
     if a.shape[0] != a.shape[1]:
-        return np.inf
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
+        return math.inf
+    return _condition(singular_extremes(a))
 
 
-def require_invertible(a, what: str = "operator") -> np.ndarray:
+def require_invertible(a, what: str = "operator") -> SingularExtremes:
+    """Gate cond(a) <= COND_MAX and return the singular extremes of that SVD.
+
+    A non-square `a` counts as singular.  Callers read ||a|| and ||a^-1||
+    from the result instead of measuring `a` again.
+    """
     a = as_operator(a)
-    c = condition_number(a)
-    if not np.isfinite(c) or c > tol.COND_MAX:
+    square = a.shape[0] == a.shape[1]
+    sigma = singular_extremes(a) if square else SingularExtremes(0.0, 0.0)
+    c = _condition(sigma)
+    if c > tol.COND_MAX:
         raise NotInvertible(f"{what}: condition number {c:.3e} exceeds {tol.COND_MAX:.1e}")
-    return a
+    return sigma
 
 
 def hermitian_spectrum(a) -> SpectralInterval:

@@ -23,6 +23,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import (
     CodomainMismatch,
+    DimensionMismatch,
     HypothesisFailed,
     InvalidParameters,
     ItemCountMismatch,
@@ -32,12 +33,11 @@ from .errors import (
 )
 from .frames import ControlPair, FrameEvaluation, FrameFamily, cross_terms, item_factors
 from .linalg import (
-    as_operator,
     commutator_residual,
     hermitian_spectrum,
     opnorm,
     random_unit_columns,
-    require_invertible,
+    singular_extremes,
 )
 
 
@@ -46,8 +46,9 @@ class PairOperator:
     matrix: np.ndarray
     left_family: FrameFamily
     right_family: FrameFamily
-    left_control: np.ndarray
-    right_control: np.ndarray
+    # (t, t) and (u, u): each family's own control pair, checked once
+    left_control: ControlPair
+    right_control: ControlPair
 
 
 @dataclass(frozen=True)
@@ -64,20 +65,25 @@ def pair_frame_operator(
     if len(famL) != len(famG):
         raise ItemCountMismatch(f"{len(famL)} vs {len(famG)} items")
     if famL.ambient_dim != famG.ambient_dim:
-        raise ItemCountMismatch("families live on different ambient spaces")
-    t = require_invertible(as_operator(t), "left control")
-    u = require_invertible(as_operator(u), "right control")
+        raise DimensionMismatch("families live on different ambient spaces")
+    left, right = ControlPair(t, t), ControlPair(u, u)
     for j, (dL, dG) in enumerate(zip(famL.block_dims(), famG.block_dims())):
         if dL != dG:
             raise CodomainMismatch(f"item {j}: codomain dims {dL} != {dG}")
-    terms = cross_terms(t, item_factors(famL), item_factors(famG), u)
+    return _pair_operator(famL, left, famG, right)
+
+
+def _pair_operator(
+    famL: FrameFamily, left: ControlPair, famG: FrameFamily, right: ControlPair
+) -> PairOperator:
+    terms = cross_terms(left.t, item_factors(famL), item_factors(famG), right.u)
     s = sum(wL * wG * g for wL, wG, g in zip(famL.weights, famG.weights, terms))
-    return PairOperator(s, famL, famG, t, u)
+    return PairOperator(s, famL, famG, left, right)
 
 
 def swapped(pair: PairOperator) -> PairOperator:
     """The pair operator with the two families (and controls) exchanged."""
-    return pair_frame_operator(
+    return _pair_operator(
         pair.right_family, pair.right_control, pair.left_family, pair.left_control
     )
 
@@ -96,11 +102,6 @@ def adjoint_check(pair: PairOperator) -> AdjointReport:
     s = pair.matrix
     residual = opnorm(s.conj().T - swapped(pair).matrix) / max(opnorm(s), 1e-300)
     return AdjointReport(s, residual, residual <= tol.TOL_ADJOINT)
-
-
-def _own_control(fam: FrameFamily, c) -> FrameEvaluation:
-    """The family under the control pair (c, c)."""
-    return FrameEvaluation(fam, ControlPair(c, c))
 
 
 def _resolution_report(terms: np.ndarray) -> ResolutionReport:
@@ -202,19 +203,20 @@ class BesselResolutionReport:
 def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionReport:
     """A (t,t)-controlled Bessel family whose mixed terms resolve the identity
     is a (u,u)-controlled frame with lower bound at least 1/B."""
-    t, u = as_operator(t), as_operator(u)
-    bessel, out = _own_control(fam, t), _own_control(fam, u)
+    tt, uu = ControlPair(t, t), ControlPair(u, u)
+    bessel, out = FrameEvaluation(fam, tt), FrameEvaluation(fam, uu)
     if not bessel.is_bessel:
         raise NotBessel("family is not a controlled Bessel sequence under (t, t)")
     b = bessel.bounds.lambda_max
-    resolution = _resolution_report(bessel.weighted(bessel.cross_terms(t, u)))
+    resolution = _resolution_report(bessel.weighted(bessel.cross_terms(tt.t, uu.u)))
     if not resolution.converged:
         raise ResolutionFailed(
             f"terms do not sum to the identity (residual {resolution.residual:.3e})"
         )
     lower, upper = out.bounds.lambda_min, out.bounds.lambda_max
     predicted_lower = 1.0 / b
-    predicted_upper = b * opnorm(np.linalg.inv(t)) ** 2 * opnorm(u) ** 2
+    # b ||t^-1||^2 ||u||^2
+    predicted_upper = b / tt.t_sigma.sigma_min**2 * uu.u_sigma.sigma_max**2
     ok = (
         out.is_frame
         and lower >= predicted_lower - tol.TOL_FACTOR
@@ -223,6 +225,12 @@ def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionRep
     return BesselResolutionReport(
         lower, upper, ok, predicted_lower, predicted_upper, resolution.residual
     )
+
+
+def _require_bound(name: str, value: float | None):
+    """A given Bessel bound is a divisor: it must be finite and > 0."""
+    if value is not None and not (0 < value < math.inf):
+        raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -241,16 +249,17 @@ def coercive_pair_check(
     family is a frame under its own control with lower bound >= m^2 / D,
     where D is the Bessel bound of the right family; D defaults to the
     optimal one, under (u, u)."""
+    _require_bound("gamma_bessel_bound", gamma_bessel_bound)
     # S_swapped = S_pair*, and both have the same Hermitian part
     m = hermitian_spectrum(pair.matrix).lambda_min
     if m <= 0:
         raise NotPositive(f"swapped pair operator is not coercive (m = {m:.3e})")
     if gamma_bessel_bound is None:
-        gamma_bessel_bound = _own_control(
+        gamma_bessel_bound = FrameEvaluation(
             pair.right_family, pair.right_control
         ).bounds.lambda_max
     predicted_lower = m * m / gamma_bessel_bound
-    left = _own_control(pair.left_family, pair.left_control)
+    left = FrameEvaluation(pair.left_family, pair.left_control)
     measured_lower = left.bounds.lambda_min
     ok = left.is_frame and measured_lower >= predicted_lower - tol.TOL_FACTOR
     return CoercivityReport(m, predicted_lower, measured_lower, ok, gamma_bessel_bound)
@@ -297,14 +306,14 @@ def perturbation_check(
         raise InvalidParameters(
             f"one-parameter path requires lambda1 in [0, 1), got {lambda1}"
         )
+    _require_bound("d1", d1)
+    _require_bound("d2", d2)
     if trials < 1:
         raise InvalidParameters("trials must be >= 1")
     s = pair.matrix
     n = s.shape[0]
-    eye = np.eye(n)
-    sv = np.linalg.svd(s, compute_uv=False)
-    sigma_min = float(sv[-1]) if sv.size else 0.0
-    gap = float(np.linalg.norm(eye - s, 2))
+    sigma_min = singular_extremes(s).sigma_min
+    gap = opnorm(np.eye(n) - s)
     spectral_ok = gap <= lambda1 + lambda2 * sigma_min + tol.TOL_PERTURB
 
     rng = np.random.default_rng(seed)
@@ -326,8 +335,8 @@ def perturbation_check(
         )
     certified = spectral_ok
 
-    gamma_bounds = _own_control(pair.right_family, pair.right_control).bounds
-    lam_bounds = _own_control(pair.left_family, pair.left_control).bounds
+    gamma_bounds = FrameEvaluation(pair.right_family, pair.right_control).bounds
+    lam_bounds = FrameEvaluation(pair.left_family, pair.left_control).bounds
     d1 = lam_bounds.lambda_max if d1 is None else d1
     d2 = gamma_bounds.lambda_max if d2 is None else d2
     lower_gamma = gamma_bounds.lambda_min

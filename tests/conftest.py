@@ -57,6 +57,19 @@ def scaled_partition_family(dim, scales):
     return FrameFamily(dim, items)
 
 
+def record_svd_inputs(monkeypatch):
+    """A list that receives a copy of every matrix passed to np.linalg.svd."""
+    seen = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return seen
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

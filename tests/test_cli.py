@@ -8,7 +8,7 @@ from gfusion.cli import main
 from gfusion.errors import GFusionError
 from gfusion.frames import ControlPair, frame_operator
 
-from conftest import scaled_partition_family
+from conftest import complex_gaussian, record_svd_inputs, scaled_partition_family
 
 
 @pytest.fixture
@@ -393,6 +393,56 @@ def test_thm_perturb_evaluates_each_family_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2
     assert rep["lower_gamma_predicted"] == pytest.approx(0.5**2 / 2.0, rel=1e-12)
     assert rep["lower_lambda_predicted"] == pytest.approx(0.5**2 / 1.0, rel=1e-12)
+
+
+def test_thm_perturb_checks_each_control_once(tmp_path, capsys, monkeypatch):
+    # one SVD per distinct control per check: loading the pair (t, u), then
+    # the pair operator's (t, t) and (u, u); every evaluation reuses them
+    rng = np.random.default_rng(5)
+    t = np.eye(4, dtype=complex)
+    u = np.eye(4) + 0.02 * complex_gaussian(rng, 4, 4) / 4
+    paths = []
+    for name, scales in (("left", (2.0, 1.5)), ("right", (1.0, 1.0))):
+        paths.append(_write(tmp_path / f"{name}.json", scaled_partition_family(4, scales)))
+    cp_path = _write(tmp_path / "c.json", ControlPair(t, u))
+    seen = record_svd_inputs(monkeypatch)
+    code, rep = run(
+        capsys, "thm", "perturb", "--in", paths[0], "--in", paths[1],
+        "--control", cp_path, "--lambda1", "0.5", "--lambda2", "0.0",
+    )
+    assert code == 0
+    assert rep["lower_gamma_predicted"] == pytest.approx(0.5**2 / 2.0, rel=1e-12)
+    assert sum(np.array_equal(a, t) for a in seen) == 2
+    assert sum(np.array_equal(a, u) for a in seen) == 2
+
+
+INVALID_THEOREM_PARAMETERS = [
+    ("thm-perturb", ["--d1", "0"]),
+    ("thm-perturb", ["--d1=-1"]),
+    ("thm-perturb", ["--d1", "nan"]),
+    ("thm-perturb", ["--d2", "inf"]),
+    ("fourier-demo", ["--alpha", "nan", "--beta", "0.5"]),
+    ("fourier-demo", ["--alpha", "0.5", "--beta", "nan"]),
+    ("fourier-demo", ["--alpha", "inf", "--beta", "0.5"]),
+]
+
+
+@pytest.mark.parametrize("command, params", INVALID_THEOREM_PARAMETERS)
+def test_invalid_theorem_parameters_exit_2(tmp_path, capsys, partition_inputs, command, params):
+    """Checked before any sampling: exit 2, an error line and no report."""
+    _, fam, cp, _ = partition_inputs
+    if command == "thm-perturb":
+        # S = diag(2, 5) is far from the identity: sampling would fail first
+        argv = ["thm", "perturb", "--in", str(fam), "--in", str(fam), "--control", str(cp)]
+    else:
+        argv = ["fourier-demo", "--nmax", "4", "--m", "2"]
+    out = tmp_path / "report.json"
+    code = main(argv + params + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1].startswith("error: ")
+    assert not out.exists()
 
 
 FRAME_KEYS = {"is_bessel", "is_frame", "bounds", "herm_residual", "s_c"}

@@ -6,7 +6,12 @@ from gfusion.constructions import (
     direct_sum_frame,
     sum_transform,
 )
-from gfusion.errors import ItemCountMismatch, NotInvertible, WeightMismatch
+from gfusion.errors import (
+    DimensionMismatch,
+    ItemCountMismatch,
+    NotInvertible,
+    WeightMismatch,
+)
 from gfusion.frames import ControlPair, FrameFamily, frame_operator, kgf_bounds
 from gfusion.linalg import Subspace
 
@@ -88,6 +93,15 @@ class TestSumTransform:
         with pytest.raises(ItemCountMismatch):
             sum_transform(
                 famL, short, np.eye(4), np.eye(4), ControlPair.identity(4), np.eye(4)
+            )
+
+    def test_ambient_dim_mismatch(self):
+        # equal item counts on C^4 and C^6: a shape error, not a count error
+        famL = scaled_partition_family(4, (1.0, 2.0))
+        famG = scaled_partition_family(6, (1.0, 2.0))
+        with pytest.raises(DimensionMismatch, match="different ambient spaces"):
+            sum_transform(
+                famL, famG, np.eye(4), np.eye(4), ControlPair.identity(4), np.eye(4)
             )
 
     def test_subspace_mismatch(self):

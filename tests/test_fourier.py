@@ -27,6 +27,12 @@ class TestParams:
         with pytest.raises(InvalidParameters):
             FourierParams(4, 2, 0.5, 0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(float("nan"), 0.5), (0.5, float("nan")),
+                                             (float("inf"), 0.5), (0.5, float("inf"))])
+    def test_non_finite_scalars(self, alpha, beta):
+        with pytest.raises(InvalidParameters, match="finite"):
+            FourierParams(4, 2, alpha, beta)
+
     def test_product_above_one(self):
         with pytest.raises(InvalidParameters):
             FourierParams(4, 2, 2.0, 0.6)

@@ -28,6 +28,7 @@ from conftest import (
     random_family,
     random_subspace,
     random_unit,
+    record_svd_inputs,
     scalar_controls,
     scaled_partition_family,
 )
@@ -335,5 +336,30 @@ class TestValidation:
             FrameFamily(2, [(sub, np.eye(2), -1.0)])
 
     def test_control_must_be_square(self):
-        with pytest.raises(Exception):
+        # shapes are checked before invertibility: a 2 x 3 control is bad
+        # input, not a singular operator
+        with pytest.raises(DimensionMismatch):
             ControlPair(np.ones((2, 3)), np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            ControlPair(np.ones((2, 3)), np.ones((2, 3)))
+
+
+class TestControlPairExtremes:
+    def test_keeps_singular_extremes_of_its_check(self, rng):
+        t = np.eye(4) + 0.3 * complex_gaussian(rng, 4, 4)
+        u = np.diag([0.5, 1.0, 2.0, 4.0]).astype(complex)
+        cp = ControlPair(t, u)
+        for c, sigma in ((t, cp.t_sigma), (u, cp.u_sigma)):
+            assert sigma.sigma_max == np.linalg.norm(c, 2)
+            inv_norm = np.linalg.norm(np.linalg.inv(c), 2)
+            assert 1.0 / sigma.sigma_min == pytest.approx(inv_norm, rel=1e-12)
+        assert tuple(cp.u_sigma) == pytest.approx((0.5, 4.0), rel=1e-15)
+
+    def test_same_operator_is_checked_once(self, rng, monkeypatch):
+        c = np.eye(4) + 0.3 * complex_gaussian(rng, 4, 4)
+        seen = record_svd_inputs(monkeypatch)
+        cp = ControlPair(c, c.copy())
+        assert len(seen) == 1 and np.array_equal(seen[0], c)
+        assert cp.t_sigma == cp.u_sigma
+        ControlPair(c, 2.0 * c)
+        assert len(seen) == 3

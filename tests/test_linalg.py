@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from gfusion import tolerances
-from gfusion.errors import NotHermitian, NotPSD, RangeNotContained, ZeroDenominator
+from gfusion.errors import (
+    NotHermitian,
+    NotInvertible,
+    NotPSD,
+    RangeNotContained,
+    ZeroDenominator,
+)
 from gfusion.linalg import (
     Subspace,
     commutator_residual,
+    condition_number,
     douglas_factor,
     dsum_op,
     dsum_subspace,
@@ -17,6 +24,8 @@ from gfusion.linalg import (
     positive_sqrt,
     projector,
     require_hermitian,
+    require_invertible,
+    singular_extremes,
     subspace_image,
 )
 
@@ -209,6 +218,32 @@ class TestHermitianSpectrum:
         b = complex_gaussian(rng, 6, 6)
         h = 0.5 * (b + b.conj().T)
         assert hermitian_spectrum(h) == hermitian_extremes(h)
+
+
+class TestSingularExtremes:
+    def test_diagonal(self):
+        sigma = singular_extremes(np.diag([3.0, -0.5, 2.0]))
+        assert sigma == pytest.approx((0.5, 3.0), rel=1e-15)
+
+    def test_rectangular_and_empty(self, rng):
+        a = complex_gaussian(rng, 3, 5)
+        s = np.linalg.svd(a, compute_uv=False)
+        assert tuple(singular_extremes(a)) == (s[-1], s[0])
+        assert tuple(singular_extremes(np.zeros((0, 0)))) == (0.0, 0.0)
+
+    def test_norms_of_operator_and_inverse(self, rng):
+        a = np.eye(5) + 0.4 * complex_gaussian(rng, 5, 5)
+        sigma = require_invertible(a, "a")
+        assert sigma.sigma_max == np.linalg.norm(a, 2)
+        inv_norm = np.linalg.norm(np.linalg.inv(a), 2)
+        assert 1.0 / sigma.sigma_min == pytest.approx(inv_norm, rel=1e-12)
+        assert condition_number(a) == sigma.sigma_max / sigma.sigma_min
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 3)), np.ones((2, 3)), np.zeros((0, 0))])
+    def test_singular_or_non_square_rejected(self, a):
+        assert condition_number(a) == np.inf
+        with pytest.raises(NotInvertible, match="condition number inf"):
+            require_invertible(a, "a")
 
 
 class TestCommutatorResidual:

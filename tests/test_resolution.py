@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gfusion.errors import (
+    DimensionMismatch,
     HypothesisFailed,
     InvalidParameters,
     ItemCountMismatch,
@@ -24,7 +25,13 @@ from gfusion.resolution import (
     swapped,
 )
 
-from conftest import complex_gaussian, random_family, scalar_controls, scaled_partition_family
+from conftest import (
+    complex_gaussian,
+    random_family,
+    record_svd_inputs,
+    scalar_controls,
+    scaled_partition_family,
+)
 
 
 class TestPairOperator:
@@ -58,6 +65,29 @@ class TestPairOperator:
         famG = random_family(rng, 4, 3, codomain=2)
         with pytest.raises(ItemCountMismatch):
             pair_frame_operator(famL, np.eye(4), famG, np.eye(4))
+
+    def test_ambient_dim_mismatch(self):
+        famL = scaled_partition_family(4, (1.0, 2.0))
+        famG = scaled_partition_family(6, (1.0, 2.0))
+        with pytest.raises(DimensionMismatch, match="different ambient spaces"):
+            pair_frame_operator(famL, np.eye(4), famG, np.eye(4))
+
+    def test_keeps_each_family_control_pair(self, rng, monkeypatch):
+        # (t, t) and (u, u) are checked once, by pair_frame_operator; the
+        # swapped operator reuses both pairs
+        fam = random_family(rng, 4, 3, codomain=2)
+        t = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        u = np.eye(4) + 0.2 * complex_gaussian(rng, 4, 4)
+        pair = pair_frame_operator(fam, t, fam, u)
+        assert isinstance(pair.left_control, ControlPair)
+        np.testing.assert_array_equal(pair.left_control.u, t)
+        np.testing.assert_array_equal(pair.right_control.t, u)
+        assert tuple(pair.left_control.t_sigma) == pytest.approx((1.0, 4.0), rel=1e-15)
+        seen = record_svd_inputs(monkeypatch)
+        sw = swapped(pair)
+        assert seen == []
+        assert sw.left_control is pair.right_control
+        assert sw.right_control is pair.left_control
 
 
 class TestCanonicalResolutions:
@@ -224,6 +254,14 @@ class TestCoercivity:
         assert rep.predicted_lower == pytest.approx(0.5 / 3.0, rel=1e-12)
         assert coercive_pair_check(pair, rep.gamma_bessel_bound) == rep
 
+    @pytest.mark.parametrize("bound", [0.0, -2.0, float("nan"), float("inf")])
+    def test_invalid_explicit_bessel_bound(self, bound):
+        # D is a divisor: it is checked before the pair is measured
+        fam = scaled_partition_family(4, (0.5, 2.0))
+        pair = pair_frame_operator(fam, np.eye(4), fam, np.eye(4))
+        with pytest.raises(InvalidParameters, match="gamma_bessel_bound"):
+            coercive_pair_check(pair, bound)
+
     def test_non_coercive_raises(self):
         from gfusion.linalg import Subspace, projector
 
@@ -279,6 +317,15 @@ class TestPerturbation:
         # negative, and would report a violated inequality instead
         with pytest.raises(InvalidParameters, match=r"lambda1 in \[0, 1\)"):
             perturbation_check(pair, -0.5, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["d1", "d2"])
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_bessel_bounds(self, name, bound):
+        # checked before sampling: S = 5 I would fail the sampled inequality
+        fam = scaled_partition_family(4, (5.0, 5.0))
+        pair = pair_frame_operator(fam, np.eye(4), fam, np.eye(4))
+        with pytest.raises(InvalidParameters, match=f"{name} must be finite and > 0"):
+            perturbation_check(pair, 0.1, 0.0, **{"d1": 1.0, "d2": 1.0, name: bound})
 
     def test_invalid_lambda2(self):
         pair = self.make_near_identity_pair()

@@ -3,8 +3,10 @@
 `frame_sum` on an (n, k) block, the chunked samplers of `verify_fourier` and
 `perturbation_check`, and the cross operators, pair operator and
 construction outputs built through the subspace bases must agree with the
-one-vector loops and the n x n projector forms they replace.  No module but
-`linalg` forms a projector or calls an eigensolver.
+one-vector loops and the n x n projector forms they replace; predicted
+bounds read from singular extremes must agree with the inverse-norm
+formulas they replace.  No module but `linalg` forms a projector, calls an
+eigensolver or takes singular values, and S^-1 is the one inverse formed.
 """
 
 import ast
@@ -26,15 +28,20 @@ from gfusion.frames import (
     ControlPair,
     FrameEvaluation,
     FrameFamily,
+    controlled_frame_bounds,
     frame_operator,
     frame_sum,
     item_cross_operator,
     kgf_bounds,
 )
-from gfusion.linalg import SAMPLE_CHUNK, Subspace, dsum_op, dsum_subspace, projector
-from gfusion.resolution import pair_frame_operator, perturbation_check
+from gfusion.linalg import SAMPLE_CHUNK, Subspace, dsum_op, dsum_subspace, opnorm, projector
+from gfusion.resolution import (
+    bessel_resolution_frame_check,
+    pair_frame_operator,
+    perturbation_check,
+)
 
-from conftest import complex_gaussian, random_subspace, scaled_partition_family
+from conftest import complex_gaussian, random_family, random_subspace, scaled_partition_family
 
 SAMPLING_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -293,28 +300,37 @@ def test_conjugate_transform_matches_projector_form():
         assert np.max(np.abs(lam_out - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
 
 
-def call_lines(source, names):
-    """Line numbers of the calls to a function with a name in `names`."""
+def call_lines(source, names, where=lambda call: True):
+    """Line numbers of the calls to a function with a name in `names` for
+    which `where(call)` holds."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+        and where(node)
     )
 
 
-def calls_outside_linalg(names):
-    """`module:line` of each call to one of `names` in a module but linalg."""
+def call_sites(names, where=lambda call: True, skip="linalg.py"):
+    """`module:line` of each call to one of `names` in a gfusion module but
+    `skip` (by default, in a module but linalg)."""
     return [
         f"{path.name}:{line}"
         for path in sorted(Path(gfusion.__file__).parent.glob("*.py"))
-        if path.name != "linalg.py"
-        for line in call_lines(path.read_text(), names)
+        if path.name != skip
+        for line in call_lines(path.read_text(), names, where)
     ]
 
 
+def spectral(call):
+    """norm(x, 2) or norm(x, ord=2): the spectral norm, an SVD."""
+    ords = call.args[1:2] + [k.value for k in call.keywords if k.arg == "ord"]
+    return any(isinstance(o, ast.Constant) and o.value == 2 for o in ords)
+
+
 def test_no_projector_outside_linalg():
-    sites = calls_outside_linalg({"projector"})
+    sites = call_sites({"projector"})
     assert sites == [], f"apply P_j through its basis, not a projector: {sites}"
 
 
@@ -324,10 +340,107 @@ def test_projector_guard_sees_both_call_forms():
 
 
 def test_no_eigensolver_outside_linalg():
-    sites = calls_outside_linalg({"eigh", "eigvalsh"})
+    sites = call_sites({"eigh", "eigvalsh"})
     assert sites == [], f"take spectra through linalg (hermitian_spectrum): {sites}"
 
 
 def test_eigensolver_guard_sees_both_call_forms():
     source = "v = eigvalsh(h)\nw, q = np.linalg.eigh(h)\neigh = 1\n"
     assert call_lines(source, {"eigh", "eigvalsh"}) == [1, 2]
+
+
+def test_no_singular_values_outside_linalg():
+    sites = call_sites({"svd"}) + call_sites({"norm"}, spectral)
+    assert sites == [], (
+        f"measure singular values through linalg (singular_extremes, opnorm): {sites}"
+    )
+
+
+def test_inverse_formed_only_for_s_inverse():
+    frames_py = Path(gfusion.__file__).parent / "frames.py"
+    tree = ast.parse(frames_py.read_text())
+    evaluation = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "FrameEvaluation"
+    )
+    inverse = next(
+        node for node in evaluation.body
+        if isinstance(node, ast.FunctionDef) and node.name == "inverse"
+    )
+    sites = call_sites({"inv"}, skip=None)
+    assert len(sites) == 1, f"read ||x^-1|| from singular_extremes: {sites}"
+    module, line = sites[0].split(":")
+    assert module == "frames.py" and inverse.lineno <= int(line) <= inverse.end_lineno
+
+
+def test_singular_value_guard_sees_both_call_forms():
+    source = (
+        "s = svd(a)\n"
+        "t = np.linalg.svd(a, compute_uv=False)\n"
+        "x = norm(a, 2)\n"
+        "y = np.linalg.norm(a, ord=2)\n"
+        "z = np.linalg.norm(a) + np.linalg.norm(v, axis=0)\n"
+        "q = np.linalg.inv(a) @ inv(b)\n"
+        "svd = inv = 1\n"
+    )
+    assert call_lines(source, {"svd"}) == [1, 2]
+    assert call_lines(source, {"norm"}, spectral) == [3, 4]
+    assert call_lines(source, {"inv"}) == [6, 6]
+
+
+def well_conditioned(rng, n):
+    return np.eye(n) + 0.3 * complex_gaussian(rng, n, n) / np.sqrt(n)
+
+
+def same_weights(fam, like):
+    return FrameFamily(fam.ambient_dim, [
+        (sub, lam, w) for (sub, lam, _), w in zip(fam.items, like.weights)
+    ])
+
+
+def inv_norm(x):
+    """The inverse norm as formed before singular extremes replaced it."""
+    return opnorm(np.linalg.inv(x))
+
+
+def assert_rel(got, ref):
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@SAMPLING_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), items=st.integers(1, 4))
+def test_predicted_bounds_match_inverse_norm_formulas(seed, n, items):
+    rng = np.random.default_rng(seed)
+    # (c, c) controls keep every frame operator Hermitian
+    c = well_conditioned(rng, n)
+    cp = ControlPair(c, c)
+    k = complex_gaussian(rng, n, n)
+    famL = random_family(rng, n, items)
+    famG = FrameFamily(n, [
+        (sub, complex_gaussian(rng, lam.shape[0], n), w) for sub, lam, w in famL.items
+    ])
+    v, w = well_conditioned(rng, n), 0.5 * np.eye(n)
+    rep = sum_transform(famL, famG, v, w, cp, k)
+    a_l, b_l, _ = kgf_bounds(famL, cp, k)
+    _, b_g, _ = kgf_bounds(famG, cp, k)
+    assert_rel(rep.predicted_lower, a_l / inv_norm(v + w) ** 2)
+    assert_rel(rep.predicted_upper, (b_l + b_g) * opnorm(v + w) ** 2)
+
+    m = n + 1
+    famX = same_weights(random_family(rng, m, items), famL)
+    cx = well_conditioned(rng, m)
+    cpX, kX = ControlPair(cx, cx), complex_gaussian(rng, m, m)
+    wc, vc = well_conditioned(rng, n), 2.0 * well_conditioned(rng, m)
+    rep = conjugate_transform(famL, cp, k, famX, cpX, kX, wc, vc)
+    a_h, b_h, _ = kgf_bounds(famL, cp, k)
+    a_x, b_x, _ = kgf_bounds(famX, cpX, kX)
+    assert_rel(rep.predicted_lower, min(a_h / inv_norm(wc) ** 2, a_x / inv_norm(vc) ** 2))
+    assert_rel(rep.predicted_upper, max(b_h * opnorm(wc) ** 2, b_x * opnorm(vc) ** 2))
+
+    # u = (t* S)^-1 makes the mixed terms sum_j (A_j t)* (A_j u) = t* S u = I
+    t = well_conditioned(rng, n)
+    u = np.linalg.inv(t.conj().T @ frame_operator(famL, ControlPair.identity(n)))
+    rep = bessel_resolution_frame_check(famL, t, u)
+    b = controlled_frame_bounds(famL, ControlPair(t, t)).bounds.lambda_max
+    assert_rel(rep.predicted_lower, 1.0 / b)
+    assert_rel(rep.predicted_upper, b * inv_norm(t) ** 2 * opnorm(u) ** 2)
