@@ -34,6 +34,46 @@ def _write_report(report: dict, out_path):
         sys.stdout.write(text)
 
 
+# The files each command reads: counts of --in, --control and --k, and
+# whether it reads --v and --w.  fourier-demo and random read none.
+FILES = {
+    "check-frame": (1, 1, 0, False),
+    "bounds": (1, 1, 0, False),
+    "resolutions": (1, 1, 0, False),
+    "thm 4.1": (1, 1, 0, False),
+    "thm 4.2": (1, 1, 0, False),
+    "atomic": (1, 1, 1, False),
+    "pair-op": (2, 1, 0, False),
+    "thm 4.4": (2, 1, 0, False),
+    "thm perturb": (2, 1, 0, False),
+    "construct sum-transform": (2, 1, 1, True),
+    "construct direct-sum": (2, 2, 2, False),
+    "construct conjugate": (2, 2, 2, True),
+}
+
+
+def _check_files(args):
+    """Raise ParseError unless the command is given exactly the files it reads."""
+    name = " ".join(
+        filter(None, (args.command, getattr(args, "kind", None), getattr(args, "which", None)))
+    )
+    if name not in FILES:
+        return
+    *counts, reads_vw = FILES[name]
+    for flag, files, want in zip(
+        ("--in", "--control", "--k"),
+        (args.inputs, args.control, getattr(args, "k", [])),
+        counts,
+    ):
+        if len(files) != want:
+            raise ParseError(f"{name} reads {want} {flag} file(s), got {len(files)}")
+    for flag in ("--v", "--w"):
+        if (getattr(args, flag[2:], None) is not None) != reads_vw:
+            raise ParseError(
+                f"{name} requires {flag}" if reads_vw else f"{name} does not read {flag}"
+            )
+
+
 def _load_family(path):
     return serialize.family_from_dict(serialize.load_json(path))
 
@@ -243,6 +283,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_files(args)
         overrides = {}
         for spec in getattr(args, "tol", []):
             name, sep, value = spec.partition("=")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, ItemCountMismatch, WeightMismatch
+from .errors import DimensionMismatch, InvalidParameters, ItemCountMismatch, WeightMismatch
 from .frames import (
     ControlPair,
     FrameEvaluation,
@@ -69,21 +69,14 @@ def _transform_report(
     )
 
 
-def _bounds_and_operator(fam: FrameFamily, cp: ControlPair, k):
-    """(a_opt, b, S) from one evaluation, released on return."""
-    ev = FrameEvaluation(fam, cp)
-    a_opt, b, _ = ev.kgf(k)
-    return a_opt, b, ev.s
-
-
 def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
     """Prologue of the H (+) X constructions.
 
     Checks item counts and weights, then that each named conjugator is
     invertible, and only then evaluates each family under its control pair.
     Returns each checked conjugator with its singular extremes (in the order
-    given), the direct-sum control pair and k, and (a_opt, b, S) of each
-    family.
+    given), the direct-sum family (items W_j (+) X_j, L_j (+) G_j), control
+    pair and k, and (a_opt, b, S) of each family.
     """
     if len(famH) != len(famX):
         raise ItemCountMismatch(f"{len(famH)} vs {len(famX)} items")
@@ -97,13 +90,16 @@ def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
     kH = as_operator(kH)
     kX = as_operator(kX)
     cp_out = ControlPair(dsum_op(cpH.t, cpX.t), dsum_op(cpH.u, cpX.u))
-    return (
-        checked,
-        cp_out,
-        dsum_op(kH, kX),
-        _bounds_and_operator(famH, cpH, kH),
-        _bounds_and_operator(famX, cpX, kX),
-    )
+    evaluated = []
+    for fam, cp, k in ((famH, cpH, kH), (famX, cpX, kX)):
+        ev = FrameEvaluation(fam, cp)
+        a_opt, b, _ = ev.kgf(k)
+        evaluated.append((a_opt, b, ev.s))
+    fam_sum = FrameFamily(famH.ambient_dim + famX.ambient_dim, [
+        (dsum_subspace(subH, subX), dsum_op(lamH, lamX), wt)
+        for (subH, lamH, wt), (subX, lamX, _) in zip(famH.items, famX.items)
+    ])
+    return checked, fam_sum, cp_out, dsum_op(kH, kX), *evaluated
 
 
 def _measure(ev: FrameEvaluation, k) -> SpectralInterval:
@@ -136,7 +132,7 @@ def sum_transform(
             np.linalg.norm(d) > tol.TOL_SAME_SUBSPACE
             and opnorm(d) > tol.TOL_SAME_SUBSPACE
         ):
-            raise ItemCountMismatch(f"item {j}: subspaces differ")
+            raise InvalidParameters(f"item {j}: subspaces differ")
     v = as_operator(v)
     w = as_operator(w)
     k = as_operator(k)
@@ -199,13 +195,9 @@ def direct_sum_frame(
     Output frame operator is the block-diagonal sum of the two input frame
     operators; bounds combine as (min of lowers, max of uppers).
     """
-    _, cp_out, k_out, (a_h, b_h, s_h), (a_x, b_x, s_x) = _paired(
+    _, fam_out, cp_out, k_out, (a_h, b_h, s_h), (a_x, b_x, s_x) = _paired(
         famH, cpH, kH, famX, cpX, kX
     )
-    items_out = []
-    for (subH, lamH, wt), (subX, lamX, _) in zip(famH.items, famX.items):
-        items_out.append((dsum_subspace(subH, subX), dsum_op(lamH, lamX), wt))
-    fam_out = FrameFamily(famH.ambient_dim + famX.ambient_dim, items_out)
     predicted_lower = min(a_h, a_x)
     predicted_upper = max(b_h, b_x)
     s_blocks = dsum_op(s_h, s_x)
@@ -234,7 +226,7 @@ def conjugate_transform(
     Output frame operator equals (w (+) v) (S_H (+) S_X) (w (+) v)* whenever
     the commutation hypotheses hold.
     """
-    conjugators, cp_out, k_out, (a_h, b_h, s_h), (a_x, b_x, s_x) = _paired(
+    conjugators, fam_sum, cp_out, k_out, (a_h, b_h, s_h), (a_x, b_x, s_x) = _paired(
         famH, cpH, kH, famX, cpX, kX, w=w, v=v
     )
     (w, w_sigma), (v, v_sigma) = conjugators
@@ -249,12 +241,11 @@ def conjugate_transform(
     ]
     wv = dsum_op(w, v)
     items_out = []
-    for (subH, lamH, wt), (subX, lamX, _) in zip(famH.items, famX.items):
-        sub_in = dsum_subspace(subH, subX)
-        b = sub_in.basis
-        lam_out = (dsum_op(lamH, lamX) @ b) @ (b.conj().T @ wv.conj().T)
-        items_out.append((subspace_image(wv, sub_in), lam_out, wt))
-    fam_out = FrameFamily(famH.ambient_dim + famX.ambient_dim, items_out)
+    for sub, lam, wt in fam_sum.items:
+        b = sub.basis
+        lam_out = (lam @ b) @ (b.conj().T @ wv.conj().T)
+        items_out.append((subspace_image(wv, sub), lam_out, wt))
+    fam_out = FrameFamily(fam_sum.ambient_dim, items_out)
     s_expected = wv @ dsum_op(s_h, s_x) @ wv.conj().T
     evO = FrameEvaluation(fam_out, cp_out)
     conj_residual = opnorm(evO.s - s_expected) / max(opnorm(s_expected), 1e-300)

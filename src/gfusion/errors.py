@@ -28,11 +28,7 @@ class NotInvertible(GFusionError):
 
 class NotPositive(GFusionError):
     """A required positive (semi)definiteness condition failed; carries the
-    offending index when it is per-item."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    offending index in its message when it is per-item."""
 
 
 class NotAFrame(GFusionError):
@@ -49,11 +45,7 @@ class ResolutionFailed(GFusionError):
 
 class HypothesisFailed(GFusionError):
     """A theorem hypothesis (commutation, perturbation, orthogonality)
-    failed its residual check; carries the hypothesis name."""
-
-    def __init__(self, message, name=None):
-        super().__init__(message)
-        self.name = name
+    failed its residual check."""
 
 
 class InvalidParameters(GFusionError):

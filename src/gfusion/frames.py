@@ -6,15 +6,15 @@ on H.  The central object is the frame operator
 
     S = sum_j v_j^2  t* P_j L_j* L_j P_j u
 
-whose spectral extremes are the optimal frame bounds, and the per-item
-positive square roots (t* P_j L_j* L_j P_j u)^{1/2} that build the analysis
-and synthesis maps.
+whose spectral extremes are the optimal frame bounds, and the synthesis
+operator T_C = [v_1 R_1*, ..., v_m R_m*] with R_j = (t* P_j L_j* L_j P_j u)^{1/2},
+whose adjoint is the analysis map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -162,7 +162,6 @@ class AtomicReport:
     coefficient_map: np.ndarray | None = field(default=None, metadata={"report": False})
     coefficient_residual: float | None = None
     literal_residual: float | None = field(default=None)
-    alpha_opt: float | None = field(default=None, metadata={"report": False})
 
 
 def _check_dims(fam: FrameFamily, cp: ControlPair):
@@ -203,10 +202,10 @@ class FrameEvaluation:
 
     Holds the per-item factors (B_j, C_j) of A_j = L_j P_j = C_j B_j*, the
     cross operators G_j = (A_j t)* (A_j u) stacked as `terms`, and
-    S = sum_j v_j^2 G_j.  The norms, the Hermitian residual,
-    the spectrum, S^-1, the bounds report and the per-item square roots are
-    computed on first use.  Nothing outlives the call that built it:
-    families hold mutable arrays.
+    S = sum_j v_j^2 G_j.  The norms, the Hermitian residual, the spectrum,
+    S^-1, the bounds report and the synthesis operator T_C (the only holder
+    of the per-item square roots) are computed on first use.  Nothing
+    outlives the call that built it: families hold mutable arrays.
     """
 
     def __init__(self, fam: FrameFamily, cp: ControlPair):
@@ -277,27 +276,25 @@ class FrameEvaluation:
         )
 
     @cached_property
-    def roots(self) -> list:
-        """Positive square roots of the per-item cross operators."""
-        roots = []
-        for j, g in enumerate(self.terms):
+    def synthesis_matrix(self) -> np.ndarray:
+        """T_C = [v_1 R_1*, ..., v_m R_m*], R_j the positive square root of
+        the j-th cross operator: the one form of the per-item roots."""
+        blocks = []
+        for j, (w, g) in enumerate(zip(self.fam.weights, self.terms)):
             try:
-                roots.append(positive_sqrt(g))
+                blocks.append(w * positive_sqrt(g).conj().T)
             except (GFusionError, ValueError) as exc:
                 raise NotPositive(
-                    f"item {j}: cross operator is not Hermitian PSD ({exc})", index=j
+                    f"item {j}: cross operator is not Hermitian PSD ({exc})"
                 ) from exc
-        return roots
-
-    @cached_property
-    def synthesis_matrix(self) -> np.ndarray:
-        return np.hstack([w * r.conj().T for w, r in zip(self.fam.weights, self.roots)])
+        return np.hstack(blocks)
 
     def analysis(self, f) -> BlockVector:
+        """T_C* f, split into one block per item."""
         f = as_vector(f)
         if f.shape[0] != self.fam.ambient_dim:
             raise DimensionMismatch(f"vector dim {f.shape[0]} != {self.fam.ambient_dim}")
-        return BlockVector([w * (r @ f) for w, r in zip(self.fam.weights, self.roots)])
+        return BlockVector(np.split(self.synthesis_matrix.conj().T @ f, len(self.fam)))
 
     def _check_k(self, k) -> np.ndarray:
         k = as_operator(k)
@@ -408,22 +405,15 @@ def synthesis(fam: FrameFamily, cp: ControlPair, g: BlockVector, f_hint=None):
         raise DimensionMismatch(
             f"block count {len(g.blocks)} != item count {len(fam)}"
         )
-    out = np.zeros(fam.ambient_dim, dtype=complex)
-    for w, r, b in zip(fam.weights, ev.roots, g.blocks):
-        if b.shape[0] != r.shape[0]:
-            raise DimensionMismatch("block dimension mismatch with square-root operator")
-        out += w * (r.conj().T @ b)
+    if any(b.shape[0] != fam.ambient_dim for b in g.blocks):
+        raise DimensionMismatch("block dimension mismatch with square-root operator")
+    coeffs = np.concatenate(g.blocks)
+    out = ev.synthesis_matrix @ coeffs
     certified = False
     if f_hint is not None:
-        ref = ev.analysis(f_hint)
-        scale = max(ref.norm(), g.norm(), 1e-300)
-        dev = math.sqrt(
-            sum(
-                float(np.vdot(x - y, x - y).real)
-                for x, y in zip(g.blocks, ref.blocks)
-            )
-        )
-        certified = dev <= tol.TOL_FACTOR * scale
+        ref = np.concatenate(ev.analysis(f_hint).blocks)
+        scale = max(np.linalg.norm(ref), np.linalg.norm(coeffs), 1e-300)
+        certified = bool(np.linalg.norm(coeffs - ref) <= tol.TOL_FACTOR * scale)
     return out, certified
 
 
@@ -455,9 +445,7 @@ def atomic_check(fam: FrameFamily, cp: ControlPair, k) -> AtomicReport:
 def atomic_wrt_frame_operator(fam: FrameFamily, cp: ControlPair) -> AtomicReport:
     """Atomicity with respect to the family's own frame operator."""
     ev = FrameEvaluation(fam, cp)
-    report = ev.atomic(ev.s)
-    # the same generalized Rayleigh minimum, of H against S S*
-    return replace(report, alpha_opt=report.lower_bound)
+    return ev.atomic(ev.s)
 
 
 def linear_combination_atomic(fam: FrameFamily, cp: ControlPair, k1, k2, alpha, beta):

@@ -151,13 +151,14 @@ def antihermitian_norm(d) -> float:
     return _largest_abs(np.linalg.eigvalsh(1j * d)) if d.size else 0.0
 
 
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Gate ||a - a*||_2 <= TOL_HERM * ||a||_2 and return (a + a*)/2.
+def require_hermitian(a) -> np.ndarray:
+    """Gate ||a - a*||_2 <= TOL_HERM * ||a||_2 and return the Hermitian part (a + a*)/2.
 
     The Frobenius bracket passes most inputs without an SVD; otherwise the
     two spectral norms decide (||a - a*||_2 by `antihermitian_norm`), and
     the error quotes them.
     """
+    a = as_operator(a)
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is not square: {a.shape}")
     d = a - a.conj().T
@@ -171,22 +172,26 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def require_hermitian(a) -> np.ndarray:
-    """Check Hermitian symmetry and return the Hermitian part (a + a*)/2."""
-    return _hermitian_part(as_operator(a))
+def _psd_eigh(h):
+    """Ascending eigenpairs of the Hermitian matrix h, gated as PSD.
+
+    Eigenvalue dust in [-TOL_PSD * max|lambda|, 0) passes; anything more
+    negative raises NotPSD.
+    """
+    vals, vecs = np.linalg.eigh(h)
+    floor = -tol.TOL_PSD * max(_largest_abs(vals), 1e-300)
+    if np.any(vals < floor):
+        raise NotPSD(f"eigenvalue {vals.min():.3e} below floor {floor:.3e}")
+    return vals, vecs
 
 
 def positive_sqrt(a) -> np.ndarray:
     """Unique positive square root of a Hermitian PSD matrix.
 
-    Eigenvalue dust in [-TOL_PSD * ||a||, 0) is clamped to zero; anything
-    more negative raises NotPSD.
+    Eigenvalue dust below zero is clamped to zero; the gates are those of
+    `require_hermitian` and `_psd_eigh`.
     """
-    h = _hermitian_part(as_operator(a))
-    vals, vecs = np.linalg.eigh(h)
-    floor = -tol.TOL_PSD * max(_largest_abs(vals), 1e-300)
-    if np.any(vals < floor):
-        raise NotPSD(f"eigenvalue {vals.min():.3e} below floor {floor:.3e}")
+    vals, vecs = _psd_eigh(require_hermitian(a))
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
@@ -292,10 +297,7 @@ def gen_rayleigh_extremes(a, b) -> SpectralInterval:
     bh = require_hermitian(b)
     if ah.shape != bh.shape:
         raise DimensionMismatch("operands must have equal shapes")
-    vals, vecs = np.linalg.eigh(bh)
-    floor = -tol.TOL_PSD * max(_largest_abs(vals), 1e-300)
-    if np.any(vals < floor):
-        raise NotPSD("denominator operator is not PSD")
+    vals, vecs = _psd_eigh(bh)
     vmax = vals[-1] if vals.size else 0.0
     keep = vals > tol.TOL_RANK * max(vmax, 0.0)
     if not np.any(keep):

@@ -168,8 +168,7 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     if comm > tol.TOL_FACTOR:
         raise HypothesisFailed(
             f"inverse frame operator does not commute with controls "
-            f"(residual {comm:.3e})",
-            name="inverse_commutes_with_controls",
+            f"(residual {comm:.3e})"
         )
     # terms v_j^2 t* P_j L_j* L_j P_j S^{-1} u, and the modified frame sum
     # as the frame operator under the controls (S^{-1} t, S^{-1} u)
@@ -330,8 +329,7 @@ def perturbation_check(
     if not sampled_ok:
         raise HypothesisFailed(
             f"a sampled vector violates the perturbation inequality "
-            f"(slack {worst:.3e})",
-            name="perturbation_inequality",
+            f"(slack {worst:.3e})"
         )
     certified = spectral_ok
 

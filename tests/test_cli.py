@@ -486,11 +486,9 @@ REPORT_SCHEMAS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, command, keys", REPORT_SCHEMAS, ids=[c for _, c, _ in REPORT_SCHEMAS]
-)
-def test_report_schema(tmp_path, capsys, argv, command, keys):
-    """Every report is `command` plus an exact, pinned set of top-level keys."""
+def schema_argv(tmp_path, argv):
+    """`argv` with each input name of REPORT_SCHEMAS replaced by the path of
+    that input, written to `tmp_path`."""
     fam = scaled_partition_family(4, (2.0, 1.5))
     s = frame_operator(fam, ControlPair.identity(4))
     inputs = {
@@ -503,8 +501,15 @@ def test_report_schema(tmp_path, capsys, argv, command, keys):
     }
     for name, obj in inputs.items():
         (tmp_path / name).write_text(serialize.dumps(obj))
-    argv = [str(tmp_path / a) if a in inputs else a for a in argv]
-    code, rep = run(capsys, *argv)
+    return [str(tmp_path / a) if a in inputs else a for a in argv]
+
+
+@pytest.mark.parametrize(
+    "argv, command, keys", REPORT_SCHEMAS, ids=[c for _, c, _ in REPORT_SCHEMAS]
+)
+def test_report_schema(tmp_path, capsys, argv, command, keys):
+    """Every report is `command` plus an exact, pinned set of top-level keys."""
+    code, rep = run(capsys, *schema_argv(tmp_path, argv))
     assert code in (0, 1)
     assert rep["command"] == command
     assert set(rep) == keys | {"command"}
@@ -574,3 +579,45 @@ def test_exit_code_is_library_verdict(tmp_path, capsys, argv, command, overrides
     assert code == (0 if getattr(lib, verdict) else 1)
     expected = {"command": command, **serialize.to_json(lib)}
     assert rep == json.loads(serialize.dumps(expected))
+
+
+def _wrong_file_counts():
+    """(id, argv) from each REPORT_SCHEMAS command: one file more for each
+    file flag it reads, one fewer where it reads two, each of --v and --w
+    left out, and --v given to direct-sum, which reads neither."""
+    cases = []
+    for argv, command, _ in REPORT_SCHEMAS:
+        for flag in ("--in", "--control", "--k"):
+            at = [i for i, a in enumerate(argv) if a == flag]
+            if at:
+                i = at[-1]
+                cases.append((f"{command}-extra{flag}", argv[: i + 2] + argv[i:]))
+            if len(at) == 2:
+                i = at[-1]
+                cases.append((f"{command}-one{flag}", argv[:i] + argv[i + 2 :]))
+        for flag in ("--v", "--w"):
+            if flag in argv:
+                i = argv.index(flag)
+                cases.append((f"{command}-no{flag}", argv[:i] + argv[i + 2 :]))
+        if command == "construct-direct-sum":
+            cases.append((f"{command}-with--v", argv + ["--v", "V"]))
+    return cases
+
+
+WRONG_FILE_COUNTS = _wrong_file_counts()
+
+
+@pytest.mark.parametrize(
+    "argv", [a for _, a in WRONG_FILE_COUNTS], ids=[i for i, _ in WRONG_FILE_COUNTS]
+)
+def test_wrong_file_count_exit_2(tmp_path, capsys, argv):
+    """Each command reads exactly its files: another count of --in, --control
+    or --k, or a missing or unread --v / --w, exits 2 with an error line and
+    no report."""
+    out = tmp_path / "report.json"
+    code = main(schema_argv(tmp_path, argv) + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1].startswith("error: ")
+    assert not out.exists()

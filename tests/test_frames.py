@@ -253,10 +253,10 @@ class TestAtomic:
         cp = scalar_controls(rng, 5)
         rep = atomic_wrt_frame_operator(fam, cp)
         assert rep.is_atomic
-        assert rep.alpha_opt is not None and rep.alpha_opt > 0
+        assert rep.lower_bound > 0
         s = frame_operator(fam, cp)
         h = 0.5 * (s + s.conj().T)
-        assert rep.alpha_opt == pytest.approx(gen_rayleigh_min(h, s @ s.conj().T), rel=1e-12)
+        assert rep.lower_bound == pytest.approx(gen_rayleigh_min(h, s @ s.conj().T), rel=1e-12)
 
     def test_coefficient_norm_bound_only_with_verdict(self):
         # a_opt is roundoff (~1e-15) below the positivity floor: the verdict

@@ -5,8 +5,10 @@
 construction outputs built through the subspace bases must agree with the
 one-vector loops and the n x n projector forms they replace; predicted
 bounds read from singular extremes must agree with the inverse-norm
-formulas they replace.  No module but `linalg` forms a projector, calls an
-eigensolver or takes singular values, and S^-1 is the one inverse formed.
+formulas they replace, and the synthesis operator T_C with the per-item
+square-root loop it replaces.  No module but `linalg` forms a projector,
+calls an eigensolver or takes singular values; S^-1 is the one inverse
+formed, T_C the one holder of the roots, and one `eigh` gates PSD spectra.
 """
 
 import ast
@@ -25,16 +27,28 @@ from gfusion.constructions import conjugate_transform, sum_transform
 from gfusion.errors import DimensionMismatch, InvalidParameters
 from gfusion.fourier import FourierParams, build_fourier_example, verify_fourier
 from gfusion.frames import (
+    BlockVector,
     ControlPair,
     FrameEvaluation,
     FrameFamily,
+    analysis,
     controlled_frame_bounds,
     frame_operator,
     frame_sum,
     item_cross_operator,
     kgf_bounds,
+    synthesis,
+    synthesis_matrix,
 )
-from gfusion.linalg import SAMPLE_CHUNK, Subspace, dsum_op, dsum_subspace, opnorm, projector
+from gfusion.linalg import (
+    SAMPLE_CHUNK,
+    Subspace,
+    dsum_op,
+    dsum_subspace,
+    opnorm,
+    positive_sqrt,
+    projector,
+)
 from gfusion.resolution import (
     bessel_resolution_frame_check,
     pair_frame_operator,
@@ -356,21 +370,40 @@ def test_no_singular_values_outside_linalg():
     )
 
 
-def test_inverse_formed_only_for_s_inverse():
+def frame_evaluation_method(name):
+    """The AST node of the FrameEvaluation method `name` in frames.py."""
     frames_py = Path(gfusion.__file__).parent / "frames.py"
-    tree = ast.parse(frames_py.read_text())
     evaluation = next(
-        node for node in tree.body
+        node for node in ast.parse(frames_py.read_text()).body
         if isinstance(node, ast.ClassDef) and node.name == "FrameEvaluation"
     )
-    inverse = next(
+    return next(
         node for node in evaluation.body
-        if isinstance(node, ast.FunctionDef) and node.name == "inverse"
+        if isinstance(node, ast.FunctionDef) and node.name == name
     )
+
+
+def test_inverse_formed_only_for_s_inverse():
+    inverse = frame_evaluation_method("inverse")
     sites = call_sites({"inv"}, skip=None)
     assert len(sites) == 1, f"read ||x^-1|| from singular_extremes: {sites}"
     module, line = sites[0].split(":")
     assert module == "frames.py" and inverse.lineno <= int(line) <= inverse.end_lineno
+
+
+def test_roots_built_only_in_synthesis_matrix():
+    method = frame_evaluation_method("synthesis_matrix")
+    frames_py = Path(gfusion.__file__).parent / "frames.py"
+    lines = call_lines(frames_py.read_text(), {"positive_sqrt"})
+    assert lines and all(method.lineno <= line <= method.end_lineno for line in lines), (
+        f"read the per-item roots from T_C: positive_sqrt at frames.py lines {lines}"
+    )
+
+
+def test_one_eigh_in_linalg():
+    linalg_py = Path(gfusion.__file__).parent / "linalg.py"
+    lines = call_lines(linalg_py.read_text(), {"eigh"})
+    assert len(lines) == 1, f"gate PSD eigenpairs in one place: eigh at linalg.py lines {lines}"
 
 
 def test_singular_value_guard_sees_both_call_forms():
@@ -444,3 +477,51 @@ def test_predicted_bounds_match_inverse_norm_formulas(seed, n, items):
     b = controlled_frame_bounds(famL, ControlPair(t, t)).bounds.lambda_max
     assert_rel(rep.predicted_lower, 1.0 / b)
     assert_rel(rep.predicted_upper, b * inv_norm(t) ** 2 * opnorm(u) ** 2)
+
+
+def reference_roots(fam, cp):
+    """v_j R_j, R_j the positive square root of the j-th cross operator:
+    the per-item loop that T_C replaces."""
+    return [
+        w * positive_sqrt(item_cross_operator(sub, lam, cp)) for sub, lam, w in fam.items
+    ]
+
+
+def family_with_subspace_dims(rng, n, dims):
+    """Items on random subspaces of the given dimensions (0 and n among them)."""
+    return FrameFamily(n, [
+        (random_subspace(rng, n, d) if d else Subspace.zero(n),
+         complex_gaussian(rng, int(rng.integers(1, n + 1)), n), float(rng.uniform(0.5, 2.0)))
+        for d in dims
+    ])
+
+
+@SAMPLING_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    data=st.data(),
+    scalar=st.booleans(),
+)
+def test_synthesis_operator_matches_per_item_roots(seed, n, data, scalar):
+    rng = np.random.default_rng(seed)
+    dims = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
+    fam = family_with_subspace_dims(rng, n, dims)
+    # (c, c) and positive scalar controls keep each cross operator PSD
+    if scalar:
+        cp = ControlPair.scalars(n, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+    else:
+        c = well_conditioned(rng, n)
+        cp = ControlPair(c, c)
+    roots = reference_roots(fam, cp)
+    f = complex_gaussian(rng, n)
+    g = BlockVector([complex_gaussian(rng, n) for _ in dims])
+
+    t_c = synthesis_matrix(fam, cp)
+    assert rel_err(t_c, np.hstack([r.conj().T for r in roots])) <= 1e-12
+    got = np.concatenate(analysis(fam, cp, f).blocks)
+    assert rel_err(got, np.concatenate([r @ f for r in roots])) <= 1e-12
+    out, _ = synthesis(fam, cp, g)
+    assert rel_err(out, sum(r.conj().T @ b for r, b in zip(roots, g.blocks))) <= 1e-12
+    _, certified = synthesis(fam, cp, analysis(fam, cp, f), f_hint=f)
+    assert certified
