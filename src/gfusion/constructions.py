@@ -89,7 +89,7 @@ def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
         checked.append((c, require_invertible(c, name)))
     kH = as_operator(kH)
     kX = as_operator(kX)
-    cp_out = ControlPair(dsum_op(cpH.t, cpX.t), dsum_op(cpH.u, cpX.u))
+    cp_out = ControlPair.direct_sum(cpH, cpX)
     evaluated = []
     for fam, cp, k in ((famH, cpH, kH), (famX, cpX, kX)):
         ev = FrameEvaluation(fam, cp)
@@ -139,10 +139,19 @@ def sum_transform(
     r = v + w
     r_sigma = require_invertible(r, "v + w")
     rstar = r.conj().T
+    # ||r|| and the controls' norms are the sigma_max their gates kept;
+    # ||r*|| is measured once
+    norm_rstar = opnorm(rstar)
     certs = [
-        Certificate("k_commutes_with_sum", commutator_residual(k, r)),
-        Certificate("sum_adjoint_commutes_with_t", commutator_residual(rstar, cp.t)),
-        Certificate("sum_adjoint_commutes_with_u", commutator_residual(rstar, cp.u)),
+        Certificate("k_commutes_with_sum", commutator_residual(k, r, None, r_sigma.sigma_max)),
+        Certificate(
+            "sum_adjoint_commutes_with_t",
+            commutator_residual(rstar, cp.t, norm_rstar, cp.t_sigma.sigma_max),
+        ),
+        Certificate(
+            "sum_adjoint_commutes_with_u",
+            commutator_residual(rstar, cp.u, norm_rstar, cp.u_sigma.sigma_max),
+        ),
     ]
     # Both families are applied through famL's bases: A_j = C_j B_j*, and the
     # output operators (L_j + G_j) P_j r* are (C_Lj + C_Gj)(B_j* r*).
@@ -231,13 +240,20 @@ def conjugate_transform(
     )
     (w, w_sigma), (v, v_sigma) = conjugators
     w_adj, v_adj = w.conj().T, v.conj().T
+    # ||w||, ||v|| and the controls' norms are the sigma_max their gates
+    # kept; ||w*|| and ||v*|| are measured once each
+    norm_w_adj, norm_v_adj = opnorm(w_adj), opnorm(v_adj)
+
+    def commutes(name, a, b, norm_a, norm_b):
+        return Certificate(name, commutator_residual(a, b, norm_a, norm_b))
+
     certs = [
-        Certificate("w_adjoint_commutes_with_t", commutator_residual(w_adj, cpH.t)),
-        Certificate("w_adjoint_commutes_with_t1", commutator_residual(w_adj, cpH.u)),
-        Certificate("v_adjoint_commutes_with_u", commutator_residual(v_adj, cpX.t)),
-        Certificate("v_adjoint_commutes_with_u1", commutator_residual(v_adj, cpX.u)),
-        Certificate("k_h_commutes_with_w", commutator_residual(as_operator(kH), w)),
-        Certificate("k_x_commutes_with_v", commutator_residual(as_operator(kX), v)),
+        commutes("w_adjoint_commutes_with_t", w_adj, cpH.t, norm_w_adj, cpH.t_sigma.sigma_max),
+        commutes("w_adjoint_commutes_with_t1", w_adj, cpH.u, norm_w_adj, cpH.u_sigma.sigma_max),
+        commutes("v_adjoint_commutes_with_u", v_adj, cpX.t, norm_v_adj, cpX.t_sigma.sigma_max),
+        commutes("v_adjoint_commutes_with_u1", v_adj, cpX.u, norm_v_adj, cpX.u_sigma.sigma_max),
+        commutes("k_h_commutes_with_w", as_operator(kH), w, None, w_sigma.sigma_max),
+        commutes("k_x_commutes_with_v", as_operator(kX), v, None, v_sigma.sigma_max),
     ]
     wv = dsum_op(w, v)
     items_out = []

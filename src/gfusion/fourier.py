@@ -4,8 +4,11 @@ The ambient space is C^(2*n_max + 1) with coordinates indexed by
 n in [-n_max, n_max]; the abstract exponential basis is realized as the
 standard coordinate basis (unitarily equivalent, so every verified quantity
 is unchanged).  The single nonzero family operator is the partial-sum
-projector onto indices 1..m, the tied operator k projects onto indices
-{1, 2}, and the controls are the positive scalars (alpha, beta).
+projector onto indices 1..m; every other item carries the zero operator
+C^d -> C^1 (a 1 x d zero matrix), which gives the same frame quantities as
+a d x d zero matrix at a fraction of the report size.  The tied operator k
+projects onto indices {1, 2}, and the controls are the positive scalars
+(alpha, beta).
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def build_fourier_example(p: FourierParams):
             e = np.zeros((d, 1), dtype=complex)
             e[coord_index(p, n), 0] = 1.0
             sub = Subspace(d, e)
-            lam = np.zeros((d, d), dtype=complex)
+            lam = np.zeros((1, d), dtype=complex)
         items.append((sub, lam, 1.0))
     fam = FrameFamily(d, items)
     cp = ControlPair.scalars(d, p.alpha, p.beta)

@@ -35,11 +35,14 @@ from .linalg import (
     antihermitian_norm,
     as_operator,
     as_vector,
+    dsum_extremes,
+    dsum_op,
     gen_rayleigh_min,
     hermitian_spectrum,
     opnorm,
     pinv,
     positive_sqrt,
+    require_conditioned,
     require_invertible,
     within_frobenius,
 )
@@ -106,10 +109,33 @@ class ControlPair:
         else:
             t_sigma = require_invertible(t, "control t")
             u_sigma = require_invertible(u, "control u")
+        self._store(t, u, t_sigma, u_sigma)
+
+    def _store(self, t, u, t_sigma, u_sigma):
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "t_sigma", t_sigma)
         object.__setattr__(self, "u_sigma", u_sigma)
+
+    @staticmethod
+    def direct_sum(h: "ControlPair", x: "ControlPair") -> "ControlPair":
+        """(t_H (+) t_X, u_H (+) u_X) on the direct sum of the two spaces.
+
+        The singular values of a block-diagonal operator are its blocks', so
+        the pair is gated on the blocks' extremes (the min of the minima, the
+        max of the maxima) with no SVD of the block-diagonal controls.
+        """
+        t, u = dsum_op(h.t, x.t), dsum_op(h.u, x.u)
+        same = np.array_equal(t, u)
+        t_sigma = require_conditioned(
+            dsum_extremes(h.t_sigma, x.t_sigma), "control t = u" if same else "control t"
+        )
+        u_sigma = t_sigma if same else require_conditioned(
+            dsum_extremes(h.u_sigma, x.u_sigma), "control u"
+        )
+        pair = object.__new__(ControlPair)
+        pair._store(t, u, t_sigma, u_sigma)
+        return pair
 
     @staticmethod
     def identity(n: int) -> "ControlPair":

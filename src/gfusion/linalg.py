@@ -255,6 +255,22 @@ def condition_number(a) -> float:
     return _condition(singular_extremes(a))
 
 
+def dsum_extremes(a: SingularExtremes, b: SingularExtremes) -> SingularExtremes:
+    """Singular extremes of the direct sum of two operators, from theirs.
+
+    The singular values of a block-diagonal matrix are those of its blocks.
+    """
+    return SingularExtremes(min(a.sigma_min, b.sigma_min), max(a.sigma_max, b.sigma_max))
+
+
+def require_conditioned(sigma: SingularExtremes, what: str = "operator") -> SingularExtremes:
+    """Gate cond = sigma_max / sigma_min <= COND_MAX on measured extremes."""
+    c = _condition(sigma)
+    if c > tol.COND_MAX:
+        raise NotInvertible(f"{what}: condition number {c:.3e} exceeds {tol.COND_MAX:.1e}")
+    return sigma
+
+
 def require_invertible(a, what: str = "operator") -> SingularExtremes:
     """Gate cond(a) <= COND_MAX and return the singular extremes of that SVD.
 
@@ -264,10 +280,7 @@ def require_invertible(a, what: str = "operator") -> SingularExtremes:
     a = as_operator(a)
     square = a.shape[0] == a.shape[1]
     sigma = singular_extremes(a) if square else SingularExtremes(0.0, 0.0)
-    c = _condition(sigma)
-    if c > tol.COND_MAX:
-        raise NotInvertible(f"{what}: condition number {c:.3e} exceeds {tol.COND_MAX:.1e}")
-    return sigma
+    return require_conditioned(sigma, what)
 
 
 def hermitian_spectrum(a) -> SpectralInterval:
@@ -281,9 +294,17 @@ def hermitian_extremes(a) -> SpectralInterval:
     return hermitian_spectrum(require_hermitian(a))
 
 
-def commutator_residual(a, b) -> float:
-    """||a b - b a||_2 / (||a||_2 ||b||_2)."""
-    scale = max(opnorm(a) * opnorm(b), 1e-300)
+def commutator_residual(a, b, norm_a: float | None = None, norm_b: float | None = None) -> float:
+    """||a b - b a||_2 / (||a||_2 ||b||_2).
+
+    A caller that already holds ||a||_2 or ||b||_2 passes it in, and that
+    norm is not measured again.
+    """
+    if norm_a is None:
+        norm_a = opnorm(a)
+    if norm_b is None:
+        norm_b = opnorm(b)
+    scale = max(norm_a * norm_b, 1e-300)
     return opnorm(a @ b - b @ a) / scale
 
 

@@ -164,7 +164,12 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     """
     ev = FrameEvaluation(fam, cp)
     s_inv = ev.inverse
-    comm = max(commutator_residual(s_inv, cp.t), commutator_residual(s_inv, cp.u))
+    # ||S^-1|| is measured once; ||t|| and ||u|| are the pair's sigma_max
+    norm_s_inv = opnorm(s_inv)
+    comm = max(
+        commutator_residual(s_inv, cp.t, norm_s_inv, cp.t_sigma.sigma_max),
+        commutator_residual(s_inv, cp.u, norm_s_inv, cp.u_sigma.sigma_max),
+    )
     if comm > tol.TOL_FACTOR:
         raise HypothesisFailed(
             f"inverse frame operator does not commute with controls "

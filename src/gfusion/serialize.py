@@ -2,7 +2,9 @@
 and the one encoder of report values.
 
 Numbers are written as Python floats (shortest round-tripping decimal, up to
-17 significant digits); values survive a round trip exactly.
+17 significant digits); values survive a round trip exactly.  Every report
+and instance file is compact canonical JSON (`dumps`): one line, sorted
+keys, no whitespace outside strings.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ def operator_from_dict(d) -> np.ndarray:
         raise ParseError(
             f"operator entry count {re.size}/{im.size} != rows*cols = {rows * cols}"
         )
-    return (re + 1j * im).reshape(rows, cols)
+    # assigned part by part: re + 1j * im would turn a -0.0 into 0.0
+    a = np.empty((rows, cols), dtype=complex)
+    a.real = re.reshape(rows, cols)
+    a.imag = im.reshape(rows, cols)
+    return a
 
 
 def subspace_to_dict(m: Subspace) -> dict:
@@ -148,8 +154,13 @@ def to_json(value):
 
 
 def dumps(obj: dict) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, fixed separators "," and ":" with no
+    whitespace, one trailing newline.
+
+    With no `indent`, `json` encodes with its C encoder, which writes each
+    float by `float.__repr__` (shortest round-tripping form).
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def load_json(path):

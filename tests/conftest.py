@@ -1,6 +1,10 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
+from gfusion import serialize
 from gfusion.frames import ControlPair, FrameFamily
 from gfusion.linalg import Subspace, orth
 
@@ -33,6 +37,10 @@ def random_family(rng, dim, items, codomain=None):
         weight = float(rng.uniform(0.5, 2.0))
         out.append((sub, lam, weight))
     return FrameFamily(dim, out)
+
+
+def well_conditioned(rng, n):
+    return np.eye(n) + 0.3 * complex_gaussian(rng, n, n) / np.sqrt(n)
 
 
 def scalar_controls(rng, dim):
@@ -68,6 +76,34 @@ def record_svd_inputs(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     return seen
+
+
+def record_spectral_inputs(monkeypatch):
+    """`record_svd_inputs`, which also receives the matrix of each spectral
+    norm np.linalg.norm(x, 2): numpy computes that norm by an SVD of x."""
+    seen = record_svd_inputs(monkeypatch)
+    norm = np.linalg.norm
+
+    def recording(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            seen.append(np.array(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording)
+    return seen
+
+
+JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def assert_compact_canonical(text):
+    """`text` is `serialize.dumps`'s form: JSON with no whitespace outside
+    strings, ending in exactly one newline, and a fixed point of
+    dumps(json.loads(text)) (so its keys are sorted)."""
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    outside = JSON_STRING.sub('""', text[:-1])
+    assert not any(c.isspace() for c in outside), outside[:200]
+    assert serialize.dumps(json.loads(text)) == text
 
 
 @pytest.fixture

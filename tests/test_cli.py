@@ -3,12 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from gfusion import constructions, fourier, frames, resolution, serialize, tolerances
+from gfusion import constructions, fourier, frames, generate, resolution, serialize, tolerances
 from gfusion.cli import main
 from gfusion.errors import GFusionError
 from gfusion.frames import ControlPair, frame_operator
 
-from conftest import complex_gaussian, record_svd_inputs, scaled_partition_family
+from conftest import (
+    assert_compact_canonical,
+    complex_gaussian,
+    record_svd_inputs,
+    scaled_partition_family,
+)
 
 
 @pytest.fixture
@@ -223,6 +228,16 @@ class TestRandom:
         assert (out / "family2.json").exists()
         assert (out / "pair_control.json").exists()
 
+    @pytest.mark.parametrize("structure", generate.STRUCTURES)
+    def test_files_compact_canonical(self, tmp_path, structure):
+        out = tmp_path / "inst"
+        assert main(["random", "--seed", "3", "--dim", "4", "--items", "3",
+                     "--structure", structure, "--out", str(out)]) == 0
+        files = sorted(out.iterdir())
+        assert len(files) == (5 if structure == "near-identity-pair" else 3)
+        for path in files:
+            assert_compact_canonical(path.read_text())
+
 
 class TestTolOverride:
     @pytest.mark.parametrize("spec", [
@@ -416,6 +431,20 @@ def test_thm_perturb_checks_each_control_once(tmp_path, capsys, monkeypatch):
     assert sum(np.array_equal(a, u) for a in seen) == 2
 
 
+@pytest.mark.parametrize("structure", ["near-identity-pair", "generic"])
+def test_direct_sum_control_needs_no_svd(tmp_path, capsys, monkeypatch, structure):
+    # 24 (+) 24: the 48 x 48 controls take the blocks' singular extremes;
+    # the only SVDs are of the 24 x 24 controls, when each file is loaded
+    out = tmp_path / "inst"
+    assert main(["random", "--seed", "7", "--dim", "24", "--items", "6",
+                 "--structure", structure, "--out", str(out)]) == 0
+    fam, ctl, k = (str(out / f) for f in ("family.json", "control.json", "k.json"))
+    seen = record_svd_inputs(monkeypatch)
+    main(["construct", "direct-sum", "--in", fam, "--in", fam, "--control", ctl,
+          "--control", ctl, "--k", k, "--k", k, "--out", str(tmp_path / "r.json")])
+    assert seen and all(a.shape == (24, 24) for a in seen)
+
+
 INVALID_THEOREM_PARAMETERS = [
     ("thm-perturb", ["--d1", "0"]),
     ("thm-perturb", ["--d1=-1"]),
@@ -513,6 +542,20 @@ def test_report_schema(tmp_path, capsys, argv, command, keys):
     assert code in (0, 1)
     assert rep["command"] == command
     assert set(rep) == keys | {"command"}
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a, _, _ in REPORT_SCHEMAS], ids=[c for _, c, _ in REPORT_SCHEMAS]
+)
+def test_report_compact_canonical(tmp_path, capsys, argv):
+    """Every report, on stdout or in --out, is one line of canonical JSON."""
+    argv = schema_argv(tmp_path, argv)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) in (0, 1)
+    text = out.read_text()
+    assert_compact_canonical(text)
+    main(argv)
+    assert capsys.readouterr().out == text
 
 
 def _pair(x, control):

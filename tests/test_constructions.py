@@ -14,9 +14,19 @@ from gfusion.errors import (
     WeightMismatch,
 )
 from gfusion.frames import ControlPair, FrameFamily, frame_operator, kgf_bounds
-from gfusion.linalg import Subspace
+from gfusion.linalg import Subspace, commutator_residual
 
-from conftest import complex_gaussian, random_family, scaled_partition_family
+from conftest import (
+    complex_gaussian,
+    random_family,
+    record_spectral_inputs,
+    scaled_partition_family,
+    well_conditioned,
+)
+
+
+def count_equal(seen, x):
+    return sum(a.shape == x.shape and np.array_equal(a, x) for a in seen)
 
 
 def orthogonal_codomain_pair(dim=4, items=3, seed=7):
@@ -221,4 +231,75 @@ class TestConjugate:
                 famH, ControlPair.identity(2), np.eye(2),
                 famH, ControlPair.identity(2), np.eye(2),
                 np.zeros((2, 2)), np.eye(2),
+            )
+
+
+class TestHeldNorms:
+    """The commutation certificates read ||t||, ||u|| and each gated
+    operator's norm from the singular extremes its gate kept, and measure
+    every other norm once; the residuals are those of measuring each norm."""
+
+    def test_sum_transform(self, rng, monkeypatch):
+        famL, famG = orthogonal_codomain_pair()
+        c = well_conditioned(rng, 4)
+        cp = ControlPair(c, c)  # (c, c) keeps the frame operators Hermitian
+        v, w, k = well_conditioned(rng, 4), 0.5 * np.eye(4), complex_gaussian(rng, 4, 4)
+        r = v + w
+        seen = record_spectral_inputs(monkeypatch)
+        rep = sum_transform(famL, famG, v, w, cp, k)
+        assert count_equal(seen, cp.t) == 0 and count_equal(seen, cp.u) == 0
+        assert count_equal(seen, r.conj().T) == 1
+        monkeypatch.undo()
+        certs = dict(rep.hypothesis_certificates)
+        assert certs["k_commutes_with_sum"] == commutator_residual(k, r)
+        assert certs["sum_adjoint_commutes_with_t"] == commutator_residual(r.conj().T, cp.t)
+        assert certs["sum_adjoint_commutes_with_u"] == commutator_residual(r.conj().T, cp.u)
+
+    def test_conjugate_transform(self, rng, monkeypatch):
+        famH = random_family(rng, 3, 2)
+        famX = FrameFamily(3, [
+            (s, l, wt) for (s, l, _), wt in zip(random_family(rng, 3, 2).items, famH.weights)
+        ])
+        cH, cX = well_conditioned(rng, 3), well_conditioned(rng, 3)
+        cpH, cpX = ControlPair(cH, cH), ControlPair(cX, cX)
+        kH, kX = complex_gaussian(rng, 3, 3), complex_gaussian(rng, 3, 3)
+        w, v = well_conditioned(rng, 3), well_conditioned(rng, 3)
+        seen = record_spectral_inputs(monkeypatch)
+        rep = conjugate_transform(famH, cpH, kH, famX, cpX, kX, w, v)
+        for c in (cpH.t, cpH.u, cpX.t, cpX.u):
+            assert count_equal(seen, c) == 0
+        for x in (w, v, w.conj().T, v.conj().T):
+            assert count_equal(seen, x) == 1
+        monkeypatch.undo()
+        certs = dict(rep.hypothesis_certificates)
+        w_adj, v_adj = w.conj().T, v.conj().T
+        assert certs["w_adjoint_commutes_with_t"] == commutator_residual(w_adj, cpH.t)
+        assert certs["w_adjoint_commutes_with_t1"] == commutator_residual(w_adj, cpH.u)
+        assert certs["v_adjoint_commutes_with_u"] == commutator_residual(v_adj, cpX.t)
+        assert certs["v_adjoint_commutes_with_u1"] == commutator_residual(v_adj, cpX.u)
+        assert certs["k_h_commutes_with_w"] == commutator_residual(kH, w)
+        assert certs["k_x_commutes_with_v"] == commutator_residual(kX, v)
+
+
+class TestDirectSumControl:
+    def test_no_svd_of_the_sum_control(self, rng, monkeypatch):
+        famH = random_family(rng, 3, 2)
+        famX = FrameFamily(4, [
+            (s, l, wt) for (s, l, _), wt in zip(random_family(rng, 4, 2).items, famH.weights)
+        ])
+        cH, cX = well_conditioned(rng, 3), well_conditioned(rng, 4)
+        cpH, cpX = ControlPair(cH, cH), ControlPair(cX, cX)
+        seen = record_spectral_inputs(monkeypatch)
+        rep = direct_sum_frame(famH, cpH, np.eye(3), famX, cpX, np.eye(4))
+        assert count_equal(seen, rep.control_out.t) == 0
+        assert count_equal(seen, rep.control_out.u) == 0
+
+    def test_combined_condition_rejected(self):
+        # controls 1e7 I and 1e-7 I: each of condition 1, their sum 1e14
+        famH = scaled_partition_family(2, (1.0, 2.0))
+        famX = scaled_partition_family(3, (1.0, 2.0))
+        with pytest.raises(NotInvertible, match="condition number 1.000e\\+14"):
+            direct_sum_frame(
+                famH, ControlPair.scalars(2, 1e7, 1e7), np.eye(2),
+                famX, ControlPair.scalars(3, 1e-7, 1e-7), np.eye(3),
             )

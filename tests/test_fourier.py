@@ -8,7 +8,13 @@ from gfusion.fourier import (
     coord_index,
     verify_fourier,
 )
-from gfusion.frames import controlled_frame_bounds, frame_operator, frame_sum
+from gfusion.frames import (
+    FrameFamily,
+    controlled_frame_bounds,
+    frame_operator,
+    frame_sum,
+    kgf_bounds,
+)
 
 
 class TestParams:
@@ -74,6 +80,21 @@ class TestBuild:
                 abs(x[coord_index(p, idx)]) ** 2 for idx in range(1, 4)
             )
             assert abs(frame_sum(fam, cp, x).real - expected) < 1e-9 * (1 + expected)
+
+    def test_zero_items_map_to_one_dimension(self):
+        # every item but index 1 carries the 1 x d zero operator; d x d
+        # zeros give the same frame operator and bounds
+        p = FourierParams(5, 3, 0.6, 0.7)
+        fam, cp, k = build_fourier_example(p)
+        for n, (_, lam, _) in zip(range(-p.n_max, p.n_max + 1), fam.items):
+            assert lam.shape == ((p.dim, p.dim) if n == 1 else (1, p.dim))
+            assert n == 1 or not lam.any()
+        square = FrameFamily(p.dim, [
+            (sub, lam if lam.shape[0] == p.dim else np.zeros((p.dim, p.dim)), w)
+            for sub, lam, w in fam.items
+        ])
+        np.testing.assert_array_equal(frame_operator(fam, cp), frame_operator(square, cp))
+        assert kgf_bounds(fam, cp, k) == kgf_bounds(square, cp, k)
 
     def test_not_a_plain_frame(self):
         # the family is Bessel but rank deficient on the whole space

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gfusion import generate
-from gfusion.errors import DimensionMismatch, NotPositive
+from gfusion.errors import DimensionMismatch, NotInvertible, NotPositive
 from gfusion.frames import (
     BlockVector,
     ControlPair,
@@ -21,7 +21,7 @@ from gfusion.frames import (
     synthesis,
     synthesis_matrix,
 )
-from gfusion.linalg import Subspace, gen_rayleigh_min, orth, projector
+from gfusion.linalg import Subspace, dsum_op, gen_rayleigh_min, orth, projector
 
 from conftest import (
     complex_gaussian,
@@ -363,3 +363,33 @@ class TestControlPairExtremes:
         assert cp.t_sigma == cp.u_sigma
         ControlPair(c, 2.0 * c)
         assert len(seen) == 3
+
+    def test_direct_sum_takes_the_blocks_extremes(self, rng, monkeypatch):
+        h = ControlPair(np.eye(3) + 0.3 * complex_gaussian(rng, 3, 3), np.diag([1.0, 2.0, 3.0]))
+        x = ControlPair(np.diag([0.25, 1.0]), np.eye(2) + 0.3 * complex_gaussian(rng, 2, 2))
+        seen = record_svd_inputs(monkeypatch)
+        cp = ControlPair.direct_sum(h, x)
+        assert seen == []
+        np.testing.assert_array_equal(cp.t, dsum_op(h.t, x.t))
+        np.testing.assert_array_equal(cp.u, dsum_op(h.u, x.u))
+        assert tuple(cp.t_sigma) == (0.25, h.t_sigma.sigma_max)
+        assert tuple(cp.u_sigma) == (x.u_sigma.sigma_min, 3.0)
+        ref = ControlPair(cp.t, cp.u)
+        assert tuple(cp.t_sigma) == pytest.approx(tuple(ref.t_sigma), rel=1e-13)
+        assert tuple(cp.u_sigma) == pytest.approx(tuple(ref.u_sigma), rel=1e-13)
+
+    def test_direct_sum_of_equal_controls_keeps_one_extremes(self):
+        cp = ControlPair.direct_sum(ControlPair.identity(2), ControlPair.scalars(3, 2.0, 2.0))
+        assert cp.t_sigma is cp.u_sigma
+        assert tuple(cp.t_sigma) == (1.0, 2.0)
+
+    @pytest.mark.parametrize("u_scale", [1.0, 2.0])
+    def test_direct_sum_gates_combined_condition(self, u_scale):
+        # blocks 1e7 I and 1e-7 I are each of condition 1, their sum 1e14
+        h = ControlPair.scalars(2, 1e7, u_scale * 1e7)
+        x = ControlPair.scalars(3, 1e-7, u_scale * 1e-7)
+        what = "control t = u" if u_scale == 1.0 else "control t"
+        with pytest.raises(NotInvertible, match=f"{what}: condition number 1.000e\\+14"):
+            ControlPair.direct_sum(h, x)
+        with pytest.raises(NotInvertible):
+            ControlPair(dsum_op(h.t, x.t), dsum_op(h.u, x.u))

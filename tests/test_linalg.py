@@ -14,6 +14,7 @@ from gfusion.linalg import (
     commutator_residual,
     condition_number,
     douglas_factor,
+    dsum_extremes,
     dsum_op,
     dsum_subspace,
     gen_rayleigh_min,
@@ -23,6 +24,7 @@ from gfusion.linalg import (
     pinv,
     positive_sqrt,
     projector,
+    require_conditioned,
     require_hermitian,
     require_invertible,
     singular_extremes,
@@ -255,6 +257,32 @@ class TestCommutatorResidual:
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert commutator_residual(a, a.T) == pytest.approx(1.0, rel=1e-15)
         assert commutator_residual(2.0 * a, a.T) == pytest.approx(1.0, rel=1e-15)
+
+    def test_held_norms_replace_measured_ones(self, rng):
+        a = complex_gaussian(rng, 4, 4)
+        b = complex_gaussian(rng, 4, 4)
+        na, nb = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
+        ref = commutator_residual(a, b)
+        assert commutator_residual(a, b, na, nb) == ref
+        assert commutator_residual(a, b, na, None) == ref
+        assert commutator_residual(a, b, None, nb) == ref
+        assert commutator_residual(a, b, 2.0 * na, nb) == pytest.approx(ref / 2.0, rel=1e-15)
+
+
+class TestDirectSumExtremes:
+    def test_blocks_give_the_sum(self, rng):
+        a = np.eye(3) + 0.4 * complex_gaussian(rng, 3, 3)
+        b = 5.0 * np.eye(2) + complex_gaussian(rng, 2, 2)
+        got = dsum_extremes(singular_extremes(a), singular_extremes(b))
+        assert tuple(got) == pytest.approx(tuple(singular_extremes(dsum_op(a, b))), rel=1e-13)
+
+    def test_combined_condition_gated(self):
+        # each block has condition 1; the direct sum has 1e14 > COND_MAX
+        big = singular_extremes(1e7 * np.eye(2))
+        small = singular_extremes(1e-7 * np.eye(3))
+        assert require_conditioned(big, "x") == big
+        with pytest.raises(NotInvertible, match="x: condition number 1.000e\\+14"):
+            require_conditioned(dsum_extremes(big, small), "x")
 
 
 class TestGenRayleighMin:

@@ -12,6 +12,7 @@ from gfusion.errors import (
     ResolutionFailed,
 )
 from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily, frame_operator
+from gfusion.linalg import commutator_residual
 from gfusion.resolution import (
     CanonicalResolutions,
     ResolutionReport,
@@ -28,6 +29,7 @@ from gfusion.resolution import (
 from conftest import (
     complex_gaussian,
     random_family,
+    record_spectral_inputs,
     record_svd_inputs,
     scalar_controls,
     scaled_partition_family,
@@ -161,6 +163,20 @@ class TestInverseCommutation:
         assert rep.certified
         assert rep.predicted_lower - 1e-9 <= rep.lower
         assert rep.upper <= rep.predicted_upper + 1e-9
+
+    def test_each_norm_measured_once(self, rng, monkeypatch):
+        # ||S^-1|| once for both commutators; ||t||, ||u|| from the pair
+        fam = random_family(rng, 5, 3)
+        cp = scalar_controls(rng, 5)
+        s_inv = FrameEvaluation(fam, cp).inverse
+        seen = record_spectral_inputs(monkeypatch)
+        rep = inverse_commutation_check(fam, cp)
+        assert sum(np.array_equal(a, s_inv) for a in seen) == 1
+        assert not any(np.array_equal(a, cp.t) or np.array_equal(a, cp.u) for a in seen)
+        monkeypatch.undo()
+        assert rep.commutation_residual == max(
+            commutator_residual(s_inv, cp.t), commutator_residual(s_inv, cp.u)
+        )
 
     def test_noncommuting_controls_rejected(self, rng):
         fam = random_family(rng, 4, 3)

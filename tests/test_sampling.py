@@ -55,7 +55,13 @@ from gfusion.resolution import (
     perturbation_check,
 )
 
-from conftest import complex_gaussian, random_family, random_subspace, scaled_partition_family
+from conftest import (
+    complex_gaussian,
+    random_family,
+    random_subspace,
+    scaled_partition_family,
+    well_conditioned,
+)
 
 SAMPLING_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -419,10 +425,6 @@ def test_singular_value_guard_sees_both_call_forms():
     assert call_lines(source, {"svd"}) == [1, 2]
     assert call_lines(source, {"norm"}, spectral) == [3, 4]
     assert call_lines(source, {"inv"}) == [6, 6]
-
-
-def well_conditioned(rng, n):
-    return np.eye(n) + 0.3 * complex_gaussian(rng, n, n) / np.sqrt(n)
 
 
 def same_weights(fam, like):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from gfusion.serialize import (
     to_json,
 )
 
-from conftest import complex_gaussian, random_family, random_subspace
+from conftest import assert_compact_canonical, complex_gaussian, random_family, random_subspace
 
 
 def test_operator_round_trip_exact(rng):
@@ -116,6 +117,49 @@ def test_dumps_deterministic(rng):
     assert dumps(d).endswith("\n")
     # key order independent of insertion order
     assert dumps({"b": 1, "a": 2}) == dumps({"a": 2, "b": 1})
+
+
+class TestCompactCanonical:
+    def test_family_and_control_text(self, rng):
+        fam = random_family(rng, 4, 3)
+        for obj in (family_to_dict(fam), control_pair_to_dict(ControlPair.scalars(4, 0.5, 2.0))):
+            text = dumps(obj)
+            assert_compact_canonical(text)
+            assert text.count("\n") == 1
+
+    def test_whitespace_kept_inside_strings(self):
+        text = dumps({"b": "two words\n", "a": [1, {"d": " ", "c": "x\"y"}]})
+        assert text == '{"a":[1,{"c":"x\\"y","d":" "}],"b":"two words\\n"}\n'
+        assert_compact_canonical(text)
+
+    def test_fixed_point(self, rng):
+        text = dumps(to_json({"family": random_family(rng, 3, 2), "lo": -math.inf}))
+        assert dumps(json.loads(text)) == text
+
+    def test_floats_round_trip_exactly(self):
+        values = [0.1 + 0.2, -0.0, 0.0, 5e-324, -1e-310, 2.0**-1022, math.pi,
+                  -1.7976931348623157e308, 1e16, 123456789.12345679]
+        back = json.loads(dumps({"x": values, "inf": [math.inf, -math.inf]}))
+        assert back["inf"] == [math.inf, -math.inf]
+        for got, want in zip(back["x"], values, strict=True):
+            assert type(got) is float
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_operator_round_trip_through_text(self, rng):
+        a = complex_gaussian(rng, 3, 4)
+        a[0, 0] = -0.0 + 0.0j
+        a[1, 1] = complex(5e-324, -0.0)
+        b = operator_from_dict(json.loads(dumps(operator_to_dict(a))))
+        np.testing.assert_array_equal(b, a)
+        assert np.array_equal(np.signbit(b.real), np.signbit(a.real))
+        assert np.array_equal(np.signbit(b.imag), np.signbit(a.imag))
+
+    def test_report_infinities_are_strings(self):
+        rep = to_json({"lo": -math.inf, "hi": math.inf, "z": -0.0})
+        back = json.loads(dumps(rep))
+        assert back == {"lo": "-inf", "hi": "inf", "z": 0.0}
+        assert math.copysign(1.0, back["z"]) == -1.0
+        assert float(back["lo"]) == -math.inf
 
 
 def test_load_json_reports_position(tmp_path):
