@@ -5,6 +5,9 @@ machine-readable report (stdout or --out), and exits 0 when all asserted
 properties pass, 1 on a verification failure (the report is still written),
 and 2 on input or parse errors.  Reports are deterministic functions of
 (inputs, seed, tolerances).
+
+Each command's contract is one row of `COMMANDS`; the parser, the argument
+check, the loader and `main` all read it.
 """
 
 from __future__ import annotations
@@ -12,17 +15,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import constructions, fourier, frames, generate, resolution, serialize
 from . import tolerances as tol
 from .errors import GFusionError, InvalidParameters, ParseError
 from .frames import ControlPair
-
-
-def _report(command, rep):
-    """A command's report: `command` and the fields of the library report
-    `rep`, through `serialize.to_json`."""
-    return {"command": command, **serialize.to_json(rep)}
 
 
 def _write_report(report: dict, out_path):
@@ -34,150 +32,125 @@ def _write_report(report: dict, out_path):
         sys.stdout.write(text)
 
 
-# The files each command reads: counts of --in, --control and --k, and
-# whether it reads --v and --w.  fourier-demo and random read none.
-FILES = {
-    "check-frame": (1, 1, 0, False),
-    "bounds": (1, 1, 0, False),
-    "resolutions": (1, 1, 0, False),
-    "thm 4.1": (1, 1, 0, False),
-    "thm 4.2": (1, 1, 0, False),
-    "atomic": (1, 1, 1, False),
-    "pair-op": (2, 1, 0, False),
-    "thm 4.4": (2, 1, 0, False),
-    "thm perturb": (2, 1, 0, False),
-    "construct sum-transform": (2, 1, 1, True),
-    "construct direct-sum": (2, 2, 2, False),
-    "construct conjugate": (2, 2, 2, True),
+class Command(NamedTuple):
+    """One command: `call` takes the loaded files in the order --in,
+    --control, --k, --v, --w and the parameters by keyword, and returns the
+    library report whose attribute `verdict` decides the exit code."""
+
+    call: Callable
+    verdict: str
+    files: tuple = (1, 1, 0, 0, 0)  # counts of --in, --control, --k, --v, --w
+    params: dict = {}  # parameter -> default, or REQUIRED; never mutated
+
+
+REQUIRED = object()
+
+# The file flags, in loading order, with their help.
+FILE_FLAGS = {
+    "in": "input family JSON (repeatable)",
+    "control": "control pair JSON (repeatable)",
+    "k": "tied operator JSON (repeatable)",
+    "v": "operator JSON for the transform",
+    "w": "operator JSON for the transform",
+}
+
+# Every parameter a command may read, with its type, in the order the check
+# reports an unread one.
+PARAM_TYPES = {
+    "trials": int, "seed": int, "lambda1": float, "lambda2": float, "d1": float, "d2": float,
+    "nmax": int, "m": int, "alpha": float, "beta": float,
 }
 
 
-def _check_files(args):
-    """Raise ParseError unless the command is given exactly the files it reads."""
-    name = " ".join(
-        filter(None, (args.command, getattr(args, "kind", None), getattr(args, "which", None)))
-    )
-    if name not in FILES:
-        return
-    *counts, reads_vw = FILES[name]
-    for flag, files, want in zip(
-        ("--in", "--control", "--k"),
-        (args.inputs, args.control, getattr(args, "k", [])),
-        counts,
-    ):
-        if len(files) != want:
-            raise ParseError(f"{name} reads {want} {flag} file(s), got {len(files)}")
-    for flag in ("--v", "--w"):
-        if (getattr(args, flag[2:], None) is not None) != reads_vw:
-            raise ParseError(
-                f"{name} requires {flag}" if reads_vw else f"{name} does not read {flag}"
-            )
+def _pair(left, right, cp):
+    """The pair operator of the two families under cp's (t, u)."""
+    return resolution.pair_frame_operator(left, cp.t, right, cp.u)
 
 
-def _load_family(path):
-    return serialize.family_from_dict(serialize.load_json(path))
+# Keyed by argv words; a report's `command` is its words joined by "-".
+# Each call looks its library function up when it runs, so that a rebound
+# module attribute (a tracer, a test's counter) is the one called.
+COMMANDS = {
+    ("check-frame",): Command(lambda f, c: frames.controlled_frame_bounds(f, c), "is_frame"),
+    ("bounds",): Command(lambda f, c: frames.controlled_frame_bounds(f, c), "is_bessel"),
+    ("atomic",): Command(
+        lambda f, c, k: frames.atomic_check(f, c, k), "is_atomic", (1, 1, 1, 0, 0)),
+    ("construct", "direct-sum"): Command(
+        lambda fh, fx, ch, cx, kh, kx: constructions.direct_sum_frame(fh, ch, kh, fx, cx, kx),
+        "verified", (2, 2, 2, 0, 0)),
+    ("construct", "sum-transform"): Command(
+        lambda fl, fg, c, k, v, w: constructions.sum_transform(fl, fg, v, w, c, k),
+        "verified", (2, 1, 1, 1, 1)),
+    ("construct", "conjugate"): Command(
+        lambda fh, fx, ch, cx, kh, kx, v, w: constructions.conjugate_transform(
+            fh, ch, kh, fx, cx, kx, w, v),
+        "verified", (2, 2, 2, 1, 1)),
+    ("pair-op",): Command(
+        lambda fl, fg, c: resolution.adjoint_check(_pair(fl, fg, c)),
+        "is_adjoint", (2, 1, 0, 0, 0)),
+    ("resolutions",): Command(lambda f, c: resolution.canonical_resolutions(f, c), "converged"),
+    ("thm", "4.1"): Command(lambda f, c: resolution.inverse_commutation_check(f, c), "certified"),
+    ("thm", "4.2"): Command(
+        lambda f, c: resolution.bessel_resolution_frame_check(f, c.t, c.u), "is_frame"),
+    ("thm", "4.4"): Command(
+        lambda fl, fg, c: resolution.coercive_pair_check(_pair(fl, fg, c)),
+        "is_frame", (2, 1, 0, 0, 0)),
+    ("thm", "perturb"): Command(
+        lambda fl, fg, c, **p: resolution.perturbation_check(_pair(fl, fg, c), **p),
+        "verified", (2, 1, 0, 0, 0),
+        {"lambda1": 0.1, "lambda2": 0.0, "d1": None, "d2": None, "trials": 200, "seed": 0}),
+    ("fourier-demo",): Command(
+        lambda nmax, m, alpha, beta, **p: fourier.verify_fourier(
+            fourier.FourierParams(nmax, m, alpha, beta), **p),
+        "sandwich_ok", (0, 0, 0, 0, 0),
+        {"nmax": REQUIRED, "m": REQUIRED, "alpha": REQUIRED, "beta": REQUIRED,
+         "trials": 100, "seed": 0}),
+}
+
+# Help per first argv word, and the name of the second word where there is one.
+HELP = {
+    "check-frame": "verify the controlled frame property",
+    "bounds": "optimal frame bounds",
+    "atomic": "atomic-subspace verdict for an operator",
+    "construct": "frame-building transforms",
+    "pair-op": "frame operator for a pair of families",
+    "resolutions": "canonical resolutions of the identity",
+    "thm": "theorem-level verification checks",
+    "fourier-demo": "truncated Fourier worked example",
+}
+SECOND_WORD = {"construct": "kind", "thm": "which"}
 
 
-def _load_control(path):
-    return serialize.control_pair_from_dict(serialize.load_json(path))
+def _check(words, row, args):
+    """The parameters `row` reads, by name.  Raises ParseError unless `args`
+    gives each file flag exactly `row.files` paths and no parameter that
+    `row` does not read."""
+    name = " ".join(words)
+    given = vars(args)
+    for flag, want in zip(FILE_FLAGS, row.files):
+        got = len(given.get(flag, []))
+        if got == want:
+            continue
+        if want == 0:
+            raise ParseError(f"{name} does not read --{flag}")
+        if got == 0:
+            raise ParseError(f"{name} requires --{flag}")
+        raise ParseError(f"{name} reads {want} --{flag} file(s), got {got}")
+    for param in PARAM_TYPES:
+        if param not in row.params and given.get(param) is not None:
+            raise ParseError(f"{name} does not read --{param}")
+    return {p: row.params[p] if given[p] is None else given[p] for p in row.params}
 
 
-def _load_operator(path):
-    return serialize.operator_from_dict(serialize.load_json(path))
-
-
-def cmd_check_frame(args):
-    fam = _load_family(args.inputs[0])
-    cp = _load_control(args.control[0])
-    rep = frames.controlled_frame_bounds(fam, cp)
-    return _report("check-frame", rep), rep.is_frame
-
-
-def cmd_bounds(args):
-    fam = _load_family(args.inputs[0])
-    cp = _load_control(args.control[0])
-    rep = frames.controlled_frame_bounds(fam, cp)
-    return _report("bounds", rep), rep.is_bessel
-
-
-def cmd_atomic(args):
-    fam = _load_family(args.inputs[0])
-    cp = _load_control(args.control[0])
-    k = _load_operator(args.k[0])
-    rep = frames.atomic_check(fam, cp, k)
-    return _report("atomic", rep), rep.is_atomic
-
-
-def cmd_construct(args):
-    kind = args.kind
-    if kind == "sum-transform":
-        famL = _load_family(args.inputs[0])
-        famG = _load_family(args.inputs[1])
-        cp = _load_control(args.control[0])
-        k = _load_operator(args.k[0])
-        v = _load_operator(args.v)
-        w = _load_operator(args.w)
-        rep = constructions.sum_transform(famL, famG, v, w, cp, k)
-    else:
-        famH = _load_family(args.inputs[0])
-        famX = _load_family(args.inputs[1])
-        cpH = _load_control(args.control[0])
-        cpX = _load_control(args.control[1])
-        kH = _load_operator(args.k[0])
-        kX = _load_operator(args.k[1])
-        if kind == "direct-sum":
-            rep = constructions.direct_sum_frame(famH, cpH, kH, famX, cpX, kX)
-        else:
-            w = _load_operator(args.w)
-            v = _load_operator(args.v)
-            rep = constructions.conjugate_transform(famH, cpH, kH, famX, cpX, kX, w, v)
-    return _report(f"construct-{kind}", rep), rep.verified
-
-
-def _load_pair(args):
-    """The pair operator of the two --in families under --control's (t, u)."""
-    famL = _load_family(args.inputs[0])
-    famG = _load_family(args.inputs[1])
-    cp = _load_control(args.control[0])
-    return resolution.pair_frame_operator(famL, cp.t, famG, cp.u)
-
-
-def cmd_pair_op(args):
-    rep = resolution.adjoint_check(_load_pair(args))
-    return _report("pair-op", rep), rep.is_adjoint
-
-
-def cmd_resolutions(args):
-    fam = _load_family(args.inputs[0])
-    cp = _load_control(args.control[0])
-    rep = resolution.canonical_resolutions(fam, cp)
-    return _report("resolutions", rep), rep.converged
-
-
-def cmd_thm(args):
-    which = args.which
-    if which == "4.4":
-        rep = resolution.coercive_pair_check(_load_pair(args))
-        return _report("thm-4.4", rep), rep.is_frame
-    if which == "perturb":
-        rep = resolution.perturbation_check(
-            _load_pair(args), args.lambda1, args.lambda2, args.d1, args.d2,
-            args.trials, args.seed,
-        )
-        return _report("thm-perturb", rep), rep.verified
-    fam = _load_family(args.inputs[0])
-    cp = _load_control(args.control[0])
-    if which == "4.1":
-        rep = resolution.inverse_commutation_check(fam, cp)
-        return _report("thm-4.1", rep), rep.certified
-    rep = resolution.bessel_resolution_frame_check(fam, cp.t, cp.u)
-    return _report("thm-4.2", rep), rep.is_frame
-
-
-def cmd_fourier_demo(args):
-    params = fourier.FourierParams(args.nmax, args.m, args.alpha, args.beta)
-    rep = fourier.verify_fourier(params, trials=args.trials, seed=args.seed)
-    return _report("fourier-demo", rep), rep.sandwich_ok
+def _load(args):
+    """Every file given, loaded in the order --in, --control, --k, --v, --w."""
+    operator = serialize.operator_from_dict
+    decoders = (serialize.family_from_dict, serialize.control_pair_from_dict, *[operator] * 3)
+    return [
+        decode(serialize.load_json(path))
+        for flag, decode in zip(FILE_FLAGS, decoders)
+        for path in vars(args).get(flag, [])
+    ]
 
 
 def cmd_random(args):
@@ -195,76 +168,31 @@ def cmd_random(args):
         write("family2.json", inst.family2)
         # combined pair control (t from the first, u from the second)
         write("pair_control.json", ControlPair(inst.control.t, inst.control2.u))
-    return None, True
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per first argv word.  It takes an option when some row
+    under that word reads it, and requires the option when every row does."""
     parser = argparse.ArgumentParser(
-        prog="gfusion",
-        description="Verification toolkit for controlled g-fusion frames",
-    )
+        prog="gfusion", description="Verification toolkit for controlled g-fusion frames")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, inputs=1, controls=1, ks=0):
-        p.add_argument("--in", dest="inputs", action="append", required=inputs > 0,
-                       default=[], help="input family JSON (repeatable)")
-        p.add_argument("--control", action="append", required=controls > 0,
-                       default=[], help="control pair JSON (repeatable)")
-        if ks:
-            p.add_argument("--k", action="append", required=True, default=[],
-                           help="tied operator JSON (repeatable)")
+    for first in dict.fromkeys(words[0] for words in COMMANDS):
+        rows = {words[1:]: row for words, row in COMMANDS.items() if words[0] == first}
+        p = sub.add_parser(first, help=HELP[first])
+        if first in SECOND_WORD:
+            p.add_argument(SECOND_WORD[first], choices=[rest[0] for rest in rows])
+        for i, (flag, text) in enumerate(FILE_FLAGS.items()):
+            counts = [row.files[i] for row in rows.values()]
+            if max(counts):
+                p.add_argument(f"--{flag}", action="append", default=[],
+                               required=min(counts) > 0, help=text)
         p.add_argument("--out", default=None, help="report output path")
         p.add_argument("--tol", action="append", default=[],
                        metavar="NAME=VALUE", help="tolerance override")
-
-    p = sub.add_parser("check-frame", help="verify the controlled frame property")
-    add_common(p)
-    p.set_defaults(func=cmd_check_frame)
-
-    p = sub.add_parser("bounds", help="optimal frame bounds")
-    add_common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("atomic", help="atomic-subspace verdict for an operator")
-    add_common(p, ks=1)
-    p.set_defaults(func=cmd_atomic)
-
-    p = sub.add_parser("construct", help="frame-building transforms")
-    p.add_argument("kind", choices=["direct-sum", "sum-transform", "conjugate"])
-    add_common(p, inputs=2, controls=1, ks=1)
-    p.add_argument("--v", help="operator JSON for the transform")
-    p.add_argument("--w", help="operator JSON for the transform")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("pair-op", help="frame operator for a pair of families")
-    add_common(p, inputs=2)
-    p.set_defaults(func=cmd_pair_op)
-
-    p = sub.add_parser("resolutions", help="canonical resolutions of the identity")
-    add_common(p)
-    p.set_defaults(func=cmd_resolutions)
-
-    p = sub.add_parser("thm", help="theorem-level verification checks")
-    p.add_argument("which", choices=["4.1", "4.2", "4.4", "perturb"])
-    add_common(p, inputs=1, controls=1)
-    p.add_argument("--lambda1", type=float, default=0.1)
-    p.add_argument("--lambda2", type=float, default=0.0)
-    p.add_argument("--d1", type=float, default=None)
-    p.add_argument("--d2", type=float, default=None)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_thm)
-
-    p = sub.add_parser("fourier-demo", help="truncated Fourier worked example")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
-    p.set_defaults(func=cmd_fourier_demo)
+        for param in dict.fromkeys(q for row in rows.values() for q in row.params):
+            required = all(row.params.get(param) is REQUIRED for row in rows.values())
+            p.add_argument(f"--{param}", type=PARAM_TYPES[param], required=required)
 
     p = sub.add_parser("random", help="generate a seeded instance")
     p.add_argument("--seed", type=int, required=True)
@@ -272,28 +200,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", type=int, default=3)
     p.add_argument("--structure", choices=generate.STRUCTURES, default="generic")
     p.add_argument("--out", dest="out_dir", required=True, help="output directory")
-    p.set_defaults(func=cmd_random)
-
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command; it returns (report, ok), and the report is written
-    (when there is one) before exiting 0 if ok, else 1."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: check its arguments against its row, load its files
+    and make its library call under the --tol overrides, then write the
+    report and exit 0 if the verdict holds, else 1."""
+    args = build_parser().parse_args(argv)
     try:
-        _check_files(args)
+        if args.command == "random":
+            return cmd_random(args)
+        second = SECOND_WORD.get(args.command)
+        words = (args.command, getattr(args, second)) if second else (args.command,)
+        row = COMMANDS[words]
+        params = _check(words, row, args)
         overrides = {}
-        for spec in getattr(args, "tol", []):
+        for spec in args.tol:
             name, sep, value = spec.partition("=")
             if not sep:
                 raise ParseError(f"--tol expects name=value, got {spec!r}")
             overrides[name] = value
+        # loading runs under the override too: a ControlPair checks COND_MAX
         with tol.override(**overrides):
-            report, ok = args.func(args)
-        if report is not None:
-            _write_report(report, args.out)
+            rep = row.call(*_load(args), **params)
+            report = {"command": "-".join(words), **serialize.to_json(rep)}
+            ok = getattr(rep, row.verdict)
+        _write_report(report, args.out)
         return 0 if ok else 1
     except (ParseError, InvalidParameters) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,7 +48,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameFamily:
     """Indexed triples (subspace, operator into the component space, weight)."""
 
@@ -86,7 +86,7 @@ class FrameFamily:
         return tuple(lam.shape[0] for _, lam, _ in self.items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlPair:
     """Ordered pair (t, u) of invertible operators on the ambient space.
 
@@ -97,8 +97,8 @@ class ControlPair:
 
     t: np.ndarray
     u: np.ndarray
-    t_sigma: SingularExtremes = field(init=False, repr=False, compare=False)
-    u_sigma: SingularExtremes = field(init=False, repr=False, compare=False)
+    t_sigma: SingularExtremes = field(init=False, repr=False)
+    u_sigma: SingularExtremes = field(init=False, repr=False)
 
     def __init__(self, t, u):
         t, u = as_operator(t), as_operator(u)

@@ -65,7 +65,7 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Closed subspace of C^n given by an orthonormal basis (columns).
 
@@ -138,7 +138,7 @@ def within_frobenius(d, a, rtol: float) -> bool:
 
 def _largest_abs(vals) -> float:
     """max |lambda| over ascending eigenvalues: a Hermitian matrix's spectral norm."""
-    return float(max(-vals[0], vals[-1])) if vals.size else 0.0
+    return float(max(abs(vals[0]), abs(vals[-1]))) if vals.size else 0.0
 
 
 def antihermitian_norm(d) -> float:

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from gfusion import constructions, fourier, frames, generate, resolution, serialize, tolerances
+from gfusion import cli, constructions, fourier, frames, generate, resolution, serialize, tolerances
 from gfusion.cli import main
 from gfusion.errors import GFusionError
 from gfusion.frames import ControlPair, frame_operator
@@ -73,6 +74,18 @@ class TestCheckFrame:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+
+    def test_zero_residual_is_positive_zero(self, tmp_path, capsys):
+        # parseval controls make S exactly Hermitian: the residual prints as
+        # 0.0, never -0.0
+        inst = tmp_path / "inst"
+        assert main(["random", "--seed", "42", "--dim", "6", "--items", "3",
+                     "--structure", "parseval", "--out", str(inst)]) == 0
+        code, rep = run(capsys, "check-frame", "--in", str(inst / "family.json"),
+                        "--control", str(inst / "control.json"))
+        assert code == 0
+        assert rep["herm_residual"] == 0.0
+        assert math.copysign(1.0, rep["herm_residual"]) == 1.0
 
 class TestAtomic:
     def test_identity_k(self, capsys, partition_inputs):
@@ -664,3 +677,78 @@ def test_wrong_file_count_exit_2(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.strip().splitlines()[-1].startswith("error: ")
     assert not out.exists()
+
+
+UNREAD_ARGUMENTS = [
+    (["thm", "4.1", "--in", "F", "--control", "C", "--trials", "5", "--lambda1", "7",
+      "--d1=-3"], "thm 4.1 does not read --trials"),
+    (["thm", "4.2", "--in", "F", "--control", "CI", "--trials", "0"],
+     "thm 4.2 does not read --trials"),
+    (["thm", "4.4", "--in", "F", "--in", "F", "--control", "C", "--seed", "3"],
+     "thm 4.4 does not read --seed"),
+    (["thm", "4.1", "--in", "F", "--control", "C", "--lambda2", "0.5"],
+     "thm 4.1 does not read --lambda2"),
+    (["thm", "4.2", "--in", "F", "--control", "CI", "--d2", "1"], "thm 4.2 does not read --d2"),
+    (["thm", "4.4", "--in", "F", "--in", "F", "--control", "C", "--d1", "1"],
+     "thm 4.4 does not read --d1"),
+    (["construct", "sum-transform", "--in", "F", "--in", "F", "--control", "C", "--k", "K",
+      "--v", "V", "--v", "V", "--w", "W"], "construct sum-transform reads 1 --v file(s), got 2"),
+]
+
+
+@pytest.mark.parametrize("argv, error", UNREAD_ARGUMENTS, ids=[e for _, e in UNREAD_ARGUMENTS])
+def test_unread_argument_exit_2(tmp_path, capsys, argv, error):
+    """A parameter the command does not read, or a file beyond its count,
+    exits 2 with an error line naming it and no report."""
+    out = tmp_path / "report.json"
+    code = main(schema_argv(tmp_path, argv) + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1] == f"error: {error}"
+    assert not out.exists()
+
+
+# The library function behind each LIBRARY_CALLS command, by module attribute.
+LIBRARY_FUNCTIONS = {
+    "check-frame": (frames, "controlled_frame_bounds"),
+    "bounds": (frames, "controlled_frame_bounds"),
+    "atomic": (frames, "atomic_check"),
+    "construct-direct-sum": (constructions, "direct_sum_frame"),
+    "construct-sum-transform": (constructions, "sum_transform"),
+    "construct-conjugate": (constructions, "conjugate_transform"),
+    "pair-op": (resolution, "adjoint_check"),
+    "resolutions": (resolution, "canonical_resolutions"),
+    "thm-4.1": (resolution, "inverse_commutation_check"),
+    "thm-4.2": (resolution, "bessel_resolution_frame_check"),
+    "thm-4.4": (resolution, "coercive_pair_check"),
+    "thm-perturb": (resolution, "perturbation_check"),
+    "fourier-demo": (fourier, "verify_fourier"),
+}
+
+
+def test_every_command_has_a_pinned_schema():
+    commands = {c for _, c, _ in REPORT_SCHEMAS}
+    assert {"-".join(words) for words in cli.COMMANDS} == commands
+    assert set(LIBRARY_CALLS) == set(LIBRARY_FUNCTIONS) == commands
+
+
+@pytest.mark.parametrize(
+    "argv, command", [(a, c) for a, c, _ in REPORT_SCHEMAS],
+    ids=[c for _, c, _ in REPORT_SCHEMAS],
+)
+def test_library_function_called_once(tmp_path, capsys, monkeypatch, argv, command):
+    """Each command calls its library function once, through the module
+    attribute, so a rebound attribute (as the benchmark's tracer makes) is
+    the one called."""
+    module, name = LIBRARY_FUNCTIONS[command]
+    function = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    assert main(schema_argv(tmp_path, argv)) in (0, 1)
+    assert len(calls) == 1

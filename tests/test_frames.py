@@ -393,3 +393,16 @@ class TestControlPairExtremes:
             ControlPair.direct_sum(h, x)
         with pytest.raises(NotInvertible):
             ControlPair(dsum_op(h.t, x.t), dsum_op(h.u, x.u))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ControlPair.identity(2),
+    lambda: scaled_partition_family(4, (1.0, 2.0)),
+    lambda: Subspace.full(3),
+], ids=["ControlPair", "FrameFamily", "Subspace"])
+def test_equality_is_identity(make):
+    # array fields give no truth value, so == compares identity and never raises
+    a, b = make(), make()
+    assert (a == b) is False
+    assert (a == a) is True
+    assert (a != b) is True

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from gfusion.errors import (
 )
 from gfusion.linalg import (
     Subspace,
+    antihermitian_norm,
     commutator_residual,
     condition_number,
     douglas_factor,
@@ -220,6 +223,16 @@ class TestHermitianSpectrum:
         b = complex_gaussian(rng, 6, 6)
         h = 0.5 * (b + b.conj().T)
         assert hermitian_spectrum(h) == hermitian_extremes(h)
+
+
+def test_zero_spectrum_norm_is_positive_zero(rng):
+    # a - a* of a Hermitian a is exactly zero; its norm is +0.0, which a
+    # report prints as 0.0 (an all-zero spectrum once gave -0.0)
+    b = complex_gaussian(rng, 4, 4)
+    h = b + b.conj().T
+    for d in (np.zeros((3, 3)), h - h.conj().T):
+        norm = antihermitian_norm(d)
+        assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
 
 
 class TestSingularExtremes:
