@@ -20,8 +20,6 @@ from .frames import (
     FrameEvaluation,
     FrameFamily,
     cross_terms,
-    item_factors,
-    kgf_bounds,
 )
 from .linalg import (
     SpectralInterval,
@@ -42,7 +40,7 @@ class Certificate(NamedTuple):
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformReport:
     family_out: FrameFamily
     control_out: ControlPair
@@ -69,6 +67,11 @@ def _transform_report(
     )
 
 
+def _bessel(name: str, ev: FrameEvaluation) -> Certificate:
+    """The hypothesis that a family is Bessel: its Hermitian residual."""
+    return Certificate(f"{name}_family_bessel", ev.herm_residual)
+
+
 def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
     """Prologue of the H (+) X constructions.
 
@@ -76,7 +79,8 @@ def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
     invertible, and only then evaluates each family under its control pair.
     Returns each checked conjugator with its singular extremes (in the order
     given), the direct-sum family (items W_j (+) X_j, L_j (+) G_j), control
-    pair and k, and (a_opt, b, S) of each family.
+    pair and k, the Bessel certificates of the two families, and
+    (a_opt, b, evaluation) of each family.
     """
     if len(famH) != len(famX):
         raise ItemCountMismatch(f"{len(famH)} vs {len(famX)} items")
@@ -90,16 +94,17 @@ def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
     kH = as_operator(kH)
     kX = as_operator(kX)
     cp_out = ControlPair.direct_sum(cpH, cpX)
-    evaluated = []
-    for fam, cp, k in ((famH, cpH, kH), (famX, cpX, kX)):
+    evaluated, certs = [], []
+    for name, fam, cp, k in (("h", famH, cpH, kH), ("x", famX, cpX, kX)):
         ev = FrameEvaluation(fam, cp)
         a_opt, b, _ = ev.kgf(k)
-        evaluated.append((a_opt, b, ev.s))
+        evaluated.append((a_opt, b, ev))
+        certs.append(_bessel(name, ev))
     fam_sum = FrameFamily(famH.ambient_dim + famX.ambient_dim, [
         (dsum_subspace(subH, subX), dsum_op(lamH, lamX), wt)
         for (subH, lamH, wt), (subX, lamX, _) in zip(famH.items, famX.items)
     ])
-    return checked, fam_sum, cp_out, dsum_op(kH, kX), *evaluated
+    return checked, fam_sum, cp_out, dsum_op(kH, kX), certs, *evaluated
 
 
 def _measure(ev: FrameEvaluation, k) -> SpectralInterval:
@@ -113,9 +118,9 @@ def sum_transform(
     """Transform two families sharing subspaces and weights through the sum
     operator r = v + w: subspaces become r W_j, operators (L_j + G_j) P_j r*.
 
-    Certifies the commutation hypotheses k r == r k, r* t == t r*, r* u == u r*
-    and the two per-item cross-orthogonality conditions; predicted bounds
-    follow the lower chain of the left family only.
+    Certifies the commutation hypotheses k r == r k, r* t == t r*, r* u == u r*,
+    the two per-item cross-orthogonality conditions and that both families are
+    Bessel; predicted bounds follow the lower chain of the left family only.
     """
     if len(famL) != len(famG):
         raise ItemCountMismatch(f"{len(famL)} vs {len(famG)} items")
@@ -142,6 +147,7 @@ def sum_transform(
     # ||r|| and the controls' norms are the sigma_max their gates kept;
     # ||r*|| is measured once
     norm_rstar = opnorm(rstar)
+    evL, evG = FrameEvaluation(famL, cp), FrameEvaluation(famG, cp)
     certs = [
         Certificate("k_commutes_with_sum", commutator_residual(k, r, None, r_sigma.sigma_max)),
         Certificate(
@@ -155,7 +161,7 @@ def sum_transform(
     ]
     # Both families are applied through famL's bases: A_j = C_j B_j*, and the
     # output operators (L_j + G_j) P_j r* are (C_Lj + C_Gj)(B_j* r*).
-    fL = item_factors(famL)
+    fL = evL.factors
     fG = [(b, lamG @ b) for (b, _), (_, lamG, _) in zip(fL, famG.items)]
     # Cross-orthogonality: both sesquilinear forms vanish for all f iff the
     # assembled matrices (A_L r* t)* (A_G r* u) and (A_G r* t)* (A_L r* u)
@@ -179,8 +185,9 @@ def sum_transform(
     certs.append(Certificate("cross_terms_lambda_gamma", cross2))
     fam_out = FrameFamily(famL.ambient_dim, items_out)
 
-    a_l, b_l, _ = kgf_bounds(famL, cp, k)
-    _, b_g, _ = kgf_bounds(famG, cp, k)
+    certs += [_bessel("lambda", evL), _bessel("gamma", evG)]
+    a_l, b_l, _ = evL.kgf(k)
+    _, b_g, _ = evG.kgf(k)
     # ||r^-1||^-2 = sigma_min(r)^2 and ||r||^2 = sigma_max(r)^2
     predicted_lower = a_l * r_sigma.sigma_min**2
     predicted_upper = (b_l + b_g) * r_sigma.sigma_max**2
@@ -204,19 +211,20 @@ def direct_sum_frame(
     Output frame operator is the block-diagonal sum of the two input frame
     operators; bounds combine as (min of lowers, max of uppers).
     """
-    _, fam_out, cp_out, k_out, (a_h, b_h, s_h), (a_x, b_x, s_x) = _paired(
+    _, fam_out, cp_out, k_out, bessel, (a_h, b_h, evH), (a_x, b_x, evX) = _paired(
         famH, cpH, kH, famX, cpX, kX
     )
     predicted_lower = min(a_h, a_x)
     predicted_upper = max(b_h, b_x)
-    s_blocks = dsum_op(s_h, s_x)
     evO = FrameEvaluation(fam_out, cp_out)
-    block_residual = opnorm(evO.s - s_blocks) / max(opnorm(s_blocks), 1e-300)
-    certs = (Certificate("frame_operator_block_diagonal", block_residual),)
+    # ||S_H (+) S_X|| = max(||S_H||, ||S_X||)
+    block_residual = opnorm(evO.s - dsum_op(evH.s, evX.s)) / max(evH.norm, evX.norm, 1e-300)
+    certs = (*bessel, Certificate("frame_operator_block_diagonal", block_residual))
     measured = _measure(evO, k_out)
     return _transform_report(
         fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, certs,
-        block_residual <= tol.TOL_DIRECT_SUM,
+        all(res <= tol.TOL_FACTOR for _, res in bessel)
+        and block_residual <= tol.TOL_DIRECT_SUM,
     )
 
 
@@ -233,9 +241,9 @@ def conjugate_transform(
     """Direct-sum construction conjugated by the invertible block pair (w, v).
 
     Output frame operator equals (w (+) v) (S_H (+) S_X) (w (+) v)* whenever
-    the commutation hypotheses hold.
+    the commutation hypotheses hold and both families are Bessel.
     """
-    conjugators, fam_sum, cp_out, k_out, (a_h, b_h, s_h), (a_x, b_x, s_x) = _paired(
+    conjugators, fam_sum, cp_out, k_out, bessel, (a_h, b_h, evH), (a_x, b_x, evX) = _paired(
         famH, cpH, kH, famX, cpX, kX, w=w, v=v
     )
     (w, w_sigma), (v, v_sigma) = conjugators
@@ -254,6 +262,7 @@ def conjugate_transform(
         commutes("v_adjoint_commutes_with_u1", v_adj, cpX.u, norm_v_adj, cpX.u_sigma.sigma_max),
         commutes("k_h_commutes_with_w", as_operator(kH), w, None, w_sigma.sigma_max),
         commutes("k_x_commutes_with_v", as_operator(kX), v, None, v_sigma.sigma_max),
+        *bessel,
     ]
     wv = dsum_op(w, v)
     items_out = []
@@ -262,7 +271,7 @@ def conjugate_transform(
         lam_out = (lam @ b) @ (b.conj().T @ wv.conj().T)
         items_out.append((subspace_image(wv, sub), lam_out, wt))
     fam_out = FrameFamily(fam_sum.ambient_dim, items_out)
-    s_expected = wv @ dsum_op(s_h, s_x) @ wv.conj().T
+    s_expected = wv @ dsum_op(evH.s, evX.s) @ wv.conj().T
     evO = FrameEvaluation(fam_out, cp_out)
     conj_residual = opnorm(evO.s - s_expected) / max(opnorm(s_expected), 1e-300)
     certs.append(Certificate("frame_operator_conjugated", conj_residual))

@@ -2,7 +2,7 @@
 
 
 class GFusionError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors: a check could not be evaluated."""
 
 
 class NotHermitian(GFusionError):
@@ -35,17 +35,9 @@ class NotAFrame(GFusionError):
     pass
 
 
-class NotBessel(GFusionError):
-    pass
-
-
-class ResolutionFailed(GFusionError):
-    pass
-
-
 class HypothesisFailed(GFusionError):
-    """A theorem hypothesis (commutation, perturbation, orthogonality)
-    failed its residual check."""
+    """A sampled vector refutes the perturbation inequality.  Every other
+    failed hypothesis is a false verdict in its check's report."""
 
 
 class InvalidParameters(GFusionError):

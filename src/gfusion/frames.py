@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     GFusionError,
     NotAFrame,
-    NotHermitian,
     NotPositive,
     ZeroDenominator,
 )
@@ -148,7 +147,7 @@ class ControlPair:
         return ControlPair(alpha * eye, beta * eye)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockVector:
     """One coefficient vector per family index; element of the l^2 sum space."""
 
@@ -168,7 +167,7 @@ class BlockVector:
         return BlockVector([np.zeros(d, dtype=complex) for d in dims])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameReport:
     is_bessel: bool
     is_frame: bool
@@ -177,7 +176,7 @@ class FrameReport:
     herm_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicReport:
     is_atomic: bool
     bessel_bound: float
@@ -329,14 +328,11 @@ class FrameEvaluation:
         return k
 
     def kgf(self, k):
-        """(a_opt, b, is_kgf) as returned by `kgf_bounds`."""
+        """(a_opt, b, is_kgf) of `kgf_bounds`: (-inf, b, False) unless Bessel."""
         k = self._check_k(k)
-        if not self.is_bessel:
-            raise NotHermitian(
-                f"asymmetry {self.asymmetry:.3e} exceeds {tol.TOL_FACTOR:.1e}"
-                f" * norm {self.norm:.3e}"
-            )
         b = self.bounds.lambda_max
+        if not self.is_bessel:
+            return -math.inf, b, False
         try:
             a_opt = gen_rayleigh_min(self.hermitian, k @ k.conj().T)
         except ZeroDenominator:
@@ -451,9 +447,10 @@ def controlled_frame_bounds(fam: FrameFamily, cp: ControlPair) -> FrameReport:
 def kgf_bounds(fam: FrameFamily, cp: ControlPair, k):
     """Optimal bounds for the frame inequality measured against ||k* f||^2.
 
-    Returns (a_opt, b, is_kgf).  A zero k yields the vacuous case with the
-    +inf sentinel for a_opt.  A frame operator that fails the Hermitian gate
-    at TOL_FACTOR (not Bessel) raises NotHermitian.
+    Returns (a_opt, b, is_kgf), b the top eigenvalue of the Hermitian part
+    of S.  A zero k yields the vacuous case with the +inf sentinel for a_opt.
+    An S that fails the Hermitian gate at TOL_FACTOR (not Bessel) gives
+    (-inf, b, False): -inf is the supremum of an empty set of lower bounds.
     """
     return FrameEvaluation(fam, cp).kgf(k)
 
@@ -463,7 +460,8 @@ def atomic_check(fam: FrameFamily, cp: ControlPair, k) -> AtomicReport:
 
     Also produces the minimum-norm coefficient map L with the certificate
     ||T_C L - k|| <= tol * ||k||, and the residual of the literal reading
-    k == S (which the display equation of the definition forces).
+    k == S (which the display equation of the definition forces).  Raises
+    NotPositive when T_C does not exist, as for a generic non-Bessel family.
     """
     return FrameEvaluation(fam, cp).atomic(k)
 

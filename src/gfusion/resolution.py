@@ -27,9 +27,6 @@ from .errors import (
     HypothesisFailed,
     InvalidParameters,
     ItemCountMismatch,
-    NotBessel,
-    NotPositive,
-    ResolutionFailed,
 )
 from .frames import ControlPair, FrameEvaluation, FrameFamily, cross_terms, item_factors
 from .linalg import (
@@ -41,7 +38,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairOperator:
     matrix: np.ndarray
     left_family: FrameFamily
@@ -53,9 +50,12 @@ class PairOperator:
 
 @dataclass(frozen=True)
 class ResolutionReport:
-    residual: float
+    residual: float | None
     term_count: int
     converged: bool
+
+
+NO_TERMS = ResolutionReport(None, 0, False)  # a non-frame's: no S^-1, no terms
 
 
 def pair_frame_operator(
@@ -88,7 +88,7 @@ def swapped(pair: PairOperator) -> PairOperator:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjointReport:
     matrix: np.ndarray
     adjoint_residual: float
@@ -126,9 +126,12 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolut
     """The two canonical identity resolutions of a controlled frame.
 
     Term families {v_j^2 G_j S^{-1}} and {v_j^2 S^{-1} G_j} with G_j the
-    per-item cross operators; both must sum to the identity.
+    per-item cross operators; both must sum to the identity.  A non-frame
+    has neither: both lists are empty and both reports are NO_TERMS.
     """
     ev = FrameEvaluation(fam, cp)
+    if not ev.is_frame:
+        return CanonicalResolutions([], [], NO_TERMS, NO_TERMS)
     s_inv = ev.inverse
     right_terms = ev.weighted(ev.terms @ s_inv)
     left_terms = ev.weighted(s_inv @ ev.terms)
@@ -143,13 +146,13 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolut
 @dataclass(frozen=True)
 class ResolutionBoundsReport:
     resolution: ResolutionReport = field(metadata={"report": False})
-    lower: float
-    upper: float
-    predicted_lower: float
-    predicted_upper: float
+    lower: float | None
+    upper: float | None
+    predicted_lower: float | None
+    predicted_upper: float | None
     certified: bool
-    commutation_residual: float
-    resolution_residual: float = field(init=False)
+    commutation_residual: float | None
+    resolution_residual: float | None = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "resolution_residual", self.resolution.residual)
@@ -161,8 +164,12 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     Requires S^{-1} to commute with both controls; the modified frame sum
     sum_j v_j^2 <L_j P_j S^{-1} u f, L_j P_j S^{-1} t f> then has spectral
     extremes inside [A/B^2, B/A^2] for measured frame bounds (A, B).
+    `certified` also needs the commutation residual within TOL_FACTOR.  A
+    non-frame (no S^{-1}, no A > 0) is not certified; its other fields are None.
     """
     ev = FrameEvaluation(fam, cp)
+    if not ev.is_frame:
+        return ResolutionBoundsReport(NO_TERMS, None, None, None, None, False, None)
     s_inv = ev.inverse
     # ||S^-1|| is measured once; ||t|| and ||u|| are the pair's sigma_max
     norm_s_inv = opnorm(s_inv)
@@ -170,11 +177,6 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
         commutator_residual(s_inv, cp.t, norm_s_inv, cp.t_sigma.sigma_max),
         commutator_residual(s_inv, cp.u, norm_s_inv, cp.u_sigma.sigma_max),
     )
-    if comm > tol.TOL_FACTOR:
-        raise HypothesisFailed(
-            f"inverse frame operator does not commute with controls "
-            f"(residual {comm:.3e})"
-        )
     # terms v_j^2 t* P_j L_j* L_j P_j S^{-1} u, and the modified frame sum
     # as the frame operator under the controls (S^{-1} t, S^{-1} u)
     resolution = _resolution_report(ev.weighted(ev.cross_terms(cp.t, s_inv @ cp.u)))
@@ -185,7 +187,8 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     predicted_lower = a / (b * b)
     predicted_upper = b / (a * a)
     certified = (
-        resolution.converged
+        comm <= tol.TOL_FACTOR
+        and resolution.converged
         and lower >= predicted_lower - tol.TOL_FACTOR
         and upper <= predicted_upper + tol.TOL_FACTOR
     )
@@ -206,23 +209,20 @@ class BesselResolutionReport:
 
 def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionReport:
     """A (t,t)-controlled Bessel family whose mixed terms resolve the identity
-    is a (u,u)-controlled frame with lower bound at least 1/B."""
+    is a (u,u)-controlled frame with lower bound at least 1/B; `is_frame`
+    needs both hypotheses, and every field is measured either way."""
     tt, uu = ControlPair(t, t), ControlPair(u, u)
     bessel, out = FrameEvaluation(fam, tt), FrameEvaluation(fam, uu)
-    if not bessel.is_bessel:
-        raise NotBessel("family is not a controlled Bessel sequence under (t, t)")
     b = bessel.bounds.lambda_max
     resolution = _resolution_report(bessel.weighted(bessel.cross_terms(tt.t, uu.u)))
-    if not resolution.converged:
-        raise ResolutionFailed(
-            f"terms do not sum to the identity (residual {resolution.residual:.3e})"
-        )
     lower, upper = out.bounds.lambda_min, out.bounds.lambda_max
-    predicted_lower = 1.0 / b
+    predicted_lower = 1.0 / b if b > 0 else math.inf  # B = 0: zero operators
     # b ||t^-1||^2 ||u||^2
     predicted_upper = b / tt.t_sigma.sigma_min**2 * uu.u_sigma.sigma_max**2
     ok = (
-        out.is_frame
+        bessel.is_bessel
+        and resolution.converged
+        and out.is_frame
         and lower >= predicted_lower - tol.TOL_FACTOR
         and upper <= predicted_upper + tol.TOL_FACTOR
     )
@@ -240,7 +240,7 @@ def _require_bound(name: str, value: float | None):
 @dataclass(frozen=True)
 class CoercivityReport:
     m: float
-    predicted_lower: float
+    predicted_lower: float | None
     measured_lower: float
     is_frame: bool
     gamma_bessel_bound: float
@@ -252,20 +252,19 @@ def coercive_pair_check(
     """If the swapped pair operator is coercive (>= m I, m > 0), the left
     family is a frame under its own control with lower bound >= m^2 / D,
     where D is the Bessel bound of the right family; D defaults to the
-    optimal one, under (u, u)."""
+    optimal one, under (u, u).  With m <= 0 nothing is predicted:
+    `predicted_lower` is None and `is_frame` is false."""
     _require_bound("gamma_bessel_bound", gamma_bessel_bound)
     # S_swapped = S_pair*, and both have the same Hermitian part
     m = hermitian_spectrum(pair.matrix).lambda_min
-    if m <= 0:
-        raise NotPositive(f"swapped pair operator is not coercive (m = {m:.3e})")
     if gamma_bessel_bound is None:
         gamma_bessel_bound = FrameEvaluation(
             pair.right_family, pair.right_control
         ).bounds.lambda_max
-    predicted_lower = m * m / gamma_bessel_bound
+    predicted_lower = m * m / gamma_bessel_bound if m > 0 else None
     left = FrameEvaluation(pair.left_family, pair.left_control)
     measured_lower = left.bounds.lambda_min
-    ok = left.is_frame and measured_lower >= predicted_lower - tol.TOL_FACTOR
+    ok = m > 0 and left.is_frame and measured_lower >= predicted_lower - tol.TOL_FACTOR
     return CoercivityReport(m, predicted_lower, measured_lower, ok, gamma_bessel_bound)
 
 

@@ -7,7 +7,8 @@ import pytest
 from gfusion import cli, constructions, fourier, frames, generate, resolution, serialize, tolerances
 from gfusion.cli import main
 from gfusion.errors import GFusionError
-from gfusion.frames import ControlPair, frame_operator
+from gfusion.frames import ControlPair, FrameFamily, frame_operator
+from gfusion.linalg import Subspace, projector
 
 from conftest import (
     assert_compact_canonical,
@@ -752,3 +753,64 @@ def test_library_function_called_once(tmp_path, capsys, monkeypatch, argv, comma
     monkeypatch.setattr(module, name, counting)
     assert main(schema_argv(tmp_path, argv)) in (0, 1)
     assert len(calls) == 1
+
+
+def _construct_verdict(rep):
+    return rep["all_hypotheses_pass"] and float(rep["measured"]["lambda_min"]) >= (
+        float(rep["predicted_lower"])
+        - tolerances.TOL_CONSTRUCT * max(float(rep["predicted_upper"]), 1.0)
+    )
+
+
+# Each grid command, with its files (f family, c control, k operator; a
+# construct takes each twice) and its verdict read from the report.
+GRID_COMMANDS = [
+    (["check-frame"], "fc", lambda r: r["is_frame"]),
+    (["bounds"], "fc", lambda r: r["is_bessel"]),
+    (["atomic"], "fck", lambda r: r["is_atomic"]),
+    (["thm", "4.1"], "fc", lambda r: r["certified"]),
+    (["thm", "4.2"], "fc", lambda r: r["is_frame"]),
+    (["resolutions"], "fc",
+     lambda r: r["right_multiplied"]["converged"] and r["left_multiplied"]["converged"]),
+    (["construct", "direct-sum"], "ffcckk", _construct_verdict),
+]
+GRID_INPUTS = [(s, d) for s in generate.STRUCTURES for d in (1, 2, 6)] + [("rank-one", 3)]
+
+
+@pytest.mark.parametrize("structure, dim", GRID_INPUTS, ids=[f"{s}-{d}" for s, d in GRID_INPUTS])
+def test_failed_verdict_writes_report(tmp_path, capsys, structure, dim):
+    """Every exit 1 writes a report whose verdict is false, except `atomic`
+    on a family that is not Bessel (it has no T_C); every exit 0 a report
+    whose verdict is true; a repeat run writes the same bytes."""
+    if structure == "rank-one":
+        # one item, the projector onto e_1: Bessel, not a frame
+        sub = Subspace(3, np.eye(3, 1, dtype=complex))
+        fam = FrameFamily(3, [(sub, projector(sub), 1.0)])
+        for name, obj in zip("fck", (fam, ControlPair.identity(3), np.eye(3))):
+            (tmp_path / name).write_text(serialize.dumps(serialize.to_json(obj)))
+    else:
+        main(["random", "--seed", "5", "--dim", str(dim), "--items", str(min(dim, 3)),
+              "--structure", structure, "--out", str(tmp_path / "inst")])
+        for name, file in zip("fck", ("family", "control", "k")):
+            (tmp_path / "inst" / f"{file}.json").rename(tmp_path / name)
+    flags = {"f": "--in", "c": "--control", "k": "--k"}
+    is_bessel = None
+    for words, files, verdict in GRID_COMMANDS:
+        argv = words + [a for name in files for a in (flags[name], str(tmp_path / name))]
+        outs = []
+        for out in (tmp_path / "a.json", tmp_path / "b.json"):
+            out.unlink(missing_ok=True)
+            code = main(argv + ["--out", str(out)])
+            err = capsys.readouterr().err
+            outs.append((code, out.read_bytes() if out.exists() else None))
+        assert outs[0] == outs[1], words
+        code, text = outs[0]
+        assert code in (0, 1, 2), (words, err)
+        if text is None:
+            assert (words, code, is_bessel) == (["atomic"], 1, False), err
+            assert err.startswith("verification error:")
+            continue
+        rep = json.loads(text)
+        assert bool(verdict(rep)) == (code == 0), words
+        if words == ["bounds"]:
+            is_bessel = rep["is_bessel"]

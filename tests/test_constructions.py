@@ -14,7 +14,7 @@ from gfusion.errors import (
     WeightMismatch,
 )
 from gfusion.frames import ControlPair, FrameFamily, frame_operator, kgf_bounds
-from gfusion.linalg import Subspace, commutator_residual
+from gfusion.linalg import Subspace, commutator_residual, dsum_op
 
 from conftest import (
     complex_gaussian,
@@ -281,6 +281,52 @@ class TestHeldNorms:
         assert certs["k_x_commutes_with_v"] == commutator_residual(kX, v)
 
 
+class TestNotBessel:
+    """A family that is not Bessel fails its Bessel certificate, placed after
+    the other hypothesis certificates, instead of raising."""
+
+    def families(self, rng):
+        fam = random_family(rng, 3, 2)
+        t, u = well_conditioned(rng, 3), well_conditioned(rng, 3)
+        return fam, ControlPair(t, u), ControlPair(t, t)
+
+    def check(self, rep, names, failing):
+        certs = dict(rep.hypothesis_certificates)
+        assert [n for n, _ in rep.hypothesis_certificates] == names
+        assert {n for n, r in certs.items() if r > 1e-8} >= failing
+        assert not rep.all_hypotheses_pass and not rep.verified
+
+    def test_direct_sum(self, rng):
+        fam, bad, good = self.families(rng)
+        rep = direct_sum_frame(fam, good, np.eye(3), fam, bad, np.eye(3))
+        names = ["h_family_bessel", "x_family_bessel", "frame_operator_block_diagonal"]
+        self.check(rep, names, {"x_family_bessel"})
+        assert dict(rep.hypothesis_certificates)["h_family_bessel"] <= 1e-8
+        assert rep.predicted_lower == -np.inf and rep.measured.lambda_min == -np.inf
+
+    def test_conjugate(self, rng):
+        fam, bad, _ = self.families(rng)
+        rep = conjugate_transform(fam, bad, np.eye(3), fam, bad, np.eye(3), np.eye(3), np.eye(3))
+        names = [
+            "w_adjoint_commutes_with_t", "w_adjoint_commutes_with_t1",
+            "v_adjoint_commutes_with_u", "v_adjoint_commutes_with_u1",
+            "k_h_commutes_with_w", "k_x_commutes_with_v",
+            "h_family_bessel", "x_family_bessel", "frame_operator_conjugated",
+        ]
+        self.check(rep, names, {"h_family_bessel", "x_family_bessel"})
+
+    def test_sum_transform(self, rng):
+        famL, famG = orthogonal_codomain_pair(dim=3)
+        _, bad, _ = self.families(rng)
+        rep = sum_transform(famL, famG, 0.5 * np.eye(3), np.eye(3), bad, np.eye(3))
+        names = [
+            "k_commutes_with_sum", "sum_adjoint_commutes_with_t",
+            "sum_adjoint_commutes_with_u", "cross_terms_gamma_lambda",
+            "cross_terms_lambda_gamma", "lambda_family_bessel", "gamma_family_bessel",
+        ]
+        self.check(rep, names, {"lambda_family_bessel", "gamma_family_bessel"})
+
+
 class TestDirectSumControl:
     def test_no_svd_of_the_sum_control(self, rng, monkeypatch):
         famH = random_family(rng, 3, 2)
@@ -293,6 +339,25 @@ class TestDirectSumControl:
         rep = direct_sum_frame(famH, cpH, np.eye(3), famX, cpX, np.eye(4))
         assert count_equal(seen, rep.control_out.t) == 0
         assert count_equal(seen, rep.control_out.u) == 0
+
+    def test_residual_scale_is_the_larger_block_norm(self, rng, monkeypatch):
+        # ||S_H (+) S_X|| = max(||S_H||, ||S_X||): each block is measured
+        # once and the block-diagonal sum not at all
+        famH = random_family(rng, 3, 2)
+        famX = FrameFamily(4, [
+            (s, l, wt) for (s, l, _), wt in zip(random_family(rng, 4, 2).items, famH.weights)
+        ])
+        cpH, cpX = ControlPair.scalars(3, 0.5, 0.5), ControlPair.scalars(4, 2.0, 2.0)
+        s_h, s_x = frame_operator(famH, cpH), frame_operator(famX, cpX)
+        seen = record_spectral_inputs(monkeypatch)
+        rep = direct_sum_frame(famH, cpH, np.eye(3), famX, cpX, np.eye(4))
+        assert count_equal(seen, s_h) == 1 and count_equal(seen, s_x) == 1
+        assert count_equal(seen, dsum_op(s_h, s_x)) == 0
+        monkeypatch.undo()
+        s_out = frame_operator(rep.family_out, rep.control_out)
+        scale = max(np.linalg.norm(s_h, 2), np.linalg.norm(s_x, 2))
+        residual = np.linalg.norm(s_out - dsum_op(s_h, s_x), 2) / scale
+        assert dict(rep.hypothesis_certificates)["frame_operator_block_diagonal"] == residual
 
     def test_combined_condition_rejected(self):
         # controls 1e7 I and 1e-7 I: each of condition 1, their sum 1e14

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gfusion import generate
+from gfusion.constructions import direct_sum_frame
 from gfusion.errors import DimensionMismatch, NotInvertible, NotPositive
 from gfusion.frames import (
     BlockVector,
@@ -22,6 +23,7 @@ from gfusion.frames import (
     synthesis_matrix,
 )
 from gfusion.linalg import Subspace, dsum_op, gen_rayleigh_min, orth, projector
+from gfusion.resolution import adjoint_check, pair_frame_operator
 
 from conftest import (
     complex_gaussian,
@@ -31,7 +33,16 @@ from conftest import (
     record_svd_inputs,
     scalar_controls,
     scaled_partition_family,
+    well_conditioned,
 )
+
+
+def non_bessel_instance(rng, dim=4):
+    """A random family under two distinct random controls: S is not Hermitian."""
+    fam = random_family(rng, dim, 3)
+    cp = ControlPair(well_conditioned(rng, dim), well_conditioned(rng, dim))
+    assert controlled_frame_bounds(fam, cp).herm_residual > 1e-3
+    return fam, cp
 
 
 class TestFrameSum:
@@ -200,6 +211,15 @@ class TestKgfBounds:
         a, b, ok = kgf_bounds(fam, ControlPair.identity(4), np.zeros((4, 4)))
         assert math.isinf(a)
 
+    def test_not_bessel_is_not_kgf(self, rng):
+        # -inf: no lower bound holds; b is still the top eigenvalue of the
+        # Hermitian part of S
+        fam, cp = non_bessel_instance(rng)
+        s = frame_operator(fam, cp)
+        a, b, ok = kgf_bounds(fam, cp, complex_gaussian(rng, 4, 4))
+        assert (a, ok) == (-math.inf, False)
+        assert b == pytest.approx(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[-1], rel=1e-12)
+
     def test_sampled_lower_bound_holds(self, rng):
         fam = random_family(rng, 5, 3)
         cp = scalar_controls(rng, 5)
@@ -213,6 +233,13 @@ class TestKgfBounds:
 
 
 class TestAtomic:
+    def test_not_bessel_raises(self, rng):
+        # a generic non-Bessel family has no T_C: its cross operators are
+        # not Hermitian
+        fam, cp = non_bessel_instance(rng)
+        with pytest.raises(NotPositive, match="not Hermitian PSD"):
+            atomic_check(fam, cp, np.eye(4))
+
     def test_atomic_for_identity_k(self, rng):
         fam = random_family(rng, 5, 3)
         cp = scalar_controls(rng, 5)
@@ -395,14 +422,26 @@ class TestControlPairExtremes:
             ControlPair(dsum_op(h.t, x.t), dsum_op(h.u, x.u))
 
 
+PARTITION = (scaled_partition_family(4, (1.0, 2.0)), ControlPair.identity(4))
+EYE4 = np.eye(4)
+
+
 @pytest.mark.parametrize("make", [
     lambda: ControlPair.identity(2),
     lambda: scaled_partition_family(4, (1.0, 2.0)),
     lambda: Subspace.full(3),
-], ids=["ControlPair", "FrameFamily", "Subspace"])
+    lambda: BlockVector([np.ones(2)] * 2),
+    lambda: controlled_frame_bounds(*PARTITION),
+    lambda: atomic_check(*PARTITION, EYE4),
+    lambda: direct_sum_frame(*PARTITION, EYE4, *PARTITION, EYE4),
+    lambda: pair_frame_operator(PARTITION[0], EYE4, PARTITION[0], EYE4),
+    lambda: adjoint_check(pair_frame_operator(PARTITION[0], EYE4, PARTITION[0], EYE4)),
+], ids=["ControlPair", "FrameFamily", "Subspace", "BlockVector", "FrameReport", "AtomicReport",
+        "TransformReport", "PairOperator", "AdjointReport"])
 def test_equality_is_identity(make):
     # array fields give no truth value, so == compares identity and never raises
     a, b = make(), make()
     assert (a == b) is False
     assert (a == a) is True
     assert (a != b) is True
+

@@ -7,13 +7,11 @@ from gfusion.errors import (
     InvalidParameters,
     ItemCountMismatch,
     NotAFrame,
-    NotBessel,
-    NotPositive,
-    ResolutionFailed,
 )
 from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily, frame_operator
-from gfusion.linalg import commutator_residual
+from gfusion.linalg import Subspace, commutator_residual, projector
 from gfusion.resolution import (
+    NO_TERMS,
     CanonicalResolutions,
     ResolutionReport,
     _resolution_report,
@@ -34,6 +32,12 @@ from conftest import (
     scalar_controls,
     scaled_partition_family,
 )
+
+
+def rank_one_family():
+    """One item, the projector onto e_1 of C^3: Bessel, not a frame."""
+    sub = Subspace(3, np.eye(3, 1, dtype=complex))
+    return FrameFamily(3, [(sub, projector(sub), 1.0)])
 
 
 class TestPairOperator:
@@ -128,14 +132,14 @@ class TestCanonicalResolutions:
             )
 
     def test_not_a_frame_raises(self):
-        from gfusion.linalg import Subspace, projector
-
-        sub = Subspace(3, np.eye(3, 1, dtype=complex))
-        fam = FrameFamily(3, [(sub, projector(sub), 1.0)])
-        with pytest.raises(NotAFrame):
-            canonical_resolutions(fam, ControlPair.identity(3))
+        # S^-1 raises; the resolutions report that there are no terms
+        fam = rank_one_family()
         with pytest.raises(NotAFrame, match="not invertible at threshold"):
             FrameEvaluation(fam, ControlPair.identity(3)).inverse
+        res = canonical_resolutions(fam, ControlPair.identity(3))
+        assert res == ([], [], NO_TERMS, NO_TERMS)
+        assert NO_TERMS == ResolutionReport(None, 0, False)
+        assert not res.converged
 
     def test_inverse_of_a_frame(self):
         ev = FrameEvaluation(scaled_partition_family(4, (2.0, 5.0)), ControlPair.identity(4))
@@ -179,22 +183,32 @@ class TestInverseCommutation:
         )
 
     def test_noncommuting_controls_rejected(self, rng):
+        # not certified, and every field is measured
         fam = random_family(rng, 4, 3)
         d = np.diag([1.0, 1.0, 2.0, 2.0]).astype(complex)
         cp = ControlPair(d, d)
-        s_inv = np.linalg.inv(frame_operator(fam, cp))
-        comm = np.linalg.norm(s_inv @ d - d @ s_inv, 2)
+        ev = FrameEvaluation(fam, cp)
+        s_inv = ev.inverse
+        comm = commutator_residual(s_inv, d)
         assert comm > 1e-6  # generic family: no accidental commutation
-        with pytest.raises(HypothesisFailed):
-            inverse_commutation_check(fam, cp)
+        rep = inverse_commutation_check(fam, cp)
+        assert not rep.certified
+        assert rep.commutation_residual == comm
+        a, b = ev.bounds.lambda_min, ev.bounds.lambda_max
+        assert rep.predicted_lower == a / b**2 and rep.predicted_upper == b / a**2
+        m = ev.weighted_sum(ev.cross_terms(s_inv @ d, s_inv @ d))
+        ext = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        assert rep.lower == pytest.approx(ext[0], rel=1e-12)
+        assert rep.upper == pytest.approx(ext[-1], rel=1e-12)
+        assert rep.resolution.term_count == 3 and rep.resolution_residual >= 0
 
     def test_not_a_frame(self):
-        from gfusion.linalg import Subspace, projector
-
-        sub = Subspace(3, np.eye(3, 1, dtype=complex))
-        fam = FrameFamily(3, [(sub, projector(sub), 1.0)])
-        with pytest.raises(NotAFrame):
-            inverse_commutation_check(fam, ControlPair.identity(3))
+        # no S^-1 and no lower bound A > 0: nothing of the sandwich
+        rep = inverse_commutation_check(rank_one_family(), ControlPair.identity(3))
+        assert not rep.certified
+        assert rep.resolution is NO_TERMS
+        assert (rep.lower, rep.upper, rep.predicted_lower, rep.predicted_upper) == (None,) * 4
+        assert rep.commutation_residual is None and rep.resolution_residual is None
 
 
 class TestBesselResolution:
@@ -211,10 +225,23 @@ class TestBesselResolution:
         assert rep.lower >= rep.predicted_lower - 1e-9
         assert rep.upper <= rep.predicted_upper + 1e-9
 
-    def test_resolution_failure_raises(self):
+    def test_resolution_failure_is_not_a_frame(self):
+        # the terms sum to S = diag(2, 1.5, 2, 1.5): residual 1; the family
+        # is a frame, but not because of the theorem
         fam = scaled_partition_family(4, (2.0, 1.5))
-        with pytest.raises(ResolutionFailed):
-            bessel_resolution_frame_check(fam, np.eye(4), np.eye(4))
+        rep = bessel_resolution_frame_check(fam, np.eye(4), np.eye(4))
+        assert not rep.is_frame
+        assert rep.resolution_residual == pytest.approx(1.0, rel=1e-12)
+        assert (rep.lower, rep.upper) == pytest.approx((1.5, 2.0), rel=1e-12)
+        assert (rep.predicted_lower, rep.predicted_upper) == pytest.approx((0.5, 2.0), rel=1e-12)
+
+    def test_zero_operators_not_a_frame(self):
+        # B = 0: the predicted lower bound 1/B is inf, and no verdict holds
+        fam = FrameFamily(2, [(Subspace.full(2), np.zeros((2, 2)), 1.0)])
+        rep = bessel_resolution_frame_check(fam, np.eye(2), np.eye(2))
+        assert not rep.is_frame
+        assert rep.resolution_residual == 1.0 and rep.predicted_lower == np.inf
+        assert (rep.lower, rep.upper, rep.predicted_upper) == (0.0, 0.0, 0.0)
 
     def test_random_frame_with_inverse_control(self, rng):
         fam = random_family(rng, 4, 3)
@@ -237,8 +264,11 @@ class TestResolutionResidual:
 
     def test_bessel_resolution_rejects_perturbed_identity(self):
         fam = scaled_partition_family(64, (1.0, 1.0 + 5e-8))
-        with pytest.raises(ResolutionFailed):
-            bessel_resolution_frame_check(fam, np.eye(64), np.eye(64))
+        rep = bessel_resolution_frame_check(fam, np.eye(64), np.eye(64))
+        assert not rep.is_frame
+        assert rep.resolution_residual == pytest.approx(5e-8, rel=1e-6)
+        assert rep.lower == pytest.approx(1.0, rel=1e-12)
+        assert rep.upper == pytest.approx(1.0 + 5e-8, rel=1e-12)
 
 
 class TestCoercivity:
@@ -278,14 +308,17 @@ class TestCoercivity:
         with pytest.raises(InvalidParameters, match="gamma_bessel_bound"):
             coercive_pair_check(pair, bound)
 
-    def test_non_coercive_raises(self):
-        from gfusion.linalg import Subspace, projector
-
-        sub = Subspace(3, np.eye(3, 1, dtype=complex))
-        fam = FrameFamily(3, [(sub, projector(sub), 1.0)])
+    def test_non_coercive_is_not_a_frame(self):
+        # S_pair = diag(1, 0, 0): m = 0, so nothing is predicted
+        fam = rank_one_family()
         pair = pair_frame_operator(fam, np.eye(3), fam, np.eye(3))
-        with pytest.raises(NotPositive):
-            coercive_pair_check(pair, 1.0)
+        rep = coercive_pair_check(pair, 2.0)
+        assert not rep.is_frame
+        assert rep.predicted_lower is None
+        assert rep.m == pytest.approx(0.0, abs=1e-15)
+        assert rep.measured_lower == pytest.approx(0.0, abs=1e-15)
+        assert rep.gamma_bessel_bound == 2.0
+        assert coercive_pair_check(pair).gamma_bessel_bound == pytest.approx(1.0, rel=1e-12)
 
 
 class TestPerturbation:
