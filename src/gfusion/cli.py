@@ -3,8 +3,8 @@
 Every command reads JSON inputs, runs its verification, writes a
 machine-readable report (stdout or --out), and exits 0 when all asserted
 properties pass, 1 on a verification failure (the report is still written),
-and 2 on input or parse errors.  Reports are deterministic functions of
-(inputs, seed, tolerances).
+and 2 on bad input (an `InvalidParameters`).  Reports are deterministic
+functions of (inputs, seed, tolerances).
 
 Each command's contract is one row of `COMMANDS`; the parser, the argument
 check, the loader and `main` all read it.
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
             ok = getattr(rep, row.verdict)
         _write_report(report, args.out)
         return 0 if ok else 1
-    except (ParseError, InvalidParameters) as exc:
+    except InvalidParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GFusionError as exc:

@@ -40,8 +40,8 @@ class HypothesisFailed(GFusionError):
     failed hypothesis is a false verdict in its check's report."""
 
 
-class InvalidParameters(GFusionError):
-    """Bad input: the CLI exits 2 on it."""
+class InvalidParameters(GFusionError, ValueError):
+    """Bad input, rejected where its type is built: the CLI exits 2 on it."""
 
 
 class DimensionMismatch(InvalidParameters):
@@ -60,5 +60,5 @@ class CodomainMismatch(InvalidParameters):
     pass
 
 
-class ParseError(GFusionError):
-    pass
+class ParseError(InvalidParameters):
+    """A malformed input file, or a malformed command line."""

@@ -21,7 +21,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import InvalidParameters
 from .frames import ControlPair, FrameFamily, frame_sum, kgf_bounds
-from .linalg import Subspace, random_unit_columns
+from .linalg import Subspace, random_unit_columns, require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,8 @@ class FourierParams:
             raise InvalidParameters("n_max must be a positive integer")
         if not (1 <= self.m <= self.n_max):
             raise InvalidParameters(f"m must lie in [1, n_max], got {self.m}")
-        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise InvalidParameters(
-                f"alpha and beta must be finite and > 0, got {self.alpha}, {self.beta}"
-            )
+        require_finite_positive("alpha", self.alpha)
+        require_finite_positive("beta", self.beta)
         if self.alpha * self.beta > 1 + tol.TOL_UNIT_PRODUCT:
             raise InvalidParameters(
                 "alpha * beta must be <= 1 for the unit upper bound to hold"
@@ -108,17 +106,14 @@ def verify_fourier(p: FourierParams, trials: int = 100, seed: int = 0) -> Fourie
 
         alpha*beta*||k* x||^2  <=  frame sum  <=  ||x||^2.
     """
-    if trials < 1:
-        raise InvalidParameters("trials must be >= 1")
     fam, cp, k = build_fourier_example(p)
     a_opt, upper, is_kgf = kgf_bounds(fam, cp, k)
     ab = p.alpha * p.beta
     bounds_ok = a_opt >= ab - tol.TOL_SANDWICH and upper <= 1.0 + tol.TOL_SANDWICH
 
-    rng = np.random.default_rng(seed)
     worst_lo = math.inf
     worst_hi = math.inf
-    for x in random_unit_columns(rng, p.dim, trials):
+    for x in random_unit_columns(seed, p.dim, trials):
         fs = frame_sum(fam, cp, x).real
         kx = k.conj().T @ x
         lo_slack = fs - ab * np.vecdot(kx, kx, axis=0).real

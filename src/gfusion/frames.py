@@ -23,6 +23,7 @@ from . import tolerances as tol
 from .errors import (
     DimensionMismatch,
     GFusionError,
+    InvalidParameters,
     NotAFrame,
     NotPositive,
     ZeroDenominator,
@@ -42,6 +43,7 @@ from .linalg import (
     pinv,
     positive_sqrt,
     require_conditioned,
+    require_finite_positive,
     require_invertible,
     within_frobenius,
 )
@@ -59,7 +61,7 @@ class FrameFamily:
             (sub, as_operator(lam), float(w)) for sub, lam, w in items
         )
         if not items:
-            raise ValueError("family must have at least one item")
+            raise InvalidParameters("family must have at least one item")
         for i, (sub, lam, w) in enumerate(items):
             if sub.ambient_dim != ambient_dim:
                 raise DimensionMismatch(
@@ -69,8 +71,7 @@ class FrameFamily:
                 raise DimensionMismatch(
                     f"item {i}: operator cols {lam.shape[1]} != {ambient_dim}"
                 )
-            if not w > 0:
-                raise ValueError(f"item {i}: weight must be positive, got {w}")
+            require_finite_positive(f"item {i}: weight", w)
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "items", items)
 
@@ -239,7 +240,7 @@ class FrameEvaluation:
         self.weights_sq = np.array([w * w for w in fam.weights])
         self.factors = item_factors(fam)
         self.terms = self.cross_terms(cp.t, cp.u)
-        self.s = self.weighted_sum(self.terms)
+        self.s = as_operator(self.weighted_sum(self.terms))  # rejects an overflow
 
     def cross_terms(self, t, u) -> np.ndarray:
         """Stack of (A_j t)* (A_j u), one n x n slice per item."""
@@ -308,7 +309,7 @@ class FrameEvaluation:
         for j, (w, g) in enumerate(zip(self.fam.weights, self.terms)):
             try:
                 blocks.append(w * positive_sqrt(g).conj().T)
-            except (GFusionError, ValueError) as exc:
+            except GFusionError as exc:
                 raise NotPositive(
                     f"item {j}: cross operator is not Hermitian PSD ({exc})"
                 ) from exc

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameters
 from .frames import ControlPair, FrameFamily
-from .linalg import Subspace, opnorm, orth
+from .linalg import Subspace, opnorm, orth, seeded_rng
 
 STRUCTURES = ("generic", "scalar-controls", "parseval", "near-identity-pair")
 
@@ -62,7 +62,7 @@ def random_instance(seed: int, dim: int, item_count: int, structure: str) -> Ins
         raise InvalidParameters(f"unknown structure {structure!r}")
     if structure in ("parseval", "near-identity-pair") and item_count > dim:
         raise InvalidParameters("parseval partition needs item_count <= dim")
-    rng = np.random.default_rng(np.uint64(seed))
+    rng = seeded_rng(seed)
 
     if structure == "parseval":
         fam = _partition_parseval(dim, item_count)

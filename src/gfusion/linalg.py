@@ -15,6 +15,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import (
     DimensionMismatch,
+    InvalidParameters,
     NotHermitian,
     NotInvertible,
     NotPSD,
@@ -29,8 +30,14 @@ def as_operator(a) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatch(f"operator must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("operator entries must be finite")
+        raise InvalidParameters("operator entries must be finite")
     return m
+
+
+def require_finite_positive(name: str, value):
+    """Raise InvalidParameters unless `value` is a finite number > 0."""
+    if not 0 < float(value) < math.inf:
+        raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
 
 
 def as_vector(f) -> np.ndarray:
@@ -45,12 +52,24 @@ def as_vector(f) -> np.ndarray:
 SAMPLE_CHUNK = 1024
 
 
-def random_unit_columns(rng, n: int, trials: int):
-    """Yield `trials` random complex unit vectors of C^n as (n, c) blocks.
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The PCG64 stream of a seed in [0, 2**64); InvalidParameters otherwise."""
+    if not 0 <= seed < 2**64:
+        raise InvalidParameters(f"seed must be in [0, 2**64), got {seed}")
+    return np.random.default_rng(seed)
+
+
+def random_unit_columns(seed: int, n: int, trials: int):
+    """Yield `trials` random complex unit vectors of C^n as (n, c) blocks,
+    drawn from the stream of `seed`.  Before the first, checks trials >= 1
+    and the seed (`seeded_rng`).
 
     Each vector takes n standard normals for its real part, then n for its
     imaginary part: the stream of drawing the vectors one at a time.
     """
+    if trials < 1:
+        raise InvalidParameters(f"trials must be >= 1, got {trials}")
+    rng = seeded_rng(seed)
     for start in range(0, trials, SAMPLE_CHUNK):
         z = rng.standard_normal((min(SAMPLE_CHUNK, trials - start), 2, n))
         x = (z[:, 0] + 1j * z[:, 1]).T
@@ -76,18 +95,16 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
+        b = as_operator(self.basis)
+        if b.shape[0] != self.ambient_dim or b.shape[1] > self.ambient_dim:
             raise DimensionMismatch(
                 f"basis shape {b.shape} inconsistent with ambient dim {self.ambient_dim}"
             )
-        if b.shape[1] > self.ambient_dim:
-            raise DimensionMismatch("more basis vectors than ambient dimension")
         if b.shape[1] > 0:
             gram = b.conj().T @ b
             dev = np.max(np.abs(gram - np.eye(b.shape[1])))
             if dev > tol.TOL_ORTH:
-                raise ValueError(f"basis not orthonormal (Gram deviation {dev:.3e})")
+                raise InvalidParameters(f"basis not orthonormal (Gram deviation {dev:.3e})")
         object.__setattr__(self, "basis", b)
 
     @property
@@ -110,7 +127,7 @@ class SpectralInterval:
 
     def __post_init__(self):
         if self.lambda_min > self.lambda_max:
-            raise ValueError("lambda_min exceeds lambda_max")
+            raise InvalidParameters("lambda_min exceeds lambda_max")
 
 
 def orth(a) -> np.ndarray:

@@ -30,10 +30,12 @@ from .errors import (
 )
 from .frames import ControlPair, FrameEvaluation, FrameFamily, cross_terms, item_factors
 from .linalg import (
+    as_operator,
     commutator_residual,
     hermitian_spectrum,
     opnorm,
     random_unit_columns,
+    require_finite_positive,
     singular_extremes,
 )
 
@@ -78,7 +80,7 @@ def _pair_operator(
 ) -> PairOperator:
     terms = cross_terms(left.t, item_factors(famL), item_factors(famG), right.u)
     s = sum(wL * wG * g for wL, wG, g in zip(famL.weights, famG.weights, terms))
-    return PairOperator(s, famL, famG, left, right)
+    return PairOperator(as_operator(s), famL, famG, left, right)  # rejects an overflow
 
 
 def swapped(pair: PairOperator) -> PairOperator:
@@ -231,12 +233,6 @@ def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionRep
     )
 
 
-def _require_bound(name: str, value: float | None):
-    """A given Bessel bound is a divisor: it must be finite and > 0."""
-    if value is not None and not (0 < value < math.inf):
-        raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
-
-
 @dataclass(frozen=True)
 class CoercivityReport:
     m: float
@@ -254,7 +250,8 @@ def coercive_pair_check(
     where D is the Bessel bound of the right family; D defaults to the
     optimal one, under (u, u).  With m <= 0 nothing is predicted:
     `predicted_lower` is None and `is_frame` is false."""
-    _require_bound("gamma_bessel_bound", gamma_bessel_bound)
+    if gamma_bessel_bound is not None:  # a divisor
+        require_finite_positive("gamma_bessel_bound", gamma_bessel_bound)
     # S_swapped = S_pair*, and both have the same Hermitian part
     m = hermitian_spectrum(pair.matrix).lambda_min
     if gamma_bessel_bound is None:
@@ -309,19 +306,17 @@ def perturbation_check(
         raise InvalidParameters(
             f"one-parameter path requires lambda1 in [0, 1), got {lambda1}"
         )
-    _require_bound("d1", d1)
-    _require_bound("d2", d2)
-    if trials < 1:
-        raise InvalidParameters("trials must be >= 1")
+    for name, bound in (("d1", d1), ("d2", d2)):
+        if bound is not None:  # a divisor
+            require_finite_positive(name, bound)
     s = pair.matrix
     n = s.shape[0]
     sigma_min = singular_extremes(s).sigma_min
     gap = opnorm(np.eye(n) - s)
     spectral_ok = gap <= lambda1 + lambda2 * sigma_min + tol.TOL_PERTURB
 
-    rng = np.random.default_rng(seed)
     worst = math.inf
-    for f in random_unit_columns(rng, n, trials):
+    for f in random_unit_columns(seed, n, trials):
         sf = s @ f
         slack = (
             lambda1

@@ -15,9 +15,20 @@ import math
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NotInvertible, ParseError
 from .frames import ControlPair, FrameFamily
 from .linalg import Subspace, as_operator
+
+
+# What a decoder reports as a ParseError (InvalidParameters is a ValueError)
+MALFORMED = (KeyError, TypeError, ValueError)
+
+
+def _size(d, key) -> int:
+    n = d[key]
+    if type(n) is not int or n < 0:
+        raise ParseError(f"{key} must be a JSON integer >= 0, got {json.dumps(n)}")
+    return n
 
 
 def operator_to_dict(a) -> dict:
@@ -32,20 +43,16 @@ def operator_to_dict(a) -> dict:
 
 def operator_from_dict(d) -> np.ndarray:
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
-        re = np.asarray(d["re"], dtype=float)
-        im = np.asarray(d["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols = _size(d, "rows"), _size(d, "cols")
+        re = np.asarray(d["re"], dtype=float).reshape(rows, cols)
+        im = np.asarray(d["im"], dtype=float).reshape(rows, cols)
+        # assigned part by part: re + 1j * im would turn a -0.0 into 0.0
+        a = np.empty((rows, cols), dtype=complex)
+        a.real = re
+        a.imag = im
+        return as_operator(a)
+    except MALFORMED as exc:
         raise ParseError(f"bad operator object: {exc}") from exc
-    if rows < 0 or cols < 0 or re.size != rows * cols or im.size != rows * cols:
-        raise ParseError(
-            f"operator entry count {re.size}/{im.size} != rows*cols = {rows * cols}"
-        )
-    # assigned part by part: re + 1j * im would turn a -0.0 into 0.0
-    a = np.empty((rows, cols), dtype=complex)
-    a.real = re.reshape(rows, cols)
-    a.imag = im.reshape(rows, cols)
-    return a
 
 
 def subspace_to_dict(m: Subspace) -> dict:
@@ -54,14 +61,9 @@ def subspace_to_dict(m: Subspace) -> dict:
 
 def subspace_from_dict(d) -> Subspace:
     try:
-        n = int(d["ambient_dim"])
-        basis = operator_from_dict(d["basis"])
-    except (KeyError, TypeError) as exc:
+        return Subspace(_size(d, "ambient_dim"), operator_from_dict(d["basis"]))
+    except MALFORMED as exc:
         raise ParseError(f"bad subspace object: {exc}") from exc
-    try:
-        return Subspace(n, basis)
-    except Exception as exc:
-        raise ParseError(f"invalid subspace: {exc}") from exc
 
 
 def family_to_dict(fam: FrameFamily) -> dict:
@@ -79,27 +81,17 @@ def family_to_dict(fam: FrameFamily) -> dict:
 
 
 def family_from_dict(d) -> FrameFamily:
+    where = "family"
     try:
-        n = int(d["ambient_dim"])
-        raw = d["items"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad family object: {exc}") from exc
-    items = []
-    for i, it in enumerate(raw):
-        try:
-            items.append(
-                (
-                    subspace_from_dict(it["subspace"]),
-                    operator_from_dict(it["lambda"]),
-                    float(it["weight"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad family item {i}: {exc}") from exc
-    try:
-        return FrameFamily(n, items)
-    except Exception as exc:
-        raise ParseError(f"invalid family: {exc}") from exc
+        items = []
+        for i, it in enumerate(d["items"]):
+            where = f"family item {i}"
+            sub, lam = subspace_from_dict(it["subspace"]), operator_from_dict(it["lambda"])
+            items.append((sub, lam, it["weight"]))
+        where = "family"
+        return FrameFamily(_size(d, "ambient_dim"), items)
+    except MALFORMED as exc:
+        raise ParseError(f"bad {where}: {exc}") from exc
 
 
 def control_pair_to_dict(cp: ControlPair) -> dict:
@@ -108,14 +100,9 @@ def control_pair_to_dict(cp: ControlPair) -> dict:
 
 def control_pair_from_dict(d) -> ControlPair:
     try:
-        t = operator_from_dict(d["t"])
-        u = operator_from_dict(d["u"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad control pair object: {exc}") from exc
-    try:
-        return ControlPair(t, u)
-    except Exception as exc:
-        raise ParseError(f"invalid control pair: {exc}") from exc
+        return ControlPair(operator_from_dict(d["t"]), operator_from_dict(d["u"]))
+    except (*MALFORMED, NotInvertible) as exc:
+        raise ParseError(f"bad control pair: {exc}") from exc
 
 
 def to_json(value):
@@ -163,11 +150,14 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _not_json(token):
+    raise ParseError(f"{token} is not JSON")
+
+
 def load_json(path):
+    """The JSON value in the file at `path`; NaN, Infinity and -Infinity are not JSON."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+            return json.load(fh, parse_constant=_not_json)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError too
         raise ParseError(f"{path}: {exc}") from exc

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfusion import cli, constructions, fourier, frames, generate, resolution, serialize, tolerances
 from gfusion.cli import main
@@ -814,3 +818,146 @@ def test_failed_verdict_writes_report(tmp_path, capsys, structure, dim):
         assert bool(verdict(rep)) == (code == 0), words
         if words == ["bounds"]:
             is_bessel = rep["is_bessel"]
+
+
+# ---------------------------------------------------------------- bad input
+#
+# Every malformed input is an InvalidParameters, rejected where its type is
+# built: exit 2, one "error:" line, no report, no traceback.
+
+
+def _instance_docs(tmp_path):
+    """The JSON documents of a 4-dim near-identity-pair instance, by file stem."""
+    assert main(["random", "--seed", "5", "--dim", "4", "--items", "2",
+                 "--structure", "near-identity-pair", "--out", str(tmp_path / "inst")]) == 0
+    return {p.stem: json.loads(p.read_text()) for p in (tmp_path / "inst").glob("*.json")}
+
+
+def _set_leaf(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _edit(stem, *path, value):
+    return lambda docs: _set_leaf(docs[stem], path, value)
+
+
+def _nan_k(docs):
+    docs["bad"] = json.loads(json.dumps(docs["k"]))
+    docs["bad"]["re"][0] = math.nan
+
+
+def _one_row_lambda(docs):
+    # a valid 1 x 4 operator, with its row count written as the boolean true
+    docs["family"]["items"][0]["lambda"] = {"rows": True, "cols": 4, "re": [1.0, 0, 0, 0],
+                                            "im": [0.0, 0, 0, 0]}
+
+
+def _write_docs(d, docs, argv):
+    """Write each document to d/<stem>.json (a float nan or inf as the token
+    NaN or Infinity) and return argv with each "@stem" replaced by its path."""
+    for stem, doc in docs.items():
+        (d / f"{stem}.json").write_text(json.dumps(doc))
+    return [str(d / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+
+
+_F, _F2, _C, _PC, _K, _BAD = (f"@{s}" for s in ("family", "family2", "control", "pair_control",
+                                                "k", "bad"))
+_SUM = ["construct", "sum-transform", "--in", _F, "--in", _F, "--control", _C, "--k", _K]
+_CONJ = ["construct", "conjugate", "--in", _F, "--in", _F, "--control", _C, "--control", _C,
+         "--k", _K, "--k", _K]
+_PERTURB = ["thm", "perturb", "--in", _F, "--in", _F2, "--control", _PC, "--lambda1", "0.1",
+            "--lambda2", "0"]
+_CHECK = ["check-frame", "--in", _F, "--control", _C]
+_ATOMIC = ["atomic", "--in", _F, "--control", _C, "--k", _K]
+_RANDOM = ["random", "--dim", "3", "--items", "2"]
+_BASIS = ("items", 0, "subspace", "basis", "re", 0)
+
+# (id, edit of the instance documents, argv; "@stem" names a document's file)
+BAD_INPUTS = [
+    ("k-nan", _edit("k", "re", 0, value=math.nan), _ATOMIC),
+    ("k-infinity", _edit("k", "im", 1, value=math.inf), _ATOMIC),
+    ("k-minus-infinity", _edit("k", "re", 2, value=-math.inf), _ATOMIC),
+    ("sum-transform-v-nan", _nan_k, _SUM + ["--v", _BAD, "--w", _K]),
+    ("sum-transform-w-nan", _nan_k, _SUM + ["--v", _K, "--w", _BAD]),
+    ("conjugate-v-nan", _nan_k, _CONJ + ["--v", _BAD, "--w", _K]),
+    ("conjugate-w-nan", _nan_k, _CONJ + ["--v", _K, "--w", _BAD]),
+    ("items-3", _edit("family", "items", value=3), _CHECK),
+    ("ambient-dim-x", _edit("family", "ambient_dim", value="x"), _CHECK),
+    ("ambient-dim-4.5", _edit("family", "ambient_dim", value=4.5), _CHECK),
+    ("rows-true", _one_row_lambda, _CHECK),
+    ("weight-infinity", _edit("family", "items", 0, "weight", value=math.inf), _CHECK),
+    ("basis-nan", _edit("family", *_BASIS, value=math.nan), _CHECK),
+    ("random-seed-negative", None, _RANDOM + ["--seed", "-1"]),
+    ("random-seed-2**64", None, _RANDOM + ["--seed", str(2**64)]),
+    ("perturb-seed-negative", None, _PERTURB + ["--seed", "-1"]),
+    ("fourier-seed-negative", None, ["fourier-demo", "--nmax", "4", "--m", "2", "--alpha", "0.5",
+                                     "--beta", "0.5", "--seed", "-5"]),
+]
+
+
+@pytest.mark.parametrize("edit, argv", [row[1:] for row in BAD_INPUTS],
+                         ids=[row[0] for row in BAD_INPUTS])
+def test_bad_input_exit_2(tmp_path, capsys, edit, argv):
+    docs = _instance_docs(tmp_path)
+    if edit is not None:
+        edit(docs)
+    out = tmp_path / "report"
+    argv = _write_docs(tmp_path, docs, argv)
+    capsys.readouterr()
+    code = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _leaves(doc, path=()):
+    """Paths to the scalars of a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path
+
+
+# A valid 3-dim instance, as `gfusion random` writes it, and every leaf of it.
+_BASE_INSTANCE = generate.random_instance(5, 3, 3, "scalar-controls")
+_BASE = {stem: serialize.to_json(getattr(_BASE_INSTANCE, stem))
+         for stem in ("family", "control", "k")}
+_LEAVES = [(stem, path) for stem, doc in _BASE.items() for path in _leaves(doc)]
+_REPLACEMENTS = [math.nan, math.inf, -1, 0, 4.5, "x", [], {}, None, True, 1e308]
+_MUTATION_COMMANDS = [(_CHECK, lambda r: r["is_frame"]),
+                      (_ATOMIC, lambda r: r["is_atomic"]),
+                      (["thm", "4.2", "--in", _F, "--control", _C], lambda r: r["is_frame"])]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(leaf=st.sampled_from(_LEAVES), value=st.sampled_from(_REPLACEMENTS))
+def test_mutated_input_exits_with_a_verdict_or_2(tmp_path_factory, leaf, value):
+    """One leaf of a valid instance replaced by a bad or odd value: no
+    exception escapes `main`; exit 2 writes an "error:" line and no report,
+    exit 0 or 1 a report whose verdict agrees (or, for `atomic` on a family
+    that is not Bessel, exit 1 with a "verification error:" line)."""
+    d = tmp_path_factory.mktemp("mutated")
+    docs = json.loads(json.dumps(_BASE))
+    stem, path = leaf
+    _set_leaf(docs[stem], path, value)
+    out = d / "report.json"
+    for argv, verdict in _MUTATION_COMMANDS:
+        out.unlink(missing_ok=True)
+        argv = _write_docs(d, docs, argv)
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = main(argv + ["--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (argv, err)
+        if code == 2:
+            assert err.startswith("error: ") and not out.exists(), (argv, err)
+        elif out.exists():
+            assert bool(verdict(json.loads(out.read_text()))) == (code == 0), argv
+        else:
+            assert argv[0] == "atomic" and err.startswith("verification error:"), (argv, err)

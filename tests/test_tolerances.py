@@ -106,6 +106,50 @@ def test_cli_guard_sees_verdict_code():
     assert cli_verdict_sites(source) == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
+def bad_input_sites(source):
+    """Line numbers of `except Exception` (alone or in a tuple), a bare
+    `except:`, and `raise ValueError`: bad input is an InvalidParameters."""
+    def names(node):
+        return [n.id for n in ast.walk(node) if isinstance(n, ast.Name)] if node else []
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and (
+            node.type is None or {"Exception", "BaseException"} & set(names(node.type))
+        ):
+            found.add(node.lineno)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_one_bad_input_channel():
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in bad_input_sites(path.read_text())
+    ]
+    assert sites == [], f"bad input is raised as InvalidParameters and caught by name: {sites}"
+
+
+def test_bad_input_guard_sees_each_form():
+    source = "\n".join([
+        "try:",
+        "    x = f()",
+        "except Exception as exc:",
+        "    raise ValueError('bad') from exc",
+        "except (KeyError, Exception):",
+        "    raise ValueError",
+        "except:",
+        "    raise InvalidParameters('bad')",
+        "except (KeyError, TypeError, ValueError):",
+        "    pass",
+    ])
+    assert bad_input_sites(source) == [3, 4, 5, 6, 7]
+
+
 def current():
     return {name: getattr(tol, name.upper()) for name in tol.OVERRIDABLE}
 
