@@ -17,6 +17,8 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import constructions, fourier, frames, generate, resolution, serialize
 from . import tolerances as tol
 from .errors import GFusionError, InvalidParameters, ParseError
@@ -25,11 +27,14 @@ from .frames import ControlPair
 
 def _write_report(report: dict, out_path):
     text = serialize.dumps(report)
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a bad --out is bad input
+        raise InvalidParameters(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 class Command(NamedTuple):
@@ -156,7 +161,10 @@ def _load(args):
 def cmd_random(args):
     """Writes the instance files to --out; there is no report."""
     inst = generate.random_instance(args.seed, args.dim, args.items, args.structure)
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameters(f"cannot make directory {args.out_dir}: {exc.strerror}") from exc
 
     def write(name, obj):
         _write_report(serialize.to_json(obj), os.path.join(args.out_dir, name))
@@ -221,8 +229,10 @@ def main(argv=None) -> int:
             if not sep:
                 raise ParseError(f"--tol expects name=value, got {spec!r}")
             overrides[name] = value
-        # loading runs under the override too: a ControlPair checks COND_MAX
-        with tol.override(**overrides):
+        # loading runs under the override too: a ControlPair checks COND_MAX.
+        # An input whose products overflow is rejected by as_operator with
+        # one error line, so numpy's overflow warnings are not printed.
+        with tol.override(**overrides), np.errstate(over="ignore", invalid="ignore"):
             rep = row.call(*_load(args), **params)
             report = {"command": "-".join(words), **serialize.to_json(rep)}
             ok = getattr(rep, row.verdict)

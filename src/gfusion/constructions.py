@@ -27,6 +27,7 @@ from .linalg import (
     commutator_residual,
     dsum_op,
     dsum_subspace,
+    frozen,
     opnorm,
     require_invertible,
     subspace_image,
@@ -161,8 +162,10 @@ def sum_transform(
     ]
     # Both families are applied through famL's bases: A_j = C_j B_j*, and the
     # output operators (L_j + G_j) P_j r* are (C_Lj + C_Gj)(B_j* r*).
-    fL = evL.factors
-    fG = [(b, lamG @ b) for (b, _), (_, lamG, _) in zip(fL, famG.items)]
+    fL = famL.factors
+    fG = FrameFamily(famL.ambient_dim, [
+        (sub, lamG, wt) for (sub, _, wt), (_, lamG, _) in zip(famL.items, famG.items)
+    ]).factors
     # Cross-orthogonality: both sesquilinear forms vanish for all f iff the
     # assembled matrices (A_L r* t)* (A_G r* u) and (A_G r* t)* (A_L r* u)
     # vanish (complex polarization).
@@ -180,7 +183,7 @@ def sum_transform(
         scale = max(opnorm(cL @ br) * opnorm(cG @ br) * control_scale, 1e-300)
         cross1 = max(cross1, opnorm(g1) / scale)
         cross2 = max(cross2, opnorm(g2) / scale)
-        items_out.append((subspace_image(r, sub), (cL + cG) @ br, wt))
+        items_out.append((subspace_image(r, sub), frozen((cL + cG) @ br), wt))
     certs.append(Certificate("cross_terms_gamma_lambda", cross1))
     certs.append(Certificate("cross_terms_lambda_gamma", cross2))
     fam_out = FrameFamily(famL.ambient_dim, items_out)
@@ -266,9 +269,8 @@ def conjugate_transform(
     ]
     wv = dsum_op(w, v)
     items_out = []
-    for sub, lam, wt in fam_sum.items:
-        b = sub.basis
-        lam_out = (lam @ b) @ (b.conj().T @ wv.conj().T)
+    for (sub, _, wt), (b, c) in zip(fam_sum.items, fam_sum.factors):
+        lam_out = frozen(c @ (b.conj().T @ wv.conj().T))
         items_out.append((subspace_image(wv, sub), lam_out, wt))
     fam_out = FrameFamily(fam_sum.ambient_dim, items_out)
     s_expected = wv @ dsum_op(evH.s, evX.s) @ wv.conj().T

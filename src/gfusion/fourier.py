@@ -21,7 +21,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import InvalidParameters
 from .frames import ControlPair, FrameFamily, frame_sum, kgf_bounds
-from .linalg import Subspace, random_unit_columns, require_finite_positive
+from .linalg import Subspace, frozen, random_unit_columns, require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,14 @@ def build_fourier_example(p: FourierParams):
             basis = np.zeros((d, p.m), dtype=complex)
             for col, idx in enumerate(range(1, p.m + 1)):
                 basis[coord_index(p, idx), col] = 1.0
-            sub = Subspace(d, basis)
             lam = np.zeros((d, d), dtype=complex)
             for idx in range(1, p.m + 1):
                 lam[coord_index(p, idx), coord_index(p, idx)] = 1.0
         else:
-            e = np.zeros((d, 1), dtype=complex)
-            e[coord_index(p, n), 0] = 1.0
-            sub = Subspace(d, e)
+            basis = np.zeros((d, 1), dtype=complex)
+            basis[coord_index(p, n), 0] = 1.0
             lam = np.zeros((1, d), dtype=complex)
-        items.append((sub, lam, 1.0))
+        items.append((Subspace(d, frozen(basis)), frozen(lam), 1.0))
     fam = FrameFamily(d, items)
     cp = ControlPair.scalars(d, p.alpha, p.beta)
     k = np.zeros((d, d), dtype=complex)

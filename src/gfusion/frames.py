@@ -37,11 +37,13 @@ from .linalg import (
     as_vector,
     dsum_extremes,
     dsum_op,
+    frozen,
     gen_rayleigh_min,
     hermitian_spectrum,
     opnorm,
     pinv,
     positive_sqrt,
+    read_only,
     require_conditioned,
     require_finite_positive,
     require_invertible,
@@ -51,14 +53,19 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class FrameFamily:
-    """Indexed triples (subspace, operator into the component space, weight)."""
+    """Indexed triples (subspace, operator into the component space, weight).
+
+    Immutable: each operator is held read-only (`linalg.read_only`), as is
+    each subspace's basis, so the control-independent algebra (`factors`,
+    `stacked_conj_basis`) is computed on first use and kept.
+    """
 
     ambient_dim: int
     items: tuple
 
     def __init__(self, ambient_dim: int, items):
         items = tuple(
-            (sub, as_operator(lam), float(w)) for sub, lam, w in items
+            (sub, read_only(lam), float(w)) for sub, lam, w in items
         )
         if not items:
             raise InvalidParameters("family must have at least one item")
@@ -84,6 +91,26 @@ class FrameFamily:
 
     def block_dims(self):
         return tuple(lam.shape[0] for _, lam, _ in self.items)
+
+    @cached_property
+    def factors(self) -> tuple:
+        """Per-item factors (B_j, C_j = L_j B_j), read-only, B_j the
+        orthonormal basis of W_j.
+
+        The item operator L_j P_j equals C_j B_j*, so no n x n projector is
+        formed.  This is the one place C_j is formed.
+        """
+        return tuple((sub.basis, frozen(lam @ sub.basis)) for sub, lam, _ in self.items)
+
+    @cached_property
+    def stacked_conj_basis(self) -> tuple:
+        """(conj([B_1 ... B_m]), offsets), read-only: for a row x^T, the
+        coordinates B_j* x of item j are columns offsets[j]:offsets[j + 1]
+        of x^T conj([B_1 ... B_m])."""
+        bases = [sub.basis for sub, _, _ in self.items]
+        offsets = np.cumsum([0] + [b.shape[1] for b in bases]).tolist()
+        stacked = np.hstack(bases)
+        return frozen(np.conjugate(stacked, out=stacked)), tuple(offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,14 +224,6 @@ def _check_dims(fam: FrameFamily, cp: ControlPair):
         )
 
 
-def item_factors(fam: FrameFamily) -> list:
-    """Per-item factors (B_j, C_j = L_j B_j), B_j the orthonormal basis of W_j.
-
-    The item operator L_j P_j equals C_j B_j*, so no n x n projector is formed.
-    """
-    return [(sub.basis, lam @ sub.basis) for sub, lam, _ in fam.items]
-
-
 def cross_terms(t, left, right, u) -> np.ndarray:
     """Stack of (t* B_j)(C_j* C'_j)(B'_j* u) over the factor lists `left`
     (B_j, C_j) and `right` (B'_j, C'_j): slice j is (A_j t)* (A'_j u) with
@@ -219,32 +238,33 @@ def cross_terms(t, left, right, u) -> np.ndarray:
 
 def item_cross_operator(sub: Subspace, lam, cp: ControlPair) -> np.ndarray:
     """Single term t* P L* L P u (weight excluded)."""
-    factors = [(sub.basis, as_operator(lam) @ sub.basis)]
+    factors = FrameFamily(sub.ambient_dim, [(sub, lam, 1.0)]).factors
     return cross_terms(cp.t, factors, factors, cp.u)[0]
 
 
 class FrameEvaluation:
     """A family under a control pair, evaluated once for one public call.
 
-    Holds the per-item factors (B_j, C_j) of A_j = L_j P_j = C_j B_j*, the
-    cross operators G_j = (A_j t)* (A_j u) stacked as `terms`, and
-    S = sum_j v_j^2 G_j.  The norms, the Hermitian residual, the spectrum,
-    S^-1, the bounds report and the synthesis operator T_C (the only holder
-    of the per-item square roots) are computed on first use.  Nothing
-    outlives the call that built it: families hold mutable arrays.
+    Holds the cross operators G_j = (A_j t)* (A_j u) stacked as `terms`,
+    built from the family's own factors (B_j, C_j) of A_j = L_j P_j =
+    C_j B_j* (`FrameFamily.factors`, shared by every evaluation of the
+    family), and S = sum_j v_j^2 G_j.  The norms, the Hermitian residual,
+    the spectrum, S^-1, the bounds report and the synthesis operator T_C
+    (the only holder of the per-item square roots) are computed on first
+    use.  What depends on the control pair is not kept on the family: an
+    evaluation lives as long as the call that built it.
     """
 
     def __init__(self, fam: FrameFamily, cp: ControlPair):
         _check_dims(fam, cp)
         self.fam = fam
         self.weights_sq = np.array([w * w for w in fam.weights])
-        self.factors = item_factors(fam)
         self.terms = self.cross_terms(cp.t, cp.u)
         self.s = as_operator(self.weighted_sum(self.terms))  # rejects an overflow
 
     def cross_terms(self, t, u) -> np.ndarray:
         """Stack of (A_j t)* (A_j u), one n x n slice per item."""
-        return cross_terms(t, self.factors, self.factors, u)
+        return cross_terms(t, self.fam.factors, self.fam.factors, u)
 
     def weighted(self, stack) -> np.ndarray:
         """Scale slice j of `stack` by v_j^2 in place; returns `stack`."""
@@ -372,10 +392,10 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f):
     """Literal sum  sum_j v_j^2 <L_j P_j u f, L_j P_j t f>.
 
     `f` is one vector of shape (n,), giving a complex number, or a block of
-    k column vectors of shape (n, k), giving the k sums as an array.  Each
-    L_j P_j is applied through the basis B_j of W_j, in the association with
-    fewer flops: as C_j B_j* with C_j = L_j B_j when dim W_j < 2k,
-    otherwise as L_j (B_j (B_j* .)).
+    k column vectors of shape (n, k), giving the k sums as an array.  One
+    product with the family's stacked conjugate basis gives every item's
+    coordinates B_j* t f and B_j* u f; each L_j P_j is then applied as
+    C_j B_j* with the family's C_j = L_j B_j.
     """
     _check_dims(fam, cp)
     f = np.asarray(f, dtype=complex)
@@ -388,14 +408,11 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f):
     # rows: the k vectors t f, then the k vectors u f; each per-item sum
     # then runs along contiguous memory
     rows = np.concatenate((cp.t @ block, cp.u @ block), axis=1).T
+    conj_basis, offsets = fam.stacked_conj_basis
+    coords = rows @ conj_basis
     total = np.zeros(k, dtype=complex)
-    for sub, lam, w in fam.items:
-        b = sub.basis
-        coords = rows @ b.conj()
-        if b.shape[1] < 2 * k:
-            a = coords @ (lam @ b).T
-        else:
-            a = (coords @ b.T) @ lam.T
+    for (_, c), w, lo, hi in zip(fam.factors, fam.weights, offsets, offsets[1:]):
+        a = coords[:, lo:hi] @ c.T
         total += w * w * np.vecdot(a[:k], a[k:])
     return complex(total[0]) if f.ndim == 1 else total
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameters
 from .frames import ControlPair, FrameFamily
-from .linalg import Subspace, opnorm, orth, seeded_rng
+from .linalg import Subspace, frozen, opnorm, orth, seeded_rng
 
 STRUCTURES = ("generic", "scalar-controls", "parseval", "near-identity-pair")
 
@@ -32,7 +32,7 @@ def _complex_gaussian(rng, rows, cols):
 
 def _random_subspace(rng, dim):
     d = int(rng.integers(1, dim + 1))
-    return Subspace(dim, orth(_complex_gaussian(rng, dim, d)))
+    return Subspace(dim, frozen(orth(_complex_gaussian(rng, dim, d))))
 
 
 def _well_conditioned(rng, dim, spread=0.3):
@@ -48,8 +48,8 @@ def _partition_parseval(dim, item_count):
         basis = np.zeros((dim, len(idx)), dtype=complex)
         for col, i in enumerate(idx):
             basis[i, col] = 1.0
-        sub = Subspace(dim, basis)
-        items.append((sub, basis @ basis.conj().T, 1.0))
+        sub = Subspace(dim, frozen(basis))
+        items.append((sub, frozen(basis @ basis.conj().T), 1.0))
     return FrameFamily(dim, items)
 
 
@@ -87,7 +87,7 @@ def random_instance(seed: int, dim: int, item_count: int, structure: str) -> Ins
     for _ in range(item_count):
         sub = _random_subspace(rng, dim)
         rows = int(rng.integers(1, dim + 1))
-        lam = _complex_gaussian(rng, rows, dim) / np.sqrt(dim)
+        lam = frozen(_complex_gaussian(rng, rows, dim) / np.sqrt(dim))
         weight = float(rng.uniform(0.5, 2.0))
         items.append((sub, lam, weight))
     fam = FrameFamily(dim, items)

@@ -1,7 +1,8 @@
 """Dense complex linear-algebra substrate.
 
 Operators are plain 2-D complex numpy arrays.  Everything here is a pure
-function; inputs are never mutated.
+function; inputs are never mutated.  The arrays a `Subspace` or a family
+holds are read-only (`read_only`, `frozen`).
 """
 
 from __future__ import annotations
@@ -29,9 +30,41 @@ def as_operator(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"operator must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
         raise InvalidParameters("operator entries must be finite")
     return m
+
+
+def frozen(m: np.ndarray) -> np.ndarray:
+    """Mark an array this library made, and each array its memory comes
+    from, read-only in place; returns `m`."""
+    a = m
+    while isinstance(a, np.ndarray):
+        a.flags.writeable = False
+        a = a.base
+    return m
+
+
+def _unwritable(m: np.ndarray) -> bool:
+    """Nothing can write m: it and each array its memory comes from are
+    read-only, down to the one that owns the memory."""
+    while isinstance(m, np.ndarray):
+        if m.flags.writeable:
+            return False
+        m = m.base
+    return m is None
+
+
+def read_only(a) -> np.ndarray:
+    """`as_operator(a)` as an array that nothing can write.
+
+    An array converted here (from a list or a real array) and an array
+    already unwritable are frozen in place; any other may share memory with
+    the caller's and is copied once.
+    """
+    m = as_operator(a)
+    fresh = m is not a and m.base is None
+    return frozen(m if fresh or _unwritable(m) else m.copy())
 
 
 def require_finite_positive(name: str, value):
@@ -86,7 +119,8 @@ def opnorm(a) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Closed subspace of C^n given by an orthonormal basis (columns).
+    """Closed subspace of C^n given by an orthonormal basis (columns),
+    held read-only (`read_only`).
 
     An empty basis (shape (n, 0)) is the zero subspace.
     """
@@ -95,7 +129,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = as_operator(self.basis)
+        b = read_only(self.basis)
         if b.shape[0] != self.ambient_dim or b.shape[1] > self.ambient_dim:
             raise DimensionMismatch(
                 f"basis shape {b.shape} inconsistent with ambient dim {self.ambient_dim}"
@@ -113,11 +147,11 @@ class Subspace:
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, np.eye(n, dtype=complex))
+        return Subspace(n, frozen(np.eye(n, dtype=complex)))
 
     @staticmethod
     def zero(n: int) -> "Subspace":
-        return Subspace(n, np.zeros((n, 0), dtype=complex))
+        return Subspace(n, frozen(np.zeros((n, 0), dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -243,7 +277,7 @@ def subspace_image(r, m: Subspace) -> Subspace:
         )
     if m.dim == 0:
         return Subspace.zero(r.shape[0])
-    return Subspace(r.shape[0], orth(r @ m.basis))
+    return Subspace(r.shape[0], frozen(orth(r @ m.basis)))
 
 
 class SingularExtremes(NamedTuple):
@@ -378,13 +412,13 @@ def douglas_factor(s, v):
 
 
 def dsum_op(r, v) -> np.ndarray:
-    """Block-diagonal direct sum of two operators."""
+    """Block-diagonal direct sum of two operators, read-only."""
     r = as_operator(r)
     v = as_operator(v)
     out = np.zeros((r.shape[0] + v.shape[0], r.shape[1] + v.shape[1]), dtype=complex)
     out[: r.shape[0], : r.shape[1]] = r
     out[r.shape[0] :, r.shape[1] :] = v
-    return out
+    return frozen(out)
 
 
 def dsum_subspace(m: Subspace, n: Subspace) -> Subspace:
@@ -392,4 +426,4 @@ def dsum_subspace(m: Subspace, n: Subspace) -> Subspace:
     nm, nn = m.ambient_dim, n.ambient_dim
     top = np.vstack([m.basis, np.zeros((nn, m.dim), dtype=complex)])
     bot = np.vstack([np.zeros((nm, n.dim), dtype=complex), n.basis])
-    return Subspace(nm + nn, np.hstack([top, bot]))
+    return Subspace(nm + nn, frozen(np.hstack([top, bot])))

@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameters,
     ItemCountMismatch,
 )
-from .frames import ControlPair, FrameEvaluation, FrameFamily, cross_terms, item_factors
+from .frames import ControlPair, FrameEvaluation, FrameFamily, cross_terms
 from .linalg import (
     as_operator,
     commutator_residual,
@@ -78,7 +78,7 @@ def pair_frame_operator(
 def _pair_operator(
     famL: FrameFamily, left: ControlPair, famG: FrameFamily, right: ControlPair
 ) -> PairOperator:
-    terms = cross_terms(left.t, item_factors(famL), item_factors(famG), right.u)
+    terms = cross_terms(left.t, famL.factors, famG.factors, right.u)
     s = sum(wL * wG * g for wL, wG, g in zip(famL.weights, famG.weights, terms))
     return PairOperator(as_operator(s), famL, famG, left, right)  # rejects an overflow
 

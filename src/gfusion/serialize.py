@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotInvertible, ParseError
 from .frames import ControlPair, FrameFamily
-from .linalg import Subspace, as_operator
+from .linalg import Subspace, as_operator, frozen
 
 
 # What a decoder reports as a ParseError (InvalidParameters is a ValueError)
@@ -50,7 +50,7 @@ def operator_from_dict(d) -> np.ndarray:
         a = np.empty((rows, cols), dtype=complex)
         a.real = re
         a.imag = im
-        return as_operator(a)
+        return frozen(as_operator(a))
     except MALFORMED as exc:
         raise ParseError(f"bad operator object: {exc}") from exc
 

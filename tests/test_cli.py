@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -894,6 +895,9 @@ BAD_INPUTS = [
     ("perturb-seed-negative", None, _PERTURB + ["--seed", "-1"]),
     ("fourier-seed-negative", None, ["fourier-demo", "--nmax", "4", "--m", "2", "--alpha", "0.5",
                                      "--beta", "0.5", "--seed", "-5"]),
+    # an --out that cannot be written: a missing directory, an existing file
+    ("out-missing-directory", None, _CHECK + ["--out", "@nodir/report"]),
+    ("random-out-existing-file", None, _RANDOM + ["--seed", "1", "--out", _F]),
 ]
 
 
@@ -905,8 +909,10 @@ def test_bad_input_exit_2(tmp_path, capsys, edit, argv):
         edit(docs)
     out = tmp_path / "report"
     argv = _write_docs(tmp_path, docs, argv)
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
     capsys.readouterr()
-    code = main(argv + ["--out", str(out)])
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
@@ -934,15 +940,14 @@ _MUTATION_COMMANDS = [(_CHECK, lambda r: r["is_frame"]),
                       (["thm", "4.2", "--in", _F, "--control", _C], lambda r: r["is_frame"])]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(leaf=st.sampled_from(_LEAVES), value=st.sampled_from(_REPLACEMENTS))
 def test_mutated_input_exits_with_a_verdict_or_2(tmp_path_factory, leaf, value):
     """One leaf of a valid instance replaced by a bad or odd value: no
-    exception escapes `main`; exit 2 writes an "error:" line and no report,
-    exit 0 or 1 a report whose verdict agrees (or, for `atomic` on a family
-    that is not Bessel, exit 1 with a "verification error:" line)."""
+    exception escapes `main` and no warning is emitted; exit 2 writes one
+    "error:" line and no report, exit 0 or 1 a report whose verdict agrees
+    (or, for `atomic` on a family that is not Bessel, exit 1 with a
+    "verification error:" line)."""
     d = tmp_path_factory.mktemp("mutated")
     docs = json.loads(json.dumps(_BASE))
     stem, path = leaf
@@ -951,12 +956,16 @@ def test_mutated_input_exits_with_a_verdict_or_2(tmp_path_factory, leaf, value):
     for argv, verdict in _MUTATION_COMMANDS:
         out.unlink(missing_ok=True)
         argv = _write_docs(d, docs, argv)
-        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        with contextlib.redirect_stderr(io.StringIO()) as stderr, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv + ["--out", str(out)])
         err = stderr.getvalue()
+        assert not caught, (argv, [str(w.message) for w in caught])
         assert code in (0, 1, 2), (argv, err)
         if code == 2:
-            assert err.startswith("error: ") and not out.exists(), (argv, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert not out.exists(), argv
         elif out.exists():
             assert bool(verdict(json.loads(out.read_text()))) == (code == 0), argv
         else:

@@ -371,6 +371,53 @@ class TestValidation:
             ControlPair(np.ones((2, 3)), np.ones((2, 3)))
 
 
+class TestImmutableFamily:
+    """A family and its subspaces hold read-only arrays that nothing outside
+    the family can write, so its cached factors stay valid."""
+
+    def family(self, rng):
+        n = 5
+        basis = orth(complex_gaussian(rng, n, 2))
+        lam = complex_gaussian(rng, 3, n)
+        items = [(Subspace(n, basis), lam, 1.2), (Subspace.full(n), np.eye(n), 0.7)]
+        return FrameFamily(n, items), basis, lam
+
+    def test_arrays_are_read_only(self, rng):
+        fam, _, _ = self.family(rng)
+        b, c = fam.factors[0]
+        conj_basis, _ = fam.stacked_conj_basis
+        for array in (fam.items[0][1], fam.items[0][0].basis, b, c, conj_basis):
+            with pytest.raises(ValueError):
+                array[0, 0] = 7.0
+
+    def test_caller_arrays_are_not_shared(self, rng):
+        fam, basis, lam = self.family(rng)
+        cp = ControlPair(well_conditioned(rng, 5), well_conditioned(rng, 5))
+        f = complex_gaussian(rng, 5)
+        s, value = frame_operator(fam, cp), frame_sum(fam, cp, f)
+        basis[:] = 0.0
+        lam[:] = 1e3
+        assert np.array_equal(frame_operator(fam, cp), s)
+        assert frame_sum(fam, cp, f) == value
+
+    def test_factors_formed_once(self, rng):
+        fam, _, lam = self.family(rng)
+        assert fam.factors is fam.factors
+        assert fam.stacked_conj_basis is fam.stacked_conj_basis
+        b, c = fam.factors[0]
+        assert b is fam.items[0][0].basis
+        assert np.array_equal(c, lam @ b)
+
+    def test_converted_and_frozen_inputs_are_not_copied(self):
+        real = np.eye(3, 2)
+        sub = Subspace(3, real)
+        assert not sub.basis.flags.writeable and real.flags.writeable
+        fam = generate.random_instance(3, 4, 2, "generic").family
+        again = FrameFamily(4, fam.items)
+        for (sub, lam, _), (sub2, lam2, _) in zip(fam.items, again.items):
+            assert lam2 is lam and sub2.basis is sub.basis
+
+
 class TestControlPairExtremes:
     def test_keeps_singular_extremes_of_its_check(self, rng):
         t = np.eye(4) + 0.3 * complex_gaussian(rng, 4, 4)

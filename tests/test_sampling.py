@@ -8,7 +8,8 @@ bounds read from singular extremes must agree with the inverse-norm
 formulas they replace, and the synthesis operator T_C with the per-item
 square-root loop it replaces.  No module but `linalg` forms a projector,
 calls an eigensolver or takes singular values; S^-1 is the one inverse
-formed, T_C the one holder of the roots, and one `eigh` gates PSD spectra.
+formed, T_C the one holder of the roots, one `eigh` gates PSD spectra, and
+`FrameFamily.factors` is the one place an item operator is multiplied.
 """
 
 import ast
@@ -116,6 +117,46 @@ def test_frame_sum_rejects_three_dimensional_input():
     fam = scaled_partition_family(4, (1.0, 2.0))
     with pytest.raises(DimensionMismatch):
         frame_sum(fam, ControlPair.identity(4), np.ones((4, 2, 2)))
+
+
+def projector_frame_sums(fam, cp, block):
+    """sum_j v_j^2 <L_j P_j u f, L_j P_j t f> per column f, through the
+    n x n projectors."""
+    total = np.zeros(block.shape[1], dtype=complex)
+    for sub, lam, w in fam.items:
+        a = lam @ projector(sub)
+        total += w * w * np.einsum("ik,ik->k", (a @ cp.t @ block).conj(), a @ cp.u @ block)
+    return total
+
+
+def frame_sum_families():
+    """Families with zero subspaces, full subspaces and 1 x d zero
+    operators, each under non-normal controls."""
+    rng = np.random.default_rng(4242)
+    n = 6
+    cp = ControlPair(np.eye(n) + np.triu(complex_gaussian(rng, n, n), 1), well_conditioned(rng, n))
+    mixed = FrameFamily(n, [
+        (Subspace.zero(n), complex_gaussian(rng, 3, n), 1.5),
+        (Subspace.full(n), complex_gaussian(rng, n, n), 0.8),
+        (random_subspace(rng, n, 2), np.zeros((1, n)), 1.0),
+        (random_subspace(rng, n, 4), complex_gaussian(rng, 2, n), 0.6),
+    ])
+    zeros = FrameFamily(n, [(Subspace.zero(n), complex_gaussian(rng, 2, n), 1.0)] * 2)
+    fourier, scalars, _ = build_fourier_example(FourierParams(3, 2, 0.5, 0.9))
+    return [(mixed, cp), (zeros, cp), (fourier, scalars)]
+
+
+@pytest.mark.parametrize("fam, cp", frame_sum_families(), ids=["mixed", "zero", "fourier"])
+@pytest.mark.parametrize("k", [None, 1, 5])
+def test_frame_sum_matches_projector_form(fam, cp, k):
+    rng = np.random.default_rng(7)
+    n = fam.ambient_dim
+    f = complex_gaussian(rng, n) if k is None else complex_gaussian(rng, n, k)
+    got = frame_sum(fam, cp, f)
+    ref = projector_frame_sums(fam, cp, f.reshape(n, -1))
+    scale = max(opnorm(frame_operator(fam, cp)) * np.linalg.norm(f) ** 2, 1e-300)
+    assert np.max(np.abs(got - (ref[0] if k is None else ref))) <= 1e-12 * scale
+    assert isinstance(got, complex) if k is None else got.shape == (k,)
 
 
 def reference_fourier_slacks(p, trials, seed):
@@ -357,6 +398,51 @@ def test_no_projector_outside_linalg():
 def test_projector_guard_sees_both_call_forms():
     source = "p = projector(sub)\nq = linalg.projector(sub) @ x\nprojector_calls = 1\n"
     assert call_lines(source, {"projector"}) == [1, 2]
+
+
+def operator_products(source):
+    """Line numbers of the products `x @ y` whose left operand names an item
+    operator (an identifier that starts with "lam")."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        and any(getattr(n, "id", getattr(n, "attr", "")).startswith("lam")
+                for n in ast.walk(node.left))
+    )
+
+
+def test_item_factors_formed_only_on_the_family():
+    frames_py = Path(gfusion.__file__).parent / "frames.py"
+    family = next(
+        node for node in ast.parse(frames_py.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "FrameFamily"
+    )
+    factors = next(
+        node for node in family.body
+        if isinstance(node, ast.FunctionDef) and node.name == "factors"
+    )
+    sites = [
+        (path.name, line)
+        for path in sorted(frames_py.parent.glob("*.py"))
+        for line in operator_products(path.read_text())
+    ]
+    assert sites and all(
+        name == "frames.py" and factors.lineno <= line <= factors.end_lineno
+        for name, line in sites
+    ), f"read C_j = L_j B_j from FrameFamily.factors: {sites}"
+    assert not any("item_factors" in path.read_text() for path in frames_py.parent.glob("*.py"))
+
+
+def test_item_factor_guard_sees_each_form():
+    source = (
+        "c = lam @ b\n"
+        "d = (lamG @ sub.basis) @ x\n"
+        "e = as_operator(lam) @ b\n"
+        "f = item.lam_out @ y\n"
+        "g = b @ lam\n"
+    )
+    assert operator_products(source) == [1, 2, 2, 3, 4]
 
 
 def test_no_eigensolver_outside_linalg():
