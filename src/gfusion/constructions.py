@@ -2,8 +2,8 @@
 
 Each construction emits the transformed family plus a report pairing the
 predicted bounds (from the hypotheses) with measured spectral bounds; when a
-hypothesis certificate fails the construction is still emitted, flagged, and
-no bound claim is asserted.
+hypothesis (a claim on its residual) fails the construction is still
+emitted, flagged, and not verified.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .linalg import (
 
 
 class Certificate(NamedTuple):
-    """A named hypothesis residual; the hypothesis holds when it is small."""
+    """The reported (name, residual) of a hypothesis claim."""
 
     name: str
     residual: float
@@ -51,26 +51,32 @@ class TransformReport:
     measured: SpectralInterval
     hypothesis_certificates: tuple[Certificate, ...]
     all_hypotheses_pass: bool
-    # the construction's verdict: the hypotheses hold and the measured lower
-    # bound reaches the predicted one within TOL_CONSTRUCT * max(upper, 1)
     verified: bool = field(metadata={"report": False})
+    claims: tuple = field(metadata={"report": False})
 
 
 def _transform_report(
-    fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, certs, ok
+    fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, hypotheses
 ) -> TransformReport:
-    verified = ok and measured.lambda_min >= (
-        predicted_lower - tol.TOL_CONSTRUCT * max(predicted_upper, 1.0)
-    )
+    """The report; `verified` also claims that the measured lower bound reaches the predicted."""
+    lower = tol.claim("measured_lower_bound", measured.lambda_min, ">=", "TOL_CONSTRUCT",
+                      base=predicted_lower, scale=max(predicted_upper, 1.0))
+    claims = (*hypotheses, lower)
     return TransformReport(
         fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured,
-        tuple(certs), ok, verified,
+        tuple(Certificate(h.name, h.value) for h in hypotheses), tol.all_hold(hypotheses),
+        tol.all_hold(claims), claims,
     )
 
 
-def _bessel(name: str, ev: FrameEvaluation) -> Certificate:
+def _hypothesis(name: str, residual: float, tolerance: str = "TOL_FACTOR") -> tol.Claim:
+    """The hypothesis `name`: its residual is at most the named tolerance."""
+    return tol.claim(name, residual, "<=", tolerance)
+
+
+def _bessel(name: str, ev: FrameEvaluation) -> tol.Claim:
     """The hypothesis that a family is Bessel: its Hermitian residual."""
-    return Certificate(f"{name}_family_bessel", ev.herm_residual)
+    return _hypothesis(f"{name}_family_bessel", ev.herm_residual)
 
 
 def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
@@ -80,7 +86,7 @@ def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
     invertible, and only then evaluates each family under its control pair.
     Returns each checked conjugator with its singular extremes (in the order
     given), the direct-sum family (items W_j (+) X_j, L_j (+) G_j), control
-    pair and k, the Bessel certificates of the two families, and
+    pair and k, the Bessel hypotheses of the two families, and
     (a_opt, b, evaluation) of each family.
     """
     if len(famH) != len(famX):
@@ -95,17 +101,17 @@ def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
     kH = as_operator(kH)
     kX = as_operator(kX)
     cp_out = ControlPair.direct_sum(cpH, cpX)
-    evaluated, certs = [], []
+    evaluated, bessel = [], []
     for name, fam, cp, k in (("h", famH, cpH, kH), ("x", famX, cpX, kX)):
         ev = FrameEvaluation(fam, cp)
         a_opt, b, _ = ev.kgf(k)
         evaluated.append((a_opt, b, ev))
-        certs.append(_bessel(name, ev))
+        bessel.append(_bessel(name, ev))
     fam_sum = FrameFamily(famH.ambient_dim + famX.ambient_dim, [
         (dsum_subspace(subH, subX), dsum_op(lamH, lamX), wt)
         for (subH, lamH, wt), (subX, lamX, _) in zip(famH.items, famX.items)
     ])
-    return checked, fam_sum, cp_out, dsum_op(kH, kX), certs, *evaluated
+    return checked, fam_sum, cp_out, dsum_op(kH, kX), bessel, *evaluated
 
 
 def _measure(ev: FrameEvaluation, k) -> SpectralInterval:
@@ -149,13 +155,13 @@ def sum_transform(
     # ||r*|| is measured once
     norm_rstar = opnorm(rstar)
     evL, evG = FrameEvaluation(famL, cp), FrameEvaluation(famG, cp)
-    certs = [
-        Certificate("k_commutes_with_sum", commutator_residual(k, r, None, r_sigma.sigma_max)),
-        Certificate(
+    hypotheses = [
+        _hypothesis("k_commutes_with_sum", commutator_residual(k, r, None, r_sigma.sigma_max)),
+        _hypothesis(
             "sum_adjoint_commutes_with_t",
             commutator_residual(rstar, cp.t, norm_rstar, cp.t_sigma.sigma_max),
         ),
-        Certificate(
+        _hypothesis(
             "sum_adjoint_commutes_with_u",
             commutator_residual(rstar, cp.u, norm_rstar, cp.u_sigma.sigma_max),
         ),
@@ -184,20 +190,19 @@ def sum_transform(
         cross1 = max(cross1, opnorm(g1) / scale)
         cross2 = max(cross2, opnorm(g2) / scale)
         items_out.append((subspace_image(r, sub), frozen((cL + cG) @ br), wt))
-    certs.append(Certificate("cross_terms_gamma_lambda", cross1))
-    certs.append(Certificate("cross_terms_lambda_gamma", cross2))
+    hypotheses.append(_hypothesis("cross_terms_gamma_lambda", cross1))
+    hypotheses.append(_hypothesis("cross_terms_lambda_gamma", cross2))
     fam_out = FrameFamily(famL.ambient_dim, items_out)
 
-    certs += [_bessel("lambda", evL), _bessel("gamma", evG)]
+    hypotheses += [_bessel("lambda", evL), _bessel("gamma", evG)]
     a_l, b_l, _ = evL.kgf(k)
     _, b_g, _ = evG.kgf(k)
     # ||r^-1||^-2 = sigma_min(r)^2 and ||r||^2 = sigma_max(r)^2
     predicted_lower = a_l * r_sigma.sigma_min**2
     predicted_upper = (b_l + b_g) * r_sigma.sigma_max**2
     measured = _measure(FrameEvaluation(fam_out, cp), k)
-    ok = all(res <= tol.TOL_FACTOR for _, res in certs)
     return _transform_report(
-        fam_out, cp, k, predicted_lower, predicted_upper, measured, certs, ok
+        fam_out, cp, k, predicted_lower, predicted_upper, measured, hypotheses
     )
 
 
@@ -222,12 +227,10 @@ def direct_sum_frame(
     evO = FrameEvaluation(fam_out, cp_out)
     # ||S_H (+) S_X|| = max(||S_H||, ||S_X||)
     block_residual = opnorm(evO.s - dsum_op(evH.s, evX.s)) / max(evH.norm, evX.norm, 1e-300)
-    certs = (*bessel, Certificate("frame_operator_block_diagonal", block_residual))
+    block = _hypothesis("frame_operator_block_diagonal", block_residual, "TOL_DIRECT_SUM")
     measured = _measure(evO, k_out)
     return _transform_report(
-        fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, certs,
-        all(res <= tol.TOL_FACTOR for _, res in bessel)
-        and block_residual <= tol.TOL_DIRECT_SUM,
+        fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, (*bessel, block)
     )
 
 
@@ -256,9 +259,9 @@ def conjugate_transform(
     norm_w_adj, norm_v_adj = opnorm(w_adj), opnorm(v_adj)
 
     def commutes(name, a, b, norm_a, norm_b):
-        return Certificate(name, commutator_residual(a, b, norm_a, norm_b))
+        return _hypothesis(name, commutator_residual(a, b, norm_a, norm_b))
 
-    certs = [
+    hypotheses = [
         commutes("w_adjoint_commutes_with_t", w_adj, cpH.t, norm_w_adj, cpH.t_sigma.sigma_max),
         commutes("w_adjoint_commutes_with_t1", w_adj, cpH.u, norm_w_adj, cpH.u_sigma.sigma_max),
         commutes("v_adjoint_commutes_with_u", v_adj, cpX.t, norm_v_adj, cpX.t_sigma.sigma_max),
@@ -276,13 +279,11 @@ def conjugate_transform(
     s_expected = wv @ dsum_op(evH.s, evX.s) @ wv.conj().T
     evO = FrameEvaluation(fam_out, cp_out)
     conj_residual = opnorm(evO.s - s_expected) / max(opnorm(s_expected), 1e-300)
-    certs.append(Certificate("frame_operator_conjugated", conj_residual))
+    hypotheses.append(_hypothesis("frame_operator_conjugated", conj_residual, "TOL_CONJUGATED"))
 
     predicted_lower = min(a_h * w_sigma.sigma_min**2, a_x * v_sigma.sigma_min**2)
     predicted_upper = max(b_h * w_sigma.sigma_max**2, b_x * v_sigma.sigma_max**2)
     measured = _measure(evO, k_out)
-    hypotheses_ok = all(res <= tol.TOL_FACTOR for _, res in certs[:-1])
     return _transform_report(
-        fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, certs,
-        hypotheses_ok and conj_residual <= tol.TOL_CONJUGATED,
+        fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, hypotheses
     )

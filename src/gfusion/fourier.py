@@ -97,6 +97,8 @@ class FourierReport:
     family: FrameFamily = field(repr=False, compare=False)
     control: ControlPair = field(repr=False, compare=False)
     k: np.ndarray = field(repr=False, compare=False)
+    # the claims behind `sandwich_ok`; for library callers only
+    claims: tuple = field(repr=False, compare=False, metadata={"report": False})
 
 
 def verify_fourier(p: FourierParams, trials: int = 100, seed: int = 0) -> FourierReport:
@@ -107,7 +109,6 @@ def verify_fourier(p: FourierParams, trials: int = 100, seed: int = 0) -> Fourie
     fam, cp, k = build_fourier_example(p)
     a_opt, upper, is_kgf = kgf_bounds(fam, cp, k)
     ab = p.alpha * p.beta
-    bounds_ok = a_opt >= ab - tol.TOL_SANDWICH and upper <= 1.0 + tol.TOL_SANDWICH
 
     worst_lo = math.inf
     worst_hi = math.inf
@@ -118,16 +119,22 @@ def verify_fourier(p: FourierParams, trials: int = 100, seed: int = 0) -> Fourie
         hi_slack = np.vecdot(x, x, axis=0).real - fs
         worst_lo = min(worst_lo, float(lo_slack.min()))
         worst_hi = min(worst_hi, float(hi_slack.min()))
-    sampled_ok = worst_lo >= -tol.TOL_SANDWICH and worst_hi >= -tol.TOL_SANDWICH
+    claims = (
+        tol.claim("optimal_lower", a_opt, ">=", "TOL_SANDWICH", base=ab),
+        tol.claim("optimal_upper", upper, "<=", "TOL_SANDWICH", base=1.0),
+        tol.claim("sampled_lower_slack", worst_lo, ">=", "TOL_SANDWICH"),
+        tol.claim("sampled_upper_slack", worst_hi, ">=", "TOL_SANDWICH"),
+    )
     return FourierReport(
         a_opt,
         upper,
         is_kgf,
-        bounds_ok and sampled_ok,
+        tol.all_hold(claims),
         trials,
         worst_lo,
         worst_hi,
         fam,
         cp,
         k,
+        claims,
     )

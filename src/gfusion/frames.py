@@ -37,6 +37,7 @@ from .linalg import (
     as_vector,
     dsum_extremes,
     dsum_op,
+    frobenius_bound,
     frozen,
     gen_rayleigh_min,
     hermitian_spectrum,
@@ -47,7 +48,6 @@ from .linalg import (
     require_conditioned,
     require_finite_positive,
     require_invertible,
-    within_frobenius,
 )
 
 
@@ -117,8 +117,9 @@ class FrameFamily:
 class ControlPair:
     """Ordered pair (t, u) of invertible operators on the ambient space.
 
-    Keeps the singular extremes of t and u from its invertibility check, so
-    ||t||, ||t^-1||, ||u|| and ||u^-1|| need no further SVD.  In
+    Immutable: t and u are held read-only (`linalg.read_only`), so the
+    singular extremes of t and u kept from its invertibility check stay
+    true, and ||t||, ||t^-1||, ||u|| and ||u^-1|| need no further SVD.  In
     ControlPair(c, c) the one operator c is checked once.
     """
 
@@ -128,7 +129,7 @@ class ControlPair:
     u_sigma: SingularExtremes = field(init=False, repr=False)
 
     def __init__(self, t, u):
-        t, u = as_operator(t), as_operator(u)
+        t, u = read_only(t), read_only(u)
         if t.shape != u.shape or t.shape[0] != t.shape[1]:
             raise DimensionMismatch("controls must be square of equal size")
         if np.array_equal(t, u):
@@ -166,13 +167,13 @@ class ControlPair:
 
     @staticmethod
     def identity(n: int) -> "ControlPair":
-        eye = np.eye(n, dtype=complex)
+        eye = frozen(np.eye(n, dtype=complex))
         return ControlPair(eye, eye)
 
     @staticmethod
     def scalars(n: int, alpha: complex, beta: complex) -> "ControlPair":
         eye = np.eye(n, dtype=complex)
-        return ControlPair(alpha * eye, beta * eye)
+        return ControlPair(frozen(alpha * eye), frozen(beta * eye))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,6 +203,9 @@ class FrameReport:
     bounds: SpectralInterval
     s_c: np.ndarray
     herm_residual: float
+    # fields marked "report": False are for library callers only; the CLI
+    # report (serialize.to_json) skips them
+    claims: tuple = field(metadata={"report": False})
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,11 +214,10 @@ class AtomicReport:
     bessel_bound: float
     coefficient_norm_bound: float
     lower_bound: float
-    # fields marked "report": False are for library callers only; the CLI
-    # report (serialize.to_json) skips them
     coefficient_map: np.ndarray | None = field(default=None, metadata={"report": False})
     coefficient_residual: float | None = None
     literal_residual: float | None = field(default=None)
+    claims: tuple = field(default=(), metadata={"report": False})
 
 
 def _check_dims(fam: FrameFamily, cp: ControlPair):
@@ -249,10 +252,10 @@ class FrameEvaluation:
     built from the family's own factors (B_j, C_j) of A_j = L_j P_j =
     C_j B_j* (`FrameFamily.factors`, shared by every evaluation of the
     family), and S = sum_j v_j^2 G_j.  The norms, the Hermitian residual,
-    the spectrum, S^-1, the bounds report and the synthesis operator T_C
-    (the only holder of the per-item square roots) are computed on first
-    use.  What depends on the control pair is not kept on the family: an
-    evaluation lives as long as the call that built it.
+    the spectrum, the frame claims, S^-1, the bounds report and the
+    synthesis operator T_C (the only holder of the per-item square roots)
+    are computed on first use.  What depends on the control pair is not
+    kept on the family: an evaluation lives as long as the call that built it.
     """
 
     def __init__(self, fam: FrameFamily, cp: ControlPair):
@@ -280,9 +283,13 @@ class FrameEvaluation:
         return opnorm(self.s)
 
     @cached_property
+    def skew(self) -> np.ndarray:  # S - S*
+        return self.s - self.s.conj().T
+
+    @cached_property
     def asymmetry(self) -> float:
         """||S - S*||_2."""
-        return antihermitian_norm(self.s - self.s.conj().T)
+        return antihermitian_norm(self.skew)
 
     @property
     def herm_residual(self) -> float:
@@ -290,11 +297,11 @@ class FrameEvaluation:
         return self.asymmetry / max(self.norm, 1e-300)
 
     @cached_property
-    def is_bessel(self) -> bool:
-        """herm_residual <= TOL_FACTOR, passed by the Frobenius bracket when it can."""
-        return within_frobenius(
-            self.s - self.s.conj().T, self.s, tol.TOL_FACTOR
-        ) or self.herm_residual <= tol.TOL_FACTOR
+    def bessel(self) -> tol.Claim:
+        """herm_residual <= TOL_FACTOR, valued by the Frobenius bound on
+        herm_residual when that passes (no eigensolver), else by herm_residual."""
+        c = tol.claim("bessel", frobenius_bound(self.skew, self.s), "<=", "TOL_FACTOR")
+        return c if c.holds else c._replace(value=self.herm_residual)
 
     @cached_property
     def hermitian(self) -> np.ndarray:
@@ -304,10 +311,16 @@ class FrameEvaluation:
     def bounds(self) -> SpectralInterval:
         return hermitian_spectrum(self.s)
 
+    @cached_property
+    def frame_claims(self) -> tuple:
+        """Bessel, and lambda_min(S) above the PSD floor TOL_PSD * lambda_max(S)."""
+        b = self.bounds
+        positive = tol.claim("positive_lower", b.lambda_min, ">", "TOL_PSD", scale=b.lambda_max)
+        return self.bessel, positive
+
     @property
     def is_frame(self) -> bool:
-        b = self.bounds
-        return self.is_bessel and b.lambda_min > tol.TOL_PSD * b.lambda_max
+        return tol.all_hold(self.frame_claims)
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -318,7 +331,8 @@ class FrameEvaluation:
 
     def report(self) -> FrameReport:
         return FrameReport(
-            self.is_bessel, self.is_frame, self.bounds, self.s, self.herm_residual
+            self.bessel.holds, self.is_frame, self.bounds, self.s, self.herm_residual,
+            self.frame_claims,
         )
 
     @cached_property
@@ -349,23 +363,25 @@ class FrameEvaluation:
         return k
 
     def kgf(self, k):
-        """(a_opt, b, is_kgf) of `kgf_bounds`: (-inf, b, False) unless Bessel."""
+        """(a_opt, b, claims) of `kgf_bounds`, is_kgf the claims' conjunction."""
         k = self._check_k(k)
         b = self.bounds.lambda_max
-        if not self.is_bessel:
-            return -math.inf, b, False
+        if not self.bessel.holds:
+            return -math.inf, b, (self.bessel,)
         try:
             a_opt = gen_rayleigh_min(self.hermitian, k @ k.conj().T)
         except ZeroDenominator:
-            return math.inf, b, True
+            a_opt = math.inf
         # positivity at the same relative floor used for the frame flag, so
         # roundoff dust around zero does not flip the verdict
-        return a_opt, b, bool(a_opt > tol.TOL_PSD * max(b, 0.0))
+        positive = tol.claim("k_positive_lower", a_opt, ">", "TOL_PSD", scale=max(b, 0.0))
+        return a_opt, b, (self.bessel, positive)
 
     def atomic(self, k) -> AtomicReport:
         """The report of `atomic_check`."""
         k = self._check_k(k)
-        a_opt, b, is_kgf = self.kgf(k)
+        a_opt, b, claims = self.kgf(k)
+        is_kgf = tol.all_hold(claims)
         scale_k = max(opnorm(k), 1e-300)
         literal_residual = opnorm(k - self.s) / scale_k
         # Minimum-norm solution of T_C L = k through the n x n Gram T_C T_C*:
@@ -385,6 +401,7 @@ class FrameEvaluation:
             coefficient_map=coeff_map,
             coefficient_residual=coeff_residual,
             literal_residual=literal_residual,
+            claims=claims,
         )
 
 
@@ -453,7 +470,8 @@ def synthesis(fam: FrameFamily, cp: ControlPair, g: BlockVector, f_hint=None):
     if f_hint is not None:
         ref = np.concatenate(ev.analysis(f_hint).blocks)
         scale = max(np.linalg.norm(ref), np.linalg.norm(coeffs), 1e-300)
-        certified = bool(np.linalg.norm(coeffs - ref) <= tol.TOL_FACTOR * scale)
+        residual = np.linalg.norm(coeffs - ref)
+        certified = tol.claim("in_range", residual, "<=", "TOL_FACTOR", scale=scale).holds
     return out, certified
 
 
@@ -470,7 +488,8 @@ def kgf_bounds(fam: FrameFamily, cp: ControlPair, k):
     An S that fails the Hermitian gate at TOL_FACTOR (not Bessel) gives
     (-inf, b, False): -inf is the supremum of an empty set of lower bounds.
     """
-    return FrameEvaluation(fam, cp).kgf(k)
+    a_opt, b, claims = FrameEvaluation(fam, cp).kgf(k)
+    return a_opt, b, tol.all_hold(claims)
 
 
 def atomic_check(fam: FrameFamily, cp: ControlPair, k) -> AtomicReport:

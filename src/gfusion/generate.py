@@ -36,7 +36,8 @@ def _random_subspace(rng, dim):
 
 
 def _well_conditioned(rng, dim, spread=0.3):
-    return np.eye(dim, dtype=complex) + spread * _complex_gaussian(rng, dim, dim) / np.sqrt(dim)
+    g = _complex_gaussian(rng, dim, dim)
+    return frozen(np.eye(dim, dtype=complex) + spread * g / np.sqrt(dim))
 
 
 def _partition_parseval(dim, item_count):
@@ -73,8 +74,8 @@ def random_instance(seed: int, dim: int, item_count: int, structure: str) -> Ins
         eps = 0.02
         e = _complex_gaussian(rng, dim, dim)
         e *= eps / max(opnorm(e), 1e-300)
-        t = np.eye(dim, dtype=complex)
-        u = np.eye(dim, dtype=complex) + e
+        t = frozen(np.eye(dim, dtype=complex))
+        u = frozen(np.eye(dim, dtype=complex) + e)
         return Instance(
             fam,
             ControlPair(t, t),

@@ -176,15 +176,15 @@ def orth(a) -> np.ndarray:
     return u[:, :rank]
 
 
-def within_frobenius(d, a, rtol: float) -> bool:
-    """Sufficient test for ||d||_2 <= rtol * ||a||_2 from Frobenius norms.
+def frobenius_bound(d, a) -> float:
+    """Upper bound on ||d||_2 / ||a||_2 from Frobenius norms, with no SVD.
 
-    ||d||_2 <= ||d||_F and ||a||_F <= sqrt(n) ||a||_2 for n = min(a.shape), so
-    ||d||_F <= rtol * ||a||_F / sqrt(n) implies the spectral inequality.  A
-    False result decides nothing: the caller computes the spectral norms.
+    ||d||_2 <= ||d||_F and ||a||_F <= sqrt(n) ||a||_2 for n = min(a.shape),
+    so the ratio is at most sqrt(n) ||d||_F / ||a||_F.  A bound above a
+    threshold decides nothing: the caller measures the spectral norms.
     """
     n = max(min(a.shape), 1)
-    return float(np.linalg.norm(d)) <= rtol * float(np.linalg.norm(a)) / math.sqrt(n)
+    return float(np.linalg.norm(d)) * math.sqrt(n) / max(float(np.linalg.norm(a)), 1e-300)
 
 
 def _largest_abs(vals) -> float:
@@ -213,7 +213,7 @@ def require_hermitian(a) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is not square: {a.shape}")
     d = a - a.conj().T
-    if not within_frobenius(d, a, tol.TOL_HERM):
+    if frobenius_bound(d, a) > tol.TOL_HERM:
         scale = opnorm(a)
         dev = antihermitian_norm(d)
         if dev > tol.TOL_HERM * max(scale, 1e-300):

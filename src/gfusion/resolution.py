@@ -15,7 +15,7 @@ proximity to the identity force frame properties on the inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +55,7 @@ class ResolutionReport:
     residual: float | None
     term_count: int
     converged: bool
+    claims: tuple = field(default=(), metadata={"report": False}, compare=False)
 
 
 NO_TERMS = ResolutionReport(None, 0, False)  # a non-frame's: no S^-1, no terms
@@ -94,8 +95,8 @@ def swapped(pair: PairOperator) -> PairOperator:
 class AdjointReport:
     matrix: np.ndarray
     adjoint_residual: float
-    # adjoint_residual <= TOL_ADJOINT
     is_adjoint: bool = field(metadata={"report": False})
+    claims: tuple = field(metadata={"report": False})
 
 
 def adjoint_check(pair: PairOperator) -> AdjointReport:
@@ -103,13 +104,20 @@ def adjoint_check(pair: PairOperator) -> AdjointReport:
     construction: ||S_pair* - S_swapped||_2 / ||S_pair||_2."""
     s = pair.matrix
     residual = opnorm(s.conj().T - swapped(pair).matrix) / max(opnorm(s), 1e-300)
-    return AdjointReport(s, residual, residual <= tol.TOL_ADJOINT)
+    adjoint = tol.claim("adjoint", residual, "<=", "TOL_ADJOINT")
+    return AdjointReport(s, residual, adjoint.holds, (adjoint,))
+
+
+def _reaches(name: str, measured: float, predicted: float) -> tol.Claim:
+    """A measured lower bound reaches its prediction within TOL_FACTOR."""
+    return tol.claim(name, measured, ">=", "TOL_FACTOR", base=predicted)
 
 
 def _resolution_report(terms: np.ndarray) -> ResolutionReport:
     """Spectral residual ||sum_j terms_j - I||_2 of a stack of n x n terms."""
     residual = opnorm(terms.sum(axis=0) - np.eye(terms.shape[-1]))
-    return ResolutionReport(residual, len(terms), residual <= tol.TOL_RESOLUTION)
+    resolves = tol.claim("resolves_identity", residual, "<=", "TOL_RESOLUTION")
+    return ResolutionReport(residual, len(terms), resolves.holds, (resolves,))
 
 
 class CanonicalResolutions(NamedTuple):
@@ -123,17 +131,24 @@ class CanonicalResolutions(NamedTuple):
         """Both term families sum to the identity."""
         return self.right_multiplied.converged and self.left_multiplied.converged
 
+    @property
+    def claims(self) -> tuple:
+        """The claims of both reports, each once."""
+        return tuple(dict.fromkeys(self.right_multiplied.claims + self.left_multiplied.claims))
+
 
 def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolutions:
     """The two canonical identity resolutions of a controlled frame.
 
     Term families {v_j^2 G_j S^{-1}} and {v_j^2 S^{-1} G_j} with G_j the
     per-item cross operators; both must sum to the identity.  A non-frame
-    has neither: both lists are empty and both reports are NO_TERMS.
+    has neither: both lists are empty and both reports are NO_TERMS, with
+    the frame claims that failed.
     """
     ev = FrameEvaluation(fam, cp)
     if not ev.is_frame:
-        return CanonicalResolutions([], [], NO_TERMS, NO_TERMS)
+        no_terms = replace(NO_TERMS, claims=ev.frame_claims)
+        return CanonicalResolutions([], [], no_terms, no_terms)
     s_inv = ev.inverse
     right_terms = ev.weighted(ev.terms @ s_inv)
     left_terms = ev.weighted(s_inv @ ev.terms)
@@ -154,6 +169,7 @@ class ResolutionBoundsReport:
     predicted_upper: float | None
     certified: bool
     commutation_residual: float | None
+    claims: tuple = field(default=(), metadata={"report": False}, compare=False)
     resolution_residual: float | None = field(init=False)
 
     def __post_init__(self):
@@ -171,7 +187,9 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     """
     ev = FrameEvaluation(fam, cp)
     if not ev.is_frame:
-        return ResolutionBoundsReport(NO_TERMS, None, None, None, None, False, None)
+        return ResolutionBoundsReport(
+            NO_TERMS, None, None, None, None, False, None, ev.frame_claims
+        )
     s_inv = ev.inverse
     # ||S^-1|| is measured once; ||t|| and ||u|| are the pair's sigma_max
     norm_s_inv = opnorm(s_inv)
@@ -188,14 +206,16 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     lower, upper = spectrum.lambda_min, spectrum.lambda_max
     predicted_lower = a / (b * b)
     predicted_upper = b / (a * a)
-    certified = (
-        comm <= tol.TOL_FACTOR
-        and resolution.converged
-        and lower >= predicted_lower - tol.TOL_FACTOR
-        and upper <= predicted_upper + tol.TOL_FACTOR
+    claims = (
+        *ev.frame_claims,
+        tol.claim("inverse_commutes", comm, "<=", "TOL_FACTOR"),
+        *resolution.claims,
+        _reaches("lower_bound", lower, predicted_lower),
+        tol.claim("upper_bound", upper, "<=", "TOL_FACTOR", base=predicted_upper),
     )
     return ResolutionBoundsReport(
-        resolution, lower, upper, predicted_lower, predicted_upper, certified, comm
+        resolution, lower, upper, predicted_lower, predicted_upper, tol.all_hold(claims), comm,
+        claims,
     )
 
 
@@ -207,6 +227,7 @@ class BesselResolutionReport:
     predicted_lower: float
     predicted_upper: float
     resolution_residual: float
+    claims: tuple = field(metadata={"report": False}, compare=False)
 
 
 def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionReport:
@@ -221,15 +242,16 @@ def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionRep
     predicted_lower = 1.0 / b if b > 0 else math.inf  # B = 0: zero operators
     # b ||t^-1||^2 ||u||^2
     predicted_upper = b / tt.t_sigma.sigma_min**2 * uu.u_sigma.sigma_max**2
-    ok = (
-        bessel.is_bessel
-        and resolution.converged
-        and out.is_frame
-        and lower >= predicted_lower - tol.TOL_FACTOR
-        and upper <= predicted_upper + tol.TOL_FACTOR
-    )
+    claims = (bessel.bessel, *resolution.claims)
+    if tol.all_hold(claims):  # the (u, u) claims rest on both hypotheses
+        claims += (
+            *out.frame_claims,
+            _reaches("lower_bound", lower, predicted_lower),
+            tol.claim("upper_bound", upper, "<=", "TOL_FACTOR", base=predicted_upper),
+        )
     return BesselResolutionReport(
-        lower, upper, ok, predicted_lower, predicted_upper, resolution.residual
+        lower, upper, tol.all_hold(claims), predicted_lower, predicted_upper,
+        resolution.residual, claims,
     )
 
 
@@ -240,6 +262,7 @@ class CoercivityReport:
     measured_lower: float
     is_frame: bool
     gamma_bessel_bound: float
+    claims: tuple = field(metadata={"report": False}, compare=False)
 
 
 def coercive_pair_check(
@@ -258,11 +281,16 @@ def coercive_pair_check(
         gamma_bessel_bound = FrameEvaluation(
             pair.right_family, pair.right_control
         ).bounds.lambda_max
-    predicted_lower = m * m / gamma_bessel_bound if m > 0 else None
+    coercive = tol.claim("coercive", m, ">")
+    predicted_lower = m * m / gamma_bessel_bound if coercive.holds else None
     left = FrameEvaluation(pair.left_family, pair.left_control)
     measured_lower = left.bounds.lambda_min
-    ok = m > 0 and left.is_frame and measured_lower >= predicted_lower - tol.TOL_FACTOR
-    return CoercivityReport(m, predicted_lower, measured_lower, ok, gamma_bessel_bound)
+    claims = (coercive,)
+    if coercive.holds:  # the left family's claims rest on coercivity
+        claims += (*left.frame_claims, _reaches("lower_bound", measured_lower, predicted_lower))
+    return CoercivityReport(
+        m, predicted_lower, measured_lower, tol.all_hold(claims), gamma_bessel_bound, claims
+    )
 
 
 @dataclass(frozen=True)
@@ -273,9 +301,8 @@ class PerturbationReport:
     lower_lambda: float | None
     lower_lambda_predicted: float | None
     worst_sample_slack: float
-    # hyp_certified, and each measured lower bound reaches its prediction
-    # within TOL_FACTOR
     verified: bool = field(metadata={"report": False})
+    claims: tuple = field(metadata={"report": False}, compare=False)
 
 
 def perturbation_check(
@@ -313,7 +340,9 @@ def perturbation_check(
     n = s.shape[0]
     sigma_min = singular_extremes(s).sigma_min
     gap = opnorm(np.eye(n) - s)
-    spectral_ok = gap <= lambda1 + lambda2 * sigma_min + tol.TOL_PERTURB
+    spectral = tol.claim(
+        "spectral_gap", gap, "<=", "TOL_PERTURB", base=lambda1 + lambda2 * sigma_min
+    )
 
     worst = math.inf
     for f in random_unit_columns(seed, n, trials):
@@ -324,13 +353,12 @@ def perturbation_check(
             - np.linalg.norm(f - sf, axis=0)
         )
         worst = min(worst, float(slack.min()))
-    sampled_ok = worst >= -tol.TOL_PERTURB
-    if not sampled_ok:
+    sampled = tol.claim("sampled_slack", worst, ">=", "TOL_PERTURB")
+    if not sampled.holds:
         raise HypothesisFailed(
             f"a sampled vector violates the perturbation inequality "
             f"(slack {worst:.3e})"
         )
-    certified = spectral_ok
 
     gamma_bounds = FrameEvaluation(pair.right_family, pair.right_control).bounds
     lam_bounds = FrameEvaluation(pair.left_family, pair.left_control).bounds
@@ -339,21 +367,20 @@ def perturbation_check(
     lower_gamma = gamma_bounds.lambda_min
     lower_gamma_predicted = ((1.0 - lambda1) / (1.0 + lambda2)) ** 2 / d1
 
+    claims = (spectral, sampled, _reaches("lower_gamma", lower_gamma, lower_gamma_predicted))
     lower_lambda = None
     lower_lambda_predicted = None
     if lambda2 == 0:
         lower_lambda = lam_bounds.lambda_min
         lower_lambda_predicted = (1.0 - lambda1) ** 2 / d2
-
-    verified = certified and lower_gamma >= lower_gamma_predicted - tol.TOL_FACTOR
-    if lower_lambda is not None:
-        verified = verified and lower_lambda >= lower_lambda_predicted - tol.TOL_FACTOR
+        claims += (_reaches("lower_lambda", lower_lambda, lower_lambda_predicted),)
     return PerturbationReport(
-        certified,
+        spectral.holds,
         lower_gamma,
         lower_gamma_predicted,
         lower_lambda,
         lower_lambda_predicted,
         worst,
-        verified,
+        tol.all_hold(claims),
+        claims,
     )

@@ -1,15 +1,20 @@
-"""Centralized numerical tolerances.
+"""Centralized numerical tolerances, and `claim`, the one comparison of a
+measured value with a threshold: every library verdict is the conjunction
+of its claims.
 
 All tolerances are relative unless stated otherwise; the dense double-precision
 decompositions used throughout are reliable at these levels for matrices up to
 dimension 256: there the synthesis, resolution and coefficient residuals
 of unitary partition families under scalar controls stay below 1e-14
 (at most 8.1e-15 in the lib-dense benchmark).  Library code reads them at
-call time; `override` sets them.
+call time; `override` sets them.  Input gates, which raise, compare with
+their tolerances directly.
 """
 
 import math
+import operator
 from contextlib import contextmanager
+from typing import NamedTuple
 
 from .errors import InvalidParameters
 
@@ -73,3 +78,33 @@ def override(**values):
         yield
     finally:
         globals().update(saved)
+
+
+_SENSES = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
+class Claim(NamedTuple):
+    """`value sense threshold`, named: one comparison behind a verdict."""
+
+    name: str
+    value: float
+    sense: str  # "<=", ">=" or ">"
+    threshold: float
+
+    @property
+    def holds(self) -> bool:
+        return bool(_SENSES[self.sense](self.value, self.threshold))
+
+
+def claim(name, value, sense, tolerance=None, base=0.0, scale=1.0) -> Claim:
+    """`value sense threshold`, the threshold `base -+ tol * scale` (minus for
+    ">="), `tol` the named tolerance's value now, so an `override` applies."""
+    if tolerance is not None:
+        slack = globals()[tolerance] * scale
+        base = base - slack if sense == ">=" else base + slack
+    return Claim(name, value, sense, base)
+
+
+def all_hold(claims) -> bool:
+    """The verdict of `claims`: every one holds."""
+    return all(c.holds for c in claims)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -641,6 +642,66 @@ def test_exit_code_is_library_verdict(tmp_path, capsys, argv, command, overrides
     assert code == (0 if getattr(lib, verdict) else 1)
     expected = {"command": command, **serialize.to_json(lib)}
     assert rep == json.loads(serialize.dumps(expected))
+
+
+# Settings of the claim runs: the defaults, two overrides, and a negative
+# sandwich slack, which no override allows: the Fourier example's sandwich
+# holds exactly, so only that makes its verdict fail.
+CLAIM_SETTINGS = {
+    "default": lambda: tolerances.override(),
+    "tol_psd": lambda: tolerances.override(tol_psd=0.9),
+    "tol_factor": lambda: tolerances.override(tol_factor=0),
+    "sandwich": lambda: mock.patch.object(tolerances, "TOL_SANDWICH", -1.0),
+}
+
+# The commands of each library module.
+COMMAND_GROUPS = {
+    "frames": ("check-frame", "bounds", "atomic"),
+    "constructions": ("construct-direct-sum", "construct-sum-transform", "construct-conjugate"),
+    "resolution": ("pair-op", "resolutions", "thm-4.1", "thm-4.2", "thm-4.4", "thm-perturb"),
+    "fourier": ("fourier-demo",),
+}
+
+
+def claim_runs(tmp_path, argv):
+    """{setting: (verdict, claims)} of the COMMANDS row that `argv` names,
+    called as `main` calls it, on the REPORT_SCHEMAS inputs; for `bounds`
+    the claims are its Bessel claim."""
+    argv = schema_argv(tmp_path, argv)
+    words = tuple(argv[:2]) if tuple(argv[:2]) in cli.COMMANDS else tuple(argv[:1])
+    row = cli.COMMANDS[words]
+    args = cli.build_parser().parse_args(argv)
+    params = cli._check(words, row, args)
+    runs = {}
+    for name, setting in CLAIM_SETTINGS.items():
+        with setting():
+            rep = row.call(*cli._load(args), **params)
+        claims = rep.claims
+        if words == ("bounds",):
+            claims = [c for c in claims if c.name == "bessel"]
+        runs[name] = getattr(rep, row.verdict), claims
+    return runs
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a, _, _ in REPORT_SCHEMAS], ids=[c for _, c, _ in REPORT_SCHEMAS]
+)
+def test_verdict_is_the_conjunction_of_its_claims(tmp_path, argv):
+    for name, (verdict, claims) in claim_runs(tmp_path, argv).items():
+        assert claims, name
+        assert verdict is all(c.holds for c in claims), (name, claims)
+
+
+def test_each_group_has_a_failed_verdict_with_a_failing_claim(tmp_path):
+    assert sorted(sum(COMMAND_GROUPS.values(), ())) == sorted(c for _, c, _ in REPORT_SCHEMAS)
+    failed = {group: [] for group in COMMAND_GROUPS}
+    for argv, command, _ in REPORT_SCHEMAS:
+        group = next(g for g, commands in COMMAND_GROUPS.items() if command in commands)
+        for name, (verdict, claims) in claim_runs(tmp_path, argv).items():
+            if not verdict:
+                assert any(not c.holds for c in claims), (command, name)
+                failed[group].append((command, name))
+    assert all(failed.values()), failed
 
 
 def _wrong_file_counts():

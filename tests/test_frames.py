@@ -418,6 +418,37 @@ class TestImmutableFamily:
             assert lam2 is lam and sub2.basis is sub.basis
 
 
+class TestImmutableControlPair:
+    """A control pair holds read-only t and u that nothing outside it can
+    write, so the singular extremes it keeps stay true."""
+
+    def test_arrays_are_read_only(self, rng):
+        cp = ControlPair(well_conditioned(rng, 3), well_conditioned(rng, 3))
+        for array in (cp.t, cp.u):
+            with pytest.raises(ValueError):
+                array[0, 0] = 7.0
+
+    def test_caller_arrays_are_not_shared(self):
+        fam = scaled_partition_family(4, (1.0, 1.0))
+        t = np.eye(4, dtype=complex)
+        cp = ControlPair(t, t)
+        s = frame_operator(fam, cp)
+        t[:] = 0.0
+        assert np.array_equal(frame_operator(fam, cp), s) and np.any(s)
+        assert tuple(cp.t_sigma) == (1.0, 1.0)
+
+    def test_library_controls_are_not_copied(self):
+        made = [
+            ControlPair.identity(3),
+            ControlPair.scalars(3, 2.0, 0.5),
+            generate.random_instance(5, 4, 2, "generic").control,
+            generate.random_instance(5, 4, 2, "near-identity-pair").control2,
+        ]
+        for cp in made:
+            again = ControlPair(cp.t, cp.u)
+            assert again.t is cp.t and again.u is cp.u
+
+
 class TestControlPairExtremes:
     def test_keeps_singular_extremes_of_its_check(self, rng):
         t = np.eye(4) + 0.3 * complex_gaussian(rng, 4, 4)

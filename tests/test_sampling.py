@@ -6,22 +6,17 @@ construction outputs built through the subspace bases must agree with the
 one-vector loops and the n x n projector forms they replace; predicted
 bounds read from singular extremes must agree with the inverse-norm
 formulas they replace, and the synthesis operator T_C with the per-item
-square-root loop it replaces.  No module but `linalg` forms a projector,
-calls an eigensolver or takes singular values; S^-1 is the one inverse
-formed, T_C the one holder of the roots, one `eigh` gates PSD spectra, and
-`FrameFamily.factors` is the one place an item operator is multiplied.
+square-root loop it replaces.  The rules on where these are formed are
+in `test_architecture`.
 """
 
-import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gfusion
 from gfusion import generate
 from gfusion import tolerances as tol
 from gfusion.constructions import conjugate_transform, sum_transform
@@ -359,158 +354,6 @@ def test_conjugate_transform_matches_projector_form():
     ):
         ref = dsum_op(lamH, lamX) @ projector(dsum_subspace(subH, subX)) @ wv_adj
         assert np.max(np.abs(lam_out - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
-
-
-def call_lines(source, names, where=lambda call: True):
-    """Line numbers of the calls to a function with a name in `names` for
-    which `where(call)` holds."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
-        and where(node)
-    )
-
-
-def call_sites(names, where=lambda call: True, skip="linalg.py"):
-    """`module:line` of each call to one of `names` in a gfusion module but
-    `skip` (by default, in a module but linalg)."""
-    return [
-        f"{path.name}:{line}"
-        for path in sorted(Path(gfusion.__file__).parent.glob("*.py"))
-        if path.name != skip
-        for line in call_lines(path.read_text(), names, where)
-    ]
-
-
-def spectral(call):
-    """norm(x, 2) or norm(x, ord=2): the spectral norm, an SVD."""
-    ords = call.args[1:2] + [k.value for k in call.keywords if k.arg == "ord"]
-    return any(isinstance(o, ast.Constant) and o.value == 2 for o in ords)
-
-
-def test_no_projector_outside_linalg():
-    sites = call_sites({"projector"})
-    assert sites == [], f"apply P_j through its basis, not a projector: {sites}"
-
-
-def test_projector_guard_sees_both_call_forms():
-    source = "p = projector(sub)\nq = linalg.projector(sub) @ x\nprojector_calls = 1\n"
-    assert call_lines(source, {"projector"}) == [1, 2]
-
-
-def operator_products(source):
-    """Line numbers of the products `x @ y` whose left operand names an item
-    operator (an identifier that starts with "lam")."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
-        and any(getattr(n, "id", getattr(n, "attr", "")).startswith("lam")
-                for n in ast.walk(node.left))
-    )
-
-
-def test_item_factors_formed_only_on_the_family():
-    frames_py = Path(gfusion.__file__).parent / "frames.py"
-    family = next(
-        node for node in ast.parse(frames_py.read_text()).body
-        if isinstance(node, ast.ClassDef) and node.name == "FrameFamily"
-    )
-    factors = next(
-        node for node in family.body
-        if isinstance(node, ast.FunctionDef) and node.name == "factors"
-    )
-    sites = [
-        (path.name, line)
-        for path in sorted(frames_py.parent.glob("*.py"))
-        for line in operator_products(path.read_text())
-    ]
-    assert sites and all(
-        name == "frames.py" and factors.lineno <= line <= factors.end_lineno
-        for name, line in sites
-    ), f"read C_j = L_j B_j from FrameFamily.factors: {sites}"
-    assert not any("item_factors" in path.read_text() for path in frames_py.parent.glob("*.py"))
-
-
-def test_item_factor_guard_sees_each_form():
-    source = (
-        "c = lam @ b\n"
-        "d = (lamG @ sub.basis) @ x\n"
-        "e = as_operator(lam) @ b\n"
-        "f = item.lam_out @ y\n"
-        "g = b @ lam\n"
-    )
-    assert operator_products(source) == [1, 2, 2, 3, 4]
-
-
-def test_no_eigensolver_outside_linalg():
-    sites = call_sites({"eigh", "eigvalsh"})
-    assert sites == [], f"take spectra through linalg (hermitian_spectrum): {sites}"
-
-
-def test_eigensolver_guard_sees_both_call_forms():
-    source = "v = eigvalsh(h)\nw, q = np.linalg.eigh(h)\neigh = 1\n"
-    assert call_lines(source, {"eigh", "eigvalsh"}) == [1, 2]
-
-
-def test_no_singular_values_outside_linalg():
-    sites = call_sites({"svd"}) + call_sites({"norm"}, spectral)
-    assert sites == [], (
-        f"measure singular values through linalg (singular_extremes, opnorm): {sites}"
-    )
-
-
-def frame_evaluation_method(name):
-    """The AST node of the FrameEvaluation method `name` in frames.py."""
-    frames_py = Path(gfusion.__file__).parent / "frames.py"
-    evaluation = next(
-        node for node in ast.parse(frames_py.read_text()).body
-        if isinstance(node, ast.ClassDef) and node.name == "FrameEvaluation"
-    )
-    return next(
-        node for node in evaluation.body
-        if isinstance(node, ast.FunctionDef) and node.name == name
-    )
-
-
-def test_inverse_formed_only_for_s_inverse():
-    inverse = frame_evaluation_method("inverse")
-    sites = call_sites({"inv"}, skip=None)
-    assert len(sites) == 1, f"read ||x^-1|| from singular_extremes: {sites}"
-    module, line = sites[0].split(":")
-    assert module == "frames.py" and inverse.lineno <= int(line) <= inverse.end_lineno
-
-
-def test_roots_built_only_in_synthesis_matrix():
-    method = frame_evaluation_method("synthesis_matrix")
-    frames_py = Path(gfusion.__file__).parent / "frames.py"
-    lines = call_lines(frames_py.read_text(), {"positive_sqrt"})
-    assert lines and all(method.lineno <= line <= method.end_lineno for line in lines), (
-        f"read the per-item roots from T_C: positive_sqrt at frames.py lines {lines}"
-    )
-
-
-def test_one_eigh_in_linalg():
-    linalg_py = Path(gfusion.__file__).parent / "linalg.py"
-    lines = call_lines(linalg_py.read_text(), {"eigh"})
-    assert len(lines) == 1, f"gate PSD eigenpairs in one place: eigh at linalg.py lines {lines}"
-
-
-def test_singular_value_guard_sees_both_call_forms():
-    source = (
-        "s = svd(a)\n"
-        "t = np.linalg.svd(a, compute_uv=False)\n"
-        "x = norm(a, 2)\n"
-        "y = np.linalg.norm(a, ord=2)\n"
-        "z = np.linalg.norm(a) + np.linalg.norm(v, axis=0)\n"
-        "q = np.linalg.inv(a) @ inv(b)\n"
-        "svd = inv = 1\n"
-    )
-    assert call_lines(source, {"svd"}) == [1, 2]
-    assert call_lines(source, {"norm"}, spectral) == [3, 4]
-    assert call_lines(source, {"inv"}) == [6, 6]
 
 
 def same_weights(fam, like):
