@@ -15,12 +15,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, InvalidParameters, ItemCountMismatch, WeightMismatch
-from .frames import (
-    ControlPair,
-    FrameEvaluation,
-    FrameFamily,
-    cross_terms,
-)
+from .frames import ControlPair, FrameEvaluation, FrameFamily
 from .linalg import (
     SpectralInterval,
     as_operator,
@@ -167,29 +162,30 @@ def sum_transform(
         ),
     ]
     # Both families are applied through famL's bases: A_j = C_j B_j*, and the
-    # output operators (L_j + G_j) P_j r* are (C_Lj + C_Gj)(B_j* r*).
+    # output operators (L_j + G_j) P_j r* are (C_Lj + C_Gj)(r B_j)*.
     fL = famL.factors
     fG = FrameFamily(famL.ambient_dim, [
         (sub, lamG, wt) for (sub, _, wt), (_, lamG, _) in zip(famL.items, famG.items)
     ]).factors
-    # Cross-orthogonality: both sesquilinear forms vanish for all f iff the
-    # assembled matrices (A_L r* t)* (A_G r* u) and (A_G r* t)* (A_L r* u)
-    # vanish (complex polarization).
-    rt, ru = rstar @ cp.t, rstar @ cp.u
-    terms1 = cross_terms(rt, fL, fG, ru)
-    terms2 = cross_terms(rt, fG, fL, ru)
+    # Cross-orthogonality: both sesquilinear forms vanish for all f iff
+    # (A_L r* t)* (A_G r* u) = X_j (C_Lj* C_Gj) Y_j* and its L <-> G
+    # exchange vanish (complex polarization), X_j = (r* t)* B_j and
+    # Y_j = (r* u)* B_j.  With X_j = Q R_x and Y_j = Q' R_y (QR), the norm
+    # ||X_j M Y_j*||_2 is ||R_x M R_y*||_2, and ||C B_j* r*||_2 is
+    # ||C R_z*||_2 for r B_j = Q'' R_z: d_j x d_j problems.
+    rt_adj, ru_adj = (rstar @ cp.t).conj().T, (rstar @ cp.u).conj().T
     cross1 = 0.0
     cross2 = 0.0
     control_scale = cp.t_sigma.sigma_max * cp.u_sigma.sigma_max
     items_out = []
-    for (b, cL), (_, cG), (sub, _, wt), g1, g2 in zip(
-        fL, fG, famL.items, terms1, terms2
-    ):
-        br = b.conj().T @ rstar
-        scale = max(opnorm(cL @ br) * opnorm(cG @ br) * control_scale, 1e-300)
-        cross1 = max(cross1, opnorm(g1) / scale)
-        cross2 = max(cross2, opnorm(g2) / scale)
-        items_out.append((subspace_image(r, sub), frozen((cL + cG) @ br), wt))
+    for (b, cL), (_, cG), (sub, _, wt) in zip(fL, fG, famL.items):
+        r_b = r @ b
+        rx, ry, rz = (np.linalg.qr(a, mode="r") for a in (rt_adj @ b, ru_adj @ b, r_b))
+        m = cL.conj().T @ cG
+        scale = max(opnorm(cL @ rz.conj().T) * opnorm(cG @ rz.conj().T) * control_scale, 1e-300)
+        cross1 = max(cross1, opnorm(rx @ m @ ry.conj().T) / scale)
+        cross2 = max(cross2, opnorm(rx @ m.conj().T @ ry.conj().T) / scale)
+        items_out.append((subspace_image(r, sub), frozen((cL + cG) @ r_b.conj().T), wt))
     hypotheses.append(_hypothesis("cross_terms_gamma_lambda", cross1))
     hypotheses.append(_hypothesis("cross_terms_lambda_gamma", cross2))
     fam_out = FrameFamily(famL.ambient_dim, items_out)

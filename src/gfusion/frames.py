@@ -6,9 +6,12 @@ on H.  The central object is the frame operator
 
     S = sum_j v_j^2  t* P_j L_j* L_j P_j u
 
-whose spectral extremes are the optimal frame bounds, and the synthesis
-operator T_C = [v_1 R_1*, ..., v_m R_m*] with R_j = (t* P_j L_j* L_j P_j u)^{1/2},
-whose adjoint is the analysis map.
+whose spectral extremes are the optimal frame bounds.  It is t* F u, F the
+family's own frame operator under the identity controls (`FrameFamily.operator`),
+which does not depend on the controls.  The synthesis operator is
+T_C = [v_1 R_1*, ..., v_m R_m*] with R_j = (t* P_j L_j* L_j P_j u)^{1/2},
+whose adjoint is the analysis map; R_j has rank at most d_j = dim W_j, and
+the library holds it in thin form (`FrameEvaluation.thin_synthesis`).
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ from .linalg import (
     as_vector,
     dsum_extremes,
     dsum_op,
+    factored_sqrt,
     frobenius_bound,
     frozen,
     gen_rayleigh_min,
+    hermitian_pinv,
     hermitian_spectrum,
     opnorm,
-    pinv,
-    positive_sqrt,
     read_only,
     require_conditioned,
     require_finite_positive,
@@ -57,7 +60,7 @@ class FrameFamily:
 
     Immutable: each operator is held read-only (`linalg.read_only`), as is
     each subspace's basis, so the control-independent algebra (`factors`,
-    `stacked_conj_basis`) is computed on first use and kept.
+    `stacked_conj_basis`, `operator`) is computed on first use and kept.
     """
 
     ambient_dim: int
@@ -111,6 +114,17 @@ class FrameFamily:
         offsets = np.cumsum([0] + [b.shape[1] for b in bases]).tolist()
         stacked = np.hstack(bases)
         return frozen(np.conjugate(stacked, out=stacked)), tuple(offsets)
+
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """F = sum_j v_j^2 P_j L_j* L_j P_j, read-only: the frame operator
+        under the identity controls, Hermitian by construction."""
+        f = factor_sum(self, self, [w * w for w in self.weights])
+        return frozen(0.5 * (f + f.conj().T))
+
+    def controlled(self, t, u) -> np.ndarray:
+        """t* F u = sum_j v_j^2 t* P_j L_j* L_j P_j u: two products."""
+        return (t.conj().T @ self.operator) @ u
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +253,17 @@ def cross_terms(t, left, right, u) -> np.ndarray:
     return out
 
 
+def factor_sum(left: FrameFamily, right: FrameFamily, weights) -> np.ndarray:
+    """sum_j w_j B_j (C_j* C'_j) B'_j* over the factors (B_j, C_j) of `left`
+    and (B'_j, C'_j) of `right`: the cross operators summed before the
+    controls are applied.  O(n^2 dim W_j) per item."""
+    n = left.ambient_dim
+    out = np.zeros((n, n), dtype=complex)
+    for (b, c), (b_r, c_r), w in zip(left.factors, right.factors, weights):
+        out += (w * (b @ (c.conj().T @ c_r))) @ b_r.conj().T
+    return out
+
+
 def item_cross_operator(sub: Subspace, lam, cp: ControlPair) -> np.ndarray:
     """Single term t* P L* L P u (weight excluded)."""
     factors = FrameFamily(sub.ambient_dim, [(sub, lam, 1.0)]).factors
@@ -248,35 +273,45 @@ def item_cross_operator(sub: Subspace, lam, cp: ControlPair) -> np.ndarray:
 class FrameEvaluation:
     """A family under a control pair, evaluated once for one public call.
 
-    Holds the cross operators G_j = (A_j t)* (A_j u) stacked as `terms`,
-    built from the family's own factors (B_j, C_j) of A_j = L_j P_j =
-    C_j B_j* (`FrameFamily.factors`, shared by every evaluation of the
-    family), and S = sum_j v_j^2 G_j.  The norms, the Hermitian residual,
-    the spectrum, the frame claims, S^-1, the bounds report and the
-    synthesis operator T_C (the only holder of the per-item square roots)
-    are computed on first use.  What depends on the control pair is not
-    kept on the family: an evaluation lives as long as the call that built it.
+    Holds S = t* F u, F the family's own `operator`.  The norms, the
+    Hermitian residual, the spectrum, the frame claims, S^-1, the bounds
+    report and the thin synthesis operator (the only holder of the
+    per-item square roots) are computed on first use, as is the (m, n, n)
+    stack of the per-item cross operators G_j = (A_j t)* (A_j u), which only
+    a report that lists them asks for (`listing_terms`).  What depends on
+    the control pair is not kept on the family: an evaluation lives as long
+    as the call that built it.
     """
 
     def __init__(self, fam: FrameFamily, cp: ControlPair):
+        self._bind(fam, cp)
+        self.s = as_operator(fam.controlled(cp.t, cp.u))  # rejects an overflow
+
+    def _bind(self, fam: FrameFamily, cp: ControlPair):
         _check_dims(fam, cp)
         self.fam = fam
-        self.weights_sq = np.array([w * w for w in fam.weights])
-        self.terms = self.cross_terms(cp.t, cp.u)
-        self.s = as_operator(self.weighted_sum(self.terms))  # rejects an overflow
+        self.cp = cp
 
-    def cross_terms(self, t, u) -> np.ndarray:
-        """Stack of (A_j t)* (A_j u), one n x n slice per item."""
-        return cross_terms(t, self.fam.factors, self.fam.factors, u)
+    @classmethod
+    def listing_terms(cls, fam: FrameFamily, cp: ControlPair) -> "FrameEvaluation":
+        """The evaluation of a report that lists the per-item terms: it holds
+        their stack `terms`, and S is their weighted sum, so the listed terms
+        sum to the S they are checked against."""
+        ev = cls.__new__(cls)
+        ev._bind(fam, cp)
+        weights_sq = [w * w for w in fam.weights]
+        ev.s = as_operator(np.tensordot(weights_sq, ev.terms, axes=1))  # rejects an overflow
+        return ev
+
+    @cached_property
+    def terms(self) -> np.ndarray:
+        """The (m, n, n) stack of G_j = (A_j t)* (A_j u), one slice per item."""
+        return cross_terms(self.cp.t, self.fam.factors, self.fam.factors, self.cp.u)
 
     def weighted(self, stack) -> np.ndarray:
-        """Scale slice j of `stack` by v_j^2 in place; returns `stack`."""
-        stack *= self.weights_sq[:, None, None]
+        """Scale slice j of the stack `stack` by v_j^2 in place; returns it."""
+        stack *= np.array([w * w for w in self.fam.weights])[:, None, None]
         return stack
-
-    def weighted_sum(self, stack) -> np.ndarray:
-        """sum_j v_j^2 stack_j."""
-        return np.tensordot(self.weights_sq, stack, axes=1)
 
     @cached_property
     def norm(self) -> float:
@@ -336,25 +371,64 @@ class FrameEvaluation:
         )
 
     @cached_property
-    def synthesis_matrix(self) -> np.ndarray:
-        """T_C = [v_1 R_1*, ..., v_m R_m*], R_j the positive square root of
-        the j-th cross operator: the one form of the per-item roots."""
-        blocks = []
-        for j, (w, g) in enumerate(zip(self.fam.weights, self.terms)):
+    def thin_synthesis(self) -> tuple:
+        """(T, bases): the thin synthesis operator T = [T_1 ... T_m] and each
+        item's Q_j, with R_j = T_j Q_j* / v_j the positive square root of G_j.
+
+        Q_j has orthonormal columns and T_j = v_j Q_j S_j, S_j Hermitian
+        PSD, so T_C = [T_1 Q_1*, ..., T_m Q_m*] and T_C T_C* = T T*.  Each
+        root is a d_j x d_j problem on the factors t* B_j, C_j* C_j, u* B_j
+        of G_j (`linalg.factored_sqrt`), so T is n x sum_j d_j.
+        """
+        t_adj, u_adj = self.cp.t.conj().T, self.cp.u.conj().T
+        blocks, bases = [], []
+        for j, ((b, c), w) in enumerate(zip(self.fam.factors, self.fam.weights)):
             try:
-                blocks.append(w * positive_sqrt(g).conj().T)
+                basis, root = factored_sqrt(t_adj @ b, c.conj().T @ c, u_adj @ b)
             except GFusionError as exc:
                 raise NotPositive(
                     f"item {j}: cross operator is not Hermitian PSD ({exc})"
                 ) from exc
-        return np.hstack(blocks)
+            blocks.append(w * (basis @ root))
+            bases.append(basis)
+        return np.hstack(blocks), tuple(bases)
+
+    def _expand(self, coords) -> np.ndarray:
+        """[Q_1 c_1; ...; Q_m c_m] for the row blocks c_j of `coords` that
+        belong to item j of T: thin coordinates as n-vectors per item."""
+        _, bases = self.thin_synthesis
+        n = self.fam.ambient_dim
+        out = np.empty((n * len(bases),) + coords.shape[1:], dtype=complex)
+        lo = 0
+        for j, q in enumerate(bases):
+            np.matmul(q, coords[lo:lo + q.shape[1]], out=out[j * n:(j + 1) * n])
+            lo += q.shape[1]
+        return out
+
+    @cached_property
+    def synthesis_matrix(self) -> np.ndarray:
+        """T_C = [v_1 R_1*, ..., v_m R_m*], expanded from the thin form."""
+        t, _ = self.thin_synthesis
+        return self._expand(t.conj().T).conj().T
 
     def analysis(self, f) -> BlockVector:
         """T_C* f, split into one block per item."""
         f = as_vector(f)
         if f.shape[0] != self.fam.ambient_dim:
             raise DimensionMismatch(f"vector dim {f.shape[0]} != {self.fam.ambient_dim}")
-        return BlockVector(np.split(self.synthesis_matrix.conj().T @ f, len(self.fam)))
+        t, _ = self.thin_synthesis
+        return BlockVector(np.split(self._expand(t.conj().T @ f), len(self.fam)))
+
+    def synthesis(self, g: BlockVector) -> np.ndarray:
+        """T_C g for one n-vector block per item."""
+        if len(g.blocks) != len(self.fam):
+            raise DimensionMismatch(
+                f"block count {len(g.blocks)} != item count {len(self.fam)}"
+            )
+        if any(b.shape[0] != self.fam.ambient_dim for b in g.blocks):
+            raise DimensionMismatch("block dimension mismatch with square-root operator")
+        t, bases = self.thin_synthesis
+        return t @ np.concatenate([q.conj().T @ b for q, b in zip(bases, g.blocks)])
 
     def _check_k(self, k) -> np.ndarray:
         k = as_operator(k)
@@ -384,12 +458,17 @@ class FrameEvaluation:
         is_kgf = tol.all_hold(claims)
         scale_k = max(opnorm(k), 1e-300)
         literal_residual = opnorm(k - self.s) / scale_k
-        # Minimum-norm solution of T_C L = k through the n x n Gram T_C T_C*:
-        # the square roots leave ~sqrt(eps) noise singular values in T_C that
-        # a pseudoinverse of T_C itself would invert.
-        t_c = self.synthesis_matrix
-        coeff_map = t_c.conj().T @ (pinv(t_c @ t_c.conj().T) @ k)
-        coeff_residual = opnorm(t_c @ coeff_map - k) / scale_k
+        # Minimum-norm solution L = T_C* S^+ k of T_C L = k, S^+ the
+        # pseudoinverse of the thin Gram T T* = T_C T_C* = S (Hermitian PSD
+        # as formed) from one eigendecomposition, with one step of iterative
+        # refinement; T_C L = T T* S^+ k
+        t, _ = self.thin_synthesis
+        gram = t @ t.conj().T
+        gram_pinv = hermitian_pinv(gram)
+        x = gram_pinv @ k
+        coords = t.conj().T @ (x + gram_pinv @ (k - gram @ x))
+        coeff_map = self._expand(coords)
+        coeff_residual = opnorm(t @ coords - k) / scale_k
         # finite only with the verdict: a roundoff-level a_opt below the
         # positivity floor would give a huge, meaningless bound
         c = math.sqrt(1.0 / a_opt) if (is_kgf and math.isfinite(a_opt)) else math.inf
@@ -458,14 +537,8 @@ def synthesis(fam: FrameFamily, cp: ControlPair, g: BlockVector, f_hint=None):
     analysis(f_hint).  Returns (vector, range_certified).
     """
     ev = FrameEvaluation(fam, cp)
-    if len(g.blocks) != len(fam):
-        raise DimensionMismatch(
-            f"block count {len(g.blocks)} != item count {len(fam)}"
-        )
-    if any(b.shape[0] != fam.ambient_dim for b in g.blocks):
-        raise DimensionMismatch("block dimension mismatch with square-root operator")
+    out = ev.synthesis(g)
     coeffs = np.concatenate(g.blocks)
-    out = ev.synthesis_matrix @ coeffs
     certified = False
     if f_hint is not None:
         ref = np.concatenate(ev.analysis(f_hint).blocks)

@@ -223,15 +223,15 @@ def require_hermitian(a) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _psd_eigh(h):
-    """Ascending eigenpairs of the Hermitian matrix h, gated as PSD.
+def _eigenpairs(h, psd=True):
+    """Ascending eigenpairs of the Hermitian matrix h; with `psd`, gated as PSD.
 
     Eigenvalue dust in [-TOL_PSD * max|lambda|, 0) passes; anything more
     negative raises NotPSD.
     """
     vals, vecs = np.linalg.eigh(h)
     floor = -tol.TOL_PSD * max(_largest_abs(vals), 1e-300)
-    if np.any(vals < floor):
+    if psd and np.any(vals < floor):
         raise NotPSD(f"eigenvalue {vals.min():.3e} below floor {floor:.3e}")
     return vals, vecs
 
@@ -240,11 +240,61 @@ def positive_sqrt(a) -> np.ndarray:
     """Unique positive square root of a Hermitian PSD matrix.
 
     Eigenvalue dust below zero is clamped to zero; the gates are those of
-    `require_hermitian` and `_psd_eigh`.
+    `require_hermitian` and `_eigenpairs`.
     """
-    vals, vecs = _psd_eigh(require_hermitian(a))
+    vals, vecs = _eigenpairs(require_hermitian(a))
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def factored_sqrt(x, m, y):
+    """Positive square root of g = x m y* from its factors, as (q, s) with
+    g^{1/2} = q s q*: q has orthonormal columns and s is Hermitian PSD.
+
+    x and y are n x d, x of full column rank, and m is d x d.  With
+    x = q rx (QR), range(g) lies in range(q), so in the basis [q, q_perp]
+    g is [[k, e], [0, 0]] and g - g* is [[k - k*, e], [-e*, 0]], where
+    k = q* g q and e = q* g (I - q q*).  The gates of `positive_sqrt` are
+    decided on these d x d and d x n blocks, and s is the positive square
+    root of (k + k*)/2:
+    - Hermitian: the Frobenius bracket of `require_hermitian`, with the
+      same sqrt(n), from ||k - k*||_F and ||e||_F;
+    - PSD: the Hermitian part of g differs from (k + k*)/2 (+) 0 by a
+      block of norm ||e||_2 / 2, so each of its eigenvalues, and its
+      largest |eigenvalue|, lie within ||e||_F / 2 of theirs (Weyl); the
+      gate passes when it passes for every spectrum within that distance.
+    Otherwise `positive_sqrt` decides on g itself (and may reject it), and
+    q is the n x n identity.
+    """
+    n, d = x.shape
+    q, rx = np.linalg.qr(x)
+    p = q.conj().T @ y
+    core = rx @ m
+    k = core @ p.conj().T
+    e_fro = float(np.linalg.norm(core @ (y - q @ p).conj().T))  # ||e||_F
+    skew = math.sqrt(float(np.linalg.norm(k - k.conj().T)) ** 2 + 2.0 * e_fro**2)
+    size = math.sqrt(float(np.linalg.norm(k)) ** 2 + e_fro**2)
+    if skew * math.sqrt(n) / max(size, 1e-300) <= tol.TOL_HERM:
+        vals, vecs = _eigenpairs(0.5 * (k + k.conj().T), psd=False)
+        low = vals.min(initial=0.0)  # the n - d zeros of (+) 0; for d = n, stricter
+        if low - e_fro / 2 >= -tol.TOL_PSD * max(_largest_abs(vals) - e_fro / 2, 1e-300):
+            # s = c I + V (sqrt(vals) - c) V*: c at the middle of the roots'
+            # range keeps the error of V's orthonormality off the mean of a
+            # clustered spectrum
+            roots = np.sqrt(np.clip(vals, 0.0, None))
+            c = 0.5 * (roots[0] + roots[-1]) if d else 0.0
+            return q, (vecs * (roots - c)) @ vecs.conj().T + c * np.eye(d)
+    return np.eye(n, dtype=complex), positive_sqrt(x @ (m @ y.conj().T))
+
+
+def hermitian_pinv(h) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a Hermitian matrix from one
+    eigendecomposition, with the relative cutoff TOL_RANK of `pinv` (the
+    singular values of h are its |eigenvalues|)."""
+    vals, vecs = _eigenpairs(h, psd=False)
+    keep = np.abs(vals) > tol.TOL_RANK * _largest_abs(vals)
+    kept = vecs[:, keep]
+    return (kept / vals[keep]) @ kept.conj().T
 
 
 def pinv(a) -> np.ndarray:
@@ -369,7 +419,7 @@ def gen_rayleigh_extremes(a, b) -> SpectralInterval:
     bh = require_hermitian(b)
     if ah.shape != bh.shape:
         raise DimensionMismatch("operands must have equal shapes")
-    vals, vecs = _psd_eigh(bh)
+    vals, vecs = _eigenpairs(bh)
     vmax = vals[-1] if vals.size else 0.0
     keep = vals > tol.TOL_RANK * max(vmax, 0.0)
     if not np.any(keep):

@@ -6,8 +6,9 @@ The pair operator for two controlled Bessel families (L under (t,t), G under
 
     S_pair = sum_j v_j w_j  t* P_j L_j* G_j Q_j u
 
-with P_j, Q_j the projectors of the two subspace families, applied through
-the per-item factors of both families (`frames.cross_terms`).  Its adjoint
+with P_j, Q_j the projectors of the two subspace families: t* F_pair u, with
+F_pair = sum_j v_j w_j P_j L_j* G_j Q_j formed from the per-item factors of
+both families (`frames.factor_sum`).  Its adjoint
 is the swapped construction; coercivity (S_swapped >= m I with m > 0) or
 proximity to the identity force frame properties on the inputs.
 """
@@ -28,7 +29,7 @@ from .errors import (
     InvalidParameters,
     ItemCountMismatch,
 )
-from .frames import ControlPair, FrameEvaluation, FrameFamily, cross_terms
+from .frames import ControlPair, FrameEvaluation, FrameFamily, factor_sum
 from .linalg import (
     as_operator,
     commutator_residual,
@@ -79,8 +80,8 @@ def pair_frame_operator(
 def _pair_operator(
     famL: FrameFamily, left: ControlPair, famG: FrameFamily, right: ControlPair
 ) -> PairOperator:
-    terms = cross_terms(left.t, famL.factors, famG.factors, right.u)
-    s = sum(wL * wG * g for wL, wG, g in zip(famL.weights, famG.weights, terms))
+    weights = [wL * wG for wL, wG in zip(famL.weights, famG.weights)]
+    s = (left.t.conj().T @ factor_sum(famL, famG, weights)) @ right.u
     return PairOperator(as_operator(s), famL, famG, left, right)  # rejects an overflow
 
 
@@ -113,11 +114,11 @@ def _reaches(name: str, measured: float, predicted: float) -> tol.Claim:
     return tol.claim(name, measured, ">=", "TOL_FACTOR", base=predicted)
 
 
-def _resolution_report(terms: np.ndarray) -> ResolutionReport:
-    """Spectral residual ||sum_j terms_j - I||_2 of a stack of n x n terms."""
-    residual = opnorm(terms.sum(axis=0) - np.eye(terms.shape[-1]))
+def _resolution_report(total: np.ndarray, term_count: int) -> ResolutionReport:
+    """Spectral residual ||total - I||_2 of the sum `total` of `term_count` terms."""
+    residual = opnorm(total - np.eye(total.shape[-1]))
     resolves = tol.claim("resolves_identity", residual, "<=", "TOL_RESOLUTION")
-    return ResolutionReport(residual, len(terms), resolves.holds, (resolves,))
+    return ResolutionReport(residual, term_count, resolves.holds, (resolves,))
 
 
 class CanonicalResolutions(NamedTuple):
@@ -145,7 +146,7 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolut
     has neither: both lists are empty and both reports are NO_TERMS, with
     the frame claims that failed.
     """
-    ev = FrameEvaluation(fam, cp)
+    ev = FrameEvaluation.listing_terms(fam, cp)
     if not ev.is_frame:
         no_terms = replace(NO_TERMS, claims=ev.frame_claims)
         return CanonicalResolutions([], [], no_terms, no_terms)
@@ -155,8 +156,8 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolut
     return CanonicalResolutions(
         list(right_terms),
         list(left_terms),
-        _resolution_report(right_terms),
-        _resolution_report(left_terms),
+        _resolution_report(right_terms.sum(axis=0), len(fam)),
+        _resolution_report(left_terms.sum(axis=0), len(fam)),
     )
 
 
@@ -197,10 +198,10 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
         commutator_residual(s_inv, cp.t, norm_s_inv, cp.t_sigma.sigma_max),
         commutator_residual(s_inv, cp.u, norm_s_inv, cp.u_sigma.sigma_max),
     )
-    # terms v_j^2 t* P_j L_j* L_j P_j S^{-1} u, and the modified frame sum
-    # as the frame operator under the controls (S^{-1} t, S^{-1} u)
-    resolution = _resolution_report(ev.weighted(ev.cross_terms(cp.t, s_inv @ cp.u)))
-    m = ev.weighted_sum(ev.cross_terms(s_inv @ cp.t, s_inv @ cp.u))
+    # the sum of the terms v_j^2 t* P_j L_j* L_j P_j S^{-1} u, and the
+    # modified frame sum as the frame operator under (S^{-1} t, S^{-1} u)
+    resolution = _resolution_report(fam.controlled(cp.t, s_inv @ cp.u), len(fam))
+    m = fam.controlled(s_inv @ cp.t, s_inv @ cp.u)
     a, b = ev.bounds.lambda_min, ev.bounds.lambda_max
     spectrum = hermitian_spectrum(m)
     lower, upper = spectrum.lambda_min, spectrum.lambda_max
@@ -237,15 +238,18 @@ def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionRep
     tt, uu = ControlPair(t, t), ControlPair(u, u)
     bessel, out = FrameEvaluation(fam, tt), FrameEvaluation(fam, uu)
     b = bessel.bounds.lambda_max
-    resolution = _resolution_report(bessel.weighted(bessel.cross_terms(tt.t, uu.u)))
+    resolution = _resolution_report(fam.controlled(tt.t, uu.u), len(fam))
     lower, upper = out.bounds.lambda_min, out.bounds.lambda_max
     predicted_lower = 1.0 / b if b > 0 else math.inf  # B = 0: zero operators
     # b ||t^-1||^2 ||u||^2
     predicted_upper = b / tt.t_sigma.sigma_min**2 * uu.u_sigma.sigma_max**2
-    claims = (bessel.bessel, *resolution.claims)
+    # one Bessel claim per control pair, each named after it
+    claims = (bessel.bessel._replace(name="bessel_tt"), *resolution.claims)
     if tol.all_hold(claims):  # the (u, u) claims rest on both hypotheses
+        out_bessel, out_positive = out.frame_claims
         claims += (
-            *out.frame_claims,
+            out_bessel._replace(name="bessel_uu"),
+            out_positive,
             _reaches("lower_bound", lower, predicted_lower),
             tol.claim("upper_bound", upper, "<=", "TOL_FACTOR", base=predicted_upper),
         )

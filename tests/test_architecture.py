@@ -210,9 +210,26 @@ def inverse_sites():
 
 
 def root_sites():
-    synthesis = method("frames.py", "FrameEvaluation", "synthesis_matrix")
-    found = [f"frames.py:{line}" for line in call_lines(read("frames.py"), {"positive_sqrt"})]
-    return some_site(found, "positive_sqrt call") + outside("frames.py", synthesis, found)
+    thin = method("frames.py", "FrameEvaluation", "thin_synthesis")
+    found = sites(calls("factored_sqrt", "positive_sqrt"), skip="linalg.py")
+    return some_site(found, "factored_sqrt call") + outside("frames.py", thin, found)
+
+
+def function(module, name):
+    """The AST node of module-level function `name` of `module`."""
+    return next(
+        node for node in ast.parse(read(module)).body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def stack_sites():
+    terms = method("frames.py", "FrameEvaluation", "terms")
+    found = sites(calls("cross_terms"))
+    return some_site(found, "cross_terms call") + outside(
+        "frames.py", function("frames.py", "item_cross_operator"),
+        outside("frames.py", terms, found),
+    )
 
 
 def eigh_sites():
@@ -256,7 +273,8 @@ RULES = {
     ),
     "eigensolver": Rule(
         lambda: sites(calls("eigh", "eigvalsh"), skip="linalg.py"),
-        "take spectra through linalg (hermitian_spectrum)",
+        "take spectra, roots and S^+ through linalg (hermitian_spectrum, factored_sqrt, "
+        "hermitian_pinv)",
         ((calls("eigh", "eigvalsh"),
           "v = eigvalsh(h)\nw, q = np.linalg.eigh(h)\neigh = 1\n", [1, 2]),),
     ),
@@ -273,9 +291,18 @@ RULES = {
         "form S^-1 only, in FrameEvaluation.inverse; read ||x^-1|| from singular_extremes",
     ),
     "roots": Rule(
-        root_sites, "read the per-item roots from T_C (FrameEvaluation.synthesis_matrix)"
+        root_sites,
+        "read the per-item roots from the thin T (FrameEvaluation.thin_synthesis)",
+        ((calls("factored_sqrt", "positive_sqrt"),
+          "w, r = factored_sqrt(x, m, y)\nroot = linalg.positive_sqrt(g)\nfactored_sqrt = 1\n",
+          [1, 2]),),
     ),
     "one_eigh": Rule(eigh_sites, "gate PSD eigenpairs in one place"),
+    "stacks": Rule(
+        stack_sites,
+        "sum the items before the controls (FrameFamily.operator, factor_sum); "
+        "stack per-item terms only for a report that lists them (FrameEvaluation.terms)",
+    ),
     "literal_thresholds": Rule(
         lambda: sites(literal_thresholds, skip="tolerances.py"),
         "name these thresholds in tolerances.py",

@@ -692,6 +692,16 @@ def test_verdict_is_the_conjunction_of_its_claims(tmp_path, argv):
         assert verdict is all(c.holds for c in claims), (name, claims)
 
 
+@pytest.mark.parametrize(
+    "argv", [a for a, _, _ in REPORT_SCHEMAS], ids=[c for _, c, _ in REPORT_SCHEMAS]
+)
+def test_claim_names_are_unique(tmp_path, argv):
+    # each claim says what it measured: one name per claim of a report
+    for name, (_, claims) in claim_runs(tmp_path, argv).items():
+        names = [c.name for c in claims]
+        assert len(set(names)) == len(names), (name, names)
+
+
 def test_each_group_has_a_failed_verdict_with_a_failing_claim(tmp_path):
     assert sorted(sum(COMMAND_GROUPS.values(), ())) == sorted(c for _, c, _ in REPORT_SCHEMAS)
     failed = {group: [] for group in COMMAND_GROUPS}

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gfusion import generate
-from gfusion.constructions import direct_sum_frame
+from gfusion import frames, generate
+from gfusion.constructions import conjugate_transform, direct_sum_frame, sum_transform
 from gfusion.errors import DimensionMismatch, NotInvertible, NotPositive
 from gfusion.frames import (
     BlockVector,
@@ -23,7 +23,14 @@ from gfusion.frames import (
     synthesis_matrix,
 )
 from gfusion.linalg import Subspace, dsum_op, gen_rayleigh_min, orth, projector
-from gfusion.resolution import adjoint_check, pair_frame_operator
+from gfusion.resolution import (
+    adjoint_check,
+    bessel_resolution_frame_check,
+    canonical_resolutions,
+    coercive_pair_check,
+    inverse_commutation_check,
+    pair_frame_operator,
+)
 
 from conftest import (
     complex_gaussian,
@@ -286,9 +293,9 @@ class TestAtomic:
         assert rep.lower_bound == pytest.approx(gen_rayleigh_min(h, s @ s.conj().T), rel=1e-12)
 
     def test_coefficient_norm_bound_only_with_verdict(self):
-        # a_opt is roundoff (~1e-15) below the positivity floor: the verdict
-        # is false, and 1/sqrt(a_opt) would read ~3e7
-        inst = generate.random_instance(3002, 4, 2, "scalar-controls")
+        # a_opt is positive roundoff (~4e-15) below the positivity floor: the
+        # verdict is false, and 1/sqrt(a_opt) would read ~2e7
+        inst = generate.random_instance(3038, 4, 2, "scalar-controls")
         rep = atomic_check(inst.family, inst.control, inst.k)
         assert not rep.is_atomic
         assert 0 < rep.lower_bound < 1e-12
@@ -416,6 +423,70 @@ class TestImmutableFamily:
         again = FrameFamily(4, fam.items)
         for (sub, lam, _), (sub2, lam2, _) in zip(fam.items, again.items):
             assert lam2 is lam and sub2.basis is sub.basis
+
+
+class TestThinAlgebra:
+    """S = t* F u from the family's own operator F, each per-item root a
+    d_j x d_j problem, and a stack of per-item cross operators only where a
+    report lists the terms."""
+
+    def test_operator_is_read_only_hermitian_and_formed_once(self, rng):
+        fam = random_family(rng, 5, 3)
+        assert fam.operator is fam.operator
+        assert np.array_equal(fam.operator, fam.operator.conj().T)
+        with pytest.raises(ValueError):
+            fam.operator[0, 0] = 7.0
+
+    def test_only_listed_terms_build_a_stack(self, rng, monkeypatch):
+        n = 5
+        fam = random_family(rng, n, 3)
+        c = well_conditioned(rng, n)
+        cp = ControlPair(c, c)
+        k, f = complex_gaussian(rng, n, n), complex_gaussian(rng, n)
+        stacks = []
+        cross_terms = frames.cross_terms
+
+        def recording(t, left, right, u):
+            stacks.append(len(left))
+            return cross_terms(t, left, right, u)
+
+        monkeypatch.setattr(frames, "cross_terms", recording)
+        controlled_frame_bounds(fam, cp)
+        kgf_bounds(fam, cp, k)
+        atomic_check(fam, cp, k)
+        synthesis(fam, cp, analysis(fam, cp, f), f_hint=f)
+        synthesis_matrix(fam, cp)
+        inverse_commutation_check(fam, cp)
+        bessel_resolution_frame_check(fam, c, c)
+        pair = pair_frame_operator(fam, c, fam, c)
+        adjoint_check(pair)
+        coercive_pair_check(pair)
+        sum_transform(fam, fam, 0.5 * np.eye(n), 0.5 * np.eye(n), cp, k)
+        direct_sum_frame(fam, cp, k, fam, cp, k)
+        conjugate_transform(fam, cp, k, fam, cp, k, np.eye(n), 2.0 * np.eye(n))
+        assert stacks == []
+        canonical_resolutions(fam, cp)
+        assert stacks == [len(fam)]
+
+    def test_per_item_roots_are_d_j_sized(self, rng, monkeypatch):
+        n = 6
+        dims = (0, 2, 3, n)
+        fam = FrameFamily(n, [
+            (random_subspace(rng, n, d) if d else Subspace.zero(n),
+             complex_gaussian(rng, 4, n), 1.0 + d)
+            for d in dims
+        ])
+        c = well_conditioned(rng, n)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        synthesis_matrix(fam, ControlPair(c, c))
+        assert shapes == [(d, d) for d in dims]
 
 
 class TestImmutableControlPair:

@@ -2,8 +2,10 @@
 spectral-norm definition.
 
 `require_hermitian` and `positive_sqrt` may pass a matrix through a Frobenius
-bracket or take a norm from eigenvalues instead of an SVD, and `sum_transform`
-compares subspaces through their bases instead of their projectors.  The
+bracket or take a norm from eigenvalues instead of an SVD, `factored_sqrt`
+decides both gates on a d x d compression of a cross operator, and
+`sum_transform` compares subspaces through their bases instead of their
+projectors.  The
 reference implementations below are the plain definitions with
 `np.linalg.norm(., 2)`; every drawn input must get the same verdict and the
 same output from both.
@@ -20,7 +22,13 @@ from gfusion import tolerances as tol
 from gfusion.constructions import sum_transform
 from gfusion.errors import InvalidParameters, ItemCountMismatch, NotHermitian, NotPSD
 from gfusion.frames import ControlPair, FrameFamily
-from gfusion.linalg import Subspace, positive_sqrt, projector, require_hermitian
+from gfusion.linalg import (
+    Subspace,
+    factored_sqrt,
+    positive_sqrt,
+    projector,
+    require_hermitian,
+)
 
 from conftest import complex_gaussian
 
@@ -103,6 +111,116 @@ def test_positive_sqrt_matches_spectral_definition(seed, n, log_ratio, log_dip):
     vals[0] = -tol.TOL_PSD * 10.0**log_dip
     a = perturbed(rng, n, vals, tol.TOL_HERM * 10.0**log_ratio)
     same_outcome(positive_sqrt, reference_positive_sqrt, a)
+
+
+def dipped(rng, m, dip):
+    """m with its smallest eigenvalue moved to -dip * ||m||_2."""
+    vals, vecs = np.linalg.eigh(m)
+    vals[0] = -dip * max(abs(vals[-1]), 1.0)
+    return (vecs * vals) @ vecs.conj().T
+
+
+@GATE_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    controls=st.sampled_from(["equal", "edge", "far", "off-range"]),
+    rtol=st.sampled_from([tol.TOL_HERM, 1e-6]),
+    log_ratio=st.floats(-2.0, 2.0),
+    log_dip=st.floats(-2.0, 2.0),
+)
+def test_factored_sqrt_matches_dense_gates(seed, n, controls, rtol, log_ratio, log_dip):
+    # g = (t* B) m (u* B)* = t* B L* L B* u on W = span(B), zero and full
+    # ones among them, L rank-deficient when it has fewer rows than dim W;
+    # non-normal t, and u = t, u an asymmetry about TOL_HERM from t (spread
+    # over g, or all off the range of g), or an unrelated u; m with or
+    # without an eigenvalue dipping below zero by a multiple of the PSD floor;
+    # a Hermitian tolerance far above the PSD floor lets an off-range block
+    # pass the bracket and still move the eigenvalues across that floor
+    with tol.override(tol_herm=rtol):
+        check_factored_sqrt(seed, n, controls, log_ratio, log_dip)
+
+
+def check_factored_sqrt(seed, n, controls, log_ratio, log_dip):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(0, n + 1))
+    b = unitary(rng, n)[:, :d]
+    lam = complex_gaussian(rng, int(rng.integers(1, n + 1)), d)
+    m = lam.conj().T @ lam
+    if d and rng.uniform() < 0.5:
+        m = dipped(rng, m, tol.TOL_PSD * 10.0**log_dip)
+    t = np.eye(n) + np.triu(complex_gaussian(rng, n, n), 1) / n
+    asymmetry = tol.TOL_HERM * 10.0**log_ratio
+    if controls == "off-range" and 0 < d < n:
+        # u* B = t* B + eps v a* with v orthogonal to range(t* B): q* g q
+        # stays Hermitian, and all of g - g* lies in the off-range block
+        v = np.linalg.svd(t.conj().T @ b)[0][:, -1]
+        a = complex_gaussian(rng, d)
+        eps = asymmetry * np.linalg.norm(t, 2) / np.linalg.norm(a)
+        u = t + b @ np.outer(a, v.conj()) * eps
+    else:
+        u = {
+            "equal": t,
+            "edge": t + asymmetry * complex_gaussian(rng, n, n) / n,
+            "far": np.eye(n) + complex_gaussian(rng, n, n) / n,
+            "off-range": t,
+        }[controls]
+    x, y = t.conj().T @ b, u.conj().T @ b
+    g = x @ m @ y.conj().T
+    # within roundoff of a threshold neither computation decides
+    scale = max(np.linalg.norm(g, 2), 1e-300)
+    skew = np.linalg.norm(g - g.conj().T, 2)
+    assume(abs(skew - tol.TOL_HERM * scale) > 1e-6 * tol.TOL_HERM * scale)
+    vals = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+    floor = -tol.TOL_PSD * max(abs(vals[0]), abs(vals[-1]), 1e-300)
+    assume(abs(vals[0] - floor) > 1e-6 * abs(floor))
+    try:
+        ref = reference_positive_sqrt(g)
+    except (NotHermitian, NotPSD) as exc:
+        with pytest.raises(type(exc)):
+            factored_sqrt(x, m, y)
+        return
+    q, s = factored_sqrt(x, m, y)
+    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12 * n
+    root_scale = max(np.linalg.norm(s, 2), 1e-300)
+    assert np.linalg.norm(s - s.conj().T, 2) <= 1e-12 * root_scale
+    assert np.all(np.linalg.eigvalsh(0.5 * (s + s.conj().T)) >= -1e-12 * root_scale)
+    # both squares are the clipped Hermitian part of g, up to the off-range
+    # block of g (at most ||g - g*||_2) and the two clipped dips
+    got = q @ s @ s @ q.conj().T
+    bound = 1e-12 * scale + skew + 2 * max(-vals[0], 0.0)
+    assert np.linalg.norm(got - ref @ ref, 2) <= bound
+
+
+def test_factored_sqrt_bracket_keeps_sqrt_n():
+    # g = [[I_6, e], [0, 0]] on C^8 with a rank-one off-range block e of norm
+    # 1.5 TOL_HERM: ||g - g*||_2 / ||g||_2 = 1.5 TOL_HERM, but without the
+    # sqrt(n) of `require_hermitian`'s bracket its Frobenius ratio
+    # sqrt(2) * 1.5 TOL_HERM / sqrt(6) would pass
+    n, d = 8, 6
+    x = np.eye(n, d, dtype=complex)
+    y = x.copy()
+    y[d, 0] = 1.5 * tol.TOL_HERM
+    with pytest.raises(NotHermitian):
+        factored_sqrt(x, np.eye(d), y)
+    with pytest.raises(NotHermitian):
+        reference_positive_sqrt(x @ y.conj().T)
+
+
+def test_factored_sqrt_psd_gate_sees_the_off_range_block():
+    # q* g q = diag(1, -0.9 TOL_PSD) passes the PSD floor, but the off-range
+    # block couples its dip to the null space of g at first order (through
+    # an ill-conditioned q* y), and the Hermitian part of g has an eigenvalue
+    # below the floor; a Hermitian tolerance of 1e-6 lets the bracket pass
+    mu, c, rho = -0.9 * tol.TOL_PSD, tol.TOL_PSD, 1e-3
+    x = np.eye(3, 2, dtype=complex)
+    m = np.diag([1.0, mu / rho]).astype(complex)
+    y = np.array([[1.0, 0.0], [0.0, rho], [0.0, c * rho / mu]], dtype=complex)
+    with tol.override(tol_herm=1e-6):
+        with pytest.raises(NotPSD):
+            reference_positive_sqrt(x @ m @ y.conj().T)
+        with pytest.raises(NotPSD):
+            factored_sqrt(x, m, y)
 
 
 def rotated_pair(rng, n, dim_l, dim_g, angle):

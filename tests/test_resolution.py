@@ -8,7 +8,7 @@ from gfusion.errors import (
     ItemCountMismatch,
     NotAFrame,
 )
-from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily, frame_operator
+from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily, cross_terms, frame_operator
 from gfusion.linalg import Subspace, commutator_residual, projector
 from gfusion.resolution import (
     NO_TERMS,
@@ -196,7 +196,9 @@ class TestInverseCommutation:
         assert rep.commutation_residual == comm
         a, b = ev.bounds.lambda_min, ev.bounds.lambda_max
         assert rep.predicted_lower == a / b**2 and rep.predicted_upper == b / a**2
-        m = ev.weighted_sum(ev.cross_terms(s_inv @ d, s_inv @ d))
+        # the literal sum of the per-item terms under (S^-1 d, S^-1 d)
+        terms = cross_terms(s_inv @ d, fam.factors, fam.factors, s_inv @ d)
+        m = np.tensordot([w * w for w in fam.weights], terms, axes=1)
         ext = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
         assert rep.lower == pytest.approx(ext[0], rel=1e-12)
         assert rep.upper == pytest.approx(ext[-1], rel=1e-12)
@@ -258,7 +260,7 @@ class TestResolutionResidual:
         terms = np.stack([np.eye(n, dtype=complex) / 4] * 4)
         e = complex_gaussian(rng, n, n)
         terms[2] += 5e-8 * e / np.linalg.norm(e, 2)
-        rep = _resolution_report(terms)
+        rep = _resolution_report(terms.sum(axis=0), len(terms))
         assert abs(rep.residual - 5e-8) <= 1e-12
         assert not rep.converged
 

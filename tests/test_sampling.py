@@ -5,8 +5,9 @@
 construction outputs built through the subspace bases must agree with the
 one-vector loops and the n x n projector forms they replace; predicted
 bounds read from singular extremes must agree with the inverse-norm
-formulas they replace, and the synthesis operator T_C with the per-item
-square-root loop it replaces.  The rules on where these are formed are
+formulas they replace; the frame operator t* F u must agree with the literal
+sum of the per-item cross operators, and the synthesis operator T_C must
+hold roots of those cross operators.  The rules on where these are formed are
 in `test_architecture`.
 """
 
@@ -42,7 +43,6 @@ from gfusion.linalg import (
     dsum_op,
     dsum_subspace,
     opnorm,
-    positive_sqrt,
     projector,
 )
 from gfusion.resolution import (
@@ -265,6 +265,27 @@ def test_factored_cross_terms_match_projector_form(sub, lam, cp):
     assert np.max(np.abs(terms[0] - ref)) <= 1e-12 * scale
 
 
+@SAMPLING_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), items=st.integers(1, 4))
+def test_frame_operator_matches_literal_sum(seed, n, items):
+    # S = t* F u, F the family's own operator, against sum_j v_j^2 G_j with
+    # each G_j through its projector, under non-normal controls
+    rng = np.random.default_rng(seed)
+    fam = random_family(rng, n, items)
+    t = np.eye(n) + np.triu(complex_gaussian(rng, n, n), 1)
+    for cp in (ControlPair(t, well_conditioned(rng, n)), ControlPair(t, t)):
+        ref = sum(w * w * projector_cross(sub, lam, cp.t, cp.u) for sub, lam, w in fam.items)
+        got = frame_operator(fam, cp)
+        assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+@pytest.mark.parametrize("fam, cp", frame_sum_families(), ids=["mixed", "zero", "fourier"])
+def test_frame_operator_matches_literal_sum_on_degenerate_items(fam, cp):
+    ref = sum(w * w * projector_cross(sub, lam, cp.t, cp.u) for sub, lam, w in fam.items)
+    got = frame_operator(fam, cp)
+    assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
 def test_pair_operator_matches_projector_form():
     rng = np.random.default_rng(161)
     n = 5
@@ -410,14 +431,6 @@ def test_predicted_bounds_match_inverse_norm_formulas(seed, n, items):
     assert_rel(rep.predicted_upper, b * inv_norm(t) ** 2 * opnorm(u) ** 2)
 
 
-def reference_roots(fam, cp):
-    """v_j R_j, R_j the positive square root of the j-th cross operator:
-    the per-item loop that T_C replaces."""
-    return [
-        w * positive_sqrt(item_cross_operator(sub, lam, cp)) for sub, lam, w in fam.items
-    ]
-
-
 def family_with_subspace_dims(rng, n, dims):
     """Items on random subspaces of the given dimensions (0 and n among them)."""
     return FrameFamily(n, [
@@ -435,6 +448,10 @@ def family_with_subspace_dims(rng, n, dims):
     scalar=st.booleans(),
 )
 def test_synthesis_operator_matches_per_item_roots(seed, n, data, scalar):
+    # T_C = [v_1 R_1*, ..., v_m R_m*] with each R_j the positive square root
+    # of the literal cross operator G_j, by its defining properties: R_j is
+    # Hermitian PSD, R_j R_j* = G_j and T_C T_C* = S (a dense root carries
+    # sqrt(eps) noise on the null space of G_j, so roots are not compared)
     rng = np.random.default_rng(seed)
     dims = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
     fam = family_with_subspace_dims(rng, n, dims)
@@ -444,15 +461,23 @@ def test_synthesis_operator_matches_per_item_roots(seed, n, data, scalar):
     else:
         c = well_conditioned(rng, n)
         cp = ControlPair(c, c)
-    roots = reference_roots(fam, cp)
     f = complex_gaussian(rng, n)
     g = BlockVector([complex_gaussian(rng, n) for _ in dims])
 
     t_c = synthesis_matrix(fam, cp)
-    assert rel_err(t_c, np.hstack([r.conj().T for r in roots])) <= 1e-12
+    assert t_c.shape == (n, n * len(dims))
+    for j, (sub, lam, w) in enumerate(fam.items):
+        r = t_c[:, j * n:(j + 1) * n].conj().T / w
+        scale = np.linalg.norm(r, 2)
+        assert np.linalg.norm(r - r.conj().T, 2) <= 1e-12 * scale
+        assert np.linalg.eigvalsh(0.5 * (r + r.conj().T))[0] >= -1e-12 * scale
+        g_j = projector_cross(sub, lam, cp.t, cp.u)
+        assert np.linalg.norm(r @ r.conj().T - g_j, 2) <= 1e-12 * np.linalg.norm(g_j, 2)
+    s = frame_operator(fam, cp)
+    assert np.linalg.norm(t_c @ t_c.conj().T - s, 2) <= 1e-12 * np.linalg.norm(s, 2)
     got = np.concatenate(analysis(fam, cp, f).blocks)
-    assert rel_err(got, np.concatenate([r @ f for r in roots])) <= 1e-12
+    assert rel_err(got, t_c.conj().T @ f) <= 1e-12
     out, _ = synthesis(fam, cp, g)
-    assert rel_err(out, sum(r.conj().T @ b for r, b in zip(roots, g.blocks))) <= 1e-12
+    assert rel_err(out, t_c @ np.concatenate(g.blocks)) <= 1e-12
     _, certified = synthesis(fam, cp, analysis(fam, cp, f), f_hint=f)
     assert certified
