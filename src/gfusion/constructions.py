@@ -3,7 +3,9 @@
 Each construction emits the transformed family plus a report pairing the
 predicted bounds (from the hypotheses) with measured spectral bounds; when a
 hypothesis (a claim on its residual) fails the construction is still
-emitted, flagged, and not verified.
+emitted, flagged, and not verified.  An operator that the predictions
+divide by (a conjugator, the sum operator) is claimed invertible; when it
+is not, nothing is predicted.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ from .errors import DimensionMismatch, InvalidParameters, ItemCountMismatch, Wei
 from .frames import ControlPair, FrameEvaluation, FrameFamily
 from .linalg import (
     SpectralInterval,
+    adjoint,
     as_operator,
     commutator_residual,
     dsum_op,
     dsum_subspace,
     frozen,
     opnorm,
-    require_invertible,
+    product,
+    singular_extremes,
     subspace_image,
 )
 
@@ -41,8 +45,8 @@ class TransformReport:
     family_out: FrameFamily
     control_out: ControlPair
     k_out: np.ndarray
-    predicted_lower: float
-    predicted_upper: float
+    predicted_lower: float | None
+    predicted_upper: float | None
     measured: SpectralInterval
     hypothesis_certificates: tuple[Certificate, ...]
     all_hypotheses_pass: bool
@@ -51,16 +55,26 @@ class TransformReport:
 
 
 def _transform_report(
-    fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, hypotheses
+    fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, hypotheses,
+    invertible=(),
 ) -> TransformReport:
-    """The report; `verified` also claims that the measured lower bound reaches the predicted."""
-    lower = tol.claim("measured_lower_bound", measured.lambda_min, ">=", "TOL_CONSTRUCT",
-                      base=predicted_lower, scale=max(predicted_upper, 1.0))
-    claims = (*hypotheses, lower)
+    """The report; `verified` also claims that the measured lower bound reaches the predicted.
+
+    `invertible` are the claims that the operators the predictions divide by
+    are invertible: they join `all_hypotheses_pass` but not the
+    certificates, and when one fails both predictions are None.
+    """
+    certificates = tuple(Certificate(h.name, h.value) for h in hypotheses)
+    hypotheses = (*invertible, *hypotheses)
+    claims = hypotheses
+    if tol.all_hold(invertible):
+        claims += (tol.claim("measured_lower_bound", measured.lambda_min, ">=", "TOL_CONSTRUCT",
+                             base=predicted_lower, scale=max(predicted_upper, 1.0)),)
+    else:
+        predicted_lower = predicted_upper = None
     return TransformReport(
-        fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured,
-        tuple(Certificate(h.name, h.value) for h in hypotheses), tol.all_hold(hypotheses),
-        tol.all_hold(claims), claims,
+        fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, certificates,
+        tol.all_hold(hypotheses), tol.all_hold(claims), claims,
     )
 
 
@@ -74,12 +88,28 @@ def _bessel(name: str, ev: FrameEvaluation) -> tol.Claim:
     return _hypothesis(f"{name}_family_bessel", ev.herm_residual)
 
 
-def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
+def _square(name: str, a, n: int) -> np.ndarray:
+    """`a` as an operator; DimensionMismatch unless it is n x n."""
+    a = as_operator(a)
+    if a.shape != (n, n):
+        raise DimensionMismatch(f"{name} must be {n} x {n}, got {a.shape[0]} x {a.shape[1]}")
+    return a
+
+
+def _invertible(name: str, a):
+    """The singular extremes of `a`, and the claim `{name}_invertible` that
+    cond(a) <= COND_MAX."""
+    sigma = singular_extremes(a)
+    return sigma, tol.claim(f"{name}_invertible", sigma.condition, "<=", "COND_MAX")
+
+
+def _paired(famH, cpH, kH, famX, cpX, kX, conjugators=()):
     """Prologue of the H (+) X constructions.
 
-    Checks item counts and weights, then that each named conjugator is
-    invertible, and only then evaluates each family under its control pair.
-    Returns each checked conjugator with its singular extremes (in the order
+    Checks item counts and weights, then the shape of each conjugator
+    (name, operator, family it acts on), and only then evaluates each
+    family under its control pair.  Returns each conjugator with its
+    singular extremes and invertibility claim (`_invertible`, in the order
     given), the direct-sum family (items W_j (+) X_j, L_j (+) G_j), control
     pair and k, the Bessel hypotheses of the two families, and
     (a_opt, b, evaluation) of each family.
@@ -90,9 +120,9 @@ def _paired(famH, cpH, kH, famX, cpX, kX, **conjugators):
         if abs(wH - wX) > 0:
             raise WeightMismatch(f"item {j}: weights {wH} != {wX}")
     checked = []
-    for name, c in conjugators.items():
-        c = as_operator(c)
-        checked.append((c, require_invertible(c, name)))
+    for name, c, fam in conjugators:
+        c = _square(name, c, fam.ambient_dim)
+        checked.append((c, *_invertible(name, c)))
     kH = as_operator(kH)
     kX = as_operator(kX)
     cp_out = ControlPair.direct_sum(cpH, cpX)
@@ -140,11 +170,10 @@ def sum_transform(
             and opnorm(d) > tol.TOL_SAME_SUBSPACE
         ):
             raise InvalidParameters(f"item {j}: subspaces differ")
-    v = as_operator(v)
-    w = as_operator(w)
+    n = famL.ambient_dim
+    r = _square("v", v, n) + _square("w", w, n)
     k = as_operator(k)
-    r = v + w
-    r_sigma = require_invertible(r, "v + w")
+    r_sigma, r_invertible = _invertible("sum", r)
     rstar = r.conj().T
     # ||r|| and the controls' norms are the sigma_max their gates kept;
     # ||r*|| is measured once
@@ -154,11 +183,11 @@ def sum_transform(
         _hypothesis("k_commutes_with_sum", commutator_residual(k, r, None, r_sigma.sigma_max)),
         _hypothesis(
             "sum_adjoint_commutes_with_t",
-            commutator_residual(rstar, cp.t, norm_rstar, cp.t_sigma.sigma_max),
+            commutator_residual(rstar, cp.t_side, norm_rstar, cp.t_sigma.sigma_max),
         ),
         _hypothesis(
             "sum_adjoint_commutes_with_u",
-            commutator_residual(rstar, cp.u, norm_rstar, cp.u_sigma.sigma_max),
+            commutator_residual(rstar, cp.u_side, norm_rstar, cp.u_sigma.sigma_max),
         ),
     ]
     # Both families are applied through famL's bases: A_j = C_j B_j*, and the
@@ -173,7 +202,7 @@ def sum_transform(
     # Y_j = (r* u)* B_j.  With X_j = Q R_x and Y_j = Q' R_y (QR), the norm
     # ||X_j M Y_j*||_2 is ||R_x M R_y*||_2, and ||C B_j* r*||_2 is
     # ||C R_z*||_2 for r B_j = Q'' R_z: d_j x d_j problems.
-    rt_adj, ru_adj = (rstar @ cp.t).conj().T, (rstar @ cp.u).conj().T
+    rt_adj, ru_adj = (adjoint(product(rstar, c)) for c in (cp.t_side, cp.u_side))
     cross1 = 0.0
     cross2 = 0.0
     control_scale = cp.t_sigma.sigma_max * cp.u_sigma.sigma_max
@@ -198,7 +227,7 @@ def sum_transform(
     predicted_upper = (b_l + b_g) * r_sigma.sigma_max**2
     measured = _measure(FrameEvaluation(fam_out, cp), k)
     return _transform_report(
-        fam_out, cp, k, predicted_lower, predicted_upper, measured, hypotheses
+        fam_out, cp, k, predicted_lower, predicted_upper, measured, hypotheses, (r_invertible,)
     )
 
 
@@ -246,9 +275,9 @@ def conjugate_transform(
     the commutation hypotheses hold and both families are Bessel.
     """
     conjugators, fam_sum, cp_out, k_out, bessel, (a_h, b_h, evH), (a_x, b_x, evX) = _paired(
-        famH, cpH, kH, famX, cpX, kX, w=w, v=v
+        famH, cpH, kH, famX, cpX, kX, (("w", w, famH), ("v", v, famX))
     )
-    (w, w_sigma), (v, v_sigma) = conjugators
+    (w, w_sigma, w_invertible), (v, v_sigma, v_invertible) = conjugators
     w_adj, v_adj = w.conj().T, v.conj().T
     # ||w||, ||v|| and the controls' norms are the sigma_max their gates
     # kept; ||w*|| and ||v*|| are measured once each
@@ -258,10 +287,14 @@ def conjugate_transform(
         return _hypothesis(name, commutator_residual(a, b, norm_a, norm_b))
 
     hypotheses = [
-        commutes("w_adjoint_commutes_with_t", w_adj, cpH.t, norm_w_adj, cpH.t_sigma.sigma_max),
-        commutes("w_adjoint_commutes_with_t1", w_adj, cpH.u, norm_w_adj, cpH.u_sigma.sigma_max),
-        commutes("v_adjoint_commutes_with_u", v_adj, cpX.t, norm_v_adj, cpX.t_sigma.sigma_max),
-        commutes("v_adjoint_commutes_with_u1", v_adj, cpX.u, norm_v_adj, cpX.u_sigma.sigma_max),
+        commutes("w_adjoint_commutes_with_t", w_adj, cpH.t_side, norm_w_adj,
+                 cpH.t_sigma.sigma_max),
+        commutes("w_adjoint_commutes_with_t1", w_adj, cpH.u_side, norm_w_adj,
+                 cpH.u_sigma.sigma_max),
+        commutes("v_adjoint_commutes_with_u", v_adj, cpX.t_side, norm_v_adj,
+                 cpX.t_sigma.sigma_max),
+        commutes("v_adjoint_commutes_with_u1", v_adj, cpX.u_side, norm_v_adj,
+                 cpX.u_sigma.sigma_max),
         commutes("k_h_commutes_with_w", as_operator(kH), w, None, w_sigma.sigma_max),
         commutes("k_x_commutes_with_v", as_operator(kX), v, None, v_sigma.sigma_max),
         *bessel,
@@ -281,5 +314,6 @@ def conjugate_transform(
     predicted_upper = max(b_h * w_sigma.sigma_max**2, b_x * v_sigma.sigma_max**2)
     measured = _measure(evO, k_out)
     return _transform_report(
-        fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, hypotheses
+        fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, hypotheses,
+        (w_invertible, v_invertible),
     )

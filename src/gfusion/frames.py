@@ -17,8 +17,9 @@ the library holds it in thin form (`FrameEvaluation.thin_synthesis`).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -32,9 +33,11 @@ from .errors import (
     ZeroDenominator,
 )
 from .linalg import (
+    Factored,
     SingularExtremes,
     SpectralInterval,
     Subspace,
+    adjoint,
     antihermitian_norm,
     as_operator,
     as_vector,
@@ -43,14 +46,16 @@ from .linalg import (
     factored_sqrt,
     frobenius_bound,
     frozen,
-    gen_rayleigh_min,
+    gen_rayleigh_extremes,
     hermitian_pinv,
     hermitian_spectrum,
     opnorm,
+    product,
     read_only,
     require_conditioned,
     require_finite_positive,
     require_invertible,
+    scalar_multiple,
 )
 
 
@@ -60,7 +65,8 @@ class FrameFamily:
 
     Immutable: each operator is held read-only (`linalg.read_only`), as is
     each subspace's basis, so the control-independent algebra (`factors`,
-    `stacked_conj_basis`, `operator`) is computed on first use and kept.
+    `basis_qr`, `stacked_conj_basis`, `operator`) is computed on first use
+    and kept.
     """
 
     ambient_dim: int
@@ -106,6 +112,16 @@ class FrameFamily:
         return tuple((sub.basis, frozen(lam @ sub.basis)) for sub, lam, _ in self.items)
 
     @cached_property
+    def basis_qr(self) -> tuple:
+        """Per-item QR `Factored(Q_j, R_j)` of B_j, read-only: Q_j has
+        orthonormal columns to rounding, and B_j = Q_j R_j, for any basis
+        accepted at TOL_ORTH.  Under a control c I, t* B_j is Q_j (conj(c) R_j)."""
+        return tuple(
+            Factored(*(frozen(a) for a in np.linalg.qr(sub.basis)))
+            for sub, _, _ in self.items
+        )
+
+    @cached_property
     def stacked_conj_basis(self) -> tuple:
         """(conj([B_1 ... B_m]), offsets), read-only: for a row x^T, the
         coordinates B_j* x of item j are columns offsets[j]:offsets[j + 1]
@@ -123,8 +139,26 @@ class FrameFamily:
         return frozen(0.5 * (f + f.conj().T))
 
     def controlled(self, t, u) -> np.ndarray:
-        """t* F u = sum_j v_j^2 t* P_j L_j* L_j P_j u: two products."""
-        return (t.conj().T @ self.operator) @ u
+        """t* F u = sum_j v_j^2 t* P_j L_j* L_j P_j u: two products, each a
+        scaling where its control is a number c standing for c I
+        (`ControlPair.t_side`)."""
+        return product(product(adjoint(t), self.operator), u)
+
+
+def _side(a):
+    """The control side of `a`: the number c when a is exactly c I
+    (`linalg.scalar_multiple`), else a itself."""
+    c = scalar_multiple(a)
+    return a if c is None else c
+
+
+def _gated_side(a, what: str):
+    """(side, singular extremes) of control `a`, gated at COND_MAX; a side c
+    has extremes (|c|, |c|) and takes no SVD."""
+    side = _side(a)
+    if isinstance(side, np.ndarray):
+        return side, require_invertible(a, what)
+    return side, require_conditioned(SingularExtremes(abs(side), abs(side)), what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,29 +169,36 @@ class ControlPair:
     singular extremes of t and u kept from its invertibility check stay
     true, and ||t||, ||t^-1||, ||u|| and ||u^-1|| need no further SVD.  In
     ControlPair(c, c) the one operator c is checked once.
+
+    A control that is exactly c I is applied as the number c: `t_side` and
+    `u_side` are that number, or the operator itself, and `linalg.product`
+    and `linalg.adjoint` take either.  Its gate needs no SVD: both singular
+    extremes are |c|.
     """
 
     t: np.ndarray
     u: np.ndarray
     t_sigma: SingularExtremes = field(init=False, repr=False)
     u_sigma: SingularExtremes = field(init=False, repr=False)
+    t_side: np.ndarray | complex = field(init=False, repr=False)
+    u_side: np.ndarray | complex = field(init=False, repr=False)
 
     def __init__(self, t, u):
         t, u = read_only(t), read_only(u)
         if t.shape != u.shape or t.shape[0] != t.shape[1]:
             raise DimensionMismatch("controls must be square of equal size")
         if np.array_equal(t, u):
-            t_sigma = u_sigma = require_invertible(t, "control t = u")
+            t_side, t_sigma = _gated_side(t, "control t = u")
+            u_side, u_sigma = t_side, t_sigma
         else:
-            t_sigma = require_invertible(t, "control t")
-            u_sigma = require_invertible(u, "control u")
-        self._store(t, u, t_sigma, u_sigma)
+            t_side, t_sigma = _gated_side(t, "control t")
+            u_side, u_sigma = _gated_side(u, "control u")
+        self._store(t, u, t_sigma, u_sigma, t_side, u_side)
 
-    def _store(self, t, u, t_sigma, u_sigma):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "t_sigma", t_sigma)
-        object.__setattr__(self, "u_sigma", u_sigma)
+    def _store(self, t, u, t_sigma, u_sigma, t_side, u_side):
+        for name, value in (("t", t), ("u", u), ("t_sigma", t_sigma), ("u_sigma", u_sigma),
+                            ("t_side", t_side), ("u_side", u_side)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def direct_sum(h: "ControlPair", x: "ControlPair") -> "ControlPair":
@@ -176,7 +217,8 @@ class ControlPair:
             dsum_extremes(h.u_sigma, x.u_sigma), "control u"
         )
         pair = object.__new__(ControlPair)
-        pair._store(t, u, t_sigma, u_sigma)
+        t_side = _side(t)
+        pair._store(t, u, t_sigma, u_sigma, t_side, t_side if same else _side(u))
         return pair
 
     @staticmethod
@@ -228,10 +270,17 @@ class AtomicReport:
     bessel_bound: float
     coefficient_norm_bound: float
     lower_bound: float
-    coefficient_map: np.ndarray | None = field(default=None, metadata={"report": False})
+    # the function that forms the coefficient map (`coefficient_map`)
+    coefficient_map_source: Callable[[], np.ndarray] = field(repr=False, metadata={"report": False})
     coefficient_residual: float | None = None
     literal_residual: float | None = field(default=None)
     claims: tuple = field(default=(), metadata={"report": False})
+
+    @cached_property
+    def coefficient_map(self) -> np.ndarray:
+        """The minimum-norm coefficient map L with T_C L = k (library only),
+        formed when first read."""
+        return self.coefficient_map_source()
 
 
 def _check_dims(fam: FrameFamily, cp: ControlPair):
@@ -245,11 +294,13 @@ def cross_terms(t, left, right, u) -> np.ndarray:
     """Stack of (t* B_j)(C_j* C'_j)(B'_j* u) over the factor lists `left`
     (B_j, C_j) and `right` (B'_j, C'_j): slice j is (A_j t)* (A'_j u) with
     A_j = C_j B_j*.  O(n^2 dim W_j) per item, where projectors cost O(n^3).
+    t and u are control sides (`ControlPair.t_side`).
     """
-    out = np.empty((len(left), t.shape[1], u.shape[1]), dtype=complex)
-    t_adj = t.conj().T
+    n = left[0][0].shape[0]
+    out = np.empty((len(left), n, n), dtype=complex)
+    t_adj = adjoint(t)
     for j, ((b_l, c_l), (b_r, c_r)) in enumerate(zip(left, right)):
-        out[j] = (t_adj @ b_l) @ ((c_l.conj().T @ c_r) @ (b_r.conj().T @ u))
+        out[j] = product(t_adj, b_l) @ ((c_l.conj().T @ c_r) @ product(b_r.conj().T, u))
     return out
 
 
@@ -267,7 +318,7 @@ def factor_sum(left: FrameFamily, right: FrameFamily, weights) -> np.ndarray:
 def item_cross_operator(sub: Subspace, lam, cp: ControlPair) -> np.ndarray:
     """Single term t* P L* L P u (weight excluded)."""
     factors = FrameFamily(sub.ambient_dim, [(sub, lam, 1.0)]).factors
-    return cross_terms(cp.t, factors, factors, cp.u)[0]
+    return cross_terms(cp.t_side, factors, factors, cp.u_side)[0]
 
 
 class FrameEvaluation:
@@ -285,7 +336,7 @@ class FrameEvaluation:
 
     def __init__(self, fam: FrameFamily, cp: ControlPair):
         self._bind(fam, cp)
-        self.s = as_operator(fam.controlled(cp.t, cp.u))  # rejects an overflow
+        self.s = as_operator(fam.controlled(cp.t_side, cp.u_side))  # rejects an overflow
 
     def _bind(self, fam: FrameFamily, cp: ControlPair):
         _check_dims(fam, cp)
@@ -306,7 +357,7 @@ class FrameEvaluation:
     @cached_property
     def terms(self) -> np.ndarray:
         """The (m, n, n) stack of G_j = (A_j t)* (A_j u), one slice per item."""
-        return cross_terms(self.cp.t, self.fam.factors, self.fam.factors, self.cp.u)
+        return cross_terms(self.cp.t_side, self.fam.factors, self.fam.factors, self.cp.u_side)
 
     def weighted(self, stack) -> np.ndarray:
         """Scale slice j of the stack `stack` by v_j^2 in place; returns it."""
@@ -378,13 +429,22 @@ class FrameEvaluation:
         Q_j has orthonormal columns and T_j = v_j Q_j S_j, S_j Hermitian
         PSD, so T_C = [T_1 Q_1*, ..., T_m Q_m*] and T_C T_C* = T T*.  Each
         root is a d_j x d_j problem on the factors t* B_j, C_j* C_j, u* B_j
-        of G_j (`linalg.factored_sqrt`), so T is n x sum_j d_j.
+        of G_j (`linalg.factored_sqrt`), so T is n x sum_j d_j.  Under a
+        control c I, t* B_j is Q (conj(c) R) for the family's own QR
+        B_j = Q R (`FrameFamily.basis_qr`): with u a multiple of I too, both
+        factors are given on that Q, and the root takes no QR and no n x n
+        product.  A scalar side beside a dense one is a scaling of B_j.
         """
-        t_adj, u_adj = self.cp.t.conj().T, self.cp.u.conj().T
+        t_adj, u_adj = adjoint(self.cp.t_side), adjoint(self.cp.u_side)
         blocks, bases = [], []
         for j, ((b, c), w) in enumerate(zip(self.fam.factors, self.fam.weights)):
+            if isinstance(t_adj, np.ndarray) or isinstance(u_adj, np.ndarray):
+                x, y = product(t_adj, b), product(u_adj, b)
+            else:
+                q, r = self.fam.basis_qr[j]
+                x, y = Factored(q, t_adj * r), Factored(q, u_adj * r)
             try:
-                basis, root = factored_sqrt(t_adj @ b, c.conj().T @ c, u_adj @ b)
+                basis, root = factored_sqrt(x, c.conj().T @ c, y)
             except GFusionError as exc:
                 raise NotPositive(
                     f"item {j}: cross operator is not Hermitian PSD ({exc})"
@@ -393,31 +453,19 @@ class FrameEvaluation:
             bases.append(basis)
         return np.hstack(blocks), tuple(bases)
 
-    def _expand(self, coords) -> np.ndarray:
-        """[Q_1 c_1; ...; Q_m c_m] for the row blocks c_j of `coords` that
-        belong to item j of T: thin coordinates as n-vectors per item."""
-        _, bases = self.thin_synthesis
-        n = self.fam.ambient_dim
-        out = np.empty((n * len(bases),) + coords.shape[1:], dtype=complex)
-        lo = 0
-        for j, q in enumerate(bases):
-            np.matmul(q, coords[lo:lo + q.shape[1]], out=out[j * n:(j + 1) * n])
-            lo += q.shape[1]
-        return out
-
     @cached_property
     def synthesis_matrix(self) -> np.ndarray:
         """T_C = [v_1 R_1*, ..., v_m R_m*], expanded from the thin form."""
-        t, _ = self.thin_synthesis
-        return self._expand(t.conj().T).conj().T
+        t, bases = self.thin_synthesis
+        return _expand(bases, t.conj().T).conj().T
 
     def analysis(self, f) -> BlockVector:
         """T_C* f, split into one block per item."""
         f = as_vector(f)
         if f.shape[0] != self.fam.ambient_dim:
             raise DimensionMismatch(f"vector dim {f.shape[0]} != {self.fam.ambient_dim}")
-        t, _ = self.thin_synthesis
-        return BlockVector(np.split(self._expand(t.conj().T @ f), len(self.fam)))
+        t, bases = self.thin_synthesis
+        return BlockVector(np.split(_expand(bases, t.conj().T @ f), len(self.fam)))
 
     def synthesis(self, g: BlockVector) -> np.ndarray:
         """T_C g for one n-vector block per item."""
@@ -438,36 +486,45 @@ class FrameEvaluation:
 
     def kgf(self, k):
         """(a_opt, b, claims) of `kgf_bounds`, is_kgf the claims' conjunction."""
-        k = self._check_k(k)
+        return self._kgf(self._check_k(k))[:3]
+
+    def _kgf(self, k):
+        """`kgf`'s (a_opt, b, claims), then ||k||_2 where the Rayleigh
+        quotient measured it: the root of the top eigenvalue of k k*, when
+        that is a normal float; None otherwise."""
         b = self.bounds.lambda_max
         if not self.bessel.holds:
-            return -math.inf, b, (self.bessel,)
+            return -math.inf, b, (self.bessel,), None
         try:
-            a_opt = gen_rayleigh_min(self.hermitian, k @ k.conj().T)
+            rayleigh = gen_rayleigh_extremes(self.hermitian, k @ k.conj().T)
         except ZeroDenominator:
-            a_opt = math.inf
+            a_opt, k_norm = math.inf, None
+        else:
+            a_opt = rayleigh.lambda_min
+            top = rayleigh.denominator_max
+            k_norm = math.sqrt(top) if top >= np.finfo(float).tiny else None
         # positivity at the same relative floor used for the frame flag, so
         # roundoff dust around zero does not flip the verdict
         positive = tol.claim("k_positive_lower", a_opt, ">", "TOL_PSD", scale=max(b, 0.0))
-        return a_opt, b, (self.bessel, positive)
+        return a_opt, b, (self.bessel, positive), k_norm
 
     def atomic(self, k) -> AtomicReport:
         """The report of `atomic_check`."""
         k = self._check_k(k)
-        a_opt, b, claims = self.kgf(k)
+        a_opt, b, claims, k_norm = self._kgf(k)
         is_kgf = tol.all_hold(claims)
-        scale_k = max(opnorm(k), 1e-300)
+        scale_k = max(opnorm(k) if k_norm is None else k_norm, 1e-300)
         literal_residual = opnorm(k - self.s) / scale_k
         # Minimum-norm solution L = T_C* S^+ k of T_C L = k, S^+ the
         # pseudoinverse of the thin Gram T T* = T_C T_C* = S (Hermitian PSD
         # as formed) from one eigendecomposition, with one step of iterative
-        # refinement; T_C L = T T* S^+ k
-        t, _ = self.thin_synthesis
+        # refinement; T_C L = T T* S^+ k.  L is kept as its thin coordinates
+        # T* S^+ k and expanded only when read.
+        t, bases = self.thin_synthesis
         gram = t @ t.conj().T
         gram_pinv = hermitian_pinv(gram)
         x = gram_pinv @ k
         coords = t.conj().T @ (x + gram_pinv @ (k - gram @ x))
-        coeff_map = self._expand(coords)
         coeff_residual = opnorm(t @ coords - k) / scale_k
         # finite only with the verdict: a roundoff-level a_opt below the
         # positivity floor would give a huge, meaningless bound
@@ -477,11 +534,24 @@ class FrameEvaluation:
             bessel_bound=b,
             coefficient_norm_bound=c,
             lower_bound=a_opt,
-            coefficient_map=coeff_map,
+            coefficient_map_source=partial(_expand, bases, coords),
             coefficient_residual=coeff_residual,
             literal_residual=literal_residual,
             claims=claims,
         )
+
+
+def _expand(bases, coords) -> np.ndarray:
+    """[Q_1 c_1; ...; Q_m c_m] for the bases Q_j of the thin synthesis
+    operator and the row blocks c_j of `coords` that belong to item j:
+    thin coordinates as n-vectors per item."""
+    n = bases[0].shape[0]
+    out = np.empty((n * len(bases),) + coords.shape[1:], dtype=complex)
+    lo = 0
+    for j, q in enumerate(bases):
+        np.matmul(q, coords[lo:lo + q.shape[1]], out=out[j * n:(j + 1) * n])
+        lo += q.shape[1]
+    return out
 
 
 def frame_sum(fam: FrameFamily, cp: ControlPair, f):
@@ -503,7 +573,7 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f):
     k = block.shape[1]
     # rows: the k vectors t f, then the k vectors u f; each per-item sum
     # then runs along contiguous memory
-    rows = np.concatenate((cp.t @ block, cp.u @ block), axis=1).T
+    rows = np.concatenate((product(cp.t_side, block), product(cp.u_side, block)), axis=1).T
     conj_basis, offsets = fam.stacked_conj_basis
     coords = rows @ conj_basis
     total = np.zeros(k, dtype=complex)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Number
 from typing import NamedTuple
 
 import numpy as np
@@ -109,6 +110,31 @@ def random_unit_columns(seed: int, n: int, trials: int):
         yield x / np.linalg.norm(x, axis=0)
 
 
+def scalar_multiple(a) -> complex | None:
+    """c when the square operator `a` is exactly c I (every entry off the
+    diagonal zero, every diagonal entry c), else None."""
+    if a.shape[0] != a.shape[1] or a.size == 0:
+        return None
+    d = a.diagonal()
+    if (d == d[0]).all() and np.count_nonzero(a) == (d.size if d[0] else 0):
+        return complex(d[0])
+    return None
+
+
+def adjoint(a):
+    """a*: the conjugate transpose of an operator, or the conjugate of a
+    number c standing for c I."""
+    return a.conjugate() if isinstance(a, Number) else np.asarray(a).conj().T
+
+
+def product(a, b):
+    """a b, where a number c in either place stands for c I: then the other
+    factor scaled by c, with no matrix product."""
+    if isinstance(a, Number) or isinstance(b, Number):
+        return a * b
+    return a @ b
+
+
 def opnorm(a) -> float:
     """Spectral norm; zero-size matrices have norm 0."""
     a = np.asarray(a)
@@ -203,7 +229,8 @@ def antihermitian_norm(d) -> float:
 
 
 def require_hermitian(a) -> np.ndarray:
-    """Gate ||a - a*||_2 <= TOL_HERM * ||a||_2 and return the Hermitian part (a + a*)/2.
+    """Gate ||a - a*||_2 <= TOL_HERM * ||a||_2 and return the Hermitian part
+    (a + a*)/2, which is `a` itself when a is exactly Hermitian.
 
     The Frobenius bracket passes most inputs without an SVD; otherwise the
     two spectral norms decide (||a - a*||_2 by `antihermitian_norm`), and
@@ -213,6 +240,8 @@ def require_hermitian(a) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is not square: {a.shape}")
     d = a - a.conj().T
+    if not d.any():  # exactly Hermitian: a is its own Hermitian part
+        return a
     if frobenius_bound(d, a) > tol.TOL_HERM:
         scale = opnorm(a)
         dev = antihermitian_norm(d)
@@ -247,6 +276,14 @@ def positive_sqrt(a) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+class Factored(NamedTuple):
+    """The n x d operator q r, given by q with orthonormal columns and a
+    d x d factor r."""
+
+    q: np.ndarray
+    r: np.ndarray
+
+
 def factored_sqrt(x, m, y):
     """Positive square root of g = x m y* from its factors, as (q, s) with
     g^{1/2} = q s q*: q has orthonormal columns and s is Hermitian PSD.
@@ -265,13 +302,23 @@ def factored_sqrt(x, m, y):
       gate passes when it passes for every spectrum within that distance.
     Otherwise `positive_sqrt` decides on g itself (and may reject it), and
     q is the n x n identity.
+
+    Given form: x = `Factored(q, rx)` and y = `Factored(q, ry)` on the one
+    q take the place of the QR; y lies in range(q), so e = 0 and no n x d
+    product is formed.
     """
-    n, d = x.shape
-    q, rx = np.linalg.qr(x)
-    p = q.conj().T @ y
-    core = rx @ m
+    if isinstance(x, Factored):
+        if not (isinstance(y, Factored) and y.q is x.q):
+            raise InvalidParameters("a factored x needs y factored on the same q")
+        (q, rx), p, e_fro = x, y.r, 0.0
+        core = rx @ m
+    else:
+        q, rx = np.linalg.qr(x)
+        p = q.conj().T @ y
+        core = rx @ m
+        e_fro = float(np.linalg.norm(core @ (y - q @ p).conj().T))  # ||e||_F
+    n, d = q.shape
     k = core @ p.conj().T
-    e_fro = float(np.linalg.norm(core @ (y - q @ p).conj().T))  # ||e||_F
     skew = math.sqrt(float(np.linalg.norm(k - k.conj().T)) ** 2 + 2.0 * e_fro**2)
     size = math.sqrt(float(np.linalg.norm(k)) ** 2 + e_fro**2)
     if skew * math.sqrt(n) / max(size, 1e-300) <= tol.TOL_HERM:
@@ -284,6 +331,8 @@ def factored_sqrt(x, m, y):
             roots = np.sqrt(np.clip(vals, 0.0, None))
             c = 0.5 * (roots[0] + roots[-1]) if d else 0.0
             return q, (vecs * (roots - c)) @ vecs.conj().T + c * np.eye(d)
+    if isinstance(x, Factored):
+        x, y = x.q @ x.r, y.q @ y.r
     return np.eye(n, dtype=complex), positive_sqrt(x @ (m @ y.conj().T))
 
 
@@ -336,6 +385,11 @@ class SingularExtremes(NamedTuple):
     sigma_min: float
     sigma_max: float
 
+    @property
+    def condition(self) -> float:
+        """sigma_max / sigma_min; inf for a singular operator."""
+        return self.sigma_max / self.sigma_min if self.sigma_min > 0 else math.inf
+
 
 def singular_extremes(a) -> SingularExtremes:
     """Smallest and largest singular value of `a` from one SVD; (0, 0) when empty."""
@@ -345,15 +399,11 @@ def singular_extremes(a) -> SingularExtremes:
     return SingularExtremes(float(s[-1]), float(s[0]))
 
 
-def _condition(sigma: SingularExtremes) -> float:
-    return sigma.sigma_max / sigma.sigma_min if sigma.sigma_min > 0 else math.inf
-
-
 def condition_number(a) -> float:
     a = as_operator(a)
     if a.shape[0] != a.shape[1]:
         return math.inf
-    return _condition(singular_extremes(a))
+    return singular_extremes(a).condition
 
 
 def dsum_extremes(a: SingularExtremes, b: SingularExtremes) -> SingularExtremes:
@@ -366,7 +416,7 @@ def dsum_extremes(a: SingularExtremes, b: SingularExtremes) -> SingularExtremes:
 
 def require_conditioned(sigma: SingularExtremes, what: str = "operator") -> SingularExtremes:
     """Gate cond = sigma_max / sigma_min <= COND_MAX on measured extremes."""
-    c = _condition(sigma)
+    c = sigma.condition
     if c > tol.COND_MAX:
         raise NotInvertible(f"{what}: condition number {c:.3e} exceeds {tol.COND_MAX:.1e}")
     return sigma
@@ -399,8 +449,11 @@ def commutator_residual(a, b, norm_a: float | None = None, norm_b: float | None 
     """||a b - b a||_2 / (||a||_2 ||b||_2).
 
     A caller that already holds ||a||_2 or ||b||_2 passes it in, and that
-    norm is not measured again.
+    norm is not measured again.  A number c in either place stands for c I,
+    which commutes with every operator: the residual is 0.
     """
+    if isinstance(a, Number) or isinstance(b, Number):
+        return 0.0
     if norm_a is None:
         norm_a = opnorm(a)
     if norm_b is None:
@@ -409,25 +462,39 @@ def commutator_residual(a, b, norm_a: float | None = None, norm_b: float | None 
     return opnorm(a @ b - b @ a) / scale
 
 
-def gen_rayleigh_extremes(a, b) -> SpectralInterval:
+class RayleighExtremes(NamedTuple):
+    """Extremes of a generalized Rayleigh quotient, and the largest
+    eigenvalue of its denominator, which the reduction measures."""
+
+    lambda_min: float
+    lambda_max: float
+    denominator_max: float
+
+
+def gen_rayleigh_extremes(a, b) -> RayleighExtremes:
     """Extremes of <a f, f> / <b f, f> over the range of b.
 
     Both matrices must be Hermitian PSD; the quotient is reduced to an
-    ordinary eigenproblem on an orthonormal basis of range(b).
+    ordinary eigenproblem on an orthonormal basis of range(b), from the one
+    eigendecomposition of b that also gives lambda_max(b) (for b = k k*,
+    ||k||_2^2).
     """
     ah = require_hermitian(a)
     bh = require_hermitian(b)
     if ah.shape != bh.shape:
         raise DimensionMismatch("operands must have equal shapes")
     vals, vecs = _eigenpairs(bh)
+    del bh  # released before the whitening products, the peak of the call
     vmax = vals[-1] if vals.size else 0.0
     keep = vals > tol.TOL_RANK * max(vmax, 0.0)
     if not np.any(keep):
         raise ZeroDenominator("denominator operator is numerically zero")
     # q* b q = diag(vals[keep]) on the kept eigenvectors q of b: whiten with
-    # q diag(vals[keep])^{-1/2} and take ordinary extremes
-    w = vecs[:, keep] / np.sqrt(vals[keep])
-    return hermitian_spectrum(w.conj().T @ ah @ w)
+    # q diag(vals[keep])^{-1/2} (in place) and take ordinary extremes
+    w = vecs if keep.all() else vecs[:, keep]
+    w /= np.sqrt(vals[keep])
+    spectrum = hermitian_spectrum(w.conj().T @ ah @ w)
+    return RayleighExtremes(spectrum.lambda_min, spectrum.lambda_max, float(vmax))
 
 
 def gen_rayleigh_min(a, b) -> float:

@@ -31,10 +31,12 @@ from .errors import (
 )
 from .frames import ControlPair, FrameEvaluation, FrameFamily, factor_sum
 from .linalg import (
+    adjoint,
     as_operator,
     commutator_residual,
     hermitian_spectrum,
     opnorm,
+    product,
     random_unit_columns,
     require_finite_positive,
     singular_extremes,
@@ -81,7 +83,7 @@ def _pair_operator(
     famL: FrameFamily, left: ControlPair, famG: FrameFamily, right: ControlPair
 ) -> PairOperator:
     weights = [wL * wG for wL, wG in zip(famL.weights, famG.weights)]
-    s = (left.t.conj().T @ factor_sum(famL, famG, weights)) @ right.u
+    s = product(product(adjoint(left.t_side), factor_sum(famL, famG, weights)), right.u_side)
     return PairOperator(as_operator(s), famL, famG, left, right)  # rejects an overflow
 
 
@@ -192,16 +194,19 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
             NO_TERMS, None, None, None, None, False, None, ev.frame_claims
         )
     s_inv = ev.inverse
-    # ||S^-1|| is measured once; ||t|| and ||u|| are the pair's sigma_max
+    # ||S^-1|| is measured once; ||t|| and ||u|| are the pair's sigma_max; a
+    # control c I commutes with S^-1 and needs neither
+    t, u = cp.t_side, cp.u_side
     norm_s_inv = opnorm(s_inv)
     comm = max(
-        commutator_residual(s_inv, cp.t, norm_s_inv, cp.t_sigma.sigma_max),
-        commutator_residual(s_inv, cp.u, norm_s_inv, cp.u_sigma.sigma_max),
+        commutator_residual(s_inv, t, norm_s_inv, cp.t_sigma.sigma_max),
+        commutator_residual(s_inv, u, norm_s_inv, cp.u_sigma.sigma_max),
     )
     # the sum of the terms v_j^2 t* P_j L_j* L_j P_j S^{-1} u, and the
     # modified frame sum as the frame operator under (S^{-1} t, S^{-1} u)
-    resolution = _resolution_report(fam.controlled(cp.t, s_inv @ cp.u), len(fam))
-    m = fam.controlled(s_inv @ cp.t, s_inv @ cp.u)
+    s_inv_u = product(s_inv, u)
+    resolution = _resolution_report(fam.controlled(t, s_inv_u), len(fam))
+    m = fam.controlled(product(s_inv, t), s_inv_u)
     a, b = ev.bounds.lambda_min, ev.bounds.lambda_max
     spectrum = hermitian_spectrum(m)
     lower, upper = spectrum.lambda_min, spectrum.lambda_max
@@ -238,7 +243,7 @@ def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionRep
     tt, uu = ControlPair(t, t), ControlPair(u, u)
     bessel, out = FrameEvaluation(fam, tt), FrameEvaluation(fam, uu)
     b = bessel.bounds.lambda_max
-    resolution = _resolution_report(fam.controlled(tt.t, uu.u), len(fam))
+    resolution = _resolution_report(fam.controlled(tt.t_side, uu.u_side), len(fam))
     lower, upper = out.bounds.lambda_min, out.bounds.lambda_max
     predicted_lower = 1.0 / b if b > 0 else math.inf  # B = 0: zero operators
     # b ||t^-1||^2 ||u||^2

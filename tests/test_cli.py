@@ -431,8 +431,9 @@ def test_thm_perturb_evaluates_each_family_once(tmp_path, capsys, monkeypatch):
 
 
 def test_thm_perturb_checks_each_control_once(tmp_path, capsys, monkeypatch):
-    # one SVD per distinct control per check: loading the pair (t, u), then
-    # the pair operator's (t, t) and (u, u); every evaluation reuses them
+    # one SVD per distinct dense control per check: loading the pair (t, u),
+    # then the pair operator's (t, t) and (u, u); every evaluation reuses
+    # them.  t = I is exactly a multiple of I, and its gate takes no SVD
     rng = np.random.default_rng(5)
     t = np.eye(4, dtype=complex)
     u = np.eye(4) + 0.02 * complex_gaussian(rng, 4, 4) / 4
@@ -447,14 +448,15 @@ def test_thm_perturb_checks_each_control_once(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert rep["lower_gamma_predicted"] == pytest.approx(0.5**2 / 2.0, rel=1e-12)
-    assert sum(np.array_equal(a, t) for a in seen) == 2
+    assert sum(np.array_equal(a, t) for a in seen) == 0
     assert sum(np.array_equal(a, u) for a in seen) == 2
 
 
 @pytest.mark.parametrize("structure", ["near-identity-pair", "generic"])
 def test_direct_sum_control_needs_no_svd(tmp_path, capsys, monkeypatch, structure):
     # 24 (+) 24: the 48 x 48 controls take the blocks' singular extremes;
-    # the only SVDs are of the 24 x 24 controls, when each file is loaded
+    # the only SVDs are of the 24 x 24 controls, when each file is loaded,
+    # and none for near-identity-pair's (I, I), exactly a multiple of I
     out = tmp_path / "inst"
     assert main(["random", "--seed", "7", "--dim", "24", "--items", "6",
                  "--structure", structure, "--out", str(out)]) == 0
@@ -462,7 +464,8 @@ def test_direct_sum_control_needs_no_svd(tmp_path, capsys, monkeypatch, structur
     seen = record_svd_inputs(monkeypatch)
     main(["construct", "direct-sum", "--in", fam, "--in", fam, "--control", ctl,
           "--control", ctl, "--k", k, "--k", k, "--out", str(tmp_path / "r.json")])
-    assert seen and all(a.shape == (24, 24) for a in seen)
+    assert bool(seen) == (structure == "generic")
+    assert all(a.shape == (24, 24) for a in seen)
 
 
 INVALID_THEOREM_PARAMETERS = [
@@ -838,8 +841,9 @@ def _construct_verdict(rep):
     )
 
 
-# Each grid command, with its files (f family, c control, k operator; a
-# construct takes each twice) and its verdict read from the report.
+# Each grid command, with its files (f family, c control, k operator, v
+# and w zero operators; a construct takes f, c and k twice) and its verdict
+# read from the report.
 GRID_COMMANDS = [
     (["check-frame"], "fc", lambda r: r["is_frame"]),
     (["bounds"], "fc", lambda r: r["is_bessel"]),
@@ -849,6 +853,9 @@ GRID_COMMANDS = [
     (["resolutions"], "fc",
      lambda r: r["right_multiplied"]["converged"] and r["left_multiplied"]["converged"]),
     (["construct", "direct-sum"], "ffcckk", _construct_verdict),
+    # a singular conjugator w, and a singular sum v + w
+    (["construct", "conjugate"], "ffcckkvw", _construct_verdict),
+    (["construct", "sum-transform"], "ffckvw", _construct_verdict),
 ]
 GRID_INPUTS = [(s, d) for s in generate.STRUCTURES for d in (1, 2, 6)] + [("rank-one", 3)]
 
@@ -857,7 +864,8 @@ GRID_INPUTS = [(s, d) for s in generate.STRUCTURES for d in (1, 2, 6)] + [("rank
 def test_failed_verdict_writes_report(tmp_path, capsys, structure, dim):
     """Every exit 1 writes a report whose verdict is false, except `atomic`
     on a family that is not Bessel (it has no T_C); every exit 0 a report
-    whose verdict is true; a repeat run writes the same bytes."""
+    whose verdict is true; a repeat run writes the same bytes.  The
+    constructions on a zero --v and --w have nothing to predict."""
     if structure == "rank-one":
         # one item, the projector onto e_1: Bessel, not a frame
         sub = Subspace(3, np.eye(3, 1, dtype=complex))
@@ -869,7 +877,9 @@ def test_failed_verdict_writes_report(tmp_path, capsys, structure, dim):
               "--structure", structure, "--out", str(tmp_path / "inst")])
         for name, file in zip("fck", ("family", "control", "k")):
             (tmp_path / "inst" / f"{file}.json").rename(tmp_path / name)
-    flags = {"f": "--in", "c": "--control", "k": "--k"}
+    for name in "vw":
+        (tmp_path / name).write_text(serialize.dumps(serialize.to_json(np.zeros((dim, dim)))))
+    flags = {"f": "--in", "c": "--control", "k": "--k", "v": "--v", "w": "--w"}
     is_bessel = None
     for words, files, verdict in GRID_COMMANDS:
         argv = words + [a for name in files for a in (flags[name], str(tmp_path / name))]
@@ -888,6 +898,8 @@ def test_failed_verdict_writes_report(tmp_path, capsys, structure, dim):
             continue
         rep = json.loads(text)
         assert bool(verdict(rep)) == (code == 0), words
+        if "v" in files:
+            assert code == 1 and rep["predicted_lower"] is rep["predicted_upper"] is None
         if words == ["bounds"]:
             is_bessel = rep["is_bessel"]
 

@@ -25,6 +25,18 @@ from conftest import (
 )
 
 
+def assert_singular(rep, name):
+    """The verdict on a singular operator that a construction's predictions
+    divide by: its claim `name` fails at COND_MAX with value inf, nothing
+    is predicted, and the certificates list no invertibility."""
+    claims = {c.name: c for c in rep.claims}
+    assert claims[name].value == np.inf and not claims[name].holds
+    assert not rep.all_hypotheses_pass and not rep.verified
+    assert rep.predicted_lower is None and rep.predicted_upper is None
+    assert "measured_lower_bound" not in claims
+    assert not any(cert.name.endswith("_invertible") for cert in rep.hypothesis_certificates)
+
+
 def count_equal(seen, x):
     return sum(a.shape == x.shape and np.array_equal(a, x) for a in seen)
 
@@ -92,11 +104,25 @@ class TestSumTransform:
         assert not rep.all_hypotheses_pass
 
     def test_singular_sum_rejected(self):
+        # v + w = 0: a failed invertibility claim, no prediction, every
+        # certificate still measured
         famL, famG = orthogonal_codomain_pair()
-        with pytest.raises(NotInvertible):
-            sum_transform(
-                famL, famG, np.eye(4), -np.eye(4), ControlPair.identity(4), np.eye(4)
-            )
+        rep = sum_transform(
+            famL, famG, np.eye(4), -np.eye(4), ControlPair.identity(4), np.eye(4)
+        )
+        assert_singular(rep, "sum_invertible")
+        assert [name for name, _ in rep.hypothesis_certificates] == [
+            "k_commutes_with_sum", "sum_adjoint_commutes_with_t", "sum_adjoint_commutes_with_u",
+            "cross_terms_gamma_lambda", "cross_terms_lambda_gamma", "lambda_family_bessel",
+            "gamma_family_bessel",
+        ]
+
+    @pytest.mark.parametrize("v_shape, w_shape", [((3, 3), (4, 4)), ((4, 4), (1, 1))])
+    def test_wrong_size_summand_rejected(self, v_shape, w_shape):
+        famL, famG = orthogonal_codomain_pair()
+        with pytest.raises(DimensionMismatch):
+            sum_transform(famL, famG, np.eye(*v_shape), np.eye(*w_shape),
+                          ControlPair.identity(4), np.eye(4))
 
     def test_item_count_mismatch(self, rng):
         famL, famG = orthogonal_codomain_pair()
@@ -226,11 +252,22 @@ class TestConjugate:
 
     def test_singular_conjugator_rejected(self):
         famH = scaled_partition_family(2, (1.0, 2.0))
-        with pytest.raises(NotInvertible):
+        rep = conjugate_transform(
+            famH, ControlPair.identity(2), np.eye(2),
+            famH, ControlPair.identity(2), np.eye(2),
+            np.zeros((2, 2)), np.eye(2),
+        )
+        assert_singular(rep, "w_invertible")
+        assert dict(c[:2] for c in rep.claims)["v_invertible"] == 1.0
+
+    @pytest.mark.parametrize("w_shape, v_shape", [((3, 3), (2, 2)), ((2, 2), (2, 3))])
+    def test_wrong_size_conjugator_rejected(self, w_shape, v_shape):
+        famH = scaled_partition_family(2, (1.0, 2.0))
+        with pytest.raises(DimensionMismatch):
             conjugate_transform(
                 famH, ControlPair.identity(2), np.eye(2),
                 famH, ControlPair.identity(2), np.eye(2),
-                np.zeros((2, 2)), np.eye(2),
+                np.eye(*w_shape), np.eye(*v_shape),
             )
 
 

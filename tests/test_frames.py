@@ -9,6 +9,7 @@ from gfusion.errors import DimensionMismatch, NotInvertible, NotPositive
 from gfusion.frames import (
     BlockVector,
     ControlPair,
+    FrameEvaluation,
     FrameFamily,
     analysis,
     atomic_check,
@@ -37,6 +38,7 @@ from conftest import (
     random_family,
     random_subspace,
     random_unit,
+    record_spectral_inputs,
     record_svd_inputs,
     scalar_controls,
     scaled_partition_family,
@@ -271,6 +273,44 @@ class TestAtomic:
         resid = np.linalg.norm(tmat @ rep.coefficient_map - k, 2)
         assert resid <= 1e-8 * np.linalg.norm(k, 2)
 
+    def test_coefficient_map_is_formed_when_read(self, rng, monkeypatch):
+        # the report keeps the thin coordinates T* S^+ k; the (m n) x n map
+        # is expanded from them on the first read, and kept
+        fam = random_family(rng, 4, 3)
+        cp = scalar_controls(rng, 4)
+        calls = []
+        expand = frames._expand
+        monkeypatch.setattr(frames, "_expand", lambda *a: calls.append(a) or expand(*a))
+        rep = atomic_check(fam, cp, complex_gaussian(rng, 4, 4))
+        assert calls == []
+        first = rep.coefficient_map
+        assert first.shape == (4 * len(fam), 4) and len(calls) == 1
+        assert rep.coefficient_map is first and len(calls) == 1
+
+    def test_k_norm_is_read_from_the_rayleigh_quotient(self, rng, monkeypatch):
+        # ||k||_2 is the root of the top eigenvalue of k k*, which kgf's
+        # Rayleigh quotient decomposes: no SVD of k
+        fam = random_family(rng, 5, 3)
+        cp = scalar_controls(rng, 5)
+        k = complex_gaussian(rng, 5, 5)
+        s = frame_operator(fam, cp)
+        seen = record_spectral_inputs(monkeypatch)
+        rep = atomic_check(fam, cp, k)
+        assert seen and not any(a.shape == k.shape and np.array_equal(a, k) for a in seen)
+        monkeypatch.undo()
+        ref = np.linalg.norm(k - s, 2) / np.linalg.norm(k, 2)
+        assert rep.literal_residual == pytest.approx(ref, rel=1e-13)
+
+    def test_zero_k(self, rng):
+        # a_opt = inf, and ||k|| floored at 1e-300
+        fam = random_family(rng, 4, 2)
+        cp = scalar_controls(rng, 4)
+        rep = atomic_check(fam, cp, np.zeros((4, 4)))
+        assert rep.lower_bound == math.inf and rep.is_atomic
+        s = frame_operator(fam, cp)
+        assert rep.literal_residual == pytest.approx(np.linalg.norm(s, 2) / 1e-300, rel=1e-13)
+        assert rep.coefficient_residual == 0.0
+
     def test_coefficient_norm_bound_certified(self, rng):
         # the map's coefficient vectors obey ||L f||^2 <= C^2 ||f||^2
         fam = random_family(rng, 4, 3)
@@ -468,6 +508,68 @@ class TestThinAlgebra:
         canonical_resolutions(fam, cp)
         assert stacks == [len(fam)]
 
+    def test_second_scalar_evaluation_takes_no_qr(self, monkeypatch):
+        # a 32/8 partition in a random unitary basis: under controls exactly
+        # c I the roots use the family's own QR of each basis, taken once, and
+        # a ControlPair of multiples of I takes no SVD; dense controls take
+        # one QR per item
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(complex_gaussian(rng, 32, 32))
+        fam = FrameFamily(32, [
+            (Subspace(32, q[:, j::8]), q[:, j::8].conj().T, 1.0) for j in range(8)
+        ])
+        k = complex_gaussian(rng, 32, 32)
+        f = complex_gaussian(rng, 32)
+        atomic_check(fam, ControlPair.scalars(32, 0.5, 1.5), k)
+        qrs = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qrs.append(1) or qr(*a, **kw))
+        seen = record_svd_inputs(monkeypatch)
+        cp = ControlPair.scalars(32, 2.0 - 1.0j, 0.25 * (2.0 - 1.0j))
+        assert seen == []
+        rep = atomic_check(fam, cp, k)
+        analysis(fam, cp, f)
+        assert qrs == []
+        # S = conj(a) b I = 1.25 I
+        assert rep.is_atomic and rep.bessel_bound == pytest.approx(1.25, rel=1e-13)
+        c = well_conditioned(rng, 32)
+        synthesis_matrix(fam, ControlPair(c, c))
+        assert len(qrs) == len(fam)
+
+    @pytest.mark.parametrize("scalar_first", [True, False])
+    def test_mixed_controls_take_the_dense_root(self, rng, monkeypatch, scalar_first):
+        # one control c I beside a dense one: t* B_j and u* B_j are formed as
+        # n x d_j factors (c B_j on the scalar side) and each root takes its
+        # own QR, not the family's.  Items L_j = M_j Q_j* on an orthonormal
+        # partition Q_j and u = sum_j beta_j Q_j Q_j* keep every G_j Hermitian
+        # PSD, and T T* = S
+        n, dims = 6, (1, 2, 3)
+        q, _ = np.linalg.qr(complex_gaussian(rng, n, n))
+        blocks = np.split(q, np.cumsum(dims)[:-1], axis=1)
+        fam = FrameFamily(n, [
+            (Subspace(n, qj), complex_gaussian(rng, d, d) @ qj.conj().T, rng.uniform(0.5, 2.0))
+            for qj, d in zip(blocks, dims)
+        ])
+        dense = sum(rng.uniform(0.5, 2.0) * qj @ qj.conj().T for qj in blocks)
+        c = rng.uniform(0.5, 2.0)
+        t, u = (c * np.eye(n), dense) if scalar_first else (dense, c * np.eye(n))
+        cp = ControlPair(t, u)
+        assert (cp.t_side if scalar_first else cp.u_side) == c
+        s_ref = sum(
+            w * w * t.conj().T @ projector(sub) @ lam.conj().T @ lam @ projector(sub) @ u
+            for sub, lam, w in fam.items
+        )
+        qrs = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qrs.append(1) or qr(*a, **kw))
+        ev = FrameEvaluation(fam, cp)
+        t_thin, bases = ev.thin_synthesis
+        assert len(qrs) == len(fam) and "basis_qr" not in vars(fam)
+        assert [b.shape[1] for b in bases] == list(dims)
+        scale = np.linalg.norm(s_ref, 2)
+        assert np.linalg.norm(ev.s - s_ref, 2) <= 1e-12 * scale
+        assert np.linalg.norm(t_thin @ t_thin.conj().T - s_ref, 2) <= 1e-12 * scale
+
     def test_per_item_roots_are_d_j_sized(self, rng, monkeypatch):
         n = 6
         dims = (0, 2, 3, n)
@@ -539,6 +641,22 @@ class TestControlPairExtremes:
         assert cp.t_sigma == cp.u_sigma
         ControlPair(c, 2.0 * c)
         assert len(seen) == 3
+
+    def test_multiple_of_identity_takes_no_svd(self, rng, monkeypatch):
+        # a control exactly c I is gated on (|c|, |c|) and kept as the number
+        # c; c = 0 still fails COND_MAX, and a dense control takes its SVD
+        seen = record_svd_inputs(monkeypatch)
+        cp = ControlPair.scalars(5, 3.0 - 4.0j, 2.0)
+        assert (cp.t_side, cp.u_side) == (3.0 - 4.0j, 2.0)
+        assert tuple(cp.t_sigma) == (5.0, 5.0) and tuple(cp.u_sigma) == (2.0, 2.0)
+        assert seen == []
+        with pytest.raises(NotInvertible, match="control t: condition number inf"):
+            ControlPair(np.zeros((2, 2)), np.eye(2))
+        assert seen == []
+        c = well_conditioned(rng, 5)
+        mixed = ControlPair(2.0 * np.eye(5), c)
+        assert len(seen) == 1 and np.array_equal(seen[0], c)
+        assert mixed.t_side == 2.0 and mixed.u_side is mixed.u
 
     def test_direct_sum_takes_the_blocks_extremes(self, rng, monkeypatch):
         h = ControlPair(np.eye(3) + 0.3 * complex_gaussian(rng, 3, 3), np.diag([1.0, 2.0, 3.0]))

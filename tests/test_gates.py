@@ -23,6 +23,7 @@ from gfusion.constructions import sum_transform
 from gfusion.errors import InvalidParameters, ItemCountMismatch, NotHermitian, NotPSD
 from gfusion.frames import ControlPair, FrameFamily
 from gfusion.linalg import (
+    Factored,
     Subspace,
     factored_sqrt,
     positive_sqrt,
@@ -124,7 +125,8 @@ def dipped(rng, m, dip):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 8),
-    controls=st.sampled_from(["equal", "edge", "far", "off-range"]),
+    controls=st.sampled_from(["equal", "edge", "far", "off-range", "scalar-positive",
+                              "scalar-negative", "scalar-complex"]),
     rtol=st.sampled_from([tol.TOL_HERM, 1e-6]),
     log_ratio=st.floats(-2.0, 2.0),
     log_dip=st.floats(-2.0, 2.0),
@@ -136,7 +138,10 @@ def test_factored_sqrt_matches_dense_gates(seed, n, controls, rtol, log_ratio, l
     # over g, or all off the range of g), or an unrelated u; m with or
     # without an eigenvalue dipping below zero by a multiple of the PSD floor;
     # a Hermitian tolerance far above the PSD floor lets an off-range block
-    # pass the bracket and still move the eigenvalues across that floor
+    # pass the bracket and still move the eigenvalues across that floor.
+    # Scalar controls (a I, b I) pass t* B and u* B in the given-factorization
+    # form Q (conj(a) R), Q (conj(b) R) of B = Q R, with conj(a) b real
+    # positive, negative, or complex with g's asymmetry about TOL_HERM
     with tol.override(tol_herm=rtol):
         check_factored_sqrt(seed, n, controls, log_ratio, log_dip)
 
@@ -151,6 +156,19 @@ def check_factored_sqrt(seed, n, controls, log_ratio, log_dip):
         m = dipped(rng, m, tol.TOL_PSD * 10.0**log_dip)
     t = np.eye(n) + np.triu(complex_gaussian(rng, n, n), 1) / n
     asymmetry = tol.TOL_HERM * 10.0**log_ratio
+    if controls.startswith("scalar"):
+        # z = conj(alpha) beta = |z| e^{i angle}, and g = z h with h Hermitian
+        # PSD (or dipped): ||g - g*||_2 / ||g||_2 = 2 |sin(angle)|.  The basis
+        # is orthonormal only to TOL_ORTH, as a Subspace accepts it
+        angle = {"scalar-positive": 0.0, "scalar-negative": np.pi,
+                 "scalar-complex": np.arcsin(asymmetry / 2)}[controls]
+        alpha = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        beta = rng.uniform(0.5, 2.0) * np.exp(1j * angle) * alpha / abs(alpha)
+        b = b + tol.TOL_ORTH / 10 * complex_gaussian(rng, n, d) / max(d, 1)
+        q, r = np.linalg.qr(b)
+        args = (Factored(q, np.conj(alpha) * r), m, Factored(q, np.conj(beta) * r))
+        check_root(n, np.conj(alpha) * b, m, np.conj(beta) * b, args)
+        return
     if controls == "off-range" and 0 < d < n:
         # u* B = t* B + eps v a* with v orthogonal to range(t* B): q* g q
         # stays Hermitian, and all of g - g* lies in the off-range block
@@ -166,6 +184,12 @@ def check_factored_sqrt(seed, n, controls, log_ratio, log_dip):
             "off-range": t,
         }[controls]
     x, y = t.conj().T @ b, u.conj().T @ b
+    check_root(n, x, m, y, (x, m, y))
+
+
+def check_root(n, x, m, y, args):
+    """`factored_sqrt(*args)` for args that stand for (x, m, y) decides as the
+    dense reference on g = x m y*, and returns a root of g."""
     g = x @ m @ y.conj().T
     # within roundoff of a threshold neither computation decides
     scale = max(np.linalg.norm(g, 2), 1e-300)
@@ -178,9 +202,9 @@ def check_factored_sqrt(seed, n, controls, log_ratio, log_dip):
         ref = reference_positive_sqrt(g)
     except (NotHermitian, NotPSD) as exc:
         with pytest.raises(type(exc)):
-            factored_sqrt(x, m, y)
+            factored_sqrt(*args)
         return
-    q, s = factored_sqrt(x, m, y)
+    q, s = factored_sqrt(*args)
     assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12 * n
     root_scale = max(np.linalg.norm(s, 2), 1e-300)
     assert np.linalg.norm(s - s.conj().T, 2) <= 1e-12 * root_scale
@@ -205,6 +229,15 @@ def test_factored_sqrt_bracket_keeps_sqrt_n():
         factored_sqrt(x, np.eye(d), y)
     with pytest.raises(NotHermitian):
         reference_positive_sqrt(x @ y.conj().T)
+
+
+def test_factored_sqrt_given_form_needs_both_factors_on_one_q():
+    # the given form drops the off-range block, which holds only for y on x's q
+    q = np.eye(3, 2, dtype=complex)
+    r = np.eye(2, dtype=complex)
+    for y in (q @ r, Factored(q.copy(), r)):
+        with pytest.raises(InvalidParameters):
+            factored_sqrt(Factored(q, r), np.eye(2), y)
 
 
 def test_factored_sqrt_psd_gate_sees_the_off_range_block():

@@ -13,6 +13,7 @@ from gfusion.errors import (
 )
 from gfusion.linalg import (
     Subspace,
+    adjoint,
     antihermitian_norm,
     commutator_residual,
     condition_number,
@@ -26,10 +27,12 @@ from gfusion.linalg import (
     orth,
     pinv,
     positive_sqrt,
+    product,
     projector,
     require_conditioned,
     require_hermitian,
     require_invertible,
+    scalar_multiple,
     singular_extremes,
     subspace_image,
 )
@@ -259,6 +262,52 @@ class TestSingularExtremes:
         assert condition_number(a) == np.inf
         with pytest.raises(NotInvertible, match="condition number inf"):
             require_invertible(a, "a")
+
+
+class TestScalarMultiple:
+    """An operator that is exactly c I is applied as the number c."""
+
+    @pytest.mark.parametrize("a, c", [
+        (np.eye(3), 1.0),
+        ((0.5 - 2.0j) * np.eye(4), 0.5 - 2.0j),
+        (np.zeros((3, 3)), 0.0),
+        (np.array([[-2.0, -0.0], [0.0, -2.0]]), -2.0),  # -0.0 is zero
+        (np.array([[7.0 + 1.0j]]), 7.0 + 1.0j),  # every 1 x 1 operator
+    ])
+    def test_multiples_of_identity(self, a, c):
+        got = scalar_multiple(np.asarray(a, dtype=complex))
+        assert type(got) is complex and got == c
+
+    @pytest.mark.parametrize("a", [
+        np.diag([1.0, 1.0, np.nextafter(1.0, 2.0)]),
+        np.eye(3) + np.diag([5e-324, 0.0], 1),  # one subnormal off the diagonal
+        np.zeros((0, 0)),
+        np.ones((2, 3)),
+        np.eye(3, 4),
+    ])
+    def test_others(self, a):
+        assert scalar_multiple(np.asarray(a, dtype=complex)) is None
+
+    def test_product_and_adjoint_of_a_number(self, rng):
+        a = complex_gaussian(rng, 3, 3)
+        c = 2.0 - 1.0j
+        np.testing.assert_array_equal(product(c, a), c * a)
+        np.testing.assert_array_equal(product(a, c), a * c)
+        np.testing.assert_array_equal(product(a, a), a @ a)
+        assert adjoint(c) == 2.0 + 1.0j
+        np.testing.assert_array_equal(adjoint(a), a.conj().T)
+        assert commutator_residual(a, c, 1.0, abs(c)) == 0.0
+        assert commutator_residual(c, a) == 0.0
+
+    def test_array_likes_are_operators(self, rng):
+        # only a number stands for c I: a nested list is measured as the
+        # operator it spells
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert commutator_residual(a.T.tolist(), a) == pytest.approx(1.0, rel=1e-15)
+        assert commutator_residual(a, a.T.tolist()) == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_array_equal(product(a.tolist(), a.T), a @ a.T)
+        np.testing.assert_array_equal(adjoint((1j * a).tolist()), -1j * a.T)
+        assert commutator_residual(np.float64(2.0), a) == 0.0
 
 
 class TestCommutatorResidual:

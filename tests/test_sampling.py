@@ -29,6 +29,7 @@ from gfusion.frames import (
     FrameEvaluation,
     FrameFamily,
     analysis,
+    atomic_check,
     controlled_frame_bounds,
     frame_operator,
     frame_sum,
@@ -47,6 +48,7 @@ from gfusion.linalg import (
 )
 from gfusion.resolution import (
     bessel_resolution_frame_check,
+    canonical_resolutions,
     pair_frame_operator,
     perturbation_check,
 )
@@ -481,3 +483,61 @@ def test_synthesis_operator_matches_per_item_roots(seed, n, data, scalar):
     assert rel_err(out, t_c @ np.concatenate(g.blocks)) <= 1e-12
     _, certified = synthesis(fam, cp, analysis(fam, cp, f), f_hint=f)
     assert certified
+
+
+@SAMPLING_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), data=st.data())
+def test_scalar_controls_match_projector_form(seed, n, data):
+    # controls exactly (a I, b I) are applied as the numbers a and b: S, the
+    # bounds, T T* = S, analysis and synthesis, atomic's residuals and both
+    # canonical resolution sums agree with the projector forms under the
+    # dense controls a I and b I.  conj(a) b > 0 keeps each cross operator
+    # PSD; a zero subspace and a full-space item with an invertible operator
+    # (so S is invertible) join the drawn items
+    rng = np.random.default_rng(seed)
+    dims = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
+    drawn = family_with_subspace_dims(rng, n, [0, *dims])
+    fam = FrameFamily(n, [*drawn.items, (Subspace.full(n), well_conditioned(rng, n), 1.0)])
+    phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+    a, b = rng.uniform(0.5, 2.0) * phase, rng.uniform(0.5, 2.0) * phase
+    cp = ControlPair.scalars(n, a, b)
+    assert (cp.t_side, cp.u_side) == (a, b)
+    t, u = a * np.eye(n), b * np.eye(n)
+    terms = [w * w * projector_cross(sub, lam, t, u) for sub, lam, w in fam.items]
+    s_ref = sum(terms)
+    scale = np.linalg.norm(s_ref, 2)
+    ev = FrameEvaluation(fam, cp)
+    assert np.linalg.norm(ev.s - s_ref, 2) <= 1e-12 * scale
+    vals = np.linalg.eigvalsh(0.5 * (s_ref + s_ref.conj().T))
+    assert abs(ev.bounds.lambda_min - vals[0]) <= 1e-12 * scale
+    assert abs(ev.bounds.lambda_max - vals[-1]) <= 1e-12 * scale
+    t_thin, _ = ev.thin_synthesis
+    assert np.linalg.norm(t_thin @ t_thin.conj().T - s_ref, 2) <= 1e-12 * scale
+
+    # analysis block j has squared norm v_j^2 <G_j f, f>; synthesis of the
+    # analysis is S f
+    f = complex_gaussian(rng, n)
+    blocks = analysis(fam, cp, f).blocks
+    f_sq = np.vdot(f, f).real
+    for block, term in zip(blocks, terms):
+        assert abs(np.vdot(block, block) - np.vdot(f, term @ f)) <= 1e-12 * scale * f_sq
+    out, certified = synthesis(fam, cp, BlockVector(blocks), f_hint=f)
+    assert certified
+    assert np.linalg.norm(out - s_ref @ f) <= 1e-12 * scale * np.linalg.norm(f)
+
+    k = complex_gaussian(rng, n, n)
+    rep = atomic_check(fam, cp, k)
+    k_norm = np.linalg.norm(k, 2)
+    assert rep.coefficient_residual <= 1e-12
+    assert abs(rep.literal_residual - np.linalg.norm(k - s_ref, 2) / k_norm) <= (
+        1e-12 * (1.0 + rep.literal_residual))
+    t_c = synthesis_matrix(fam, cp)
+    assert np.linalg.norm(t_c @ rep.coefficient_map - k, 2) <= 1e-12 * k_norm
+
+    # the resolution sums against sum_j v_j^2 G_j S^-1 and sum_j v_j^2 S^-1 G_j
+    s_inv = np.linalg.inv(s_ref)
+    bound = 1e-12 * scale * np.linalg.norm(s_inv, 2)
+    res = canonical_resolutions(fam, cp)
+    assert np.linalg.norm(sum(res.terms_right) - s_ref @ s_inv, 2) <= bound
+    assert np.linalg.norm(sum(res.terms_left) - s_inv @ s_ref, 2) <= bound
+    assert res.converged

@@ -191,7 +191,7 @@ class TestToJson:
         assert to_json(cp) == control_pair_to_dict(cp)
 
     def test_dataclass_fields_skip_library_only(self):
-        rep = AtomicReport(True, 2.0, 3.0, 0.5, np.eye(2), 1e-16, 2e-16)
+        rep = AtomicReport(True, 2.0, 3.0, 0.5, lambda: np.eye(2), 1e-16, 2e-16)
         assert to_json(rep) == {
             "is_atomic": True,
             "bessel_bound": 2.0,
