@@ -7,19 +7,23 @@ and 2 on bad input (an `InvalidParameters`).  Reports are deterministic
 functions of (inputs, seed, tolerances).
 
 Each command's contract is one row of `COMMANDS`; the parser, the argument
-check, the loader and `main` all read it.
+check, the loader and `main` all read it.  A row names the library module
+it calls, and that module is imported only when the row runs: a checkout
+with no bytecode cache compiles every module it imports on each run, so
+`check-frame` loads no `resolution`, `constructions` or `fourier`.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import constructions, fourier, frames, generate, resolution, serialize
+from . import generate, serialize
 from . import tolerances as tol
 from .errors import GFusionError, InvalidParameters, ParseError
 from .frames import ControlPair
@@ -38,14 +42,20 @@ def _write_report(report: dict, out_path):
 
 
 class Command(NamedTuple):
-    """One command: `call` takes the loaded files in the order --in,
-    --control, --k, --v, --w and the parameters by keyword, and returns the
-    library report whose attribute `verdict` decides the exit code."""
+    """One command: `call` takes the library module `module`, then the
+    loaded files in the order --in, --control, --k, --v, --w and the
+    parameters by keyword, and returns the library report whose attribute
+    `verdict` decides the exit code."""
 
+    module: str
     call: Callable
     verdict: str
     files: tuple = (1, 1, 0, 0, 0)  # counts of --in, --control, --k, --v, --w
     params: dict = {}  # parameter -> default, or REQUIRED; never mutated
+
+    def run(self, *files, **params):
+        """Import the row's library module, then make its call."""
+        return self.call(importlib.import_module(f"{__package__}.{self.module}"), *files, **params)
 
 
 REQUIRED = object()
@@ -67,46 +77,56 @@ PARAM_TYPES = {
 }
 
 
-def _pair(left, right, cp):
+def _pair(resolution, left, right, cp):
     """The pair operator of the two families under cp's (t, u)."""
     return resolution.pair_frame_operator(left, cp.t, right, cp.u)
 
 
 # Keyed by argv words; a report's `command` is its words joined by "-".
-# Each call looks its library function up when it runs, so that a rebound
-# module attribute (a tracer, a test's counter) is the one called.
+# Each call looks its library function up on the module it is given when it
+# runs, so that a rebound module attribute (a tracer, a test's counter) is
+# the one called.
 COMMANDS = {
-    ("check-frame",): Command(lambda f, c: frames.controlled_frame_bounds(f, c), "is_frame"),
-    ("bounds",): Command(lambda f, c: frames.controlled_frame_bounds(f, c), "is_bessel"),
+    ("check-frame",): Command(
+        "frames", lambda lib, f, c: lib.controlled_frame_bounds(f, c), "is_frame"),
+    ("bounds",): Command(
+        "frames", lambda lib, f, c: lib.controlled_frame_bounds(f, c), "is_bessel"),
     ("atomic",): Command(
-        lambda f, c, k: frames.atomic_check(f, c, k), "is_atomic", (1, 1, 1, 0, 0)),
+        "frames", lambda lib, f, c, k: lib.atomic_check(f, c, k), "is_atomic", (1, 1, 1, 0, 0)),
     ("construct", "direct-sum"): Command(
-        lambda fh, fx, ch, cx, kh, kx: constructions.direct_sum_frame(fh, ch, kh, fx, cx, kx),
+        "constructions",
+        lambda lib, fh, fx, ch, cx, kh, kx: lib.direct_sum_frame(fh, ch, kh, fx, cx, kx),
         "verified", (2, 2, 2, 0, 0)),
     ("construct", "sum-transform"): Command(
-        lambda fl, fg, c, k, v, w: constructions.sum_transform(fl, fg, v, w, c, k),
+        "constructions", lambda lib, fl, fg, c, k, v, w: lib.sum_transform(fl, fg, v, w, c, k),
         "verified", (2, 1, 1, 1, 1)),
     ("construct", "conjugate"): Command(
-        lambda fh, fx, ch, cx, kh, kx, v, w: constructions.conjugate_transform(
+        "constructions",
+        lambda lib, fh, fx, ch, cx, kh, kx, v, w: lib.conjugate_transform(
             fh, ch, kh, fx, cx, kx, w, v),
         "verified", (2, 2, 2, 1, 1)),
     ("pair-op",): Command(
-        lambda fl, fg, c: resolution.adjoint_check(_pair(fl, fg, c)),
+        "resolution", lambda lib, fl, fg, c: lib.adjoint_check(_pair(lib, fl, fg, c)),
         "is_adjoint", (2, 1, 0, 0, 0)),
-    ("resolutions",): Command(lambda f, c: resolution.canonical_resolutions(f, c), "converged"),
-    ("thm", "4.1"): Command(lambda f, c: resolution.inverse_commutation_check(f, c), "certified"),
+    ("resolutions",): Command(
+        "resolution", lambda lib, f, c: lib.canonical_resolutions(f, c), "converged"),
+    ("thm", "4.1"): Command(
+        "resolution", lambda lib, f, c: lib.inverse_commutation_check(f, c), "certified"),
     ("thm", "4.2"): Command(
-        lambda f, c: resolution.bessel_resolution_frame_check(f, c.t, c.u), "is_frame"),
+        "resolution", lambda lib, f, c: lib.bessel_resolution_frame_check(f, c.t, c.u),
+        "is_frame"),
     ("thm", "4.4"): Command(
-        lambda fl, fg, c: resolution.coercive_pair_check(_pair(fl, fg, c)),
+        "resolution", lambda lib, fl, fg, c: lib.coercive_pair_check(_pair(lib, fl, fg, c)),
         "is_frame", (2, 1, 0, 0, 0)),
     ("thm", "perturb"): Command(
-        lambda fl, fg, c, **p: resolution.perturbation_check(_pair(fl, fg, c), **p),
+        "resolution",
+        lambda lib, fl, fg, c, **p: lib.perturbation_check(_pair(lib, fl, fg, c), **p),
         "verified", (2, 1, 0, 0, 0),
         {"lambda1": 0.1, "lambda2": 0.0, "d1": None, "d2": None, "trials": 200, "seed": 0}),
     ("fourier-demo",): Command(
-        lambda nmax, m, alpha, beta, **p: fourier.verify_fourier(
-            fourier.FourierParams(nmax, m, alpha, beta), **p),
+        "fourier",
+        lambda lib, nmax, m, alpha, beta, **p: lib.verify_fourier(
+            lib.FourierParams(nmax, m, alpha, beta), **p),
         "sandwich_ok", (0, 0, 0, 0, 0),
         {"nmax": REQUIRED, "m": REQUIRED, "alpha": REQUIRED, "beta": REQUIRED,
          "trials": 100, "seed": 0}),
@@ -233,7 +253,7 @@ def main(argv=None) -> int:
         # An input whose products overflow is rejected by as_operator with
         # one error line, so numpy's overflow warnings are not printed.
         with tol.override(**overrides), np.errstate(over="ignore", invalid="ignore"):
-            rep = row.call(*_load(args), **params)
+            rep = row.run(*_load(args), **params)
             report = {"command": "-".join(words), **serialize.to_json(rep)}
             ok = getattr(rep, row.verdict)
         _write_report(report, args.out)

@@ -11,6 +11,7 @@ is not, nothing is predicted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Number
 from typing import NamedTuple
 
 import numpy as np
@@ -201,15 +202,23 @@ def sum_transform(
     # exchange vanish (complex polarization), X_j = (r* t)* B_j and
     # Y_j = (r* u)* B_j.  With X_j = Q R_x and Y_j = Q' R_y (QR), the norm
     # ||X_j M Y_j*||_2 is ||R_x M R_y*||_2, and ||C B_j* r*||_2 is
-    # ||C R_z*||_2 for r B_j = Q'' R_z: d_j x d_j problems.
-    rt_adj, ru_adj = (adjoint(product(rstar, c)) for c in (cp.t_side, cp.u_side))
+    # ||C R_z*||_2 for r B_j = Q'' R_z: d_j x d_j problems.  Under a control
+    # c I, X_j is conj(c) r B_j, so R_x is conj(c) R_z: that side stays the
+    # number conj(c), with no n x n x d_j product and no QR.
+    xy_ops = [
+        adjoint(c) if isinstance(c, Number) else adjoint(product(rstar, c))
+        for c in (cp.t_side, cp.u_side)
+    ]
     cross1 = 0.0
     cross2 = 0.0
     control_scale = cp.t_sigma.sigma_max * cp.u_sigma.sigma_max
     items_out = []
     for (b, cL), (_, cG), (sub, _, wt) in zip(fL, fG, famL.items):
         r_b = r @ b
-        rx, ry, rz = (np.linalg.qr(a, mode="r") for a in (rt_adj @ b, ru_adj @ b, r_b))
+        rz = np.linalg.qr(r_b, mode="r")
+        rx, ry = (
+            a * rz if isinstance(a, Number) else np.linalg.qr(a @ b, mode="r") for a in xy_ops
+        )
         m = cL.conj().T @ cG
         scale = max(opnorm(cL @ rz.conj().T) * opnorm(cG @ rz.conj().T) * control_scale, 1e-300)
         cross1 = max(cross1, opnorm(rx @ m @ ry.conj().T) / scale)

@@ -374,13 +374,15 @@ class FrameEvaluation:
 
     @cached_property
     def asymmetry(self) -> float:
-        """||S - S*||_2."""
-        return antihermitian_norm(self.skew)
+        """||S - S*||_2: 0.0 with no eigensolver when S is exactly Hermitian."""
+        return antihermitian_norm(self.skew) if self.skew.any() else 0.0
 
     @property
     def herm_residual(self) -> float:
-        """||S - S*||_2 / ||S||_2."""
-        return self.asymmetry / max(self.norm, 1e-300)
+        """||S - S*||_2 / ||S||_2, with ||S||_2 measured only when S - S* is
+        not zero."""
+        asym = self.asymmetry
+        return asym / max(self.norm, 1e-300) if asym else 0.0
 
     @cached_property
     def bessel(self) -> tol.Claim:

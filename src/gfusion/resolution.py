@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Number
 from typing import NamedTuple
 
 import numpy as np
@@ -194,10 +195,11 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
             NO_TERMS, None, None, None, None, False, None, ev.frame_claims
         )
     s_inv = ev.inverse
-    # ||S^-1|| is measured once; ||t|| and ||u|| are the pair's sigma_max; a
-    # control c I commutes with S^-1 and needs neither
+    # ||S^-1|| is measured once, and only when a control side is an
+    # operator; ||t|| and ||u|| are the pair's sigma_max; a control c I
+    # commutes with S^-1 and needs neither
     t, u = cp.t_side, cp.u_side
-    norm_s_inv = opnorm(s_inv)
+    norm_s_inv = None if isinstance(t, Number) and isinstance(u, Number) else opnorm(s_inv)
     comm = max(
         commutator_residual(s_inv, t, norm_s_inv, cp.t_sigma.sigma_max),
         commutator_residual(s_inv, u, norm_s_inv, cp.u_sigma.sigma_max),

@@ -78,6 +78,19 @@ def record_svd_inputs(monkeypatch):
     return seen
 
 
+def record_eigvalsh_inputs(monkeypatch):
+    """A list that receives a copy of every matrix passed to np.linalg.eigvalsh."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return seen
+
+
 def record_spectral_inputs(monkeypatch):
     """`record_svd_inputs`, which also receives the matrix of each spectral
     norm np.linalg.norm(x, 2): numpy computes that norm by an SVD of x."""

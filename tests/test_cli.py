@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -678,7 +681,7 @@ def claim_runs(tmp_path, argv):
     runs = {}
     for name, setting in CLAIM_SETTINGS.items():
         with setting():
-            rep = row.call(*cli._load(args), **params)
+            rep = row.run(*cli._load(args), **params)
         claims = rep.claims
         if words == ("bounds",):
             claims = [c for c in claims if c.name == "bessel"]
@@ -832,6 +835,45 @@ def test_library_function_called_once(tmp_path, capsys, monkeypatch, argv, comma
     monkeypatch.setattr(module, name, counting)
     assert main(schema_argv(tmp_path, argv)) in (0, 1)
     assert len(calls) == 1
+
+
+# Library modules that a command must not import: each row imports its own
+# module when it runs, so a cold process compiles no other.
+UNUSED_MODULES = {
+    ("check-frame",): ("constructions", "fourier", "resolution"),
+    ("bounds",): ("constructions", "fourier", "resolution"),
+    ("atomic",): ("constructions", "fourier", "resolution"),
+    ("thm", "4.1"): ("constructions", "fourier"),
+    ("thm", "4.2"): ("constructions", "fourier"),
+}
+
+_IMPORTED_MODULES = """
+import json, sys
+from gfusion import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gfusion"))]))
+"""
+
+
+@pytest.mark.parametrize("words", list(UNUSED_MODULES), ids="-".join)
+def test_command_imports_only_its_library_module(tmp_path, words):
+    """In a fresh interpreter, a command on a small parseval instance leaves
+    no module of another command in sys.modules."""
+    inst = tmp_path / "inst"
+    assert main(["random", "--seed", "42", "--dim", "4", "--items", "2",
+                 "--structure", "parseval", "--out", str(inst)]) == 0
+    argv = [*words, "--in", str(inst / "family.json"), "--control", str(inst / "control.json"),
+            *(["--k", str(inst / "k.json")] if words == ("atomic",) else []),
+            "--out", str(tmp_path / "report.json")]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _IMPORTED_MODULES, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, modules = json.loads(proc.stdout)
+    assert code == 0 and (tmp_path / "report.json").exists()
+    assert not {f"gfusion.{name}" for name in UNUSED_MODULES[words]} & set(modules)
+    assert f"gfusion.{cli.COMMANDS[words].module}" in modules
 
 
 def _construct_verdict(rep):

@@ -14,7 +14,7 @@ from gfusion.errors import (
     WeightMismatch,
 )
 from gfusion.frames import ControlPair, FrameFamily, frame_operator, kgf_bounds
-from gfusion.linalg import Subspace, commutator_residual, dsum_op
+from gfusion.linalg import Subspace, commutator_residual, dsum_op, projector
 
 from conftest import (
     complex_gaussian,
@@ -91,6 +91,42 @@ class TestSumTransform:
         assert not rep.all_hypotheses_pass
         residuals = dict(rep.hypothesis_certificates)
         assert residuals["cross_terms_gamma_lambda"] > 1e-8
+
+    def test_scalar_controls_take_one_qr_per_item(self, rng, monkeypatch):
+        # under t = a I and u = b I the cross-term factors are conj(a) r B_j
+        # and conj(b) r B_j: both R factors are read off the QR of r B_j,
+        # and the certificates are those of the dense forms
+        famL = random_family(rng, 5, 3)
+        famG = FrameFamily(5, [
+            (sub, complex_gaussian(rng, *lam.shape), wt) for sub, lam, wt in famL.items
+        ])
+        a, b = 0.7, 1.3j
+        r = well_conditioned(rng, 5)
+        seen = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(
+            np.linalg, "qr", lambda x, *rest, **kw: seen.append(x) or qr(x, *rest, **kw))
+        cp = ControlPair.scalars(5, a, b)
+        rep = sum_transform(famL, famG, r, np.zeros((5, 5)), cp, np.eye(5))
+        monkeypatch.undo()
+        for sub, _, _ in famL.items:
+            r_b = r @ sub.basis
+            for c in (a, b):
+                scaled = np.conj(c) * r_b
+                assert not any(x.shape == r_b.shape and np.allclose(x, scaled) for x in seen)
+        t, u = a * np.eye(5), b * np.eye(5)
+        cross = {"cross_terms_gamma_lambda": 0.0, "cross_terms_lambda_gamma": 0.0}
+        for (sub, lamL, _), (_, lamG, _) in zip(famL.items, famG.items):
+            p = projector(sub)
+            aL, aG = lamL @ p @ r.conj().T, lamG @ p @ r.conj().T
+            scale = np.linalg.norm(aL, 2) * np.linalg.norm(aG, 2) * abs(a) * abs(b)
+            for name, x, y in (("cross_terms_gamma_lambda", aL, aG),
+                               ("cross_terms_lambda_gamma", aG, aL)):
+                value = np.linalg.norm((x @ t).conj().T @ (y @ u), 2) / scale
+                cross[name] = max(cross[name], value)
+        residuals = dict(rep.hypothesis_certificates)
+        for name, value in cross.items():
+            assert residuals[name] == pytest.approx(value, rel=1e-10)
 
     def test_noncommuting_k_flagged(self):
         famL, famG = orthogonal_codomain_pair()

@@ -23,7 +23,15 @@ from gfusion.frames import (
     synthesis,
     synthesis_matrix,
 )
-from gfusion.linalg import Subspace, dsum_op, gen_rayleigh_min, orth, projector
+from gfusion.linalg import (
+    Subspace,
+    antihermitian_norm,
+    dsum_op,
+    gen_rayleigh_min,
+    opnorm,
+    orth,
+    projector,
+)
 from gfusion.resolution import (
     adjoint_check,
     bessel_resolution_frame_check,
@@ -38,6 +46,7 @@ from conftest import (
     random_family,
     random_subspace,
     random_unit,
+    record_eigvalsh_inputs,
     record_spectral_inputs,
     record_svd_inputs,
     scalar_controls,
@@ -136,6 +145,31 @@ class TestBounds:
         items2 = [(s, l, 2.0 * w) for s, l, w in fam1.items]
         rep2 = controlled_frame_bounds(FrameFamily(4, items2), ControlPair.identity(4))
         assert abs(rep2.bounds.lambda_min - 4.0) < 1e-12
+
+    def test_exactly_hermitian_s_takes_no_hermitian_measurement(self, rng, monkeypatch):
+        # under scalar controls S - S* has no nonzero entry: the residual is
+        # 0.0 with no eigvalsh of the zero skew and no ||S||_2, and the one
+        # eigvalsh is the bounds'
+        fam = random_family(rng, 6, 4)
+        cp = scalar_controls(rng, 6)
+        s = FrameEvaluation(fam, cp).s
+        assert not (s - s.conj().T).any()
+        eig = record_eigvalsh_inputs(monkeypatch)
+        svd = record_spectral_inputs(monkeypatch)
+        rep = controlled_frame_bounds(fam, cp)
+        assert len(eig) == 1 and not svd
+        assert rep.herm_residual == 0.0 and math.copysign(1.0, rep.herm_residual) == 1.0
+
+    def test_non_hermitian_s_measures_both_norms(self, rng, monkeypatch):
+        fam, cp = non_bessel_instance(rng)
+        s = FrameEvaluation(fam, cp).s
+        eig = record_eigvalsh_inputs(monkeypatch)
+        svd = record_spectral_inputs(monkeypatch)
+        rep = controlled_frame_bounds(fam, cp)
+        assert sum(np.array_equal(a, 1j * (s - s.conj().T)) for a in eig) == 1
+        assert sum(np.array_equal(a, s) for a in svd) == 1
+        monkeypatch.undo()
+        assert rep.herm_residual == antihermitian_norm(s - s.conj().T) / opnorm(s)
 
     def test_non_hermitian_cross_not_bessel_flagged(self, rng):
         # wildly asymmetric controls break the Hermitian structure

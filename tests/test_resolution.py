@@ -31,6 +31,7 @@ from conftest import (
     record_svd_inputs,
     scalar_controls,
     scaled_partition_family,
+    well_conditioned,
 )
 
 
@@ -169,9 +170,11 @@ class TestInverseCommutation:
         assert rep.upper <= rep.predicted_upper + 1e-9
 
     def test_each_norm_measured_once(self, rng, monkeypatch):
-        # ||S^-1|| once for both commutators; ||t||, ||u|| from the pair
+        # operator controls: ||S^-1|| once for both commutators; ||t||, ||u||
+        # from the pair
         fam = random_family(rng, 5, 3)
-        cp = scalar_controls(rng, 5)
+        t = well_conditioned(rng, 5)
+        cp = ControlPair(t, t)
         s_inv = FrameEvaluation(fam, cp).inverse
         seen = record_spectral_inputs(monkeypatch)
         rep = inverse_commutation_check(fam, cp)
@@ -181,6 +184,16 @@ class TestInverseCommutation:
         assert rep.commutation_residual == max(
             commutator_residual(s_inv, cp.t), commutator_residual(s_inv, cp.u)
         )
+
+    def test_scalar_controls_take_no_norm_of_the_inverse(self, rng, monkeypatch):
+        # c I commutes with S^-1, so ||S^-1|| is never read
+        fam = random_family(rng, 5, 3)
+        cp = scalar_controls(rng, 5)
+        s_inv = FrameEvaluation(fam, cp).inverse
+        seen = record_spectral_inputs(monkeypatch)
+        rep = inverse_commutation_check(fam, cp)
+        assert not any(np.array_equal(a, s_inv) for a in seen)
+        assert rep.commutation_residual == 0.0 and rep.certified
 
     def test_noncommuting_controls_rejected(self, rng):
         # not certified, and every field is measured
