@@ -65,8 +65,8 @@ class FrameFamily:
 
     Immutable: each operator is held read-only (`linalg.read_only`), as is
     each subspace's basis, so the control-independent algebra (`factors`,
-    `basis_qr`, `stacked_conj_basis`, `operator`) is computed on first use
-    and kept.
+    `stacked_conj_basis`, `operator`, and the decompositions of F kept by
+    `own`) is computed on first use and kept.
     """
 
     ambient_dim: int
@@ -90,6 +90,7 @@ class FrameFamily:
             require_finite_positive(f"item {i}: weight", w)
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "items", items)
+        object.__setattr__(self, "_own", {})
 
     def __len__(self) -> int:
         return len(self.items)
@@ -110,16 +111,6 @@ class FrameFamily:
         formed.  This is the one place C_j is formed.
         """
         return tuple((sub.basis, frozen(lam @ sub.basis)) for sub, lam, _ in self.items)
-
-    @cached_property
-    def basis_qr(self) -> tuple:
-        """Per-item QR `Factored(Q_j, R_j)` of B_j, read-only: Q_j has
-        orthonormal columns to rounding, and B_j = Q_j R_j, for any basis
-        accepted at TOL_ORTH.  Under a control c I, t* B_j is Q_j (conj(c) R_j)."""
-        return tuple(
-            Factored(*(frozen(a) for a in np.linalg.qr(sub.basis)))
-            for sub, _, _ in self.items
-        )
 
     @cached_property
     def stacked_conj_basis(self) -> tuple:
@@ -143,6 +134,29 @@ class FrameFamily:
         scaling where its control is a number c standing for c I
         (`ControlPair.t_side`)."""
         return product(product(adjoint(t), self.operator), u)
+
+    def own(self, name: str, make: Callable | None = None):
+        """The family's own item `name`, a decomposition of F (the family
+        under the identity controls): `make()` when first asked, then kept,
+        its arrays read-only.  Under a positive scalar pair S = c F, and
+        `FrameEvaluation` scales these in place of decomposing S.  Only
+        arrays and spectral intervals are kept, never an evaluation or a
+        control pair, so that a family is freed as soon as its last
+        reference goes, with no reference cycle for the collector.  `make`
+        may be left out for an item already made."""
+        if name not in self._own:
+            self._own[name] = _frozen_all(make())
+        return self._own[name]
+
+
+def _frozen_all(item):
+    """`item` with each array in it, nested in tuples, marked read-only."""
+    if isinstance(item, np.ndarray):
+        frozen(item)
+    elif isinstance(item, tuple):
+        for a in item:
+            _frozen_all(a)
+    return item
 
 
 def _side(a):
@@ -220,6 +234,16 @@ class ControlPair:
         t_side = _side(t)
         pair._store(t, u, t_sigma, u_sigma, t_side, t_side if same else _side(u))
         return pair
+
+    @property
+    def scale(self) -> float | None:
+        """c = conj(c_t) c_u when t = c_t I and u = c_u I and c is a real
+        number > 0, so that S = t* F u = c F; else None."""
+        t, u = self.t_side, self.u_side
+        if isinstance(t, np.ndarray) or isinstance(u, np.ndarray):
+            return None
+        c = t.conjugate() * u
+        return c.real if c.imag == 0 and c.real > 0 else None
 
     @staticmethod
     def identity(n: int) -> "ControlPair":
@@ -329,30 +353,49 @@ class FrameEvaluation:
     report and the thin synthesis operator (the only holder of the
     per-item square roots) are computed on first use, as is the (m, n, n)
     stack of the per-item cross operators G_j = (A_j t)* (A_j u), which only
-    a report that lists them asks for (`listing_terms`).  What depends on
-    the control pair is not kept on the family: an evaluation lives as long
-    as the call that built it.
+    a report that lists them asks for (`listing_terms`).
+
+    Under a positive scalar pair (`ControlPair.scale`: t = c_t I, u = c_u I,
+    c = conj(c_t) c_u > 0) S is c F, and its spectrum, inverse, roots and
+    atomic pseudoinverse are F's own (`FrameFamily.own`, decomposed once
+    per family) scaled by c, 1/c, sqrt(c) and 1/c.  S itself is still
+    formed by its two products.  What else depends on the control pair is
+    not kept: an evaluation lives as long as the call that built it.
     """
 
     def __init__(self, fam: FrameFamily, cp: ControlPair):
-        self._bind(fam, cp)
+        self._bind(fam, cp, cp.scale)
         self.s = as_operator(fam.controlled(cp.t_side, cp.u_side))  # rejects an overflow
 
-    def _bind(self, fam: FrameFamily, cp: ControlPair):
+    def _bind(self, fam: FrameFamily, cp: ControlPair, scale: float | None):
         _check_dims(fam, cp)
         self.fam = fam
         self.cp = cp
+        # c when S = c F and the decompositions are the family's own, else None
+        self.scale = scale
 
     @classmethod
     def listing_terms(cls, fam: FrameFamily, cp: ControlPair) -> "FrameEvaluation":
         """The evaluation of a report that lists the per-item terms: it holds
         their stack `terms`, and S is their weighted sum, so the listed terms
-        sum to the S they are checked against."""
+        sum to the S they are checked against; its spectrum and inverse are
+        those of that S."""
         ev = cls.__new__(cls)
-        ev._bind(fam, cp)
+        ev._bind(fam, cp, None)
         weights_sq = [w * w for w in fam.weights]
         ev.s = as_operator(np.tensordot(weights_sq, ev.terms, axes=1))  # rejects an overflow
         return ev
+
+    def _own(self, name: str, make: Callable):
+        """`make()`; under a positive scalar pair, the family's own item
+        `name`, which `make()` forms once per family."""
+        return make() if self.scale is None else self.fam.own(name, make)
+
+    @property
+    def _decomposed(self) -> np.ndarray:
+        """What the makers of `_own` decompose: S, or F under a positive
+        scalar pair (S = c F)."""
+        return self.s if self.scale is None else self.fam.operator
 
     @cached_property
     def terms(self) -> np.ndarray:
@@ -368,14 +411,17 @@ class FrameEvaluation:
     def norm(self) -> float:
         return opnorm(self.s)
 
-    @cached_property
-    def skew(self) -> np.ndarray:  # S - S*
+    @property
+    def skew(self) -> np.ndarray:
+        """S - S*, formed when read and not kept: the Bessel claim, the
+        asymmetry and the Hermitian part each read it once."""
         return self.s - self.s.conj().T
 
     @cached_property
     def asymmetry(self) -> float:
         """||S - S*||_2: 0.0 with no eigensolver when S is exactly Hermitian."""
-        return antihermitian_norm(self.skew) if self.skew.any() else 0.0
+        skew = self.skew
+        return antihermitian_norm(skew) if skew.any() else 0.0
 
     @property
     def herm_residual(self) -> float:
@@ -393,11 +439,16 @@ class FrameEvaluation:
 
     @cached_property
     def hermitian(self) -> np.ndarray:
-        return 0.5 * (self.s + self.s.conj().T)
+        """(S + S*)/2: S itself when S is exactly Hermitian."""
+        return 0.5 * (self.s + self.s.conj().T) if self.skew.any() else self.s
 
     @cached_property
     def bounds(self) -> SpectralInterval:
-        return hermitian_spectrum(self.s)
+        """Extreme eigenvalues of the Hermitian part of S; c times F's under
+        a positive scalar pair."""
+        b = self._own("spectrum", lambda: hermitian_spectrum(self._decomposed))
+        c = self.scale
+        return b if c is None else SpectralInterval(c * b.lambda_min, c * b.lambda_max)
 
     @cached_property
     def frame_claims(self) -> tuple:
@@ -412,10 +463,12 @@ class FrameEvaluation:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """S^-1; raises NotAFrame unless `is_frame`."""
+        """S^-1; raises NotAFrame unless `is_frame`.  F^-1 / c under a
+        positive scalar pair."""
         if not self.is_frame:
             raise NotAFrame("frame operator is not invertible at threshold")
-        return np.linalg.inv(self.s)
+        inv = self._own("inverse", lambda: np.linalg.inv(self._decomposed))
+        return inv if self.scale is None else inv / self.scale
 
     def report(self) -> FrameReport:
         return FrameReport(
@@ -431,29 +484,38 @@ class FrameEvaluation:
         Q_j has orthonormal columns and T_j = v_j Q_j S_j, S_j Hermitian
         PSD, so T_C = [T_1 Q_1*, ..., T_m Q_m*] and T_C T_C* = T T*.  Each
         root is a d_j x d_j problem on the factors t* B_j, C_j* C_j, u* B_j
-        of G_j (`linalg.factored_sqrt`), so T is n x sum_j d_j.  Under a
-        control c I, t* B_j is Q (conj(c) R) for the family's own QR
-        B_j = Q R (`FrameFamily.basis_qr`): with u a multiple of I too, both
-        factors are given on that Q, and the root takes no QR and no n x n
-        product.  A scalar side beside a dense one is a scaling of B_j.
+        of G_j (`linalg.factored_sqrt`), so T is n x sum_j d_j.  When both
+        controls are numbers c and c', t* B_j is Q (conj(c) R) for the QR
+        B_j = Q R: both factors are given on that Q, and the root takes no
+        n x n product.  A scalar side beside a dense one is a scaling of
+        B_j.  Under a positive scalar pair T is sqrt(c) times the family's
+        own T, the roots under the identity controls, taken once per family.
         """
-        t_adj, u_adj = adjoint(self.cp.t_side), adjoint(self.cp.u_side)
-        blocks, bases = [], []
-        for j, ((b, c), w) in enumerate(zip(self.fam.factors, self.fam.weights)):
-            if isinstance(t_adj, np.ndarray) or isinstance(u_adj, np.ndarray):
-                x, y = product(t_adj, b), product(u_adj, b)
-            else:
-                q, r = self.fam.basis_qr[j]
-                x, y = Factored(q, t_adj * r), Factored(q, u_adj * r)
-            try:
-                basis, root = factored_sqrt(x, c.conj().T @ c, y)
-            except GFusionError as exc:
-                raise NotPositive(
-                    f"item {j}: cross operator is not Hermitian PSD ({exc})"
-                ) from exc
-            blocks.append(w * (basis @ root))
-            bases.append(basis)
-        return np.hstack(blocks), tuple(bases)
+        def roots(t_side, u_side):
+            t_adj, u_adj = adjoint(t_side), adjoint(u_side)
+            blocks, bases = [], []
+            for j, ((b, c), w) in enumerate(zip(self.fam.factors, self.fam.weights)):
+                if isinstance(t_adj, np.ndarray) or isinstance(u_adj, np.ndarray):
+                    x, y = product(t_adj, b), product(u_adj, b)
+                else:
+                    q, r = np.linalg.qr(b)
+                    x, y = Factored(q, t_adj * r), Factored(q, u_adj * r)
+                try:
+                    basis, root = factored_sqrt(x, c.conj().T @ c, y)
+                except GFusionError as exc:
+                    raise NotPositive(
+                        f"item {j}: cross operator is not Hermitian PSD ({exc})"
+                    ) from exc
+                blocks.append(w * (basis @ root))
+                bases.append(basis)
+            return np.hstack(blocks), tuple(bases)
+
+        c = self.scale
+        if c is None:
+            return roots(self.cp.t_side, self.cp.u_side)
+        # the sides of the identity controls, as ControlPair.identity keeps them
+        t, bases = self.fam.own("thin_synthesis", partial(roots, 1 + 0j, 1 + 0j))
+        return (t if c == 1 else math.sqrt(c) * t), bases
 
     @cached_property
     def synthesis_matrix(self) -> np.ndarray:
@@ -524,7 +586,7 @@ class FrameEvaluation:
         # T* S^+ k and expanded only when read.
         t, bases = self.thin_synthesis
         gram = t @ t.conj().T
-        gram_pinv = hermitian_pinv(gram)
+        gram_pinv = self._gram_pinv(gram)
         x = gram_pinv @ k
         coords = t.conj().T @ (x + gram_pinv @ (k - gram @ x))
         coeff_residual = opnorm(t @ coords - k) / scale_k
@@ -541,6 +603,15 @@ class FrameEvaluation:
             literal_residual=literal_residual,
             claims=claims,
         )
+
+    def _gram_pinv(self, gram) -> np.ndarray:
+        """S^+, the pseudoinverse of the thin Gram `gram` = T T*; under a
+        positive scalar pair, (T_F T_F*)^+ / c from the family's own T_F,
+        which `thin_synthesis` has made."""
+        if self.scale is None:
+            return hermitian_pinv(gram)
+        t_f, _ = self.fam.own("thin_synthesis")
+        return self.fam.own("gram_pinv", lambda: hermitian_pinv(t_f @ t_f.conj().T)) / self.scale
 
 
 def _expand(bases, coords) -> np.ndarray:

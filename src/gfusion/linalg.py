@@ -493,7 +493,9 @@ def gen_rayleigh_extremes(a, b) -> RayleighExtremes:
     # q diag(vals[keep])^{-1/2} (in place) and take ordinary extremes
     w = vecs if keep.all() else vecs[:, keep]
     w /= np.sqrt(vals[keep])
-    spectrum = hermitian_spectrum(w.conj().T @ ah @ w)
+    whitened = w.conj().T @ ah @ w
+    del vecs, w  # released before the eigensolver
+    spectrum = hermitian_spectrum(whitened)
     return RayleighExtremes(spectrum.lambda_min, spectrum.lambda_max, float(vmax))
 
 

@@ -1,0 +1,294 @@
+"""Decompositions a family shares with every positive scalar control pair.
+
+Under t = c_t I and u = c_u I with c = conj(c_t) c_u a real number > 0,
+S = c F, and `FrameEvaluation` reads the spectrum, the inverse, the roots
+and atomic's pseudoinverse of S from the family's own decompositions of F
+(`FrameFamily.own`), scaled.  These tests hold those readings to dense
+references built from S, count what a second pair decomposes, check that a
+family is freed by reference counting alone, and that scalar pairs whose c
+is not a positive real keep the path that decomposes S.
+"""
+
+import contextlib
+import gc
+import io
+import json
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gfusion import cli, serialize
+from gfusion.constructions import direct_sum_frame, sum_transform
+from gfusion.frames import (
+    ControlPair,
+    FrameEvaluation,
+    FrameFamily,
+    analysis,
+    atomic_check,
+    controlled_frame_bounds,
+    synthesis,
+    synthesis_matrix,
+)
+from gfusion.linalg import hermitian_spectrum
+from gfusion.resolution import canonical_resolutions, inverse_commutation_check
+
+from conftest import complex_gaussian, random_family
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+POSITIVE = st.floats(0.1, 10.0)
+
+
+def rel(a, b):
+    return np.linalg.norm(a - b, 2) / max(np.linalg.norm(b, 2), 1e-300)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    items=st.integers(1, 4),
+    first=st.tuples(POSITIVE, POSITIVE),
+    pair=st.tuples(POSITIVE, POSITIVE),
+)
+def test_scaled_readings_match_dense_reference_of_s(seed, n, items, first, pair):
+    # the family is first evaluated under another positive pair, so the
+    # readings under `pair` come from decompositions kept on the family
+    rng = np.random.default_rng(seed)
+    fam = random_family(rng, n, items)
+    k = complex_gaussian(rng, n, n)
+    f = complex_gaussian(rng, n)
+    atomic_check(fam, ControlPair.scalars(n, *first), k)
+    cp = ControlPair.scalars(n, *pair)
+    ev = FrameEvaluation(fam, cp)
+    assert ev.scale == pytest.approx(pair[0] * pair[1], rel=1e-15)
+    s = ev.s
+    vals = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
+    scale = np.linalg.norm(s, 2)
+    assert abs(ev.bounds.lambda_min - vals[0]) <= 1e-12 * scale
+    assert abs(ev.bounds.lambda_max - vals[-1]) <= 1e-12 * scale
+    s_inv = np.linalg.inv(s)
+    assert rel(ev.inverse, s_inv) <= 1e-12 * np.linalg.cond(s)
+    t, _ = ev.thin_synthesis
+    assert rel(t @ t.conj().T, s) <= 1e-12
+
+    # analysis block norms sum to <S f, f>; synthesis of the analysis is S f
+    g = analysis(fam, cp, f)
+    assert abs(g.norm_sq() - np.vdot(f, s @ f).real) <= 1e-12 * scale * np.vdot(f, f).real
+    out, certified = synthesis(fam, cp, g, f_hint=f)
+    assert certified and np.linalg.norm(out - s @ f) <= 1e-12 * scale * np.linalg.norm(f)
+
+    rep = atomic_check(fam, cp, k)
+    assert rep.coefficient_residual <= 1e-12
+    t_c = synthesis_matrix(fam, cp)
+    assert rel(t_c @ rep.coefficient_map, k) <= 1e-12
+
+    # the same readings from a fresh family with the same items: what the
+    # family keeps does not depend on the pair that asked first
+    fresh = FrameEvaluation(FrameFamily(n, fam.items), cp)
+    assert fresh.bounds == ev.bounds
+    assert np.array_equal(fresh.inverse, ev.inverse)
+    assert np.array_equal(fresh.thin_synthesis[0], t)
+    assert atomic_check(FrameFamily(n, fam.items), cp, k).coefficient_residual == (
+        rep.coefficient_residual)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), items=st.integers(1, 4))
+def test_c_one_bounds_are_those_of_s_to_the_bit(seed, n, items):
+    rng = np.random.default_rng(seed)
+    fam = random_family(rng, n, items)
+    for cp in (ControlPair.identity(n), ControlPair.scalars(n, 1.0, 1.0),
+               ControlPair.scalars(n, -1.0, -1.0)):
+        ev = FrameEvaluation(fam, cp)
+        assert ev.scale == 1.0
+        assert ev.bounds == hermitian_spectrum(ev.s)
+
+
+def record(monkeypatch, *names):
+    """{name: list of the inputs of each np.linalg.<name> call}."""
+    seen = {}
+    for name in names:
+        seen[name] = []
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, _seen=seen[name], **kwargs):
+            _seen.append(np.array(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
+def test_second_positive_pair_decomposes_no_s(monkeypatch):
+    # after one evaluation under a positive scalar pair, another positive
+    # pair takes its bounds, inverse, roots and atomic's S^+ from the
+    # family: no eigvalsh of S, no per-item eigh or QR, and no inverse
+    rng = np.random.default_rng(8)
+    n = 8
+    fam = random_family(rng, n, 4)
+    k = complex_gaussian(rng, n, n)
+    f = complex_gaussian(rng, n)
+    first = ControlPair.scalars(n, 0.5, 1.5)
+    atomic_check(fam, first, k)
+    inverse_commutation_check(fam, first)
+    cp = ControlPair.scalars(n, 2.0, 0.75)
+    seen = record(monkeypatch, "eigh", "eigvalsh", "inv", "qr")
+
+    controlled_frame_bounds(fam, cp)
+    analysis(fam, cp, f)
+    assert all(inputs == [] for inputs in seen.values())
+
+    rep = inverse_commutation_check(fam, cp)
+    assert rep.certified
+    # the one eigensolver call is the spectrum of the modified frame
+    # operator (S^-1 t, S^-1 u) that Theorem 4.1 measures, not of S
+    assert [len(seen[name]) for name in ("eigh", "eigvalsh", "inv", "qr")] == [0, 1, 0, 0]
+    s = FrameEvaluation(fam, cp).s
+    assert not np.allclose(seen["eigvalsh"][0], s)
+
+    seen["eigvalsh"].clear()
+    atomic_check(fam, cp, k)
+    # only the k-dependent quotient of kgf: one eigh of k k* and one
+    # eigvalsh of the whitened S; no per-item root and no S^+ eigh
+    assert len(seen["eigh"]) == 1 and np.allclose(seen["eigh"][0], k @ k.conj().T)
+    assert len(seen["eigvalsh"]) == 1
+    assert seen["inv"] == [] and seen["qr"] == []
+
+
+def test_listing_terms_decompose_their_own_s(monkeypatch):
+    # canonical_resolutions checks its terms against the S they sum to, so
+    # it inverts that S even after the family holds F^-1
+    rng = np.random.default_rng(9)
+    fam = random_family(rng, 5, 3)
+    cp = ControlPair.scalars(5, 0.5, 1.5)
+    inverse_commutation_check(fam, cp)
+    seen = record(monkeypatch, "eigvalsh", "inv")
+    res = canonical_resolutions(fam, cp)
+    assert res.converged
+    assert len(seen["eigvalsh"]) == 1 and len(seen["inv"]) == 1
+
+
+@contextlib.contextmanager
+def no_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_a_family_is_freed_by_reference_counting():
+    rng = np.random.default_rng(10)
+    n = 6
+    k = complex_gaussian(rng, n, n)
+    with no_collector():
+        fam = random_family(rng, n, 3)
+        for cp in (ControlPair.scalars(n, 0.5, 1.5), ControlPair.scalars(n, 2.0, 2.0)):
+            controlled_frame_bounds(fam, cp)
+            rep = atomic_check(fam, cp, k)
+            rep.coefficient_map
+            analysis(fam, cp, complex_gaussian(rng, n))
+            inverse_commutation_check(fam, cp)
+        assert set(fam._own) == {"spectrum", "inverse", "thin_synthesis", "gram_pinv"}
+        ref = weakref.ref(fam)
+        del fam, rep
+        assert ref() is None
+
+        # the check sees a cycle: a family that held itself would live on
+        fam = random_family(rng, n, 3)
+        fam._own["self"] = fam
+        ref = weakref.ref(fam)
+        del fam
+        assert ref() is not None
+        ref()._own.clear()
+        assert ref() is None
+
+
+def test_one_shot_output_families_are_freed_by_reference_counting(monkeypatch):
+    # direct_sum_frame and sum_transform build their output family under a
+    # positive scalar pair; it goes with the report
+    made = []
+    init = FrameFamily.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(FrameFamily, "__init__", recording)
+    rng = np.random.default_rng(11)
+    n = 4
+    k = complex_gaussian(rng, n, n)
+    cp = ControlPair.scalars(n, 0.5, 1.5)
+    half = 0.5 * np.eye(n)
+    with no_collector():
+        fam = random_family(rng, n, 3)
+        reports = [direct_sum_frame(fam, cp, k, fam, cp, k),
+                   sum_transform(fam, fam, half, half, cp, k)]
+        assert reports[0].all_hypotheses_pass
+        del fam, reports
+        assert len(made) >= 3 and all(ref() is None for ref in made)
+
+
+# Verdict, exit code and error line of each command under scalar pairs whose
+# c = conj(c_t) c_u is not a positive real, on `gfusion random --seed 1
+# --dim 4 --items 3 --structure scalar-controls`: as they were when every
+# scalar pair decomposed its own S.
+NOT_POSITIVE = {
+    ((1j, 1), "check-frame"): (1, False, ""),
+    ((1j, 1), "bounds"): (1, False, ""),
+    ((1j, 1), "atomic"): (1, None, "verification error: item 0: cross operator is not "
+                          "Hermitian PSD (asymmetry 4.891e+00 exceeds 1.0e-09 * norm 2.446e+00)"),
+    ((1j, 1), "resolutions"): (1, False, ""),
+    ((1j, 1), "thm 4.1"): (1, False, ""),
+    ((1j, 1), "thm 4.2"): (1, False, ""),
+    ((-1, 1), "check-frame"): (1, False, ""),
+    ((-1, 1), "bounds"): (0, True, ""),
+    ((-1, 1), "atomic"): (1, None, "verification error: item 0: cross operator is not "
+                          "Hermitian PSD (eigenvalue -2.446e+00 below floor -2.446e-09)"),
+    ((-1, 1), "resolutions"): (1, False, ""),
+    ((-1, 1), "thm 4.1"): (1, False, ""),
+    ((-1, 1), "thm 4.2"): (1, False, ""),
+}
+VERDICTS = {"check-frame": "is_frame", "bounds": "is_bessel", "atomic": "is_atomic",
+            "thm 4.1": "certified", "thm 4.2": "is_frame"}
+
+
+@pytest.fixture(scope="module")
+def scalar_instance(tmp_path_factory):
+    root = tmp_path_factory.mktemp("not-positive")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["random", "--seed", "1", "--dim", "4", "--items", "3",
+                         "--structure", "scalar-controls", "--out", str(root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("pair, command", NOT_POSITIVE)
+def test_pairs_with_c_not_a_positive_real_keep_their_outcome(scalar_instance, pair, command):
+    root = scalar_instance
+    fam = serialize.family_from_dict(serialize.load_json(root / "family.json"))
+    cp = ControlPair.scalars(4, *pair)
+    ev = FrameEvaluation(fam, cp)
+    assert cp.scale is None and ev.scale is None
+    assert ev.bounds == hermitian_spectrum(ev.s)
+
+    control = root / f"control_{pair[0]}_{pair[1]}.json"
+    control.write_text(serialize.dumps(serialize.control_pair_to_dict(cp)))
+    report = root / "report.json"
+    report.unlink(missing_ok=True)
+    argv = [*command.split(), "--in", str(root / "family.json"), "--control", str(control),
+            "--out", str(report)]
+    if command == "atomic":
+        argv += ["--k", str(root / "k.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    verdict = None
+    if report.exists():
+        rep = json.loads(report.read_text())
+        verdict = (rep["left_multiplied"]["converged"] and rep["right_multiplied"]["converged"]
+                   if command == "resolutions" else rep[VERDICTS[command]])
+    assert (code, verdict, err.getvalue().strip()) == NOT_POSITIVE[pair, command]
