@@ -36,6 +36,7 @@ from .linalg import (
     Factored,
     SingularExtremes,
     SpectralInterval,
+    Spectrum,
     Subspace,
     adjoint,
     antihermitian_norm,
@@ -47,8 +48,7 @@ from .linalg import (
     frobenius_bound,
     frozen,
     gen_rayleigh_extremes,
-    hermitian_pinv,
-    hermitian_spectrum,
+    gram_norm,
     opnorm,
     product,
     read_only,
@@ -135,18 +135,23 @@ class FrameFamily:
         (`ControlPair.t_side`)."""
         return product(product(adjoint(t), self.operator), u)
 
-    def own(self, name: str, make: Callable | None = None):
+    def own(self, name: str, make: Callable):
         """The family's own item `name`, a decomposition of F (the family
         under the identity controls): `make()` when first asked, then kept,
         its arrays read-only.  Under a positive scalar pair S = c F, and
         `FrameEvaluation` scales these in place of decomposing S.  Only
-        arrays and spectral intervals are kept, never an evaluation or a
+        arrays and a `Spectrum` of F are kept, never an evaluation or a
         control pair, so that a family is freed as soon as its last
-        reference goes, with no reference cycle for the collector.  `make`
-        may be left out for an item already made."""
+        reference goes, with no reference cycle for the collector."""
         if name not in self._own:
             self._own[name] = _frozen_all(make())
         return self._own[name]
+
+    @property
+    def spectrum(self) -> Spectrum:
+        """The family's own `Spectrum` of F, kept (`own`): its one eigh,
+        made on first need, serves every positive scalar pair."""
+        return self.own("spectrum", partial(Spectrum, self.operator))
 
 
 def _frozen_all(item):
@@ -355,12 +360,13 @@ class FrameEvaluation:
     stack of the per-item cross operators G_j = (A_j t)* (A_j u), which only
     a report that lists them asks for (`listing_terms`).
 
-    Under a positive scalar pair (`ControlPair.scale`: t = c_t I, u = c_u I,
-    c = conj(c_t) c_u > 0) S is c F, and its spectrum, inverse, roots and
-    atomic pseudoinverse are F's own (`FrameFamily.own`, decomposed once
-    per family) scaled by c, 1/c, sqrt(c) and 1/c.  S itself is still
-    formed by its two products.  What else depends on the control pair is
-    not kept: an evaluation lives as long as the call that built it.
+    One `spectrum` serves the bounds, S^-1, atomic's S^+ and `kgf`.  Under
+    a positive scalar pair (`ControlPair.scale`: t = c_t I, u = c_u I,
+    c = conj(c_t) c_u > 0) S is c F, the spectrum is the family's own
+    spectrum of F scaled by c (`FrameFamily.spectrum`, decomposed once per
+    family), and the roots are the family's own times sqrt(c).  S itself is
+    still formed by its two products.  What else depends on the control
+    pair is not kept: an evaluation lives as long as the call that built it.
     """
 
     def __init__(self, fam: FrameFamily, cp: ControlPair):
@@ -378,24 +384,13 @@ class FrameEvaluation:
     def listing_terms(cls, fam: FrameFamily, cp: ControlPair) -> "FrameEvaluation":
         """The evaluation of a report that lists the per-item terms: it holds
         their stack `terms`, and S is their weighted sum, so the listed terms
-        sum to the S they are checked against; its spectrum and inverse are
-        those of that S."""
+        sum to the S they are checked against; its `spectrum` and `inverse`
+        are those of that S."""
         ev = cls.__new__(cls)
         ev._bind(fam, cp, None)
         weights_sq = [w * w for w in fam.weights]
         ev.s = as_operator(np.tensordot(weights_sq, ev.terms, axes=1))  # rejects an overflow
         return ev
-
-    def _own(self, name: str, make: Callable):
-        """`make()`; under a positive scalar pair, the family's own item
-        `name`, which `make()` forms once per family."""
-        return make() if self.scale is None else self.fam.own(name, make)
-
-    @property
-    def _decomposed(self) -> np.ndarray:
-        """What the makers of `_own` decompose: S, or F under a positive
-        scalar pair (S = c F)."""
-        return self.s if self.scale is None else self.fam.operator
 
     @cached_property
     def terms(self) -> np.ndarray:
@@ -414,7 +409,7 @@ class FrameEvaluation:
     @property
     def skew(self) -> np.ndarray:
         """S - S*, formed when read and not kept: the Bessel claim, the
-        asymmetry and the Hermitian part each read it once."""
+        asymmetry, the Hermitian part and `inverse` each read it once."""
         return self.s - self.s.conj().T
 
     @cached_property
@@ -437,18 +432,24 @@ class FrameEvaluation:
         c = tol.claim("bessel", frobenius_bound(self.skew, self.s), "<=", "TOL_FACTOR")
         return c if c.holds else c._replace(value=self.herm_residual)
 
-    @cached_property
+    @property
     def hermitian(self) -> np.ndarray:
-        """(S + S*)/2: S itself when S is exactly Hermitian."""
+        """(S + S*)/2, formed when read and not kept: S itself when S is
+        exactly Hermitian."""
         return 0.5 * (self.s + self.s.conj().T) if self.skew.any() else self.s
 
     @cached_property
+    def spectrum(self) -> Spectrum:
+        """The spectrum of the Hermitian part of S; under a positive scalar
+        pair, the family's own spectrum of F scaled by c."""
+        if self.scale is None:
+            return Spectrum(self.s)
+        return self.fam.spectrum.scaled(self.scale)
+
+    @cached_property
     def bounds(self) -> SpectralInterval:
-        """Extreme eigenvalues of the Hermitian part of S; c times F's under
-        a positive scalar pair."""
-        b = self._own("spectrum", lambda: hermitian_spectrum(self._decomposed))
-        c = self.scale
-        return b if c is None else SpectralInterval(c * b.lambda_min, c * b.lambda_max)
+        """Extreme eigenvalues of the Hermitian part of S."""
+        return self.spectrum.extremes
 
     @cached_property
     def frame_claims(self) -> tuple:
@@ -463,12 +464,15 @@ class FrameEvaluation:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """S^-1; raises NotAFrame unless `is_frame`.  F^-1 / c under a
-        positive scalar pair."""
+        """S^-1; raises NotAFrame unless `is_frame`.  From the eigenpairs of
+        `spectrum` where that is the spectrum of S itself (S = c F under a
+        positive scalar pair, or S exactly Hermitian); else by
+        np.linalg.inv, as S is then Hermitian only to TOL_FACTOR."""
         if not self.is_frame:
             raise NotAFrame("frame operator is not invertible at threshold")
-        inv = self._own("inverse", lambda: np.linalg.inv(self._decomposed))
-        return inv if self.scale is None else inv / self.scale
+        if self.scale is None and self.skew.any():
+            return np.linalg.inv(self.s)
+        return self.spectrum.inverse
 
     def report(self) -> FrameReport:
         return FrameReport(
@@ -549,47 +553,58 @@ class FrameEvaluation:
         return k
 
     def kgf(self, k):
-        """(a_opt, b, claims) of `kgf_bounds`, is_kgf the claims' conjunction."""
-        return self._kgf(self._check_k(k))[:3]
+        """(a_opt, b, claims) of `kgf_bounds`, is_kgf the claims' conjunction.
 
-    def _kgf(self, k):
-        """`kgf`'s (a_opt, b, claims), then ||k||_2 where the Rayleigh
-        quotient measured it: the root of the top eigenvalue of k k*, when
-        that is a normal float; None otherwise."""
-        b = self.bounds.lambda_max
+        a_opt is the largest A with A ||k* f||^2 <= <S f, f> for every f.
+        For a PSD S (Douglas): with W = `spectrum.whiten(k)`, W* W =
+        k* S^+ k, so a_opt = 1 / lambda_max(W W*), and +inf for a zero W
+        (k = 0); when k reaches the eigenvectors of S at or below the PSD
+        floor, no A > 0 holds there and a_opt is 0.0.  An S with an
+        eigenvalue below the floor's dust admits no A > 0 (<S f, f> < 0 at
+        its eigenvector): a_opt is the minimum of the quotient
+        <S f, f> / ||k* f||^2 over range(k k*), exact for a full-rank k,
+        capped at 0.0, an upper bound for a rank-deficient one.
+        """
+        k = self._check_k(k)
         if not self.bessel.holds:
-            return -math.inf, b, (self.bessel,), None
-        try:
-            rayleigh = gen_rayleigh_extremes(self.hermitian, k @ k.conj().T)
-        except ZeroDenominator:
-            a_opt, k_norm = math.inf, None
+            return -math.inf, self.bounds.lambda_max, (self.bessel,)
+        spectrum = self.spectrum
+        if not spectrum.psd:
+            try:
+                a_opt = min(gen_rayleigh_extremes(self.hermitian, k @ k.conj().T).lambda_min, 0.0)
+            except ZeroDenominator:
+                a_opt = 0.0
+        elif (w := spectrum.whiten(k)) is None:
+            a_opt = 0.0
         else:
-            a_opt = rayleigh.lambda_min
-            top = rayleigh.denominator_max
-            k_norm = math.sqrt(top) if top >= np.finfo(float).tiny else None
+            w_norm = gram_norm(w)
+            a_opt = 1.0 / (w_norm * w_norm) if w_norm > 0 else math.inf
+        b = self.bounds.lambda_max
         # positivity at the same relative floor used for the frame flag, so
         # roundoff dust around zero does not flip the verdict
         positive = tol.claim("k_positive_lower", a_opt, ">", "TOL_PSD", scale=max(b, 0.0))
-        return a_opt, b, (self.bessel, positive), k_norm
+        return a_opt, b, (self.bessel, positive)
 
     def atomic(self, k) -> AtomicReport:
-        """The report of `atomic_check`."""
+        """The report of `atomic_check`.  Each norm is `gram_norm`'s: one
+        product and one eigvalsh, no SVD."""
         k = self._check_k(k)
-        a_opt, b, claims, k_norm = self._kgf(k)
+        a_opt, b, claims = self.kgf(k)
         is_kgf = tol.all_hold(claims)
-        scale_k = max(opnorm(k) if k_norm is None else k_norm, 1e-300)
-        literal_residual = opnorm(k - self.s) / scale_k
-        # Minimum-norm solution L = T_C* S^+ k of T_C L = k, S^+ the
-        # pseudoinverse of the thin Gram T T* = T_C T_C* = S (Hermitian PSD
-        # as formed) from one eigendecomposition, with one step of iterative
-        # refinement; T_C L = T T* S^+ k.  L is kept as its thin coordinates
-        # T* S^+ k and expanded only when read.
         t, bases = self.thin_synthesis
+        scale_k = max(gram_norm(k), 1e-300)
+        literal_residual = gram_norm(k - self.s) / scale_k
+        # Minimum-norm solution L = T_C* S^+ k of T_C L = k, S^+ the
+        # pseudoinverse of `spectrum` (T T* = T_C T_C* = S), with one step of
+        # iterative refinement against the thin Gram T T*; T_C L = T T* S^+ k.
+        # L is kept as its thin coordinates T* S^+ k and expanded only when
+        # read.
         gram = t @ t.conj().T
-        gram_pinv = self._gram_pinv(gram)
-        x = gram_pinv @ k
-        coords = t.conj().T @ (x + gram_pinv @ (k - gram @ x))
-        coeff_residual = opnorm(t @ coords - k) / scale_k
+        s_pinv = self.spectrum.pinv
+        x = s_pinv @ k
+        coords = t.conj().T @ (x + s_pinv @ (k - gram @ x))
+        del gram, s_pinv, x  # released before the residual's Gram matrix, the peak of the call
+        coeff_residual = gram_norm(t @ coords - k) / scale_k
         # finite only with the verdict: a roundoff-level a_opt below the
         # positivity floor would give a huge, meaningless bound
         c = math.sqrt(1.0 / a_opt) if (is_kgf and math.isfinite(a_opt)) else math.inf
@@ -603,15 +618,6 @@ class FrameEvaluation:
             literal_residual=literal_residual,
             claims=claims,
         )
-
-    def _gram_pinv(self, gram) -> np.ndarray:
-        """S^+, the pseudoinverse of the thin Gram `gram` = T T*; under a
-        positive scalar pair, (T_F T_F*)^+ / c from the family's own T_F,
-        which `thin_synthesis` has made."""
-        if self.scale is None:
-            return hermitian_pinv(gram)
-        t_f, _ = self.fam.own("thin_synthesis")
-        return self.fam.own("gram_pinv", lambda: hermitian_pinv(t_f @ t_f.conj().T)) / self.scale
 
 
 def _expand(bases, coords) -> np.ndarray:

@@ -336,14 +336,147 @@ def factored_sqrt(x, m, y):
     return np.eye(n, dtype=complex), positive_sqrt(x @ (m @ y.conj().T))
 
 
-def hermitian_pinv(h) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a Hermitian matrix from one
-    eigendecomposition, with the relative cutoff TOL_RANK of `pinv` (the
-    singular values of h are its |eigenvalues|)."""
-    vals, vecs = _eigenpairs(h, psd=False)
-    keep = np.abs(vals) > tol.TOL_RANK * _largest_abs(vals)
-    kept = vecs[:, keep]
-    return (kept / vals[keep]) @ kept.conj().T
+class Spectrum:
+    """The spectrum of the Hermitian part h = (a + a*)/2 of a square matrix
+    a (a itself when a is Hermitian), or of c h for a copy made by
+    `scaled(c)`.  h is formed for each decomposition and not kept.
+
+    Two decompositions of h, each made on first need, kept read-only and
+    shared by every scaled copy: one eigvalsh gives `extremes` (and so
+    `psd`, `condition` and the floors), and one eigh, made only when a
+    caller asks for eigenvectors, serves `eigenpairs`, `inverse`, `pinv`
+    and `whiten`.  The extremes thus do not depend on which was asked
+    first; the eigh's own end eigenvalues may differ from them at rounding
+    level.  Beside the eigenvectors a spectrum keeps one n x n array, the
+    pseudoinverse of h.
+    """
+
+    def __init__(self, a, c: float = 1.0, _shared: dict | None = None):
+        self.a = a
+        self.c = c
+        self._shared = {} if _shared is None else _shared
+
+    def scaled(self, c: float) -> "Spectrum":
+        """The spectrum of c h for a real c > 0: this one's decompositions,
+        with every eigenvalue times c; it decomposes nothing itself."""
+        return Spectrum(self.a, self.c * c, self._shared)
+
+    def _hermitian(self) -> np.ndarray:
+        return 0.5 * (self.a + self.a.conj().T)
+
+    def _pairs(self):
+        """Ascending eigenvalues and eigenvectors of h: the one eigh."""
+        if "pairs" not in self._shared:
+            vals, vecs = _eigenpairs(self._hermitian(), psd=False)
+            self._shared["pairs"] = (frozen(vals), frozen(vecs))
+        return self._shared["pairs"]
+
+    @property
+    def extremes(self) -> SpectralInterval:
+        """The least and the largest eigenvalue, from the one eigvalsh."""
+        if "extremes" not in self._shared:
+            vals = np.linalg.eigvalsh(self._hermitian())
+            self._shared["extremes"] = SpectralInterval(float(vals[0]), float(vals[-1]))
+        e, c = self._shared["extremes"], self.c
+        return e if c == 1 else SpectralInterval(c * e.lambda_min, c * e.lambda_max)
+
+    @property
+    def condition(self) -> float:
+        """lambda_max / lambda_min; inf unless lambda_min > 0."""
+        e = self.extremes
+        return e.lambda_max / e.lambda_min if e.lambda_min > 0 else math.inf
+
+    @property
+    def eigenpairs(self):
+        """(values, vectors), ascending: c times h's eigenvalues, h's eigenvectors."""
+        vals, vecs = self._pairs()
+        return (vals if self.c == 1 else self.c * vals), vecs
+
+    @property
+    def psd(self) -> bool:
+        """No eigenvalue below -TOL_PSD max|lambda|, the dust floor of the
+        PSD gate (`_eigenpairs`)."""
+        e = self.extremes
+        return e.lambda_min >= -tol.TOL_PSD * max(abs(e.lambda_min), abs(e.lambda_max))
+
+    def _pinv_of_h(self):
+        """(every eigenvalue kept, h^+), made once per TOL_RANK and kept."""
+        made = self._shared.get("pinv")
+        if made is None or made[0] != tol.TOL_RANK:
+            vals, vecs = self._pairs()
+            keep = np.abs(vals) > tol.TOL_RANK * _largest_abs(vals)
+            kept = vecs if keep.all() else vecs[:, keep]
+            pinv_h = frozen((kept / vals[keep]) @ kept.conj().T)
+            made = self._shared["pinv"] = (tol.TOL_RANK, bool(keep.all()), pinv_h)
+        return made[1:]
+
+    @property
+    def pinv(self) -> np.ndarray:
+        """The Moore-Penrose pseudoinverse: the eigenvalues with |lambda| at
+        most TOL_RANK max|lambda| count as zero, the cutoff of `pinv` (the
+        singular values of h are its |eigenvalues|).  h^+ is kept and
+        shared by the scaled copies, which divide it by c."""
+        pinv_h = self._pinv_of_h()[1]
+        return pinv_h if self.c == 1 else pinv_h / self.c
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """The inverse of c h for an invertible h: `pinv` where no eigenvalue
+        is cut, as for a frame under the default tolerances, else
+        V diag(1/(c lambda)) V* over all of them."""
+        if self._pinv_of_h()[0]:
+            return self.pinv
+        vals, vecs = self.eigenpairs
+        return (vecs / vals) @ vecs.conj().T
+
+    def whiten(self, k) -> np.ndarray | None:
+        """W = diag(lambda^-1/2) V* k over the eigenvalues above the PSD
+        floor TOL_PSD * max(lambda_max, 0), so that W* W = k* h^+ k there;
+        None when k reaches the eigenvectors at or below the floor.
+
+        Those eigenvectors are accurate only to about eps lambda_max /
+        lambda_r, lambda_r the least eigenvalue kept (Davis-Kahan), so a k
+        that lies in the kept range shows a component of about that
+        relative size on them.  k reaches them when its component on them
+        (in Frobenius norm) exceeds TOL_RANK max(1, lambda_max / lambda_r)
+        relative.
+        """
+        vals, vecs = self.eigenpairs
+        y = vecs.conj().T @ k
+        top = max(self.extremes.lambda_max, 0.0)
+        low = vals <= tol.TOL_PSD * top
+        if low.any():
+            kept = vals[~low]
+            spread = top / kept[0] if kept.size else 1.0
+            if np.linalg.norm(y[low]) > tol.TOL_RANK * max(1.0, spread) * np.linalg.norm(k):
+                return None
+            y, vals = y[~low], kept
+        y /= np.sqrt(vals)[:, None]
+        return y
+
+
+def _gram_top(r) -> float:
+    """lambda_max of r r* or r* r, whichever is smaller."""
+    g = r @ r.conj().T if r.shape[0] <= r.shape[1] else r.conj().T @ r
+    return max(float(np.linalg.eigvalsh(g)[-1]), 0.0) if g.size else 0.0
+
+
+def gram_norm(r) -> float:
+    """||r||_2 as the root of lambda_max(r r*): one product and one
+    eigvalsh, of the smaller Gram matrix, in place of an SVD; the top
+    eigenvalue keeps its relative accuracy.  Where ||r||_F^2 leaves
+    [2^-900, 2^900], r is first divided by its largest |entry|, so that
+    r r* neither overflows nor underflows; a non-finite entry is rejected
+    as `as_operator` rejects it."""
+    r = np.asarray(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        frobenius_sq = float(np.vdot(r, r).real)
+    if 2.0**-900 <= frobenius_sq <= 2.0**900:
+        return math.sqrt(_gram_top(r))
+    top = float(np.abs(r).max(initial=0.0))
+    if not math.isfinite(top):
+        raise InvalidParameters("operator entries must be finite")
+    return top * math.sqrt(_gram_top(r / top)) if top > 0 else 0.0
 
 
 def pinv(a) -> np.ndarray:
@@ -436,8 +569,7 @@ def require_invertible(a, what: str = "operator") -> SingularExtremes:
 
 def hermitian_spectrum(a) -> SpectralInterval:
     """Extreme eigenvalues of the Hermitian part (a + a*)/2, with no gate."""
-    vals = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    return SpectralInterval(float(vals[0]), float(vals[-1]))
+    return Spectrum(a).extremes
 
 
 def hermitian_extremes(a) -> SpectralInterval:
@@ -462,22 +594,12 @@ def commutator_residual(a, b, norm_a: float | None = None, norm_b: float | None 
     return opnorm(a @ b - b @ a) / scale
 
 
-class RayleighExtremes(NamedTuple):
-    """Extremes of a generalized Rayleigh quotient, and the largest
-    eigenvalue of its denominator, which the reduction measures."""
-
-    lambda_min: float
-    lambda_max: float
-    denominator_max: float
-
-
-def gen_rayleigh_extremes(a, b) -> RayleighExtremes:
+def gen_rayleigh_extremes(a, b) -> SpectralInterval:
     """Extremes of <a f, f> / <b f, f> over the range of b.
 
     Both matrices must be Hermitian PSD; the quotient is reduced to an
-    ordinary eigenproblem on an orthonormal basis of range(b), from the one
-    eigendecomposition of b that also gives lambda_max(b) (for b = k k*,
-    ||k||_2^2).
+    ordinary eigenproblem on an orthonormal basis of range(b), from one
+    eigendecomposition of b.
     """
     ah = require_hermitian(a)
     bh = require_hermitian(b)
@@ -495,8 +617,7 @@ def gen_rayleigh_extremes(a, b) -> RayleighExtremes:
     w /= np.sqrt(vals[keep])
     whitened = w.conj().T @ ah @ w
     del vecs, w  # released before the eigensolver
-    spectrum = hermitian_spectrum(whitened)
-    return RayleighExtremes(spectrum.lambda_min, spectrum.lambda_max, float(vmax))
+    return hermitian_spectrum(whitened)
 
 
 def gen_rayleigh_min(a, b) -> float:

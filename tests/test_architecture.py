@@ -273,8 +273,7 @@ RULES = {
     ),
     "eigensolver": Rule(
         lambda: sites(calls("eigh", "eigvalsh"), skip="linalg.py"),
-        "take spectra, roots and S^+ through linalg (hermitian_spectrum, factored_sqrt, "
-        "hermitian_pinv)",
+        "take spectra, roots and S^+ through linalg (Spectrum, factored_sqrt, gram_norm)",
         ((calls("eigh", "eigvalsh"),
           "v = eigvalsh(h)\nw, q = np.linalg.eigh(h)\neigh = 1\n", [1, 2]),),
     ),

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfusion import frames, generate
+from gfusion import frames, generate, serialize
+from gfusion import tolerances as tol
 from gfusion.constructions import conjugate_transform, direct_sum_frame, sum_transform
 from gfusion.errors import DimensionMismatch, NotInvertible, NotPositive
 from gfusion.frames import (
@@ -321,19 +324,23 @@ class TestAtomic:
         assert first.shape == (4 * len(fam), 4) and len(calls) == 1
         assert rep.coefficient_map is first and len(calls) == 1
 
-    def test_k_norm_is_read_from_the_rayleigh_quotient(self, rng, monkeypatch):
-        # ||k||_2 is the root of the top eigenvalue of k k*, which kgf's
-        # Rayleigh quotient decomposes: no SVD of k
+    def test_atomic_norms_take_no_svd(self, rng, monkeypatch):
+        # ||k||_2, ||k - S||_2 and ||T_C L - k||_2 are each the root of the
+        # top eigenvalue of R R*: no SVD and no spectral np.linalg.norm
         fam = random_family(rng, 5, 3)
         cp = scalar_controls(rng, 5)
         k = complex_gaussian(rng, 5, 5)
         s = frame_operator(fam, cp)
         seen = record_spectral_inputs(monkeypatch)
         rep = atomic_check(fam, cp, k)
-        assert seen and not any(a.shape == k.shape and np.array_equal(a, k) for a in seen)
+        assert seen == []
         monkeypatch.undo()
         ref = np.linalg.norm(k - s, 2) / np.linalg.norm(k, 2)
         assert rep.literal_residual == pytest.approx(ref, rel=1e-13)
+        resid = np.linalg.norm(synthesis_matrix(fam, cp) @ rep.coefficient_map - k, 2)
+        assert rep.coefficient_residual <= 1e-13
+        assert rep.coefficient_residual == pytest.approx(
+            resid / np.linalg.norm(k, 2), rel=1e-6, abs=1e-15)
 
     def test_zero_k(self, rng):
         # a_opt = inf, and ||k|| floored at 1e-300
@@ -367,12 +374,23 @@ class TestAtomic:
         assert rep.lower_bound == pytest.approx(gen_rayleigh_min(h, s @ s.conj().T), rel=1e-12)
 
     def test_coefficient_norm_bound_only_with_verdict(self):
-        # a_opt is positive roundoff (~4e-15) below the positivity floor: the
-        # verdict is false, and 1/sqrt(a_opt) would read ~2e7
+        # S = diag(2, 7, ...) and k = 1e5 I: a_opt = 2e-10 is positive but
+        # below the positivity floor 7e-9, so the verdict is false, and
+        # 1/sqrt(a_opt) would read ~7e4
+        fam = scaled_partition_family(6, (2.0, 7.0))
+        rep = atomic_check(fam, ControlPair.identity(6), 1e5 * np.eye(6))
+        assert not rep.is_atomic
+        assert rep.lower_bound == pytest.approx(2e-10, rel=1e-12)
+        assert rep.coefficient_norm_bound == math.inf
+
+    def test_k_reaching_the_null_space_reads_zero(self):
+        # S is singular (lambda_min ~ 2e-16 of 46) and k is full rank: the
+        # frame sum vanishes on null(S) while ||k* f|| does not, so no A > 0
+        # holds and a_opt is exactly 0.0
         inst = generate.random_instance(3038, 4, 2, "scalar-controls")
         rep = atomic_check(inst.family, inst.control, inst.k)
         assert not rep.is_atomic
-        assert 0 < rep.lower_bound < 1e-12
+        assert rep.lower_bound == 0.0
         assert rep.coefficient_norm_bound == math.inf
 
     def test_not_atomic_when_range_escapes(self):
@@ -390,6 +408,140 @@ class TestAtomic:
         k2 = complex_gaussian(rng, 4, 4)
         combo, prod = linear_combination_atomic(fam, cp, k1, k2, 1.5, -2j)
         assert combo.is_atomic and prod.is_atomic
+
+
+def two_by_two_family(s):
+    """A family on C^2 whose frame operator under the identity controls is
+    the integer matrix s = [[a + b, b], [b, b]] exactly: item 0 on W = C^2
+    with Lambda = [sqrt(b), sqrt(b)], item 1 on span(e_1) with Lambda = sqrt(a) e_1*."""
+    b, a = s[1][1], s[0][0] - s[1][1]
+    assert s[0][1] == s[1][0] == b
+    e1 = Subspace(2, np.eye(2, 1, dtype=complex))
+    return FrameFamily(2, [
+        (Subspace.full(2), np.sqrt(b) * np.ones((1, 2), dtype=complex), 1.0),
+        (e1, np.sqrt(a) * np.eye(1, 2, dtype=complex), 1.0),
+    ][: 2 if a else 1])
+
+
+class TestDouglasKgf:
+    """a_opt is the largest A with A ||k* f||^2 <= <S f, f> for every f."""
+
+    E1 = np.diag([1.0, 0.0]).astype(complex)
+
+    def test_frame_example_reads_the_douglas_value(self):
+        # S = [[2, 1], [1, 1]], k = e_1 e_1*: at f = (1, -1) the frame sum
+        # is 1 and ||k* f||^2 = 1, so a_opt = 1 / (S^-1)_11 = 1, below the
+        # quotient <S e_1, e_1> = 2 on range(k k*)
+        fam = two_by_two_family([[2, 1], [1, 1]])
+        cp = ControlPair.identity(2)
+        f = np.array([1.0, -1.0])
+        assert frame_sum(fam, cp, f) == 1.0
+        a, b, ok = kgf_bounds(fam, cp, self.E1)
+        assert ok and a == pytest.approx(1.0, rel=1e-12)
+        assert b == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-12)
+        rep = atomic_check(fam, cp, self.E1)
+        assert rep.is_atomic and rep.lower_bound == a
+
+    def test_rank_one_example_is_neither_kgf_nor_atomic(self):
+        # S = [[1, 1], [1, 1]]: the frame sum vanishes at f = (1, -1), where
+        # ||k* f||^2 = 1, so no A > 0 holds
+        fam = two_by_two_family([[1, 1], [1, 1]])
+        cp = ControlPair.identity(2)
+        assert frame_sum(fam, cp, np.array([1.0, -1.0])) == 0.0
+        a, _, ok = kgf_bounds(fam, cp, self.E1)
+        assert (a, ok) == (0.0, False)
+        assert not atomic_check(fam, cp, self.E1).is_atomic
+
+    def test_non_frame_reads_the_douglas_value_on_the_range_of_s(self):
+        # S = [[2, 1], [1, 1]] (+) 0 is not a frame, and k = e_1 e_1* lies
+        # in its range: a_opt = 1 / (S^+)_11 = 1 as in the frame example
+        fam2 = two_by_two_family([[2, 1], [1, 1]])
+        items = [(Subspace(3, np.vstack([sub.basis, np.zeros((1, sub.dim))])),
+                  np.hstack([lam, np.zeros((lam.shape[0], 1))]), w)
+                 for sub, lam, w in fam2.items]
+        fam = FrameFamily(3, items)
+        cp = ControlPair.identity(3)
+        assert not controlled_frame_bounds(fam, cp).is_frame
+        k = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        a, _, ok = kgf_bounds(fam, cp, k)
+        assert ok and a == pytest.approx(1.0, rel=1e-12)
+        assert frame_sum(fam, cp, np.array([1.0, -1.0, 5.0])) == 1.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_non_frame_with_a_small_kept_eigenvalue_is_kgf(self, seed):
+        # S = Q diag(1, 1e-5, 0) Q* and k = Q diag(1, 1, 0) Q*, the projector
+        # onto range(S), not formed as S g: the computed null vector of S
+        # is off by about eps / 1e-5 in range(S), and k does not reach it;
+        # a_opt = 1 / lambda_max(k S^+ k) = 1e-5
+        q = np.linalg.qr(complex_gaussian(np.random.default_rng(seed), 3, 3))[0]
+        lam = np.diag([1.0, math.sqrt(1e-5), 0.0]) @ q.conj().T
+        fam = FrameFamily(3, [(Subspace.full(3), lam, 1.0)])
+        cp = ControlPair.identity(3)
+        k = q @ np.diag([1.0, 1.0, 0.0]) @ q.conj().T
+        assert not controlled_frame_bounds(fam, cp).is_frame
+        a, _, ok = kgf_bounds(fam, cp, k)
+        assert ok and a == pytest.approx(1e-5, rel=1e-6)
+        assert atomic_check(fam, cp, k).is_atomic
+
+    def test_indefinite_s_with_a_rank_deficient_k_is_not_kgf(self):
+        # S = diag(1, -1): <S e_2, e_2> = -1 while k* e_2 = 0, so no A
+        # holds, though the quotient on range(k k*) = span(e_1) reads 1
+        fam = FrameFamily(2, [(Subspace.full(2), np.eye(2, dtype=complex), 1.0)])
+        cp = ControlPair(np.eye(2), np.diag([1.0, -1.0]))
+        assert np.array_equal(frame_operator(fam, cp), np.diag([1.0, -1.0]))
+        a, _, ok = kgf_bounds(fam, cp, self.E1)
+        assert (a, ok) == (0.0, False)
+        with pytest.raises(NotPositive):  # no T_C: the cross operator is indefinite
+            atomic_check(fam, cp, self.E1)
+
+    def test_indefinite_s_keeps_the_quotient_minimum(self, rng):
+        # under scalars(n, -1, 1), S = -F: every A with A ||k* f||^2 <=
+        # <S f, f> is negative, and for a full-rank k the largest is the
+        # minimum of the quotient <S f, f> / ||k* f||^2
+        fam = random_family(rng, 4, 3)
+        cp = ControlPair.scalars(4, -1.0, 1.0)
+        k = complex_gaussian(rng, 4, 4)
+        s = frame_operator(fam, cp)
+        a, _, ok = kgf_bounds(fam, cp, k)
+        assert not ok and a < 0
+        assert a == gen_rayleigh_min(0.5 * (s + s.conj().T), k @ k.conj().T)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    items=st.integers(1, 4),
+    rank=st.integers(1, 8),
+    k_rank=st.integers(1, 8),
+    dense=st.booleans(),
+)
+def test_a_opt_is_attained(seed, n, items, rank, k_rank, dense):
+    # the vector f = V diag(lambda^-1/2) z, z the top eigenvector of W W*
+    # for W = whiten(k), attains a_opt: the literal frame sum at f equals
+    # a_opt ||k* f||^2, so no larger A holds.  k = H g has its range in
+    # range(S), so it takes the Douglas form also where S is not a frame
+    # (rank < n); g of rank k_rank < rank(S) puts range(k) strictly inside.
+    rng = np.random.default_rng(seed)
+    fam = random_family(rng, n, items) if rank >= n else deficient_family(rng, n, items, rank)[0]
+    if dense:
+        t = well_conditioned(rng, n)
+        cp = ControlPair(t, t)
+    else:
+        cp = ControlPair.scalars(n, *rng.uniform(0.1, 10.0, 2))
+    ev = FrameEvaluation(fam, cp)
+    q = min(k_rank, n)
+    k = ev.hermitian @ complex_gaussian(rng, n, q) @ complex_gaussian(rng, q, n)
+    a_opt, _, claims = ev.kgf(k)
+    assert tol.all_hold(claims)
+    vals, vecs = ev.spectrum.eigenpairs
+    keep = vals > tol.TOL_PSD * max(vals[-1], 0.0)
+    w = ev.spectrum.whiten(k)
+    top, z = np.linalg.eigh(w @ w.conj().T)
+    assert a_opt == pytest.approx(1 / top[-1], rel=1e-15)
+    f = vecs[:, keep] @ (z[:, -1] / np.sqrt(vals[keep]))
+    literal = frame_sum(fam, cp, f).real
+    assert abs(literal - a_opt * np.linalg.norm(k.conj().T @ f) ** 2) <= tol.TOL_FACTOR * literal
 
 
 def deficient_family(rng, dim, items, rank, zero_item=False):
@@ -710,6 +862,21 @@ class TestControlPairExtremes:
         cp = ControlPair.direct_sum(ControlPair.identity(2), ControlPair.scalars(3, 2.0, 2.0))
         assert cp.t_sigma is cp.u_sigma
         assert tuple(cp.t_sigma) == (1.0, 2.0)
+
+    @pytest.mark.parametrize("c_t, c_u", [(1.0, 1.0), (0.5, 1.5), (-1.0, 2.0), (1j, 1.0)])
+    def test_direct_sum_of_one_scalar_pair_is_that_pair(self, c_t, c_u):
+        # (c_t I, c_u I) (+) (c_t I, c_u I) is (c_t I, c_u I) on the sum
+        # space: its sides are the two numbers, as for the dense
+        # construction, and a report that writes its controls writes the
+        # block sums' bytes
+        h, x = ControlPair.scalars(2, c_t, c_u), ControlPair.scalars(3, c_t, c_u)
+        cp = ControlPair.direct_sum(h, x)
+        assert (cp.t_side, cp.u_side) == (c_t, c_u)
+        assert (cp.t_sigma is cp.u_sigma) == (c_t == c_u)
+        dense = ControlPair(dsum_op(h.t, x.t), dsum_op(h.u, x.u))
+        assert (cp.t_side, cp.u_side, cp.scale) == (dense.t_side, dense.u_side, dense.scale)
+        assert serialize.dumps(serialize.control_pair_to_dict(cp)) == serialize.dumps(
+            serialize.control_pair_to_dict(dense))
 
     @pytest.mark.parametrize("u_scale", [1.0, 2.0])
     def test_direct_sum_gates_combined_condition(self, u_scale):

@@ -5,6 +5,7 @@ import pytest
 
 from gfusion import tolerances
 from gfusion.errors import (
+    InvalidParameters,
     NotHermitian,
     NotInvertible,
     NotPSD,
@@ -12,6 +13,8 @@ from gfusion.errors import (
     ZeroDenominator,
 )
 from gfusion.linalg import (
+    SpectralInterval,
+    Spectrum,
     Subspace,
     adjoint,
     antihermitian_norm,
@@ -22,6 +25,7 @@ from gfusion.linalg import (
     dsum_op,
     dsum_subspace,
     gen_rayleigh_min,
+    gram_norm,
     hermitian_extremes,
     hermitian_spectrum,
     orth,
@@ -236,6 +240,134 @@ def test_zero_spectrum_norm_is_positive_zero(rng):
     for d in (np.zeros((3, 3)), h - h.conj().T):
         norm = antihermitian_norm(d)
         assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
+
+
+def random_hermitian(rng, n, vals):
+    q, _ = np.linalg.qr(complex_gaussian(rng, n, n))
+    h = (q * np.asarray(vals, dtype=float)) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+def count_calls(monkeypatch, *names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counting(*a, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*a, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestSpectrum:
+    def test_extremes_do_not_depend_on_what_is_asked_first(self, rng, monkeypatch):
+        # one eigvalsh gives the extremes and one eigh the vectors, in
+        # either order, so the extremes are the same bits either way
+        h = random_hermitian(rng, 5, [1.0, 2.0, 3.0, 4.0, 9.0])
+        vals = np.linalg.eigvalsh(h)
+        ref = SpectralInterval(float(vals[0]), float(vals[-1]))
+        calls = count_calls(monkeypatch, "eigh", "eigvalsh")
+        first = Spectrum(h)
+        assert first.extremes == ref
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+        first.inverse, first.pinv, first.whiten(np.eye(5)), first.condition
+        assert first.extremes == ref
+        assert calls == {"eigh": 1, "eigvalsh": 1}
+        second = Spectrum(h)
+        second.inverse, second.whiten(np.eye(5))
+        assert second.extremes == ref
+        assert calls == {"eigh": 2, "eigvalsh": 2}
+
+    def test_one_eigh_serves_every_reading(self, rng, monkeypatch):
+        h = random_hermitian(rng, 5, [0.5, 2.0, 3.0, 4.0, 8.0])
+        calls = count_calls(monkeypatch, "eigh", "eigvalsh", "inv")
+        spec = Spectrum(h)
+        k = complex_gaussian(rng, 5, 5)
+        w = spec.whiten(k)
+        extremes, inverse, pinv_h, condition = spec.extremes, spec.inverse, spec.pinv, spec.condition
+        # the eigvalsh is the extremes' own
+        assert calls == {"eigh": 1, "eigvalsh": 1, "inv": 0}
+        monkeypatch.undo()
+        assert extremes.lambda_min == pytest.approx(0.5, rel=1e-13)
+        assert extremes.lambda_max == pytest.approx(8.0, rel=1e-13)
+        assert condition == pytest.approx(16.0, rel=1e-13)
+        np.testing.assert_allclose(inverse, np.linalg.inv(h), atol=1e-13)
+        np.testing.assert_allclose(pinv_h, np.linalg.inv(h), atol=1e-13)
+        np.testing.assert_allclose(w.conj().T @ w, k.conj().T @ np.linalg.inv(h) @ k, atol=1e-12)
+
+    def test_scaled_shares_the_decomposition(self, rng, monkeypatch):
+        h = random_hermitian(rng, 4, [1.0, 2.0, 3.0, 5.0])
+        spec = Spectrum(h)
+        spec.inverse, spec.extremes
+        calls = count_calls(monkeypatch, "eigh", "eigvalsh")
+        scaled = spec.scaled(2.5)
+        vals, vecs = scaled.eigenpairs
+        assert vecs is spec.eigenpairs[1]
+        np.testing.assert_array_equal(vals, 2.5 * spec.eigenpairs[0])
+        assert scaled.extremes.lambda_max == 2.5 * spec.extremes.lambda_max
+        assert scaled.scaled(2.0).extremes.lambda_min == 5.0 * spec.extremes.lambda_min
+        np.testing.assert_allclose(scaled.inverse, spec.inverse / 2.5, atol=1e-15)
+        assert scaled.condition == pytest.approx(spec.condition, rel=1e-15)
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+        assert not vecs.flags.writeable
+
+    def test_pinv_cuts_at_tol_rank(self, rng):
+        h = random_hermitian(rng, 4, [0.0, 1e-14, 2.0, 4.0])
+        np.testing.assert_allclose(Spectrum(h).pinv, pinv(h), atol=1e-12)
+
+    def test_whiten_keeps_the_range_and_refuses_the_null_space(self, rng):
+        h = random_hermitian(rng, 4, [0.0, 1.0, 2.0, 4.0])
+        spec = Spectrum(h)
+        in_range = h @ complex_gaussian(rng, 4, 4)
+        w = spec.whiten(in_range)
+        assert w.shape == (3, 4)
+        np.testing.assert_allclose(
+            w.conj().T @ w, in_range.conj().T @ np.linalg.pinv(h) @ in_range, atol=1e-12)
+        assert spec.whiten(complex_gaussian(rng, 4, 4)) is None
+        assert spec.whiten(np.zeros((4, 4))).shape == (3, 4)
+
+    def test_null_reach_is_measured_against_the_eigenvector_accuracy(self):
+        # h = Q diag(1, 1e-5, 0) Q*: its computed null vector is accurate to
+        # about eps 1e5, so the projector onto range(h) does not reach it,
+        # while a component 1e-6 on the null vector does
+        q = np.linalg.qr(complex_gaussian(np.random.default_rng(1), 3, 3))[0]
+        spec = Spectrum(q @ np.diag([1.0, 1e-5, 0.0]) @ q.conj().T)
+        k = q @ np.diag([1.0, 1.0, 0.0]) @ q.conj().T
+        w = spec.whiten(k)
+        assert w.shape == (2, 3)
+        assert np.linalg.norm(w, 2) ** 2 == pytest.approx(1e5, rel=1e-6)
+        assert spec.whiten(k + 1e-6 * q[:, 2:] @ q[:, 2:].conj().T) is None
+
+    def test_condition_of_a_singular_matrix_is_inf(self):
+        assert Spectrum(np.diag([0.0, 1.0]).astype(complex)).condition == math.inf
+
+
+class TestGramNorm:
+    def test_matches_the_spectral_norm(self, rng):
+        for shape in ((5, 5), (3, 7), (7, 3)):
+            r = complex_gaussian(rng, *shape)
+            assert gram_norm(r) == pytest.approx(np.linalg.norm(r, 2), rel=1e-14)
+
+    def test_no_svd(self, rng, monkeypatch):
+        calls = count_calls(monkeypatch, "svd")
+        gram_norm(complex_gaussian(rng, 6, 6))
+        assert calls == {"svd": 0}
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_scaled_out_of_overflow_and_underflow(self, rng, scale):
+        r = complex_gaussian(rng, 4, 4)
+        assert gram_norm(scale * r) == pytest.approx(scale * np.linalg.norm(r, 2), rel=1e-14)
+
+    def test_empty_and_zero(self):
+        assert gram_norm(np.zeros((3, 3))) == 0.0
+        assert gram_norm(np.zeros((3, 0))) == 0.0
+        assert gram_norm(np.zeros((0, 3))) == 0.0
+
+    def test_non_finite_entries_are_bad_input(self):
+        with pytest.raises(InvalidParameters, match="must be finite"):
+            gram_norm(np.array([[np.inf, 1.0]]))
 
 
 class TestSingularExtremes:

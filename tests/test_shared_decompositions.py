@@ -1,12 +1,13 @@
 """Decompositions a family shares with every positive scalar control pair.
 
 Under t = c_t I and u = c_u I with c = conj(c_t) c_u a real number > 0,
-S = c F, and `FrameEvaluation` reads the spectrum, the inverse, the roots
-and atomic's pseudoinverse of S from the family's own decompositions of F
-(`FrameFamily.own`), scaled.  These tests hold those readings to dense
-references built from S, count what a second pair decomposes, check that a
-family is freed by reference counting alone, and that scalar pairs whose c
-is not a positive real keep the path that decomposes S.
+S = c F, and `FrameEvaluation` reads the bounds, the inverse, atomic's
+pseudoinverse and kgf's whitening of S from the family's one `Spectrum` of
+F (`FrameFamily.spectrum`) scaled by c, and the roots from the family's own
+roots (`FrameFamily.own`).  These tests hold those readings to dense
+references built from S, count what a first and a second pair decompose,
+check that a family is freed by reference counting alone, and that scalar
+pairs whose c is not a positive real keep the path that decomposes S.
 """
 
 import contextlib
@@ -122,10 +123,43 @@ def record(monkeypatch, *names):
     return seen
 
 
+def is_gram_of(g, r):
+    """g is r r* (or r* r), as `linalg.gram_norm` forms it, up to a
+    positive factor."""
+    rr = r @ r.conj().T if r.shape[0] <= r.shape[1] else r.conj().T @ r
+    scale = np.abs(rr).max() / max(np.abs(g).max(), 1e-300)
+    return g.shape == rr.shape and np.allclose(g * scale, rr, rtol=1e-10, atol=1e-12 * np.abs(rr).max())
+
+
+def test_first_atomic_and_thm_41_take_one_eigh_of_f(monkeypatch):
+    # the first atomic_check and inverse_commutation_check on a family
+    # under a positive scalar pair decompose F twice: one eigvalsh, of F,
+    # for the bounds, and one eigh, of F, for kgf's whitening, atomic's S^+
+    # and S^-1; no inv, and no decomposition of S.  The other eigh calls
+    # are the family's own roots, one d_j x d_j problem per item.
+    rng = np.random.default_rng(7)
+    n = 8
+    fam = random_family(rng, n, 4)
+    k = complex_gaussian(rng, n, n)
+    cp = ControlPair.scalars(n, 0.5, 1.5)
+    s = FrameEvaluation(fam, cp).s
+    seen = record(monkeypatch, "eigh", "eigvalsh", "inv")
+    assert atomic_check(fam, cp, k).is_atomic
+    assert inverse_commutation_check(fam, cp).certified
+    of_f = [a for a in seen["eigh"] if np.array_equal(a, fam.operator)]
+    roots = [a.shape for a in seen["eigh"] if not np.array_equal(a, fam.operator)]
+    assert len(of_f) == 1
+    assert sorted(roots) == sorted((sub.dim, sub.dim) for sub, _, _ in fam.items)
+    assert seen["inv"] == []
+    assert sum(np.array_equal(a, fam.operator) for a in seen["eigvalsh"]) == 1
+    assert not any(a.shape == s.shape and np.allclose(a, s) for a in seen["eigvalsh"] + seen["eigh"])
+
+
 def test_second_positive_pair_decomposes_no_s(monkeypatch):
     # after one evaluation under a positive scalar pair, another positive
-    # pair takes its bounds, inverse, roots and atomic's S^+ from the
-    # family: no eigvalsh of S, no per-item eigh or QR, and no inverse
+    # pair takes its bounds, inverse, roots, atomic's S^+ and kgf's
+    # whitening from the family: no eigvalsh of S, no eigh, no QR, and no
+    # inverse
     rng = np.random.default_rng(8)
     n = 8
     fam = random_family(rng, n, 4)
@@ -150,12 +184,17 @@ def test_second_positive_pair_decomposes_no_s(monkeypatch):
     assert not np.allclose(seen["eigvalsh"][0], s)
 
     seen["eigvalsh"].clear()
-    atomic_check(fam, cp, k)
-    # only the k-dependent quotient of kgf: one eigh of k k* and one
-    # eigvalsh of the whitened S; no per-item root and no S^+ eigh
-    assert len(seen["eigh"]) == 1 and np.allclose(seen["eigh"][0], k @ k.conj().T)
-    assert len(seen["eigvalsh"]) == 1
-    assert seen["inv"] == [] and seen["qr"] == []
+    rep = atomic_check(fam, cp, k)
+    # only what depends on k: one eigvalsh each of W W* (kgf, W the
+    # whitened k), k k* (||k||_2), R R* for R = k - S (the literal
+    # residual) and for R = T_C L - k (the coefficient residual); no eigh
+    # (of S, F or k k*), no per-item root and no inverse
+    assert seen["eigh"] == [] and seen["inv"] == [] and seen["qr"] == []
+    w = FrameEvaluation(fam, cp).spectrum.whiten(k)
+    assert len(seen["eigvalsh"]) == 4
+    # the fourth R is roundoff, which a reference cannot reproduce
+    assert all(is_gram_of(g, r) for g, r in zip(seen["eigvalsh"], [w, k, k - s]))
+    assert rep.coefficient_residual <= 1e-13
 
 
 def test_listing_terms_decompose_their_own_s(monkeypatch):
@@ -193,7 +232,7 @@ def test_a_family_is_freed_by_reference_counting():
             rep.coefficient_map
             analysis(fam, cp, complex_gaussian(rng, n))
             inverse_commutation_check(fam, cp)
-        assert set(fam._own) == {"spectrum", "inverse", "thin_synthesis", "gram_pinv"}
+        assert set(fam._own) == {"spectrum", "thin_synthesis"}
         ref = weakref.ref(fam)
         del fam, rep
         assert ref() is None
