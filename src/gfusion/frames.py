@@ -11,7 +11,8 @@ family's own frame operator under the identity controls (`FrameFamily.operator`)
 which does not depend on the controls.  The synthesis operator is
 T_C = [v_1 R_1*, ..., v_m R_m*] with R_j = (t* P_j L_j* L_j P_j u)^{1/2},
 whose adjoint is the analysis map; R_j has rank at most d_j = dim W_j, and
-the library holds it in thin form (`FrameEvaluation.thin_synthesis`).
+the library holds it in thin form (`thin_roots`).  `FrameEvaluation` is the
+one evaluated form of a family under a control pair.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import (
     ZeroDenominator,
 )
 from .linalg import (
-    Factored,
     SingularExtremes,
     SpectralInterval,
     Spectrum,
@@ -65,8 +65,10 @@ class FrameFamily:
 
     Immutable: each operator is held read-only (`linalg.read_only`), as is
     each subspace's basis, so the control-independent algebra (`factors`,
-    `stacked_conj_basis`, `operator`, and the decompositions of F kept by
-    `own`) is computed on first use and kept.
+    `stacked_conj_basis`, F as `operator`, and F's `spectrum` and `roots`,
+    which every positive scalar pair reads) is computed on first use and
+    kept.  Only arrays and a `Spectrum` of F are kept, never an evaluation
+    or a control pair, so a family is freed by reference counting alone.
     """
 
     ambient_dim: int
@@ -90,7 +92,6 @@ class FrameFamily:
             require_finite_positive(f"item {i}: weight", w)
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "items", items)
-        object.__setattr__(self, "_own", {})
 
     def __len__(self) -> int:
         return len(self.items)
@@ -135,33 +136,17 @@ class FrameFamily:
         (`ControlPair.t_side`)."""
         return product(product(adjoint(t), self.operator), u)
 
-    def own(self, name: str, make: Callable):
-        """The family's own item `name`, a decomposition of F (the family
-        under the identity controls): `make()` when first asked, then kept,
-        its arrays read-only.  Under a positive scalar pair S = c F, and
-        `FrameEvaluation` scales these in place of decomposing S.  Only
-        arrays and a `Spectrum` of F are kept, never an evaluation or a
-        control pair, so that a family is freed as soon as its last
-        reference goes, with no reference cycle for the collector."""
-        if name not in self._own:
-            self._own[name] = _frozen_all(make())
-        return self._own[name]
-
-    @property
+    @cached_property
     def spectrum(self) -> Spectrum:
-        """The family's own `Spectrum` of F, kept (`own`): its one eigh,
-        made on first need, serves every positive scalar pair."""
-        return self.own("spectrum", partial(Spectrum, self.operator))
+        """The family's own `Spectrum` of F: its one eigh, made on first
+        need, serves every positive scalar pair."""
+        return Spectrum(self.operator)
 
-
-def _frozen_all(item):
-    """`item` with each array in it, nested in tuples, marked read-only."""
-    if isinstance(item, np.ndarray):
-        frozen(item)
-    elif isinstance(item, tuple):
-        for a in item:
-            _frozen_all(a)
-    return item
+    @cached_property
+    def roots(self) -> tuple:
+        """`thin_roots` under the identity controls: under a positive scalar
+        pair T is sqrt(c) times this T, on the same bases."""
+        return thin_roots(self, 1.0, 1.0)
 
 
 def _side(a):
@@ -344,6 +329,30 @@ def factor_sum(left: FrameFamily, right: FrameFamily, weights) -> np.ndarray:
     return out
 
 
+def thin_roots(fam: FrameFamily, t, u) -> tuple:
+    """(T, bases), read-only: the thin synthesis operator T = [T_1 ... T_m]
+    of `fam` under the control sides t and u (`ControlPair.t_side`), and
+    each item's Q_j, with R_j = T_j Q_j* / v_j the positive square root of
+    G_j = (A_j t)* (A_j u).
+
+    Q_j has orthonormal columns and T_j = v_j Q_j S_j, S_j Hermitian PSD,
+    so T_C = [T_1 Q_1*, ..., T_m Q_m*] and T_C T_C* = T T*.  Each root is
+    a d_j x d_j problem on the factors t* B_j, C_j* C_j, u* B_j of G_j
+    (`linalg.factored_sqrt`), a scalar side scaling B_j, so T is
+    n x sum_j d_j.  This is the one builder of the per-item roots.
+    """
+    t_adj, u_adj = adjoint(t), adjoint(u)
+    blocks, bases = [], []
+    for j, ((b, c), w) in enumerate(zip(fam.factors, fam.weights)):
+        try:
+            basis, root = factored_sqrt(product(t_adj, b), c.conj().T @ c, product(u_adj, b))
+        except GFusionError as exc:
+            raise NotPositive(f"item {j}: cross operator is not Hermitian PSD ({exc})") from exc
+        blocks.append(w * (basis @ root))
+        bases.append(frozen(basis))
+    return frozen(np.hstack(blocks)), tuple(bases)
+
+
 def item_cross_operator(sub: Subspace, lam, cp: ControlPair) -> np.ndarray:
     """Single term t* P L* L P u (weight excluded)."""
     factors = FrameFamily(sub.ambient_dim, [(sub, lam, 1.0)]).factors
@@ -355,42 +364,28 @@ class FrameEvaluation:
 
     Holds S = t* F u, F the family's own `operator`.  The norms, the
     Hermitian residual, the spectrum, the frame claims, S^-1, the bounds
-    report and the thin synthesis operator (the only holder of the
-    per-item square roots) are computed on first use, as is the (m, n, n)
-    stack of the per-item cross operators G_j = (A_j t)* (A_j u), which only
-    a report that lists them asks for (`listing_terms`).
+    report, the thin synthesis operator (the only holder of the per-item
+    square roots) and the (m, n, n) stack `terms` of the per-item cross
+    operators G_j = (A_j t)* (A_j u), which only a report that lists them
+    reads, are computed on first use.
 
     One `spectrum` serves the bounds, S^-1, atomic's S^+ and `kgf`.  Under
     a positive scalar pair (`ControlPair.scale`: t = c_t I, u = c_u I,
-    c = conj(c_t) c_u > 0) S is c F, the spectrum is the family's own
-    spectrum of F scaled by c (`FrameFamily.spectrum`, decomposed once per
-    family), and the roots are the family's own times sqrt(c).  S itself is
-    still formed by its two products.  What else depends on the control
-    pair is not kept: an evaluation lives as long as the call that built it.
+    c = conj(c_t) c_u > 0) S is c F: the spectrum is the family's own
+    spectrum of F scaled by c, and the roots are the family's own times
+    sqrt(c) (`FrameFamily.spectrum` and `FrameFamily.roots`, each made once
+    per family).  Under any other pair both are S's own.  S itself is
+    always formed by its two products.  What depends on the control pair
+    is not kept: an evaluation lives as long as the call that built it.
     """
 
     def __init__(self, fam: FrameFamily, cp: ControlPair):
-        self._bind(fam, cp, cp.scale)
-        self.s = as_operator(fam.controlled(cp.t_side, cp.u_side))  # rejects an overflow
-
-    def _bind(self, fam: FrameFamily, cp: ControlPair, scale: float | None):
         _check_dims(fam, cp)
         self.fam = fam
         self.cp = cp
         # c when S = c F and the decompositions are the family's own, else None
-        self.scale = scale
-
-    @classmethod
-    def listing_terms(cls, fam: FrameFamily, cp: ControlPair) -> "FrameEvaluation":
-        """The evaluation of a report that lists the per-item terms: it holds
-        their stack `terms`, and S is their weighted sum, so the listed terms
-        sum to the S they are checked against; its `spectrum` and `inverse`
-        are those of that S."""
-        ev = cls.__new__(cls)
-        ev._bind(fam, cp, None)
-        weights_sq = [w * w for w in fam.weights]
-        ev.s = as_operator(np.tensordot(weights_sq, ev.terms, axes=1))  # rejects an overflow
-        return ev
+        self.scale = cp.scale
+        self.s = as_operator(fam.controlled(cp.t_side, cp.u_side))  # rejects an overflow
 
     @cached_property
     def terms(self) -> np.ndarray:
@@ -482,43 +477,12 @@ class FrameEvaluation:
 
     @cached_property
     def thin_synthesis(self) -> tuple:
-        """(T, bases): the thin synthesis operator T = [T_1 ... T_m] and each
-        item's Q_j, with R_j = T_j Q_j* / v_j the positive square root of G_j.
-
-        Q_j has orthonormal columns and T_j = v_j Q_j S_j, S_j Hermitian
-        PSD, so T_C = [T_1 Q_1*, ..., T_m Q_m*] and T_C T_C* = T T*.  Each
-        root is a d_j x d_j problem on the factors t* B_j, C_j* C_j, u* B_j
-        of G_j (`linalg.factored_sqrt`), so T is n x sum_j d_j.  When both
-        controls are numbers c and c', t* B_j is Q (conj(c) R) for the QR
-        B_j = Q R: both factors are given on that Q, and the root takes no
-        n x n product.  A scalar side beside a dense one is a scaling of
-        B_j.  Under a positive scalar pair T is sqrt(c) times the family's
-        own T, the roots under the identity controls, taken once per family.
-        """
-        def roots(t_side, u_side):
-            t_adj, u_adj = adjoint(t_side), adjoint(u_side)
-            blocks, bases = [], []
-            for j, ((b, c), w) in enumerate(zip(self.fam.factors, self.fam.weights)):
-                if isinstance(t_adj, np.ndarray) or isinstance(u_adj, np.ndarray):
-                    x, y = product(t_adj, b), product(u_adj, b)
-                else:
-                    q, r = np.linalg.qr(b)
-                    x, y = Factored(q, t_adj * r), Factored(q, u_adj * r)
-                try:
-                    basis, root = factored_sqrt(x, c.conj().T @ c, y)
-                except GFusionError as exc:
-                    raise NotPositive(
-                        f"item {j}: cross operator is not Hermitian PSD ({exc})"
-                    ) from exc
-                blocks.append(w * (basis @ root))
-                bases.append(basis)
-            return np.hstack(blocks), tuple(bases)
-
+        """(T, bases) of `thin_roots` under this pair; under a positive
+        scalar pair, sqrt(c) times the family's own `roots`."""
         c = self.scale
         if c is None:
-            return roots(self.cp.t_side, self.cp.u_side)
-        # the sides of the identity controls, as ControlPair.identity keeps them
-        t, bases = self.fam.own("thin_synthesis", partial(roots, 1 + 0j, 1 + 0j))
+            return thin_roots(self.fam, self.cp.t_side, self.cp.u_side)
+        t, bases = self.fam.roots
         return (t if c == 1 else math.sqrt(c) * t), bases
 
     @cached_property

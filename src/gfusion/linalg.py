@@ -276,14 +276,6 @@ def positive_sqrt(a) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-class Factored(NamedTuple):
-    """The n x d operator q r, given by q with orthonormal columns and a
-    d x d factor r."""
-
-    q: np.ndarray
-    r: np.ndarray
-
-
 def factored_sqrt(x, m, y):
     """Positive square root of g = x m y* from its factors, as (q, s) with
     g^{1/2} = q s q*: q has orthonormal columns and s is Hermitian PSD.
@@ -302,21 +294,11 @@ def factored_sqrt(x, m, y):
       gate passes when it passes for every spectrum within that distance.
     Otherwise `positive_sqrt` decides on g itself (and may reject it), and
     q is the n x n identity.
-
-    Given form: x = `Factored(q, rx)` and y = `Factored(q, ry)` on the one
-    q take the place of the QR; y lies in range(q), so e = 0 and no n x d
-    product is formed.
     """
-    if isinstance(x, Factored):
-        if not (isinstance(y, Factored) and y.q is x.q):
-            raise InvalidParameters("a factored x needs y factored on the same q")
-        (q, rx), p, e_fro = x, y.r, 0.0
-        core = rx @ m
-    else:
-        q, rx = np.linalg.qr(x)
-        p = q.conj().T @ y
-        core = rx @ m
-        e_fro = float(np.linalg.norm(core @ (y - q @ p).conj().T))  # ||e||_F
+    q, rx = np.linalg.qr(x)
+    p = q.conj().T @ y
+    core = rx @ m
+    e_fro = float(np.linalg.norm(core @ (y - q @ p).conj().T))  # ||e||_F
     n, d = q.shape
     k = core @ p.conj().T
     skew = math.sqrt(float(np.linalg.norm(k - k.conj().T)) ** 2 + 2.0 * e_fro**2)
@@ -331,8 +313,6 @@ def factored_sqrt(x, m, y):
             roots = np.sqrt(np.clip(vals, 0.0, None))
             c = 0.5 * (roots[0] + roots[-1]) if d else 0.0
             return q, (vecs * (roots - c)) @ vecs.conj().T + c * np.eye(d)
-    if isinstance(x, Factored):
-        x, y = x.q @ x.r, y.q @ y.r
     return np.eye(n, dtype=complex), positive_sqrt(x @ (m @ y.conj().T))
 
 

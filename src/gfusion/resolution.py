@@ -149,7 +149,7 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolut
     has neither: both lists are empty and both reports are NO_TERMS, with
     the frame claims that failed.
     """
-    ev = FrameEvaluation.listing_terms(fam, cp)
+    ev = FrameEvaluation(fam, cp)
     if not ev.is_frame:
         no_terms = replace(NO_TERMS, claims=ev.frame_claims)
         return CanonicalResolutions([], [], no_terms, no_terms)

@@ -210,9 +210,10 @@ def inverse_sites():
 
 
 def root_sites():
-    thin = method("frames.py", "FrameEvaluation", "thin_synthesis")
     found = sites(calls("factored_sqrt", "positive_sqrt"), skip="linalg.py")
-    return some_site(found, "factored_sqrt call") + outside("frames.py", thin, found)
+    return one_site(found, "factored_sqrt call") + outside(
+        "frames.py", function("frames.py", "thin_roots"), found
+    )
 
 
 def function(module, name):
@@ -291,7 +292,7 @@ RULES = {
     ),
     "roots": Rule(
         root_sites,
-        "read the per-item roots from the thin T (FrameEvaluation.thin_synthesis)",
+        "build the per-item roots in one place (frames.thin_roots)",
         ((calls("factored_sqrt", "positive_sqrt"),
           "w, r = factored_sqrt(x, m, y)\nroot = linalg.positive_sqrt(g)\nfactored_sqrt = 1\n",
           [1, 2]),),

@@ -695,10 +695,10 @@ class TestThinAlgebra:
         assert stacks == [len(fam)]
 
     def test_second_scalar_evaluation_takes_no_qr(self, monkeypatch):
-        # a 32/8 partition in a random unitary basis: under controls exactly
-        # c I the roots use the family's own QR of each basis, taken once, and
-        # a ControlPair of multiples of I takes no SVD; dense controls take
-        # one QR per item
+        # a 32/8 partition in a random unitary basis: under positive scalar
+        # pairs the roots are the family's own, one QR per item taken once,
+        # and a ControlPair of multiples of I takes no SVD; dense controls
+        # take one QR per item
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(complex_gaussian(rng, 32, 32))
         fam = FrameFamily(32, [
@@ -750,7 +750,7 @@ class TestThinAlgebra:
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qrs.append(1) or qr(*a, **kw))
         ev = FrameEvaluation(fam, cp)
         t_thin, bases = ev.thin_synthesis
-        assert len(qrs) == len(fam) and not fam._own
+        assert len(qrs) == len(fam) and not {"spectrum", "roots"} & fam.__dict__.keys()
         assert [b.shape[1] for b in bases] == list(dims)
         scale = np.linalg.norm(s_ref, 2)
         assert np.linalg.norm(ev.s - s_ref, 2) <= 1e-12 * scale

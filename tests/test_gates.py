@@ -23,7 +23,6 @@ from gfusion.constructions import sum_transform
 from gfusion.errors import InvalidParameters, ItemCountMismatch, NotHermitian, NotPSD
 from gfusion.frames import ControlPair, FrameFamily
 from gfusion.linalg import (
-    Factored,
     Subspace,
     factored_sqrt,
     positive_sqrt,
@@ -139,9 +138,9 @@ def test_factored_sqrt_matches_dense_gates(seed, n, controls, rtol, log_ratio, l
     # without an eigenvalue dipping below zero by a multiple of the PSD floor;
     # a Hermitian tolerance far above the PSD floor lets an off-range block
     # pass the bracket and still move the eigenvalues across that floor.
-    # Scalar controls (a I, b I) pass t* B and u* B in the given-factorization
-    # form Q (conj(a) R), Q (conj(b) R) of B = Q R, with conj(a) b real
-    # positive, negative, or complex with g's asymmetry about TOL_HERM
+    # Scalar controls (a I, b I) pass t* B and u* B as the scaled bases
+    # conj(a) B and conj(b) B, with conj(a) b real positive, negative, or
+    # complex with g's asymmetry about TOL_HERM
     with tol.override(tol_herm=rtol):
         check_factored_sqrt(seed, n, controls, log_ratio, log_dip)
 
@@ -165,9 +164,7 @@ def check_factored_sqrt(seed, n, controls, log_ratio, log_dip):
         alpha = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
         beta = rng.uniform(0.5, 2.0) * np.exp(1j * angle) * alpha / abs(alpha)
         b = b + tol.TOL_ORTH / 10 * complex_gaussian(rng, n, d) / max(d, 1)
-        q, r = np.linalg.qr(b)
-        args = (Factored(q, np.conj(alpha) * r), m, Factored(q, np.conj(beta) * r))
-        check_root(n, np.conj(alpha) * b, m, np.conj(beta) * b, args)
+        check_root(n, np.conj(alpha) * b, m, np.conj(beta) * b)
         return
     if controls == "off-range" and 0 < d < n:
         # u* B = t* B + eps v a* with v orthogonal to range(t* B): q* g q
@@ -183,13 +180,12 @@ def check_factored_sqrt(seed, n, controls, log_ratio, log_dip):
             "far": np.eye(n) + complex_gaussian(rng, n, n) / n,
             "off-range": t,
         }[controls]
-    x, y = t.conj().T @ b, u.conj().T @ b
-    check_root(n, x, m, y, (x, m, y))
+    check_root(n, t.conj().T @ b, m, u.conj().T @ b)
 
 
-def check_root(n, x, m, y, args):
-    """`factored_sqrt(*args)` for args that stand for (x, m, y) decides as the
-    dense reference on g = x m y*, and returns a root of g."""
+def check_root(n, x, m, y):
+    """`factored_sqrt(x, m, y)` decides as the dense reference on
+    g = x m y*, and returns a root of g."""
     g = x @ m @ y.conj().T
     # within roundoff of a threshold neither computation decides
     scale = max(np.linalg.norm(g, 2), 1e-300)
@@ -202,9 +198,9 @@ def check_root(n, x, m, y, args):
         ref = reference_positive_sqrt(g)
     except (NotHermitian, NotPSD) as exc:
         with pytest.raises(type(exc)):
-            factored_sqrt(*args)
+            factored_sqrt(x, m, y)
         return
-    q, s = factored_sqrt(*args)
+    q, s = factored_sqrt(x, m, y)
     assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12 * n
     root_scale = max(np.linalg.norm(s, 2), 1e-300)
     assert np.linalg.norm(s - s.conj().T, 2) <= 1e-12 * root_scale
@@ -229,15 +225,6 @@ def test_factored_sqrt_bracket_keeps_sqrt_n():
         factored_sqrt(x, np.eye(d), y)
     with pytest.raises(NotHermitian):
         reference_positive_sqrt(x @ y.conj().T)
-
-
-def test_factored_sqrt_given_form_needs_both_factors_on_one_q():
-    # the given form drops the off-range block, which holds only for y on x's q
-    q = np.eye(3, 2, dtype=complex)
-    r = np.eye(2, dtype=complex)
-    for y in (q @ r, Factored(q.copy(), r)):
-        with pytest.raises(InvalidParameters):
-            factored_sqrt(Factored(q, r), np.eye(2), y)
 
 
 def test_factored_sqrt_psd_gate_sees_the_off_range_block():

@@ -4,16 +4,17 @@ Under t = c_t I and u = c_u I with c = conj(c_t) c_u a real number > 0,
 S = c F, and `FrameEvaluation` reads the bounds, the inverse, atomic's
 pseudoinverse and kgf's whitening of S from the family's one `Spectrum` of
 F (`FrameFamily.spectrum`) scaled by c, and the roots from the family's own
-roots (`FrameFamily.own`).  These tests hold those readings to dense
+roots (`FrameFamily.roots`).  These tests hold those readings to dense
 references built from S, count what a first and a second pair decompose,
 check that a family is freed by reference counting alone, and that scalar
-pairs whose c is not a positive real keep the path that decomposes S.
+pairs whose c is not a positive real take the path of dense pairs.
 """
 
 import contextlib
 import gc
 import io
 import json
+import math
 import weakref
 
 import numpy as np
@@ -21,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfusion import cli, serialize
+from gfusion import cli, generate, serialize
 from gfusion.constructions import direct_sum_frame, sum_transform
+from gfusion.errors import NotPositive
 from gfusion.frames import (
     ControlPair,
     FrameEvaluation,
@@ -33,7 +35,7 @@ from gfusion.frames import (
     synthesis,
     synthesis_matrix,
 )
-from gfusion.linalg import hermitian_spectrum
+from gfusion.linalg import hermitian_spectrum, projector
 from gfusion.resolution import canonical_resolutions, inverse_commutation_check
 
 from conftest import complex_gaussian, random_family
@@ -197,17 +199,18 @@ def test_second_positive_pair_decomposes_no_s(monkeypatch):
     assert rep.coefficient_residual <= 1e-13
 
 
-def test_listing_terms_decompose_their_own_s(monkeypatch):
-    # canonical_resolutions checks its terms against the S they sum to, so
-    # it inverts that S even after the family holds F^-1
+def test_resolutions_read_the_family_spectrum(monkeypatch):
+    # canonical_resolutions evaluates the family as every other reader does:
+    # once inverse_commutation_check has made F's eigh, its bounds and S^-1
+    # come from the family's spectrum, with no decomposition of S
     rng = np.random.default_rng(9)
     fam = random_family(rng, 5, 3)
     cp = ControlPair.scalars(5, 0.5, 1.5)
     inverse_commutation_check(fam, cp)
-    seen = record(monkeypatch, "eigvalsh", "inv")
+    seen = record(monkeypatch, "eigh", "eigvalsh", "inv", "qr")
     res = canonical_resolutions(fam, cp)
     assert res.converged
-    assert len(seen["eigvalsh"]) == 1 and len(seen["inv"]) == 1
+    assert all(inputs == [] for inputs in seen.values())
 
 
 @contextlib.contextmanager
@@ -232,18 +235,21 @@ def test_a_family_is_freed_by_reference_counting():
             rep.coefficient_map
             analysis(fam, cp, complex_gaussian(rng, n))
             inverse_commutation_check(fam, cp)
-        assert set(fam._own) == {"spectrum", "thin_synthesis"}
+        # the items, F's factors and F, and F's two decompositions: only
+        # arrays and a Spectrum of F
+        assert fam.__dict__.keys() == {"ambient_dim", "items", "factors", "operator",
+                                       "spectrum", "roots"}
         ref = weakref.ref(fam)
         del fam, rep
         assert ref() is None
 
         # the check sees a cycle: a family that held itself would live on
         fam = random_family(rng, n, 3)
-        fam._own["self"] = fam
+        fam.__dict__["self"] = fam
         ref = weakref.ref(fam)
         del fam
         assert ref() is not None
-        ref()._own.clear()
+        del ref().__dict__["self"]
         assert ref() is None
 
 
@@ -270,6 +276,30 @@ def test_one_shot_output_families_are_freed_by_reference_counting(monkeypatch):
         assert reports[0].all_hypotheses_pass
         del fam, reports
         assert len(made) >= 3 and all(ref() is None for ref in made)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("structure", generate.STRUCTURES)
+def test_near_real_scalar_pairs_take_the_path_of_dense_pairs(structure, n):
+    # c = conj(1) (1 + 1e-13j) is not a positive real, so the roots are
+    # built from t* B_j and u* B_j as for a dense pair.  Each G_j = c A_j* A_j
+    # is Hermitian to 2e-13 relative and passes both gates, and its root is
+    # sqrt(Re c) times the identity pair's.  At 1 + 1e-9j the asymmetry
+    # 2e-9 exceeds TOL_HERM and the first nonzero item fails the gate
+    fam = generate.random_instance(5, n, min(n, 4), structure).family
+    own, _ = FrameEvaluation(fam, ControlPair.identity(n)).thin_synthesis
+    c = 1 + 1e-13j
+    cp = ControlPair.scalars(n, 1, c)
+    assert cp.scale is None
+    t, _ = FrameEvaluation(fam, cp).thin_synthesis
+    assert rel(t, math.sqrt(c.real) * own) <= 1e-12
+    s_dense = sum(
+        w * w * c * projector(sub) @ lam.conj().T @ lam @ projector(sub)
+        for sub, lam, w in fam.items
+    )
+    assert rel(t @ t.conj().T, s_dense) <= 1e-12
+    with pytest.raises(NotPositive, match=r"cross operator is not Hermitian PSD \(asymmetry"):
+        FrameEvaluation(fam, ControlPair.scalars(n, 1, 1 + 1e-9j)).thin_synthesis
 
 
 # Verdict, exit code and error line of each command under scalar pairs whose
