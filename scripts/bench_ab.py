@@ -17,6 +17,9 @@ one pair to the next.  The output file holds:
   direction in BENCHMARK.json) and every value;
 - `runs_correct`: whether every run printed `"correct": true`.
 
+After writing the file it prints one markdown table per workload: each
+metric's parent median (IQR), change median, ratio and pairs won.
+
 Standard library only.  Runs one benchmark process at a time.
 """
 
@@ -83,6 +86,23 @@ def summarize(pairs, better):
     return out
 
 
+def markdown(report):
+    """The per-workload tables of a report, as markdown lines."""
+    lines = []
+    for workload, entry in report["workloads"].items():
+        lines += [f"{workload} ({entry['pairs']} pairs)", "",
+                  "| metric | parent median (IQR) | change median | ratio | pairs won |",
+                  "| --- | --- | --- | --- | --- |"]
+        for name, m in entry["metrics"].items():
+            ratio = "-" if m["ratio"] is None else f"{m['ratio']:.3f}"
+            lines.append(
+                f"| {name} ({m['unit']}, {m['better']} is better) "
+                f"| {m['parent_median']:.4g} ({m['parent_iqr']:.3g}) | {m['change_median']:.4g} "
+                f"| {ratio} | {m['pairs_won']} of {m['pairs']} |")
+        lines.append("")
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -121,6 +141,7 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
+    print("\n".join(markdown(report)))
     return 0 if report["runs_correct"] else 1
 
 

@@ -176,19 +176,17 @@ def sum_transform(
     k = as_operator(k)
     r_sigma, r_invertible = _invertible("sum", r)
     rstar = r.conj().T
-    # ||r|| and the controls' norms are the sigma_max their gates kept;
-    # ||r*|| is measured once
-    norm_rstar = opnorm(rstar)
+    # ||r*|| = ||r|| and the controls' norms are the sigma_max their gates kept
     evL, evG = FrameEvaluation(famL, cp), FrameEvaluation(famG, cp)
     hypotheses = [
         _hypothesis("k_commutes_with_sum", commutator_residual(k, r, None, r_sigma.sigma_max)),
         _hypothesis(
             "sum_adjoint_commutes_with_t",
-            commutator_residual(rstar, cp.t_side, norm_rstar, cp.t_sigma.sigma_max),
+            commutator_residual(rstar, cp.t_side, r_sigma.sigma_max, cp.t_sigma.sigma_max),
         ),
         _hypothesis(
             "sum_adjoint_commutes_with_u",
-            commutator_residual(rstar, cp.u_side, norm_rstar, cp.u_sigma.sigma_max),
+            commutator_residual(rstar, cp.u_side, r_sigma.sigma_max, cp.u_sigma.sigma_max),
         ),
     ]
     # Both families are applied through famL's bases: A_j = C_j B_j*, and the
@@ -288,24 +286,24 @@ def conjugate_transform(
     )
     (w, w_sigma, w_invertible), (v, v_sigma, v_invertible) = conjugators
     w_adj, v_adj = w.conj().T, v.conj().T
-    # ||w||, ||v|| and the controls' norms are the sigma_max their gates
-    # kept; ||w*|| and ||v*|| are measured once each
-    norm_w_adj, norm_v_adj = opnorm(w_adj), opnorm(v_adj)
+    # ||w*|| = ||w||, ||v*|| = ||v|| and the controls' norms are the
+    # sigma_max their gates kept
+    norm_w, norm_v = w_sigma.sigma_max, v_sigma.sigma_max
 
     def commutes(name, a, b, norm_a, norm_b):
         return _hypothesis(name, commutator_residual(a, b, norm_a, norm_b))
 
     hypotheses = [
-        commutes("w_adjoint_commutes_with_t", w_adj, cpH.t_side, norm_w_adj,
+        commutes("w_adjoint_commutes_with_t", w_adj, cpH.t_side, norm_w,
                  cpH.t_sigma.sigma_max),
-        commutes("w_adjoint_commutes_with_t1", w_adj, cpH.u_side, norm_w_adj,
+        commutes("w_adjoint_commutes_with_t1", w_adj, cpH.u_side, norm_w,
                  cpH.u_sigma.sigma_max),
-        commutes("v_adjoint_commutes_with_u", v_adj, cpX.t_side, norm_v_adj,
+        commutes("v_adjoint_commutes_with_u", v_adj, cpX.t_side, norm_v,
                  cpX.t_sigma.sigma_max),
-        commutes("v_adjoint_commutes_with_u1", v_adj, cpX.u_side, norm_v_adj,
+        commutes("v_adjoint_commutes_with_u1", v_adj, cpX.u_side, norm_v,
                  cpX.u_sigma.sigma_max),
-        commutes("k_h_commutes_with_w", as_operator(kH), w, None, w_sigma.sigma_max),
-        commutes("k_x_commutes_with_v", as_operator(kX), v, None, v_sigma.sigma_max),
+        commutes("k_h_commutes_with_w", as_operator(kH), w, None, norm_w),
+        commutes("k_x_commutes_with_v", as_operator(kX), v, None, norm_v),
         *bessel,
     ]
     wv = dsum_op(w, v)

@@ -65,10 +65,11 @@ class FrameFamily:
 
     Immutable: each operator is held read-only (`linalg.read_only`), as is
     each subspace's basis, so the control-independent algebra (`factors`,
-    `stacked_conj_basis`, F as `operator`, and F's `spectrum` and `roots`,
-    which every positive scalar pair reads) is computed on first use and
-    kept.  Only arrays and a `Spectrum` of F are kept, never an evaluation
-    or a control pair, so a family is freed by reference counting alone.
+    `stacked_conj_basis` and `row_weights`, F as `operator`, and F's
+    `spectrum` and `roots`, which every positive scalar pair reads) is
+    computed on first use and kept.  Only arrays (with their offsets) and
+    a `Spectrum` of F are kept, never an evaluation or a control pair, so a
+    family is freed by reference counting alone.
     """
 
     ambient_dim: int
@@ -122,6 +123,16 @@ class FrameFamily:
         offsets = np.cumsum([0] + [b.shape[1] for b in bases]).tolist()
         stacked = np.hstack(bases)
         return frozen(np.conjugate(stacked, out=stacked)), tuple(offsets)
+
+    @cached_property
+    def row_weights(self) -> tuple:
+        """(weights, offsets), weights read-only: v_j^2 for each of the
+        rows offsets[j]:offsets[j + 1] of [C_1; ...; C_m], item j's rows
+        in `frame_sum`."""
+        dims = self.block_dims()
+        offsets = np.cumsum((0,) + dims).tolist()
+        weights = np.repeat([w * w for w in self.weights], dims)
+        return frozen(weights), tuple(offsets)
 
     @cached_property
     def operator(self) -> np.ndarray:
@@ -321,11 +332,38 @@ def cross_terms(t, left, right, u) -> np.ndarray:
 def factor_sum(left: FrameFamily, right: FrameFamily, weights) -> np.ndarray:
     """sum_j w_j B_j (C_j* C'_j) B'_j* over the factors (B_j, C_j) of `left`
     and (B'_j, C'_j) of `right`: the cross operators summed before the
-    controls are applied.  O(n^2 dim W_j) per item."""
+    controls are applied.
+
+    The items are taken in runs of at most n columns of B'_j.  Each item
+    writes w_j B_j (C_j* C'_j) into its rows of one run buffer, transposed,
+    and conj(B'_j) into the same rows of a second, so that each item's
+    block is contiguous; a run then adds one n x n product of the two.  A
+    thin family (rank-one items) pays one product per n items in place of
+    one rank-d_j update per item.
+    """
     n = left.ambient_dim
-    out = np.zeros((n, n), dtype=complex)
+    run = np.empty((2, n, n), dtype=complex)
+    out, used = None, 0
     for (b, c), (b_r, c_r), w in zip(left.factors, right.factors, weights):
-        out += (w * (b @ (c.conj().T @ c_r))) @ b_r.conj().T
+        d = b_r.shape[1]
+        if used + d > n:
+            out = _add_run(out, run, used)
+            used = 0
+        left_rows = run[0, used:used + d]
+        np.matmul(b, c.conj().T @ c_r, out=left_rows.T)
+        left_rows *= w
+        np.conjugate(b_r.T, out=run[1, used:used + d])
+        used += d
+    return _add_run(out, run, used)
+
+
+def _add_run(out, run, used: int) -> np.ndarray:
+    """out + L^T R for the first `used` rows L of run[0] and R of run[1]
+    (`factor_sum`), added in place; the product alone where out is None."""
+    part = np.matmul(run[0, :used].T, run[1, :used])
+    if out is None:
+        return part
+    out += part
     return out
 
 
@@ -603,8 +641,10 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f):
     `f` is one vector of shape (n,), giving a complex number, or a block of
     k column vectors of shape (n, k), giving the k sums as an array.  One
     product with the family's stacked conjugate basis gives every item's
-    coordinates B_j* t f and B_j* u f; each L_j P_j is then applied as
-    C_j B_j* with the family's C_j = L_j B_j.
+    coordinates B_j* t f and B_j* u f.  Each L_j P_j is then applied as
+    C_j B_j*, with the family's C_j = L_j B_j, by one product per item
+    written into its rows of one buffer; one vecdot, each row weighted by
+    its item's v_j^2 (`FrameFamily.row_weights`), sums them all.
     """
     _check_dims(fam, cp)
     f = np.asarray(f, dtype=complex)
@@ -612,17 +652,24 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f):
         raise DimensionMismatch(f"vector must be 1-D or 2-D, got shape {f.shape}")
     if f.shape[0] != fam.ambient_dim:
         raise DimensionMismatch(f"vector dim {f.shape[0]} != {fam.ambient_dim}")
-    block = f.reshape(fam.ambient_dim, -1)
+    n = fam.ambient_dim
+    block = f.reshape(n, -1)
     k = block.shape[1]
-    # rows: the k vectors t f, then the k vectors u f; each per-item sum
-    # then runs along contiguous memory
-    rows = np.concatenate((product(cp.t_side, block), product(cp.u_side, block)), axis=1).T
     conj_basis, offsets = fam.stacked_conj_basis
-    coords = rows @ conj_basis
-    total = np.zeros(k, dtype=complex)
-    for (_, c), w, lo, hi in zip(fam.factors, fam.weights, offsets, offsets[1:]):
-        a = coords[:, lo:hi] @ c.T
-        total += w * w * np.vecdot(a[:k], a[k:])
+    weights, rows = fam.row_weights
+    d = conj_basis.shape[1]
+    # one buffer, 2k columns: the k vectors t f beside the k vectors u f,
+    # then their coordinates B_j* t f and B_j* u f, then the rows C_j B_j*
+    # t f and C_j B_j* u f of each item
+    work = np.empty((n + d + weights.shape[0], 2 * k), dtype=complex)
+    both, coords, out = work[:n], work[n:n + d], work[n + d:]
+    product(cp.t_side, block, out=both[:, :k])
+    product(cp.u_side, block, out=both[:, k:])
+    np.matmul(conj_basis.T, both, out=coords)
+    for (_, c), lo, hi, r_lo, r_hi in zip(fam.factors, offsets, offsets[1:], rows, rows[1:]):
+        np.matmul(c, coords[lo:hi], out=out[r_lo:r_hi])
+    out[:, k:] *= weights[:, None]
+    total = np.vecdot(out[:, :k], out[:, k:], axis=0)
     return complex(total[0]) if f.ndim == 1 else total
 
 

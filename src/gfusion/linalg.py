@@ -31,7 +31,7 @@ def as_operator(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"operator must be 2-D, got shape {m.shape}")
-    if not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
+    if not np.isfinite(m).all():
         raise InvalidParameters("operator entries must be finite")
     return m
 
@@ -106,8 +106,11 @@ def random_unit_columns(seed: int, n: int, trials: int):
     rng = seeded_rng(seed)
     for start in range(0, trials, SAMPLE_CHUNK):
         z = rng.standard_normal((min(SAMPLE_CHUNK, trials - start), 2, n))
-        x = (z[:, 0] + 1j * z[:, 1]).T
-        yield x / np.linalg.norm(x, axis=0)
+        x = np.empty((z.shape[0], n), dtype=complex)
+        x.real, x.imag = z[:, 0], z[:, 1]
+        x = x.T
+        x /= np.linalg.norm(x, axis=0)
+        yield x
 
 
 def scalar_multiple(a) -> complex | None:
@@ -127,12 +130,13 @@ def adjoint(a):
     return a.conjugate() if isinstance(a, Number) else np.asarray(a).conj().T
 
 
-def product(a, b):
+def product(a, b, out=None):
     """a b, where a number c in either place stands for c I: then the other
-    factor scaled by c, with no matrix product."""
+    factor scaled by c, with no matrix product.  With `out`, the result is
+    written there."""
     if isinstance(a, Number) or isinstance(b, Number):
-        return a * b
-    return a @ b
+        return a * b if out is None else np.multiply(a, b, out=out)
+    return a @ b if out is None else np.matmul(a, b, out=out)
 
 
 def opnorm(a) -> float:

@@ -358,11 +358,11 @@ def perturbation_check(
     worst = math.inf
     for f in random_unit_columns(seed, n, trials):
         sf = s @ f
-        slack = (
-            lambda1
-            + lambda2 * np.linalg.norm(sf, axis=0)
-            - np.linalg.norm(f - sf, axis=0)
-        )
+        gap = np.linalg.norm(f - sf, axis=0)
+        if lambda2:
+            slack = lambda1 + lambda2 * np.linalg.norm(sf, axis=0) - gap
+        else:  # lambda2 ||S f|| is the signed zero lambda2 for any finite ||S f||
+            slack = (lambda1 + lambda2) - gap
         worst = min(worst, float(slack.min()))
     sampled = tol.claim("sampled_slack", worst, ">=", "TOL_PERTURB")
     if not sampled.holds:

@@ -14,7 +14,7 @@ from gfusion.errors import (
     WeightMismatch,
 )
 from gfusion.frames import ControlPair, FrameFamily, frame_operator, kgf_bounds
-from gfusion.linalg import Subspace, commutator_residual, dsum_op, projector
+from gfusion.linalg import Subspace, commutator_residual, dsum_op, opnorm, projector
 
 from conftest import (
     complex_gaussian,
@@ -309,8 +309,10 @@ class TestConjugate:
 
 class TestHeldNorms:
     """The commutation certificates read ||t||, ||u|| and each gated
-    operator's norm from the singular extremes its gate kept, and measure
-    every other norm once; the residuals are those of measuring each norm."""
+    operator's norm from the singular extremes its gate kept, the norm of
+    its adjoint too (||a*|| = ||a||), and measure every other norm once; the
+    residuals are those of measuring each norm of a gated operator, not of
+    its adjoint."""
 
     def test_sum_transform(self, rng, monkeypatch):
         famL, famG = orthogonal_codomain_pair()
@@ -321,12 +323,13 @@ class TestHeldNorms:
         seen = record_spectral_inputs(monkeypatch)
         rep = sum_transform(famL, famG, v, w, cp, k)
         assert count_equal(seen, cp.t) == 0 and count_equal(seen, cp.u) == 0
-        assert count_equal(seen, r.conj().T) == 1
+        assert count_equal(seen, r.conj().T) == 0
         monkeypatch.undo()
         certs = dict(rep.hypothesis_certificates)
+        norm_r = opnorm(r)
         assert certs["k_commutes_with_sum"] == commutator_residual(k, r)
-        assert certs["sum_adjoint_commutes_with_t"] == commutator_residual(r.conj().T, cp.t)
-        assert certs["sum_adjoint_commutes_with_u"] == commutator_residual(r.conj().T, cp.u)
+        assert certs["sum_adjoint_commutes_with_t"] == commutator_residual(r.conj().T, cp.t, norm_r)
+        assert certs["sum_adjoint_commutes_with_u"] == commutator_residual(r.conj().T, cp.u, norm_r)
 
     def test_conjugate_transform(self, rng, monkeypatch):
         famH = random_family(rng, 3, 2)
@@ -341,15 +344,18 @@ class TestHeldNorms:
         rep = conjugate_transform(famH, cpH, kH, famX, cpX, kX, w, v)
         for c in (cpH.t, cpH.u, cpX.t, cpX.u):
             assert count_equal(seen, c) == 0
-        for x in (w, v, w.conj().T, v.conj().T):
+        for x in (w, v):
             assert count_equal(seen, x) == 1
+        for x in (w.conj().T, v.conj().T):
+            assert count_equal(seen, x) == 0
         monkeypatch.undo()
         certs = dict(rep.hypothesis_certificates)
         w_adj, v_adj = w.conj().T, v.conj().T
-        assert certs["w_adjoint_commutes_with_t"] == commutator_residual(w_adj, cpH.t)
-        assert certs["w_adjoint_commutes_with_t1"] == commutator_residual(w_adj, cpH.u)
-        assert certs["v_adjoint_commutes_with_u"] == commutator_residual(v_adj, cpX.t)
-        assert certs["v_adjoint_commutes_with_u1"] == commutator_residual(v_adj, cpX.u)
+        norm_w, norm_v = opnorm(w), opnorm(v)
+        assert certs["w_adjoint_commutes_with_t"] == commutator_residual(w_adj, cpH.t, norm_w)
+        assert certs["w_adjoint_commutes_with_t1"] == commutator_residual(w_adj, cpH.u, norm_w)
+        assert certs["v_adjoint_commutes_with_u"] == commutator_residual(v_adj, cpX.t, norm_v)
+        assert certs["v_adjoint_commutes_with_u1"] == commutator_residual(v_adj, cpX.u, norm_v)
         assert certs["k_h_commutes_with_w"] == commutator_residual(kH, w)
         assert certs["k_x_commutes_with_v"] == commutator_residual(kX, v)
 

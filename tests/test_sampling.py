@@ -1,9 +1,9 @@
 """Batched sampling and basis-factored item operators against literal forms.
 
-`frame_sum` on an (n, k) block, the chunked samplers of `verify_fourier` and
-`perturbation_check`, and the cross operators, pair operator and
-construction outputs built through the subspace bases must agree with the
-one-vector loops and the n x n projector forms they replace; predicted
+`frame_sum` on an (n, k) block, `factor_sum`, the chunked samplers of
+`verify_fourier` and `perturbation_check`, and the cross operators, pair
+operator and construction outputs built through the subspace bases must
+agree with the one-vector loops and the n x n projector forms they replace; predicted
 bounds read from singular extremes must agree with the inverse-norm
 formulas they replace; the frame operator t* F u must agree with the literal
 sum of the per-item cross operators, and the synthesis operator T_C must
@@ -31,6 +31,7 @@ from gfusion.frames import (
     analysis,
     atomic_check,
     controlled_frame_bounds,
+    factor_sum,
     frame_operator,
     frame_sum,
     item_cross_operator,
@@ -45,6 +46,7 @@ from gfusion.linalg import (
     dsum_subspace,
     opnorm,
     projector,
+    random_unit_columns,
 )
 from gfusion.resolution import (
     bessel_resolution_frame_check,
@@ -541,3 +543,121 @@ def test_scalar_controls_match_projector_form(seed, n, data):
     assert np.linalg.norm(sum(res.terms_right) - s_ref @ s_inv, 2) <= bound
     assert np.linalg.norm(sum(res.terms_left) - s_inv @ s_ref, 2) <= bound
     assert res.converged
+
+
+def with_degenerate_items(fam, rng):
+    """`fam` with a zero subspace, a 1 x n zero operator and a full subspace
+    (d_j = n) appended, at weights other than 1."""
+    n = fam.ambient_dim
+    return FrameFamily(n, list(fam.items) + [
+        (Subspace.zero(n), complex_gaussian(rng, 2, n), 1.7),
+        (random_subspace(rng, n, int(rng.integers(1, n + 1))), np.zeros((1, n)), 0.6),
+        (Subspace.full(n), complex_gaussian(rng, n, n), 0.45),
+    ])
+
+
+def projector_factor_sum(left, right, weights):
+    """sum_j w_j P_j L_j* G_j P'_j through the n x n projectors."""
+    return sum(
+        w * (ll @ projector(sl)).conj().T @ (lr @ projector(sr))
+        for (sl, ll, _), (sr, lr, _), w in zip(left.items, right.items, weights)
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 16])
+@pytest.mark.parametrize("structure", generate.STRUCTURES)
+@SAMPLING_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from((1, 3, 40)))
+def test_kernels_match_projector_forms(structure, dim, seed, k):
+    # frame_sum on one vector and on a block, and factor_sum of a family
+    # with itself and with a second family of the same codomains, on every
+    # structure with the degenerate items appended
+    items = min(dim, 4) if structure in ("parseval", "near-identity-pair") else 4
+    inst = generate.random_instance(seed, dim, items, structure)
+    rng = np.random.default_rng(seed)
+    fam = with_degenerate_items(inst.family, rng)
+    cp = inst.control
+    s = frame_operator(fam, cp)
+    block = complex_gaussian(rng, dim, k)
+    scale = max(opnorm(s), 1e-300) * np.linalg.norm(block, axis=0) ** 2
+    ref = projector_frame_sums(fam, cp, block)
+    assert np.all(np.abs(frame_sum(fam, cp, block) - ref) <= 1e-12 * scale)
+    assert abs(frame_sum(fam, cp, block[:, 0]) - ref[0]) <= 1e-12 * scale[0]
+
+    weights = [w * w for w in fam.weights]
+    ref = projector_factor_sum(fam, fam, weights)
+    assert np.linalg.norm(factor_sum(fam, fam, weights) - ref, 2) <= 1e-12 * opnorm(ref)
+    other = FrameFamily(dim, [
+        (random_subspace(rng, dim, int(rng.integers(0, dim + 1))),
+         complex_gaussian(rng, lam.shape[0], dim), 1.0)
+        for _, lam, _ in fam.items
+    ])
+    weights = [w * w2 for w, w2 in zip(fam.weights, rng.uniform(0.5, 2.0, len(fam)))]
+    ref = projector_factor_sum(fam, other, weights)
+    got = factor_sum(fam, other, weights)
+    assert np.linalg.norm(got - ref, 2) <= 1e-12 * max(opnorm(ref), 1e-300)
+
+
+def count_calls(monkeypatch, name, record):
+    """Wrap numpy's `name` so that each call passes its result to `record`."""
+    real = getattr(np, name)
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        record(out)
+        return out
+
+    monkeypatch.setattr(np, name, counting)
+
+
+@pytest.mark.parametrize("items", [1, 7, 40])
+def test_frame_sum_reduces_once(monkeypatch, items):
+    # one vecdot per call, whatever the item count and the block width
+    rng = np.random.default_rng(items)
+    fam = random_family(rng, 6, items)
+    cp = ControlPair(well_conditioned(rng, 6), well_conditioned(rng, 6))
+    calls = []
+    count_calls(monkeypatch, "vecdot", calls.append)
+    for f in (complex_gaussian(rng, 6), complex_gaussian(rng, 6, 5)):
+        calls.clear()
+        frame_sum(fam, cp, f)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("nmax", [3, 16])
+def test_factor_sum_of_rank_one_items_is_one_product(monkeypatch, nmax):
+    # the Fourier family at m = 1 has 2 nmax + 1 rank-one items in dim
+    # 2 nmax + 1: one n x n product in place of one per item
+    fam, _, _ = build_fourier_example(FourierParams(nmax, 1, 0.5, 0.9))
+    n = fam.ambient_dim
+    assert all(b.shape[1] == 1 for b, _ in fam.factors) and len(fam) == n
+    shapes = []
+    count_calls(monkeypatch, "matmul", lambda out: shapes.append(out.shape))
+    factor_sum(fam, fam, [1.0] * n)
+    assert shapes.count((n, n)) == 1
+
+
+def test_unit_columns_are_the_old_stream_bit_for_bit():
+    seed, n, trials = 77, 64, 1024 + 5
+    rng = np.random.default_rng(seed)
+    chunks = list(random_unit_columns(seed, n, trials))
+    for got, start in zip(chunks, range(0, trials, SAMPLE_CHUNK)):
+        z = rng.standard_normal((min(SAMPLE_CHUNK, trials - start), 2, n))
+        x = (z[:, 0] + 1j * z[:, 1]).T
+        np.testing.assert_array_equal(got, x / np.linalg.norm(x, axis=0))
+    assert sum(c.shape[1] for c in chunks) == trials
+
+
+@pytest.mark.parametrize("lambda1, lambda2", [(0.05, 0.0), (0.05, 0.5), (0.05, -0.0)])
+def test_worst_sample_slack_is_the_old_expression_bit_for_bit(lambda1, lambda2):
+    pair = near_identity_pair(5)
+    trials, seed = SAMPLE_CHUNK + 3, 4
+    rep = perturbation_check(pair, lambda1, lambda2, 2.0, 2.0, trials=trials, seed=seed)
+    s = pair.matrix
+    worst = math.inf
+    for f in random_unit_columns(seed, 5, trials):
+        sf = s @ f
+        slack = lambda1 + lambda2 * np.linalg.norm(sf, axis=0) - np.linalg.norm(f - sf, axis=0)
+        worst = min(worst, float(slack.min()))
+    assert math.copysign(1.0, rep.worst_sample_slack) == math.copysign(1.0, worst)
+    assert rep.worst_sample_slack == worst

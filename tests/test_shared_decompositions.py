@@ -32,6 +32,7 @@ from gfusion.frames import (
     analysis,
     atomic_check,
     controlled_frame_bounds,
+    frame_sum,
     synthesis,
     synthesis_matrix,
 )
@@ -235,10 +236,17 @@ def test_a_family_is_freed_by_reference_counting():
             rep.coefficient_map
             analysis(fam, cp, complex_gaussian(rng, n))
             inverse_commutation_check(fam, cp)
-        # the items, F's factors and F, and F's two decompositions: only
-        # arrays and a Spectrum of F
+            frame_sum(fam, cp, complex_gaussian(rng, n, 2))
+        # the items, F's factors and F, F's two decompositions, and the
+        # stacked bases and row weights of frame_sum: only arrays, tuples of
+        # them and a Spectrum of F
         assert fam.__dict__.keys() == {"ambient_dim", "items", "factors", "operator",
-                                       "spectrum", "roots"}
+                                       "spectrum", "roots", "stacked_conj_basis",
+                                       "row_weights"}
+        for key in ("stacked_conj_basis", "row_weights"):
+            array, offsets = fam.__dict__[key]
+            assert isinstance(array, np.ndarray) and not array.flags.writeable
+            assert all(isinstance(i, int) for i in offsets)
         ref = weakref.ref(fam)
         del fam, rep
         assert ref() is None
