@@ -20,6 +20,7 @@ from . import tolerances as tol
 from .errors import DimensionMismatch, InvalidParameters, ItemCountMismatch, WeightMismatch
 from .frames import ControlPair, FrameEvaluation, FrameFamily
 from .linalg import (
+    SingularExtremes,
     SpectralInterval,
     adjoint,
     as_operator,
@@ -29,6 +30,7 @@ from .linalg import (
     frozen,
     opnorm,
     product,
+    scalar_multiple,
     singular_extremes,
     subspace_image,
 )
@@ -99,8 +101,9 @@ def _square(name: str, a, n: int) -> np.ndarray:
 
 def _invertible(name: str, a):
     """The singular extremes of `a`, and the claim `{name}_invertible` that
-    cond(a) <= COND_MAX."""
-    sigma = singular_extremes(a)
+    cond(a) <= COND_MAX; a number c standing for c I has extremes
+    (|c|, |c|) and takes no SVD."""
+    sigma = SingularExtremes(abs(a), abs(a)) if isinstance(a, Number) else singular_extremes(a)
     return sigma, tol.claim(f"{name}_invertible", sigma.condition, "<=", "COND_MAX")
 
 
@@ -174,8 +177,15 @@ def sum_transform(
     n = famL.ambient_dim
     r = _square("v", v, n) + _square("w", w, n)
     k = as_operator(k)
+    # r = c I with c != 0 is applied as the number c, as a control is
+    # (`ControlPair.t_side`): it commutes with k and the controls, r B_j is
+    # c B_j with R factor |c| (up to a unitary diagonal, which no norm below
+    # sees), and r W_j is W_j itself
+    c = scalar_multiple(r)
+    if c:
+        r = c
     r_sigma, r_invertible = _invertible("sum", r)
-    rstar = r.conj().T
+    rstar = adjoint(r)
     # ||r*|| = ||r|| and the controls' norms are the sigma_max their gates kept
     evL, evG = FrameEvaluation(famL, cp), FrameEvaluation(famG, cp)
     hypotheses = [
@@ -202,7 +212,8 @@ def sum_transform(
     # ||X_j M Y_j*||_2 is ||R_x M R_y*||_2, and ||C B_j* r*||_2 is
     # ||C R_z*||_2 for r B_j = Q'' R_z: d_j x d_j problems.  Under a control
     # c I, X_j is conj(c) r B_j, so R_x is conj(c) R_z: that side stays the
-    # number conj(c), with no n x n x d_j product and no QR.
+    # number conj(c), with no n x n x d_j product and no QR; so does R_z
+    # for a scalar r.
     xy_ops = [
         adjoint(c) if isinstance(c, Number) else adjoint(product(rstar, c))
         for c in (cp.t_side, cp.u_side)
@@ -212,15 +223,18 @@ def sum_transform(
     control_scale = cp.t_sigma.sigma_max * cp.u_sigma.sigma_max
     items_out = []
     for (b, cL), (_, cG), (sub, _, wt) in zip(fL, fG, famL.items):
-        r_b = r @ b
-        rz = np.linalg.qr(r_b, mode="r")
+        r_b = product(r, b)
+        rz = abs(r) if isinstance(r, Number) else np.linalg.qr(r_b, mode="r")
         rx, ry = (
             a * rz if isinstance(a, Number) else np.linalg.qr(a @ b, mode="r") for a in xy_ops
         )
         m = cL.conj().T @ cG
-        scale = max(opnorm(cL @ rz.conj().T) * opnorm(cG @ rz.conj().T) * control_scale, 1e-300)
-        cross1 = max(cross1, opnorm(rx @ m @ ry.conj().T) / scale)
-        cross2 = max(cross2, opnorm(rx @ m.conj().T @ ry.conj().T) / scale)
+        rz_adj, ry_adj = adjoint(rz), adjoint(ry)
+        scale = max(
+            opnorm(product(cL, rz_adj)) * opnorm(product(cG, rz_adj)) * control_scale, 1e-300
+        )
+        cross1 = max(cross1, opnorm(product(product(rx, m), ry_adj)) / scale)
+        cross2 = max(cross2, opnorm(product(product(rx, m.conj().T), ry_adj)) / scale)
         items_out.append((subspace_image(r, sub), frozen((cL + cG) @ r_b.conj().T), wt))
     hypotheses.append(_hypothesis("cross_terms_gamma_lambda", cross1))
     hypotheses.append(_hypothesis("cross_terms_lambda_gamma", cross2))

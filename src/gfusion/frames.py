@@ -21,6 +21,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from numbers import Number
 
 import numpy as np
 
@@ -221,10 +222,20 @@ class ControlPair:
 
         The singular values of a block-diagonal operator are its blocks', so
         the pair is gated on the blocks' extremes (the min of the minima, the
-        max of the maxima) with no SVD of the block-diagonal controls.
+        max of the maxima) with no SVD of the block-diagonal controls.  When
+        every side of both pairs is a number, the sum's sides and its t = u
+        test are read from those numbers: c_H I (+) c_X I is the number c_H
+        when c_H = c_X, and the dense sum otherwise.
         """
         t, u = dsum_op(h.t, x.t), dsum_op(h.u, x.u)
-        same = np.array_equal(t, u)
+        if all(isinstance(c, Number) for c in (h.t_side, h.u_side, x.t_side, x.u_side)):
+            same = h.t_side == h.u_side and x.t_side == x.u_side
+            t_side = h.t_side if h.t_side == x.t_side else t
+            u_side = t_side if same else h.u_side if h.u_side == x.u_side else u
+        else:
+            same = np.array_equal(t, u)
+            t_side = _side(t)
+            u_side = t_side if same else _side(u)
         t_sigma = require_conditioned(
             dsum_extremes(h.t_sigma, x.t_sigma), "control t = u" if same else "control t"
         )
@@ -232,8 +243,7 @@ class ControlPair:
             dsum_extremes(h.u_sigma, x.u_sigma), "control u"
         )
         pair = object.__new__(ControlPair)
-        t_side = _side(t)
-        pair._store(t, u, t_sigma, u_sigma, t_side, t_side if same else _side(u))
+        pair._store(t, u, t_sigma, u_sigma, t_side, u_side)
         return pair
 
     @property
@@ -437,7 +447,12 @@ class FrameEvaluation:
 
     @cached_property
     def norm(self) -> float:
-        return opnorm(self.s)
+        """||S||_2: for an S that is exactly Hermitian, max(|lambda_min|,
+        |lambda_max|) of `bounds`, with no SVD; else `opnorm`."""
+        if self.skew.any():
+            return opnorm(self.s)
+        b = self.bounds
+        return max(abs(b.lambda_min), abs(b.lambda_max))
 
     @property
     def skew(self) -> np.ndarray:

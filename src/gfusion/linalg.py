@@ -139,12 +139,53 @@ def product(a, b, out=None):
     return a @ b if out is None else np.matmul(a, b, out=out)
 
 
+def diagonal_blocks(a) -> tuple:
+    """The finest split of the square matrix `a` into contiguous diagonal
+    blocks whose off-diagonal blocks are exactly zero, as the offsets
+    (0, o_1, ..., n) of its blocks; (0, n) at once, in O(1), when a corner
+    entry a[0, -1] or a[-1, 0] is nonzero.
+
+    A boundary p splits `a` when a[:p, p:] and a[p:, :p] are zero: when no
+    index i < p is linked (a[i, j] or a[j, i] nonzero) to an index j >= p.
+    """
+    n = a.shape[0]
+    if n < 2 or a[0, -1] != 0 or a[-1, 0] != 0:
+        return (0, n)
+    linked = a != 0
+    linked = linked | linked.T
+    np.fill_diagonal(linked, True)
+    last = n - 1 - np.argmax(linked[:, ::-1], axis=1)  # the last index i is linked to
+    ends = np.flatnonzero(np.maximum.accumulate(last) == np.arange(n)) + 1
+    return (0, *ends.tolist())
+
+
+def _blockwise(a, whole, diagonal) -> list:
+    """`whole(block)` for each block of `diagonal_blocks(a)` larger than
+    1 x 1, in order, then `diagonal(entries)` of the entries of its 1 x 1
+    blocks when it has any: a block-diagonal matrix measured block by
+    block, and its 1 x 1 blocks (a 1 x 1 `a` too) with no LAPACK call."""
+    offsets = diagonal_blocks(a)
+    if len(offsets) == 2 and a.shape[0] != 1:
+        return [whole(a)]
+    spans = list(zip(offsets, offsets[1:]))
+    out = [whole(a[lo:hi, lo:hi]) for lo, hi in spans if hi - lo > 1]
+    ones = [lo for lo, hi in spans if hi - lo == 1]
+    if ones:
+        out.append(diagonal(a.diagonal()[ones]))
+    return out
+
+
 def opnorm(a) -> float:
-    """Spectral norm; zero-size matrices have norm 0."""
+    """Spectral norm; zero-size matrices have norm 0.  A square matrix is
+    measured block by block (`diagonal_blocks`): the largest of its blocks'
+    norms, |a_ii| for a 1 x 1 block."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    if a.shape[0] != a.shape[1]:
+        return float(np.linalg.norm(a, 2))
+    return float(max(np.max(part) for part in _blockwise(
+        a, lambda b: np.linalg.norm(b, 2), np.abs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,6 +374,11 @@ class Spectrum:
     first; the eigh's own end eigenvalues may differ from them at rounding
     level.  Beside the eigenvectors a spectrum keeps one n x n array, the
     pseudoinverse of h.
+
+    Each decomposition is made block by block over `diagonal_blocks(h)`,
+    a 1 x 1 block read off the diagonal: the direct sum of two frame
+    operators is decomposed as its two blocks, and a diagonal h by no
+    LAPACK call.
     """
 
     def __init__(self, a, c: float = 1.0, _shared: dict | None = None):
@@ -349,18 +395,33 @@ class Spectrum:
         return 0.5 * (self.a + self.a.conj().T)
 
     def _pairs(self):
-        """Ascending eigenvalues and eigenvectors of h: the one eigh."""
+        """Eigenvalues and eigenvectors of h, one eigh per block of
+        `diagonal_blocks(h)`, kept in block order: ascending within each
+        block, and the eigenvectors block-diagonal."""
         if "pairs" not in self._shared:
-            vals, vecs = _eigenpairs(self._hermitian(), psd=False)
+            h = self._hermitian()
+            n = h.shape[0]
+            offsets = diagonal_blocks(h)
+            if len(offsets) == 2 and n != 1:
+                vals, vecs = _eigenpairs(h, psd=False)
+            else:
+                vals, vecs = np.empty(n), np.zeros((n, n), dtype=complex)
+                for lo, hi in zip(offsets, offsets[1:]):
+                    if hi - lo == 1:
+                        vals[lo], vecs[lo, lo] = h[lo, lo].real, 1.0
+                    else:
+                        vals[lo:hi], vecs[lo:hi, lo:hi] = _eigenpairs(h[lo:hi, lo:hi], psd=False)
             self._shared["pairs"] = (frozen(vals), frozen(vecs))
         return self._shared["pairs"]
 
     @property
     def extremes(self) -> SpectralInterval:
-        """The least and the largest eigenvalue, from the one eigvalsh."""
+        """The least and the largest eigenvalue, from the one eigvalsh (one
+        per block of `diagonal_blocks(h)`)."""
         if "extremes" not in self._shared:
-            vals = np.linalg.eigvalsh(self._hermitian())
-            self._shared["extremes"] = SpectralInterval(float(vals[0]), float(vals[-1]))
+            parts = _blockwise(self._hermitian(), np.linalg.eigvalsh, np.real)
+            self._shared["extremes"] = SpectralInterval(
+                float(min(p.min() for p in parts)), float(max(p.max() for p in parts)))
         e, c = self._shared["extremes"], self.c
         return e if c == 1 else SpectralInterval(c * e.lambda_min, c * e.lambda_max)
 
@@ -372,7 +433,9 @@ class Spectrum:
 
     @property
     def eigenpairs(self):
-        """(values, vectors), ascending: c times h's eigenvalues, h's eigenvectors."""
+        """(values, vectors): c times h's eigenvalues, ascending within each
+        block of `diagonal_blocks(h)` and in block order, and h's
+        eigenvectors."""
         vals, vecs = self._pairs()
         return (vals if self.c == 1 else self.c * vals), vecs
 
@@ -388,7 +451,7 @@ class Spectrum:
         made = self._shared.get("pinv")
         if made is None or made[0] != tol.TOL_RANK:
             vals, vecs = self._pairs()
-            keep = np.abs(vals) > tol.TOL_RANK * _largest_abs(vals)
+            keep = np.abs(vals) > tol.TOL_RANK * np.abs(vals).max(initial=0.0)
             kept = vecs if keep.all() else vecs[:, keep]
             pinv_h = frozen((kept / vals[keep]) @ kept.conj().T)
             made = self._shared["pinv"] = (tol.TOL_RANK, bool(keep.all()), pinv_h)
@@ -431,7 +494,7 @@ class Spectrum:
         low = vals <= tol.TOL_PSD * top
         if low.any():
             kept = vals[~low]
-            spread = top / kept[0] if kept.size else 1.0
+            spread = top / kept.min() if kept.size else 1.0
             if np.linalg.norm(y[low]) > tol.TOL_RANK * max(1.0, spread) * np.linalg.norm(k):
                 return None
             y, vals = y[~low], kept
@@ -440,9 +503,13 @@ class Spectrum:
 
 
 def _gram_top(r) -> float:
-    """lambda_max of r r* or r* r, whichever is smaller."""
+    """lambda_max of r r* or r* r, whichever is smaller, block by block
+    (`diagonal_blocks`)."""
     g = r @ r.conj().T if r.shape[0] <= r.shape[1] else r.conj().T @ r
-    return max(float(np.linalg.eigvalsh(g)[-1]), 0.0) if g.size else 0.0
+    if not g.size:
+        return 0.0
+    parts = _blockwise(g, lambda b: np.linalg.eigvalsh(b)[-1], np.real)
+    return max(max(float(np.max(p)) for p in parts), 0.0)
 
 
 def gram_norm(r) -> float:
@@ -485,7 +552,11 @@ def projector(m: Subspace) -> np.ndarray:
 
 
 def subspace_image(r, m: Subspace) -> Subspace:
-    """Image subspace { r x : x in span(m) } with an orthonormal basis."""
+    """Image subspace { r x : x in span(m) } with an orthonormal basis.  A
+    number c standing for c I maps m to itself, or to the zero subspace
+    for c = 0, with no SVD."""
+    if isinstance(r, Number):
+        return m if r else Subspace.zero(m.ambient_dim)
     r = as_operator(r)
     if r.shape[1] != m.ambient_dim:
         raise DimensionMismatch(

@@ -282,17 +282,23 @@ def coercive_pair_check(
     """If the swapped pair operator is coercive (>= m I, m > 0), the left
     family is a frame under its own control with lower bound >= m^2 / D,
     where D is the Bessel bound of the right family; D defaults to the
-    optimal one, under (u, u).  With m <= 0 nothing is predicted:
+    optimal one, under (u, u).  Coercivity needs m above TOL_PSD times the
+    largest |eigenvalue| of the Hermitian part of S_pair, the floor of the
+    frame claim `positive_lower`; below it nothing is predicted:
     `predicted_lower` is None and `is_frame` is false."""
     if gamma_bessel_bound is not None:  # a divisor
         require_finite_positive("gamma_bessel_bound", gamma_bessel_bound)
     # S_swapped = S_pair*, and both have the same Hermitian part
-    m = hermitian_spectrum(pair.matrix).lambda_min
+    spectrum = hermitian_spectrum(pair.matrix)
+    m = spectrum.lambda_min
     if gamma_bessel_bound is None:
         gamma_bessel_bound = FrameEvaluation(
             pair.right_family, pair.right_control
         ).bounds.lambda_max
-    coercive = tol.claim("coercive", m, ">")
+    # m above the PSD floor of its own spectrum, as for `positive_lower`, so
+    # roundoff dust around zero does not decide coercivity
+    coercive = tol.claim("coercive", m, ">", "TOL_PSD",
+                         scale=max(abs(m), abs(spectrum.lambda_max)))
     predicted_lower = m * m / gamma_bessel_bound if coercive.holds else None
     left = FrameEvaluation(pair.left_family, pair.left_control)
     measured_lower = left.bounds.lambda_min

@@ -13,12 +13,13 @@ from gfusion.errors import (
     NotInvertible,
     WeightMismatch,
 )
-from gfusion.frames import ControlPair, FrameFamily, frame_operator, kgf_bounds
+from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily, frame_operator, kgf_bounds
 from gfusion.linalg import Subspace, commutator_residual, dsum_op, opnorm, projector
 
 from conftest import (
     complex_gaussian,
     random_family,
+    record_eigvalsh_inputs,
     record_spectral_inputs,
     scaled_partition_family,
     well_conditioned,
@@ -420,23 +421,33 @@ class TestDirectSumControl:
         assert count_equal(seen, rep.control_out.u) == 0
 
     def test_residual_scale_is_the_larger_block_norm(self, rng, monkeypatch):
-        # ||S_H (+) S_X|| = max(||S_H||, ||S_X||): each block is measured
-        # once and the block-diagonal sum not at all
+        # ||S_H (+) S_X|| = max(||S_H||, ||S_X||), each S exactly Hermitian
+        # and so measured by its own spectrum, with no SVD; the residual
+        # S_out - S_H (+) S_X is block-diagonal and measured block by block:
+        # neither it nor the block-diagonal sum is decomposed whole
         famH = random_family(rng, 3, 2)
         famX = FrameFamily(4, [
             (s, l, wt) for (s, l, _), wt in zip(random_family(rng, 4, 2).items, famH.weights)
         ])
         cpH, cpX = ControlPair.scalars(3, 0.5, 0.5), ControlPair.scalars(4, 2.0, 2.0)
         s_h, s_x = frame_operator(famH, cpH), frame_operator(famX, cpX)
-        seen = record_spectral_inputs(monkeypatch)
+        svds, eigs = record_spectral_inputs(monkeypatch), record_eigvalsh_inputs(monkeypatch)
         rep = direct_sum_frame(famH, cpH, np.eye(3), famX, cpX, np.eye(4))
-        assert count_equal(seen, s_h) == 1 and count_equal(seen, s_x) == 1
+        seen = svds + eigs
+        assert seen
+        assert count_equal(seen, s_h) == 0 and count_equal(seen, s_x) == 0
         assert count_equal(seen, dsum_op(s_h, s_x)) == 0
+        assert not any(a.shape == (7, 7) for a in seen)
         monkeypatch.undo()
         s_out = frame_operator(rep.family_out, rep.control_out)
-        scale = max(np.linalg.norm(s_h, 2), np.linalg.norm(s_x, 2))
-        residual = np.linalg.norm(s_out - dsum_op(s_h, s_x), 2) / scale
+        d = s_out - dsum_op(s_h, s_x)
+        norms = [FrameEvaluation(fam, cp).norm for fam, cp in ((famH, cpH), (famX, cpX))]
+        for norm, s in zip(norms, (s_h, s_x)):
+            assert norm == pytest.approx(np.linalg.norm(s, 2), rel=1e-13)
+        residual = max(opnorm(d[:3, :3]), opnorm(d[3:, 3:])) / max(norms)
         assert dict(rep.hypothesis_certificates)["frame_operator_block_diagonal"] == residual
+        whole = np.linalg.norm(d, 2) / max(np.linalg.norm(s_h, 2), np.linalg.norm(s_x, 2))
+        assert residual == pytest.approx(whole, rel=1e-12, abs=1e-300)
 
     def test_combined_condition_rejected(self):
         # controls 1e7 I and 1e-7 I: each of condition 1, their sum 1e14
