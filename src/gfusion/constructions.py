@@ -20,7 +20,6 @@ from . import tolerances as tol
 from .errors import DimensionMismatch, InvalidParameters, ItemCountMismatch, WeightMismatch
 from .frames import ControlPair, FrameEvaluation, FrameFamily
 from .linalg import (
-    SingularExtremes,
     SpectralInterval,
     adjoint,
     as_operator,
@@ -103,7 +102,7 @@ def _invertible(name: str, a):
     """The singular extremes of `a`, and the claim `{name}_invertible` that
     cond(a) <= COND_MAX; a number c standing for c I has extremes
     (|c|, |c|) and takes no SVD."""
-    sigma = SingularExtremes(abs(a), abs(a)) if isinstance(a, Number) else singular_extremes(a)
+    sigma = singular_extremes(a)
     return sigma, tol.claim(f"{name}_invertible", sigma.condition, "<=", "COND_MAX")
 
 

@@ -49,7 +49,6 @@ from .linalg import (
     frobenius_bound,
     frozen,
     gen_rayleigh_extremes,
-    gram_norm,
     opnorm,
     product,
     read_only,
@@ -161,20 +160,19 @@ class FrameFamily:
         return thin_roots(self, 1.0, 1.0)
 
 
-def _side(a):
-    """The control side of `a`: the number c when a is exactly c I
-    (`linalg.scalar_multiple`), else a itself."""
-    c = scalar_multiple(a)
-    return a if c is None else c
-
-
 def _gated_side(a, what: str):
-    """(side, singular extremes) of control `a`, gated at COND_MAX; a side c
-    has extremes (|c|, |c|) and takes no SVD."""
-    side = _side(a)
-    if isinstance(side, np.ndarray):
-        return side, require_invertible(a, what)
-    return side, require_conditioned(SingularExtremes(abs(side), abs(side)), what)
+    """(side, singular extremes) of control `a`, gated at COND_MAX.  The
+    side is the number c when a is exactly c I (`linalg.scalar_multiple`),
+    with extremes (|c|, |c|) and no SVD, else a itself."""
+    c = scalar_multiple(a)
+    side = a if c is None else c
+    return side, require_invertible(side, what)
+
+
+def _sum_side(a, b, dense):
+    """The side of a direct sum of two sides: the number c when both are
+    the number c, else `dense`."""
+    return a if isinstance(a, Number) and isinstance(b, Number) and a == b else dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,20 +220,16 @@ class ControlPair:
 
         The singular values of a block-diagonal operator are its blocks', so
         the pair is gated on the blocks' extremes (the min of the minima, the
-        max of the maxima) with no SVD of the block-diagonal controls.  When
-        every side of both pairs is a number, the sum's sides and its t = u
-        test are read from those numbers: c_H I (+) c_X I is the number c_H
-        when c_H = c_X, and the dense sum otherwise.
+        max of the maxima) with no SVD of the block-diagonal controls.  The
+        sum's t = u test and its sides are read from the two pairs, with no
+        scan of the sums: t_H (+) t_X = u_H (+) u_X exactly when each pair
+        has t = u (its two sides share one gate), and a side of the sum is
+        the number c when both blocks are that number c, else the dense sum.
         """
         t, u = dsum_op(h.t, x.t), dsum_op(h.u, x.u)
-        if all(isinstance(c, Number) for c in (h.t_side, h.u_side, x.t_side, x.u_side)):
-            same = h.t_side == h.u_side and x.t_side == x.u_side
-            t_side = h.t_side if h.t_side == x.t_side else t
-            u_side = t_side if same else h.u_side if h.u_side == x.u_side else u
-        else:
-            same = np.array_equal(t, u)
-            t_side = _side(t)
-            u_side = t_side if same else _side(u)
+        same = h.u_sigma is h.t_sigma and x.u_sigma is x.t_sigma
+        t_side = _sum_side(h.t_side, x.t_side, t)
+        u_side = t_side if same else _sum_side(h.u_side, x.u_side, u)
         t_sigma = require_conditioned(
             dsum_extremes(h.t_sigma, x.t_sigma), "control t = u" if same else "control t"
         )
@@ -594,7 +588,7 @@ class FrameEvaluation:
         elif (w := spectrum.whiten(k)) is None:
             a_opt = 0.0
         else:
-            w_norm = gram_norm(w)
+            w_norm = opnorm(w)
             a_opt = 1.0 / (w_norm * w_norm) if w_norm > 0 else math.inf
         b = self.bounds.lambda_max
         # positivity at the same relative floor used for the frame flag, so
@@ -603,14 +597,14 @@ class FrameEvaluation:
         return a_opt, b, (self.bessel, positive)
 
     def atomic(self, k) -> AtomicReport:
-        """The report of `atomic_check`.  Each norm is `gram_norm`'s: one
+        """The report of `atomic_check`.  Each norm is `opnorm`'s: one
         product and one eigvalsh, no SVD."""
         k = self._check_k(k)
         a_opt, b, claims = self.kgf(k)
         is_kgf = tol.all_hold(claims)
         t, bases = self.thin_synthesis
-        scale_k = max(gram_norm(k), 1e-300)
-        literal_residual = gram_norm(k - self.s) / scale_k
+        scale_k = max(opnorm(k), 1e-300)
+        literal_residual = opnorm(k - self.s) / scale_k
         # Minimum-norm solution L = T_C* S^+ k of T_C L = k, S^+ the
         # pseudoinverse of `spectrum` (T T* = T_C T_C* = S), with one step of
         # iterative refinement against the thin Gram T T*; T_C L = T T* S^+ k.
@@ -621,7 +615,7 @@ class FrameEvaluation:
         x = s_pinv @ k
         coords = t.conj().T @ (x + s_pinv @ (k - gram @ x))
         del gram, s_pinv, x  # released before the residual's Gram matrix, the peak of the call
-        coeff_residual = gram_norm(t @ coords - k) / scale_k
+        coeff_residual = opnorm(t @ coords - k) / scale_k
         # finite only with the verdict: a roundoff-level a_opt below the
         # positivity floor would give a huge, meaningless bound
         c = math.sqrt(1.0 / a_opt) if (is_kgf and math.isfinite(a_opt)) else math.inf

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameters
 from .frames import ControlPair, FrameFamily
-from .linalg import Subspace, frozen, opnorm, orth, seeded_rng
+from .linalg import Subspace, frozen, orth, seeded_rng, singular_extremes
 
 STRUCTURES = ("generic", "scalar-controls", "parseval", "near-identity-pair")
 
@@ -73,7 +73,7 @@ def random_instance(seed: int, dim: int, item_count: int, structure: str) -> Ins
         fam = _partition_parseval(dim, item_count)
         eps = 0.02
         e = _complex_gaussian(rng, dim, dim)
-        e *= eps / max(opnorm(e), 1e-300)
+        e *= eps / max(singular_extremes(e).sigma_max, 1e-300)
         t = frozen(np.eye(dim, dtype=complex))
         u = frozen(np.eye(dim, dtype=complex) + e)
         return Instance(

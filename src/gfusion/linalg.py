@@ -159,33 +159,38 @@ def diagonal_blocks(a) -> tuple:
     return (0, *ends.tolist())
 
 
-def _blockwise(a, whole, diagonal) -> list:
-    """`whole(block)` for each block of `diagonal_blocks(a)` larger than
-    1 x 1, in order, then `diagonal(entries)` of the entries of its 1 x 1
-    blocks when it has any: a block-diagonal matrix measured block by
-    block, and its 1 x 1 blocks (a 1 x 1 `a` too) with no LAPACK call."""
+def _blocks(a):
+    """The blocks of `diagonal_blocks(a)`: the spans (lo, hi) of those larger
+    than 1 x 1, each decomposed by one LAPACK call, and the indices of the
+    1 x 1 ones (a 1 x 1 `a` too), read off the diagonal with none."""
     offsets = diagonal_blocks(a)
-    if len(offsets) == 2 and a.shape[0] != 1:
-        return [whole(a)]
     spans = list(zip(offsets, offsets[1:]))
-    out = [whole(a[lo:hi, lo:hi]) for lo, hi in spans if hi - lo > 1]
-    ones = [lo for lo, hi in spans if hi - lo == 1]
-    if ones:
-        out.append(diagonal(a.diagonal()[ones]))
-    return out
+    return [(lo, hi) for lo, hi in spans if hi - lo > 1], [lo for lo, hi in spans if hi - lo == 1]
 
 
 def opnorm(a) -> float:
-    """Spectral norm; zero-size matrices have norm 0.  A square matrix is
-    measured block by block (`diagonal_blocks`): the largest of its blocks'
-    norms, |a_ii| for a 1 x 1 block."""
+    """||a||_2, of any shape, as the root of lambda_max(a a*): one product
+    and one eigvalsh, of the smaller Gram matrix (a a* or a* a), per block
+    of its `diagonal_blocks`, in place of an SVD; the top eigenvalue keeps
+    its relative accuracy.  Zero-size matrices have norm 0.  Where
+    ||a||_F^2 leaves [2^-900, 2^900], a is first divided by its largest
+    |entry|, so that a a* neither overflows nor underflows; a non-finite
+    entry is rejected as `as_operator` rejects it."""
     a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    if a.shape[0] != a.shape[1]:
-        return float(np.linalg.norm(a, 2))
-    return float(max(np.max(part) for part in _blockwise(
-        a, lambda b: np.linalg.norm(b, 2), np.abs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        frobenius_sq = float(np.vdot(a, a).real)
+    top = 1.0
+    if not 2.0**-900 <= frobenius_sq <= 2.0**900:
+        top = float(np.abs(a).max(initial=0.0))
+        if not math.isfinite(top):
+            raise InvalidParameters("operator entries must be finite")
+        if top == 0:
+            return 0.0
+        a = a / top
+    g = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
+    big, ones = _blocks(g)
+    tops = [np.linalg.eigvalsh(g[lo:hi, lo:hi])[-1] for lo, hi in big]
+    return top * math.sqrt(max(0.0, *tops, *g.diagonal()[ones].real))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,12 +373,11 @@ class Spectrum:
 
     Two decompositions of h, each made on first need, kept read-only and
     shared by every scaled copy: one eigvalsh gives `extremes` (and so
-    `psd`, `condition` and the floors), and one eigh, made only when a
-    caller asks for eigenvectors, serves `eigenpairs`, `inverse`, `pinv`
-    and `whiten`.  The extremes thus do not depend on which was asked
-    first; the eigh's own end eigenvalues may differ from them at rounding
-    level.  Beside the eigenvectors a spectrum keeps one n x n array, the
-    pseudoinverse of h.
+    `psd` and the floors), and one eigh, made only when a caller asks for
+    eigenvectors, serves `eigenpairs`, `inverse`, `pinv` and `whiten`.  The
+    extremes thus do not depend on which was asked first; the eigh's own
+    end eigenvalues may differ from them at rounding level.  Beside the
+    eigenvectors a spectrum keeps one n x n array, the pseudoinverse of h.
 
     Each decomposition is made block by block over `diagonal_blocks(h)`,
     a 1 x 1 block read off the diagonal: the direct sum of two frame
@@ -401,16 +405,11 @@ class Spectrum:
         if "pairs" not in self._shared:
             h = self._hermitian()
             n = h.shape[0]
-            offsets = diagonal_blocks(h)
-            if len(offsets) == 2 and n != 1:
-                vals, vecs = _eigenpairs(h, psd=False)
-            else:
-                vals, vecs = np.empty(n), np.zeros((n, n), dtype=complex)
-                for lo, hi in zip(offsets, offsets[1:]):
-                    if hi - lo == 1:
-                        vals[lo], vecs[lo, lo] = h[lo, lo].real, 1.0
-                    else:
-                        vals[lo:hi], vecs[lo:hi, lo:hi] = _eigenpairs(h[lo:hi, lo:hi], psd=False)
+            big, ones = _blocks(h)
+            vals, vecs = np.empty(n), np.zeros((n, n), dtype=complex)
+            for lo, hi in big:
+                vals[lo:hi], vecs[lo:hi, lo:hi] = _eigenpairs(h[lo:hi, lo:hi], psd=False)
+            vals[ones], vecs[ones, ones] = h.diagonal()[ones].real, 1.0
             self._shared["pairs"] = (frozen(vals), frozen(vecs))
         return self._shared["pairs"]
 
@@ -419,17 +418,13 @@ class Spectrum:
         """The least and the largest eigenvalue, from the one eigvalsh (one
         per block of `diagonal_blocks(h)`)."""
         if "extremes" not in self._shared:
-            parts = _blockwise(self._hermitian(), np.linalg.eigvalsh, np.real)
-            self._shared["extremes"] = SpectralInterval(
-                float(min(p.min() for p in parts)), float(max(p.max() for p in parts)))
+            h = self._hermitian()
+            big, ones = _blocks(h)
+            vals = np.concatenate(
+                [np.linalg.eigvalsh(h[lo:hi, lo:hi]) for lo, hi in big] + [h.diagonal()[ones].real])
+            self._shared["extremes"] = SpectralInterval(float(vals.min()), float(vals.max()))
         e, c = self._shared["extremes"], self.c
         return e if c == 1 else SpectralInterval(c * e.lambda_min, c * e.lambda_max)
-
-    @property
-    def condition(self) -> float:
-        """lambda_max / lambda_min; inf unless lambda_min > 0."""
-        e = self.extremes
-        return e.lambda_max / e.lambda_min if e.lambda_min > 0 else math.inf
 
     @property
     def eigenpairs(self):
@@ -502,34 +497,6 @@ class Spectrum:
         return y
 
 
-def _gram_top(r) -> float:
-    """lambda_max of r r* or r* r, whichever is smaller, block by block
-    (`diagonal_blocks`)."""
-    g = r @ r.conj().T if r.shape[0] <= r.shape[1] else r.conj().T @ r
-    if not g.size:
-        return 0.0
-    parts = _blockwise(g, lambda b: np.linalg.eigvalsh(b)[-1], np.real)
-    return max(max(float(np.max(p)) for p in parts), 0.0)
-
-
-def gram_norm(r) -> float:
-    """||r||_2 as the root of lambda_max(r r*): one product and one
-    eigvalsh, of the smaller Gram matrix, in place of an SVD; the top
-    eigenvalue keeps its relative accuracy.  Where ||r||_F^2 leaves
-    [2^-900, 2^900], r is first divided by its largest |entry|, so that
-    r r* neither overflows nor underflows; a non-finite entry is rejected
-    as `as_operator` rejects it."""
-    r = np.asarray(r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        frobenius_sq = float(np.vdot(r, r).real)
-    if 2.0**-900 <= frobenius_sq <= 2.0**900:
-        return math.sqrt(_gram_top(r))
-    top = float(np.abs(r).max(initial=0.0))
-    if not math.isfinite(top):
-        raise InvalidParameters("operator entries must be finite")
-    return top * math.sqrt(_gram_top(r / top)) if top > 0 else 0.0
-
-
 def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse with relative cutoff TOL_RANK."""
     a = as_operator(a)
@@ -580,7 +547,10 @@ class SingularExtremes(NamedTuple):
 
 
 def singular_extremes(a) -> SingularExtremes:
-    """Smallest and largest singular value of `a` from one SVD; (0, 0) when empty."""
+    """Smallest and largest singular value of `a` from one SVD; (0, 0) when
+    empty.  A number c standing for c I has (|c|, |c|) and takes no SVD."""
+    if isinstance(a, Number):
+        return SingularExtremes(abs(a), abs(a))
     s = np.linalg.svd(as_operator(a), compute_uv=False)
     if s.size == 0:
         return SingularExtremes(0.0, 0.0)
@@ -613,23 +583,20 @@ def require_conditioned(sigma: SingularExtremes, what: str = "operator") -> Sing
 def require_invertible(a, what: str = "operator") -> SingularExtremes:
     """Gate cond(a) <= COND_MAX and return the singular extremes of that SVD.
 
-    A non-square `a` counts as singular.  Callers read ||a|| and ||a^-1||
+    A non-square `a` counts as singular, and a number c standing for c I
+    has extremes (|c|, |c|) with no SVD.  Callers read ||a|| and ||a^-1||
     from the result instead of measuring `a` again.
     """
-    a = as_operator(a)
-    square = a.shape[0] == a.shape[1]
-    sigma = singular_extremes(a) if square else SingularExtremes(0.0, 0.0)
-    return require_conditioned(sigma, what)
-
-
-def hermitian_spectrum(a) -> SpectralInterval:
-    """Extreme eigenvalues of the Hermitian part (a + a*)/2, with no gate."""
-    return Spectrum(a).extremes
+    if not isinstance(a, Number):
+        a = as_operator(a)
+        if a.shape[0] != a.shape[1]:
+            return require_conditioned(SingularExtremes(0.0, 0.0), what)
+    return require_conditioned(singular_extremes(a), what)
 
 
 def hermitian_extremes(a) -> SpectralInterval:
     """Extreme eigenvalues of the Hermitian part of a (nearly) Hermitian matrix."""
-    return hermitian_spectrum(require_hermitian(a))
+    return Spectrum(require_hermitian(a)).extremes
 
 
 def commutator_residual(a, b, norm_a: float | None = None, norm_b: float | None = None) -> float:
@@ -672,7 +639,7 @@ def gen_rayleigh_extremes(a, b) -> SpectralInterval:
     w /= np.sqrt(vals[keep])
     whitened = w.conj().T @ ah @ w
     del vecs, w  # released before the eigensolver
-    return hermitian_spectrum(whitened)
+    return Spectrum(whitened).extremes
 
 
 def gen_rayleigh_min(a, b) -> float:

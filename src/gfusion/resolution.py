@@ -32,10 +32,10 @@ from .errors import (
 )
 from .frames import ControlPair, FrameEvaluation, FrameFamily, factor_sum
 from .linalg import (
+    Spectrum,
     adjoint,
     as_operator,
     commutator_residual,
-    hermitian_spectrum,
     opnorm,
     product,
     random_unit_columns,
@@ -210,7 +210,7 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     resolution = _resolution_report(fam.controlled(t, s_inv_u), len(fam))
     m = fam.controlled(product(s_inv, t), s_inv_u)
     a, b = ev.bounds.lambda_min, ev.bounds.lambda_max
-    spectrum = hermitian_spectrum(m)
+    spectrum = Spectrum(m).extremes
     lower, upper = spectrum.lambda_min, spectrum.lambda_max
     predicted_lower = a / (b * b)
     predicted_upper = b / (a * a)
@@ -289,7 +289,7 @@ def coercive_pair_check(
     if gamma_bessel_bound is not None:  # a divisor
         require_finite_positive("gamma_bessel_bound", gamma_bessel_bound)
     # S_swapped = S_pair*, and both have the same Hermitian part
-    spectrum = hermitian_spectrum(pair.matrix)
+    spectrum = Spectrum(pair.matrix).extremes
     m = spectrum.lambda_min
     if gamma_bessel_bound is None:
         gamma_bessel_bound = FrameEvaluation(

@@ -1,10 +1,11 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from gfusion import serialize
+from gfusion import linalg, serialize
 from gfusion.frames import ControlPair, FrameFamily
 from gfusion.linalg import Subspace, orth
 
@@ -91,19 +92,27 @@ def record_eigvalsh_inputs(monkeypatch):
     return seen
 
 
-def record_spectral_inputs(monkeypatch):
-    """`record_svd_inputs`, which also receives the matrix of each spectral
-    norm np.linalg.norm(x, 2): numpy computes that norm by an SVD of x."""
-    seen = record_svd_inputs(monkeypatch)
-    norm = np.linalg.norm
+def record_opnorm_inputs(monkeypatch, seen=None):
+    """A list (`seen`, or a new one) that receives a copy of every matrix
+    passed to `linalg.opnorm`, from whichever package module calls it."""
+    seen = [] if seen is None else seen
+    opnorm = linalg.opnorm
 
-    def recording(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) == 2:
-            seen.append(np.array(x))
-        return norm(x, ord, *args, **kwargs)
+    def recording(a):
+        seen.append(np.array(a))
+        return opnorm(a)
 
-    monkeypatch.setattr(np.linalg, "norm", recording)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gfusion") and getattr(module, "opnorm", None) is opnorm:
+            monkeypatch.setattr(module, "opnorm", recording)
     return seen
+
+
+def record_spectral_inputs(monkeypatch):
+    """One list that receives a copy of every matrix whose singular values
+    the package measures: each input of np.linalg.svd (the gates'
+    `singular_extremes`) and of `linalg.opnorm` (every other norm)."""
+    return record_opnorm_inputs(monkeypatch, record_svd_inputs(monkeypatch))
 
 
 JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')

@@ -57,6 +57,23 @@ def spectral(call):
     return any(isinstance(o, ast.Constant) and o.value == 2 for o in ords)
 
 
+# The functions that may take an SVD: the gates' singular extremes, and the
+# bases and pseudoinverses of possibly rank-deficient matrices.
+SVD_HOMES = ("singular_extremes", "orth", "pinv")
+
+
+def stray_norms(source):
+    """Line numbers of the spectral norms norm(x, 2), and of the svd calls
+    outside the module-level functions named in SVD_HOMES."""
+    homes = [
+        (node.lineno, node.end_lineno) for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in SVD_HOMES
+    ]
+    svds = [line for line in call_lines(source, {"svd"})
+            if not any(lo <= line <= hi for lo, hi in homes)]
+    return sorted(call_lines(source, {"norm"}, spectral) + svds)
+
+
 def operator_products(source):
     """Line numbers of the products `x @ y` whose left operand names an item
     operator (an identifier that starts with "lam")."""
@@ -274,7 +291,7 @@ RULES = {
     ),
     "eigensolver": Rule(
         lambda: sites(calls("eigh", "eigvalsh"), skip="linalg.py"),
-        "take spectra, roots and S^+ through linalg (Spectrum, factored_sqrt, gram_norm)",
+        "take spectra, roots, S^+ and norms through linalg (Spectrum, factored_sqrt, opnorm)",
         ((calls("eigh", "eigvalsh"),
           "v = eigvalsh(h)\nw, q = np.linalg.eigh(h)\neigh = 1\n", [1, 2]),),
     ),
@@ -285,6 +302,13 @@ RULES = {
         ((calls("svd"), SINGULAR_SNIPPET, [1, 2]),
          (calls("norm", where=spectral), SINGULAR_SNIPPET, [3, 4]),
          (calls("inv"), SINGULAR_SNIPPET, [6, 6])),
+    ),
+    "one_norm": Rule(
+        lambda: sites(stray_norms),
+        "measure ||a||_2 with linalg.opnorm; an SVD only in " + ", ".join(SVD_HOMES),
+        ((stray_norms, SINGULAR_SNIPPET, [1, 2, 3, 4]),
+         (stray_norms,
+          "def orth(a):\n    return svd(a)\n\n\ndef opnorm(a):\n    return svd(a)[1][0]\n", [6])),
     ),
     "inverse": Rule(
         inverse_sites,

@@ -2,7 +2,7 @@
 
 A square matrix whose off-diagonal blocks are exactly zero is decomposed
 block by block (`linalg.diagonal_blocks`), its 1 x 1 blocks read off the
-diagonal: `Spectrum`, `opnorm` and `gram_norm` agree with numpy's
+diagonal: `Spectrum` and `opnorm` agree with numpy's
 whole-matrix computations, and the direct sum of two families is never
 decomposed whole.  An exactly Hermitian S takes its norm from its spectrum,
 a sum operator r = c I in `sum_transform` is applied as the number c, and a
@@ -18,10 +18,10 @@ from gfusion import constructions, frames, linalg
 from gfusion import tolerances as tol
 from gfusion.constructions import direct_sum_frame, sum_transform
 from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily
-from gfusion.linalg import Spectrum, Subspace, diagonal_blocks, dsum_op, gram_norm, opnorm
+from gfusion.linalg import Spectrum, Subspace, diagonal_blocks, dsum_op, opnorm
 from gfusion.resolution import coercive_pair_check, pair_frame_operator
 
-from conftest import complex_gaussian, random_family, well_conditioned
+from conftest import complex_gaussian, random_family, record_opnorm_inputs, well_conditioned
 
 RTOL = 1e-13
 DECOMPOSITIONS = ("svd", "eigh", "eigvalsh", "qr", "inv")
@@ -151,7 +151,7 @@ def test_block_readings_match_whole_matrix_numpy(seed, sizes, zero, hermitian, p
 
     norm = np.linalg.norm(a, 2)
     assert close(opnorm(a), norm, norm)
-    assert close(gram_norm(a), norm, norm)
+    assert close(opnorm(a[:, 1:]), np.linalg.norm(a[:, 1:], 2), norm)
 
     pinv = np.linalg.pinv(h, rcond=tol.TOL_RANK, hermitian=True)
     scale = max(np.abs(pinv).max(), 1e-300)
@@ -299,8 +299,9 @@ class TestNormFromSpectrum:
             ev = FrameEvaluation(fam, cp)
             assert not ev.skew.any()
             svd = count(monkeypatch, np.linalg, "svd")
+            norms = record_opnorm_inputs(monkeypatch)
             norm = ev.norm
-            assert svd == []
+            assert svd == [] and norms == []
             monkeypatch.undo()
             b = ev.bounds
             assert norm == max(abs(b.lambda_min), abs(b.lambda_max))
@@ -331,6 +332,32 @@ class TestScalarDirectSum:
         assert (cp.t_sigma is cp.u_sigma) == np.array_equal(dense.t, dense.u)
         assert cp.scale == dense.scale
         assert np.array_equal(cp.t, dense.t) and np.array_equal(cp.u, dense.u)
+
+    @pytest.mark.parametrize("kinds", [
+        ("dense t = u", "dense t = u"), ("dense", "dense"), ("dense t = u", "scalar"),
+        ("scalar", "dense"), ("dense t = u", "scalar t = u"),
+    ])
+    def test_dense_sides_read_no_sum(self, rng, monkeypatch, kinds):
+        # any mix of dense and scalar pairs: the sum's t = u test and sides
+        # come from the two pairs, with no scan or comparison of the sums
+        def make(kind, n):
+            c = well_conditioned(rng, n)
+            return {"dense t = u": lambda: ControlPair(c, c.copy()),
+                    "dense": lambda: ControlPair(c, well_conditioned(rng, n)),
+                    "scalar": lambda: ControlPair.scalars(n, 0.5, 1.5),
+                    "scalar t = u": lambda: ControlPair.scalars(n, 2.0, 2.0)}[kind]()
+
+        h, x = make(kinds[0], 2), make(kinds[1], 3)
+        scans = count(monkeypatch, frames, "scalar_multiple")
+        equal = count(monkeypatch, np, "array_equal")
+        cp = ControlPair.direct_sum(h, x)
+        assert scans == [] and equal == []
+        monkeypatch.undo()
+        dense = ControlPair(dsum_op(h.t, x.t), dsum_op(h.u, x.u))
+        for side, ref in ((cp.t_side, dense.t_side), (cp.u_side, dense.u_side)):
+            assert type(side) is type(ref) and np.array_equal(side, ref)
+        assert (cp.t_sigma is cp.u_sigma) == (dense.t_sigma is dense.u_sigma)
+        assert (cp.u_side is cp.t_side) == (dense.u_side is dense.t_side)
 
 
 def test_coercivity_needs_m_above_the_psd_floor():

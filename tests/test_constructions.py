@@ -14,13 +14,21 @@ from gfusion.errors import (
     WeightMismatch,
 )
 from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily, frame_operator, kgf_bounds
-from gfusion.linalg import Subspace, commutator_residual, dsum_op, opnorm, projector
+from gfusion.linalg import (
+    Subspace,
+    commutator_residual,
+    dsum_op,
+    opnorm,
+    projector,
+    singular_extremes,
+)
 
 from conftest import (
     complex_gaussian,
     random_family,
     record_eigvalsh_inputs,
     record_spectral_inputs,
+    record_svd_inputs,
     scaled_partition_family,
     well_conditioned,
 )
@@ -327,10 +335,14 @@ class TestHeldNorms:
         assert count_equal(seen, r.conj().T) == 0
         monkeypatch.undo()
         certs = dict(rep.hypothesis_certificates)
-        norm_r = opnorm(r)
-        assert certs["k_commutes_with_sum"] == commutator_residual(k, r)
-        assert certs["sum_adjoint_commutes_with_t"] == commutator_residual(r.conj().T, cp.t, norm_r)
-        assert certs["sum_adjoint_commutes_with_u"] == commutator_residual(r.conj().T, cp.u, norm_r)
+        # each certificate is the residual of the held norms
+        norm_r, norm_t, norm_u = (singular_extremes(x).sigma_max for x in (r, cp.t, cp.u))
+        assert (norm_t, norm_u) == (cp.t_sigma.sigma_max, cp.u_sigma.sigma_max)
+        assert certs["k_commutes_with_sum"] == commutator_residual(k, r, None, norm_r)
+        assert certs["sum_adjoint_commutes_with_t"] == commutator_residual(
+            r.conj().T, cp.t, norm_r, norm_t)
+        assert certs["sum_adjoint_commutes_with_u"] == commutator_residual(
+            r.conj().T, cp.u, norm_r, norm_u)
 
     def test_conjugate_transform(self, rng, monkeypatch):
         famH = random_family(rng, 3, 2)
@@ -351,14 +363,20 @@ class TestHeldNorms:
             assert count_equal(seen, x) == 0
         monkeypatch.undo()
         certs = dict(rep.hypothesis_certificates)
+        # each certificate is the residual of the held norms
         w_adj, v_adj = w.conj().T, v.conj().T
-        norm_w, norm_v = opnorm(w), opnorm(v)
-        assert certs["w_adjoint_commutes_with_t"] == commutator_residual(w_adj, cpH.t, norm_w)
-        assert certs["w_adjoint_commutes_with_t1"] == commutator_residual(w_adj, cpH.u, norm_w)
-        assert certs["v_adjoint_commutes_with_u"] == commutator_residual(v_adj, cpX.t, norm_v)
-        assert certs["v_adjoint_commutes_with_u1"] == commutator_residual(v_adj, cpX.u, norm_v)
-        assert certs["k_h_commutes_with_w"] == commutator_residual(kH, w)
-        assert certs["k_x_commutes_with_v"] == commutator_residual(kX, v)
+        norm_w, norm_v = singular_extremes(w).sigma_max, singular_extremes(v).sigma_max
+        norm_h, norm_x = cpH.t_sigma.sigma_max, cpX.t_sigma.sigma_max  # t = u in both pairs
+        assert certs["w_adjoint_commutes_with_t"] == commutator_residual(
+            w_adj, cpH.t, norm_w, norm_h)
+        assert certs["w_adjoint_commutes_with_t1"] == commutator_residual(
+            w_adj, cpH.u, norm_w, norm_h)
+        assert certs["v_adjoint_commutes_with_u"] == commutator_residual(
+            v_adj, cpX.t, norm_v, norm_x)
+        assert certs["v_adjoint_commutes_with_u1"] == commutator_residual(
+            v_adj, cpX.u, norm_v, norm_x)
+        assert certs["k_h_commutes_with_w"] == commutator_residual(kH, w, None, norm_w)
+        assert certs["k_x_commutes_with_v"] == commutator_residual(kX, v, None, norm_v)
 
 
 class TestNotBessel:
@@ -431,7 +449,7 @@ class TestDirectSumControl:
         ])
         cpH, cpX = ControlPair.scalars(3, 0.5, 0.5), ControlPair.scalars(4, 2.0, 2.0)
         s_h, s_x = frame_operator(famH, cpH), frame_operator(famX, cpX)
-        svds, eigs = record_spectral_inputs(monkeypatch), record_eigvalsh_inputs(monkeypatch)
+        svds, eigs = record_svd_inputs(monkeypatch), record_eigvalsh_inputs(monkeypatch)
         rep = direct_sum_frame(famH, cpH, np.eye(3), famX, cpX, np.eye(4))
         seen = svds + eigs
         assert seen

@@ -50,6 +50,7 @@ from conftest import (
     random_subspace,
     random_unit,
     record_eigvalsh_inputs,
+    record_opnorm_inputs,
     record_spectral_inputs,
     record_svd_inputs,
     scalar_controls,
@@ -325,15 +326,18 @@ class TestAtomic:
         assert rep.coefficient_map is first and len(calls) == 1
 
     def test_atomic_norms_take_no_svd(self, rng, monkeypatch):
-        # ||k||_2, ||k - S||_2 and ||T_C L - k||_2 are each the root of the
-        # top eigenvalue of R R*: no SVD and no spectral np.linalg.norm
+        # ||k||_2, ||k - S||_2 and ||T_C L - k||_2 are each `opnorm`'s, the
+        # root of the top eigenvalue of R R*: no SVD
         fam = random_family(rng, 5, 3)
         cp = scalar_controls(rng, 5)
         k = complex_gaussian(rng, 5, 5)
         s = frame_operator(fam, cp)
-        seen = record_spectral_inputs(monkeypatch)
+        svd = record_svd_inputs(monkeypatch)
+        norms = record_opnorm_inputs(monkeypatch)
         rep = atomic_check(fam, cp, k)
-        assert seen == []
+        assert svd == []
+        assert sum(np.array_equal(a, k) for a in norms) == 1
+        assert sum(np.array_equal(a, k - s) for a in norms) == 1
         monkeypatch.undo()
         ref = np.linalg.norm(k - s, 2) / np.linalg.norm(k, 2)
         assert rep.literal_residual == pytest.approx(ref, rel=1e-13)
@@ -505,6 +509,40 @@ class TestDouglasKgf:
         a, _, ok = kgf_bounds(fam, cp, k)
         assert not ok and a < 0
         assert a == gen_rayleigh_min(0.5 * (s + s.conj().T), k @ k.conj().T)
+
+    def test_indefinite_s_with_a_zero_k_has_no_lower_bound(self, rng):
+        # under scalars(n, -1, 1), S = -F is not PSD, and a zero k leaves the
+        # quotient no denominator: a_opt is 0.0, not the +inf of a PSD S
+        fam = random_family(rng, 4, 3)
+        cp = ControlPair.scalars(4, -1.0, 1.0)
+        s = frame_operator(fam, cp)
+        a, b, ok = kgf_bounds(fam, cp, np.zeros((4, 4)))
+        assert (a, ok) == (0.0, False)
+        assert b == pytest.approx(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[-1], rel=1e-12)
+        assert kgf_bounds(fam, ControlPair.identity(4), np.zeros((4, 4)))[0] == math.inf
+
+
+class TestInverseBeyondTheRankCutoff:
+    """Under TOL_RANK = 1e-6, a frame of condition 2e7 has an eigenvalue
+    that the pseudoinverse cuts; S^-1 keeps every eigenvalue."""
+
+    VALS = np.array([1e-7, 0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_inverse_keeps_what_pinv_cuts(self, rng, rotated):
+        q = np.linalg.qr(complex_gaussian(rng, 4, 4))[0] if rotated else np.eye(4)
+        lam = np.sqrt(self.VALS)[:, None] * q.conj().T  # F = q diag(VALS) q*
+        fam = FrameFamily(4, [(Subspace.full(4), lam, 1.0)])
+        with tol.override(tol_rank=1e-6):
+            ev = FrameEvaluation(fam, ControlPair.identity(4))
+            assert ev.is_frame
+            inverse, pinv = ev.inverse, ev.spectrum.pinv
+        s = ev.s
+        np.testing.assert_allclose(inverse @ s, np.eye(4), atol=1e-8)
+        # the pseudoinverse drops the least eigenvalue: it inverts S only on
+        # the other three eigenvectors
+        low = q[:, :1]
+        np.testing.assert_allclose(pinv @ s, np.eye(4) - low @ low.conj().T, atol=1e-8)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

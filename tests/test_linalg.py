@@ -25,9 +25,8 @@ from gfusion.linalg import (
     dsum_op,
     dsum_subspace,
     gen_rayleigh_min,
-    gram_norm,
     hermitian_extremes,
-    hermitian_spectrum,
+    opnorm,
     orth,
     pinv,
     positive_sqrt,
@@ -41,7 +40,7 @@ from gfusion.linalg import (
     subspace_image,
 )
 
-from conftest import complex_gaussian, random_subspace, random_unit
+from conftest import complex_gaussian, random_subspace, random_unit, record_opnorm_inputs
 
 
 class TestPositiveSqrt:
@@ -221,15 +220,17 @@ class TestHermitianExtremes:
 
 
 class TestHermitianSpectrum:
+    """`Spectrum(a).extremes`: the extremes of the Hermitian part, with no gate."""
+
     def test_no_gate(self):
         # the Hermitian part of [[0, 1], [0, 0]] has eigenvalues -1/2, 1/2
-        ext = hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        ext = Spectrum(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)).extremes
         assert (ext.lambda_min, ext.lambda_max) == (-0.5, 0.5)
 
     def test_matches_gated_extremes(self, rng):
         b = complex_gaussian(rng, 6, 6)
         h = 0.5 * (b + b.conj().T)
-        assert hermitian_spectrum(h) == hermitian_extremes(h)
+        assert Spectrum(h).extremes == hermitian_extremes(h)
 
 
 def test_zero_spectrum_norm_is_positive_zero(rng):
@@ -272,7 +273,7 @@ class TestSpectrum:
         first = Spectrum(h)
         assert first.extremes == ref
         assert calls == {"eigh": 0, "eigvalsh": 1}
-        first.inverse, first.pinv, first.whiten(np.eye(5)), first.condition
+        first.inverse, first.pinv, first.whiten(np.eye(5)), first.psd
         assert first.extremes == ref
         assert calls == {"eigh": 1, "eigvalsh": 1}
         second = Spectrum(h)
@@ -286,13 +287,13 @@ class TestSpectrum:
         spec = Spectrum(h)
         k = complex_gaussian(rng, 5, 5)
         w = spec.whiten(k)
-        extremes, inverse, pinv_h, condition = spec.extremes, spec.inverse, spec.pinv, spec.condition
+        extremes, inverse, pinv_h, psd = spec.extremes, spec.inverse, spec.pinv, spec.psd
         # the eigvalsh is the extremes' own
         assert calls == {"eigh": 1, "eigvalsh": 1, "inv": 0}
         monkeypatch.undo()
         assert extremes.lambda_min == pytest.approx(0.5, rel=1e-13)
         assert extremes.lambda_max == pytest.approx(8.0, rel=1e-13)
-        assert condition == pytest.approx(16.0, rel=1e-13)
+        assert psd
         np.testing.assert_allclose(inverse, np.linalg.inv(h), atol=1e-13)
         np.testing.assert_allclose(pinv_h, np.linalg.inv(h), atol=1e-13)
         np.testing.assert_allclose(w.conj().T @ w, k.conj().T @ np.linalg.inv(h) @ k, atol=1e-12)
@@ -309,7 +310,7 @@ class TestSpectrum:
         assert scaled.extremes.lambda_max == 2.5 * spec.extremes.lambda_max
         assert scaled.scaled(2.0).extremes.lambda_min == 5.0 * spec.extremes.lambda_min
         np.testing.assert_allclose(scaled.inverse, spec.inverse / 2.5, atol=1e-15)
-        assert scaled.condition == pytest.approx(spec.condition, rel=1e-15)
+        assert scaled.extremes.lambda_min == 2.5 * spec.extremes.lambda_min
         assert calls == {"eigh": 0, "eigvalsh": 0}
         assert not vecs.flags.writeable
 
@@ -340,34 +341,36 @@ class TestSpectrum:
         assert np.linalg.norm(w, 2) ** 2 == pytest.approx(1e5, rel=1e-6)
         assert spec.whiten(k + 1e-6 * q[:, 2:] @ q[:, 2:].conj().T) is None
 
-    def test_condition_of_a_singular_matrix_is_inf(self):
-        assert Spectrum(np.diag([0.0, 1.0]).astype(complex)).condition == math.inf
-
 
 class TestGramNorm:
+    """`opnorm` takes the Gram route: the root of the top eigenvalue of the
+    smaller of r r* and r* r, one eigvalsh and no SVD."""
+
     def test_matches_the_spectral_norm(self, rng):
-        for shape in ((5, 5), (3, 7), (7, 3)):
+        for shape in ((5, 5), (3, 7), (7, 3), (1, 6), (6, 1), (1, 1)):
             r = complex_gaussian(rng, *shape)
-            assert gram_norm(r) == pytest.approx(np.linalg.norm(r, 2), rel=1e-14)
+            assert opnorm(r) == pytest.approx(np.linalg.norm(r, 2), rel=1e-14)
 
     def test_no_svd(self, rng, monkeypatch):
-        calls = count_calls(monkeypatch, "svd")
-        gram_norm(complex_gaussian(rng, 6, 6))
-        assert calls == {"svd": 0}
+        calls = count_calls(monkeypatch, "svd", "eigvalsh")
+        for shape in ((6, 6), (3, 7), (7, 3)):
+            opnorm(complex_gaussian(rng, *shape))
+        assert calls == {"svd": 0, "eigvalsh": 3}
 
     @pytest.mark.parametrize("scale", [1e-170, 1e170])
     def test_scaled_out_of_overflow_and_underflow(self, rng, scale):
         r = complex_gaussian(rng, 4, 4)
-        assert gram_norm(scale * r) == pytest.approx(scale * np.linalg.norm(r, 2), rel=1e-14)
+        assert opnorm(scale * r) == pytest.approx(scale * np.linalg.norm(r, 2), rel=1e-14)
 
     def test_empty_and_zero(self):
-        assert gram_norm(np.zeros((3, 3))) == 0.0
-        assert gram_norm(np.zeros((3, 0))) == 0.0
-        assert gram_norm(np.zeros((0, 3))) == 0.0
+        assert opnorm(np.zeros((3, 3))) == 0.0
+        assert opnorm(np.zeros((3, 0))) == 0.0
+        assert opnorm(np.zeros((0, 3))) == 0.0
+        assert opnorm(np.zeros((0, 0))) == 0.0
 
     def test_non_finite_entries_are_bad_input(self):
         with pytest.raises(InvalidParameters, match="must be finite"):
-            gram_norm(np.array([[np.inf, 1.0]]))
+            opnorm(np.array([[np.inf, 1.0]]))
 
 
 class TestSingularExtremes:
@@ -452,15 +455,20 @@ class TestCommutatorResidual:
         assert commutator_residual(a, a.T) == pytest.approx(1.0, rel=1e-15)
         assert commutator_residual(2.0 * a, a.T) == pytest.approx(1.0, rel=1e-15)
 
-    def test_held_norms_replace_measured_ones(self, rng):
+    def test_held_norms_replace_measured_ones(self, rng, monkeypatch):
         a = complex_gaussian(rng, 4, 4)
         b = complex_gaussian(rng, 4, 4)
-        na, nb = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
+        na, nb = opnorm(a), opnorm(b)
         ref = commutator_residual(a, b)
+        seen = record_opnorm_inputs(monkeypatch)
         assert commutator_residual(a, b, na, nb) == ref
         assert commutator_residual(a, b, na, None) == ref
         assert commutator_residual(a, b, None, nb) == ref
         assert commutator_residual(a, b, 2.0 * na, nb) == pytest.approx(ref / 2.0, rel=1e-15)
+        # a held norm is not measured again: a once, b once, and each commutator
+        assert [np.array_equal(x, a) for x in seen].count(True) == 1
+        assert [np.array_equal(x, b) for x in seen].count(True) == 1
+        assert len(seen) == 6
 
 
 class TestDirectSumExtremes:

@@ -9,7 +9,7 @@ from gfusion.errors import (
     NotAFrame,
 )
 from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily, cross_terms, frame_operator
-from gfusion.linalg import Subspace, commutator_residual, projector
+from gfusion.linalg import Subspace, commutator_residual, opnorm, projector
 from gfusion.resolution import (
     NO_TERMS,
     CanonicalResolutions,
@@ -181,9 +181,8 @@ class TestInverseCommutation:
         assert sum(np.array_equal(a, s_inv) for a in seen) == 1
         assert not any(np.array_equal(a, cp.t) or np.array_equal(a, cp.u) for a in seen)
         monkeypatch.undo()
-        assert rep.commutation_residual == max(
-            commutator_residual(s_inv, cp.t), commutator_residual(s_inv, cp.u)
-        )
+        norm_s_inv, norm_t = opnorm(s_inv), cp.t_sigma.sigma_max  # t = u
+        assert rep.commutation_residual == commutator_residual(s_inv, cp.t, norm_s_inv, norm_t)
 
     def test_scalar_controls_take_no_norm_of_the_inverse(self, rng, monkeypatch):
         # c I commutes with S^-1, so ||S^-1|| is never read
