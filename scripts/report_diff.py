@@ -1,10 +1,10 @@
 """Differences between the CLI reports of two checkouts on a grid of inputs.
 
-    python3 scripts/report_diff.py --parent DIR --change DIR [--work DIR] \
-        [--dims 1 2 6 16] [--seeds 1 7] [--items 3]
+    python3 scripts/report_diff.py --parent DIR --change DIR [--work DIR]
 
-The grid is every structure of `gfusion.generate.STRUCTURES` at each dim
-and seed, with min(items, dim) items.  Each point is 14 runs:
+The grid is every structure of the parent's `gfusion.generate.STRUCTURES`
+at each dim of `DIMS` and seed of `SEEDS`, with min(ITEMS, dim) items: 448
+runs for four structures.  Each point is 14 runs:
 `gfusion random`, then 13 report commands on its files: check-frame,
 bounds, atomic, resolutions, thm 4.1, 4.2, 4.4, perturb (defaults, and
 lambda1 = 0.3, lambda2 = 0.1), pair-op, and construct direct-sum,
@@ -38,12 +38,15 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 
-STRUCTURES = ("generic", "scalar-controls", "parseval", "near-identity-pair")
+DIMS = (1, 2, 6, 16)
+SEEDS = (1, 7)
+ITEMS = 3
 ERROR_PREFIXES = ("error:", "verification error:")
 
 
@@ -106,6 +109,15 @@ def run_child(plan_path: str) -> None:
         json.dump(log, fh)
 
 
+def structures(root: str) -> list:
+    """`gfusion.generate.STRUCTURES` of the checkout at `root`."""
+    code = "from gfusion.generate import STRUCTURES; print(*STRUCTURES)"
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(root), "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.split()
+
+
 def run_grid(root: str, runs: list, log_path: str, plan_path: str) -> dict:
     with open(plan_path, "w") as fh:
         json.dump({"root": os.path.abspath(root), "runs": runs, "log": log_path}, fh)
@@ -143,15 +155,15 @@ def compare_reports(a: dict, b: dict, moved: dict, command: str) -> bool:
         per_field[f"{command} (structure)"] = None
     else:
         for (path, x), (_, y) in zip(la, lb):
-            if x == y and type(x) is type(y):
+            if x == y and isinstance(x, bool) == isinstance(y, bool):
                 continue
             key = f"{command} {path}"
+            rel = None  # `changed`: not two numbers, or a move to or from inf or nan
             if is_number(x) and is_number(y) and not path.endswith("#len"):
                 rel = abs(x - y) / max(abs(x), abs(y))
-                if per_field.get(key, 0.0) is not None:
-                    per_field[key] = max(per_field.get(key, 0.0), rel)
-            else:
-                per_field[key] = None
+                rel = rel if math.isfinite(rel) else None
+            prev = per_field.get(key, 0.0)
+            per_field[key] = None if rel is None or prev is None else max(prev, rel)
     for key, rel in per_field.items():
         entry = moved.setdefault(key, [0, 0.0])
         entry[0] += 1
@@ -164,9 +176,6 @@ def main(argv=None) -> int:
     ap.add_argument("--parent")
     ap.add_argument("--change")
     ap.add_argument("--work", default=None, help="directory for the runs (default: a temp dir)")
-    ap.add_argument("--dims", type=int, nargs="+", default=[1, 2, 6, 16])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
-    ap.add_argument("--items", type=int, default=3)
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
@@ -177,12 +186,12 @@ def main(argv=None) -> int:
     work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="report_diff-"))
     shared = os.path.join(work, "shared")
     os.makedirs(shared, exist_ok=True)
-    for dim in args.dims:
+    for dim in DIMS:
         re = [0.5 if i % (dim + 1) == 0 else 0.0 for i in range(dim * dim)]
         with open(os.path.join(shared, f"half{dim}.json"), "w") as fh:
             json.dump({"rows": dim, "cols": dim, "re": re, "im": [0.0] * (dim * dim)}, fh)
 
-    points = [(s, d, seed) for s in STRUCTURES for d in args.dims for seed in args.seeds]
+    points = [(s, d, seed) for s in structures(args.parent) for d in DIMS for seed in SEEDS]
     logs = {"parent": {}, "change": {}}
     # the instance files first, so that the report runs see which files
     # the parent's structure writes
@@ -194,7 +203,7 @@ def main(argv=None) -> int:
                 if phase == "random":
                     runs.append((f"{point} random", [
                         "random", "--seed", str(seed), "--dim", str(d), "--items",
-                        str(min(args.items, d)), "--structure", s,
+                        str(min(ITEMS, d)), "--structure", s,
                         "--out", os.path.join(work, side, "inputs", point)]))
                     continue
                 inst = os.path.join(work, "parent", "inputs", point)

@@ -169,13 +169,14 @@ def _blocks(a):
 
 
 def opnorm(a) -> float:
-    """||a||_2, of any shape, as the root of lambda_max(a a*): one product
-    and one eigvalsh, of the smaller Gram matrix (a a* or a* a), per block
-    of its `diagonal_blocks`, in place of an SVD; the top eigenvalue keeps
-    its relative accuracy.  Zero-size matrices have norm 0.  Where
-    ||a||_F^2 leaves [2^-900, 2^900], a is first divided by its largest
-    |entry|, so that a a* neither overflows nor underflows; a non-finite
-    entry is rejected as `as_operator` rejects it."""
+    """||a||_2, of any shape, as the root of the top eigvalsh of a Gram
+    matrix, in place of an SVD; the top eigenvalue keeps its relative
+    accuracy.  A square `a` is split first (`diagonal_blocks`): b b* per
+    block b, |a_ii|^2 for a 1 x 1 block.  Any other `a` is measured by its
+    smaller Gram matrix (a a* or a* a), split the same way.  Zero-size
+    matrices have norm 0.  Where ||a||_F^2 leaves [2^-900, 2^900], a is
+    first divided by its largest |entry|, so that no Gram matrix overflows
+    or underflows; a non-finite entry is rejected as `as_operator` does."""
     a = np.asarray(a)
     with np.errstate(over="ignore", invalid="ignore"):
         frobenius_sq = float(np.vdot(a, a).real)
@@ -187,10 +188,14 @@ def opnorm(a) -> float:
         if top == 0:
             return 0.0
         a = a / top
-    g = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
-    big, ones = _blocks(g)
-    tops = [np.linalg.eigvalsh(g[lo:hi, lo:hi])[-1] for lo, hi in big]
-    return top * math.sqrt(max(0.0, *tops, *g.diagonal()[ones].real))
+    gram = a.shape[0] != a.shape[1]
+    if gram:
+        a = a @ a.conj().T if a.shape[0] < a.shape[1] else a.conj().T @ a
+    big, ones = _blocks(a)
+    tops = [np.linalg.eigvalsh(b if gram else b @ b.conj().T)[-1]
+            for b in (a[lo:hi, lo:hi] for lo, hi in big)]
+    diag = np.abs(a.diagonal()[ones])
+    return top * math.sqrt(max(0.0, *tops, (diag if gram else diag * diag).max(initial=0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,10 +411,13 @@ class Spectrum:
             h = self._hermitian()
             n = h.shape[0]
             big, ones = _blocks(h)
-            vals, vecs = np.empty(n), np.zeros((n, n), dtype=complex)
-            for lo, hi in big:
-                vals[lo:hi], vecs[lo:hi, lo:hi] = _eigenpairs(h[lo:hi, lo:hi], psd=False)
-            vals[ones], vecs[ones, ones] = h.diagonal()[ones].real, 1.0
+            if big == [(0, n)]:  # one block: eigh's own arrays, with no copy
+                vals, vecs = _eigenpairs(h, psd=False)
+            else:
+                vals, vecs = np.empty(n), np.zeros((n, n), dtype=complex)
+                for lo, hi in big:
+                    vals[lo:hi], vecs[lo:hi, lo:hi] = _eigenpairs(h[lo:hi, lo:hi], psd=False)
+                vals[ones], vecs[ones, ones] = h.diagonal()[ones].real, 1.0
             self._shared["pairs"] = (frozen(vals), frozen(vecs))
         return self._shared["pairs"]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +41,13 @@ from gfusion.linalg import (
     subspace_image,
 )
 
-from conftest import complex_gaussian, random_subspace, random_unit, record_opnorm_inputs
+from conftest import (
+    complex_gaussian,
+    random_subspace,
+    random_unit,
+    record_eigvalsh_inputs,
+    record_opnorm_inputs,
+)
 
 
 class TestPositiveSqrt:
@@ -343,8 +350,9 @@ class TestSpectrum:
 
 
 class TestGramNorm:
-    """`opnorm` takes the Gram route: the root of the top eigenvalue of the
-    smaller of r r* and r* r, one eigvalsh and no SVD."""
+    """`opnorm` takes the Gram route: the root of the top eigenvalue of a
+    Gram matrix (a square r's blocks' b b*, else the smaller of r r* and
+    r* r), one eigvalsh per block and no SVD."""
 
     def test_matches_the_spectral_norm(self, rng):
         for shape in ((5, 5), (3, 7), (7, 3), (1, 6), (6, 1), (1, 1)):
@@ -356,6 +364,29 @@ class TestGramNorm:
         for shape in ((6, 6), (3, 7), (7, 3)):
             opnorm(complex_gaussian(rng, *shape))
         assert calls == {"svd": 0, "eigvalsh": 3}
+
+    def test_square_blocks_are_split_before_any_product(self, rng, monkeypatch):
+        """A square `a` is measured block by block, each block's own Gram
+        matrix, and a diagonal `a` by |a_ii| with no eigvalsh at all."""
+        seen = record_eigvalsh_inputs(monkeypatch)
+        d = np.array([0.5, -3.0 + 4.0j, 2.0])
+        assert opnorm(np.diag(d)) == 5.0
+        big = np.diag(np.linspace(1.0, 2.0, 256) + 0j)
+        tracemalloc.start()
+        try:
+            assert opnorm(big) == 2.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes / 4  # no n x n product
+        assert seen == []
+        b1, b2 = complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 2)
+        a = np.zeros((6, 6), dtype=complex)
+        a[:3, :3], a[3, 3], a[4:, 4:] = b1, 0.25, b2
+        want = max(np.linalg.norm(b1, 2), np.linalg.norm(b2, 2))
+        assert opnorm(a) == pytest.approx(want, rel=1e-14)
+        assert [m.shape for m in seen] == [(3, 3), (2, 2)]
+        np.testing.assert_array_equal(seen[0], b1 @ b1.conj().T)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e170])
     def test_scaled_out_of_overflow_and_underflow(self, rng, scale):
