@@ -3,15 +3,18 @@
     python3 scripts/report_diff.py --parent DIR --change DIR [--work DIR]
 
 The grid is every structure of the parent's `gfusion.generate.STRUCTURES`
-at each dim of `DIMS` and seed of `SEEDS`, with min(ITEMS, dim) items: 448
-runs for four structures.  Each point is 14 runs:
+at each dim of `DIMS` and seed of `SEEDS`, with min(ITEMS, dim) items, and
+the fixed `fourier-demo` runs of `FOURIER_DEMOS`: 450 runs for four
+structures.  Each point is 14 runs:
 `gfusion random`, then 13 report commands on its files: check-frame,
 bounds, atomic, resolutions, thm 4.1, 4.2, 4.4, perturb (defaults, and
 lambda1 = 0.3, lambda2 = 0.1), pair-op, and construct direct-sum,
 sum-transform and conjugate of the family with its second family (the
 family itself where the structure has none), with `--v k.json` (dense) and
 `--w` = 0.5 I (a number).  Pair commands read `pair_control.json` where
-the structure writes one, else `control.json`.
+the structure writes one, else `control.json`.  The `fourier-demo` runs
+read no instance file; they sample the Fourier family through
+`frame_sum`, whose runs of items of one shape take one product each.
 
 Each checkout runs the grid in two child processes, one for its instance
 files and one for its reports, with its own `src` first on `sys.path`,
@@ -48,6 +51,12 @@ DIMS = (1, 2, 6, 16)
 SEEDS = (1, 7)
 ITEMS = 3
 ERROR_PREFIXES = ("error:", "verification error:")
+# (name, argv) of the fourier-demo runs, at two sizes of the Fourier family
+FOURIER_DEMOS = tuple(
+    (f"fourier-demo-{nmax}", ["fourier-demo", "--nmax", str(nmax), "--m", str(m),
+                              "--alpha", alpha, "--beta", beta, "--trials", "50"])
+    for nmax, m, alpha, beta in ((8, 2, "0.5", "0.9"), (24, 3, "0.6", "0.8"))
+)
 
 
 def report_runs(inst: str, shared: str, dim: int) -> list:
@@ -210,6 +219,10 @@ def main(argv=None) -> int:
                 for name, cmd in report_runs(inst, shared, d):
                     out = os.path.join(work, side, "reports", f"{point}-{name}.json")
                     runs.append((f"{point} {name}", [*cmd, "--out", out]))
+            if phase == "reports":
+                for name, cmd in FOURIER_DEMOS:
+                    out = os.path.join(work, side, "reports", f"fourier-{name}.json")
+                    runs.append((f"fourier {name}", [*cmd, "--out", out]))
             os.makedirs(os.path.join(work, side, "reports"), exist_ok=True)
             logs[side].update(run_grid(root, runs, os.path.join(work, f"{side}-{phase}-log.json"),
                                        os.path.join(work, f"{side}-{phase}-plan.json")))
@@ -248,8 +261,8 @@ def main(argv=None) -> int:
                 reports.append(json.load(fh))
         reports_moved += compare_reports(*reports, moved, command)
 
-    print(f"{len(names)} runs on {len(points)} grid points in {work}; {differ} instance files "
-          f"or runs differ; {reports_moved} reports moved")
+    print(f"{len(names)} runs on {len(points)} grid points and {len(FOURIER_DEMOS)} fourier-demo "
+          f"runs in {work}; {differ} instance files or runs differ; {reports_moved} reports moved")
     if moved:
         print("| field | reports moved | largest relative move |")
         print("| --- | --- | --- |")

@@ -232,8 +232,12 @@ def sum_transform(
         scale = max(
             opnorm(product(cL, rz_adj)) * opnorm(product(cG, rz_adj)) * control_scale, 1e-300
         )
-        cross1 = max(cross1, opnorm(product(product(rx, m), ry_adj)) / scale)
-        cross2 = max(cross2, opnorm(product(product(rx, m.conj().T), ry_adj)) / scale)
+        norm1 = opnorm(product(product(rx, m), ry_adj))
+        # for numbers rx and ry, ||rx m* ry*|| = |rx ry| ||m*|| = ||rx m ry*||
+        norm2 = norm1 if isinstance(rx, Number) and isinstance(ry, Number) else opnorm(
+            product(product(rx, m.conj().T), ry_adj))
+        cross1 = max(cross1, norm1 / scale)
+        cross2 = max(cross2, norm2 / scale)
         items_out.append((subspace_image(r, sub), frozen((cL + cG) @ r_b.conj().T), wt))
     hypotheses.append(_hypothesis("cross_terms_gamma_lambda", cross1))
     hypotheses.append(_hypothesis("cross_terms_lambda_gamma", cross2))

@@ -107,12 +107,32 @@ class FrameFamily:
     @cached_property
     def factors(self) -> tuple:
         """Per-item factors (B_j, C_j = L_j B_j), read-only, B_j the
-        orthonormal basis of W_j.
+        orthonormal basis of W_j and C_j a view into its run's stack
+        (`factor_runs`).
 
         The item operator L_j P_j equals C_j B_j*, so no n x n projector is
-        formed.  This is the one place C_j is formed.
+        formed.
         """
-        return tuple((sub.basis, frozen(lam @ sub.basis)) for sub, lam, _ in self.items)
+        stacks, _ = self.factor_runs
+        cs = (c for stack in stacks for c in stack)
+        return tuple((sub.basis, c) for (sub, _, _), c in zip(self.items, cs))
+
+    @cached_property
+    def factor_runs(self) -> tuple:
+        """(stacks, starts): the C_j = L_j B_j of each run of consecutive
+        items whose C_j have one shape, items starts[i]:starts[i + 1], as
+        one read-only (items, rows, d) stack.  This is the one place C_j is
+        formed."""
+        shapes = [(lam.shape[0], sub.basis.shape[1]) for sub, lam, _ in self.items]
+        starts = [0] + [j for j in range(1, len(shapes)) if shapes[j] != shapes[j - 1]]
+        starts.append(len(shapes))
+        stacks = []
+        for lo, hi in zip(starts, starts[1:]):
+            stack = np.empty((hi - lo, *shapes[lo]), dtype=complex)
+            for c, (sub, lam, _) in zip(stack, self.items[lo:hi]):
+                np.matmul(lam, sub.basis, out=c)
+            stacks.append(frozen(stack))
+        return tuple(stacks), tuple(starts)
 
     @cached_property
     def stacked_conj_basis(self) -> tuple:
@@ -651,9 +671,11 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f):
     k column vectors of shape (n, k), giving the k sums as an array.  One
     product with the family's stacked conjugate basis gives every item's
     coordinates B_j* t f and B_j* u f.  Each L_j P_j is then applied as
-    C_j B_j*, with the family's C_j = L_j B_j, by one product per item
-    written into its rows of one buffer; one vecdot, each row weighted by
-    its item's v_j^2 (`FrameFamily.row_weights`), sums them all.
+    C_j B_j*, with the family's C_j = L_j B_j, written into its rows of one
+    buffer: one batched product per run of items of one shape
+    (`FrameFamily.factor_runs`), a 2-D product for a run of one.  One
+    vecdot, each row weighted by its item's v_j^2
+    (`FrameFamily.row_weights`), sums them all.
     """
     _check_dims(fam, cp)
     f = np.asarray(f, dtype=complex)
@@ -675,8 +697,14 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f):
     product(cp.t_side, block, out=both[:, :k])
     product(cp.u_side, block, out=both[:, k:])
     np.matmul(conj_basis.T, both, out=coords)
-    for (_, c), lo, hi, r_lo, r_hi in zip(fam.factors, offsets, offsets[1:], rows, rows[1:]):
-        np.matmul(c, coords[lo:hi], out=out[r_lo:r_hi])
+    stacks, starts = fam.factor_runs
+    for stack, i, j in zip(stacks, starts, starts[1:]):
+        x, y = coords[offsets[i]:offsets[j]], out[rows[i]:rows[j]]
+        if len(stack) == 1:
+            np.matmul(stack[0], x, out=y)
+        else:  # a run of items of one shape: one batched product
+            m, r, d = stack.shape
+            np.matmul(stack, x.reshape(m, d, 2 * k), out=y.reshape(m, r, 2 * k))
     out[:, k:] *= weights[:, None]
     total = np.vecdot(out[:, :k], out[:, k:], axis=0)
     return complex(total[0]) if f.ndim == 1 else total

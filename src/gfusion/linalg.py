@@ -93,10 +93,10 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_unit_columns(seed: int, n: int, trials: int):
-    """Yield `trials` random complex unit vectors of C^n as (n, c) blocks,
-    drawn from the stream of `seed`.  Before the first, checks trials >= 1
-    and the seed (`seeded_rng`).
+def random_draws(seed: int, n: int, trials: int):
+    """Yield the draws of `trials` random vectors x of C^n from the stream
+    of `seed`, as (c, 2n) real blocks of rows [Re x, Im x].  Before the
+    first, checks trials >= 1 and the seed (`seeded_rng`).
 
     Each vector takes n standard normals for its real part, then n for its
     imaginary part: the stream of drawing the vectors one at a time.
@@ -105,9 +105,15 @@ def random_unit_columns(seed: int, n: int, trials: int):
         raise InvalidParameters(f"trials must be >= 1, got {trials}")
     rng = seeded_rng(seed)
     for start in range(0, trials, SAMPLE_CHUNK):
-        z = rng.standard_normal((min(SAMPLE_CHUNK, trials - start), 2, n))
+        yield rng.standard_normal((min(SAMPLE_CHUNK, trials - start), 2 * n))
+
+
+def random_unit_columns(seed: int, n: int, trials: int):
+    """Yield the vectors of `random_draws`, each scaled to unit length, as
+    (n, c) complex blocks."""
+    for z in random_draws(seed, n, trials):
         x = np.empty((z.shape[0], n), dtype=complex)
-        x.real, x.imag = z[:, 0], z[:, 1]
+        x.real, x.imag = z[:, :n], z[:, n:]
         x = x.T
         x /= np.linalg.norm(x, axis=0)
         yield x

@@ -75,14 +75,23 @@ def stray_norms(source):
 
 
 def operator_products(source):
-    """Line numbers of the products `x @ y` whose left operand names an item
-    operator (an identifier that starts with "lam")."""
+    """Line numbers of the products `x @ y` and `matmul(x, y)` whose left
+    operand names an item operator (an identifier that starts with "lam")."""
+
+    def left(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            return node.left
+        if (isinstance(node, ast.Call) and node.args
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "matmul"):
+            return node.args[0]
+        return None
+
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        if (operand := left(node)) is not None
         and any(getattr(n, "id", getattr(n, "attr", "")).startswith("lam")
-                for n in ast.walk(node.left))
+                for n in ast.walk(operand))
     )
 
 
@@ -210,11 +219,11 @@ def one_site(found, what):
 
 
 def item_factor_sites():
-    factors = method("frames.py", "FrameFamily", "factors")
+    factor_runs = method("frames.py", "FrameFamily", "factor_runs")
     found = sites(operator_products)
     return (
         some_site(found, "item operator product")
-        + outside("frames.py", factors, found)
+        + outside("frames.py", factor_runs, found)
         + [path.name for path in modules() if "item_factors" in path.read_text()]
     )
 
@@ -281,13 +290,15 @@ RULES = {
     ),
     "item_factors": Rule(
         item_factor_sites,
-        "read C_j = L_j B_j from FrameFamily.factors",
+        "read C_j = L_j B_j from FrameFamily.factors (formed in factor_runs)",
         ((operator_products,
           "c = lam @ b\n"
           "d = (lamG @ sub.basis) @ x\n"
           "e = as_operator(lam) @ b\n"
           "f = item.lam_out @ y\n"
-          "g = b @ lam\n", [1, 2, 2, 3, 4]),),
+          "g = b @ lam\n"
+          "h = np.matmul(lam, b, out=c)\n"
+          "i = np.matmul(b, lam)\n", [1, 2, 2, 3, 4, 6]),),
     ),
     "eigensolver": Rule(
         lambda: sites(calls("eigh", "eigvalsh"), skip="linalg.py"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gfusion import constructions
 from gfusion.constructions import (
     conjugate_transform,
     direct_sum_frame,
@@ -176,6 +177,23 @@ class TestSumTransform:
             sum_transform(
                 famL, short, np.eye(4), np.eye(4), ControlPair.identity(4), np.eye(4)
             )
+
+    @pytest.mark.parametrize("dense_r, norms", [(False, 3), (True, 4)])
+    def test_norms_per_item(self, rng, monkeypatch, dense_r, norms):
+        # under a scalar r and scalar controls ||rx m* ry*|| = ||rx m ry*||:
+        # three norms per item, the cross norm read once; a dense r keeps
+        # the fourth
+        famL, _ = orthogonal_codomain_pair(items=5)
+        famG = FrameFamily(4, [(sub, complex_gaussian(rng, 4, 4), w) for sub, _, w in famL.items])
+        cp = ControlPair.scalars(4, 0.7, 1.3)
+        v = well_conditioned(rng, 4) if dense_r else 0.5 * np.eye(4)
+        calls = []
+        monkeypatch.setattr(constructions, "opnorm", lambda a: calls.append(a) or opnorm(a))
+        rep = sum_transform(famL, famG, v, 2.0 * np.eye(4), cp, complex_gaussian(rng, 4, 4))
+        assert len(calls) == norms * len(famL)
+        certs = dict(rep.hypothesis_certificates)
+        if not dense_r:
+            assert certs["cross_terms_lambda_gamma"] == certs["cross_terms_gamma_lambda"] > 0
 
     def test_ambient_dim_mismatch(self):
         # equal item counts on C^4 and C^6: a shape error, not a count error

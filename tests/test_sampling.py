@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfusion import generate
+from gfusion import generate, linalg
 from gfusion import tolerances as tol
 from gfusion.constructions import conjugate_transform, sum_transform
 from gfusion.errors import DimensionMismatch, InvalidParameters
@@ -648,8 +648,14 @@ def test_unit_columns_are_the_old_stream_bit_for_bit():
     assert sum(c.shape[1] for c in chunks) == trials
 
 
+def slack_rounding_bound(s, lambda1, lambda2):
+    """The rounding bound between slacks read in real form from the draws
+    and in complex arithmetic from the unit vectors."""
+    return 8 * np.finfo(float).eps * max(1.0, abs(lambda1) + abs(lambda2) * opnorm(s))
+
+
 @pytest.mark.parametrize("lambda1, lambda2", [(0.05, 0.0), (0.05, 0.5), (0.05, -0.0)])
-def test_worst_sample_slack_is_the_old_expression_bit_for_bit(lambda1, lambda2):
+def test_worst_sample_slack_is_the_old_expression_within_rounding(lambda1, lambda2):
     pair = near_identity_pair(5)
     trials, seed = SAMPLE_CHUNK + 3, 4
     rep = perturbation_check(pair, lambda1, lambda2, 2.0, 2.0, trials=trials, seed=seed)
@@ -660,4 +666,83 @@ def test_worst_sample_slack_is_the_old_expression_bit_for_bit(lambda1, lambda2):
         slack = lambda1 + lambda2 * np.linalg.norm(sf, axis=0) - np.linalg.norm(f - sf, axis=0)
         worst = min(worst, float(slack.min()))
     assert math.copysign(1.0, rep.worst_sample_slack) == math.copysign(1.0, worst)
-    assert rep.worst_sample_slack == worst
+    assert abs(rep.worst_sample_slack - worst) <= slack_rounding_bound(s, lambda1, lambda2)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+@pytest.mark.parametrize("lambda2", [0.0, -0.0, 0.5])
+@pytest.mark.parametrize("chunk", [3, SAMPLE_CHUNK])
+def test_real_form_slack_matches_complex_vectors_drawn_one_at_a_time(monkeypatch, n, lambda2,
+                                                                     chunk):
+    # the draws in chunks of `chunk` against each vector drawn on its own
+    # (n normals for Re x, then n for Im x), normalised and tested in
+    # complex arithmetic; with chunks of 3 the worst sample lies past a
+    # chunk boundary (at n = 1 every sample has the same slack |1 - s|)
+    monkeypatch.setattr(linalg, "SAMPLE_CHUNK", chunk)
+    pair = near_identity_pair(n, eps=0.3, seed=n)
+    s, lambda1, seed = pair.matrix, 0.4, 13
+    trials = 50 if chunk == 3 else SAMPLE_CHUNK + 5
+    rep = perturbation_check(pair, lambda1, lambda2, 2.0, 2.0, trials=trials, seed=seed)
+    rng = np.random.default_rng(seed)
+    slacks = []
+    for _ in range(trials):
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f /= np.linalg.norm(f)
+        sf = s @ f
+        term = lambda2 * np.linalg.norm(sf) if lambda2 else lambda2
+        slacks.append(lambda1 + term - np.linalg.norm(f - sf))
+    worst = min(slacks)
+    assert chunk == SAMPLE_CHUNK or n == 1 or int(np.argmin(slacks)) >= chunk
+    assert math.copysign(1.0, rep.worst_sample_slack) == math.copysign(1.0, worst)
+    assert abs(rep.worst_sample_slack - worst) <= slack_rounding_bound(s, lambda1, lambda2)
+
+
+def run_families():
+    """(family, run count): one run (a coordinate partition), three runs (the
+    Fourier family: its 1 x 1 zero items on either side of the one nonzero
+    item) and runs of one (shapes that change from each item to the next)."""
+    rng = np.random.default_rng(2626)
+    n = 7
+    one = scaled_partition_family(n, tuple(rng.uniform(0.5, 2.0, n)))
+    three, _, _ = build_fourier_example(FourierParams(4, 3, 0.5, 0.9))
+    singles = FrameFamily(n, [
+        (random_subspace(rng, n, 1 + j % 2), complex_gaussian(rng, 2 + j % 3, n), 0.5 + j)
+        for j in range(6)
+    ])
+    return [(one, 1), (three, 3), (singles, 6)]
+
+
+def per_item_frame_sum(fam, cp, block):
+    """`frame_sum` with one 2-D product per item, in the same order."""
+    n, k = block.shape
+    conj_basis, offsets = fam.stacked_conj_basis
+    weights, rows = fam.row_weights
+    both = np.concatenate([cp.t @ block, cp.u @ block], axis=1)
+    coords = conj_basis.T @ both
+    out = np.empty((weights.shape[0], 2 * k), dtype=complex)
+    for (_, c), lo, hi, r_lo, r_hi in zip(fam.factors, offsets, offsets[1:], rows, rows[1:]):
+        np.matmul(c, coords[lo:hi], out=out[r_lo:r_hi])
+    out[:, k:] *= weights[:, None]
+    return np.vecdot(out[:, :k], out[:, k:], axis=0)
+
+
+@pytest.mark.parametrize("fam, runs", run_families(), ids=["one-run", "three-runs", "singles"])
+def test_frame_sum_applies_each_run_in_one_product(monkeypatch, fam, runs):
+    n = fam.ambient_dim
+    cp = ControlPair.scalars(n, 0.5, 1.5)  # the controls scale: no matmul of their own
+    stacks, starts = fam.factor_runs
+    assert len(stacks) == runs and starts[-1] == len(fam)
+    for stack, lo, hi in zip(stacks, starts, starts[1:]):
+        assert stack.shape[0] == hi - lo and not stack.flags.writeable
+        for (_, c), item in zip(fam.factors[lo:hi], stack):
+            assert np.shares_memory(c, stack) and np.array_equal(c, item)
+    rng = np.random.default_rng(runs)
+    for k in (1, 4):
+        block = complex_gaussian(rng, n, k)
+        shapes = []
+        count_calls(monkeypatch, "matmul", lambda out: shapes.append(out.shape))
+        got = frame_sum(fam, cp, block)
+        monkeypatch.undo()
+        # the coordinates' product, then one product per run
+        assert len(shapes) == 1 + runs
+        np.testing.assert_array_equal(got, per_item_frame_sum(fam, cp, block))

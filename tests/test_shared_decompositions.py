@@ -248,16 +248,19 @@ def test_a_family_is_freed_by_reference_counting():
             analysis(fam, cp, complex_gaussian(rng, n))
             inverse_commutation_check(fam, cp)
             frame_sum(fam, cp, complex_gaussian(rng, n, 2))
-        # the items, F's factors and F, F's two decompositions, and the
-        # stacked bases and row weights of frame_sum: only arrays, tuples of
-        # them and a Spectrum of F
-        assert fam.__dict__.keys() == {"ambient_dim", "items", "factors", "operator",
-                                       "spectrum", "roots", "stacked_conj_basis",
+        # the items, F's factors and their run stacks, F, F's two
+        # decompositions, and the stacked bases and row weights of
+        # frame_sum: only arrays, tuples of them and a Spectrum of F
+        assert fam.__dict__.keys() == {"ambient_dim", "items", "factors", "factor_runs",
+                                       "operator", "spectrum", "roots", "stacked_conj_basis",
                                        "row_weights"}
+        stacks, starts = fam.__dict__["factor_runs"]
         for key in ("stacked_conj_basis", "row_weights"):
             array, offsets = fam.__dict__[key]
             assert isinstance(array, np.ndarray) and not array.flags.writeable
             assert all(isinstance(i, int) for i in offsets)
+        assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in stacks)
+        assert all(isinstance(i, int) for i in starts)
         ref = weakref.ref(fam)
         del fam, rep
         assert ref() is None
