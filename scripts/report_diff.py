@@ -4,14 +4,16 @@
 
 The grid is every structure of the parent's `gfusion.generate.STRUCTURES`
 at each dim of `DIMS` and seed of `SEEDS`, with min(ITEMS, dim) items, and
-the fixed `fourier-demo` runs of `FOURIER_DEMOS`: 450 runs for four
-structures.  Each point is 14 runs:
-`gfusion random`, then 13 report commands on its files: check-frame,
+the fixed `fourier-demo` runs of `FOURIER_DEMOS`: 482 runs for four
+structures.  Each point is 15 runs:
+`gfusion random`, then 14 report commands on its files: check-frame,
 bounds, atomic, resolutions, thm 4.1, 4.2, 4.4, perturb (defaults, and
 lambda1 = 0.3, lambda2 = 0.1), pair-op, and construct direct-sum,
 sum-transform and conjugate of the family with its second family (the
 family itself where the structure has none), with `--v k.json` (dense) and
-`--w` = 0.5 I (a number).  Pair commands read `pair_control.json` where
+`--w` = 0.5 I (a number), and sum-transform once more with `--v` = `--w` =
+0.5 I, whose sum r = I is applied as a number.  Pair commands read
+`pair_control.json` where
 the structure writes one, else `control.json`.  The `fourier-demo` runs
 read no instance file; they sample the Fourier family through
 `frame_sum`, whose runs of items of one shape take one product each.
@@ -60,7 +62,7 @@ FOURIER_DEMOS = tuple(
 
 
 def report_runs(inst: str, shared: str, dim: int) -> list:
-    """(name, argv) of the 13 report commands on the instance files in
+    """(name, argv) of the 14 report commands on the instance files in
     `inst`, with `shared/half<dim>.json` as the number 0.5 I; `--out` is
     appended by the caller."""
     def f(name):
@@ -88,6 +90,9 @@ def report_runs(inst: str, shared: str, dim: int) -> list:
                                   "--control", ctl, "--control", pctl, "--k", k, "--k", k]),
         ("construct-sum-transform", ["construct", "sum-transform", "--in", fam, "--in", fam2,
                                      "--control", ctl, "--k", k, "--v", k, "--w", half]),
+        ("construct-sum-transform-scalar", ["construct", "sum-transform", "--in", fam,
+                                            "--in", fam2, "--control", ctl, "--k", k,
+                                            "--v", half, "--w", half]),
         ("construct-conjugate", ["construct", "conjugate", "--in", fam, "--in", fam2,
                                  "--control", ctl, "--control", pctl, "--k", k, "--k", k,
                                  "--v", k, "--w", half]),
