@@ -16,7 +16,9 @@ family itself where the structure has none), with `--v k.json` (dense) and
 `pair_control.json` where
 the structure writes one, else `control.json`.  The `fourier-demo` runs
 read no instance file; they sample the Fourier family through
-`frame_sum`, whose runs of items of one shape take one product each.
+`frame_sum`, whose runs of items of one shape take one product each (its
+one item that stands alone keeps its factored form; `frame_sum` stacks
+such items only where two or more stand alone).
 
 Each checkout runs the grid in two child processes, one for its instance
 files and one for its reports, with its own `src` first on `sys.path`,

@@ -65,7 +65,7 @@ class FrameFamily:
 
     Immutable: each operator is held read-only (`linalg.read_only`), as is
     each subspace's basis, so the control-independent algebra (`factors`,
-    `stacked_conj_basis` and `row_weights`, F as `operator`, and F's
+    `frame_sum`'s `sum_plan`, F as `operator`, and F's
     `spectrum` and `roots`, which every positive scalar pair reads) is
     computed on first use and kept.  Only arrays (with their offsets) and
     a `Spectrum` of F are kept, never an evaluation or a control pair, so a
@@ -135,24 +135,34 @@ class FrameFamily:
         return tuple(stacks), tuple(starts)
 
     @cached_property
-    def stacked_conj_basis(self) -> tuple:
-        """(conj([B_1 ... B_m]), offsets), read-only: for a row x^T, the
-        coordinates B_j* x of item j are columns offsets[j]:offsets[j + 1]
-        of x^T conj([B_1 ... B_m])."""
-        bases = [sub.basis for sub, _, _ in self.items]
-        offsets = np.cumsum([0] + [b.shape[1] for b in bases]).tolist()
-        stacked = np.hstack(bases)
-        return frozen(np.conjugate(stacked, out=stacked)), tuple(offsets)
-
-    @cached_property
-    def row_weights(self) -> tuple:
-        """(weights, offsets), weights read-only: v_j^2 for each of the
-        rows offsets[j]:offsets[j + 1] of [C_1; ...; C_m], item j's rows
-        in `frame_sum`."""
-        dims = self.block_dims()
-        offsets = np.cumsum((0,) + dims).tolist()
-        weights = np.repeat([w * w for w in self.weights], dims)
-        return frozen(weights), tuple(offsets)
+    def sum_plan(self) -> tuple:
+        """(stacked, conj_basis, runs, weights), read-only: how `frame_sum`
+        applies each L_j P_j = C_j B_j*.  Where two or more runs of
+        `factor_runs` are one item each, `stacked` is their C_j B_j* (r_j x n
+        each), one below the next, and their rows come first; a lone one
+        stays factored, where stacked it would save no product and cost
+        r_j n in place of r_j d_j.  Each other run is (stack, the columns of
+        its coordinates in x^T conj_basis, its rows).  `weights` is v_j^2
+        for each row."""
+        stacks, starts = self.factor_runs
+        spans = list(zip(stacks, starts, starts[1:]))
+        alone = [lo for stack, lo, _ in spans if len(stack) == 1]
+        alone = alone if len(alone) > 1 else []
+        spans = [span for span in spans if span[1] not in alone]
+        order = alone + [j for _, lo, hi in spans for j in range(lo, hi)]
+        m, n = len(alone), self.ambient_dim
+        rows = np.cumsum([0] + [self.items[j][1].shape[0] for j in order]).tolist()
+        stacked = np.empty((rows[m], n), dtype=complex)
+        for (b, c), lo, hi in zip((self.factors[j] for j in alone), rows, rows[1:]):
+            np.matmul(c, b.conj().T, out=stacked[lo:hi])
+        bases = [self.items[j][0].basis for j in order[m:]]
+        cols = np.cumsum([0] + [b.shape[1] for b in bases]).tolist()
+        conj_basis = np.conjugate(np.hstack([np.empty((n, 0), dtype=complex), *bases]))
+        ends = np.cumsum([0] + [hi - lo for _, lo, hi in spans]).tolist()
+        runs = tuple((stack, cols[i], cols[j], rows[m + i], rows[m + j])
+                     for (stack, _, _), i, j in zip(spans, ends, ends[1:]))
+        weights = np.repeat([self.items[j][2] * self.items[j][2] for j in order], np.diff(rows))
+        return frozen(stacked), frozen(conj_basis), runs, frozen(weights)
 
     @cached_property
     def operator(self) -> np.ndarray:
@@ -668,14 +678,14 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f):
     """Literal sum  sum_j v_j^2 <L_j P_j u f, L_j P_j t f>.
 
     `f` is one vector of shape (n,), giving a complex number, or a block of
-    k column vectors of shape (n, k), giving the k sums as an array.  One
-    product with the family's stacked conjugate basis gives every item's
-    coordinates B_j* t f and B_j* u f.  Each L_j P_j is then applied as
-    C_j B_j*, with the family's C_j = L_j B_j, written into its rows of one
-    buffer: one batched product per run of items of one shape
-    (`FrameFamily.factor_runs`), a 2-D product for a run of one.  One
-    vecdot, each row weighted by its item's v_j^2
-    (`FrameFamily.row_weights`), sums them all.
+    k column vectors of shape (n, k), giving the k sums as an array.  The
+    items run as `FrameFamily.sum_plan` sets out, into their rows of one
+    buffer: those that stand alone in `FrameFamily.factor_runs` (where two
+    or more do) in one product with their stacked operators; the others
+    as C_j B_j*, with the family's C_j = L_j B_j, from one product for
+    their coordinates B_j* t f and B_j* u f and one batched product per
+    run of items of one shape.  One vecdot, each row weighted by its
+    item's v_j^2, sums them all.
     """
     _check_dims(fam, cp)
     f = np.asarray(f, dtype=complex)
@@ -686,20 +696,21 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f):
     n = fam.ambient_dim
     block = f.reshape(n, -1)
     k = block.shape[1]
-    conj_basis, offsets = fam.stacked_conj_basis
-    weights, rows = fam.row_weights
+    stacked, conj_basis, runs, weights = fam.sum_plan
     d = conj_basis.shape[1]
     # one buffer, 2k columns: the k vectors t f beside the k vectors u f,
-    # then their coordinates B_j* t f and B_j* u f, then the rows C_j B_j*
-    # t f and C_j B_j* u f of each item
+    # then their coordinates B_j* t f and B_j* u f, then the rows
+    # C_j B_j* t f and C_j B_j* u f of each item, the stacked items' first
     work = np.empty((n + d + weights.shape[0], 2 * k), dtype=complex)
     both, coords, out = work[:n], work[n:n + d], work[n + d:]
     product(cp.t_side, block, out=both[:, :k])
     product(cp.u_side, block, out=both[:, k:])
-    np.matmul(conj_basis.T, both, out=coords)
-    stacks, starts = fam.factor_runs
-    for stack, i, j in zip(stacks, starts, starts[1:]):
-        x, y = coords[offsets[i]:offsets[j]], out[rows[i]:rows[j]]
+    if len(stacked):
+        np.matmul(stacked, both, out=out[:len(stacked)])
+    if runs:
+        np.matmul(conj_basis.T, both, out=coords)
+    for stack, lo, hi, r_lo, r_hi in runs:
+        x, y = coords[lo:hi], out[r_lo:r_hi]
         if len(stack) == 1:
             np.matmul(stack[0], x, out=y)
         else:  # a run of items of one shape: one batched product

@@ -391,8 +391,9 @@ class Spectrum:
     eigenvectors a spectrum keeps one n x n array, the pseudoinverse of h.
 
     Each decomposition is made block by block over `diagonal_blocks(h)`,
-    a 1 x 1 block read off the diagonal: the direct sum of two frame
-    operators is decomposed as its two blocks, and a diagonal h by no
+    a 1 x 1 block read off the diagonal, and `whiten`, `pinv` and `inverse`
+    multiply block by block: the direct sum of two frame operators is
+    decomposed and applied as its two blocks, and a diagonal h by no
     LAPACK call.
     """
 
@@ -425,6 +426,7 @@ class Spectrum:
                     vals[lo:hi], vecs[lo:hi, lo:hi] = _eigenpairs(h[lo:hi, lo:hi], psd=False)
                 vals[ones], vecs[ones, ones] = h.diagonal()[ones].real, 1.0
             self._shared["pairs"] = (frozen(vals), frozen(vecs))
+            self._shared["blocks"] = (big, ones)
         return self._shared["pairs"]
 
     @property
@@ -459,12 +461,31 @@ class Spectrum:
         """(every eigenvalue kept, h^+), made once per TOL_RANK and kept."""
         made = self._shared.get("pinv")
         if made is None or made[0] != tol.TOL_RANK:
-            vals, vecs = self._pairs()
+            vals = self._pairs()[0]
             keep = np.abs(vals) > tol.TOL_RANK * np.abs(vals).max(initial=0.0)
-            kept = vecs if keep.all() else vecs[:, keep]
-            pinv_h = frozen((kept / vals[keep]) @ kept.conj().T)
+            pinv_h = frozen(self._inverse_on(keep, vals))
             made = self._shared["pinv"] = (tol.TOL_RANK, bool(keep.all()), pinv_h)
         return made[1:]
+
+    def _inverse_on(self, keep, vals) -> np.ndarray:
+        """V_k diag(1 / vals_k) V_k* over the eigenvectors V_k of h where
+        `keep` holds, one product per block of `diagonal_blocks(h)`."""
+        vecs = self._pairs()[1]
+        spans, ones = self._shared["blocks"]
+
+        def part(lo, hi):
+            v, k = vecs[lo:hi, lo:hi], keep[lo:hi]
+            v = v if k.all() else v[:, k]
+            return np.matmul(v / vals[lo:hi][k], v.conj().T)
+
+        if spans == [(0, len(vals))]:  # one block, with no copy
+            return part(0, len(vals))
+        out = np.zeros(vecs.shape, dtype=complex)
+        for lo, hi in spans:
+            out[lo:hi, lo:hi] = part(lo, hi)
+        ones = [i for i in ones if keep[i]]  # eigenvector 1
+        out[ones, ones] = 1.0 / vals[ones]
+        return out
 
     @property
     def pinv(self) -> np.ndarray:
@@ -482,8 +503,8 @@ class Spectrum:
         V diag(1/(c lambda)) V* over all of them."""
         if self._pinv_of_h()[0]:
             return self.pinv
-        vals, vecs = self.eigenpairs
-        return (vecs / vals) @ vecs.conj().T
+        vals = self.eigenpairs[0]
+        return self._inverse_on(np.ones(vals.shape, dtype=bool), vals)
 
     def whiten(self, k) -> np.ndarray | None:
         """W = diag(lambda^-1/2) V* k over the eigenvalues above the PSD
@@ -498,7 +519,11 @@ class Spectrum:
         relative.
         """
         vals, vecs = self.eigenpairs
-        y = vecs.conj().T @ k
+        spans, ones = self._shared["blocks"]
+        y = np.empty(k.shape, dtype=complex)
+        for lo, hi in spans:  # V* k one block at a time; V is 1 on a 1 x 1 block
+            np.matmul(vecs[lo:hi, lo:hi].conj().T, k[lo:hi], out=y[lo:hi])
+        y[ones] = k[ones]
         top = max(self.extremes.lambda_max, 0.0)
         low = vals <= tol.TOL_PSD * top
         if low.any():

@@ -322,11 +322,10 @@ class PerturbationReport:
     claims: tuple = field(metadata={"report": False}, compare=False)
 
 
-def _real_form(*ops) -> np.ndarray:
-    """[M_1 ... M_k] with M_i = [[Re a_i^T, Im a_i^T], [-Im a_i^T, Re a_i^T]]
-    for the n x n operators a_i: a row [Re x, Im x] times M_i is
-    [Re (a_i x), Im (a_i x)]."""
-    return np.hstack([np.block([[a.real.T, a.imag.T], [-a.imag.T, a.real.T]]) for a in ops])
+def _real_form(a) -> np.ndarray:
+    """[[Re a^T, Im a^T], [-Im a^T, Re a^T]] for the n x n operator a: a row
+    [Re x, Im x] times it is [Re (a x), Im (a x)]."""
+    return np.block([[a.real.T, a.imag.T], [-a.imag.T, a.real.T]])
 
 
 def perturbation_check(
@@ -363,24 +362,27 @@ def perturbation_check(
     s = pair.matrix
     n = s.shape[0]
     a = np.eye(n) - s
-    sigma_min = singular_extremes(s).sigma_min
-    spectral = tol.claim(
-        "spectral_gap", opnorm(a), "<=", "TOL_PERTURB", base=lambda1 + lambda2 * sigma_min
-    )
+    # for lambda2 = 0, lambda2 sigma_min(S) is the signed zero lambda2 for
+    # any finite sigma_min, and so is lambda2 ||S f|| below: S's SVD is
+    # taken, and S f formed, only for lambda2 != 0
+    term = lambda2 * singular_extremes(s).sigma_min if lambda2 else lambda2
+    spectral = tol.claim("spectral_gap", opnorm(a), "<=", "TOL_PERTURB", base=lambda1 + term)
 
     # Each chunk of draws, rows [Re x, Im x] (`random_draws`), takes one real
-    # product with the real forms of I - S and, where lambda2 ||S f|| is read,
-    # S: for the unit vector f = x / ||x|| of `random_unit_columns`,
+    # product: for the unit vector f = x / ||x|| of `random_unit_columns`,
     # ||f - S f|| = ||(I - S) x|| / ||x|| and ||S f|| = ||S x|| / ||x||.
-    real = _real_form(a, s) if lambda2 else _real_form(a)
+    # Where ||S f|| is read, the product gives S x and (I - S) x = x - S x.
+    real = _real_form(s if lambda2 else a)
     worst = math.inf
     for z in random_draws(seed, n, trials):
-        y = (z @ real).reshape(z.shape[0], -1, 2 * n)
-        ratio = np.sqrt(np.vecdot(y, y) / np.vecdot(z, z)[:, None])
+        y = z @ real
+        size = np.vecdot(z, z)
         if lambda2:
-            slack = lambda1 + lambda2 * ratio[:, 1] - ratio[:, 0]
-        else:  # lambda2 ||S f|| is the signed zero lambda2 for any finite ||S f||
-            slack = (lambda1 + lambda2) - ratio[:, 0]
+            base = lambda1 + lambda2 * np.sqrt(np.vecdot(y, y) / size)
+            np.subtract(z, y, out=y)
+        else:
+            base = lambda1 + lambda2
+        slack = base - np.sqrt(np.vecdot(y, y) / size)
         worst = min(worst, float(slack.min()))
     sampled = tol.claim("sampled_slack", worst, ">=", "TOL_PERTURB")
     if not sampled.holds:

@@ -259,6 +259,26 @@ def stack_sites():
     )
 
 
+# What frame_sum must not read: it is the literal sum over the items, a
+# second computation beside F, S and their decompositions.
+EVALUATED_FORMS = {"operator", "spectrum", "roots", "controlled", "FrameEvaluation"}
+
+
+def names_read(names):
+    """The pattern: line numbers of the names and attributes in `names`."""
+    return lambda source: sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if getattr(node, "id", getattr(node, "attr", None)) in names
+    })
+
+
+def literal_sum_sites():
+    found = sites(names_read(EVALUATED_FORMS))
+    rest = outside("frames.py", function("frames.py", "frame_sum"), outside(
+        "frames.py", method("frames.py", "FrameFamily", "sum_plan"), found))
+    return [site for site in found if site not in rest]
+
+
 def eigh_sites():
     return one_site([f"linalg.py:{line}" for line in call_lines(read("linalg.py"), {"eigh"})],
                     "eigh call")
@@ -333,6 +353,13 @@ RULES = {
           [1, 2]),),
     ),
     "one_eigh": Rule(eigh_sites, "gate PSD eigenpairs in one place"),
+    "literal_sum": Rule(
+        literal_sum_sites,
+        "frame_sum and its plan apply the items one by one: read no F, S or evaluation",
+        ((names_read(EVALUATED_FORMS),
+          "s = fam.operator\nev = FrameEvaluation(fam, cp)\nx = fam.controlled(t, u) @ f\n"
+          "vals = fam.spectrum.extremes\nr = fam.roots\nops = fam.factors\n", [1, 2, 3, 4, 5]),),
+    ),
     "stacks": Rule(
         stack_sites,
         "sum the items before the controls (FrameFamily.operator, factor_sum); "

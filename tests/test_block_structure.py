@@ -218,6 +218,26 @@ def test_direct_sum_of_two_128_dim_partitions_decomposes_no_larger_matrix(monkey
     assert rep.measured.lambda_max == pytest.approx(rep.predicted_upper, rel=1e-12)
 
 
+def test_direct_sum_whitens_and_inverts_block_by_block(monkeypatch):
+    # F of the direct sum is two dense 16 x 16 blocks: whiten's V* k and
+    # F^+ take one product per block, none on the 32 x 32 whole
+    rng = np.random.default_rng(27)
+    n = 16
+    fam, k = partition(rng, n, 4), complex_gaussian(rng, n, n)
+    cp = ControlPair.scalars(n, 0.75, 1.5)
+    spec = direct_sum_frame(fam, cp, k, fam, cp, k).family_out.spectrum
+    assert diagonal_blocks(spec.a) == (0, n, 2 * n)
+    vals, vecs = spec.eigenpairs  # decomposed before the products are counted
+    x = complex_gaussian(rng, 2 * n, 3)
+    products = count(monkeypatch, np, "matmul")
+    w, pinv = spec.whiten(x), spec.pinv
+    monkeypatch.undo()
+    assert len(products) == 4
+    assert all(a.shape == (n, n) and b.shape[0] == n for a, b in products)
+    np.testing.assert_allclose(w, (vecs.conj().T @ x) / np.sqrt(vals)[:, None], rtol=1e-13)
+    np.testing.assert_allclose(pinv, (vecs / vals) @ vecs.conj().T, rtol=1e-13, atol=1e-15)
+
+
 def sum_pair(rng, n=6, items=3):
     famL = random_family(rng, n, items)
     famG = FrameFamily(n, [

@@ -656,8 +656,8 @@ class TestImmutableFamily:
     def test_arrays_are_read_only(self, rng):
         fam, _, _ = self.family(rng)
         b, c = fam.factors[0]
-        conj_basis, _ = fam.stacked_conj_basis
-        for array in (fam.items[0][1], fam.items[0][0].basis, b, c, conj_basis):
+        stacked = fam.sum_plan[0]  # both items stand alone: frame_sum stacks them
+        for array in (fam.items[0][1], fam.items[0][0].basis, b, c, stacked):
             with pytest.raises(ValueError):
                 array[0, 0] = 7.0
 
@@ -674,7 +674,7 @@ class TestImmutableFamily:
     def test_factors_formed_once(self, rng):
         fam, _, lam = self.family(rng)
         assert fam.factors is fam.factors
-        assert fam.stacked_conj_basis is fam.stacked_conj_basis
+        assert fam.sum_plan is fam.sum_plan
         b, c = fam.factors[0]
         assert b is fam.items[0][0].basis
         assert np.array_equal(c, lam @ b)

@@ -59,6 +59,7 @@ from conftest import (
     complex_gaussian,
     random_family,
     random_subspace,
+    record_svd_inputs,
     scaled_partition_family,
     well_conditioned,
 )
@@ -669,6 +670,23 @@ def test_worst_sample_slack_is_the_old_expression_within_rounding(lambda1, lambd
     assert abs(rep.worst_sample_slack - worst) <= slack_rounding_bound(s, lambda1, lambda2)
 
 
+@pytest.mark.parametrize("lambda2, svds_of_s", [(0.0, 0), (-0.0, 0), (0.5, 1)])
+def test_perturbation_check_takes_the_svd_of_s_only_where_lambda2_reads_it(
+        monkeypatch, lambda2, svds_of_s):
+    # sigma_min(S) enters only as lambda2 sigma_min(S), the signed zero
+    # lambda2 where lambda2 is zero
+    pair = near_identity_pair(5)
+    seen = record_svd_inputs(monkeypatch)
+    rep = perturbation_check(pair, 0.05, lambda2, 2.0, 2.0, trials=10, seed=3)
+    s = pair.matrix
+    assert sum(a.shape == s.shape and np.array_equal(a, s) for a in seen) == svds_of_s
+    monkeypatch.undo()
+    # the threshold with lambda2 sigma_min(S) read from S's SVD
+    old = tol.claim("spectral_gap", 0.0, "<=", "TOL_PERTURB",
+                    base=0.05 + lambda2 * linalg.singular_extremes(s).sigma_min)
+    assert rep.claims[0].name == "spectral_gap" and rep.claims[0].threshold == old.threshold
+
+
 @pytest.mark.parametrize("n", [1, 5, 64])
 @pytest.mark.parametrize("lambda2", [0.0, -0.0, 0.5])
 @pytest.mark.parametrize("chunk", [3, SAMPLE_CHUNK])
@@ -713,16 +731,18 @@ def run_families():
 
 
 def per_item_frame_sum(fam, cp, block):
-    """`frame_sum` with one 2-D product per item, in the same order."""
+    """`frame_sum` with each item in factored form by one 2-D product, in
+    item order, the coordinates from one product with conj([B_1 ... B_m])."""
     n, k = block.shape
-    conj_basis, offsets = fam.stacked_conj_basis
-    weights, rows = fam.row_weights
+    bases = [b for b, _ in fam.factors]
+    offsets = np.cumsum([0] + [b.shape[1] for b in bases])
+    rows = np.cumsum([0] + [c.shape[0] for _, c in fam.factors])
     both = np.concatenate([cp.t @ block, cp.u @ block], axis=1)
-    coords = conj_basis.T @ both
-    out = np.empty((weights.shape[0], 2 * k), dtype=complex)
+    coords = np.conjugate(np.hstack(bases)).T @ both
+    out = np.empty((rows[-1], 2 * k), dtype=complex)
     for (_, c), lo, hi, r_lo, r_hi in zip(fam.factors, offsets, offsets[1:], rows, rows[1:]):
         np.matmul(c, coords[lo:hi], out=out[r_lo:r_hi])
-    out[:, k:] *= weights[:, None]
+    out[:, k:] *= np.repeat([w * w for w in fam.weights], np.diff(rows))[:, None]
     return np.vecdot(out[:, :k], out[:, k:], axis=0)
 
 
@@ -736,6 +756,15 @@ def test_frame_sum_applies_each_run_in_one_product(monkeypatch, fam, runs):
         assert stack.shape[0] == hi - lo and not stack.flags.writeable
         for (_, c), item in zip(fam.factors[lo:hi], stack):
             assert np.shares_memory(c, stack) and np.array_equal(c, item)
+    # every item of `singles` stands alone, so all are stacked; the Fourier
+    # family's one item that stands alone keeps its factored form
+    alone = runs == len(fam)
+    stacked = fam.sum_plan[0]  # made here, so that only frame_sum's own products count
+    assert not stacked.flags.writeable
+    if alone:
+        np.testing.assert_allclose(stacked, np.vstack([c @ b.conj().T for b, c in fam.factors]))
+    else:
+        assert stacked.size == 0
     rng = np.random.default_rng(runs)
     for k in (1, 4):
         block = complex_gaussian(rng, n, k)
@@ -743,6 +772,47 @@ def test_frame_sum_applies_each_run_in_one_product(monkeypatch, fam, runs):
         count_calls(monkeypatch, "matmul", lambda out: shapes.append(out.shape))
         got = frame_sum(fam, cp, block)
         monkeypatch.undo()
-        # the coordinates' product, then one product per run
-        assert len(shapes) == 1 + runs
-        np.testing.assert_array_equal(got, per_item_frame_sum(fam, cp, block))
+        ref = per_item_frame_sum(fam, cp, block)
+        if alone:  # one product of the stacked items, and no coordinates
+            assert shapes == [(sum(c.shape[0] for _, c in fam.factors), 2 * k)]
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+        else:  # the coordinates' product, then one product per run
+            assert len(shapes) == 1 + runs
+            np.testing.assert_array_equal(got, ref)
+
+
+def test_the_stacked_items_are_made_on_the_first_frame_sum_only(monkeypatch):
+    # items 0, 3 and 7 stand alone, beside runs of two and of three
+    rng, n = np.random.default_rng(27), 6
+    shapes = [(2, 1), (3, 2), (3, 2), (1, 1), (2, 2), (2, 2), (2, 2), (4, 3)]
+    fam = FrameFamily(n, [(random_subspace(rng, n, d), complex_gaussian(rng, r, n), 1.0 + j)
+                          for j, (r, d) in enumerate(shapes)])
+    cp = ControlPair(well_conditioned(rng, n), well_conditioned(rng, n))
+    stacks, starts = fam.factor_runs
+    alone = [lo for stack, lo in zip(stacks, starts) if len(stack) == 1]
+    assert alone == [0, 3, 7]
+    assert "sum_plan" not in fam.__dict__
+    f = complex_gaussian(rng, n)
+    first = frame_sum(fam, cp, f)
+    stacked = fam.__dict__["sum_plan"][0]
+    # exactly the numbers of those items' L_j: r_j x n each
+    assert stacked.size == sum(fam.items[j][1].size for j in alone)
+    shapes = []
+    count_calls(monkeypatch, "matmul", lambda out: shapes.append(out.shape))
+    assert frame_sum(fam, cp, f) == first
+    monkeypatch.undo()
+    assert fam.sum_plan[0] is stacked
+    # the controls (2), the stacked items, the coordinates, one per run left
+    assert len(shapes) == 2 + 1 + 1 + len(stacks) - len(alone)
+    np.testing.assert_allclose(first, per_item_frame_sum(fam, cp, f[:, None])[0], rtol=1e-14)
+
+
+@pytest.mark.parametrize("structure", generate.STRUCTURES)
+@pytest.mark.parametrize("dim", [1, 6, 32, 64])
+def test_frame_sum_matches_the_per_item_sum(structure, dim):
+    inst = generate.random_instance(dim, dim, min(dim, 32), structure)
+    fam = inst.family
+    cp = getattr(inst, "control2", None) or inst.control
+    block = complex_gaussian(np.random.default_rng(dim), dim, 3)
+    got, ref = frame_sum(fam, cp, block), per_item_frame_sum(fam, cp, block)
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)

@@ -249,16 +249,17 @@ def test_a_family_is_freed_by_reference_counting():
             inverse_commutation_check(fam, cp)
             frame_sum(fam, cp, complex_gaussian(rng, n, 2))
         # the items, F's factors and their run stacks, F, F's two
-        # decompositions, and the stacked bases and row weights of
-        # frame_sum: only arrays, tuples of them and a Spectrum of F
+        # decompositions, and frame_sum's plan: only arrays, tuples of them
+        # and a Spectrum of F
         assert fam.__dict__.keys() == {"ambient_dim", "items", "factors", "factor_runs",
-                                       "operator", "spectrum", "roots", "stacked_conj_basis",
-                                       "row_weights"}
+                                       "operator", "spectrum", "roots", "sum_plan"}
         stacks, starts = fam.__dict__["factor_runs"]
-        for key in ("stacked_conj_basis", "row_weights"):
-            array, offsets = fam.__dict__[key]
+        stacked, conj_basis, runs, weights = fam.__dict__["sum_plan"]
+        assert stacked.size  # the three items stand alone: their operators stacked
+        for array in (stacked, conj_basis, weights):
             assert isinstance(array, np.ndarray) and not array.flags.writeable
-            assert all(isinstance(i, int) for i in offsets)
+        for stack, *offsets in runs:
+            assert isinstance(stack, np.ndarray) and all(isinstance(i, int) for i in offsets)
         assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in stacks)
         assert all(isinstance(i, int) for i in starts)
         ref = weakref.ref(fam)
