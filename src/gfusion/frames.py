@@ -183,11 +183,16 @@ class FrameFamily:
         need, serves every positive scalar pair."""
         return Spectrum(self.operator)
 
-    @cached_property
+    @property
     def roots(self) -> tuple:
         """`thin_roots` under the identity controls: under a positive scalar
-        pair T is sqrt(c) times this T, on the same bases."""
-        return thin_roots(self, 1.0, 1.0)
+        pair T is sqrt(c) times this T, on the same bases.  Made once per
+        (TOL_HERM, TOL_PSD), the gates of its roots, and kept."""
+        key = (tol.TOL_HERM, tol.TOL_PSD)
+        made = self.__dict__.get("roots")
+        if made is None or made[0] != key:
+            made = self.__dict__["roots"] = (key, thin_roots(self, 1.0, 1.0))
+        return made[1]
 
 
 def _gated_side(a, what: str):
@@ -446,9 +451,10 @@ class FrameEvaluation:
     c = conj(c_t) c_u > 0) S is c F: the spectrum is the family's own
     spectrum of F scaled by c, and the roots are the family's own times
     sqrt(c) (`FrameFamily.spectrum` and `FrameFamily.roots`, each made once
-    per family).  Under any other pair both are S's own.  S itself is
-    always formed by its two products.  What depends on the control pair
-    is not kept: an evaluation lives as long as the call that built it.
+    per family, the roots once per gate tolerances).  Under any other pair
+    both are S's own.  S itself is always formed by its two products.  What
+    depends on the control pair is not kept: an evaluation lives as long as
+    the call that built it.
     """
 
     def __init__(self, fam: FrameFamily, cp: ControlPair):

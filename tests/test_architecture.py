@@ -1,9 +1,10 @@
 """The package's architecture rules, as one table of AST guards.
 
-Each rule finds the sites of one pattern in the package source that break
-it; the rule holds when there are none.  Where a rule has a self-check, its
-pattern must find exactly the given lines of a snippet written to contain
-it, so that a rule that no longer sees its pattern fails too.
+Each rule finds the sites of one pattern in the package source (or, for
+`one_recorder`, in the tests) that break it; the rule holds when there are
+none.  Where a rule has a self-check, its pattern must find exactly the
+given lines of a snippet written to contain it, so that a rule that no
+longer sees its pattern fails too.
 """
 
 import ast
@@ -284,6 +285,44 @@ def eigh_sites():
                     "eigh call")
 
 
+TESTS = Path(__file__).parent
+
+# Patches that record calls for another purpose than a count: the refcount
+# test keeps a weak reference to each family made.
+TRACKING = {("FrameFamily", "__init__")}
+
+
+def counting_patches(source):
+    """Line numbers of the patches (`monkeypatch.setattr`, `mock.patch.object`,
+    `setattr`) that rebind an attribute of numpy, or rebind any attribute
+    to a recorder: a lambda, or a function of the module, that appends to a
+    list or adds to a counter.  `conftest.recorded` is the one recorder."""
+    tree = ast.parse(source)
+
+    def records(node):
+        return any(isinstance(n, ast.AugAssign) or getattr(getattr(n, "func", None), "attr", "")
+                   == "append" for n in ast.walk(node))
+
+    recorders = {node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and records(node)}
+    found = []
+    for call in ast.walk(tree):
+        func = getattr(call, "func", None)
+        if not (isinstance(call, ast.Call) and len(call.args) >= 3
+                and getattr(func, "attr", getattr(func, "id", None)) in ("setattr", "object")):
+            continue
+        target, name, value = call.args[:3]
+        root = target
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        recorder = (isinstance(value, ast.Lambda) and records(value)) or (
+            getattr(value, "id", None) in recorders
+            and (ast.unparse(target), getattr(name, "value", None)) not in TRACKING)
+        if getattr(root, "id", None) in ("np", "numpy") or recorder:
+            found.append(call.lineno)
+    return sorted(found)
+
+
 class Rule(NamedTuple):
     sites: Callable  # () -> the sites that break the rule
     message: str
@@ -405,6 +444,27 @@ RULES = {
             "except (KeyError, TypeError, ValueError):",
             "    pass",
         ]), [3, 4, 5, 6, 7]),),
+    ),
+    "one_recorder": Rule(
+        lambda: [f"{path.name}:{line}" for path in sorted(TESTS.glob("*.py"))
+                 if path.name != "conftest.py" for line in counting_patches(path.read_text())],
+        "count calls with conftest.recorded and pin the counts in tests/budgets.py",
+        ((counting_patches, "\n".join([
+            "monkeypatch.setattr(np.linalg, 'svd', recording)",
+            "monkeypatch.setattr(np, 'matmul', lambda *a: calls.append(a) or matmul(*a))",
+            "monkeypatch.setattr(frames, '_expand', lambda *a: calls.append(a) or expand(*a))",
+            "def counting(*args):",
+            "    calls[0] += 1",
+            "setattr(resolution, 'pair_frame_operator', counting)",
+            "mock.patch.object(numpy.linalg, 'eigh', eigh)",
+            "monkeypatch.setattr(linalg, 'SAMPLE_CHUNK', 3)",
+            "monkeypatch.setattr(constructions, 'scalar_multiple', lambda a: None)",
+            "mock.patch.object(tolerances, 'TOL_SANDWICH', -1.0)",
+            "def tracking(self, *args):",
+            "    made.append(weakref.ref(self))",
+            "monkeypatch.setattr(FrameFamily, '__init__', tracking)",
+            "monkeypatch.setattr(frames.FrameEvaluation, '__init__', tracking)",
+        ]), [1, 2, 3, 6, 7, 14]),),
     ),
     "verdict_claims": Rule(
         lambda: [

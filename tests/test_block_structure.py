@@ -14,42 +14,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gfusion import constructions, frames, linalg
+from gfusion import constructions, linalg
 from gfusion import tolerances as tol
 from gfusion.constructions import direct_sum_frame, sum_transform
 from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily
 from gfusion.linalg import Spectrum, Subspace, diagonal_blocks, dsum_op, opnorm
 from gfusion.resolution import coercive_pair_check, pair_frame_operator
 
-from conftest import complex_gaussian, random_family, record_opnorm_inputs, well_conditioned
+from conftest import (
+    KIND_SUMS,
+    SCALAR_SUMS,
+    complex_gaussian,
+    control_pair,
+    new_operators,
+    partition,
+    random_family,
+    well_conditioned,
+)
 
 RTOL = 1e-13
-DECOMPOSITIONS = ("svd", "eigh", "eigvalsh", "qr", "inv")
-
-
-def record_decompositions(monkeypatch):
-    """A list that receives each matrix np.linalg decomposes (`DECOMPOSITIONS`,
-    and the spectral norm norm(x, 2), which numpy takes by an SVD)."""
-    seen = []
-    for name in DECOMPOSITIONS:
-        original = getattr(np.linalg, name)
-
-        def recording(a, *args, _original=original, **kwargs):
-            seen.append(np.array(a))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
-    norm = np.linalg.norm
-
-    def recording_norm(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) == 2:
-            seen.append(np.array(x))
-        return norm(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", recording_norm)
-    return seen
-
-
 def close(x, y, scale):
     """Every entry of x within RTOL * scale of y's."""
     return np.abs(np.asarray(x) - np.asarray(y)).max(initial=0.0) <= RTOL * scale
@@ -196,76 +179,46 @@ class TestBlockOrder:
         assert Spectrum(h).whiten(np.array([[1.0], [1.0], [1e-8]], dtype=complex)) is None
 
 
-def partition(rng, n, items):
-    """A partition family in a random orthonormal basis: F = Q Q* = I up to
-    rounding, dense in every entry."""
-    q, _ = np.linalg.qr(complex_gaussian(rng, n, n))
-    return FrameFamily(n, [(Subspace(n, q[:, j::items]), q[:, j::items].conj().T, 1.0)
-                           for j in range(items)])
-
-
-def test_direct_sum_of_two_128_dim_partitions_decomposes_no_larger_matrix(monkeypatch):
+def test_direct_sum_of_two_128_dim_partitions_decomposes_no_larger_matrix():
+    # the sides it decomposes are a row of budgets.py; here, its bounds
     rng = np.random.default_rng(24)
     n = 128
     fam, k = partition(rng, n, 4), complex_gaussian(rng, n, n) / np.sqrt(n)
     cp = ControlPair.scalars(n, 0.75, 1.5)
-    seen = record_decompositions(monkeypatch)
     rep = direct_sum_frame(fam, cp, k, fam, cp, k)
-    monkeypatch.undo()
-    assert seen and max(max(a.shape) for a in seen) == n
     assert rep.all_hypotheses_pass and rep.verified
     assert rep.measured.lambda_min == pytest.approx(rep.predicted_lower, rel=1e-12)
     assert rep.measured.lambda_max == pytest.approx(rep.predicted_upper, rel=1e-12)
 
 
-def test_direct_sum_whitens_and_inverts_block_by_block(monkeypatch):
+def test_direct_sum_whitens_and_inverts_block_by_block():
     # F of the direct sum is two dense 16 x 16 blocks: whiten's V* k and
-    # F^+ take one product per block, none on the 32 x 32 whole
+    # F^+ take one product per block (budgets.py), none on the 32 x 32 whole
     rng = np.random.default_rng(27)
     n = 16
     fam, k = partition(rng, n, 4), complex_gaussian(rng, n, n)
     cp = ControlPair.scalars(n, 0.75, 1.5)
     spec = direct_sum_frame(fam, cp, k, fam, cp, k).family_out.spectrum
     assert diagonal_blocks(spec.a) == (0, n, 2 * n)
-    vals, vecs = spec.eigenpairs  # decomposed before the products are counted
+    vals, vecs = spec.eigenpairs
     x = complex_gaussian(rng, 2 * n, 3)
-    products = count(monkeypatch, np, "matmul")
     w, pinv = spec.whiten(x), spec.pinv
-    monkeypatch.undo()
-    assert len(products) == 4
-    assert all(a.shape == (n, n) and b.shape[0] == n for a, b in products)
     np.testing.assert_allclose(w, (vecs.conj().T @ x) / np.sqrt(vals)[:, None], rtol=1e-13)
     np.testing.assert_allclose(pinv, (vecs / vals) @ vecs.conj().T, rtol=1e-13, atol=1e-15)
 
 
 def sum_pair(rng, n=6, items=3):
     famL = random_family(rng, n, items)
-    famG = FrameFamily(n, [
-        (sub, complex_gaussian(rng, *lam.shape), wt) for sub, lam, wt in famL.items
-    ])
-    return famL, famG
-
-
-def count(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or original(*a, **kw))
-    return calls
+    return famL, new_operators(famL, rng)
 
 
 class TestScalarSumOperator:
-    def test_half_plus_half_runs_no_qr_and_no_orth(self, rng, monkeypatch):
+    def test_half_plus_half_runs_no_qr_and_no_orth(self, rng):
+        # r = I keeps each subspace (its QR and orth counts: budgets.py)
         famL, famG = sum_pair(rng)
         half = np.eye(6) / 2
         for cp in (ControlPair.scalars(6, 0.5, 1.5), ControlPair(*[well_conditioned(rng, 6)] * 2)):
-            qr = count(monkeypatch, np.linalg, "qr")
-            orth = count(monkeypatch, linalg, "orth")
             rep = sum_transform(famL, famG, half, half, cp, np.eye(6))
-            dense_controls = isinstance(cp.t_side, np.ndarray)
-            # a dense control keeps its own QR per item; r B_j takes none
-            assert len(qr) == (2 * len(famL) if dense_controls else 0)
-            assert orth == []
-            monkeypatch.undo()
             for (sub, _, _), (out, _, _) in zip(famL.items, rep.family_out.items):
                 assert out is sub
 
@@ -296,15 +249,12 @@ class TestScalarSumOperator:
             np.testing.assert_allclose(lam, lam_d, atol=1e-13)
             np.testing.assert_allclose(linalg.projector(sub), linalg.projector(sub_d), atol=1e-13)
 
-    def test_dense_sum_keeps_one_qr_and_one_orth_per_item(self, rng, monkeypatch):
+    def test_dense_sum_keeps_one_qr_and_one_orth_per_item(self, rng):
+        # each item's image r W_j (its QR and orth counts: budgets.py)
         famL, famG = sum_pair(rng)
         cp = ControlPair.scalars(6, 0.5, 1.5)
         v = well_conditioned(rng, 6)
-        qr = count(monkeypatch, np.linalg, "qr")
-        orth = count(monkeypatch, linalg, "orth")
         rep = sum_transform(famL, famG, v, np.eye(6) / 2, cp, np.eye(6))
-        assert len(qr) == len(famL) and len(orth) == len(famL)
-        monkeypatch.undo()
         r = v + np.eye(6) / 2
         for (sub, _, _), (out, _, _) in zip(famL.items, rep.family_out.items):
             ref = linalg.projector(linalg.subspace_image(r, sub))
@@ -312,17 +262,14 @@ class TestScalarSumOperator:
 
 
 class TestNormFromSpectrum:
-    def test_exactly_hermitian_s_takes_no_svd(self, rng, monkeypatch):
+    def test_exactly_hermitian_s_takes_no_svd(self, rng):
+        # ||S|| from the bounds' one eigvalsh (budgets.py): S = c F read from
+        # the family's spectrum, and S = -2 F from its own
         fam = random_family(rng, 5, 3)
-        # S = c F read from the family's spectrum, and S = -2 F from its own
         for cp in (ControlPair.scalars(5, 0.5, 1.5), ControlPair.scalars(5, -1.0, 2.0)):
             ev = FrameEvaluation(fam, cp)
             assert not ev.skew.any()
-            svd = count(monkeypatch, np.linalg, "svd")
-            norms = record_opnorm_inputs(monkeypatch)
             norm = ev.norm
-            assert svd == [] and norms == []
-            monkeypatch.undo()
             b = ev.bounds
             assert norm == max(abs(b.lambda_min), abs(b.lambda_max))
             assert norm == pytest.approx(np.linalg.norm(ev.s, 2), rel=1e-13)
@@ -334,17 +281,11 @@ class TestNormFromSpectrum:
 
 
 class TestScalarDirectSum:
-    @pytest.mark.parametrize("h_sides, x_sides", [
-        ((0.5, 1.5), (0.5, 1.5)), ((2.0, 2.0), (2.0, 2.0)), ((1j, 1.0), (1.0, 1.0)),
-        ((0.5, 1.5), (0.5, 2.5)), ((3.0, 3.0), (2.0, 2.0)),
-    ])
-    def test_sides_come_from_the_numbers(self, monkeypatch, h_sides, x_sides):
+    @pytest.mark.parametrize("h_sides, x_sides", SCALAR_SUMS)
+    def test_sides_come_from_the_numbers(self, h_sides, x_sides):
+        # with no scan or comparison of the sums (budgets.py)
         h, x = ControlPair.scalars(2, *h_sides), ControlPair.scalars(3, *x_sides)
-        scans = count(monkeypatch, frames, "scalar_multiple")
-        equal = count(monkeypatch, np, "array_equal")
         cp = ControlPair.direct_sum(h, x)
-        assert scans == [] and equal == []
-        monkeypatch.undo()
         dense = ControlPair(dsum_op(h.t, x.t), dsum_op(h.u, x.u))
         for side, ref in ((cp.t_side, dense.t_side), (cp.u_side, dense.u_side)):
             assert type(side) is type(ref)
@@ -353,26 +294,13 @@ class TestScalarDirectSum:
         assert cp.scale == dense.scale
         assert np.array_equal(cp.t, dense.t) and np.array_equal(cp.u, dense.u)
 
-    @pytest.mark.parametrize("kinds", [
-        ("dense t = u", "dense t = u"), ("dense", "dense"), ("dense t = u", "scalar"),
-        ("scalar", "dense"), ("dense t = u", "scalar t = u"),
-    ])
-    def test_dense_sides_read_no_sum(self, rng, monkeypatch, kinds):
+    @pytest.mark.parametrize("kinds", KIND_SUMS)
+    def test_dense_sides_read_no_sum(self, rng, kinds):
         # any mix of dense and scalar pairs: the sum's t = u test and sides
         # come from the two pairs, with no scan or comparison of the sums
-        def make(kind, n):
-            c = well_conditioned(rng, n)
-            return {"dense t = u": lambda: ControlPair(c, c.copy()),
-                    "dense": lambda: ControlPair(c, well_conditioned(rng, n)),
-                    "scalar": lambda: ControlPair.scalars(n, 0.5, 1.5),
-                    "scalar t = u": lambda: ControlPair.scalars(n, 2.0, 2.0)}[kind]()
-
-        h, x = make(kinds[0], 2), make(kinds[1], 3)
-        scans = count(monkeypatch, frames, "scalar_multiple")
-        equal = count(monkeypatch, np, "array_equal")
+        # (budgets.py)
+        h, x = control_pair(kinds[0], 2, rng), control_pair(kinds[1], 3, rng)
         cp = ControlPair.direct_sum(h, x)
-        assert scans == [] and equal == []
-        monkeypatch.undo()
         dense = ControlPair(dsum_op(h.t, x.t), dsum_op(h.u, x.u))
         for side, ref in ((cp.t_side, dense.t_side), (cp.u_side, dense.u_side)):
             assert type(side) is type(ref) and np.array_equal(side, ref)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gfusion import constructions
 from gfusion.constructions import (
     conjugate_transform,
     direct_sum_frame,
@@ -14,7 +13,7 @@ from gfusion.errors import (
     NotInvertible,
     WeightMismatch,
 )
-from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily, frame_operator, kgf_bounds
+from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily, frame_operator
 from gfusion.linalg import (
     Subspace,
     commutator_residual,
@@ -26,10 +25,8 @@ from gfusion.linalg import (
 
 from conftest import (
     complex_gaussian,
+    new_operators,
     random_family,
-    record_eigvalsh_inputs,
-    record_spectral_inputs,
-    record_svd_inputs,
     scaled_partition_family,
     well_conditioned,
 )
@@ -45,10 +42,6 @@ def assert_singular(rep, name):
     assert rep.predicted_lower is None and rep.predicted_upper is None
     assert "measured_lower_bound" not in claims
     assert not any(cert.name.endswith("_invertible") for cert in rep.hypothesis_certificates)
-
-
-def count_equal(seen, x):
-    return sum(a.shape == x.shape and np.array_equal(a, x) for a in seen)
 
 
 def orthogonal_codomain_pair(dim=4, items=3, seed=7):
@@ -102,28 +95,16 @@ class TestSumTransform:
         residuals = dict(rep.hypothesis_certificates)
         assert residuals["cross_terms_gamma_lambda"] > 1e-8
 
-    def test_scalar_controls_take_one_qr_per_item(self, rng, monkeypatch):
+    def test_scalar_controls_take_one_qr_per_item(self, rng):
         # under t = a I and u = b I the cross-term factors are conj(a) r B_j
-        # and conj(b) r B_j: both R factors are read off the QR of r B_j,
-        # and the certificates are those of the dense forms
+        # and conj(b) r B_j: both R factors are read off the QR of r B_j
+        # (budgets.py), and the certificates are those of the dense forms
         famL = random_family(rng, 5, 3)
-        famG = FrameFamily(5, [
-            (sub, complex_gaussian(rng, *lam.shape), wt) for sub, lam, wt in famL.items
-        ])
+        famG = new_operators(famL, rng)
         a, b = 0.7, 1.3j
         r = well_conditioned(rng, 5)
-        seen = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(
-            np.linalg, "qr", lambda x, *rest, **kw: seen.append(x) or qr(x, *rest, **kw))
         cp = ControlPair.scalars(5, a, b)
         rep = sum_transform(famL, famG, r, np.zeros((5, 5)), cp, np.eye(5))
-        monkeypatch.undo()
-        for sub, _, _ in famL.items:
-            r_b = r @ sub.basis
-            for c in (a, b):
-                scaled = np.conj(c) * r_b
-                assert not any(x.shape == r_b.shape and np.allclose(x, scaled) for x in seen)
         t, u = a * np.eye(5), b * np.eye(5)
         cross = {"cross_terms_gamma_lambda": 0.0, "cross_terms_lambda_gamma": 0.0}
         for (sub, lamL, _), (_, lamG, _) in zip(famL.items, famG.items):
@@ -179,21 +160,20 @@ class TestSumTransform:
             )
 
     @pytest.mark.parametrize("dense_r, norms", [(False, 3), (True, 4)])
-    def test_norms_per_item(self, rng, monkeypatch, dense_r, norms):
+    def test_norms_per_item(self, rng, dense_r, norms):
         # under a scalar r and scalar controls ||rx m* ry*|| = ||rx m ry*||:
-        # three norms per item, the cross norm read once; a dense r keeps
-        # the fourth
+        # three norms per item (budgets.py), the cross norm read once for
+        # both cross certificates; a dense r keeps the fourth, which equals
+        # it in exact arithmetic
         famL, _ = orthogonal_codomain_pair(items=5)
         famG = FrameFamily(4, [(sub, complex_gaussian(rng, 4, 4), w) for sub, _, w in famL.items])
         cp = ControlPair.scalars(4, 0.7, 1.3)
         v = well_conditioned(rng, 4) if dense_r else 0.5 * np.eye(4)
-        calls = []
-        monkeypatch.setattr(constructions, "opnorm", lambda a: calls.append(a) or opnorm(a))
         rep = sum_transform(famL, famG, v, 2.0 * np.eye(4), cp, complex_gaussian(rng, 4, 4))
-        assert len(calls) == norms * len(famL)
         certs = dict(rep.hypothesis_certificates)
-        if not dense_r:
-            assert certs["cross_terms_lambda_gamma"] == certs["cross_terms_gamma_lambda"] > 0
+        cross = certs["cross_terms_lambda_gamma"], certs["cross_terms_gamma_lambda"]
+        assert min(cross) > 0
+        assert cross[0] == (cross[1] if norms == 3 else pytest.approx(cross[1], rel=1e-12))
 
     def test_ambient_dim_mismatch(self):
         # equal item counts on C^4 and C^6: a shape error, not a count error
@@ -337,21 +317,17 @@ class TestConjugate:
 class TestHeldNorms:
     """The commutation certificates read ||t||, ||u|| and each gated
     operator's norm from the singular extremes its gate kept, the norm of
-    its adjoint too (||a*|| = ||a||), and measure every other norm once; the
-    residuals are those of measuring each norm of a gated operator, not of
-    its adjoint."""
+    its adjoint too (||a*|| = ||a||), and measure every other norm once
+    (budgets.py); the residuals are those of measuring each norm of a gated
+    operator, not of its adjoint."""
 
-    def test_sum_transform(self, rng, monkeypatch):
+    def test_sum_transform(self, rng):
         famL, famG = orthogonal_codomain_pair()
         c = well_conditioned(rng, 4)
         cp = ControlPair(c, c)  # (c, c) keeps the frame operators Hermitian
         v, w, k = well_conditioned(rng, 4), 0.5 * np.eye(4), complex_gaussian(rng, 4, 4)
         r = v + w
-        seen = record_spectral_inputs(monkeypatch)
         rep = sum_transform(famL, famG, v, w, cp, k)
-        assert count_equal(seen, cp.t) == 0 and count_equal(seen, cp.u) == 0
-        assert count_equal(seen, r.conj().T) == 0
-        monkeypatch.undo()
         certs = dict(rep.hypothesis_certificates)
         # each certificate is the residual of the held norms
         norm_r, norm_t, norm_u = (singular_extremes(x).sigma_max for x in (r, cp.t, cp.u))
@@ -362,7 +338,7 @@ class TestHeldNorms:
         assert certs["sum_adjoint_commutes_with_u"] == commutator_residual(
             r.conj().T, cp.u, norm_r, norm_u)
 
-    def test_conjugate_transform(self, rng, monkeypatch):
+    def test_conjugate_transform(self, rng):
         famH = random_family(rng, 3, 2)
         famX = FrameFamily(3, [
             (s, l, wt) for (s, l, _), wt in zip(random_family(rng, 3, 2).items, famH.weights)
@@ -371,15 +347,7 @@ class TestHeldNorms:
         cpH, cpX = ControlPair(cH, cH), ControlPair(cX, cX)
         kH, kX = complex_gaussian(rng, 3, 3), complex_gaussian(rng, 3, 3)
         w, v = well_conditioned(rng, 3), well_conditioned(rng, 3)
-        seen = record_spectral_inputs(monkeypatch)
         rep = conjugate_transform(famH, cpH, kH, famX, cpX, kX, w, v)
-        for c in (cpH.t, cpH.u, cpX.t, cpX.u):
-            assert count_equal(seen, c) == 0
-        for x in (w, v):
-            assert count_equal(seen, x) == 1
-        for x in (w.conj().T, v.conj().T):
-            assert count_equal(seen, x) == 0
-        monkeypatch.undo()
         certs = dict(rep.hypothesis_certificates)
         # each certificate is the residual of the held norms
         w_adj, v_adj = w.conj().T, v.conj().T
@@ -444,37 +412,19 @@ class TestNotBessel:
 
 
 class TestDirectSumControl:
-    def test_no_svd_of_the_sum_control(self, rng, monkeypatch):
-        famH = random_family(rng, 3, 2)
-        famX = FrameFamily(4, [
-            (s, l, wt) for (s, l, _), wt in zip(random_family(rng, 4, 2).items, famH.weights)
-        ])
-        cH, cX = well_conditioned(rng, 3), well_conditioned(rng, 4)
-        cpH, cpX = ControlPair(cH, cH), ControlPair(cX, cX)
-        seen = record_spectral_inputs(monkeypatch)
-        rep = direct_sum_frame(famH, cpH, np.eye(3), famX, cpX, np.eye(4))
-        assert count_equal(seen, rep.control_out.t) == 0
-        assert count_equal(seen, rep.control_out.u) == 0
-
-    def test_residual_scale_is_the_larger_block_norm(self, rng, monkeypatch):
+    def test_residual_scale_is_the_larger_block_norm(self, rng):
         # ||S_H (+) S_X|| = max(||S_H||, ||S_X||), each S exactly Hermitian
         # and so measured by its own spectrum, with no SVD; the residual
         # S_out - S_H (+) S_X is block-diagonal and measured block by block:
         # neither it nor the block-diagonal sum is decomposed whole
+        # (budgets.py)
         famH = random_family(rng, 3, 2)
         famX = FrameFamily(4, [
             (s, l, wt) for (s, l, _), wt in zip(random_family(rng, 4, 2).items, famH.weights)
         ])
         cpH, cpX = ControlPair.scalars(3, 0.5, 0.5), ControlPair.scalars(4, 2.0, 2.0)
         s_h, s_x = frame_operator(famH, cpH), frame_operator(famX, cpX)
-        svds, eigs = record_svd_inputs(monkeypatch), record_eigvalsh_inputs(monkeypatch)
         rep = direct_sum_frame(famH, cpH, np.eye(3), famX, cpX, np.eye(4))
-        seen = svds + eigs
-        assert seen
-        assert count_equal(seen, s_h) == 0 and count_equal(seen, s_x) == 0
-        assert count_equal(seen, dsum_op(s_h, s_x)) == 0
-        assert not any(a.shape == (7, 7) for a in seen)
-        monkeypatch.undo()
         s_out = frame_operator(rep.family_out, rep.control_out)
         d = s_out - dsum_op(s_h, s_x)
         norms = [FrameEvaluation(fam, cp).norm for fam, cp in ((famH, cpH), (famX, cpX))]

@@ -41,13 +41,7 @@ from gfusion.linalg import (
     subspace_image,
 )
 
-from conftest import (
-    complex_gaussian,
-    random_subspace,
-    random_unit,
-    record_eigvalsh_inputs,
-    record_opnorm_inputs,
-)
+from conftest import complex_gaussian, random_subspace
 
 
 class TestPositiveSqrt:
@@ -256,48 +250,29 @@ def random_hermitian(rng, n, vals):
     return 0.5 * (h + h.conj().T)
 
 
-def count_calls(monkeypatch, *names):
-    calls = {name: 0 for name in names}
-    for name in names:
-        original = getattr(np.linalg, name)
-
-        def counting(*a, _name=name, _original=original, **kw):
-            calls[_name] += 1
-            return _original(*a, **kw)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
-
-
 class TestSpectrum:
-    def test_extremes_do_not_depend_on_what_is_asked_first(self, rng, monkeypatch):
-        # one eigvalsh gives the extremes and one eigh the vectors, in
-        # either order, so the extremes are the same bits either way
+    """One eigvalsh gives the extremes and one eigh serves every other
+    reading, in either order (budgets.py counts them)."""
+
+    def test_extremes_do_not_depend_on_what_is_asked_first(self, rng):
+        # the extremes are the same bits whichever is asked first
         h = random_hermitian(rng, 5, [1.0, 2.0, 3.0, 4.0, 9.0])
         vals = np.linalg.eigvalsh(h)
         ref = SpectralInterval(float(vals[0]), float(vals[-1]))
-        calls = count_calls(monkeypatch, "eigh", "eigvalsh")
         first = Spectrum(h)
         assert first.extremes == ref
-        assert calls == {"eigh": 0, "eigvalsh": 1}
         first.inverse, first.pinv, first.whiten(np.eye(5)), first.psd
         assert first.extremes == ref
-        assert calls == {"eigh": 1, "eigvalsh": 1}
         second = Spectrum(h)
         second.inverse, second.whiten(np.eye(5))
         assert second.extremes == ref
-        assert calls == {"eigh": 2, "eigvalsh": 2}
 
-    def test_one_eigh_serves_every_reading(self, rng, monkeypatch):
+    def test_one_eigh_serves_every_reading(self, rng):
         h = random_hermitian(rng, 5, [0.5, 2.0, 3.0, 4.0, 8.0])
-        calls = count_calls(monkeypatch, "eigh", "eigvalsh", "inv")
         spec = Spectrum(h)
         k = complex_gaussian(rng, 5, 5)
         w = spec.whiten(k)
         extremes, inverse, pinv_h, psd = spec.extremes, spec.inverse, spec.pinv, spec.psd
-        # the eigvalsh is the extremes' own
-        assert calls == {"eigh": 1, "eigvalsh": 1, "inv": 0}
-        monkeypatch.undo()
         assert extremes.lambda_min == pytest.approx(0.5, rel=1e-13)
         assert extremes.lambda_max == pytest.approx(8.0, rel=1e-13)
         assert psd
@@ -305,11 +280,10 @@ class TestSpectrum:
         np.testing.assert_allclose(pinv_h, np.linalg.inv(h), atol=1e-13)
         np.testing.assert_allclose(w.conj().T @ w, k.conj().T @ np.linalg.inv(h) @ k, atol=1e-12)
 
-    def test_scaled_shares_the_decomposition(self, rng, monkeypatch):
+    def test_scaled_shares_the_decomposition(self, rng):
         h = random_hermitian(rng, 4, [1.0, 2.0, 3.0, 5.0])
         spec = Spectrum(h)
         spec.inverse, spec.extremes
-        calls = count_calls(monkeypatch, "eigh", "eigvalsh")
         scaled = spec.scaled(2.5)
         vals, vecs = scaled.eigenpairs
         assert vecs is spec.eigenpairs[1]
@@ -318,7 +292,6 @@ class TestSpectrum:
         assert scaled.scaled(2.0).extremes.lambda_min == 5.0 * spec.extremes.lambda_min
         np.testing.assert_allclose(scaled.inverse, spec.inverse / 2.5, atol=1e-15)
         assert scaled.extremes.lambda_min == 2.5 * spec.extremes.lambda_min
-        assert calls == {"eigh": 0, "eigvalsh": 0}
         assert not vecs.flags.writeable
 
     def test_pinv_cuts_at_tol_rank(self, rng):
@@ -359,16 +332,10 @@ class TestGramNorm:
             r = complex_gaussian(rng, *shape)
             assert opnorm(r) == pytest.approx(np.linalg.norm(r, 2), rel=1e-14)
 
-    def test_no_svd(self, rng, monkeypatch):
-        calls = count_calls(monkeypatch, "svd", "eigvalsh")
-        for shape in ((6, 6), (3, 7), (7, 3)):
-            opnorm(complex_gaussian(rng, *shape))
-        assert calls == {"svd": 0, "eigvalsh": 3}
-
-    def test_square_blocks_are_split_before_any_product(self, rng, monkeypatch):
+    def test_square_blocks_are_split_before_any_product(self, rng):
         """A square `a` is measured block by block, each block's own Gram
-        matrix, and a diagonal `a` by |a_ii| with no eigvalsh at all."""
-        seen = record_eigvalsh_inputs(monkeypatch)
+        matrix, and a diagonal `a` by |a_ii| with no eigvalsh at all (the
+        eigvalsh calls: budgets.py)."""
         d = np.array([0.5, -3.0 + 4.0j, 2.0])
         assert opnorm(np.diag(d)) == 5.0
         big = np.diag(np.linspace(1.0, 2.0, 256) + 0j)
@@ -379,14 +346,11 @@ class TestGramNorm:
         finally:
             tracemalloc.stop()
         assert peak < big.nbytes / 4  # no n x n product
-        assert seen == []
         b1, b2 = complex_gaussian(rng, 3, 3), complex_gaussian(rng, 2, 2)
         a = np.zeros((6, 6), dtype=complex)
         a[:3, :3], a[3, 3], a[4:, 4:] = b1, 0.25, b2
         want = max(np.linalg.norm(b1, 2), np.linalg.norm(b2, 2))
         assert opnorm(a) == pytest.approx(want, rel=1e-14)
-        assert [m.shape for m in seen] == [(3, 3), (2, 2)]
-        np.testing.assert_array_equal(seen[0], b1 @ b1.conj().T)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e170])
     def test_scaled_out_of_overflow_and_underflow(self, rng, scale):
@@ -486,20 +450,16 @@ class TestCommutatorResidual:
         assert commutator_residual(a, a.T) == pytest.approx(1.0, rel=1e-15)
         assert commutator_residual(2.0 * a, a.T) == pytest.approx(1.0, rel=1e-15)
 
-    def test_held_norms_replace_measured_ones(self, rng, monkeypatch):
+    def test_held_norms_replace_measured_ones(self, rng):
+        # a held norm is not measured again (budgets.py)
         a = complex_gaussian(rng, 4, 4)
         b = complex_gaussian(rng, 4, 4)
         na, nb = opnorm(a), opnorm(b)
         ref = commutator_residual(a, b)
-        seen = record_opnorm_inputs(monkeypatch)
         assert commutator_residual(a, b, na, nb) == ref
         assert commutator_residual(a, b, na, None) == ref
         assert commutator_residual(a, b, None, nb) == ref
         assert commutator_residual(a, b, 2.0 * na, nb) == pytest.approx(ref / 2.0, rel=1e-15)
-        # a held norm is not measured again: a once, b once, and each commutator
-        assert [np.array_equal(x, a) for x in seen].count(True) == 1
-        assert [np.array_equal(x, b) for x in seen].count(True) == 1
-        assert len(seen) == 6
 
 
 class TestDirectSumExtremes:

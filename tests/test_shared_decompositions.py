@@ -5,9 +5,10 @@ S = c F, and `FrameEvaluation` reads the bounds, the inverse, atomic's
 pseudoinverse and kgf's whitening of S from the family's one `Spectrum` of
 F (`FrameFamily.spectrum`) scaled by c, and the roots from the family's own
 roots (`FrameFamily.roots`).  These tests hold those readings to dense
-references built from S, count what a first and a second pair decompose,
-check that a family is freed by reference counting alone, and that scalar
-pairs whose c is not a positive real take the path of dense pairs.
+references built from S, check that the roots follow the tolerances in
+force, that a family is freed by reference counting alone, and that scalar
+pairs whose c is not a positive real take the path of dense pairs.  What a
+first and a second pair decompose is in `budgets.py`.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfusion import cli, generate, serialize
+from gfusion import tolerances as tol
 from gfusion.constructions import direct_sum_frame, sum_transform
 from gfusion.errors import NotPositive
 from gfusion.frames import (
@@ -37,7 +39,7 @@ from gfusion.frames import (
     synthesis_matrix,
 )
 from gfusion.linalg import Spectrum, projector
-from gfusion.resolution import canonical_resolutions, inverse_commutation_check
+from gfusion.resolution import inverse_commutation_check
 
 from conftest import complex_gaussian, random_family
 
@@ -111,118 +113,26 @@ def test_c_one_bounds_are_those_of_s_to_the_bit(seed, n, items):
         assert ev.bounds == Spectrum(ev.s).extremes
 
 
-def record(monkeypatch, *names):
-    """{name: list of the inputs of each np.linalg.<name> call}."""
-    seen = {}
-    for name in names:
-        seen[name] = []
-        original = getattr(np.linalg, name)
+def test_family_roots_follow_the_tolerances_in_force():
+    # the family's roots are gated at TOL_HERM and TOL_PSD: a call under
+    # zero tolerances has the outcome it has on a fresh family, whatever
+    # ran before it under the defaults
+    inst = generate.random_instance(3, 6, 3, "generic")
+    cp = ControlPair.scalars(6, 0.5, 1.5)
 
-        def recording(a, *args, _original=original, _seen=seen[name], **kwargs):
-            _seen.append(np.array(a))
-            return _original(a, *args, **kwargs)
+    def strict(fam):
+        with tol.override(tol_herm=0, tol_psd=0):
+            try:
+                return atomic_check(fam, cp, inst.k).is_atomic
+            except NotPositive as exc:
+                return str(exc)
 
-        monkeypatch.setattr(np.linalg, name, recording)
-    return seen
-
-
-def is_gram_of(g, r):
-    """g is r r* (or r* r), as `linalg.opnorm` forms it, up to a
-    positive factor."""
-    rr = r @ r.conj().T if r.shape[0] <= r.shape[1] else r.conj().T @ r
-    scale = np.abs(rr).max() / max(np.abs(g).max(), 1e-300)
-    return g.shape == rr.shape and np.allclose(g * scale, rr, rtol=1e-10, atol=1e-12 * np.abs(rr).max())
-
-
-def takes(inputs, x) -> bool:
-    """Some recorded input is x, up to rounding."""
-    return any(a.shape == x.shape and np.allclose(a, x) for a in inputs)
-
-
-def test_first_atomic_and_thm_41_take_one_eigh_of_f(monkeypatch):
-    # the first atomic_check and inverse_commutation_check on a family
-    # under a positive scalar pair decompose F twice: one eigvalsh, of F,
-    # for the bounds, and one eigh, of F, for kgf's whitening, atomic's S^+
-    # and S^-1; no inv, and no decomposition of S.  The other eigh calls
-    # are the family's own roots, one d_j x d_j problem per item.
-    rng = np.random.default_rng(7)
-    n = 8
-    fam = random_family(rng, n, 4)
-    k = complex_gaussian(rng, n, n)
-    cp = ControlPair.scalars(n, 0.5, 1.5)
-    s = FrameEvaluation(fam, cp).s
-    seen = record(monkeypatch, "eigh", "eigvalsh", "inv")
-    assert atomic_check(fam, cp, k).is_atomic
-    assert inverse_commutation_check(fam, cp).certified
-    of_f = [a for a in seen["eigh"] if np.array_equal(a, fam.operator)]
-    roots = [a.shape for a in seen["eigh"] if not np.array_equal(a, fam.operator)]
-    assert len(of_f) == 1
-    assert sorted(roots) == sorted((sub.dim, sub.dim) for sub, _, _ in fam.items)
-    assert seen["inv"] == []
-    assert sum(np.array_equal(a, fam.operator) for a in seen["eigvalsh"]) == 1
-    assert not any(a.shape == s.shape and np.allclose(a, s) for a in seen["eigvalsh"] + seen["eigh"])
-
-
-def test_second_positive_pair_decomposes_no_s(monkeypatch):
-    # after one evaluation under a positive scalar pair, another positive
-    # pair takes its bounds, inverse, roots, atomic's S^+ and kgf's
-    # whitening from the family: no eigvalsh of S, no eigh, no QR, and no
-    # inverse
-    rng = np.random.default_rng(8)
-    n = 8
-    fam = random_family(rng, n, 4)
-    k = complex_gaussian(rng, n, n)
-    f = complex_gaussian(rng, n)
-    first = ControlPair.scalars(n, 0.5, 1.5)
-    atomic_check(fam, first, k)
-    inverse_commutation_check(fam, first)
-    cp = ControlPair.scalars(n, 2.0, 0.75)
-    seen = record(monkeypatch, "eigh", "eigvalsh", "inv", "qr")
-
-    controlled_frame_bounds(fam, cp)
-    analysis(fam, cp, f)
-    assert all(inputs == [] for inputs in seen.values())
-
-    rep = inverse_commutation_check(fam, cp)
-    assert rep.certified
-    # the eigvalsh calls are the spectrum of the modified frame operator
-    # (S^-1 t, S^-1 u) that Theorem 4.1 measures and the norms of its
-    # residuals (`opnorm`), none of S or F
-    assert [len(seen[name]) for name in ("eigh", "inv", "qr")] == [0, 0, 0]
-    s = FrameEvaluation(fam, cp).s
-    assert seen["eigvalsh"]
-    assert not takes(seen["eigvalsh"], s) and not takes(seen["eigvalsh"], fam.operator)
-
-    seen["eigvalsh"].clear()
-    rep = atomic_check(fam, cp, k)
-    # only what depends on k: one eigvalsh each of W W* (kgf, W the
-    # whitened k), k k* (||k||_2), R R* for R = k - S (the literal
-    # residual) and for R = T_C L - k (the coefficient residual); no eigh
-    # (of S, F or k k*), no per-item root and no inverse
-    assert seen["eigh"] == [] and seen["inv"] == [] and seen["qr"] == []
-    w = FrameEvaluation(fam, cp).spectrum.whiten(k)
-    assert len(seen["eigvalsh"]) == 4
-    # the fourth R is roundoff, which a reference cannot reproduce
-    assert all(is_gram_of(g, r) for g, r in zip(seen["eigvalsh"], [w, k, k - s]))
-    assert rep.coefficient_residual <= 1e-13
-
-
-def test_resolutions_read_the_family_spectrum(monkeypatch):
-    # canonical_resolutions evaluates the family as every other reader does:
-    # once inverse_commutation_check has made F's eigh, its bounds and S^-1
-    # come from the family's spectrum, with no decomposition of S
-    rng = np.random.default_rng(9)
-    fam = random_family(rng, 5, 3)
-    cp = ControlPair.scalars(5, 0.5, 1.5)
-    inverse_commutation_check(fam, cp)
-    seen = record(monkeypatch, "eigh", "eigvalsh", "inv", "qr")
-    res = canonical_resolutions(fam, cp)
-    assert res.converged
-    # the eigvalsh calls are the norms of the residuals (`opnorm`), none of
-    # S or F
-    assert seen["eigh"] == [] and seen["inv"] == [] and seen["qr"] == []
-    s = FrameEvaluation(fam, cp).s
-    assert not takes(seen["eigvalsh"], s) and not takes(seen["eigvalsh"], fam.operator)
+    warmed = FrameFamily(6, inst.family.items)
+    assert atomic_check(warmed, cp, inst.k).is_atomic
+    fresh = strict(FrameFamily(6, inst.family.items))
+    assert fresh.startswith("item 0: cross operator is not Hermitian PSD (asymmetry")
+    assert strict(warmed) == fresh
+    assert atomic_check(warmed, cp, inst.k).is_atomic
 
 
 @contextlib.contextmanager
