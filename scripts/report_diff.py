@@ -4,17 +4,19 @@
 
 The grid is every structure of the parent's `gfusion.generate.STRUCTURES`
 at each dim of `DIMS` and seed of `SEEDS`, with min(ITEMS, dim) items, and
-the fixed `fourier-demo` runs of `FOURIER_DEMOS`: 482 runs for four
-structures.  Each point is 15 runs:
-`gfusion random`, then 14 report commands on its files: check-frame,
+the fixed `fourier-demo` runs of `FOURIER_DEMOS`: 514 runs for four
+structures.  Each point is 16 runs:
+`gfusion random`, then 15 report commands on its files: check-frame,
 bounds, atomic, resolutions, thm 4.1, 4.2, 4.4, perturb (defaults, and
 lambda1 = 0.3, lambda2 = 0.1), pair-op, and construct direct-sum,
 sum-transform and conjugate of the family with its second family (the
 family itself where the structure has none), with `--v k.json` (dense) and
 `--w` = 0.5 I (a number), and sum-transform once more with `--v` = `--w` =
-0.5 I, whose sum r = I is applied as a number.  Pair commands read
-`pair_control.json` where
-the structure writes one, else `control.json`.  The `fourier-demo` runs
+0.5 I, whose sum r = I is applied as a number, and construct direct-sum
+once more with `--control` the pair (-I, iI) given twice: number sides
+with a negative and an imaginary c, written back dense in its
+`control_out`.  Pair commands read `pair_control.json` where the structure
+writes one, else `control.json`.  The `fourier-demo` runs
 read no instance file; they sample the Fourier family through
 `frame_sum`, whose runs of items of one shape take one product each (its
 one item that stands alone keeps its factored form; `frame_sum` stacks
@@ -33,7 +35,9 @@ It prints:
 - for each report field (command and JSON path, list indices dropped) that
   moved: the number of reports it moved in and its largest relative move
   |a - b| / max(|a|, |b|), or `changed` where a value that is not a number
-  (a verdict, a null, a string, a list length) changed.
+  (a verdict, a null, a string, a list length) changed;
+- the number of reports whose bytes differ while every value compares
+  equal (a -0.0 for a 0.0, a 1 for a 1.0), on the summary line.
 
 Exit status 1 when an instance file, an exit code or an error line
 differs, else 0.  Standard library only; one child process at a time.
@@ -64,8 +68,9 @@ FOURIER_DEMOS = tuple(
 
 
 def report_runs(inst: str, shared: str, dim: int) -> list:
-    """(name, argv) of the 14 report commands on the instance files in
-    `inst`, with `shared/half<dim>.json` as the number 0.5 I; `--out` is
+    """(name, argv) of the 15 report commands on the instance files in
+    `inst`, with `shared/half<dim>.json` as the number 0.5 I and
+    `shared/negi<dim>.json` as the control pair (-I, iI); `--out` is
     appended by the caller."""
     def f(name):
         return os.path.join(inst, name)
@@ -74,6 +79,7 @@ def report_runs(inst: str, shared: str, dim: int) -> list:
     fam2 = f("family2.json") if os.path.exists(f("family2.json")) else fam
     pctl = f("pair_control.json") if os.path.exists(f("pair_control.json")) else ctl
     half = os.path.join(shared, f"half{dim}.json")
+    negi = os.path.join(shared, f"negi{dim}.json")
     one = ["--in", fam, "--control", ctl]
     pair = ["--in", fam, "--in", fam2, "--control", pctl]
     return [
@@ -90,6 +96,9 @@ def report_runs(inst: str, shared: str, dim: int) -> list:
         ("pair-op", ["pair-op", *pair]),
         ("construct-direct-sum", ["construct", "direct-sum", "--in", fam, "--in", fam2,
                                   "--control", ctl, "--control", pctl, "--k", k, "--k", k]),
+        ("construct-direct-sum-negi", ["construct", "direct-sum", "--in", fam, "--in", fam2,
+                                       "--control", negi, "--control", negi, "--k", k,
+                                       "--k", k]),
         ("construct-sum-transform", ["construct", "sum-transform", "--in", fam, "--in", fam2,
                                      "--control", ctl, "--k", k, "--v", k, "--w", half]),
         ("construct-sum-transform-scalar", ["construct", "sum-transform", "--in", fam,
@@ -99,6 +108,13 @@ def report_runs(inst: str, shared: str, dim: int) -> list:
                                  "--control", ctl, "--control", pctl, "--k", k, "--k", k,
                                  "--v", k, "--w", half]),
     ]
+
+
+def diagonal(dim: int, re: float, im: float) -> dict:
+    """The operator file of (re + i im) I on C^dim, every other entry 0.0."""
+    on = [i % (dim + 1) == 0 for i in range(dim * dim)]
+    return {"rows": dim, "cols": dim, "re": [re if d else 0.0 for d in on],
+            "im": [im if d else 0.0 for d in on]}
 
 
 def run_child(plan_path: str) -> None:
@@ -203,9 +219,10 @@ def main(argv=None) -> int:
     shared = os.path.join(work, "shared")
     os.makedirs(shared, exist_ok=True)
     for dim in DIMS:
-        re = [0.5 if i % (dim + 1) == 0 else 0.0 for i in range(dim * dim)]
         with open(os.path.join(shared, f"half{dim}.json"), "w") as fh:
-            json.dump({"rows": dim, "cols": dim, "re": re, "im": [0.0] * (dim * dim)}, fh)
+            json.dump(diagonal(dim, 0.5, 0.0), fh)
+        with open(os.path.join(shared, f"negi{dim}.json"), "w") as fh:
+            json.dump({"t": diagonal(dim, -1.0, 0.0), "u": diagonal(dim, 0.0, 1.0)}, fh)
 
     points = [(s, d, seed) for s in structures(args.parent) for d in DIMS for seed in SEEDS]
     logs = {"parent": {}, "change": {}}
@@ -249,7 +266,7 @@ def main(argv=None) -> int:
                 differ += 1
                 print(f"instance file differs: {point}/{name}")
 
-    moved, reports_moved = {}, 0
+    moved, reports_moved, bytes_only = {}, 0, 0
     for name in names:
         a, b = logs["parent"][name], logs["change"][name]
         if a != b:
@@ -262,14 +279,17 @@ def main(argv=None) -> int:
                  for side in ("parent", "change")]
         if not all(os.path.exists(p) for p in paths):
             continue
-        reports = []
+        blobs = []
         for p in paths:
-            with open(p) as fh:
-                reports.append(json.load(fh))
-        reports_moved += compare_reports(*reports, moved, command)
+            with open(p, "rb") as fh:
+                blobs.append(fh.read())
+        differs = compare_reports(*map(json.loads, blobs), moved, command)
+        reports_moved += differs
+        bytes_only += not differs and blobs[0] != blobs[1]
 
     print(f"{len(names)} runs on {len(points)} grid points and {len(FOURIER_DEMOS)} fourier-demo "
-          f"runs in {work}; {differ} instance files or runs differ; {reports_moved} reports moved")
+          f"runs in {work}; {differ} instance files or runs differ; {reports_moved} reports moved; "
+          f"{bytes_only} reports differ in bytes only")
     if moved:
         print("| field | reports moved | largest relative move |")
         print("| --- | --- | --- |")

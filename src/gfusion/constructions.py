@@ -217,6 +217,10 @@ def sum_transform(
         adjoint(c) if isinstance(c, Number) else adjoint(product(rstar, c))
         for c in (cp.t_side, cp.u_side)
     ]
+    # Under two number sides rx and ry are multiples of one R_z, so
+    # rx m* ry* and rx m ry* are multiples of R_z m* R_z* and of its
+    # adjoint by numbers of one modulus: one norm serves both
+    scalar_sides = all(isinstance(c, Number) for c in (cp.t_side, cp.u_side))
     cross1 = 0.0
     cross2 = 0.0
     control_scale = cp.t_sigma.sigma_max * cp.u_sigma.sigma_max
@@ -233,9 +237,7 @@ def sum_transform(
             opnorm(product(cL, rz_adj)) * opnorm(product(cG, rz_adj)) * control_scale, 1e-300
         )
         norm1 = opnorm(product(product(rx, m), ry_adj))
-        # for numbers rx and ry, ||rx m* ry*|| = |rx ry| ||m*|| = ||rx m ry*||
-        norm2 = norm1 if isinstance(rx, Number) and isinstance(ry, Number) else opnorm(
-            product(product(rx, m.conj().T), ry_adj))
+        norm2 = norm1 if scalar_sides else opnorm(product(product(rx, m.conj().T), ry_adj))
         cross1 = max(cross1, norm1 / scale)
         cross2 = max(cross2, norm2 / scale)
         items_out.append((subspace_image(r, sub), frozen((cL + cG) @ r_b.conj().T), wt))

@@ -54,8 +54,8 @@ from .linalg import (
     read_only,
     require_conditioned,
     require_finite_positive,
-    require_invertible,
     scalar_multiple,
+    singular_extremes,
 )
 
 
@@ -195,85 +195,80 @@ class FrameFamily:
         return made[1]
 
 
-def _gated_side(a, what: str):
-    """(side, singular extremes) of control `a`, gated at COND_MAX.  The
-    side is the number c when a is exactly c I (`linalg.scalar_multiple`),
-    with extremes (|c|, |c|) and no SVD, else a itself."""
-    c = scalar_multiple(a)
-    side = a if c is None else c
-    return side, require_invertible(side, what)
-
-
-def _sum_side(a, b, dense):
-    """The side of a direct sum of two sides: the number c when both are
-    the number c, else `dense`."""
-    return a if isinstance(a, Number) and isinstance(b, Number) and a == b else dense
+def _dense(side, n: int) -> np.ndarray:
+    """A side as its n x n operator: an operator side itself, and for a
+    number c a new read-only array, c on the diagonal and 0.0 elsewhere."""
+    if not isinstance(side, Number):
+        return side
+    a = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(a, side)
+    return frozen(a)
 
 
 @dataclass(frozen=True, eq=False)
 class ControlPair:
-    """Ordered pair (t, u) of invertible operators on the ambient space.
+    """Ordered pair (t, u) of invertible operators on C^dim.
 
-    Immutable: t and u are held read-only (`linalg.read_only`), so the
-    singular extremes of t and u kept from its invertibility check stay
-    true, and ||t||, ||t^-1||, ||u|| and ||u^-1|| need no further SVD.  In
-    ControlPair(c, c) the one operator c is checked once.
-
-    A control that is exactly c I is applied as the number c: `t_side` and
-    `u_side` are that number, or the operator itself, and `linalg.product`
-    and `linalg.adjoint` take either.  Its gate needs no SVD: both singular
-    extremes are |c|.
+    Each control is held once, as its side: the number c when it is exactly
+    c I, else the read-only operator itself (`linalg.read_only`);
+    `linalg.product` and `linalg.adjoint` take either.  With each side the
+    pair keeps the singular extremes of its COND_MAX gate, so ||t||,
+    ||t^-1||, ||u|| and ||u^-1|| need no further SVD; a number c has
+    extremes (|c|, |c|) and takes none.  When t = u the two share one side
+    and one gate.  `t` and `u` are the n x n operators, formed when first
+    read (`_dense`) and kept; `u` is `t` when the two share a side.
     """
 
-    t: np.ndarray
-    u: np.ndarray
-    t_sigma: SingularExtremes = field(init=False, repr=False)
-    u_sigma: SingularExtremes = field(init=False, repr=False)
-    t_side: np.ndarray | complex = field(init=False, repr=False)
-    u_side: np.ndarray | complex = field(init=False, repr=False)
+    dim: int
+    t_side: np.ndarray | complex
+    u_side: np.ndarray | complex
+    t_sigma: SingularExtremes = field(repr=False)
+    u_sigma: SingularExtremes = field(repr=False)
 
     def __init__(self, t, u):
         t, u = read_only(t), read_only(u)
         if t.shape != u.shape or t.shape[0] != t.shape[1]:
             raise DimensionMismatch("controls must be square of equal size")
-        if np.array_equal(t, u):
-            t_side, t_sigma = _gated_side(t, "control t = u")
-            u_side, u_sigma = t_side, t_sigma
-        else:
-            t_side, t_sigma = _gated_side(t, "control t")
-            u_side, u_sigma = _gated_side(u, "control u")
-        self._store(t, u, t_sigma, u_sigma, t_side, u_side)
+        sides = [a if (c := scalar_multiple(a)) is None else c
+                 for a in ((t,) if np.array_equal(t, u) else (t, u))]
+        self._hold(t.shape[0], sides, map(singular_extremes, sides))
 
-    def _store(self, t, u, t_sigma, u_sigma, t_side, u_side):
-        for name, value in (("t", t), ("u", u), ("t_sigma", t_sigma), ("u_sigma", u_sigma),
-                            ("t_side", t_side), ("u_side", u_side)):
+    def _hold(self, dim: int, sides, extremes) -> "ControlPair":
+        """The one builder: keep `dim` and the sides (one, shared, when
+        t = u), each gated at COND_MAX on the next of `extremes`."""
+        whats = ("control t = u",) if len(sides) == 1 else ("control t", "control u")
+        sigmas = [require_conditioned(e, what) for e, what in zip(extremes, whats)]
+        for name, value in zip(("dim", "t_side", "u_side", "t_sigma", "u_sigma"),
+                               (dim, sides[0], sides[-1], sigmas[0], sigmas[-1])):
             object.__setattr__(self, name, value)
+        return self
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return _dense(self.t_side, self.dim)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return self.t if self.u_side is self.t_side else _dense(self.u_side, self.dim)
 
     @staticmethod
     def direct_sum(h: "ControlPair", x: "ControlPair") -> "ControlPair":
-        """(t_H (+) t_X, u_H (+) u_X) on the direct sum of the two spaces.
+        """(t_H (+) t_X, u_H (+) u_X) on the direct sum of the two spaces,
+        read from the two pairs with no SVD and no scan of the sums.
 
         The singular values of a block-diagonal operator are its blocks', so
-        the pair is gated on the blocks' extremes (the min of the minima, the
-        max of the maxima) with no SVD of the block-diagonal controls.  The
-        sum's t = u test and its sides are read from the two pairs, with no
-        scan of the sums: t_H (+) t_X = u_H (+) u_X exactly when each pair
-        has t = u (its two sides share one gate), and a side of the sum is
-        the number c when both blocks are that number c, else the dense sum.
+        each side is gated on the min of the blocks' minima and the max of
+        their maxima.  The sum has t = u exactly when each pair has.  A side
+        of the sum is the number c when both blocks are that number, else
+        the block-diagonal operator.
         """
-        t, u = dsum_op(h.t, x.t), dsum_op(h.u, x.u)
-        same = h.u_sigma is h.t_sigma and x.u_sigma is x.t_sigma
-        t_side = _sum_side(h.t_side, x.t_side, t)
-        u_side = t_side if same else _sum_side(h.u_side, x.u_side, u)
-        t_sigma = require_conditioned(
-            dsum_extremes(h.t_sigma, x.t_sigma), "control t = u" if same else "control t"
-        )
-        u_sigma = t_sigma if same else require_conditioned(
-            dsum_extremes(h.u_sigma, x.u_sigma), "control u"
-        )
-        pair = object.__new__(ControlPair)
-        pair._store(t, u, t_sigma, u_sigma, t_side, u_side)
-        return pair
+        blocks = [(h.t_side, x.t_side, h.t_sigma, x.t_sigma)]
+        if h.u_side is not h.t_side or x.u_side is not x.t_side:
+            blocks.append((h.u_side, x.u_side, h.u_sigma, x.u_sigma))
+        sides = [a if isinstance(a, Number) and isinstance(b, Number) and a == b
+                 else dsum_op(_dense(a, h.dim), _dense(b, x.dim)) for a, b, _, _ in blocks]
+        extremes = (dsum_extremes(sa, sb) for _, _, sa, sb in blocks)
+        return ControlPair.__new__(ControlPair)._hold(h.dim + x.dim, sides, extremes)
 
     @property
     def scale(self) -> float | None:
@@ -287,13 +282,16 @@ class ControlPair:
 
     @staticmethod
     def identity(n: int) -> "ControlPair":
-        eye = frozen(np.eye(n, dtype=complex))
-        return ControlPair(eye, eye)
+        return ControlPair.scalars(n, 1.0, 1.0)
 
     @staticmethod
     def scalars(n: int, alpha: complex, beta: complex) -> "ControlPair":
-        eye = np.eye(n, dtype=complex)
-        return ControlPair(frozen(alpha * eye), frozen(beta * eye))
+        """(alpha I, beta I) on C^n, held as the two numbers, gated as
+        ControlPair(alpha I, beta I) is: a non-finite number is a non-finite
+        entry, and for n = 0 t = u has extremes (0, 0), as the number 0."""
+        sides = as_operator([[alpha, beta]] if n > 0 else [[0]])[0].tolist()
+        sides = sides[:1] if sides[0] == sides[-1] else sides
+        return ControlPair.__new__(ControlPair)._hold(n, sides, map(singular_extremes, sides))
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,9 +346,9 @@ class AtomicReport:
 
 
 def _check_dims(fam: FrameFamily, cp: ControlPair):
-    if cp.t.shape[0] != fam.ambient_dim:
+    if cp.dim != fam.ambient_dim:
         raise DimensionMismatch(
-            f"control dim {cp.t.shape[0]} != family ambient dim {fam.ambient_dim}"
+            f"control dim {cp.dim} != family ambient dim {fam.ambient_dim}"
         )
 
 

@@ -74,11 +74,10 @@ def random_instance(seed: int, dim: int, item_count: int, structure: str) -> Ins
         eps = 0.02
         e = _complex_gaussian(rng, dim, dim)
         e *= eps / max(singular_extremes(e).sigma_max, 1e-300)
-        t = frozen(np.eye(dim, dtype=complex))
         u = frozen(np.eye(dim, dtype=complex) + e)
         return Instance(
             fam,
-            ControlPair(t, t),
+            ControlPair.identity(dim),
             np.eye(dim, dtype=complex),
             family2=fam,
             control2=ControlPair(u, u),

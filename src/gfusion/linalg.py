@@ -612,9 +612,10 @@ def dsum_extremes(a: SingularExtremes, b: SingularExtremes) -> SingularExtremes:
 
 
 def require_conditioned(sigma: SingularExtremes, what: str = "operator") -> SingularExtremes:
-    """Gate cond = sigma_max / sigma_min <= COND_MAX on measured extremes."""
+    """Gate cond = sigma_max / sigma_min <= COND_MAX on measured extremes;
+    a NaN condition (inf / inf) fails."""
     c = sigma.condition
-    if c > tol.COND_MAX:
+    if not c <= tol.COND_MAX:
         raise NotInvertible(f"{what}: condition number {c:.3e} exceeds {tol.COND_MAX:.1e}")
     return sigma
 

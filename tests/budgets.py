@@ -293,6 +293,9 @@ CALLS = {
     "ControlPair.direct_sum(cp, other)": lambda x: ControlPair.direct_sum(x.cp, x.other),
     "ControlPair.direct_sum of each pair": lambda x: [ControlPair.direct_sum(h, y)
                                                      for h, y in x.sums],
+    "ControlPair.direct_sum(cp, cp)": lambda x: ControlPair.direct_sum(x.cp, x.cp),
+    "ControlPair.scalars, identity": lambda x: (
+        ControlPair.scalars(x.n, 2.0, 0.5), ControlPair.identity(x.n)),
     "frame_sum": lambda x: [  # of f, then of a 4-column block
         frames.frame_sum(x.fam, x.cp, f) for f in (x.f, x.k[:, :4])],
     "factors": lambda x: x.fam.factors,
@@ -389,12 +392,12 @@ ROWS = [
     Row("sum_transform, r = I", "random(6, 7)", "first", DU,
         {"eigh": 3, "eigvalsh": 30, "qr": 14, "opnorm": 33, "gfusion.linalg.orth": 0}),
     Row("sum_transform, dense r", "random(6, 7)", "first", P,
-        {"svd": 8, "eigh": 3, "eigvalsh": 28, "qr": 7, "opnorm": 33, "gfusion.linalg.orth": 7}),
+        {"svd": 8, "eigh": 3, "eigvalsh": 22, "qr": 7, "opnorm": 26, "gfusion.linalg.orth": 7}),
     Row("sum_transform, dense r", "random(6, 7)", "first", DU,
         {"svd": 8, "eigh": 3, "eigvalsh": 34, "qr": 21, "opnorm": 37, "gfusion.linalg.orth": 7},
         equal={"cp.t": {}, "r*": {}}),
     Row("sum_transform, dense r", "random(6, 7)", "first", "other scalar",
-        {"svd": 8, "eigh": 3, "eigvalsh": 28, "qr": 7, "opnorm": 30, "gfusion.linalg.orth": 7},
+        {"svd": 8, "eigh": 3, "eigvalsh": 22, "qr": 7, "opnorm": 23, "gfusion.linalg.orth": 7},
         equal={"conj(c) r B_j": {}}),
     Row("Spectrum.whiten, pinv", "partition(16, 4)", "direct sum's Spectrum.eigenpairs", P,
         {"numpy.matmul": 4}, shapes={"numpy.matmul": [(16, 16)] * 4}),
@@ -417,6 +420,15 @@ ROWS = [
     Row("ControlPair.direct_sum(cp, other)", "random(5, 3)", "first", D, {}),
     Row("ControlPair.direct_sum of each pair", "pairs to sum", "first", "-",
         {"gfusion.frames.scalar_multiple": 0, "numpy.array_equal": 0}),
+    # a side of the sum is a block-diagonal operator only where either
+    # block's is an operator
+    *(Row("ControlPair.direct_sum(cp, cp)", "random(5, 3)", "first", kind,
+          {"gfusion.linalg.dsum_op": n})
+      for kind, n in ((P, 0), ("scalar t = u", 0), ("c I, diagonal", 1), ("diagonal, c I", 1),
+                      (DU, 1), (D, 2))),
+    Row("ControlPair.scalars, identity", "random(5, 3)", "first", "-",
+        {"gfusion.linalg.scalar_multiple": 0, "numpy.array_equal": 0, "numpy.eye": 0,
+         "numpy.zeros": 0}),
     # sampling
     *(Row("frame_sum", f"random(6, {m})", "first", D, {"numpy.vecdot": 2}) for m in (1, 7, 40)),
     *(Row("factor_sum", f"Fourier({nmax}, 1)", "factors", "-", {"numpy.matmul": n + 1},

@@ -159,21 +159,23 @@ class TestSumTransform:
                 famL, short, np.eye(4), np.eye(4), ControlPair.identity(4), np.eye(4)
             )
 
-    @pytest.mark.parametrize("dense_r, norms", [(False, 3), (True, 4)])
-    def test_norms_per_item(self, rng, dense_r, norms):
-        # under a scalar r and scalar controls ||rx m* ry*|| = ||rx m ry*||:
-        # three norms per item (budgets.py), the cross norm read once for
-        # both cross certificates; a dense r keeps the fourth, which equals
+    @pytest.mark.parametrize("dense_controls, norms", [(False, 3), (True, 4)])
+    def test_norms_per_item(self, rng, dense_controls, norms):
+        # under scalar controls rx and ry are multiples of one R_z, so
+        # ||rx m* ry*|| = ||rx m ry*||: three norms per item (budgets.py),
+        # the cross norm read once for both cross certificates, for a scalar
+        # and a dense r alike; dense controls keep the fourth, which equals
         # it in exact arithmetic
         famL, _ = orthogonal_codomain_pair(items=5)
         famG = FrameFamily(4, [(sub, complex_gaussian(rng, 4, 4), w) for sub, _, w in famL.items])
-        cp = ControlPair.scalars(4, 0.7, 1.3)
-        v = well_conditioned(rng, 4) if dense_r else 0.5 * np.eye(4)
-        rep = sum_transform(famL, famG, v, 2.0 * np.eye(4), cp, complex_gaussian(rng, 4, 4))
-        certs = dict(rep.hypothesis_certificates)
-        cross = certs["cross_terms_lambda_gamma"], certs["cross_terms_gamma_lambda"]
-        assert min(cross) > 0
-        assert cross[0] == (cross[1] if norms == 3 else pytest.approx(cross[1], rel=1e-12))
+        c = well_conditioned(rng, 4)
+        cp = ControlPair(c, c.copy()) if dense_controls else ControlPair.scalars(4, 0.7, 1.3)
+        for v in (0.5 * np.eye(4), well_conditioned(rng, 4)):
+            rep = sum_transform(famL, famG, v, 2.0 * np.eye(4), cp, complex_gaussian(rng, 4, 4))
+            certs = dict(rep.hypothesis_certificates)
+            cross = certs["cross_terms_lambda_gamma"], certs["cross_terms_gamma_lambda"]
+            assert min(cross) > 0
+            assert cross[0] == (cross[1] if norms == 3 else pytest.approx(cross[1], rel=1e-12))
 
     def test_ambient_dim_mismatch(self):
         # equal item counts on C^4 and C^6: a shape error, not a count error

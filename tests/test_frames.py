@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from gfusion import generate, serialize
 from gfusion import tolerances as tol
 from gfusion.constructions import direct_sum_frame
-from gfusion.errors import DimensionMismatch, NotInvertible, NotPositive
+from gfusion.errors import DimensionMismatch, InvalidParameters, NotInvertible, NotPositive
 from gfusion.frames import (
     BlockVector,
     ControlPair,
@@ -745,15 +746,58 @@ class TestImmutableControlPair:
         assert tuple(cp.t_sigma) == (1.0, 1.0)
 
     def test_library_controls_are_not_copied(self):
+        # each control is held once, as its side: a number side holds no
+        # array until t or u is read, and an operator side is the operator
+        # itself, shared by a pair rebuilt from it
+        h = ControlPair.scalars(2, 2.0, 0.5)
         made = [
             ControlPair.identity(3),
-            ControlPair.scalars(3, 2.0, 0.5),
+            h,
+            ControlPair.direct_sum(h, ControlPair.scalars(3, 2.0, 0.5)),
+            ControlPair.direct_sum(h, ControlPair.scalars(3, 1.0, 0.5)),
             generate.random_instance(5, 4, 2, "generic").control,
             generate.random_instance(5, 4, 2, "near-identity-pair").control2,
         ]
         for cp in made:
+            held = [v for v in vars(cp).values() if isinstance(v, np.ndarray)]
+            assert all(v is cp.t_side or v is cp.u_side for v in held)
+            assert cp.t is cp.t and cp.u is cp.u
+            assert (cp.u is cp.t) == (cp.u_side is cp.t_side)
+            with pytest.raises(ValueError):
+                cp.t[0, 0] = 7.0
+            with pytest.raises(AttributeError):
+                cp.t = cp.u
             again = ControlPair(cp.t, cp.u)
-            assert again.t is cp.t and again.u is cp.u
+            for side, ref in ((again.t_side, cp.t_side), (again.u_side, cp.u_side)):
+                assert type(side) is type(ref) and np.array_equal(side, ref)
+                assert isinstance(side, complex) or side is ref
+            for sigma, ref in ((again.t_sigma, cp.t_sigma), (again.u_sigma, cp.u_sigma)):
+                assert sigma == pytest.approx(ref, rel=1e-15)
+
+    def test_scalar_pairs_allocate_no_dense_control(self):
+        # a 1024-dim c I is 16 MB
+        for make in (lambda: ControlPair.scalars(1024, 2, 0.5),
+                     lambda: ControlPair.direct_sum(ControlPair.scalars(512, 2, 0.5),
+                                                    ControlPair.scalars(512, 2, 0.5))):
+            tracemalloc.start()
+            try:
+                cp = make()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20 and cp.dim == 1024
+
+    @pytest.mark.parametrize("make", [lambda: ControlPair.scalars(0, 1, 1),
+                                      lambda: ControlPair.identity(0)])
+    def test_scalar_pair_on_no_space_is_not_invertible(self, make):
+        with pytest.raises(NotInvertible,
+                           match=r"^control t = u: condition number inf exceeds 1\.0e\+12$"):
+            make()
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_non_finite_scalar_is_bad_input(self, c):
+        with pytest.raises(InvalidParameters, match="operator entries must be finite"):
+            ControlPair.scalars(3, c, 1)
 
 
 class TestControlPairExtremes:

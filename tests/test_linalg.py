@@ -393,6 +393,12 @@ class TestSingularExtremes:
         with pytest.raises(NotInvertible, match="condition number inf"):
             require_invertible(a, "a")
 
+    @pytest.mark.parametrize("c", [math.inf, complex(math.inf, 0.0)])
+    def test_infinite_number_rejected(self, c):
+        # extremes (inf, inf): the condition inf / inf is NaN, which fails
+        with pytest.raises(NotInvertible, match="condition number nan"):
+            require_invertible(c)
+
 
 class TestScalarMultiple:
     """An operator that is exactly c I is applied as the number c."""
