@@ -4,23 +4,24 @@
 
 The grid is every structure of the parent's `gfusion.generate.STRUCTURES`
 at each dim of `DIMS` and seed of `SEEDS`, with min(ITEMS, dim) items, and
-the fixed `fourier-demo` runs of `FOURIER_DEMOS`: 514 runs for four
-structures.  Each point is 16 runs:
-`gfusion random`, then 15 report commands on its files: check-frame,
-bounds, atomic, resolutions, thm 4.1, 4.2, 4.4, perturb (defaults, and
-lambda1 = 0.3, lambda2 = 0.1), pair-op, and construct direct-sum,
-sum-transform and conjugate of the family with its second family (the
-family itself where the structure has none), with `--v k.json` (dense) and
-`--w` = 0.5 I (a number), and sum-transform once more with `--v` = `--w` =
-0.5 I, whose sum r = I is applied as a number, and construct direct-sum
-once more with `--control` the pair (-I, iI) given twice: number sides
-with a negative and an imaginary c, written back dense in its
-`control_out`.  Pair commands read `pair_control.json` where the structure
-writes one, else `control.json`.  The `fourier-demo` runs
-read no instance file; they sample the Fourier family through
-`frame_sum`, whose runs of items of one shape take one product each (its
-one item that stands alone keeps its factored form; `frame_sum` stacks
-such items only where two or more stand alone).
+the fixed `fourier-demo` runs of `FOURIER_DEMOS`: 546 runs for four
+structures.  Each point is 17 runs: `gfusion random`, then 16 report
+commands on its files: check-frame, bounds, atomic, resolutions (under its
+own control pair, and once more under the shared dense pair (w, w) of
+`self_adjoint`, whose left terms are read as the adjoints of its right
+ones), thm 4.1, 4.2, 4.4, perturb (defaults, and lambda1 = 0.3, lambda2 =
+0.1), pair-op, and construct direct-sum, sum-transform and conjugate of the
+family with its second family (the family itself where the structure has
+none), with `--v k.json` (dense) and `--w` = 0.5 I (a number), and
+sum-transform once more with `--v` = `--w` = 0.5 I, whose sum r = I is
+applied as a number, and construct direct-sum once more with `--control`
+the pair (-I, iI) given twice: number sides with a negative and an
+imaginary c, written back dense in its `control_out`.  Pair commands read
+`pair_control.json` where the structure writes one, else `control.json`.
+The `fourier-demo` runs read no instance file; they sample the Fourier
+family through `frame_sum`, whose runs of items of one shape take one
+product each (its one item that stands alone keeps its factored form;
+`frame_sum` stacks such items only where two or more stand alone).
 
 Each checkout runs the grid in two child processes, one for its instance
 files and one for its reports, with its own `src` first on `sys.path`,
@@ -51,6 +52,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -68,10 +70,11 @@ FOURIER_DEMOS = tuple(
 
 
 def report_runs(inst: str, shared: str, dim: int) -> list:
-    """(name, argv) of the 15 report commands on the instance files in
-    `inst`, with `shared/half<dim>.json` as the number 0.5 I and
-    `shared/negi<dim>.json` as the control pair (-I, iI); `--out` is
-    appended by the caller."""
+    """(name, argv) of the 16 report commands on the instance files in
+    `inst`, with `shared/half<dim>.json` as the number 0.5 I,
+    `shared/negi<dim>.json` as the control pair (-I, iI) and
+    `shared/selfadj<dim>.json` as the pair (w, w); `--out` is appended by
+    the caller."""
     def f(name):
         return os.path.join(inst, name)
 
@@ -80,6 +83,7 @@ def report_runs(inst: str, shared: str, dim: int) -> list:
     pctl = f("pair_control.json") if os.path.exists(f("pair_control.json")) else ctl
     half = os.path.join(shared, f"half{dim}.json")
     negi = os.path.join(shared, f"negi{dim}.json")
+    selfadj = os.path.join(shared, f"selfadj{dim}.json")
     one = ["--in", fam, "--control", ctl]
     pair = ["--in", fam, "--in", fam2, "--control", pctl]
     return [
@@ -87,6 +91,7 @@ def report_runs(inst: str, shared: str, dim: int) -> list:
         ("bounds", ["bounds", *one]),
         ("atomic", ["atomic", *one, "--k", k]),
         ("resolutions", ["resolutions", *one]),
+        ("resolutions-selfadj", ["resolutions", "--in", fam, "--control", selfadj]),
         ("thm-4.1", ["thm", "4.1", *one]),
         ("thm-4.2", ["thm", "4.2", *one]),
         ("thm-4.4", ["thm", "4.4", *pair]),
@@ -115,6 +120,20 @@ def diagonal(dim: int, re: float, im: float) -> dict:
     on = [i % (dim + 1) == 0 for i in range(dim * dim)]
     return {"rows": dim, "cols": dim, "re": [re if d else 0.0 for d in on],
             "im": [im if d else 0.0 for d in on]}
+
+
+def self_adjoint(dim: int) -> dict:
+    """The control pair file of (w, w) on C^dim for w = I + E, E's entries
+    of real and imaginary parts normal with deviation 0.1 / sqrt(dim) from
+    the stream of `random.Random(dim)`: ||E|| is about 0.3, so w is
+    well-conditioned."""
+    rng = random.Random(dim)
+    sd = 0.1 / math.sqrt(dim)
+    e = [[complex(rng.gauss(0.0, sd), rng.gauss(0.0, sd)) for _ in range(dim)]
+         for _ in range(dim)]
+    w = [(1.0 if i == j else 0.0) + e[i][j] for i in range(dim) for j in range(dim)]
+    side = {"rows": dim, "cols": dim, "re": [z.real for z in w], "im": [z.imag for z in w]}
+    return {"t": side, "u": side}
 
 
 def run_child(plan_path: str) -> None:
@@ -223,6 +242,8 @@ def main(argv=None) -> int:
             json.dump(diagonal(dim, 0.5, 0.0), fh)
         with open(os.path.join(shared, f"negi{dim}.json"), "w") as fh:
             json.dump({"t": diagonal(dim, -1.0, 0.0), "u": diagonal(dim, 0.0, 1.0)}, fh)
+        with open(os.path.join(shared, f"selfadj{dim}.json"), "w") as fh:
+            json.dump(self_adjoint(dim), fh)
 
     points = [(s, d, seed) for s in structures(args.parent) for d in DIMS for seed in SEEDS]
     logs = {"parent": {}, "change": {}}

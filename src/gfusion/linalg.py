@@ -174,9 +174,67 @@ def _blocks(a):
     return [(lo, hi) for lo, hi in spans if hi - lo > 1], [lo for lo, hi in spans if hi - lo == 1]
 
 
+# `top_eigenvalue` on a Gram block above LANCZOS_GATE (near side 190 it
+# overtakes a full eigvalsh on one BLAS thread): at most LANCZOS_CAP Lanczos
+# steps, until the top Ritz value grows by at most LANCZOS_STOP relative;
+# tau = CERTIFY_SLACK * side * eps.
+LANCZOS_GATE = 192
+LANCZOS_CAP = 96
+LANCZOS_STOP = 4 * np.finfo(float).eps
+CERTIFY_SLACK = 8
+
+
+def lanczos_start(n: int) -> np.ndarray:
+    """Lanczos's fixed start on C^n: a unit vector of a stream seeded by n."""
+    x = np.random.default_rng(n).standard_normal(n)
+    return x / np.linalg.norm(x)
+
+
+def _ritz_top(g) -> float | None:
+    """The top Ritz value of the Hermitian g by Lanczos from `lanczos_start`,
+    reorthogonalised in full (Gram-Schmidt, twice), read by eigvalsh of the
+    tridiagonal after each step: once it stagnates or the Krylov space
+    closes; None if neither within LANCZOS_CAP steps."""
+    n, steps = g.shape[0], min(LANCZOS_CAP, g.shape[0])
+    q, tri = np.empty((steps, n), dtype=np.result_type(g, float)), np.zeros((steps + 1, steps))
+    x, top = lanczos_start(n), -math.inf
+    for j in range(steps):
+        q[j] = x
+        w = g @ x
+        tri[j, j] = np.vdot(x, w).real
+        for _ in range(2):
+            w -= q[: j + 1].T @ (q[: j + 1].conj() @ w)
+        beta = np.linalg.norm(w)
+        ritz = np.linalg.eigvalsh(tri[: j + 1, : j + 1])[-1]
+        if min(ritz - top, beta) <= LANCZOS_STOP * abs(ritz):
+            return ritz
+        top, tri[j + 1, j], x = ritz, beta, w / beta
+    return None
+
+
+def certifies(g, theta: float) -> bool:
+    """lambda_max(g) <= theta (1 + tau) for the Hermitian n x n g, tau =
+    CERTIFY_SLACK * n * eps, proved up to its backward error by the one
+    Cholesky factorization of the package, of theta (1 + tau) I - g."""
+    h = np.negative(g)
+    h.flat[:: g.shape[0] + 1] += theta * (1.0 + CERTIFY_SLACK * g.shape[0] * np.finfo(float).eps)
+    try:
+        return np.linalg.cholesky(h) is not None
+    except np.linalg.LinAlgError:
+        return False
+
+
+def top_eigenvalue(g) -> float:
+    """lambda_max of the Hermitian g: above LANCZOS_GATE the Ritz value theta
+    of `_ritz_top` where `certifies` it (theta <= lambda_max by
+    Courant-Fischer); else, and where either fails, the top eigvalsh."""
+    theta = _ritz_top(g) if g.shape[0] > LANCZOS_GATE else None
+    return theta if theta is not None and certifies(g, theta) else np.linalg.eigvalsh(g)[-1]
+
+
 def opnorm(a) -> float:
-    """||a||_2, of any shape, as the root of the top eigvalsh of a Gram
-    matrix, in place of an SVD; the top eigenvalue keeps its relative
+    """||a||_2, of any shape, as the root of the top eigenvalue of a Gram
+    matrix (`top_eigenvalue`), in place of an SVD; it keeps its relative
     accuracy.  A square `a` is split first (`diagonal_blocks`): b b* per
     block b, |a_ii|^2 for a 1 x 1 block.  Any other `a` is measured by its
     smaller Gram matrix (a a* or a* a), split the same way.  Zero-size
@@ -198,7 +256,7 @@ def opnorm(a) -> float:
     if gram:
         a = a @ a.conj().T if a.shape[0] < a.shape[1] else a.conj().T @ a
     big, ones = _blocks(a)
-    tops = [np.linalg.eigvalsh(b if gram else b @ b.conj().T)[-1]
+    tops = [top_eigenvalue(b if gram else b @ b.conj().T)
             for b in (a[lo:hi, lo:hi] for lo, hi in big)]
     diag = np.abs(a.diagonal()[ones])
     return top * math.sqrt(max(0.0, *tops, (diag if gram else diag * diag).max(initial=0.0)))

@@ -147,7 +147,9 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolut
     Term families {v_j^2 G_j S^{-1}} and {v_j^2 S^{-1} G_j} with G_j the
     per-item cross operators; both must sum to the identity.  A non-frame
     has neither: both lists are empty and both reports are NO_TERMS, with
-    the frame claims that failed.
+    the frame claims that failed.  Under a self-adjoint pair (positive
+    scalar, or t = u) S^-1 and each G_j are Hermitian: the left terms are
+    the right terms' adjoints, with the same residual, and are read so.
     """
     ev = FrameEvaluation(fam, cp)
     if not ev.is_frame:
@@ -155,13 +157,13 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolut
         return CanonicalResolutions([], [], no_terms, no_terms)
     s_inv = ev.inverse
     right_terms = ev.weighted(ev.terms @ s_inv)
+    right = _resolution_report(right_terms.sum(axis=0), len(fam))
+    if ev.scale is not None or cp.u_side is cp.t_side:
+        return CanonicalResolutions(
+            list(right_terms), list(right_terms.conj().swapaxes(1, 2)), right, right)
     left_terms = ev.weighted(s_inv @ ev.terms)
-    return CanonicalResolutions(
-        list(right_terms),
-        list(left_terms),
-        _resolution_report(right_terms.sum(axis=0), len(fam)),
-        _resolution_report(left_terms.sum(axis=0), len(fam)),
-    )
+    left = _resolution_report(left_terms.sum(axis=0), len(fam))
+    return CanonicalResolutions(list(right_terms), list(left_terms), right, left)
 
 
 @dataclass(frozen=True)

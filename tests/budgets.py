@@ -113,6 +113,8 @@ INSTANCES = {
     **{f"Fourier({nmax}, {m})": fourier(nmax, m) for nmax, m in ((3, 1), (16, 1), (4, 3))},
     "generic 24/6": generated("generic"),
     "near-identity-pair 24/6": generated("near-identity-pair"),
+    **{f"dense {n} x {n}": lambda kind, n=n: SimpleNamespace(
+        a=complex_gaussian(np.random.default_rng(30), n, n)) for n in (128, 256)},
     "pair near I(5)": lambda kind: SimpleNamespace(pair=near_identity_pair(5)),
     "pairs to sum": lambda kind: SimpleNamespace(sums=[
         (ControlPair.scalars(2, *a), ControlPair.scalars(3, *b)) for a, b in SCALAR_SUMS] + [
@@ -281,6 +283,7 @@ CALLS = {
     SPECTRUM: lambda x: readings(x, spectrum(x), False),
     "Spectrum(F): scaled copies": lambda x: readings(
         x, x.spec.scaled(2.5).scaled(2.0), True),
+    "opnorm": lambda x: linalg.opnorm(x.a),
     "opnorm of three shapes": lambda x: [linalg.opnorm(complex_gaussian(x.rng, *shape))
                                          for shape in ((6, 6), (3, 7), (7, 3))],
     "opnorm of diagonal and split matrices": split_matrices,
@@ -342,10 +345,14 @@ ROWS = [
     Row("every call but resolutions", "random(5, 3)", "first", DU,
         {"svd": 9, "eigh": 24, "eigvalsh": 75, "qr": 18, "inv": 1, "opnorm": 51,
          "gfusion.frames.cross_terms": 0}),
+    # under a self-adjoint pair the left terms are the right terms' adjoints,
+    # and their sum is not measured again; under a mixed pair it is
     Row("canonical_resolutions", "random(5, 3)", "first", DU,
-        {"eigvalsh": 3, "inv": 1, "opnorm": 2, "gfusion.frames.cross_terms": 1}),
+        {"eigvalsh": 2, "inv": 1, "opnorm": 1, "gfusion.frames.cross_terms": 1}),
     Row("canonical_resolutions", "random(5, 3)", "canonical_resolutions", P,
-        dict(eigvalsh=2, opnorm=2), equal={"S": {}, "F": {}}, holds=lambda r: r.converged),
+        dict(eigvalsh=1, opnorm=1), equal={"S": {}, "F": {}}, holds=lambda r: r.converged),
+    Row("canonical_resolutions", "scaled partition(6, 3)", "first", "c I, diagonal",
+        {"opnorm": 2, "gfusion.frames.cross_terms": 1}, holds=lambda r: r.converged),
     # resolution
     Row("inverse_commutation_check", "random(5, 3)", "first", DU,
         dict(eigvalsh=6, inv=1, opnorm=4), equal={"S^-1": {"opnorm": 1}, "cp.t": {}}),
@@ -407,6 +414,13 @@ ROWS = [
         dict(eigh=1, eigvalsh=1)),
     Row(SPECTRUM, "random(5, 3)", "first", "-", dict(eigh=1, eigvalsh=1)),
     Row("Spectrum(F): scaled copies", "random(5, 3)", SPECTRUM, "-", {}),
+    # a Gram block above LANCZOS_GATE: Lanczos, whose eigvalsh calls see only
+    # its tridiagonal, and one Cholesky that certifies the Ritz value
+    Row("opnorm", "dense 256 x 256", "first", "-",
+        {"opnorm": 1, "eigvalsh": 44, "numpy.linalg.cholesky": 1},
+        largest={"eigvalsh": linalg.LANCZOS_CAP}),
+    Row("opnorm", "dense 128 x 128", "first", "-", {"opnorm": 1, "eigvalsh": 1},
+        shapes={"eigvalsh": [(128, 128)], "numpy.linalg.cholesky": []}),
     Row("opnorm of three shapes", "random(5, 3)", "first", "-", dict(eigvalsh=3, opnorm=3)),
     Row("opnorm of diagonal and split matrices", "random(5, 3)", "first", "-",
         dict(eigvalsh=2, opnorm=3), equal={"k3 k3*": {"eigvalsh": 1}, "w2 w2*": {"eigvalsh": 1}},

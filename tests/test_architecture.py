@@ -280,6 +280,12 @@ def literal_sum_sites():
     return [site for site in found if site not in rest]
 
 
+def cholesky_sites():
+    found = sites(calls("cholesky"))
+    return one_site(found, "cholesky call") + outside(
+        "linalg.py", function("linalg.py", "certifies"), found)
+
+
 def eigh_sites():
     return one_site([f"linalg.py:{line}" for line in call_lines(read("linalg.py"), {"eigh"})],
                     "eigh call")
@@ -392,6 +398,12 @@ RULES = {
           [1, 2]),),
     ),
     "one_eigh": Rule(eigh_sites, "gate PSD eigenpairs in one place"),
+    "one_certificate": Rule(
+        cholesky_sites,
+        "prove a top eigenvalue in one place (linalg.certifies)",
+        ((calls("cholesky"),
+          "c = np.linalg.cholesky(h)\nok = certify(g) and cholesky(g)\ncholesky = 1\n", [1, 2]),),
+    ),
     "literal_sum": Rule(
         literal_sum_sites,
         "frame_sum and its plan apply the items one by one: read no F, S or evaluation",

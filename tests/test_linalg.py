@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfusion import tolerances
+from gfusion import linalg, tolerances
 from gfusion.errors import (
     InvalidParameters,
     NotHermitian,
@@ -39,9 +39,10 @@ from gfusion.linalg import (
     scalar_multiple,
     singular_extremes,
     subspace_image,
+    top_eigenvalue,
 )
 
-from conftest import complex_gaussian, random_subspace
+from conftest import complex_gaussian, random_subspace, recorded
 
 
 class TestPositiveSqrt:
@@ -366,6 +367,98 @@ class TestGramNorm:
     def test_non_finite_entries_are_bad_input(self):
         with pytest.raises(InvalidParameters, match="must be finite"):
             opnorm(np.array([[np.inf, 1.0]]))
+
+
+# One side above LANCZOS_GATE, where `top_eigenvalue` takes Lanczos.
+N_ABOVE = 256
+
+
+def unitary(rng, n):
+    return np.linalg.qr(complex_gaussian(rng, n, n))[0]
+
+
+def orthogonal_to_start(rng, n):
+    """A Gram matrix whose top eigenvector v is orthogonal to
+    `lanczos_start(n)` x, and whose other eigenvectors lie in v's
+    complement: in exact arithmetic the Krylov space of x never meets v."""
+    x = linalg.lanczos_start(n)
+    v = complex_gaussian(rng, n)
+    v -= x * np.vdot(x, v)
+    v /= np.linalg.norm(v)
+    p = np.eye(n) - np.outer(v, v.conj())
+    b = complex_gaussian(rng, n, n)
+    h = p @ (b @ b.conj().T) @ p
+    return h + 1.5 * np.linalg.eigvalsh(h)[-1] * np.outer(v, v.conj())
+
+
+def gram(a):
+    return a @ a.conj().T
+
+
+# name -> (the Gram matrix from a seeded rng, the route: True for the
+# certified Ritz value, False for the fallback, None for either)
+TOP_CASES = {
+    "random dense": (lambda rng: gram(complex_gaussian(rng, N_ABOVE, N_ABOVE)), True),
+    # Q Q* - I for a unitary Q: rounding noise, its top eigenvalues clustered
+    "noise-level residual": (lambda rng: gram(
+        (q := unitary(rng, N_ABOVE)) @ q.conj().T - np.eye(N_ABOVE)), True),
+    "repeated top eigenvalue": (lambda rng: (
+        (u := unitary(rng, N_ABOVE)) * np.r_[5.0, 5.0, 5.0, rng.uniform(0.0, 4.0, N_ABOVE - 3)]
+    ) @ u.conj().T, True),
+    "top eigenvector orthogonal to the start": (lambda rng: orthogonal_to_start(rng, N_ABOVE),
+                                                None),
+    "rank one": (lambda rng: gram(complex_gaussian(rng, N_ABOVE, 1)), True),
+    "2 I": (lambda rng: 2.0 * np.eye(N_ABOVE), True),  # beta = 0 at step one
+    "zero": (lambda rng: np.zeros((N_ABOVE, N_ABOVE)), False),
+}
+
+
+class TestCertifiedTopEigenvalue:
+    """Above LANCZOS_GATE `top_eigenvalue` returns the Lanczos top Ritz value
+    theta where one Cholesky factorization of theta (1 + tau) I - g
+    succeeds, else the top eigvalsh; either way within 1e-13 relative of
+    eigvalsh."""
+
+    def test_the_gate_lies_between_128_and_256(self):
+        assert 128 <= linalg.LANCZOS_GATE < N_ABOVE
+
+    @pytest.mark.parametrize("name", TOP_CASES)
+    def test_matches_eigvalsh(self, rng, name):
+        build, certified = TOP_CASES[name]
+        g = build(rng)
+        want = np.linalg.eigvalsh(g)[-1]
+        with recorded("numpy.linalg.cholesky") as calls:
+            got = top_eigenvalue(g)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        full = [c for c in calls if c.routine == "eigvalsh" and c.shape == g.shape]
+        assert [c.routine for c in calls].count("cholesky") == 1
+        if certified is not None:
+            assert len(full) == (0 if certified else 1)
+
+    @pytest.mark.parametrize("exponent", [-900, 900])
+    def test_rescaled_entries(self, rng, exponent):
+        """Entries near 2^+-900: opnorm divides by the largest |entry| before
+        forming the Gram matrix, and the rescaled Gram takes Lanczos."""
+        r = complex_gaussian(rng, N_ABOVE, N_ABOVE)
+        top = np.abs(r).max()
+        want = math.sqrt(np.linalg.eigvalsh(gram(r / top))[-1]) * top * 2.0**exponent
+        with recorded("numpy.linalg.cholesky") as calls:
+            got = opnorm(2.0**exponent * r)
+        assert abs(got - want) <= 1e-13 * want
+        assert [c.routine for c in calls].count("cholesky") == 1
+        assert max(c.shape[0] for c in calls if c.routine == "eigvalsh") <= linalg.LANCZOS_CAP
+
+    def test_a_value_below_the_top_fails_the_certificate(self, rng, monkeypatch):
+        """theta below lambda_max fails the Cholesky, and the fallback's
+        eigvalsh gives the value."""
+        g = TOP_CASES["random dense"][0](rng)
+        want = np.linalg.eigvalsh(g)[-1]
+        assert linalg.certifies(g, want)
+        assert not linalg.certifies(g, (1.0 - 1e-6) * want)
+        monkeypatch.setattr(linalg, "_ritz_top", lambda g: (1.0 - 1e-6) * want)
+        with recorded() as calls:
+            assert top_eigenvalue(g) == want
+        assert [c.shape for c in calls if c.routine == "eigvalsh"] == [g.shape]
 
 
 class TestSingularExtremes:
