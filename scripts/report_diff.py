@@ -4,24 +4,33 @@
 
 The grid is every structure of the parent's `gfusion.generate.STRUCTURES`
 at each dim of `DIMS` and seed of `SEEDS`, with min(ITEMS, dim) items, and
-the fixed `fourier-demo` runs of `FOURIER_DEMOS`: 546 runs for four
-structures.  Each point is 17 runs: `gfusion random`, then 16 report
-commands on its files: check-frame, bounds, atomic, resolutions (under its
-own control pair, and once more under the shared dense pair (w, w) of
-`self_adjoint`, whose left terms are read as the adjoints of its right
-ones), thm 4.1, 4.2, 4.4, perturb (defaults, and lambda1 = 0.3, lambda2 =
-0.1), pair-op, and construct direct-sum, sum-transform and conjugate of the
-family with its second family (the family itself where the structure has
-none), with `--v k.json` (dense) and `--w` = 0.5 I (a number), and
-sum-transform once more with `--v` = `--w` = 0.5 I, whose sum r = I is
-applied as a number, and construct direct-sum once more with `--control`
-the pair (-I, iI) given twice: number sides with a negative and an
-imaginary c, written back dense in its `control_out`.  Pair commands read
-`pair_control.json` where the structure writes one, else `control.json`.
-The `fourier-demo` runs read no instance file; they sample the Fourier
-family through `frame_sum`, whose runs of items of one shape take one
-product each (its one item that stands alone keeps its factored form;
-`frame_sum` stacks such items only where two or more stand alone).
+the fixed `fourier-demo` runs of `FOURIER_DEMOS`: 674 runs for four
+structures.  Each point is 21 runs: `gfusion random`, then the 20 report
+commands of `report_runs` on its files and on the shared files of
+`write_shared`:
+- check-frame, bounds, thm 4.1, 4.2, 4.4, perturb (defaults, and
+  lambda1 = 0.3, lambda2 = 0.1) and pair-op;
+- atomic, under its own control pair and under the number pairs (I, -I)
+  and (I, (1 + 1e-9 i) I), whose c = conj(c_t) c_u is not a positive real;
+- resolutions, under its own control pair, under the shared dense pair
+  (w, w) of `self_adjoint`, whose left terms are read as the adjoints of
+  its right ones, and on the shared instance of `mixed`, a frame under a
+  pair that is not self-adjoint, whose two sums are both formed;
+- construct direct-sum, sum-transform and conjugate of the family with its
+  second family (the family itself where the structure has none), with
+  `--v k.json` (dense) and `--w` = 0.5 I (a number);
+- sum-transform with `--v` = `--w` = 0.5 I, whose sum r = I is applied as
+  a number, and on the two families of `mixed` under its pair, whose two
+  cross terms differ, with `--v` = `--w` = (-0.5 + 0.25 i) I;
+- construct direct-sum with `--control` the pair (-I, iI) given twice:
+  number sides with a negative and an imaginary c, written back dense in
+  its `control_out`.
+Pair commands read `pair_control.json` where the structure writes one,
+else `control.json`.  The `fourier-demo` runs read no instance file; they
+sample the Fourier family through `frame_sum`, whose runs of items of one
+shape take one product each (its one item that stands alone keeps its
+factored form; `frame_sum` stacks such items only where two or more stand
+alone).
 
 Each checkout runs the grid in two child processes, one for its instance
 files and one for its reports, with its own `src` first on `sys.path`,
@@ -47,6 +56,7 @@ differs, else 0.  Standard library only; one child process at a time.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import io
 import json
@@ -70,28 +80,34 @@ FOURIER_DEMOS = tuple(
 
 
 def report_runs(inst: str, shared: str, dim: int) -> list:
-    """(name, argv) of the 16 report commands on the instance files in
-    `inst`, with `shared/half<dim>.json` as the number 0.5 I,
-    `shared/negi<dim>.json` as the control pair (-I, iI) and
-    `shared/selfadj<dim>.json` as the pair (w, w); `--out` is appended by
-    the caller."""
+    """(name, argv) of the 20 report commands on the instance files in
+    `inst`, with the files `write_shared` writes to `shared` for `dim`:
+    `half` as the number 0.5 I, `rot` as (-0.5 + 0.25i) I, the control
+    pairs `negi` (-I, iI), `neg` (I, -I), `nearreal` (I, (1 + 1e-9 i) I)
+    and `selfadj` (w, w), and the instance `mixed<dim>/`; `--out` is
+    appended by the caller."""
     def f(name):
         return os.path.join(inst, name)
 
     fam, ctl, k = f("family.json"), f("control.json"), f("k.json")
     fam2 = f("family2.json") if os.path.exists(f("family2.json")) else fam
     pctl = f("pair_control.json") if os.path.exists(f("pair_control.json")) else ctl
-    half = os.path.join(shared, f"half{dim}.json")
-    negi = os.path.join(shared, f"negi{dim}.json")
-    selfadj = os.path.join(shared, f"selfadj{dim}.json")
+    half, rot, negi, neg, nearreal, selfadj = (
+        os.path.join(shared, f"{name}{dim}.json")
+        for name in ("half", "rot", "negi", "neg", "nearreal", "selfadj"))
+    mfam, mfam2, mctl = (os.path.join(shared, f"mixed{dim}", f"{name}.json")
+                         for name in ("family", "family2", "control"))
     one = ["--in", fam, "--control", ctl]
     pair = ["--in", fam, "--in", fam2, "--control", pctl]
     return [
         ("check-frame", ["check-frame", *one]),
         ("bounds", ["bounds", *one]),
         ("atomic", ["atomic", *one, "--k", k]),
+        ("atomic-neg", ["atomic", "--in", fam, "--control", neg, "--k", k]),
+        ("atomic-near-real", ["atomic", "--in", fam, "--control", nearreal, "--k", k]),
         ("resolutions", ["resolutions", *one]),
         ("resolutions-selfadj", ["resolutions", "--in", fam, "--control", selfadj]),
+        ("resolutions-mixed", ["resolutions", "--in", mfam, "--control", mctl]),
         ("thm-4.1", ["thm", "4.1", *one]),
         ("thm-4.2", ["thm", "4.2", *one]),
         ("thm-4.4", ["thm", "4.4", *pair]),
@@ -109,6 +125,9 @@ def report_runs(inst: str, shared: str, dim: int) -> list:
         ("construct-sum-transform-scalar", ["construct", "sum-transform", "--in", fam,
                                             "--in", fam2, "--control", ctl, "--k", k,
                                             "--v", half, "--w", half]),
+        ("construct-sum-transform-mixed", ["construct", "sum-transform", "--in", mfam,
+                                           "--in", mfam2, "--control", mctl, "--k", half,
+                                           "--v", rot, "--w", rot]),
         ("construct-conjugate", ["construct", "conjugate", "--in", fam, "--in", fam2,
                                  "--control", ctl, "--control", pctl, "--k", k, "--k", k,
                                  "--v", k, "--w", half]),
@@ -117,9 +136,8 @@ def report_runs(inst: str, shared: str, dim: int) -> list:
 
 def diagonal(dim: int, re: float, im: float) -> dict:
     """The operator file of (re + i im) I on C^dim, every other entry 0.0."""
-    on = [i % (dim + 1) == 0 for i in range(dim * dim)]
-    return {"rows": dim, "cols": dim, "re": [re if d else 0.0 for d in on],
-            "im": [im if d else 0.0 for d in on]}
+    return operator([[complex(re, im) if r == c else 0.0 for c in range(dim)]
+                     for r in range(dim)])
 
 
 def self_adjoint(dim: int) -> dict:
@@ -134,6 +152,63 @@ def self_adjoint(dim: int) -> dict:
     w = [(1.0 if i == j else 0.0) + e[i][j] for i in range(dim) for j in range(dim)]
     side = {"rows": dim, "cols": dim, "re": [z.real for z in w], "im": [z.imag for z in w]}
     return {"t": side, "u": side}
+
+
+def operator(rows: list) -> dict:
+    """The operator file of a matrix given as a list of rows of numbers."""
+    flat = [complex(z) for row in rows for z in row]
+    return {"rows": len(rows), "cols": len(rows[0]), "re": [z.real for z in flat],
+            "im": [z.imag for z in flat]}
+
+
+def mixed(dim: int) -> tuple:
+    """(family, second family, control pair) files of a frame on C^dim
+    under a pair that is not self-adjoint.  Item j of min(ITEMS, dim) spans
+    the columns j, j + m, ... of the unitary DFT matrix, as B_j with
+    L_j = B_j*, under (2 I, D), D = diag(0.5 .. 1.5).  So S = 2 D,
+    G_j = 2 P_j D, and the left terms D^-1 P_j D are not the adjoints P_j
+    of the right ones: P_j does not commute with D, as a coordinate
+    projector would.  The second family has the operators B_j* Z, Z = D + N
+    with N the ones above the diagonal, so that sum-transform's two cross
+    terms, read through C_j* C'_j = B_j* Z B_j and its adjoint, differ."""
+    m = min(ITEMS, dim)
+    dft = [[cmath.exp(-2j * cmath.pi * r * c / dim) / math.sqrt(dim) for c in range(dim)]
+           for r in range(dim)]
+    d = [0.5 + i / max(dim - 1, 1) for i in range(dim)]
+    u = [[d[r] if r == c else 0.0 for c in range(dim)] for r in range(dim)]
+    families = []
+    for z in ([[float(r == c) for c in range(dim)] for r in range(dim)],
+              [[d[r] if r == c else float(c == r + 1) for c in range(dim)] for r in range(dim)]):
+        items = []
+        for j in range(m):
+            basis = [row[j::m] for row in dft]
+            # L_j = B_j* Z
+            lam = [[sum(b.conjugate() * z[r][c] for r, b in enumerate(col)) for c in range(dim)]
+                   for col in zip(*basis)]
+            items.append({"subspace": {"ambient_dim": dim, "basis": operator(basis)},
+                          "lambda": operator(lam), "weight": 1.0})
+        families.append({"ambient_dim": dim, "items": items})
+    return (*families, {"t": diagonal(dim, 2.0, 0.0), "u": operator(u)})
+
+
+def write_shared(shared: str) -> None:
+    """Write the files of `report_runs` that no structure writes, for each
+    dim of DIMS, to the directory `shared`."""
+    for dim in DIMS:
+        one = diagonal(dim, 1.0, 0.0)
+        files = {f"half{dim}.json": diagonal(dim, 0.5, 0.0),
+                 f"rot{dim}.json": diagonal(dim, -0.5, 0.25),
+                 f"negi{dim}.json": {"t": diagonal(dim, -1.0, 0.0), "u": diagonal(dim, 0.0, 1.0)},
+                 f"neg{dim}.json": {"t": one, "u": diagonal(dim, -1.0, 0.0)},
+                 f"nearreal{dim}.json": {"t": one, "u": diagonal(dim, 1.0, 1e-9)},
+                 f"selfadj{dim}.json": self_adjoint(dim)}
+        files.update(zip((f"mixed{dim}/{name}.json" for name in ("family", "family2", "control")),
+                         mixed(dim)))
+        for name, doc in files.items():
+            path = os.path.join(shared, name)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
 
 
 def run_child(plan_path: str) -> None:
@@ -236,14 +311,7 @@ def main(argv=None) -> int:
         ap.error("--parent and --change are required")
     work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="report_diff-"))
     shared = os.path.join(work, "shared")
-    os.makedirs(shared, exist_ok=True)
-    for dim in DIMS:
-        with open(os.path.join(shared, f"half{dim}.json"), "w") as fh:
-            json.dump(diagonal(dim, 0.5, 0.0), fh)
-        with open(os.path.join(shared, f"negi{dim}.json"), "w") as fh:
-            json.dump({"t": diagonal(dim, -1.0, 0.0), "u": diagonal(dim, 0.0, 1.0)}, fh)
-        with open(os.path.join(shared, f"selfadj{dim}.json"), "w") as fh:
-            json.dump(self_adjoint(dim), fh)
+    write_shared(shared)
 
     points = [(s, d, seed) for s in structures(args.parent) for d in DIMS for seed in SEEDS]
     logs = {"parent": {}, "change": {}}

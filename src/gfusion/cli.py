@@ -16,6 +16,7 @@ with no bytecode cache compiles every module it imports on each run, so
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import os
 import sys
@@ -199,6 +200,7 @@ def cmd_random(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per first argv word.  It takes an option when some row
     under that word reads it, and requires the option when every row does."""

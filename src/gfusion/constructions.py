@@ -180,9 +180,7 @@ def sum_transform(
     # (`ControlPair.t_side`): it commutes with k and the controls, r B_j is
     # c B_j with R factor |c| (up to a unitary diagonal, which no norm below
     # sees), and r W_j is W_j itself
-    c = scalar_multiple(r)
-    if c:
-        r = c
+    r = scalar_multiple(r) or r
     r_sigma, r_invertible = _invertible("sum", r)
     rstar = adjoint(r)
     # ||r*|| = ||r|| and the controls' norms are the sigma_max their gates kept
@@ -220,7 +218,6 @@ def sum_transform(
     # Under two number sides rx and ry are multiples of one R_z, so
     # rx m* ry* and rx m ry* are multiples of R_z m* R_z* and of its
     # adjoint by numbers of one modulus: one norm serves both
-    scalar_sides = all(isinstance(c, Number) for c in (cp.t_side, cp.u_side))
     cross1 = 0.0
     cross2 = 0.0
     control_scale = cp.t_sigma.sigma_max * cp.u_sigma.sigma_max
@@ -237,7 +234,7 @@ def sum_transform(
             opnorm(product(cL, rz_adj)) * opnorm(product(cG, rz_adj)) * control_scale, 1e-300
         )
         norm1 = opnorm(product(product(rx, m), ry_adj))
-        norm2 = norm1 if scalar_sides else opnorm(product(product(rx, m.conj().T), ry_adj))
+        norm2 = norm1 if cp.number_sides else opnorm(product(product(rx, m.conj().T), ry_adj))
         cross1 = max(cross1, norm1 / scale)
         cross2 = max(cross2, norm2 / scale)
         items_out.append((subspace_image(r, sub), frozen((cL + cG) @ r_b.conj().T), wt))

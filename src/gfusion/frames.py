@@ -74,6 +74,7 @@ class FrameFamily:
 
     ambient_dim: int
     items: tuple
+    SUM_GROUP = 2  # `sum_plan` batches or stacks items where at least this many share a product
 
     def __init__(self, ambient_dim: int, items):
         items = tuple(
@@ -137,17 +138,19 @@ class FrameFamily:
     @cached_property
     def sum_plan(self) -> tuple:
         """(stacked, conj_basis, runs, weights), read-only: how `frame_sum`
-        applies each L_j P_j = C_j B_j*.  Where two or more runs of
-        `factor_runs` are one item each, `stacked` is their C_j B_j* (r_j x n
-        each), one below the next, and their rows come first; a lone one
-        stays factored, where stacked it would save no product and cost
-        r_j n in place of r_j d_j.  Each other run is (stack, the columns of
-        its coordinates in x^T conj_basis, its rows).  `weights` is v_j^2
-        for each row."""
+        applies each L_j P_j = C_j B_j*.  A run of `factor_runs` shorter
+        than SUM_GROUP is split into its items.  Where SUM_GROUP or more
+        items stand alone, `stacked` is their C_j B_j* (r_j x n each), one
+        below the next, and their rows come first; fewer stay factored (a
+        lone one would save no product and cost r_j n in place of r_j d_j).
+        Each other run is (stack, the columns of its coordinates in
+        x^T conj_basis, its rows).  `weights` is v_j^2 for each row."""
         stacks, starts = self.factor_runs
-        spans = list(zip(stacks, starts, starts[1:]))
+        spans = [span for stack, lo, hi in zip(stacks, starts, starts[1:])
+                 for span in ([(stack, lo, hi)] if hi - lo >= self.SUM_GROUP else
+                              [(stack[j - lo:j - lo + 1], j, j + 1) for j in range(lo, hi)])]
         alone = [lo for stack, lo, _ in spans if len(stack) == 1]
-        alone = alone if len(alone) > 1 else []
+        alone = alone if len(alone) >= self.SUM_GROUP else []
         spans = [span for span in spans if span[1] not in alone]
         order = alone + [j for _, lo, hi in spans for j in range(lo, hi)]
         m, n = len(alone), self.ambient_dim
@@ -271,14 +274,16 @@ class ControlPair:
         return ControlPair.__new__(ControlPair)._hold(h.dim + x.dim, sides, extremes)
 
     @property
+    def number_sides(self) -> bool:
+        """Both controls are numbers: t = c_t I and u = c_u I."""
+        return isinstance(self.t_side, Number) and isinstance(self.u_side, Number)
+
+    @property
     def scale(self) -> float | None:
-        """c = conj(c_t) c_u when t = c_t I and u = c_u I and c is a real
-        number > 0, so that S = t* F u = c F; else None."""
-        t, u = self.t_side, self.u_side
-        if isinstance(t, np.ndarray) or isinstance(u, np.ndarray):
-            return None
-        c = t.conjugate() * u
-        return c.real if c.imag == 0 and c.real > 0 else None
+        """c = conj(c_t) c_u under `number_sides` when c is a real number
+        > 0, so that S = t* F u = c F; else None."""
+        c = self.number_sides and self.t_side.conjugate() * self.u_side
+        return c.real if c and c.imag == 0 and c.real > 0 else None
 
     @staticmethod
     def identity(n: int) -> "ControlPair":
@@ -623,7 +628,7 @@ class FrameEvaluation:
             a_opt = 0.0
         else:
             w_norm = opnorm(w)
-            a_opt = 1.0 / (w_norm * w_norm) if w_norm > 0 else math.inf
+            a_opt = 1.0 / (w_norm * w_norm) if w_norm * w_norm > 0 else math.inf
         b = self.bounds.lambda_max
         # positivity at the same relative floor used for the frame flag, so
         # roundoff dust around zero does not flip the verdict
@@ -631,8 +636,8 @@ class FrameEvaluation:
         return a_opt, b, (self.bessel, positive)
 
     def atomic(self, k) -> AtomicReport:
-        """The report of `atomic_check`.  Each norm is `opnorm`'s: one
-        product and one eigvalsh, no SVD."""
+        """The report of `atomic_check`.  Each norm is `opnorm`'s: the top
+        eigenvalue of a Gram matrix (`linalg.top_eigenvalue`), no SVD."""
         k = self._check_k(k)
         a_opt, b, claims = self.kgf(k)
         is_kgf = tol.all_hold(claims)

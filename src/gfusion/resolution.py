@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Number
 from typing import NamedTuple
 
 import numpy as np
@@ -141,6 +140,11 @@ class CanonicalResolutions(NamedTuple):
         return tuple(dict.fromkeys(self.right_multiplied.claims + self.left_multiplied.claims))
 
 
+def _self_adjoint(ev: FrameEvaluation, cp: ControlPair) -> bool:
+    """S^-1 and each G_j are Hermitian: a positive scalar pair, or t = u."""
+    return ev.scale is not None or cp.u_side is cp.t_side
+
+
 def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolutions:
     """The two canonical identity resolutions of a controlled frame.
 
@@ -158,7 +162,7 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolut
     s_inv = ev.inverse
     right_terms = ev.weighted(ev.terms @ s_inv)
     right = _resolution_report(right_terms.sum(axis=0), len(fam))
-    if ev.scale is not None or cp.u_side is cp.t_side:
+    if _self_adjoint(ev, cp):
         return CanonicalResolutions(
             list(right_terms), list(right_terms.conj().swapaxes(1, 2)), right, right)
     left_terms = ev.weighted(s_inv @ ev.terms)
@@ -201,7 +205,7 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     # operator; ||t|| and ||u|| are the pair's sigma_max; a control c I
     # commutes with S^-1 and needs neither
     t, u = cp.t_side, cp.u_side
-    norm_s_inv = None if isinstance(t, Number) and isinstance(u, Number) else opnorm(s_inv)
+    norm_s_inv = None if cp.number_sides else opnorm(s_inv)
     comm = max(
         commutator_residual(s_inv, t, norm_s_inv, cp.t_sigma.sigma_max),
         commutator_residual(s_inv, u, norm_s_inv, cp.u_sigma.sigma_max),
@@ -214,8 +218,8 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
     a, b = ev.bounds.lambda_min, ev.bounds.lambda_max
     spectrum = Spectrum(m).extremes
     lower, upper = spectrum.lambda_min, spectrum.lambda_max
-    predicted_lower = a / (b * b)
-    predicted_upper = b / (a * a)
+    predicted_lower = a / (b * b) if b * b else a / b / b  # a square may underflow to 0
+    predicted_upper = b / (a * a) if a * a else b / a / a
     claims = (
         *ev.frame_claims,
         tol.claim("inverse_commutes", comm, "<=", "TOL_FACTOR"),
@@ -250,8 +254,8 @@ def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionRep
     resolution = _resolution_report(fam.controlled(tt.t_side, uu.u_side), len(fam))
     lower, upper = out.bounds.lambda_min, out.bounds.lambda_max
     predicted_lower = 1.0 / b if b > 0 else math.inf  # B = 0: zero operators
-    # b ||t^-1||^2 ||u||^2
-    predicted_upper = b / tt.t_sigma.sigma_min**2 * uu.u_sigma.sigma_max**2
+    low = tt.t_sigma.sigma_min  # b ||t^-1||^2 ||u||^2; low**2 may underflow to 0
+    predicted_upper = (b / low**2 if low**2 else b / low / low) * uu.u_sigma.sigma_max**2
     # one Bessel claim per control pair, each named after it
     claims = (bessel.bessel._replace(name="bessel_tt"), *resolution.claims)
     if tol.all_hold(claims):  # the (u, u) claims rest on both hypotheses
@@ -301,7 +305,8 @@ def coercive_pair_check(
     # roundoff dust around zero does not decide coercivity
     coercive = tol.claim("coercive", m, ">", "TOL_PSD",
                          scale=max(abs(m), abs(spectrum.lambda_max)))
-    predicted_lower = m * m / gamma_bessel_bound if coercive.holds else None
+    predicted_lower = None if not coercive.holds else (
+        m * m / gamma_bessel_bound if gamma_bessel_bound else math.inf)  # D may underflow to 0
     left = FrameEvaluation(pair.left_family, pair.left_control)
     measured_lower = left.bounds.lambda_min
     claims = (coercive,)

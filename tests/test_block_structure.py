@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gfusion import constructions, linalg
+from gfusion import linalg
 from gfusion import tolerances as tol
 from gfusion.constructions import direct_sum_frame, sum_transform
 from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily
@@ -221,33 +221,6 @@ class TestScalarSumOperator:
             rep = sum_transform(famL, famG, half, half, cp, np.eye(6))
             for (sub, _, _), (out, _, _) in zip(famL.items, rep.family_out.items):
                 assert out is sub
-
-    @pytest.mark.parametrize("c", [2.5, -1.0 + 0.5j])
-    def test_scalar_path_agrees_with_the_dense_path(self, rng, monkeypatch, c):
-        # the same r = c I taken as a dense operator (`scalar_multiple`
-        # forced to find nothing): the same verdicts, and every number to
-        # rounding
-        famL, famG = sum_pair(rng)
-        cp = ControlPair.scalars(6, 0.5, 1.5)
-        k = complex_gaussian(rng, 6, 6)
-        v, w = c * np.eye(6) / 2, c * np.eye(6) / 2
-        fast = sum_transform(famL, famG, v, w, cp, k)
-        monkeypatch.setattr(constructions, "scalar_multiple", lambda a: None)
-        dense = sum_transform(famL, famG, v, w, cp, k)
-        assert (fast.all_hypotheses_pass, fast.verified) == (dense.all_hypotheses_pass,
-                                                              dense.verified)
-        for (name, x), (other, y) in zip(fast.hypothesis_certificates,
-                                         dense.hypothesis_certificates):
-            assert name == other and x == pytest.approx(y, rel=1e-12, abs=1e-14)
-        for x, y in ((fast.predicted_lower, dense.predicted_lower),
-                     (fast.predicted_upper, dense.predicted_upper),
-                     (fast.measured.lambda_min, dense.measured.lambda_min),
-                     (fast.measured.lambda_max, dense.measured.lambda_max)):
-            assert x == pytest.approx(y, rel=1e-12)
-        for (sub, lam, _), (sub_d, lam_d, _) in zip(fast.family_out.items,
-                                                   dense.family_out.items):
-            np.testing.assert_allclose(lam, lam_d, atol=1e-13)
-            np.testing.assert_allclose(linalg.projector(sub), linalg.projector(sub_d), atol=1e-13)
 
     def test_dense_sum_keeps_one_qr_and_one_orth_per_item(self, rng):
         # each item's image r W_j (its QR and orth counts: budgets.py)

@@ -839,8 +839,8 @@ def _construct_verdict(rep):
 
 
 # Each grid command, with its files (f family, c control, k operator, v
-# and w zero operators; a construct takes f, c and k twice) and its verdict
-# read from the report.
+# and w zero operators; a construct takes f, c and k twice, thm 4.4 f) and
+# its verdict read from the report.
 GRID_COMMANDS = [
     (["check-frame"], "fc", lambda r: r["is_frame"]),
     (["bounds"], "fc", lambda r: r["is_bessel"]),
@@ -853,16 +853,31 @@ GRID_COMMANDS = [
     # a singular conjugator w, and a singular sum v + w
     (["construct", "conjugate"], "ffcckkvw", _construct_verdict),
     (["construct", "sum-transform"], "ffckvw", _construct_verdict),
+    (["thm", "4.4"], "ffc", lambda r: r["is_frame"]),
 ]
-GRID_INPUTS = [(s, d) for s in generate.STRUCTURES for d in (1, 2, 6)] + [("rank-one", 3)]
+
+
+def _times(c, *docs):
+    for doc in docs:
+        doc.update(re=[c * x for x in doc["re"]], im=[c * x for x in doc["im"]])
+
+
+# parseval draws with one input file scaled until a squared norm underflows
+TINY = {"k-1e-170": ("k", lambda k: _times(1e-170, k)),
+        "lambda-1e-100": ("f", lambda f: _times(1e-100, *[it["lambda"] for it in f["items"]])),
+        "u-1e-170": ("c", lambda c: _times(1e-170, c["u"])),
+        "controls-1e-170": ("c", lambda c: _times(1e-170, c["t"], c["u"]))}
+GRID_INPUTS = ([(s, d) for s in generate.STRUCTURES for d in (1, 2, 6)] + [("rank-one", 3)]
+               + [(name, 4) for name in TINY])
 
 
 @pytest.mark.parametrize("structure, dim", GRID_INPUTS, ids=[f"{s}-{d}" for s, d in GRID_INPUTS])
 def test_failed_verdict_writes_report(tmp_path, capsys, structure, dim):
     """Every exit 1 writes a report whose verdict is false, except `atomic`
     on a family that is not Bessel (it has no T_C); every exit 0 a report
-    whose verdict is true; a repeat run writes the same bytes.  The
-    constructions on a zero --v and --w have nothing to predict."""
+    whose verdict is true; a repeat run writes the same bytes; nothing
+    raises.  The constructions on a zero --v and --w have nothing to
+    predict."""
     if structure == "rank-one":
         # one item, the projector onto e_1: Bessel, not a frame
         sub = Subspace(3, np.eye(3, 1, dtype=complex))
@@ -871,9 +886,15 @@ def test_failed_verdict_writes_report(tmp_path, capsys, structure, dim):
             (tmp_path / name).write_text(serialize.dumps(serialize.to_json(obj)))
     else:
         main(["random", "--seed", "5", "--dim", str(dim), "--items", str(min(dim, 3)),
-              "--structure", structure, "--out", str(tmp_path / "inst")])
+              "--structure", "parseval" if structure in TINY else structure,
+              "--out", str(tmp_path / "inst")])
         for name, file in zip("fck", ("family", "control", "k")):
             (tmp_path / "inst" / f"{file}.json").rename(tmp_path / name)
+        if structure in TINY:
+            name, edit = TINY[structure]
+            doc = json.loads((tmp_path / name).read_text())
+            edit(doc)
+            (tmp_path / name).write_text(json.dumps(doc))
     for name in "vw":
         (tmp_path / name).write_text(serialize.dumps(serialize.to_json(np.zeros((dim, dim)))))
     flags = {"f": "--in", "c": "--control", "k": "--k", "v": "--v", "w": "--w"}
