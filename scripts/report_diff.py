@@ -2,42 +2,24 @@
 
     python3 scripts/report_diff.py --parent DIR --change DIR [--work DIR]
 
-The grid is every structure of the parent's `gfusion.generate.STRUCTURES`
-at each dim of `DIMS` and seed of `SEEDS`, with min(ITEMS, dim) items, and
-the fixed `fourier-demo` runs of `FOURIER_DEMOS`: 674 runs for four
-structures.  Each point is 21 runs: `gfusion random`, then the 20 report
+`grid` is the one list of the grid's runs; tier-1 runs it at the first seed
+(the `grid` fixture of `tests/conftest.py`).  For each structure of the
+parent's `gfusion.generate.STRUCTURES`, dim of `DIMS` and seed of `SEEDS`
+(min(ITEMS, dim) items) it runs `gfusion random`, then the 18 report
 commands of `report_runs` on its files and on the shared files of
-`write_shared`:
-- check-frame, bounds, thm 4.1, 4.2, 4.4, perturb (defaults, and
-  lambda1 = 0.3, lambda2 = 0.1) and pair-op;
-- atomic, under its own control pair and under the number pairs (I, -I)
-  and (I, (1 + 1e-9 i) I), whose c = conj(c_t) c_u is not a positive real;
-- resolutions, under its own control pair, under the shared dense pair
-  (w, w) of `self_adjoint`, whose left terms are read as the adjoints of
-  its right ones, and on the shared instance of `mixed`, a frame under a
-  pair that is not self-adjoint, whose two sums are both formed;
-- construct direct-sum, sum-transform and conjugate of the family with its
-  second family (the family itself where the structure has none), with
-  `--v k.json` (dense) and `--w` = 0.5 I (a number);
-- sum-transform with `--v` = `--w` = 0.5 I, whose sum r = I is applied as
-  a number, and on the two families of `mixed` under its pair, whose two
-  cross terms differ, with `--v` = `--w` = (-0.5 + 0.25 i) I;
-- construct direct-sum with `--control` the pair (-I, iI) given twice:
-  number sides with a negative and an imaginary c, written back dense in
-  its `control_out`.
-Pair commands read `pair_control.json` where the structure writes one,
-else `control.json`.  The `fourier-demo` runs read no instance file; they
-sample the Fourier family through `frame_sum`, whose runs of items of one
-shape take one product each (its one item that stands alone keeps its
-factored form; `frame_sum` stacks such items only where two or more stand
-alone).
+`write_shared`.  Once per dim it runs resolutions and sum-transform on the
+shared instance of `mixed`, a frame under a pair that is not self-adjoint;
+once, atomic on the instance of `lanczos`, whose Gram blocks are above
+`linalg.LANCZOS_GATE`; and the `fourier-demo` runs of `FOURIER_DEMOS`,
+which sample the Fourier family through `frame_sum`.  For four structures
+that is 619 runs: 32 points of 19, 8 shared, 1 Lanczos and 2 Fourier runs.
 
 Each checkout runs the grid in two child processes, one for its instance
 files and one for its reports, with its own `src` first on `sys.path`,
-calling `gfusion.cli.main` in process.  Both write their own instance
-files, which are compared byte for byte; both run the report commands on
-the parent's instance files, so that a moved report comes from the
-command and not from its inputs.
+calling `gfusion.cli.main` in process (`run`).  Both write their own
+instance files, which are compared byte for byte; both run the report
+commands on the parent's instance files, so that a moved report comes
+from the command and not from its inputs.
 
 It prints:
 - every instance file that differs;
@@ -70,6 +52,8 @@ import tempfile
 DIMS = (1, 2, 6, 16)
 SEEDS = (1, 7)
 ITEMS = 3
+# the side of the `lanczos` instance: above linalg.LANCZOS_GATE
+LANCZOS_DIM = 200
 ERROR_PREFIXES = ("error:", "verification error:")
 # (name, argv) of the fourier-demo runs, at two sizes of the Fourier family
 FOURIER_DEMOS = tuple(
@@ -79,26 +63,24 @@ FOURIER_DEMOS = tuple(
 )
 
 
-def report_runs(inst: str, shared: str, dim: int) -> list:
-    """(name, argv) of the 20 report commands on the instance files in
-    `inst`, with the files `write_shared` writes to `shared` for `dim`:
-    `half` as the number 0.5 I, `rot` as (-0.5 + 0.25i) I, the control
-    pairs `negi` (-I, iI), `neg` (I, -I), `nearreal` (I, (1 + 1e-9 i) I)
-    and `selfadj` (w, w), and the instance `mixed<dim>/`; `--out` is
-    appended by the caller."""
+def report_runs(inst: str, shared: str, dim: int, paired: bool) -> list:
+    """(name, argv) of the report commands on the instance files in `inst`
+    (with family2.json and pair_control.json where `paired`, which the pair
+    commands read) and the shared files of `dim`: `half` (0.5 I) and the
+    control pairs `negi` (-I, iI), `neg` (I, -I), `nearreal`
+    (I, (1 + 1e-9 i) I), whose c = conj(c_t) c_u is not a positive real,
+    and `selfadj` (w, w)."""
     def f(name):
         return os.path.join(inst, name)
 
     fam, ctl, k = f("family.json"), f("control.json"), f("k.json")
-    fam2 = f("family2.json") if os.path.exists(f("family2.json")) else fam
-    pctl = f("pair_control.json") if os.path.exists(f("pair_control.json")) else ctl
-    half, rot, negi, neg, nearreal, selfadj = (
+    fam2, pctl = (f("family2.json"), f("pair_control.json")) if paired else (fam, ctl)
+    half, negi, neg, nearreal, selfadj = (
         os.path.join(shared, f"{name}{dim}.json")
-        for name in ("half", "rot", "negi", "neg", "nearreal", "selfadj"))
-    mfam, mfam2, mctl = (os.path.join(shared, f"mixed{dim}", f"{name}.json")
-                         for name in ("family", "family2", "control"))
+        for name in ("half", "negi", "neg", "nearreal", "selfadj"))
     one = ["--in", fam, "--control", ctl]
     pair = ["--in", fam, "--in", fam2, "--control", pctl]
+    two = ["--in", fam, "--in", fam2]
     return [
         ("check-frame", ["check-frame", *one]),
         ("bounds", ["bounds", *one]),
@@ -106,8 +88,8 @@ def report_runs(inst: str, shared: str, dim: int) -> list:
         ("atomic-neg", ["atomic", "--in", fam, "--control", neg, "--k", k]),
         ("atomic-near-real", ["atomic", "--in", fam, "--control", nearreal, "--k", k]),
         ("resolutions", ["resolutions", *one]),
+        # the left terms read as the adjoints of the right ones
         ("resolutions-selfadj", ["resolutions", "--in", fam, "--control", selfadj]),
-        ("resolutions-mixed", ["resolutions", "--in", mfam, "--control", mctl]),
         ("thm-4.1", ["thm", "4.1", *one]),
         ("thm-4.2", ["thm", "4.2", *one]),
         ("thm-4.4", ["thm", "4.4", *pair]),
@@ -115,23 +97,70 @@ def report_runs(inst: str, shared: str, dim: int) -> list:
         ("thm-perturb-2", ["thm", "perturb", *pair, "--trials", "50", "--lambda1", "0.3",
                            "--lambda2", "0.1", "--seed", "3"]),
         ("pair-op", ["pair-op", *pair]),
-        ("construct-direct-sum", ["construct", "direct-sum", "--in", fam, "--in", fam2,
-                                  "--control", ctl, "--control", pctl, "--k", k, "--k", k]),
-        ("construct-direct-sum-negi", ["construct", "direct-sum", "--in", fam, "--in", fam2,
-                                       "--control", negi, "--control", negi, "--k", k,
-                                       "--k", k]),
-        ("construct-sum-transform", ["construct", "sum-transform", "--in", fam, "--in", fam2,
-                                     "--control", ctl, "--k", k, "--v", k, "--w", half]),
-        ("construct-sum-transform-scalar", ["construct", "sum-transform", "--in", fam,
-                                            "--in", fam2, "--control", ctl, "--k", k,
-                                            "--v", half, "--w", half]),
-        ("construct-sum-transform-mixed", ["construct", "sum-transform", "--in", mfam,
-                                           "--in", mfam2, "--control", mctl, "--k", half,
-                                           "--v", rot, "--w", rot]),
-        ("construct-conjugate", ["construct", "conjugate", "--in", fam, "--in", fam2,
-                                 "--control", ctl, "--control", pctl, "--k", k, "--k", k,
-                                 "--v", k, "--w", half]),
+        ("construct-direct-sum", ["construct", "direct-sum", *two, "--control", ctl,
+                                  "--control", pctl, "--k", k, "--k", k]),
+        # number sides with a negative and an imaginary c, written back dense
+        ("construct-direct-sum-negi", ["construct", "direct-sum", *two, "--control", negi,
+                                       "--control", negi, "--k", k, "--k", k]),
+        ("construct-sum-transform", ["construct", "sum-transform", *two, "--control", ctl,
+                                     "--k", k, "--v", k, "--w", half]),
+        # r = v + w = I, applied as a number
+        ("construct-sum-transform-scalar", ["construct", "sum-transform", *two, "--control",
+                                            ctl, "--k", k, "--v", half, "--w", half]),
+        ("construct-conjugate", ["construct", "conjugate", *two, "--control", ctl, "--control",
+                                 pctl, "--k", k, "--k", k, "--v", k, "--w", half]),
     ]
+
+
+def grid(inputs: str, shared: str, structures: dict, seeds=SEEDS) -> list:
+    """(name, argv) of every run of the grid, named "<point> <run>", in an
+    order that makes each file before a run reads it: `random` writes a
+    point's files to `inputs`/<point>/, and `write_shared(shared)` the
+    shared ones.  `structures` is `paired_structures()`'s map.  The report
+    runs write their report to stdout."""
+    runs = []
+    for structure, paired in structures.items():
+        for dim in DIMS:
+            for seed in seeds:
+                point = f"{structure}-{dim}-{seed}"
+                inst = os.path.join(inputs, point)
+                runs.append((f"{point} random", [
+                    "random", "--seed", str(seed), "--dim", str(dim), "--items",
+                    str(min(ITEMS, dim)), "--structure", structure, "--out", inst]))
+                runs += [(f"{point} {name}", argv) for name, argv
+                         in report_runs(inst, shared, dim, paired)]
+    for dim in DIMS:
+        fam, fam2, ctl = (os.path.join(shared, f"mixed{dim}", f"{name}.json")
+                          for name in ("family", "family2", "control"))
+        half, rot = (os.path.join(shared, f"{name}{dim}.json") for name in ("half", "rot"))
+        runs += [  # both sums formed; two cross terms that differ, under r = (-1 + 0.5 i) I
+            (f"shared-{dim} resolutions-mixed", ["resolutions", "--in", fam, "--control", ctl]),
+            (f"shared-{dim} construct-sum-transform-mixed", [
+                "construct", "sum-transform", "--in", fam, "--in", fam2, "--control", ctl,
+                "--k", half, "--v", rot, "--w", rot])]
+    fam, ctl, k = (os.path.join(shared, "lanczos", f"{name}.json")
+                   for name in ("family", "control", "k"))
+    runs.append((f"lanczos-{LANCZOS_DIM} atomic-lanczos",
+                 ["atomic", "--in", fam, "--control", ctl, "--k", k]))
+    return runs + [(f"fourier {name}", argv) for name, argv in FOURIER_DEMOS]
+
+
+def run(argv) -> tuple:
+    """(exit code, error lines, stdout) of `gfusion.cli.main(argv)` in this
+    process: the error lines are stderr's that start with ERROR_PREFIXES,
+    argparse's exit is its code, a raise the code "raised <type>: <message>"."""
+    from gfusion import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+        except Exception as exc:  # a traceback the CLI contract forbids
+            code = f"raised {type(exc).__name__}: {exc}"
+    errors = [line for line in err.getvalue().splitlines() if line.startswith(ERROR_PREFIXES)]
+    return code, errors, out.getvalue()
 
 
 def diagonal(dim: int, re: float, im: float) -> dict:
@@ -145,13 +174,10 @@ def self_adjoint(dim: int) -> dict:
     of real and imaginary parts normal with deviation 0.1 / sqrt(dim) from
     the stream of `random.Random(dim)`: ||E|| is about 0.3, so w is
     well-conditioned."""
-    rng = random.Random(dim)
-    sd = 0.1 / math.sqrt(dim)
-    e = [[complex(rng.gauss(0.0, sd), rng.gauss(0.0, sd)) for _ in range(dim)]
-         for _ in range(dim)]
-    w = [(1.0 if i == j else 0.0) + e[i][j] for i in range(dim) for j in range(dim)]
-    side = {"rows": dim, "cols": dim, "re": [z.real for z in w], "im": [z.imag for z in w]}
-    return {"t": side, "u": side}
+    rng, sd = random.Random(dim), 0.1 / math.sqrt(dim)
+    w = operator([[float(i == j) + complex(rng.gauss(0.0, sd), rng.gauss(0.0, sd))
+                   for j in range(dim)] for i in range(dim)])
+    return {"t": w, "u": w}
 
 
 def operator(rows: list) -> dict:
@@ -191,66 +217,97 @@ def mixed(dim: int) -> tuple:
     return (*families, {"t": diagonal(dim, 2.0, 0.0), "u": operator(u)})
 
 
+def lanczos() -> tuple:
+    """(family, control pair, k) files on C^n, n = LANCZOS_DIM: the
+    coordinate partition into ITEMS items, B_j the columns j, j + m, ... of
+    I and L_j = B_j*, under (I, I), and a dense k whose entries' real and
+    imaginary parts are normal with deviation 1 / sqrt(2 n), from the stream
+    of `random.Random(n)`, rounded to 4 decimals (a smaller file).  So S = I,
+    and the Gram matrices of k and k - S are single blocks of side n."""
+    n, sd = LANCZOS_DIM, 1.0 / math.sqrt(2 * LANCZOS_DIM)
+    rng = random.Random(n)
+    eye = [[float(r == c) for c in range(n)] for r in range(n)]
+    bases = [[row[j::ITEMS] for row in eye] for j in range(ITEMS)]
+    items = [{"subspace": {"ambient_dim": n, "basis": operator(b)},
+              "lambda": operator([list(col) for col in zip(*b)]), "weight": 1.0} for b in bases]
+    k = [[complex(round(rng.gauss(0.0, sd), 4), round(rng.gauss(0.0, sd), 4)) for _ in range(n)]
+         for _ in range(n)]
+    one = diagonal(n, 1.0, 0.0)
+    return {"ambient_dim": n, "items": items}, {"t": one, "u": one}, operator(k)
+
+
 def write_shared(shared: str) -> None:
-    """Write the files of `report_runs` that no structure writes, for each
-    dim of DIMS, to the directory `shared`."""
+    """Write the files of the grid that no structure writes, for each dim of
+    DIMS, and the instance of `lanczos`, to the directory `shared`."""
+    files = dict(zip((f"lanczos/{name}.json" for name in ("family", "control", "k")), lanczos()))
     for dim in DIMS:
         one = diagonal(dim, 1.0, 0.0)
-        files = {f"half{dim}.json": diagonal(dim, 0.5, 0.0),
-                 f"rot{dim}.json": diagonal(dim, -0.5, 0.25),
-                 f"negi{dim}.json": {"t": diagonal(dim, -1.0, 0.0), "u": diagonal(dim, 0.0, 1.0)},
-                 f"neg{dim}.json": {"t": one, "u": diagonal(dim, -1.0, 0.0)},
-                 f"nearreal{dim}.json": {"t": one, "u": diagonal(dim, 1.0, 1e-9)},
-                 f"selfadj{dim}.json": self_adjoint(dim)}
+        files.update({f"half{dim}.json": diagonal(dim, 0.5, 0.0),
+                      f"rot{dim}.json": diagonal(dim, -0.5, 0.25),
+                      f"negi{dim}.json": {"t": diagonal(dim, -1.0, 0.0),
+                                          "u": diagonal(dim, 0.0, 1.0)},
+                      f"neg{dim}.json": {"t": one, "u": diagonal(dim, -1.0, 0.0)},
+                      f"nearreal{dim}.json": {"t": one, "u": diagonal(dim, 1.0, 1e-9)},
+                      f"selfadj{dim}.json": self_adjoint(dim)})
         files.update(zip((f"mixed{dim}/{name}.json" for name in ("family", "family2", "control")),
                          mixed(dim)))
-        for name, doc in files.items():
-            path = os.path.join(shared, name)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "w") as fh:
-                json.dump(doc, fh)
+    for name, doc in files.items():
+        path = os.path.join(shared, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc))
 
 
 def run_child(plan_path: str) -> None:
-    """Make each run of the plan through `gfusion.cli.main` in this
-    process, and write the log of exit codes and error lines."""
+    """Make each run of the plan in this process (`run`), and write the log
+    of each run's exit code, error lines and report."""
     with open(plan_path) as fh:
         plan = json.load(fh)
     sys.path.insert(0, os.path.join(plan["root"], "src"))
-    from gfusion import cli
-
-    log = {}
-    for name, argv in plan["runs"]:
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse
-                code = exc.code
-            except Exception as exc:  # a traceback the CLI contract forbids
-                code = f"raised {type(exc).__name__}: {exc}"
-        lines = [line for line in err.getvalue().splitlines() if line.startswith(ERROR_PREFIXES)]
-        log[name] = {"exit": code, "errors": lines}
+    log = {name: dict(zip(("exit", "errors", "report"), run(argv))) for name, argv in plan["runs"]}
     with open(plan["log"], "w") as fh:
         json.dump(log, fh)
 
 
-def structures(root: str) -> list:
-    """`gfusion.generate.STRUCTURES` of the checkout at `root`."""
-    code = "from gfusion.generate import STRUCTURES; print(*STRUCTURES)"
+def paired_structures() -> dict:
+    """Each structure of `gfusion.generate.STRUCTURES` -> whether its
+    `random` writes family2.json and pair_control.json (its instance has a
+    second family)."""
+    from gfusion.generate import STRUCTURES, random_instance
+
+    return {s: random_instance(1, 1, 1, s).family2 is not None for s in STRUCTURES}
+
+
+def structures(root: str) -> dict:
+    """`paired_structures()` of the checkout at `root`."""
+    code = (f"import json, sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})"
+            "; import report_diff; print(json.dumps(report_diff.paired_structures()))")
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(root), "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root, check=True,
                          capture_output=True, text=True)
-    return out.stdout.split()
+    return json.loads(out.stdout)
 
 
-def run_grid(root: str, runs: list, log_path: str, plan_path: str) -> dict:
+def run_grid(root: str, runs: list, plan_stem: str) -> dict:
+    """The log of `runs` made in one child process on the checkout at `root`
+    (`plan_stem`-plan.json and -log.json)."""
+    plan_path, log_path = f"{plan_stem}-plan.json", f"{plan_stem}-log.json"
     with open(plan_path, "w") as fh:
         json.dump({"root": os.path.abspath(root), "runs": runs, "log": log_path}, fh)
     subprocess.run([sys.executable, os.path.abspath(__file__), "--child", plan_path],
                    check=True, cwd=root)
     with open(log_path) as fh:
         return json.load(fh)
+
+
+def files_under(top: str) -> dict:
+    """Relative path -> bytes of every file under `top`."""
+    out = {}
+    for dirpath, _, names in os.walk(top):
+        for name in names:
+            with open(os.path.join(dirpath, name), "rb") as fh:
+                out[os.path.relpath(fh.name, top)] = fh.read()
+    return out
 
 
 def leaves(value, path=""):
@@ -278,18 +335,22 @@ def compare_reports(a: dict, b: dict, moved: dict, command: str) -> bool:
     la, lb = list(leaves(a)), list(leaves(b))
     per_field = {}
     if [p for p, _ in la] != [p for p, _ in lb]:
-        per_field[f"{command} (structure)"] = None
-    else:
-        for (path, x), (_, y) in zip(la, lb):
-            if x == y and isinstance(x, bool) == isinstance(y, bool):
-                continue
-            key = f"{command} {path}"
-            rel = None  # `changed`: not two numbers, or a move to or from inf or nan
-            if is_number(x) and is_number(y) and not path.endswith("#len"):
-                rel = abs(x - y) / max(abs(x), abs(y))
-                rel = rel if math.isfinite(rel) else None
-            prev = per_field.get(key, 0.0)
-            per_field[key] = None if rel is None or prev is None else max(prev, rel)
+        # lists of other lengths show as their `#len` leaves; any other
+        # change of shape (a key, a nesting) as the report's structure
+        la, lb = ([(p, v) for p, v in side if p.endswith("#len")] for side in (la, lb))
+        if [p for p, _ in la] != [p for p, _ in lb] or la == lb:
+            per_field[f"{command} (structure)"] = None
+            la = lb = []
+    for (path, x), (_, y) in zip(la, lb):
+        if x == y and isinstance(x, bool) == isinstance(y, bool):
+            continue
+        key = f"{command} {path}"
+        rel = None  # `changed`: not two numbers, or a move to or from inf or nan
+        if is_number(x) and is_number(y) and not path.endswith("#len"):
+            rel = abs(x - y) / max(abs(x), abs(y))
+            rel = rel if math.isfinite(rel) else None
+        prev = per_field.get(key, 0.0)
+        per_field[key] = None if rel is None or prev is None else max(prev, rel)
     for key, rel in per_field.items():
         entry = moved.setdefault(key, [0, 0.0])
         entry[0] += 1
@@ -312,73 +373,40 @@ def main(argv=None) -> int:
     work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="report_diff-"))
     shared = os.path.join(work, "shared")
     write_shared(shared)
-
-    points = [(s, d, seed) for s in structures(args.parent) for d in DIMS for seed in SEEDS]
-    logs = {"parent": {}, "change": {}}
-    # the instance files first, so that the report runs see which files
-    # the parent's structure writes
-    for phase in ("random", "reports"):
-        for side, root in (("parent", args.parent), ("change", args.change)):
-            runs = []
-            for s, d, seed in points:
-                point = f"{s}-{d}-{seed}"
-                if phase == "random":
-                    runs.append((f"{point} random", [
-                        "random", "--seed", str(seed), "--dim", str(d), "--items",
-                        str(min(ITEMS, d)), "--structure", s,
-                        "--out", os.path.join(work, side, "inputs", point)]))
-                    continue
-                inst = os.path.join(work, "parent", "inputs", point)
-                for name, cmd in report_runs(inst, shared, d):
-                    out = os.path.join(work, side, "reports", f"{point}-{name}.json")
-                    runs.append((f"{point} {name}", [*cmd, "--out", out]))
-            if phase == "reports":
-                for name, cmd in FOURIER_DEMOS:
-                    out = os.path.join(work, side, "reports", f"fourier-{name}.json")
-                    runs.append((f"fourier {name}", [*cmd, "--out", out]))
-            os.makedirs(os.path.join(work, side, "reports"), exist_ok=True)
-            logs[side].update(run_grid(root, runs, os.path.join(work, f"{side}-{phase}-log.json"),
-                                       os.path.join(work, f"{side}-{phase}-plan.json")))
-    names = list(logs["parent"])
+    sides = {"parent": args.parent, "change": args.change}
+    found = structures(args.parent)
+    inputs = {side: os.path.join(work, side, "inputs") for side in sides}
+    runs = grid(inputs["parent"], shared, found)
+    reports = [(name, argv) for name, argv in runs if argv[0] != "random"]
+    logs = {}
+    for side, root in sides.items():  # its own instance files, then the parent's reports
+        own = [(name, argv) for name, argv in grid(inputs[side], shared, found)
+               if argv[0] == "random"]
+        logs[side] = {**run_grid(root, own, os.path.join(work, f"{side}-random")),
+                      **run_grid(root, reports, os.path.join(work, f"{side}-reports"))}
 
     differ = 0
-    for s, d, seed in points:
-        point = f"{s}-{d}-{seed}"
-        dirs = [os.path.join(work, side, "inputs", point) for side in ("parent", "change")]
-        files = sorted(set().union(*(os.listdir(p) for p in dirs if os.path.isdir(p))))
-        for name in files:
-            blobs = []
-            for p in dirs:
-                path = os.path.join(p, name)
-                blobs.append(open(path, "rb").read() if os.path.exists(path) else None)
-            if blobs[0] != blobs[1]:
-                differ += 1
-                print(f"instance file differs: {point}/{name}")
+    files = [files_under(inputs[side]) for side in sides]
+    for path in sorted(set(files[0]) | set(files[1])):
+        if files[0].get(path) != files[1].get(path):
+            differ += 1
+            print(f"instance file differs: {path}")
 
     moved, reports_moved, bytes_only = {}, 0, 0
-    for name in names:
-        a, b = logs["parent"][name], logs["change"][name]
-        if a != b:
+    for name, _ in runs:
+        a, b = (logs[side][name] for side in sides)
+        if a["exit"] != b["exit"] or a["errors"] != b["errors"]:
             differ += 1
-            print(f"run differs: {name}: parent {a}, change {b}")
-        point, _, command = name.partition(" ")
-        if command == "random" or a["exit"] not in (0, 1) or b["exit"] not in (0, 1):
-            continue
-        paths = [os.path.join(work, side, "reports", f"{point}-{command}.json")
-                 for side in ("parent", "change")]
-        if not all(os.path.exists(p) for p in paths):
-            continue
-        blobs = []
-        for p in paths:
-            with open(p, "rb") as fh:
-                blobs.append(fh.read())
-        differs = compare_reports(*map(json.loads, blobs), moved, command)
-        reports_moved += differs
-        bytes_only += not differs and blobs[0] != blobs[1]
+            print(f"run differs: {name}: parent {a['exit']} {a['errors']}, "
+                  f"change {b['exit']} {b['errors']}")
+        if a["report"] and b["report"]:
+            differs = compare_reports(json.loads(a["report"]), json.loads(b["report"]), moved,
+                                      name.partition(" ")[2])
+            reports_moved += differs
+            bytes_only += not differs and a["report"] != b["report"]
 
-    print(f"{len(names)} runs on {len(points)} grid points and {len(FOURIER_DEMOS)} fourier-demo "
-          f"runs in {work}; {differ} instance files or runs differ; {reports_moved} reports moved; "
-          f"{bytes_only} reports differ in bytes only")
+    print(f"{len(runs)} runs in {work}; {differ} instance files or runs differ; "
+          f"{reports_moved} reports moved; {bytes_only} reports differ in bytes only")
     if moved:
         print("| field | reports moved | largest relative move |")
         print("| --- | --- | --- |")

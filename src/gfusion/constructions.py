@@ -32,6 +32,7 @@ from .linalg import (
     scalar_multiple,
     singular_extremes,
     subspace_image,
+    times_square,
 )
 
 
@@ -246,8 +247,8 @@ def sum_transform(
     a_l, b_l, _ = evL.kgf(k)
     _, b_g, _ = evG.kgf(k)
     # ||r^-1||^-2 = sigma_min(r)^2 and ||r||^2 = sigma_max(r)^2
-    predicted_lower = a_l * r_sigma.sigma_min**2
-    predicted_upper = (b_l + b_g) * r_sigma.sigma_max**2
+    predicted_lower = times_square(a_l, r_sigma.sigma_min)
+    predicted_upper = times_square(b_l + b_g, r_sigma.sigma_max)
     measured = _measure(FrameEvaluation(fam_out, cp), k)
     return _transform_report(
         fam_out, cp, k, predicted_lower, predicted_upper, measured, hypotheses, (r_invertible,)
@@ -333,8 +334,10 @@ def conjugate_transform(
     conj_residual = opnorm(evO.s - s_expected) / max(opnorm(s_expected), 1e-300)
     hypotheses.append(_hypothesis("frame_operator_conjugated", conj_residual, "TOL_CONJUGATED"))
 
-    predicted_lower = min(a_h * w_sigma.sigma_min**2, a_x * v_sigma.sigma_min**2)
-    predicted_upper = max(b_h * w_sigma.sigma_max**2, b_x * v_sigma.sigma_max**2)
+    predicted_lower = min(times_square(a_h, w_sigma.sigma_min),
+                          times_square(a_x, v_sigma.sigma_min))
+    predicted_upper = max(times_square(b_h, w_sigma.sigma_max),
+                          times_square(b_x, v_sigma.sigma_max))
     measured = _measure(evO, k_out)
     return _transform_report(
         fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, hypotheses,

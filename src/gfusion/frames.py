@@ -40,7 +40,6 @@ from .linalg import (
     Spectrum,
     Subspace,
     adjoint,
-    antihermitian_norm,
     as_operator,
     as_vector,
     dsum_extremes,
@@ -497,7 +496,7 @@ class FrameEvaluation:
     def asymmetry(self) -> float:
         """||S - S*||_2: 0.0 with no eigensolver when S is exactly Hermitian."""
         skew = self.skew
-        return antihermitian_norm(skew) if skew.any() else 0.0
+        return opnorm(skew) if skew.any() else 0.0
 
     @property
     def herm_residual(self) -> float:

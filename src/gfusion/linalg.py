@@ -8,6 +8,7 @@ holds are read-only (`read_only`, `frozen`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from numbers import Number
 from typing import NamedTuple
@@ -337,23 +338,13 @@ def _largest_abs(vals) -> float:
     return float(max(abs(vals[0]), abs(vals[-1]))) if vals.size else 0.0
 
 
-def antihermitian_norm(d) -> float:
-    """Spectral norm of an anti-Hermitian matrix such as a - a*.
-
-    a - a* is anti-Hermitian exactly in floating point, so i(a - a*) is
-    Hermitian and its largest absolute eigenvalue is the spectral norm.
-    """
-    d = np.asarray(d)
-    return _largest_abs(np.linalg.eigvalsh(1j * d)) if d.size else 0.0
-
-
 def require_hermitian(a) -> np.ndarray:
     """Gate ||a - a*||_2 <= TOL_HERM * ||a||_2 and return the Hermitian part
     (a + a*)/2, which is `a` itself when a is exactly Hermitian.
 
     The Frobenius bracket passes most inputs without an SVD; otherwise the
-    two spectral norms decide (||a - a*||_2 by `antihermitian_norm`), and
-    the error quotes them.
+    two spectral norms decide (both by `opnorm`), and the error quotes
+    them.
     """
     a = as_operator(a)
     if a.shape[0] != a.shape[1]:
@@ -363,7 +354,7 @@ def require_hermitian(a) -> np.ndarray:
         return a
     if frobenius_bound(d, a) > tol.TOL_HERM:
         scale = opnorm(a)
-        dev = antihermitian_norm(d)
+        dev = opnorm(d)
         if dev > tol.TOL_HERM * max(scale, 1e-300):
             raise NotHermitian(
                 f"asymmetry {dev:.3e} exceeds {tol.TOL_HERM:.1e} * norm {scale:.3e}"
@@ -659,6 +650,18 @@ def condition_number(a) -> float:
     if a.shape[0] != a.shape[1]:
         return math.inf
     return singular_extremes(a).condition
+
+
+def times_square(c: float, x: float, op=operator.mul) -> float:
+    """op(c, x^2) for `op` * or /: op(c, x**2) where x**2 is a positive
+    float, else op(op(c, x), x), which takes no square out of the float
+    range (Python's ** raises OverflowError above it, and gives 0.0 below)."""
+    x = float(x)
+    try:
+        sq = x**2
+    except OverflowError:
+        sq = math.inf
+    return op(c, sq) if 0 < sq < math.inf else op(op(c, x), x)
 
 
 def dsum_extremes(a: SingularExtremes, b: SingularExtremes) -> SingularExtremes:

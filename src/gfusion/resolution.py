@@ -16,6 +16,7 @@ proximity to the identity force frame properties on the inputs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -40,6 +41,7 @@ from .linalg import (
     random_draws,
     require_finite_positive,
     singular_extremes,
+    times_square,
 )
 
 
@@ -254,8 +256,9 @@ def bessel_resolution_frame_check(fam: FrameFamily, t, u) -> BesselResolutionRep
     resolution = _resolution_report(fam.controlled(tt.t_side, uu.u_side), len(fam))
     lower, upper = out.bounds.lambda_min, out.bounds.lambda_max
     predicted_lower = 1.0 / b if b > 0 else math.inf  # B = 0: zero operators
-    low = tt.t_sigma.sigma_min  # b ||t^-1||^2 ||u||^2; low**2 may underflow to 0
-    predicted_upper = (b / low**2 if low**2 else b / low / low) * uu.u_sigma.sigma_max**2
+    # b ||t^-1||^2 ||u||^2
+    predicted_upper = times_square(
+        times_square(b, tt.t_sigma.sigma_min, operator.truediv), uu.u_sigma.sigma_max)
     # one Bessel claim per control pair, each named after it
     claims = (bessel.bessel._replace(name="bessel_tt"), *resolution.claims)
     if tol.all_hold(claims):  # the (u, u) claims rest on both hypotheses

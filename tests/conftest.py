@@ -4,6 +4,7 @@ import json
 import pkgutil
 import re
 import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -14,6 +15,9 @@ from gfusion import serialize
 from gfusion.frames import ControlPair, FrameFamily
 from gfusion.linalg import Subspace, orth
 from gfusion.resolution import pair_frame_operator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import report_diff  # noqa: E402
 
 
 def complex_gaussian(rng, *shape):
@@ -209,3 +213,14 @@ def assert_compact_canonical(text):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def grid(tmp_path_factory):
+    """[(name, argv, outcome)] of one in-process pass (`report_diff.run`) over
+    every run of `report_diff.grid` at its first seed, in order."""
+    work = tmp_path_factory.mktemp("grid")
+    report_diff.write_shared(str(work / "shared"))
+    runs = report_diff.grid(str(work / "inputs"), str(work / "shared"),
+                            report_diff.paired_structures(), report_diff.SEEDS[:1])
+    return [(name, argv, report_diff.run(argv)) for name, argv in runs]

@@ -1,8 +1,7 @@
-import contextlib
-import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,6 +18,7 @@ from gfusion.errors import GFusionError
 from gfusion.frames import ControlPair, FrameFamily, frame_operator
 from gfusion.linalg import Subspace, projector
 
+import report_diff
 from conftest import (
     assert_compact_canonical,
     complex_gaussian,
@@ -48,6 +48,14 @@ def run(capsys, *argv):
     return code, (json.loads(out) if out else None)
 
 
+def assert_bad_input(argv, message=""):
+    """Exit 2 and no report (`report_diff.run`), with one error line, which
+    holds `message`."""
+    code, errors, text = report_diff.run(argv)
+    assert (code, text, len(errors)) == (2, "", 1), (argv, errors)
+    assert errors[0].startswith("error: ") and message in errors[0], (argv, errors)
+
+
 class TestCheckFrame:
     def test_pass(self, capsys, partition_inputs):
         _, fam, cp, _ = partition_inputs
@@ -75,14 +83,12 @@ class TestCheckFrame:
             assert main(["bounds", "--in", str(fam), "--control", str(cp), "--out", str(o)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
-    def test_parse_error_exit_2(self, tmp_path, capsys):
+    def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         cp = tmp_path / "cp.json"
         cp.write_text(serialize.dumps(serialize.control_pair_to_dict(ControlPair.identity(2))))
-        code = main(["check-frame", "--in", str(bad), "--control", str(cp)])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert_bad_input(["check-frame", "--in", str(bad), "--control", str(cp)])
 
 
     def test_zero_residual_is_positive_zero(self, tmp_path, capsys):
@@ -210,11 +216,9 @@ class TestFourierDemo:
         assert rep["sandwich_ok"] is True
         assert abs(rep["a_opt"] - 0.25) < 1e-9
 
-    def test_invalid_params_exit_2(self, capsys):
-        code = main(
-            ["fourier-demo", "--nmax", "4", "--m", "9", "--alpha", "0.5", "--beta", "0.5"]
-        )
-        assert code == 2
+    def test_invalid_params_exit_2(self):
+        assert_bad_input(["fourier-demo", "--nmax", "4", "--m", "9", "--alpha", "0.5",
+                          "--beta", "0.5"])
 
 
 class TestRandom:
@@ -310,39 +314,29 @@ class TestTolOverride:
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
-def test_perturb_nonpositive_trials_exit_2(tmp_path, capsys, trials):
+def test_perturb_nonpositive_trials_exit_2(tmp_path, trials):
     out = tmp_path / "inst"
     assert main(["random", "--seed", "5", "--dim", "8", "--items", "4",
                  "--structure", "near-identity-pair", "--out", str(out)]) == 0
-    capsys.readouterr()
-    code = main([
+    assert_bad_input([
         "thm", "perturb",
         "--in", str(out / "family.json"), "--in", str(out / "family2.json"),
         "--control", str(out / "pair_control.json"),
         "--lambda1", "0.1", "--lambda2", "0.0", "--trials", trials,
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "trials" in captured.err
+    ], "trials")
 
 
-def test_perturb_negative_lambda1_one_parameter_exit_2(tmp_path, capsys):
+def test_perturb_negative_lambda1_one_parameter_exit_2(tmp_path):
     # rejected with the other parameter checks, before any vector is sampled
     out = tmp_path / "inst"
     assert main(["random", "--seed", "3", "--dim", "8", "--items", "4",
                  "--structure", "near-identity-pair", "--out", str(out)]) == 0
-    capsys.readouterr()
-    code = main([
+    assert_bad_input([
         "thm", "perturb",
         "--in", str(out / "family.json"), "--in", str(out / "family2.json"),
         "--control", str(out / "pair_control.json"),
         "--lambda1", "-0.5", "--lambda2", "0",
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "one-parameter path requires lambda1 in [0, 1)" in captured.err
+    ], "one-parameter path requires lambda1 in [0, 1)")
 
 
 def _write(path, obj):
@@ -351,7 +345,7 @@ def _write(path, obj):
 
 
 @pytest.mark.parametrize("case", ["item-count", "weights", "control-dim", "k-shape"])
-def test_mismatched_inputs_exit_2(tmp_path, capsys, case):
+def test_mismatched_inputs_exit_2(tmp_path, case):
     """Shape, item-count and weight mismatches are bad input: exit 2, no report."""
     fam6 = _write(tmp_path / "f6.json", scaled_partition_family(6, (1.0, 2.0, 3.0)))
     cp6 = _write(tmp_path / "c6.json", ControlPair.identity(6))
@@ -372,11 +366,7 @@ def test_mismatched_inputs_exit_2(tmp_path, capsys, case):
     else:
         k5 = _write(tmp_path / "k5.json", np.eye(5))
         argv = ["atomic", "--in", fam6, "--control", cp6, "--k", k5]
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert_bad_input(argv)
 
 
 def test_fourier_demo_builds_example_once(tmp_path):
@@ -445,7 +435,7 @@ INVALID_THEOREM_PARAMETERS = [
 
 
 @pytest.mark.parametrize("command, params", INVALID_THEOREM_PARAMETERS)
-def test_invalid_theorem_parameters_exit_2(tmp_path, capsys, partition_inputs, command, params):
+def test_invalid_theorem_parameters_exit_2(partition_inputs, command, params):
     """Checked before any sampling: exit 2, an error line and no report."""
     _, fam, cp, _ = partition_inputs
     if command == "thm-perturb":
@@ -453,13 +443,7 @@ def test_invalid_theorem_parameters_exit_2(tmp_path, capsys, partition_inputs, c
         argv = ["thm", "perturb", "--in", str(fam), "--in", str(fam), "--control", str(cp)]
     else:
         argv = ["fourier-demo", "--nmax", "4", "--m", "2"]
-    out = tmp_path / "report.json"
-    code = main(argv + params + ["--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.strip().splitlines()[-1].startswith("error: ")
-    assert not out.exists()
+    assert_bad_input(argv + params)
 
 
 FRAME_KEYS = {"is_bessel", "is_frame", "bounds", "herm_residual", "s_c"}
@@ -503,21 +487,21 @@ REPORT_SCHEMAS = [
 ]
 
 
-def schema_argv(tmp_path, argv):
-    """`argv` with each input name of REPORT_SCHEMAS replaced by the path of
-    that input, written to `tmp_path`."""
+def schema_inputs():
+    """The inputs of REPORT_SCHEMAS, by name: a partition family on C^4 with
+    S = diag(2, 1.5, 2, 1.5), under (I, I) and (I, S^-1)."""
     fam = scaled_partition_family(4, (2.0, 1.5))
     s = frame_operator(fam, ControlPair.identity(4))
-    inputs = {
-        "F": serialize.family_to_dict(fam),
-        "C": serialize.control_pair_to_dict(ControlPair.identity(4)),
-        "CI": serialize.control_pair_to_dict(ControlPair(np.eye(4), np.linalg.inv(s))),
-        "K": serialize.operator_to_dict(np.eye(4)),
-        "V": serialize.operator_to_dict(0.5 * np.eye(4)),
-        "W": serialize.operator_to_dict(1.5 * np.eye(4)),
-    }
+    return {"F": fam, "C": ControlPair.identity(4), "CI": ControlPair(np.eye(4), np.linalg.inv(s)),
+            "K": np.eye(4), "V": 0.5 * np.eye(4), "W": 1.5 * np.eye(4)}
+
+
+def schema_argv(tmp_path, argv, inputs=None):
+    """`argv` with each input name of REPORT_SCHEMAS replaced by the path of
+    that input (of `schema_inputs()` by default), written to `tmp_path`."""
+    inputs = inputs or schema_inputs()
     for name, obj in inputs.items():
-        (tmp_path / name).write_text(serialize.dumps(obj))
+        (tmp_path / name).write_text(serialize.dumps(serialize.to_json(obj)))
     return [str(tmp_path / a) if a in inputs else a for a in argv]
 
 
@@ -584,19 +568,8 @@ def test_exit_code_is_library_verdict(tmp_path, capsys, argv, command, overrides
     """Each command writes its library call's report and exits with the
     verdict that call returns under the same tolerances; where the call
     raises, it exits 1 without a report."""
-    fam = scaled_partition_family(4, (2.0, 1.5))
-    s = frame_operator(fam, ControlPair.identity(4))
-    objects = {
-        "F": fam,
-        "C": ControlPair.identity(4),
-        "CI": ControlPair(np.eye(4), np.linalg.inv(s)),
-        "K": np.eye(4),
-        "V": 0.5 * np.eye(4),
-        "W": 1.5 * np.eye(4),
-    }
-    for name, obj in objects.items():
-        (tmp_path / name).write_text(serialize.dumps(serialize.to_json(obj)))
-    argv = [str(tmp_path / a) if a in objects else a for a in argv]
+    objects = schema_inputs()
+    argv = schema_argv(tmp_path, argv, objects)
     for name, value in overrides.items():
         argv += ["--tol", f"{name}={value}"]
     code, rep = run(capsys, *argv)
@@ -711,17 +684,11 @@ WRONG_FILE_COUNTS = _wrong_file_counts()
 @pytest.mark.parametrize(
     "argv", [a for _, a in WRONG_FILE_COUNTS], ids=[i for i, _ in WRONG_FILE_COUNTS]
 )
-def test_wrong_file_count_exit_2(tmp_path, capsys, argv):
+def test_wrong_file_count_exit_2(tmp_path, argv):
     """Each command reads exactly its files: another count of --in, --control
     or --k, or a missing or unread --v / --w, exits 2 with an error line and
     no report."""
-    out = tmp_path / "report.json"
-    code = main(schema_argv(tmp_path, argv) + ["--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.strip().splitlines()[-1].startswith("error: ")
-    assert not out.exists()
+    assert_bad_input(schema_argv(tmp_path, argv))
 
 
 UNREAD_ARGUMENTS = [
@@ -742,16 +709,10 @@ UNREAD_ARGUMENTS = [
 
 
 @pytest.mark.parametrize("argv, error", UNREAD_ARGUMENTS, ids=[e for _, e in UNREAD_ARGUMENTS])
-def test_unread_argument_exit_2(tmp_path, capsys, argv, error):
+def test_unread_argument_exit_2(tmp_path, argv, error):
     """A parameter the command does not read, or a file beyond its count,
     exits 2 with an error line naming it and no report."""
-    out = tmp_path / "report.json"
-    code = main(schema_argv(tmp_path, argv) + ["--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.strip().splitlines()[-1] == f"error: {error}"
-    assert not out.exists()
+    assert report_diff.run(schema_argv(tmp_path, argv)) == (2, [f"error: {error}"], "")
 
 
 # The library function behind each LIBRARY_CALLS command, by module attribute.
@@ -838,23 +799,64 @@ def _construct_verdict(rep):
     )
 
 
-# Each grid command, with its files (f family, c control, k operator, v
-# and w zero operators; a construct takes f, c and k twice, thm 4.4 f) and
-# its verdict read from the report.
-GRID_COMMANDS = [
-    (["check-frame"], "fc", lambda r: r["is_frame"]),
-    (["bounds"], "fc", lambda r: r["is_bessel"]),
-    (["atomic"], "fck", lambda r: r["is_atomic"]),
-    (["thm", "4.1"], "fc", lambda r: r["certified"]),
-    (["thm", "4.2"], "fc", lambda r: r["is_frame"]),
-    (["resolutions"], "fc",
-     lambda r: r["right_multiplied"]["converged"] and r["left_multiplied"]["converged"]),
-    (["construct", "direct-sum"], "ffcckk", _construct_verdict),
-    # a singular conjugator w, and a singular sum v + w
-    (["construct", "conjugate"], "ffcckkvw", _construct_verdict),
-    (["construct", "sum-transform"], "ffckvw", _construct_verdict),
-    (["thm", "4.4"], "ffc", lambda r: r["is_frame"]),
-]
+# Each command's verdict, read from its report, keyed by its `command`.
+VERDICTS = {
+    "check-frame": lambda r: r["is_frame"],
+    "bounds": lambda r: r["is_bessel"],
+    "atomic": lambda r: r["is_atomic"],
+    "thm-4.1": lambda r: r["certified"],
+    "thm-4.2": lambda r: r["is_frame"],
+    "thm-4.4": lambda r: r["is_frame"],
+    # a report holds only a sample that did not refute the inequality
+    "thm-perturb": lambda r: r["hyp_certified"] and all(
+        r[f] is None or r[f] >= r[f"{f}_predicted"] - tolerances.TOL_FACTOR
+        for f in ("lower_gamma", "lower_lambda")),
+    "pair-op": lambda r: r["adjoint_residual"] <= tolerances.TOL_ADJOINT,
+    "resolutions": lambda r: (r["right_multiplied"]["converged"]
+                              and r["left_multiplied"]["converged"]),
+    **dict.fromkeys(("construct-direct-sum", "construct-sum-transform", "construct-conjugate"),
+                    _construct_verdict),
+    "fourier-demo": lambda r: r["sandwich_ok"],
+}
+
+# The exits 1 with no report that the README lists, where a check cannot be
+# evaluated, by grid run: each run's error line.  `atomic` under the
+# point's own control pair exits so only where the point's `bounds` run
+# reads the family as not Bessel (it has no T_C).
+NOT_PSD = r"verification error: item \d+: cross operator is not Hermitian PSD"
+VIOLATED = "verification error: a sampled vector violates the perturbation inequality"
+NO_REPORT = {"atomic-neg": NOT_PSD, "atomic-near-real": NOT_PSD,
+             "thm-perturb": VIOLATED, "thm-perturb-2": VIOLATED}
+
+
+def assert_contract(runs, exit_2=None):
+    """The CLI contract on the outcomes (`report_diff.run`) of grid-named
+    runs [(name, argv, outcome)], each point's `bounds` before its `atomic`:
+    exit 0 or 1, nothing raised, and a one-line report whose verdict is
+    true exactly with exit 0 (but NO_REPORT's, and `atomic`'s on a family
+    that is not Bessel); where `exit_2` is given, also exit 2 with no
+    report and one error line that `exit_2` matches; a repeat run the same."""
+    is_bessel = {}
+    for name, argv, outcome in runs:
+        point, run = name.split(" ", 1)
+        code, errors, text = outcome
+        assert code in ((0, 1) if exit_2 is None else (0, 1, 2)), (name, code)
+        command = "-".join(argv[:2] if argv[0] in ("thm", "construct") else argv[:1])
+        if code == 2:
+            assert not text and len(errors) == 1 and re.match(exit_2, errors[0]), (name, errors)
+        elif not text:
+            own = run == "atomic" and is_bessel.get(point) is False
+            pattern = NOT_PSD if own else NO_REPORT.get(run)
+            assert code == 1 and pattern and len(errors) == 1, (name, errors)
+            assert re.match(pattern, errors[0]), (name, errors)
+        else:
+            assert_compact_canonical(text)
+            rep = json.loads(text)
+            assert rep["command"] == command
+            assert bool(VERDICTS[command](rep)) == (code == 0), name
+            if run == "bounds":
+                is_bessel[point] = rep["is_bessel"]
+        assert report_diff.run(argv) == outcome, name
 
 
 def _times(c, *docs):
@@ -862,64 +864,100 @@ def _times(c, *docs):
         doc.update(re=[c * x for x in doc["re"]], im=[c * x for x in doc["im"]])
 
 
-# parseval draws with one input file scaled until a squared norm underflows
-TINY = {"k-1e-170": ("k", lambda k: _times(1e-170, k)),
-        "lambda-1e-100": ("f", lambda f: _times(1e-100, *[it["lambda"] for it in f["items"]])),
-        "u-1e-170": ("c", lambda c: _times(1e-170, c["u"])),
-        "controls-1e-170": ("c", lambda c: _times(1e-170, c["t"], c["u"]))}
-GRID_INPUTS = ([(s, d) for s in generate.STRUCTURES for d in (1, 2, 6)] + [("rank-one", 3)]
-               + [(name, 4) for name in TINY])
+def _lambdas(d):
+    return [item["lambda"] for item in d["f"]["items"]]
 
 
-@pytest.mark.parametrize("structure, dim", GRID_INPUTS, ids=[f"{s}-{d}" for s, d in GRID_INPUTS])
-def test_failed_verdict_writes_report(tmp_path, capsys, structure, dim):
-    """Every exit 1 writes a report whose verdict is false, except `atomic`
-    on a family that is not Bessel (it has no T_C); every exit 0 a report
-    whose verdict is true; a repeat run writes the same bytes; nothing
-    raises.  The constructions on a zero --v and --w have nothing to
-    predict."""
-    if structure == "rank-one":
-        # one item, the projector onto e_1: Bessel, not a frame
-        sub = Subspace(3, np.eye(3, 1, dtype=complex))
-        fam = FrameFamily(3, [(sub, projector(sub), 1.0)])
-        for name, obj in zip("fck", (fam, ControlPair.identity(3), np.eye(3))):
-            (tmp_path / name).write_text(serialize.dumps(serialize.to_json(obj)))
-    else:
-        main(["random", "--seed", "5", "--dim", str(dim), "--items", str(min(dim, 3)),
-              "--structure", "parseval" if structure in TINY else structure,
-              "--out", str(tmp_path / "inst")])
-        for name, file in zip("fck", ("family", "control", "k")):
-            (tmp_path / "inst" / f"{file}.json").rename(tmp_path / name)
-        if structure in TINY:
-            name, edit = TINY[structure]
-            doc = json.loads((tmp_path / name).read_text())
-            edit(doc)
+# Edits of a parseval 4/3 draw: an input scaled until a square underflows,
+TINY = {"k-1e-170": lambda d: _times(1e-170, d["k"]),
+        "lambda-1e-100": lambda d: _times(1e-100, *_lambdas(d)),
+        "u-1e-170": lambda d: _times(1e-170, d["c"]["u"]),
+        "controls-1e-170": lambda d: _times(1e-170, d["c"]["t"], d["c"]["u"])}
+# or overflows: the runs on these may exit 2, where a product is not finite.
+OVERFLOW = "error: operator entries must be finite$"
+HUGE = {"lambda-1e-100-controls-1e160": lambda d: (_times(1e-100, *_lambdas(d)),
+                                                   _times(1e160, d["c"]["t"], d["c"]["u"])),
+        "lambda-1e-100-vw-1e160": lambda d: (_times(1e-100, *_lambdas(d)), d.update(
+            v=serialize.to_json(1e160 * np.eye(4)), w=serialize.to_json(1e160 * np.eye(4))))}
+
+
+def _docs(fam, cp, k):
+    """The JSON documents of the files f, c and k, and of a zero v and w."""
+    zero = np.zeros((fam.ambient_dim,) * 2)
+    return dict(zip("fckvw", map(serialize.to_json, (fam, cp, k, zero, zero))))
+
+
+def _draw(seed, dim, structure, control=lambda x: x.control, edit=lambda docs: None):
+    """`_docs` of a `random` draw under `control(draw)`, after `edit`."""
+    x = generate.random_instance(seed, dim, min(dim, 3), structure)
+    docs = _docs(x.family, control(x), x.k)
+    edit(docs)
+    return docs
+
+
+def _rank_one():
+    # one item, the projector onto e_1: Bessel, not a frame
+    sub = Subspace(3, np.eye(3, 1, dtype=complex))
+    return _docs(FrameFamily(3, [(sub, projector(sub), 1.0)]), ControlPair.identity(3), np.eye(3))
+
+
+# The inputs the grid lacks, by name: a rank-one family; the TINY and HUGE
+# parseval draws; at seed 42, a scalar-controls draw that is not a frame
+# (S^-1 read from F's own spectrum), its family under (I, (1 + 1e-13 i) I),
+# whose roots take a dense pair's path, and a near-identity-pair draw under
+# its pair control (I, I + E).
+OFF_GRID = {
+    "rank-one-3": _rank_one,
+    **{f"{name}-4": lambda edit=edit: _draw(1, 4, "parseval", edit=edit)
+       for name, edit in {**TINY, **HUGE}.items()},
+    "scalar-controls-42-6": lambda: _draw(42, 6, "scalar-controls"),
+    "near-real-42-6": lambda: _draw(42, 6, "scalar-controls",
+                                    lambda x: ControlPair.scalars(6, 1, 1 + 1e-13j)),
+    "pair-control-42-6": lambda: _draw(42, 6, "near-identity-pair",
+                                       lambda x: ControlPair(x.control.t, x.control2.u)),
+}
+
+# The commands run on OFF_GRID, `bounds` before `atomic`, with their files
+# (a construct takes f, c and k twice, thm 4.4 f).
+OFF_GRID_COMMANDS = [
+    (["check-frame"], "fc"), (["bounds"], "fc"), (["atomic"], "fck"), (["thm", "4.1"], "fc"),
+    (["thm", "4.2"], "fc"), (["resolutions"], "fc"), (["construct", "direct-sum"], "ffcckk"),
+    (["construct", "conjugate"], "ffcckkvw"), (["construct", "sum-transform"], "ffckvw"),
+    (["thm", "4.4"], "ffc"),
+]
+
+
+def group(name):
+    """A grid run's point without its seed ("generic-6"), or its kind ("shared")."""
+    return name.split()[0].rsplit("-", 1)[0]
+
+
+GROUPS = list(dict.fromkeys(group(name) for name, _ in report_diff.grid(
+    "", "", report_diff.paired_structures(), report_diff.SEEDS[:1])))
+
+
+@pytest.mark.parametrize("inputs", GROUPS + list(OFF_GRID))
+def test_failed_verdict_writes_report(tmp_path, grid, inputs):
+    """`assert_contract` on each group of the grid's runs (the `grid`
+    fixture's one pass), and on the inputs the grid lacks.  The grid's
+    `random` runs write the files its report runs read.  The constructions
+    on a zero --v and --w have nothing to predict."""
+    runs = [(name, argv, outcome) for name, argv, outcome in grid if group(name) == inputs]
+    if inputs in OFF_GRID:
+        docs = OFF_GRID[inputs]()
+        for name, doc in docs.items():
             (tmp_path / name).write_text(json.dumps(doc))
-    for name in "vw":
-        (tmp_path / name).write_text(serialize.dumps(serialize.to_json(np.zeros((dim, dim)))))
-    flags = {"f": "--in", "c": "--control", "k": "--k", "v": "--v", "w": "--w"}
-    is_bessel = None
-    for words, files, verdict in GRID_COMMANDS:
-        argv = words + [a for name in files for a in (flags[name], str(tmp_path / name))]
-        outs = []
-        for out in (tmp_path / "a.json", tmp_path / "b.json"):
-            out.unlink(missing_ok=True)
-            code = main(argv + ["--out", str(out)])
-            err = capsys.readouterr().err
-            outs.append((code, out.read_bytes() if out.exists() else None))
-        assert outs[0] == outs[1], words
-        code, text = outs[0]
-        assert code in (0, 1, 2), (words, err)
-        if text is None:
-            assert (words, code, is_bessel) == (["atomic"], 1, False), err
-            assert err.startswith("verification error:")
-            continue
-        rep = json.loads(text)
-        assert bool(verdict(rep)) == (code == 0), words
-        if "v" in files:
-            assert code == 1 and rep["predicted_lower"] is rep["predicted_upper"] is None
-        if words == ["bounds"]:
-            is_bessel = rep["is_bessel"]
+        flags = {"f": "--in", "c": "--control", "k": "--k", "v": "--v", "w": "--w"}
+        for words, files in OFF_GRID_COMMANDS:
+            argv = words + [a for name in files for a in (flags[name], str(tmp_path / name))]
+            runs.append((f"{inputs} {'-'.join(words)}", argv, report_diff.run(argv)))
+            if "v" in files and not any(docs["v"]["re"]):
+                code, _, text = runs[-1][2]
+                rep = json.loads(text)
+                assert code == 1 and rep["predicted_lower"] is rep["predicted_upper"] is None
+    assert all(outcome[0] == 0 for _, argv, outcome in runs if argv[0] == "random")
+    assert_contract([run for run in runs if run[1][0] != "random"],
+                    OVERFLOW if inputs.removesuffix("-4") in HUGE else None)
 
 
 # ---------------------------------------------------------------- bad input
@@ -1036,38 +1074,27 @@ _BASE = {stem: serialize.to_json(getattr(_BASE_INSTANCE, stem))
          for stem in ("family", "control", "k")}
 _LEAVES = [(stem, path) for stem, doc in _BASE.items() for path in _leaves(doc)]
 _REPLACEMENTS = [math.nan, math.inf, -1, 0, 4.5, "x", [], {}, None, True, 1e308]
-_MUTATION_COMMANDS = [(_CHECK, lambda r: r["is_frame"]),
-                      (_ATOMIC, lambda r: r["is_atomic"]),
-                      (["thm", "4.2", "--in", _F, "--control", _C], lambda r: r["is_frame"])]
+_MUTATION_COMMANDS = [_CHECK, ["bounds", "--in", _F, "--control", _C], _ATOMIC,
+                      ["thm", "4.2", "--in", _F, "--control", _C]]
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(leaf=st.sampled_from(_LEAVES), value=st.sampled_from(_REPLACEMENTS))
 def test_mutated_input_exits_with_a_verdict_or_2(tmp_path_factory, leaf, value):
-    """One leaf of a valid instance replaced by a bad or odd value: no
-    exception escapes `main` and no warning is emitted; exit 2 writes one
-    "error:" line and no report, exit 0 or 1 a report whose verdict agrees
-    (or, for `atomic` on a family that is not Bessel, exit 1 with a
-    "verification error:" line)."""
+    """One leaf of a valid instance replaced by a bad or odd value: the CLI
+    contract holds (`assert_contract`, any "error:" line with exit 2) and no
+    warning is emitted."""
     d = tmp_path_factory.mktemp("mutated")
     docs = json.loads(json.dumps(_BASE))
     stem, path = leaf
     _set_leaf(docs[stem], path, value)
-    out = d / "report.json"
-    for argv, verdict in _MUTATION_COMMANDS:
-        out.unlink(missing_ok=True)
+    runs = []
+    for argv in _MUTATION_COMMANDS:
         argv = _write_docs(d, docs, argv)
-        with contextlib.redirect_stderr(io.StringIO()) as stderr, \
-                warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(argv + ["--out", str(out)])
-        err = stderr.getvalue()
+            outcome = report_diff.run(argv)
         assert not caught, (argv, [str(w.message) for w in caught])
-        assert code in (0, 1, 2), (argv, err)
-        if code == 2:
-            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-            assert not out.exists(), argv
-        elif out.exists():
-            assert bool(verdict(json.loads(out.read_text()))) == (code == 0), argv
-        else:
-            assert argv[0] == "atomic" and err.startswith("verification error:"), (argv, err)
+        runs.append((f"mutated {'-'.join(argv[:2] if argv[0] == 'thm' else argv[:1])}", argv,
+                     outcome))
+    assert_contract(runs, "error: ")

@@ -1,31 +1,25 @@
-"""Every fast route against its general route, on report_diff.py's grid.
+"""Every fast route against its general route, on report_diff.py's grid;
+and report_diff.py's comparator on hand-made reports.
 
-The grid of `scripts/report_diff.py` (its `report_runs` on every structure
-at each of its DIMS and its first seed, on its shared files, and its
-`FOURIER_DEMOS`) runs in process as it is, then under each row of
-`routes.ROUTES`.  Each run a row reaches must match the default run exactly
-in its exit code, error lines, verdicts, booleans, strings, nulls,
-infinities and list lengths, and in every number to within TOL times the
-report's scale, its largest finite |number|.  A subspace is compared by its
-projector: a general route may pick another orthonormal basis of it.
+The `grid` fixture's runs of `scripts/report_diff.py`'s grid (at its first
+seed) are made again under each row of `routes.ROUTES`.  Each report run a
+row reaches must match the default run exactly in its exit code, error
+lines, verdicts, booleans, strings, nulls, infinities and list lengths, and
+in every number to within TOL times the report's scale, its largest finite
+|number|.  A subspace is compared by its projector: a general route may
+pick another orthonormal basis of it.
 """
 
-import contextlib
-import io
 import json
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from gfusion import cli, generate
+from gfusion import cli, linalg
 
+import report_diff
 from routes import ROUTES
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
-import report_diff  # noqa: E402
 
 TOL = 1e-12
 
@@ -54,49 +48,57 @@ def flatten(value, shape, numbers):
         shape.append(value)
 
 
-def outcome(argv):
-    """(exit code, error lines, shape, numbers) of one CLI run in process;
-    the shape is None where it wrote no report."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    errors = [e for e in err.getvalue().splitlines() if e.startswith(report_diff.ERROR_PREFIXES)]
+def reading(outcome):
+    """(exit code, error lines, shape, numbers) of a run's outcome; the
+    shape is None where it wrote no report."""
+    code, errors, report = outcome
     shape, numbers = [], [np.empty(0)]
-    if out.getvalue():
-        flatten(json.loads(out.getvalue()), shape, numbers)
-    return code, errors, shape if out.getvalue() else None, np.concatenate(numbers)
+    if report:
+        flatten(json.loads(report), shape, numbers)
+    return code, errors, shape if report else None, np.concatenate(numbers)
 
 
-@pytest.fixture(scope="module")
-def grid(tmp_path_factory):
-    """[(name, argv, default outcome)] of every run of the grid."""
-    work = tmp_path_factory.mktemp("routes")
-    report_diff.write_shared(str(work / "shared"))
-    runs = [("fourier-demo", argv) for _, argv in report_diff.FOURIER_DEMOS]
-    for structure in generate.STRUCTURES:
-        for dim in report_diff.DIMS:
-            inst = str(work / f"{structure}-{dim}")
-            assert cli.main(["random", "--seed", str(report_diff.SEEDS[0]), "--dim", str(dim),
-                             "--items", str(min(report_diff.ITEMS, dim)),
-                             "--structure", structure, "--out", inst]) == 0
-            runs += report_diff.report_runs(inst, str(work / "shared"), dim)
-    return [(name, argv, outcome(argv)) for name, argv in runs]
+def reached(route, grid):
+    """(argv, outcome) of the report runs of the grid that `route` reaches."""
+    return [(argv, outcome) for name, argv, outcome in grid
+            if argv[0] != "random" and (route.runs is None or name.split()[1] in route.runs)]
 
 
 def test_the_rows_reach_every_command(grid):
-    reached = {tuple(argv[:2] if argv[0] in ("thm", "construct") else argv[:1])
-               for route in ROUTES for name, argv, _ in grid
-               if route.runs is None or name in route.runs}
-    assert reached == set(cli.COMMANDS)
-    assert all(set(route.runs or ()) <= {name for name, _, _ in grid} for route in ROUTES)
+    commands = {tuple(argv[:2] if argv[0] in ("thm", "construct") else argv[:1])
+                for route in ROUTES for argv, _ in reached(route, grid)}
+    assert commands == set(cli.COMMANDS)
+    assert all(set(route.runs or ()) <= {name.split()[1] for name, _, _ in grid}
+               for route in ROUTES)
+    assert report_diff.LANCZOS_DIM > linalg.LANCZOS_GATE  # atomic-lanczos takes Lanczos
 
 
 @pytest.mark.parametrize("route", ROUTES, ids=[route.route for route in ROUTES])
 def test_the_general_route_gives_the_default_reports(grid, route):
+    runs = [(argv, reading(outcome)) for argv, outcome in reached(route, grid)]
     with mock.patch.object(route.owner, route.name, route.general):
-        for name, argv, want in grid:
-            if route.runs is None or name in route.runs:
-                got = outcome(argv)
-                scale = np.abs(want[3][np.isfinite(want[3])]).max(initial=0.0)
-                assert got[:3] == want[:3] and got[3].shape == want[3].shape, (name, argv)
-                assert np.all(np.abs(got[3] - want[3]) <= TOL * scale), (name, argv)
+        for argv, want in runs:
+            got = reading(report_diff.run(argv))
+            scale = np.abs(want[3][np.isfinite(want[3])]).max(initial=0.0)
+            assert got[:3] == want[:3] and got[3].shape == want[3].shape, argv
+            assert np.all(np.abs(got[3] - want[3]) <= TOL * scale), argv
+
+
+CASES = {  # two reports, and what they fold into `moved` ("inf" is a report's inf)
+    "moved number": ({"x": [2.0, 1.0]}, {"x": [2.0, 1.5]}, {"cmd x[]": [1, 0.5 / 1.5]}),
+    "signed zero": ({"x": -0.0}, {"x": 0.0}, {}),
+    "list length": ({"x": [1.0, 2.0], "y": True}, {"x": [1.0], "y": True},
+                    {"cmd x#len": [1, None]}),
+    "inf to finite": ({"x": "inf"}, {"x": 1.0}, {"cmd x": [1, None]}),
+    "key": ({"x": 1.0}, {"y": 1.0}, {"cmd (structure)": [1, None]}),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_compare_reports(case):
+    a, b, want = CASES[case]
+    moved = {}
+    assert report_diff.compare_reports(a, b, moved, "cmd") == bool(want)
+    assert moved == want
+    # a report that compares equal differs in bytes only: -0.0 against 0.0
+    assert bool(want) or json.dumps(a) != json.dumps(b)
