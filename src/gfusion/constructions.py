@@ -11,6 +11,7 @@ is not, nothing is predicted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from numbers import Number
 from typing import NamedTuple
 
@@ -198,11 +199,14 @@ def sum_transform(
         ),
     ]
     # Both families are applied through famL's bases: A_j = C_j B_j*, and the
-    # output operators (L_j + G_j) P_j r* are (C_Lj + C_Gj)(r B_j)*.
-    fL = famL.factors
-    fG = FrameFamily(famL.ambient_dim, [
-        (sub, lamG, wt) for (sub, _, wt), (_, lamG, _) in zip(famL.items, famG.items)
-    ]).factors
+    # output operators (L_j + G_j) P_j r* are (C_Lj + C_Gj)(r B_j)*.  famGL
+    # is famG on famL's bases: famG itself where its bases are famL's, bit
+    # for bit, so that its own factors and norms serve.
+    famGL = famG
+    if not all(np.array_equal(subL.basis, subG.basis)
+               for (subL, _, _), (subG, _, _) in zip(famL.items, famG.items)):
+        famGL = FrameFamily(famL.ambient_dim, [
+            (sub, lamG, wt) for (sub, _, wt), (_, lamG, _) in zip(famL.items, famG.items)])
     # Cross-orthogonality: both sesquilinear forms vanish for all f iff
     # (A_L r* t)* (A_G r* u) = X_j (C_Lj* C_Gj) Y_j* and its L <-> G
     # exchange vanish (complex polarization), X_j = (r* t)* B_j and
@@ -223,7 +227,9 @@ def sum_transform(
     cross2 = 0.0
     control_scale = cp.t_sigma.sigma_max * cp.u_sigma.sigma_max
     items_out = []
-    for (b, cL), (_, cG), (sub, _, wt) in zip(fL, fG, famL.items):
+    # under r = c I, ||C_j R_z*||_2 is |c| ||C_j||_2, from each family's own norms
+    norms = zip(famL.factor_norms, famGL.factor_norms) if isinstance(r, Number) else repeat(None)
+    for (b, cL), (_, cG), (sub, _, wt), held in zip(famL.factors, famGL.factors, famL.items, norms):
         r_b = product(r, b)
         rz = abs(r) if isinstance(r, Number) else np.linalg.qr(r_b, mode="r")
         rx, ry = (
@@ -231,9 +237,9 @@ def sum_transform(
         )
         m = cL.conj().T @ cG
         rz_adj, ry_adj = adjoint(rz), adjoint(ry)
-        scale = max(
-            opnorm(product(cL, rz_adj)) * opnorm(product(cG, rz_adj)) * control_scale, 1e-300
-        )
+        size_l, size_g = ((rz * held[0], rz * held[1]) if held else
+                          (opnorm(product(cL, rz_adj)), opnorm(product(cG, rz_adj))))
+        scale = max(size_l * size_g * control_scale, 1e-300)
         norm1 = opnorm(product(product(rx, m), ry_adj))
         norm2 = norm1 if cp.number_sides else opnorm(product(product(rx, m.conj().T), ry_adj))
         cross1 = max(cross1, norm1 / scale)

@@ -63,12 +63,13 @@ class FrameFamily:
     """Indexed triples (subspace, operator into the component space, weight).
 
     Immutable: each operator is held read-only (`linalg.read_only`), as is
-    each subspace's basis, so the control-independent algebra (`factors`,
-    `frame_sum`'s `sum_plan`, F as `operator`, and F's
-    `spectrum` and `roots`, which every positive scalar pair reads) is
-    computed on first use and kept.  Only arrays (with their offsets) and
-    a `Spectrum` of F are kept, never an evaluation or a control pair, so a
-    family is freed by reference counting alone.
+    each subspace's basis, so the control-independent algebra (`factors`
+    and their `factor_norms`, `frame_sum`'s `sum_plan`, F as `operator`,
+    and F's `spectrum`, `roots` and `thin_gram`, which every positive
+    scalar pair reads) is computed on first use and kept.  Only arrays
+    (with their offsets and norms) and a `Spectrum` of F are kept, never
+    an evaluation or a control pair, so a family is freed by reference
+    counting alone.
     """
 
     ambient_dim: int
@@ -193,8 +194,24 @@ class FrameFamily:
         key = (tol.TOL_HERM, tol.TOL_PSD)
         made = self.__dict__.get("roots")
         if made is None or made[0] != key:
-            made = self.__dict__["roots"] = (key, thin_roots(self, 1.0, 1.0))
+            made = self.__dict__["roots"] = (key, thin_roots(self, 1.0, 1.0), None)
         return made[1]
+
+    @property
+    def thin_gram(self) -> np.ndarray:
+        """T T* for the T of `roots`, read-only: made on first need and kept
+        in the entry of those roots, so it goes with them."""
+        roots = self.roots
+        key, _, gram = self.__dict__["roots"]
+        if gram is None:
+            gram = frozen(_thin_gram(roots[0]))
+            self.__dict__["roots"] = (key, roots, gram)
+        return gram
+
+    @cached_property
+    def factor_norms(self) -> tuple:
+        """||C_j||_2 for each item's C_j of `factors` (`opnorm`)."""
+        return tuple(opnorm(c) for _, c in self.factors)
 
 
 def _dense(side, n: int) -> np.ndarray:
@@ -432,6 +449,11 @@ def thin_roots(fam: FrameFamily, t, u) -> tuple:
     return frozen(np.hstack(blocks)), tuple(bases)
 
 
+def _thin_gram(t) -> np.ndarray:
+    """T T* for a thin synthesis operator T: the one place it is formed."""
+    return t @ t.conj().T
+
+
 def item_cross_operator(sub: Subspace, lam, cp: ControlPair) -> np.ndarray:
     """Single term t* P L* L P u (weight excluded)."""
     factors = FrameFamily(sub.ambient_dim, [(sub, lam, 1.0)]).factors
@@ -451,12 +473,13 @@ class FrameEvaluation:
     One `spectrum` serves the bounds, S^-1, atomic's S^+ and `kgf`.  Under
     a positive scalar pair (`ControlPair.scale`: t = c_t I, u = c_u I,
     c = conj(c_t) c_u > 0) S is c F: the spectrum is the family's own
-    spectrum of F scaled by c, and the roots are the family's own times
-    sqrt(c) (`FrameFamily.spectrum` and `FrameFamily.roots`, each made once
-    per family, the roots once per gate tolerances).  Under any other pair
-    both are S's own.  S itself is always formed by its two products.  What
-    depends on the control pair is not kept: an evaluation lives as long as
-    the call that built it.
+    spectrum of F scaled by c, the roots are the family's own times
+    sqrt(c) and atomic's thin Gram T T* is c times the family's own
+    (`FrameFamily.spectrum`, `roots` and `thin_gram`, each made once per
+    family, the roots and their Gram once per gate tolerances).  Under any
+    other pair all are S's own.  S itself is always formed by its two
+    products.  What depends on the control pair is not kept: an evaluation
+    lives as long as the call that built it.
     """
 
     def __init__(self, fam: FrameFamily, cp: ControlPair):
@@ -647,11 +670,13 @@ class FrameEvaluation:
         # pseudoinverse of `spectrum` (T T* = T_C T_C* = S), with one step of
         # iterative refinement against the thin Gram T T*; T_C L = T T* S^+ k.
         # L is kept as its thin coordinates T* S^+ k and expanded only when
-        # read.
-        gram = t @ t.conj().T
+        # read.  Under a positive scalar pair T T* is c times the family's
+        # own `thin_gram`.
+        c = self.scale
+        gram = _thin_gram(t) if c is None else self.fam.thin_gram
         s_pinv = self.spectrum.pinv
         x = s_pinv @ k
-        coords = t.conj().T @ (x + s_pinv @ (k - gram @ x))
+        coords = t.conj().T @ (x + s_pinv @ (k - (gram @ x if c is None else c * (gram @ x))))
         del gram, s_pinv, x  # released before the residual's Gram matrix, the peak of the call
         coeff_residual = opnorm(t @ coords - k) / scale_k
         # finite only with the verdict: a roundoff-level a_opt below the

@@ -194,22 +194,27 @@ def lanczos_start(n: int) -> np.ndarray:
 def _ritz_top(g) -> float | None:
     """The top Ritz value of the Hermitian g by Lanczos from `lanczos_start`,
     reorthogonalised in full (Gram-Schmidt, twice), read by eigvalsh of the
-    tridiagonal after each step: once it stagnates or the Krylov space
+    tridiagonal every third step, at the last, and wherever beta is within
+    LANCZOS_STOP of the tridiagonal's Gershgorin radius (which bounds the
+    Ritz values): once it stagnates between reads or the Krylov space
     closes; None if neither within LANCZOS_CAP steps."""
     n, steps = g.shape[0], min(LANCZOS_CAP, g.shape[0])
-    q, tri = np.empty((steps, n), dtype=np.result_type(g, float)), np.zeros((steps + 1, steps))
-    x, top = lanczos_start(n), -math.inf
+    q, tri = np.empty((2, steps, n), dtype=np.result_type(g, float)), np.zeros((steps + 1, steps))
+    x, top, radius, beta = lanczos_start(n), -math.inf, 0.0, 0.0
     for j in range(steps):
-        q[j] = x
+        q[0, j], q[1, j] = x, x.conj()
         w = g @ x
         tri[j, j] = np.vdot(x, w).real
         for _ in range(2):
-            w -= q[: j + 1].T @ (q[: j + 1].conj() @ w)
-        beta = np.linalg.norm(w)
-        ritz = np.linalg.eigvalsh(tri[: j + 1, : j + 1])[-1]
-        if min(ritz - top, beta) <= LANCZOS_STOP * abs(ritz):
-            return ritz
-        top, tri[j + 1, j], x = ritz, beta, w / beta
+            w -= q[0, : j + 1].T @ (q[1, : j + 1] @ w)
+        last, beta = beta, np.linalg.norm(w)
+        radius = max(radius, abs(tri[j, j]) + last + beta)
+        if j % 3 == 0 or j + 1 == steps or beta <= LANCZOS_STOP * radius:
+            ritz = np.linalg.eigvalsh(tri[: j + 1, : j + 1])[-1]
+            if min(ritz - top, beta) <= LANCZOS_STOP * abs(ritz):
+                return ritz
+            top = ritz
+        tri[j + 1, j], x = beta, w / beta
     return None
 
 

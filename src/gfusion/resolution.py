@@ -213,13 +213,17 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
         commutator_residual(s_inv, u, norm_s_inv, cp.u_sigma.sigma_max),
     )
     # the sum of the terms v_j^2 t* P_j L_j* L_j P_j S^{-1} u, and the
-    # modified frame sum as the frame operator under (S^{-1} t, S^{-1} u)
+    # modified frame sum as the frame operator under (S^{-1} t, S^{-1} u);
+    # under a positive scalar pair that operator is c S^-1 F S^-1 = S^-1,
+    # whose extremes are 1 / lambda_max(S) and 1 / lambda_min(S)
     s_inv_u = product(s_inv, u)
     resolution = _resolution_report(fam.controlled(t, s_inv_u), len(fam))
-    m = fam.controlled(product(s_inv, t), s_inv_u)
     a, b = ev.bounds.lambda_min, ev.bounds.lambda_max
-    spectrum = Spectrum(m).extremes
-    lower, upper = spectrum.lambda_min, spectrum.lambda_max
+    if ev.scale is None:
+        spectrum = Spectrum(fam.controlled(product(s_inv, t), s_inv_u)).extremes
+        lower, upper = spectrum.lambda_min, spectrum.lambda_max
+    else:
+        lower, upper = 1.0 / b, 1.0 / a
     predicted_lower = a / (b * b) if b * b else a / b / b  # a square may underflow to 0
     predicted_upper = b / (a * a) if a * a else b / a / a
     claims = (

@@ -407,6 +407,9 @@ TOP_CASES = {
     "top eigenvector orthogonal to the start": (lambda rng: orthogonal_to_start(rng, N_ABOVE),
                                                 None),
     "rank one": (lambda rng: gram(complex_gaussian(rng, N_ABOVE, 1)), True),
+    # the Krylov space closes at step 3 and at step 5, between two Ritz reads
+    "rank two": (lambda rng: gram(complex_gaussian(rng, N_ABOVE, 2)), True),
+    "rank four": (lambda rng: gram(complex_gaussian(rng, N_ABOVE, 4)), True),
     "2 I": (lambda rng: 2.0 * np.eye(N_ABOVE), True),  # beta = 0 at step one
     "zero": (lambda rng: np.zeros((N_ABOVE, N_ABOVE)), False),
 }
@@ -426,7 +429,8 @@ class TestCertifiedTopEigenvalue:
         build, certified = TOP_CASES[name]
         g = build(rng)
         want = np.linalg.eigvalsh(g)[-1]
-        with recorded("numpy.linalg.cholesky") as calls:
+        # no step divides by a zero beta, nor overflows or underflows
+        with recorded("numpy.linalg.cholesky") as calls, np.errstate(all="raise"):
             got = top_eigenvalue(g)
         assert abs(got - want) <= 1e-13 * abs(want)
         full = [c for c in calls if c.routine == "eigvalsh" and c.shape == g.shape]

@@ -11,6 +11,7 @@ pick another orthonormal basis of it.
 """
 
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -82,6 +83,21 @@ def test_the_general_route_gives_the_default_reports(grid, route):
             scale = np.abs(want[3][np.isfinite(want[3])]).max(initial=0.0)
             assert got[:3] == want[:3] and got[3].shape == want[3].shape, argv
             assert np.all(np.abs(got[3] - want[3]) <= TOL * scale), argv
+
+
+def test_the_readme_names_every_row():
+    """The README's "Routes" table names exactly the rows of `routes.ROUTES`,
+    each with its selector: its owner (a module below gfusion, or a class),
+    a dot and its name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### Routes", 1)[1].split("\n#", 1)[0]
+    named = set()
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split(" | ")]
+        if len(cells) == 4 and cells[1].startswith("`"):
+            named |= {(cells[1].strip("`"), row) for row in cells[3].split(", ")}
+    assert named == {(f"{route.owner.__name__.removeprefix('gfusion.')}.{route.name}", route.route)
+                     for route in ROUTES}
 
 
 CASES = {  # two reports, and what they fold into `moved` ("inf" is a report's inf)
