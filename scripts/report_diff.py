@@ -17,19 +17,24 @@ that is 619 runs: 32 points of 19, 8 shared, 1 Lanczos and 2 Fourier runs.
 Each checkout runs the grid in two child processes, one for its instance
 files and one for its reports, with its own `src` first on `sys.path`,
 calling `gfusion.cli.main` in process (`run`).  Both write their own
-instance files, which are compared byte for byte; both run the report
-commands on the parent's instance files, so that a moved report comes
-from the command and not from its inputs.
+instance files, which are compared by value, bit for bit; both run the
+report commands on the parent's instance files, so that a moved report
+comes from the command and not from its inputs.  Files and reports are
+compared with every operator's entries decoded (`decoded`): an operator
+written as base64 binary64 equals one written as lists of numbers with the
+same values.
 
 It prints:
-- every instance file that differs;
+- every instance file that differs in a value;
 - every run whose exit code or `error:`/`verification error:` line differs;
 - for each report field (command and JSON path, list indices dropped) that
   moved: the number of reports it moved in and its largest relative move
   |a - b| / max(|a|, |b|), or `changed` where a value that is not a number
   (a verdict, a null, a string, a list length) changed;
-- the number of reports whose bytes differ while every value compares
-  equal (a -0.0 for a 0.0, a 1 for a 1.0), on the summary line.
+- on the summary line, the number of instance files and reports whose
+  values are equal bit for bit but whose operators are encoded otherwise,
+  and the number of reports whose values differ in bits while every value
+  compares equal (a -0.0 for a 0.0, a 1 for a 1.0): "bytes only".
 
 Exit status 1 when an instance file, an exit code or an error line
 differs, else 0.  Standard library only; one child process at a time.
@@ -38,6 +43,7 @@ differs, else 0.  Standard library only; one child process at a time.
 from __future__ import annotations
 
 import argparse
+import base64
 import cmath
 import contextlib
 import io
@@ -45,6 +51,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import tempfile
@@ -324,15 +331,40 @@ def leaves(value, path=""):
         yield path, value
 
 
+def decoded(value):
+    """A JSON value with the entries of each operator object (`rows`,
+    `cols`, `re`, `im`) as lists of numbers: a base64 string of
+    little-endian binary64 values, the writer's form, is decoded; a list
+    is kept."""
+    if isinstance(value, list):
+        return [decoded(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    value = {key: decoded(item) for key, item in value.items()}
+    if value.keys() == {"rows", "cols", "re", "im"}:
+        for key in ("re", "im"):
+            if isinstance(value[key], str):
+                raw = base64.b64decode(value[key], validate=True)
+                value[key] = list(struct.unpack(f"<{len(raw) // 8}d", raw))
+    return value
+
+
+def canonical(text) -> str:
+    """JSON text of a document with its operators `decoded` and its keys
+    sorted: two documents give the same text exactly where their values
+    are equal bit for bit (`repr` keeps every float's bits)."""
+    return json.dumps(decoded(json.loads(text)), sort_keys=True)
+
+
 def is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def compare_reports(a: dict, b: dict, moved: dict, command: str) -> bool:
-    """Fold the fields that differ between reports a and b into `moved`
-    (key -> [reports, largest relative move or None for `changed`]);
-    True when anything differs."""
-    la, lb = list(leaves(a)), list(leaves(b))
+    """Fold the fields that differ between reports a and b, operators
+    `decoded`, into `moved` (key -> [reports, largest relative move or None
+    for `changed`]); True when anything differs."""
+    la, lb = list(leaves(decoded(a))), list(leaves(decoded(b)))
     per_field = {}
     if [p for p, _ in la] != [p for p, _ in lb]:
         # lists of other lengths show as their `#len` leaves; any other
@@ -385,10 +417,15 @@ def main(argv=None) -> int:
         logs[side] = {**run_grid(root, own, os.path.join(work, f"{side}-random")),
                       **run_grid(root, reports, os.path.join(work, f"{side}-reports"))}
 
-    differ = 0
+    differ, encoding = 0, 0
     files = [files_under(inputs[side]) for side in sides]
     for path in sorted(set(files[0]) | set(files[1])):
-        if files[0].get(path) != files[1].get(path):
+        a, b = (side.get(path) for side in files)
+        if a == b:
+            continue
+        if a is not None and b is not None and canonical(a) == canonical(b):
+            encoding += 1
+        else:
             differ += 1
             print(f"instance file differs: {path}")
 
@@ -403,9 +440,14 @@ def main(argv=None) -> int:
             differs = compare_reports(json.loads(a["report"]), json.loads(b["report"]), moved,
                                       name.partition(" ")[2])
             reports_moved += differs
-            bytes_only += not differs and a["report"] != b["report"]
+            if not differs and a["report"] != b["report"]:
+                if canonical(a["report"]) == canonical(b["report"]):
+                    encoding += 1
+                else:
+                    bytes_only += 1
 
     print(f"{len(runs)} runs in {work}; {differ} instance files or runs differ; "
+          f"{encoding} instance files or reports differ in operator encoding only; "
           f"{reports_moved} reports moved; {bytes_only} reports differ in bytes only")
     if moved:
         print("| field | reports moved | largest relative move |")

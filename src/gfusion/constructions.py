@@ -163,12 +163,16 @@ def sum_transform(
         raise ItemCountMismatch(f"{len(famL)} vs {len(famG)} items")
     if famL.ambient_dim != famG.ambient_dim:
         raise DimensionMismatch("families live on different ambient spaces")
+    same_bases = []
     for j, ((subL, _, wL), (subG, _, wG)) in enumerate(zip(famL.items, famG.items)):
         if abs(wL - wG) > 0:
             raise WeightMismatch(f"item {j}: weights {wL} != {wG}")
-        # ||P_L - P_G||_2 is 1 for unequal dimensions and ||B_G - P_L B_G||_2
-        # for equal ones; ||d||_2 <= ||d||_F, so a small Frobenius norm passes
-        # without an SVD
+        # equal bases span one subspace.  Else ||P_L - P_G||_2 is 1 for
+        # unequal dimensions and ||B_G - P_L B_G||_2 for equal ones;
+        # ||d||_2 <= ||d||_F, so a small Frobenius norm passes without an SVD
+        same_bases.append(np.array_equal(subL.basis, subG.basis))
+        if same_bases[-1]:
+            continue
         d = subG.basis - subL.basis @ (subL.basis.conj().T @ subG.basis)
         if subL.dim != subG.dim or (
             np.linalg.norm(d) > tol.TOL_SAME_SUBSPACE
@@ -203,8 +207,7 @@ def sum_transform(
     # is famG on famL's bases: famG itself where its bases are famL's, bit
     # for bit, so that its own factors and norms serve.
     famGL = famG
-    if not all(np.array_equal(subL.basis, subG.basis)
-               for (subL, _, _), (subG, _, _) in zip(famL.items, famG.items)):
+    if not all(same_bases):
         famGL = FrameFamily(famL.ambient_dim, [
             (sub, lamG, wt) for (sub, _, wt), (_, lamG, _) in zip(famL.items, famG.items)])
     # Cross-orthogonality: both sesquilinear forms vanish for all f iff

@@ -1,14 +1,19 @@
 """JSON (de)serialization of operators, subspaces, families and control pairs,
 and the one encoder of report values.
 
-Numbers are written as Python floats (shortest round-tripping decimal, up to
-17 significant digits); values survive a round trip exactly.  Every report
+An operator is `{"rows", "cols", "re", "im"}`.  The writer gives each of
+`re` and `im` as one base64 string (RFC 4648, standard alphabet, padded) of
+the rows * cols entries as little-endian IEEE 754 binary64, row-major, so
+every entry, -0.0 included, reads back bit for bit.  The reader also takes
+a list of JSON numbers, row-major, for either key.  Other numbers are
+written as Python floats (shortest round-tripping decimal).  Every report
 and instance file is compact canonical JSON (`dumps`): one line, sorted
 keys, no whitespace outside strings.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -31,21 +36,43 @@ def _size(d, key) -> int:
     return n
 
 
+# an entry's binary64 form: IEEE 754 double, little-endian
+BINARY64 = np.dtype("<f8")
+
+
+def _binary64(part) -> str:
+    """base64 of the entries of `part`, row-major, as BINARY64."""
+    return base64.b64encode(part.astype(BINARY64, copy=False).tobytes()).decode("ascii")
+
+
+def _entries(d, key, count):
+    """The entries under `key`: a base64 string of `count` BINARY64 values,
+    or a list of numbers (its count is checked by the caller's reshape)."""
+    value = d[key]
+    if isinstance(value, list):
+        return np.asarray(value, dtype=float)
+    if not isinstance(value, str):
+        raise ParseError(f"{key} must be a base64 string or a list of numbers")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ParseError(f"{key} is not padded base64: {exc}") from exc
+    if len(raw) != count * BINARY64.itemsize:
+        raise ParseError(f"{key}: {len(raw)} bytes for {count} binary64 entries")
+    return np.frombuffer(raw, dtype=BINARY64)
+
+
 def operator_to_dict(a) -> dict:
     a = as_operator(a)
-    return {
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "re": a.real.ravel().tolist(),
-        "im": a.imag.ravel().tolist(),
-    }
+    return {"rows": a.shape[0], "cols": a.shape[1], "re": _binary64(a.real),
+            "im": _binary64(a.imag)}
 
 
 def operator_from_dict(d) -> np.ndarray:
     try:
         rows, cols = _size(d, "rows"), _size(d, "cols")
-        re = np.asarray(d["re"], dtype=float).reshape(rows, cols)
-        im = np.asarray(d["im"], dtype=float).reshape(rows, cols)
+        re = _entries(d, "re", rows * cols).reshape(rows, cols)
+        im = _entries(d, "im", rows * cols).reshape(rows, cols)
         # assigned part by part: re + 1j * im would turn a -0.0 into 0.0
         a = np.empty((rows, cols), dtype=complex)
         a.real = re

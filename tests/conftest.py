@@ -1,8 +1,10 @@
+import base64
 import contextlib
 import importlib
 import json
 import pkgutil
 import re
+import struct
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -208,6 +210,12 @@ def assert_compact_canonical(text):
     outside = JSON_STRING.sub('""', text[:-1])
     assert not any(c.isspace() for c in outside), outside[:200]
     assert serialize.dumps(json.loads(text)) == text
+
+
+def binary64(values) -> str:
+    """The writer's form of the entries `values`: base64 of little-endian
+    IEEE 754 binary64, made by `struct` (a reference that is not numpy's)."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from gfusion.linalg import Subspace, projector
 import report_diff
 from conftest import (
     assert_compact_canonical,
+    binary64,
     complex_gaussian,
     recorded,
     scaled_partition_family,
@@ -130,6 +131,27 @@ class TestConstruct:
         assert abs(rep["measured"]["lambda_min"] - 2.0) < 1e-9
         assert abs(rep["measured"]["lambda_max"] - 5.0) < 1e-9
         assert rep["family_out"]["ambient_dim"] == 8
+
+    def test_sum_transform_of_a_family_with_itself(self, tmp_path, capsys):
+        # a basis with Gram deviation 2e-8, under tol_orth = 1e-6: with
+        # itself its subspaces are the same, though B - B (B* B) is 2e-8 B.
+        # A verdict, not exit 2: the family's cross terms with itself do
+        # not vanish
+        basis = (1 + 1e-8) * np.eye(6)
+        docs = {"family": {"ambient_dim": 6, "items": [{
+                    "subspace": {"ambient_dim": 6, "basis": serialize.to_json(basis)},
+                    "lambda": serialize.to_json(np.eye(6)), "weight": 1.0}]},
+                "control": serialize.to_json(ControlPair.identity(6)),
+                "k": serialize.to_json(np.eye(6)), "half": serialize.to_json(0.5 * np.eye(6))}
+        for stem, doc in docs.items():
+            (tmp_path / f"{stem}.json").write_text(json.dumps(doc))
+        f, c, k, half = (str(tmp_path / f"{stem}.json") for stem in docs)
+        code, rep = run(capsys, "construct", "sum-transform", "--in", f, "--in", f,
+                        "--control", c, "--k", k, "--v", half, "--w", half,
+                        "--tol", "tol_orth=1e-6")
+        assert code == 1 and rep["all_hypotheses_pass"] is False
+        residuals = {cert["name"]: cert["residual"] for cert in rep["hypothesis_certificates"]}
+        assert residuals["cross_terms_lambda_gamma"] == 1.0
 
 
 class TestPairAndResolutions:
@@ -860,8 +882,10 @@ def assert_contract(runs, exit_2=None):
 
 
 def _times(c, *docs):
+    """Each operator document times the number c, written as lists of numbers."""
     for doc in docs:
-        doc.update(re=[c * x for x in doc["re"]], im=[c * x for x in doc["im"]])
+        a = serialize.operator_from_dict(doc)
+        doc.update(re=(c * a.real).ravel().tolist(), im=(c * a.imag).ravel().tolist())
 
 
 def _lambdas(d):
@@ -951,7 +975,7 @@ def test_failed_verdict_writes_report(tmp_path, grid, inputs):
         for words, files in OFF_GRID_COMMANDS:
             argv = words + [a for name in files for a in (flags[name], str(tmp_path / name))]
             runs.append((f"{inputs} {'-'.join(words)}", argv, report_diff.run(argv)))
-            if "v" in files and not any(docs["v"]["re"]):
+            if "v" in files and not serialize.operator_from_dict(docs["v"]).any():
                 code, _, text = runs[-1][2]
                 rep = json.loads(text)
                 assert code == 1 and rep["predicted_lower"] is rep["predicted_upper"] is None
@@ -983,9 +1007,24 @@ def _edit(stem, *path, value):
     return lambda docs: _set_leaf(docs[stem], path, value)
 
 
+def _entry(stem, *path, part, index, value, encode=list):
+    """Entry `index` (row-major) of the `part` ("re" or "im") of the operator
+    at `path` of docs[stem] set to `value`: decoded, edited, and both parts
+    written by `encode`, as lists of numbers or as binary64 (`binary64`)."""
+    def edit(docs):
+        doc = docs[stem]
+        for key in path:
+            doc = doc[key]
+        a = serialize.operator_from_dict(doc)
+        parts = {"re": a.real.ravel().tolist(), "im": a.imag.ravel().tolist()}
+        parts[part][index] = value
+        doc.update({key: encode(entries) for key, entries in parts.items()})
+    return edit
+
+
 def _nan_k(docs):
     docs["bad"] = json.loads(json.dumps(docs["k"]))
-    docs["bad"]["re"][0] = math.nan
+    _entry("bad", part="re", index=0, value=math.nan)(docs)
 
 
 def _one_row_lambda(docs):
@@ -1012,13 +1051,24 @@ _PERTURB = ["thm", "perturb", "--in", _F, "--in", _F2, "--control", _PC, "--lamb
 _CHECK = ["check-frame", "--in", _F, "--control", _C]
 _ATOMIC = ["atomic", "--in", _F, "--control", _C, "--k", _K]
 _RANDOM = ["random", "--dim", "3", "--items", "2"]
-_BASIS = ("items", 0, "subspace", "basis", "re", 0)
+_BASIS = ("items", 0, "subspace", "basis")
 
 # (id, edit of the instance documents, argv; "@stem" names a document's file)
 BAD_INPUTS = [
-    ("k-nan", _edit("k", "re", 0, value=math.nan), _ATOMIC),
-    ("k-infinity", _edit("k", "im", 1, value=math.inf), _ATOMIC),
-    ("k-minus-infinity", _edit("k", "re", 2, value=-math.inf), _ATOMIC),
+    ("k-nan", _entry("k", part="re", index=0, value=math.nan), _ATOMIC),
+    ("k-infinity", _entry("k", part="im", index=1, value=math.inf), _ATOMIC),
+    ("k-minus-infinity", _entry("k", part="re", index=2, value=-math.inf), _ATOMIC),
+    # the binary64 form: the NaN and +inf bit patterns, a character outside
+    # the base64 alphabet, a missing pad character, 15 entries for 4 x 4 and
+    # a number where the string belongs
+    ("k-nan-binary64", _entry("k", part="re", index=0, value=math.nan, encode=binary64),
+     _ATOMIC),
+    ("k-infinity-binary64", _entry("k", part="im", index=3, value=math.inf, encode=binary64),
+     _ATOMIC),
+    ("k-not-base64", lambda docs: docs["k"].update(re="!" + docs["k"]["re"][1:]), _ATOMIC),
+    ("k-no-padding", lambda docs: docs["k"].update(re=docs["k"]["re"].rstrip("=")), _ATOMIC),
+    ("k-15-entries", _edit("k", "im", value=binary64([0.0] * 15)), _ATOMIC),
+    ("k-number-for-string", _edit("k", "re", value=1.0), _ATOMIC),
     ("sum-transform-v-nan", _nan_k, _SUM + ["--v", _BAD, "--w", _K]),
     ("sum-transform-w-nan", _nan_k, _SUM + ["--v", _K, "--w", _BAD]),
     ("conjugate-v-nan", _nan_k, _CONJ + ["--v", _BAD, "--w", _K]),
@@ -1028,7 +1078,7 @@ BAD_INPUTS = [
     ("ambient-dim-4.5", _edit("family", "ambient_dim", value=4.5), _CHECK),
     ("rows-true", _one_row_lambda, _CHECK),
     ("weight-infinity", _edit("family", "items", 0, "weight", value=math.inf), _CHECK),
-    ("basis-nan", _edit("family", *_BASIS, value=math.nan), _CHECK),
+    ("basis-nan", _entry("family", *_BASIS, part="re", index=0, value=math.nan), _CHECK),
     ("random-seed-negative", None, _RANDOM + ["--seed", "-1"]),
     ("random-seed-2**64", None, _RANDOM + ["--seed", str(2**64)]),
     ("perturb-seed-negative", None, _PERTURB + ["--seed", "-1"]),
@@ -1068,9 +1118,10 @@ def _leaves(doc, path=()):
         yield path
 
 
-# A valid 3-dim instance, as `gfusion random` writes it, and every leaf of it.
+# A valid 3-dim instance, as `gfusion random` writes it but with each
+# operator's entries as lists of numbers, and every leaf of it.
 _BASE_INSTANCE = generate.random_instance(5, 3, 3, "scalar-controls")
-_BASE = {stem: serialize.to_json(getattr(_BASE_INSTANCE, stem))
+_BASE = {stem: report_diff.decoded(serialize.to_json(getattr(_BASE_INSTANCE, stem)))
          for stem in ("family", "control", "k")}
 _LEAVES = [(stem, path) for stem, doc in _BASE.items() for path in _leaves(doc)]
 _REPLACEMENTS = [math.nan, math.inf, -1, 0, 4.5, "x", [], {}, None, True, 1e308]

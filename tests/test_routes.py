@@ -6,8 +6,9 @@ seed) are made again under each row of `routes.ROUTES`.  Each report run a
 row reaches must match the default run exactly in its exit code, error
 lines, verdicts, booleans, strings, nulls, infinities and list lengths, and
 in every number to within TOL times the report's scale, its largest finite
-|number|.  A subspace is compared by its projector: a general route may
-pick another orthonormal basis of it.
+|number|.  An operator's entries are read by `serialize.operator_from_dict`,
+and a subspace is compared by its projector: a general route may pick
+another orthonormal basis of it.
 """
 
 import json
@@ -17,9 +18,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from gfusion import cli, linalg
+from gfusion import cli, linalg, serialize
 
 import report_diff
+from conftest import binary64
 from routes import ROUTES
 
 TOL = 1e-12
@@ -30,9 +32,11 @@ def flatten(value, shape, numbers):
     are not numbers, in order) and `numbers` (arrays of its numbers)."""
     if isinstance(value, dict):
         if value.keys() == {"ambient_dim", "basis"}:  # a subspace: its projector
-            b = value["basis"]
-            b = (np.array(b["re"]) + 1j * np.array(b["im"])).reshape(b["rows"], b["cols"])
+            b = serialize.operator_from_dict(value["basis"])
             value = {"projector": (b @ b.conj().T).view(float).ravel().tolist()}
+        elif value.keys() == {"rows", "cols", "re", "im"}:  # an operator: its entries
+            a = serialize.operator_from_dict(value)
+            value = {"shape": list(a.shape), "entries": a.view(float).ravel().tolist()}
         for key, item in value.items():
             shape.append(key)
             flatten(item, shape, numbers)
@@ -107,6 +111,14 @@ CASES = {  # two reports, and what they fold into `moved` ("inf" is a report's i
                     {"cmd x#len": [1, None]}),
     "inf to finite": ({"x": "inf"}, {"x": 1.0}, {"cmd x": [1, None]}),
     "key": ({"x": 1.0}, {"y": 1.0}, {"cmd (structure)": [1, None]}),
+    # an operator's entries by value, written as binary64 or as numbers
+    "operator forms": ({"s": {"rows": 1, "cols": 2, "re": binary64([1.0, -0.0]),
+                              "im": [0.0, 2.0]}},
+                       {"s": {"rows": 1, "cols": 2, "re": [1.0, 0.0], "im": binary64([0.0, 2.0])}},
+                       {}),
+    "operator entry": ({"s": {"rows": 1, "cols": 1, "re": binary64([2.0]), "im": [0.0]}},
+                       {"s": {"rows": 1, "cols": 1, "re": [1.5], "im": binary64([0.0])}},
+                       {"cmd s.re[]": [1, 0.5 / 2.0]}),
 }
 
 
@@ -118,3 +130,12 @@ def test_compare_reports(case):
     assert moved == want
     # a report that compares equal differs in bytes only: -0.0 against 0.0
     assert bool(want) or json.dumps(a) != json.dumps(b)
+
+
+def test_canonical_text_is_bit_exact():
+    """`report_diff.canonical` reads an operator in either form to the same
+    text, and tells a -0.0 entry from a 0.0 one."""
+    one = json.dumps({"rows": 1, "cols": 2, "re": binary64([1.0, -0.0]), "im": [0.0, 5e-324]})
+    two = json.dumps({"rows": 1, "cols": 2, "re": [1.0, -0.0], "im": binary64([0.0, 5e-324])})
+    signed = json.dumps({"rows": 1, "cols": 2, "re": [1.0, 0.0], "im": [0.0, 5e-324]})
+    assert report_diff.canonical(one) == report_diff.canonical(two) != report_diff.canonical(signed)

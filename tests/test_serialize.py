@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -23,7 +24,13 @@ from gfusion.serialize import (
     to_json,
 )
 
-from conftest import assert_compact_canonical, complex_gaussian, random_family, random_subspace
+from conftest import (
+    assert_compact_canonical,
+    binary64,
+    complex_gaussian,
+    random_family,
+    random_subspace,
+)
 
 
 def test_operator_round_trip_exact(rng):
@@ -31,32 +38,48 @@ def test_operator_round_trip_exact(rng):
     np.testing.assert_array_equal(operator_from_dict(operator_to_dict(a)), a)
 
 
-def test_operator_row_major_layout():
+def test_operator_binary64_layout():
+    # little-endian binary64, row-major: 1.0 is 00 00 00 00 00 00 f0 3f
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     d = operator_to_dict(a)
-    assert d["re"] == [1.0, 2.0, 3.0, 4.0]
-    assert d["im"] == [0.0, 0.0, 0.0, 0.0]
+    assert base64.b64decode(d["re"])[:8] == bytes.fromhex("000000000000f03f")
+    assert d["re"] == binary64([1.0, 2.0, 3.0, 4.0])
+    assert d["im"] == binary64([0.0] * 4) == "A" * 43 + "="
+    assert operator_to_dict(a.T)["re"] == binary64([1.0, 3.0, 2.0, 4.0])
 
 
-def test_operator_text_matches_elementwise_floats(rng):
-    # reference: one float(x) per entry, row-major; signed zeros, subnormals,
-    # extremes and a non-contiguous (transposed) array
+def test_operator_binary64_round_trip_is_bit_exact(rng):
+    # reference: struct's binary64 of each entry, row-major; signed zeros,
+    # subnormals, +-1e308 and a non-contiguous (transposed) array
     a = complex_gaussian(rng, 4, 3).T
-    a[0, :4] = [-0.0 - 0.0j, 5e-324 - 1e-310j, -1.7e308 + 0.0j, 1e-320j]
-    ref = {
-        "rows": 3,
-        "cols": 4,
-        "re": [float(x) for x in a.real.ravel(order="C")],
-        "im": [float(x) for x in a.imag.ravel(order="C")],
-    }
+    a[0, :4] = [-0.0 - 0.0j, 5e-324 - 1e-310j, -1e308 + 1e308j, 1e-320j]
     d = operator_to_dict(a)
-    assert all(type(x) is float for x in d["re"] + d["im"])
-    assert dumps(d) == dumps(ref)
+    assert d == {"rows": 3, "cols": 4, "re": binary64(a.real.ravel().tolist()),
+                 "im": binary64(a.imag.ravel().tolist())}
+    b = operator_from_dict(json.loads(dumps(d)))
+    np.testing.assert_array_equal(b.view(np.uint64), np.ascontiguousarray(a).view(np.uint64))
+
+
+def test_operator_decimal_lists_are_read():
+    # a hand-written operator: lists of numbers, row-major, in either key
+    # and beside a binary64 string; -0.0 kept
+    a = operator_from_dict({"rows": 2, "cols": 2, "re": [1, 2.5, -0.0, 4e-310],
+                            "im": binary64([0.0, -1.0, 0.0, 1e308])})
+    want = np.array([[1, 2.5 - 1j], [-0.0, 4e-310 + 1e308j]])
+    np.testing.assert_array_equal(a.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(a[1, 0].real)
 
 
 def test_operator_bad_entry_count():
     with pytest.raises(ParseError):
         operator_from_dict({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
+
+
+@pytest.mark.parametrize("entries", [1.0, True, None, {"re": [1.0]}])
+def test_operator_entries_are_a_string_or_a_list(entries):
+    # a 1 x 1 operator too: a number is not a list of one number
+    with pytest.raises(ParseError, match="base64 string or a list"):
+        operator_from_dict({"rows": 1, "cols": 1, "re": entries, "im": [0.0]})
 
 
 def test_operator_missing_key():
