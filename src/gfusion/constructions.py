@@ -168,16 +168,12 @@ def sum_transform(
         if abs(wL - wG) > 0:
             raise WeightMismatch(f"item {j}: weights {wL} != {wG}")
         # equal bases span one subspace.  Else ||P_L - P_G||_2 is 1 for
-        # unequal dimensions and ||B_G - P_L B_G||_2 for equal ones;
-        # ||d||_2 <= ||d||_F, so a small Frobenius norm passes without an SVD
+        # unequal dimensions and ||B_G - P_L B_G||_2 for equal ones
         same_bases.append(np.array_equal(subL.basis, subG.basis))
         if same_bases[-1]:
             continue
         d = subG.basis - subL.basis @ (subL.basis.conj().T @ subG.basis)
-        if subL.dim != subG.dim or (
-            np.linalg.norm(d) > tol.TOL_SAME_SUBSPACE
-            and opnorm(d) > tol.TOL_SAME_SUBSPACE
-        ):
+        if subL.dim != subG.dim or opnorm(d) > tol.TOL_SAME_SUBSPACE:
             raise InvalidParameters(f"item {j}: subspaces differ")
     n = famL.ambient_dim
     r = _square("v", v, n) + _square("w", w, n)

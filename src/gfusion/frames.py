@@ -45,7 +45,6 @@ from .linalg import (
     dsum_extremes,
     dsum_op,
     factored_sqrt,
-    frobenius_bound,
     frozen,
     gen_rayleigh_extremes,
     opnorm,
@@ -511,8 +510,8 @@ class FrameEvaluation:
 
     @property
     def skew(self) -> np.ndarray:
-        """S - S*, formed when read and not kept: the Bessel claim, the
-        asymmetry, the Hermitian part and `inverse` each read it once."""
+        """S - S*, formed when read and not kept: `norm`, the asymmetry, the
+        Hermitian part and `inverse` each read it once."""
         return self.s - self.s.conj().T
 
     @cached_property
@@ -530,10 +529,10 @@ class FrameEvaluation:
 
     @cached_property
     def bessel(self) -> tol.Claim:
-        """herm_residual <= TOL_FACTOR, valued by the Frobenius bound on
-        herm_residual when that passes (no eigensolver), else by herm_residual."""
-        c = tol.claim("bessel", frobenius_bound(self.skew, self.s), "<=", "TOL_FACTOR")
-        return c if c.holds else c._replace(value=self.herm_residual)
+        """herm_residual <= TOL_FACTOR: S is self-adjoint to TOL_FACTOR, in
+        the spectral norms of `opnorm` (none taken when S is exactly
+        Hermitian)."""
+        return tol.claim("bessel", self.herm_residual, "<=", "TOL_FACTOR")
 
     @property
     def hermitian(self) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from numbers import Number
 from typing import NamedTuple
@@ -238,26 +239,32 @@ def top_eigenvalue(g) -> float:
     return theta if theta is not None and certifies(g, theta) else np.linalg.eigvalsh(g)[-1]
 
 
+def range_scaled(a) -> tuple:
+    """(a / c, c): c = 1.0 and a itself where ||a||_F^2 lies in [2^-900,
+    2^900], else c the largest |entry| of a (a itself for c = 0), so that
+    no square of an entry leaves the float range.  A non-finite entry is
+    rejected as `as_operator` does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        frobenius_sq = float(np.vdot(a, a).real)
+    if 2.0**-900 <= frobenius_sq <= 2.0**900:
+        return a, 1.0
+    top = float(np.abs(a).max(initial=0.0))
+    if not math.isfinite(top):
+        raise InvalidParameters("operator entries must be finite")
+    return (a / top if top else a), top
+
+
 def opnorm(a) -> float:
     """||a||_2, of any shape, as the root of the top eigenvalue of a Gram
     matrix (`top_eigenvalue`), in place of an SVD; it keeps its relative
     accuracy.  A square `a` is split first (`diagonal_blocks`): b b* per
     block b, |a_ii|^2 for a 1 x 1 block.  Any other `a` is measured by its
     smaller Gram matrix (a a* or a* a), split the same way.  Zero-size
-    matrices have norm 0.  Where ||a||_F^2 leaves [2^-900, 2^900], a is
-    first divided by its largest |entry|, so that no Gram matrix overflows
-    or underflows; a non-finite entry is rejected as `as_operator` does."""
-    a = np.asarray(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        frobenius_sq = float(np.vdot(a, a).real)
-    top = 1.0
-    if not 2.0**-900 <= frobenius_sq <= 2.0**900:
-        top = float(np.abs(a).max(initial=0.0))
-        if not math.isfinite(top):
-            raise InvalidParameters("operator entries must be finite")
-        if top == 0:
-            return 0.0
-        a = a / top
+    matrices have norm 0.  a is measured as `range_scaled` gives it, so
+    that no Gram matrix overflows or underflows."""
+    a, top = range_scaled(np.asarray(a))
+    if top == 0:
+        return 0.0
     gram = a.shape[0] != a.shape[1]
     if gram:
         a = a @ a.conj().T if a.shape[0] < a.shape[1] else a.conj().T @ a
@@ -327,17 +334,6 @@ def orth(a) -> np.ndarray:
     return u[:, :rank]
 
 
-def frobenius_bound(d, a) -> float:
-    """Upper bound on ||d||_2 / ||a||_2 from Frobenius norms, with no SVD.
-
-    ||d||_2 <= ||d||_F and ||a||_F <= sqrt(n) ||a||_2 for n = min(a.shape),
-    so the ratio is at most sqrt(n) ||d||_F / ||a||_F.  A bound above a
-    threshold decides nothing: the caller measures the spectral norms.
-    """
-    n = max(min(a.shape), 1)
-    return float(np.linalg.norm(d)) * math.sqrt(n) / max(float(np.linalg.norm(a)), 1e-300)
-
-
 def _largest_abs(vals) -> float:
     """max |lambda| over ascending eigenvalues: a Hermitian matrix's spectral norm."""
     return float(max(abs(vals[0]), abs(vals[-1]))) if vals.size else 0.0
@@ -347,9 +343,8 @@ def require_hermitian(a) -> np.ndarray:
     """Gate ||a - a*||_2 <= TOL_HERM * ||a||_2 and return the Hermitian part
     (a + a*)/2, which is `a` itself when a is exactly Hermitian.
 
-    The Frobenius bracket passes most inputs without an SVD; otherwise the
-    two spectral norms decide (both by `opnorm`), and the error quotes
-    them.
+    Both spectral norms are `opnorm`'s, which measures entries near either
+    end of the float range as well, and the error quotes them.
     """
     a = as_operator(a)
     if a.shape[0] != a.shape[1]:
@@ -357,13 +352,9 @@ def require_hermitian(a) -> np.ndarray:
     d = a - a.conj().T
     if not d.any():  # exactly Hermitian: a is its own Hermitian part
         return a
-    if frobenius_bound(d, a) > tol.TOL_HERM:
-        scale = opnorm(a)
-        dev = opnorm(d)
-        if dev > tol.TOL_HERM * max(scale, 1e-300):
-            raise NotHermitian(
-                f"asymmetry {dev:.3e} exceeds {tol.TOL_HERM:.1e} * norm {scale:.3e}"
-            )
+    scale, dev = opnorm(a), opnorm(d)
+    if dev > tol.TOL_HERM * max(scale, 1e-300):
+        raise NotHermitian(f"asymmetry {dev:.3e} exceeds {tol.TOL_HERM:.1e} * norm {scale:.3e}")
     return 0.5 * (a + a.conj().T)
 
 
@@ -399,20 +390,22 @@ def factored_sqrt(x, m, y):
     x = q rx (QR), range(g) lies in range(q), so in the basis [q, q_perp]
     g is [[k, e], [0, 0]] and g - g* is [[k - k*, e], [-e*, 0]], where
     k = q* g q and e = q* g (I - q q*).  The gates of `positive_sqrt` are
-    decided on these d x d and d x n blocks, and s is the positive square
+    bracketed on these d x d and d x n blocks, and s is the positive square
     root of (k + k*)/2:
-    - Hermitian: the Frobenius bracket of `require_hermitian`, with the
-      same sqrt(n), from ||k - k*||_F and ||e||_F;
+    - Hermitian: sqrt(n) ||g - g*||_F / ||g||_F <= TOL_HERM, from
+      ||k - k*||_F and ||e||_F, which bounds ||g - g*||_2 / ||g||_2;
     - PSD: the Hermitian part of g differs from (k + k*)/2 (+) 0 by a
       block of norm ||e||_2 / 2, so each of its eigenvalues, and its
       largest |eigenvalue|, lie within ||e||_F / 2 of theirs (Weyl); the
       gate passes when it passes for every spectrum within that distance.
-    Otherwise `positive_sqrt` decides on g itself (and may reject it), and
-    q is the n x n identity.
+    Both are taken on g / c, c the scale of rx m in `range_scaled`, and s
+    is sqrt(c) times the root of g / c.  Where they decide nothing,
+    `positive_sqrt` decides on g itself (and may reject it), and q is the
+    n x n identity.
     """
     q, rx = np.linalg.qr(x)
     p = q.conj().T @ y
-    core = rx @ m
+    core, scale = range_scaled(rx @ m)
     e_fro = float(np.linalg.norm(core @ (y - q @ p).conj().T))  # ||e||_F
     n, d = q.shape
     k = core @ p.conj().T
@@ -427,7 +420,7 @@ def factored_sqrt(x, m, y):
             # clustered spectrum
             roots = np.sqrt(np.clip(vals, 0.0, None))
             c = 0.5 * (roots[0] + roots[-1]) if d else 0.0
-            return q, (vecs * (roots - c)) @ vecs.conj().T + c * np.eye(d)
+            return q, math.sqrt(scale) * ((vecs * (roots - c)) @ vecs.conj().T + c * np.eye(d))
     return np.eye(n, dtype=complex), positive_sqrt(x @ (m @ y.conj().T))
 
 
@@ -658,15 +651,19 @@ def condition_number(a) -> float:
 
 
 def times_square(c: float, x: float, op=operator.mul) -> float:
-    """op(c, x^2) for `op` * or /: op(c, x**2) where x**2 is a positive
-    float, else op(op(c, x), x), which takes no square out of the float
-    range (Python's ** raises OverflowError above it, and gives 0.0 below)."""
+    """op(c, x^2) for `op` * or /: op(c, x**2) where x**2 is a normal float,
+    else op(op(c, x), x), which forms no square that overflows or that is
+    subnormal, keeping only a few digits."""
     x = float(x)
-    try:
-        sq = x**2
-    except OverflowError:
-        sq = math.inf
-    return op(c, sq) if 0 < sq < math.inf else op(op(c, x), x)
+    sq = x**2 if abs(x) < 2.0**512 else math.inf  # ** raises OverflowError above
+    return op(c, sq) if sys.float_info.min <= sq < math.inf else op(op(c, x), x)
+
+
+def square_over(x: float, d: float) -> float:
+    """x^2 / d for d != 0: x * x / d where x * x is a normal float, else
+    x / d * x, which forms no such square (`times_square`)."""
+    sq = x * x
+    return sq / d if sys.float_info.min <= sq < math.inf else x / d * x
 
 
 def dsum_extremes(a: SingularExtremes, b: SingularExtremes) -> SingularExtremes:

@@ -41,6 +41,7 @@ from .linalg import (
     random_draws,
     require_finite_positive,
     singular_extremes,
+    square_over,
     times_square,
 )
 
@@ -224,8 +225,8 @@ def inverse_commutation_check(fam: FrameFamily, cp: ControlPair) -> ResolutionBo
         lower, upper = spectrum.lambda_min, spectrum.lambda_max
     else:
         lower, upper = 1.0 / b, 1.0 / a
-    predicted_lower = a / (b * b) if b * b else a / b / b  # a square may underflow to 0
-    predicted_upper = b / (a * a) if a * a else b / a / a
+    predicted_lower = times_square(a, b, operator.truediv)
+    predicted_upper = times_square(b, a, operator.truediv)
     claims = (
         *ev.frame_claims,
         tol.claim("inverse_commutes", comm, "<=", "TOL_FACTOR"),
@@ -312,8 +313,8 @@ def coercive_pair_check(
     # roundoff dust around zero does not decide coercivity
     coercive = tol.claim("coercive", m, ">", "TOL_PSD",
                          scale=max(abs(m), abs(spectrum.lambda_max)))
-    predicted_lower = None if not coercive.holds else (
-        m * m / gamma_bessel_bound if gamma_bessel_bound else math.inf)  # D may underflow to 0
+    predicted_lower = None if not coercive.holds else (  # D may underflow to 0
+        square_over(m, gamma_bessel_bound) if gamma_bessel_bound else math.inf)
     left = FrameEvaluation(pair.left_family, pair.left_control)
     measured_lower = left.bounds.lambda_min
     claims = (coercive,)

@@ -351,31 +351,31 @@ ROWS = [
     Row("FrameEvaluation.norm", "random(5, 3)", "first", P, dict(eigvalsh=1)),
     Row("FrameEvaluation.norm", "random(5, 3)", "first", "other scalar", dict(eigvalsh=1)),
     Row("every call but resolutions", "random(5, 3)", "first", DU,
-        {"svd": 9, "eigh": 24, "eigvalsh": 72, "qr": 18, "inv": 1, "opnorm": 55,
+        {"svd": 9, "eigh": 24, "eigvalsh": 90, "qr": 18, "inv": 1, "opnorm": 71,
          "gfusion.frames.cross_terms": 0}),
     # under a self-adjoint pair the left terms are the right terms' adjoints,
     # and their sum is not measured again; under a mixed pair it is
     Row("canonical_resolutions", "random(5, 3)", "first", DU,
-        {"eigvalsh": 2, "inv": 1, "opnorm": 1, "gfusion.frames.cross_terms": 1}),
+        {"eigvalsh": 4, "inv": 1, "opnorm": 3, "gfusion.frames.cross_terms": 1}),
     Row("canonical_resolutions", "random(5, 3)", "canonical_resolutions", P,
         dict(eigvalsh=1, opnorm=1), equal={"S": {}, "F": {}}, holds=lambda r: r.converged),
     Row("canonical_resolutions", "scaled partition(6, 3)", "first", "c I, diagonal",
         {"opnorm": 2, "gfusion.frames.cross_terms": 1}, holds=lambda r: r.converged),
     # resolution
     Row("inverse_commutation_check", "random(5, 3)", "first", DU,
-        dict(eigvalsh=6, inv=1, opnorm=4), equal={"S^-1": {"opnorm": 1}, "cp.t": {}}),
+        dict(eigvalsh=8, inv=1, opnorm=6), equal={"S^-1": {"opnorm": 1}, "cp.t": {}}),
     Row("inverse_commutation_check", "random(5, 3)", "first", P,
         dict(eigh=1, eigvalsh=2, opnorm=1), equal={"S^-1": {}},
         holds=lambda r: r.commutation_residual == 0.0 and r.certified),
     Row("swapped", "random(4, 3)", "pair_frame_operator", D, {}),
     Row("coercive_pair_check", "random(4, 3)", "pair_frame_operator", D,
-        {"eigvalsh": 3, "gfusion.resolution.pair_frame_operator": 0}),
+        {"eigvalsh": 5, "opnorm": 2, "gfusion.resolution.pair_frame_operator": 0}),
     Row("pair_frame_operator, adjoint_check", "random(4, 3)", "first", D,
         dict(svd=2, eigvalsh=2, opnorm=2)),
     Row("bessel_resolution_frame_check", "random(4, 3)", "first", D,
-        dict(svd=2, eigvalsh=3, opnorm=1)),
+        dict(svd=2, eigvalsh=5, opnorm=3)),
     Row("coercive_pair_check, new pair", "random(4, 3)", "first", D,
-        dict(svd=2, eigvalsh=3)),
+        dict(svd=2, eigvalsh=5, opnorm=2)),
     Row("perturbation_check, lambda2 = +-0", "pair near I(5)", "first", "-",
         dict(eigvalsh=4, opnorm=2), equal={"pair S": {}}),
     Row("perturbation_check, lambda2 = 0.5", "pair near I(5)", "first", "-",
@@ -394,18 +394,18 @@ ROWS = [
     Row("direct_sum_frame", "partition(128, 4)", "first", P, dict(eigh=3, eigvalsh=9, opnorm=4),
         largest={"eigh": 128, "eigvalsh": 128}),
     Row("direct_sum_frame, two pairs", "random(4, 3)", "first", DU,
-        dict(eigh=4, eigvalsh=14, opnorm=8), equal={"t (+) t'": {}}),
+        dict(eigh=4, eigvalsh=18, opnorm=10), equal={"t (+) t'": {}}),
     # S_out's diagonal blocks are S and S' up to rounding
     Row("direct_sum_frame, two pairs", "random(4, 3)", "first", P,
         dict(eigh=3, eigvalsh=9, opnorm=4), largest={"eigh": 4, "eigvalsh": 4},
         equal={"S": {"eigh": 1, "eigvalsh": 1}, "S'": {"eigh": 1, "eigvalsh": 1}, "S (+) S'": {}}),
     Row("conjugate_transform", "random(4, 3)", "first", DU,
-        dict(svd=5, eigh=3, eigvalsh=21, opnorm=17),
+        dict(svd=5, eigh=3, eigvalsh=23, opnorm=19),
         equal={"cp.t": {}, "w": {"svd": 1}, "v": {"svd": 1}, "w*": {}, "v*": {}}),
     Row("sum_transform, r = I", "random(6, 7)", "first", P,
         {"eigh": 3, "eigvalsh": 20, "opnorm": 24, "gfusion.linalg.orth": 0}),
     Row("sum_transform, r = I", "random(6, 7)", "first", DU,
-        {"eigh": 3, "eigvalsh": 30, "qr": 14, "opnorm": 35, "gfusion.linalg.orth": 0}),
+        {"eigh": 3, "eigvalsh": 32, "qr": 14, "opnorm": 37, "gfusion.linalg.orth": 0}),
     # a family with itself: the items' ||C_j|| are the family's own, kept
     # from the first call, so a later call takes one opnorm per item (the
     # shared cross norm under number sides), three for the kgf readings, and
@@ -415,10 +415,10 @@ ROWS = [
     Row("sum_transform, dense r", "random(6, 7)", "first", P,
         {"svd": 8, "eigh": 3, "eigvalsh": 22, "qr": 7, "opnorm": 26, "gfusion.linalg.orth": 7}),
     Row("sum_transform, dense r", "random(6, 7)", "first", DU,
-        {"svd": 8, "eigh": 3, "eigvalsh": 34, "qr": 21, "opnorm": 39, "gfusion.linalg.orth": 7},
+        {"svd": 8, "eigh": 3, "eigvalsh": 36, "qr": 21, "opnorm": 41, "gfusion.linalg.orth": 7},
         equal={"cp.t": {}, "r*": {}}),
     Row("sum_transform, dense r", "random(6, 7)", "first", "other scalar",
-        {"svd": 8, "eigh": 3, "eigvalsh": 22, "qr": 7, "opnorm": 23, "gfusion.linalg.orth": 7},
+        {"svd": 8, "eigh": 3, "eigvalsh": 28, "qr": 7, "opnorm": 29, "gfusion.linalg.orth": 7},
         equal={"conj(c) r B_j": {}}),
     Row("Spectrum.whiten, pinv", "partition(16, 4)", "direct sum's Spectrum.eigenpairs", P,
         {"numpy.matmul": 4}, shapes={"numpy.matmul": [(16, 16)] * 4}),

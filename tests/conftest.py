@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gfusion
-from gfusion import serialize
+from gfusion import generate, serialize
 from gfusion.frames import ControlPair, FrameFamily
 from gfusion.linalg import Subspace, orth
 from gfusion.resolution import pair_frame_operator
@@ -76,6 +76,14 @@ def scaled_partition_family(dim, scales):
         p = basis @ basis.conj().T
         items.append((Subspace(dim, basis), np.sqrt(c) * p, 1.0))
     return FrameFamily(dim, items)
+
+
+def scaled_parseval(scale):
+    """`random_instance(1, 4, 2, "parseval")`'s family, a coordinate
+    partition of C^4 in two items with Lambda_j = P_j, with every Lambda_j
+    times `scale`."""
+    fam = generate.random_instance(1, 4, 2, "parseval").family
+    return FrameFamily(4, [(sub, scale * lam, w) for sub, lam, w in fam.items])
 
 
 def control_pair(kind, n, rng):

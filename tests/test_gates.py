@@ -1,14 +1,16 @@
 """The Hermitian, PSD and same-subspace gates decide exactly as their
-spectral-norm definition.
+spectral-norm definition, at any magnitude of the entries.
 
-`require_hermitian` and `positive_sqrt` may pass a matrix through a Frobenius
-bracket or take a norm from eigenvalues instead of an SVD, `factored_sqrt`
-decides both gates on a d x d compression of a cross operator, and
-`sum_transform` compares subspaces through their bases instead of their
-projectors.  The
-reference implementations below are the plain definitions with
-`np.linalg.norm(., 2)`; every drawn input must get the same verdict and the
-same output from both.
+`require_hermitian` and `positive_sqrt` take their norms from eigenvalues
+(`opnorm`) instead of an SVD, `factored_sqrt` brackets both gates by
+Frobenius norms on a d x d compression of a cross operator before it falls
+back to the dense gates, and `sum_transform` compares subspaces through
+their bases instead of their projectors.  The reference implementations
+below are the plain definitions with `np.linalg.norm(., 2)`; every drawn
+input, scaled by a drawn power of two from near the bottom of the float
+range to near its top, must get the same verdict and the same output from
+both.  The verdicts on a family scaled toward either end of the range are
+the spectral ones too.
 """
 
 from functools import partial
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 
 from gfusion import tolerances as tol
 from gfusion.constructions import sum_transform
-from gfusion.errors import InvalidParameters, ItemCountMismatch, NotHermitian, NotPSD
-from gfusion.frames import ControlPair, FrameFamily
+from gfusion.errors import InvalidParameters, ItemCountMismatch, NotHermitian, NotPositive, NotPSD
+from gfusion.frames import ControlPair, FrameFamily, atomic_check, controlled_frame_bounds
 from gfusion.linalg import (
     Subspace,
     factored_sqrt,
@@ -29,10 +31,13 @@ from gfusion.linalg import (
     projector,
     require_hermitian,
 )
+from gfusion.resolution import coercive_pair_check, pair_frame_operator
 
-from conftest import complex_gaussian
+from conftest import complex_gaussian, control_pair, scaled_parseval
 
 GATE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# the exponent e of a magnitude 2^e that keeps every entry a finite normal float
+MAGNITUDES = st.integers(-700, 500)
 
 
 def reference_require_hermitian(a, rtol):
@@ -70,7 +75,9 @@ def perturbed(rng, n, eigenvalues, eps):
 
 
 def same_outcome(fn, ref, *args):
-    """Both raise the same error type, or both return arrays equal to 1e-12."""
+    """Both raise the same error type, or both return arrays equal to 1e-12
+    (compared after division by the largest |entry|, so that no Frobenius
+    norm underflows)."""
     try:
         expected = ref(*args)
     except (NotHermitian, NotPSD) as exc:
@@ -78,8 +85,9 @@ def same_outcome(fn, ref, *args):
             fn(*args)
         return
     got = fn(*args)
-    scale = max(np.linalg.norm(expected), 1e-300)
-    assert np.linalg.norm(got - expected) <= 1e-12 * scale
+    top = np.abs(expected).max(initial=0.0) or 1.0
+    scale = max(np.linalg.norm(expected / top), 1e-300)
+    assert np.linalg.norm((got - expected) / top) <= 1e-12 * scale
 
 
 @GATE_SETTINGS
@@ -88,10 +96,11 @@ def same_outcome(fn, ref, *args):
     n=st.integers(1, 12),
     rtol=st.sampled_from([tol.TOL_HERM, tol.TOL_FACTOR, 1e-6, 1e-3]),
     log_ratio=st.floats(-2.0, 2.0),
+    magnitude=MAGNITUDES,
 )
-def test_require_hermitian_matches_spectral_definition(seed, n, rtol, log_ratio):
+def test_require_hermitian_matches_spectral_definition(seed, n, rtol, log_ratio, magnitude):
     rng = np.random.default_rng(seed)
-    a = perturbed(rng, n, rng.uniform(-1.0, 1.0, n), rtol * 10.0**log_ratio)
+    a = 2.0**magnitude * perturbed(rng, n, rng.uniform(-1.0, 1.0, n), rtol * 10.0**log_ratio)
     with tol.override(tol_herm=rtol):
         same_outcome(require_hermitian, partial(reference_require_hermitian, rtol=rtol), a)
 
@@ -129,8 +138,10 @@ def dipped(rng, m, dip):
     rtol=st.sampled_from([tol.TOL_HERM, 1e-6]),
     log_ratio=st.floats(-2.0, 2.0),
     log_dip=st.floats(-2.0, 2.0),
+    magnitude=MAGNITUDES,
 )
-def test_factored_sqrt_matches_dense_gates(seed, n, controls, rtol, log_ratio, log_dip):
+def test_factored_sqrt_matches_dense_gates(seed, n, controls, rtol, log_ratio, log_dip,
+                                           magnitude):
     # g = (t* B) m (u* B)* = t* B L* L B* u on W = span(B), zero and full
     # ones among them, L rank-deficient when it has fewer rows than dim W;
     # non-normal t, and u = t, u an asymmetry about TOL_HERM from t (spread
@@ -140,12 +151,13 @@ def test_factored_sqrt_matches_dense_gates(seed, n, controls, rtol, log_ratio, l
     # pass the bracket and still move the eigenvalues across that floor.
     # Scalar controls (a I, b I) pass t* B and u* B as the scaled bases
     # conj(a) B and conj(b) B, with conj(a) b real positive, negative, or
-    # complex with g's asymmetry about TOL_HERM
+    # complex with g's asymmetry about TOL_HERM.  m, and so g, is scaled by
+    # 2^magnitude
     with tol.override(tol_herm=rtol):
-        check_factored_sqrt(seed, n, controls, log_ratio, log_dip)
+        check_factored_sqrt(seed, n, controls, log_ratio, log_dip, magnitude)
 
 
-def check_factored_sqrt(seed, n, controls, log_ratio, log_dip):
+def check_factored_sqrt(seed, n, controls, log_ratio, log_dip, magnitude):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(0, n + 1))
     b = unitary(rng, n)[:, :d]
@@ -153,6 +165,7 @@ def check_factored_sqrt(seed, n, controls, log_ratio, log_dip):
     m = lam.conj().T @ lam
     if d and rng.uniform() < 0.5:
         m = dipped(rng, m, tol.TOL_PSD * 10.0**log_dip)
+    m *= 2.0**magnitude
     t = np.eye(n) + np.triu(complex_gaussian(rng, n, n), 1) / n
     asymmetry = tol.TOL_HERM * 10.0**log_ratio
     if controls.startswith("scalar"):
@@ -215,8 +228,8 @@ def check_root(n, x, m, y):
 def test_factored_sqrt_bracket_keeps_sqrt_n():
     # g = [[I_6, e], [0, 0]] on C^8 with a rank-one off-range block e of norm
     # 1.5 TOL_HERM: ||g - g*||_2 / ||g||_2 = 1.5 TOL_HERM, but without the
-    # sqrt(n) of `require_hermitian`'s bracket its Frobenius ratio
-    # sqrt(2) * 1.5 TOL_HERM / sqrt(6) would pass
+    # bracket's sqrt(n) its Frobenius ratio sqrt(2) * 1.5 TOL_HERM / sqrt(6)
+    # would pass
     n, d = 8, 6
     x = np.eye(n, d, dtype=complex)
     y = x.copy()
@@ -290,3 +303,19 @@ def test_same_subspace_gate_matches_projector_distance(seed, n, data, log_ratio)
         assert not isinstance(info.value, ItemCountMismatch)
     else:
         sum_transform(*args)
+
+
+@pytest.mark.parametrize("exponent", [-80, -77, 0, 77, 80])
+def test_verdicts_near_the_float_range_are_spectral(exponent):
+    # Lambda_j times 10^exponent puts the entries of S and of each G_j near
+    # 10^(2 exponent), where a square of an entry leaves the float range.
+    # Under (I, I + E), ||E||_2 = 0.02, S and each G_j are about 2 %
+    # asymmetric: not Bessel, and no roots.  Under (I, I) the family is a
+    # Parseval frame times 10^(2 exponent), and thm 4.4 proves it
+    fam = scaled_parseval(10.0**exponent)
+    skewed = control_pair("I, I + E", 4, np.random.default_rng(0))
+    assert not controlled_frame_bounds(fam, skewed).is_bessel
+    with pytest.raises(NotPositive, match="asymmetry"):
+        atomic_check(fam, skewed, np.eye(4))
+    assert controlled_frame_bounds(fam, ControlPair.identity(4)).is_frame
+    assert coercive_pair_check(pair_frame_operator(fam, np.eye(4), fam, np.eye(4))).is_frame

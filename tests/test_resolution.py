@@ -29,6 +29,7 @@ from conftest import (
     near_identity_pair,
     random_family,
     scalar_controls,
+    scaled_parseval,
     scaled_partition_family,
     well_conditioned,
 )
@@ -382,3 +383,21 @@ class TestPerturbation:
         t = np.eye(4)
         rep = bessel_resolution_frame_check(fam, t, np.eye(4))
         assert rep.is_frame
+
+
+def test_thm44_prediction_past_an_overflowing_square():
+    # m = D = 1e160 (Lambda_j = 1e80 P_j): m^2 overflows, m^2 / D = m
+    fam = scaled_parseval(1e80)
+    rep = coercive_pair_check(pair_frame_operator(fam, np.eye(4), fam, np.eye(4)))
+    assert rep.predicted_lower == rep.measured_lower
+    assert rep.is_frame
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-80])
+def test_thm41_predictions_past_a_square_out_of_range(scale):
+    # A = B = scale^2: B^2 overflows at 1e80 and is subnormal at 1e-80, while
+    # A / B^2 = B / A^2 = scale^-2, the measured extremes
+    rep = inverse_commutation_check(scaled_parseval(scale), ControlPair.identity(4))
+    assert rep.predicted_lower == pytest.approx(rep.lower, rel=1e-15, abs=0)
+    assert rep.predicted_upper == pytest.approx(rep.upper, rel=1e-15, abs=0)
+    assert rep.certified
