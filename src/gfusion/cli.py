@@ -30,14 +30,15 @@ from .errors import GFusionError, InvalidParameters, ParseError
 from .frames import ControlPair
 
 
-def _write_report(report: dict, out_path):
-    text = serialize.dumps(report)
+def _write_report(report, out_path):
+    """Stream the text of `report`, a report value, to `out_path` or, where
+    that is empty, to stdout, each part as the encoder reaches it."""
     if not out_path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(serialize.chunks(report))
         return
     try:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(serialize.chunks(report))
     except OSError as exc:  # a bad --out is bad input
         raise InvalidParameters(f"cannot write {out_path}: {exc.strerror}") from exc
 
@@ -188,7 +189,7 @@ def cmd_random(args):
         raise InvalidParameters(f"cannot make directory {args.out_dir}: {exc.strerror}") from exc
 
     def write(name, obj):
-        _write_report(serialize.to_json(obj), os.path.join(args.out_dir, name))
+        _write_report(obj, os.path.join(args.out_dir, name))
 
     write("family.json", inst.family)
     write("control.json", inst.control)
@@ -253,12 +254,12 @@ def main(argv=None) -> int:
             overrides[name] = value
         # loading runs under the override too: a ControlPair checks COND_MAX.
         # An input whose products overflow is rejected by as_operator with
-        # one error line, so numpy's overflow warnings are not printed.
+        # one error line, so numpy's overflow warnings are not printed.  The
+        # report's fields are read as they are written, so under both too.
         with tol.override(**overrides), np.errstate(over="ignore", invalid="ignore"):
             rep = row.run(*_load(args), **params)
-            report = {"command": "-".join(words), **serialize.to_json(rep)}
             ok = getattr(rep, row.verdict)
-        _write_report(report, args.out)
+            _write_report({"command": "-".join(words), **serialize.fields(rep)}, args.out)
         return 0 if ok else 1
     except InvalidParameters as exc:
         print(f"error: {exc}", file=sys.stderr)

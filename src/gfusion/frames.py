@@ -49,6 +49,7 @@ from .linalg import (
     gen_rayleigh_extremes,
     opnorm,
     product,
+    range_scaled,
     read_only,
     require_conditioned,
     require_finite_positive,
@@ -342,7 +343,7 @@ class FrameReport:
     s_c: np.ndarray
     herm_residual: float
     # fields marked "report": False are for library callers only; the CLI
-    # report (serialize.to_json) skips them
+    # report (serialize.fields, read by its encoder) skips them
     claims: tuple = field(metadata={"report": False})
 
 
@@ -439,11 +440,12 @@ def thin_roots(fam: FrameFamily, t, u) -> tuple:
     t_adj, u_adj = adjoint(t), adjoint(u)
     blocks, bases = [], []
     for j, ((b, c), w) in enumerate(zip(fam.factors, fam.weights)):
+        c, scale = range_scaled(c)  # C_j / scale, whose Gram stays in range
         try:
             basis, root = factored_sqrt(product(t_adj, b), c.conj().T @ c, product(u_adj, b))
         except GFusionError as exc:
             raise NotPositive(f"item {j}: cross operator is not Hermitian PSD ({exc})") from exc
-        blocks.append(w * (basis @ root))
+        blocks.append((w * scale) * (basis @ root))
         bases.append(frozen(basis))
     return frozen(np.hstack(blocks)), tuple(bases)
 
@@ -782,6 +784,8 @@ def synthesis(fam: FrameFamily, cp: ControlPair, g: BlockVector, f_hint=None):
     certified = False
     if f_hint is not None:
         ref = np.concatenate(ev.analysis(f_hint).blocks)
+        # by one common factor, so that no square of an entry leaves the range
+        (coeffs, ref), _ = range_scaled(np.stack([coeffs, ref]))
         scale = max(np.linalg.norm(ref), np.linalg.norm(coeffs), 1e-300)
         residual = np.linalg.norm(coeffs - ref)
         certified = tol.claim("in_range", residual, "<=", "TOL_FACTOR", scale=scale).holds

@@ -7,8 +7,9 @@ the rows * cols entries as little-endian IEEE 754 binary64, row-major, so
 every entry, -0.0 included, reads back bit for bit.  The reader also takes
 a list of JSON numbers, row-major, for either key.  Other numbers are
 written as Python floats (shortest round-tripping decimal).  Every report
-and instance file is compact canonical JSON (`dumps`): one line, sorted
-keys, no whitespace outside strings.
+and instance file is compact canonical JSON, written by one streamed
+encoder (`chunks`; `dumps` is its joined text): one line, sorted keys, no
+whitespace outside strings.
 """
 
 from __future__ import annotations
@@ -82,8 +83,10 @@ def operator_from_dict(d) -> np.ndarray:
         raise ParseError(f"bad operator object: {exc}") from exc
 
 
+# The *_to_dict forms of subspaces, families and control pairs leave each
+# operator as its array, which the encoder writes as it reaches it.
 def subspace_to_dict(m: Subspace) -> dict:
-    return {"ambient_dim": m.ambient_dim, "basis": operator_to_dict(m.basis)}
+    return {"ambient_dim": m.ambient_dim, "basis": m.basis}
 
 
 def subspace_from_dict(d) -> Subspace:
@@ -99,7 +102,7 @@ def family_to_dict(fam: FrameFamily) -> dict:
         "items": [
             {
                 "subspace": subspace_to_dict(sub),
-                "lambda": operator_to_dict(lam),
+                "lambda": lam,
                 "weight": float(w),
             }
             for sub, lam, w in fam.items
@@ -122,7 +125,7 @@ def family_from_dict(d) -> FrameFamily:
 
 
 def control_pair_to_dict(cp: ControlPair) -> dict:
-    return {"t": operator_to_dict(cp.t), "u": operator_to_dict(cp.u)}
+    return {"t": cp.t, "u": cp.u}
 
 
 def control_pair_from_dict(d) -> ControlPair:
@@ -132,49 +135,81 @@ def control_pair_from_dict(d) -> ControlPair:
         raise ParseError(f"bad control pair: {exc}") from exc
 
 
-def to_json(value):
-    """JSON-ready form of a report value, by one rule for every command.
-
-    Operators, families and control pairs take their `*_to_dict` form (checked
-    before dataclasses, which the latter two are).  A dataclass becomes the
-    dict of its fields, skipping those marked `field(metadata={"report":
-    False})`; a NamedTuple becomes its `_asdict()`; dicts, lists and tuples
-    are encoded item by item; +-inf becomes the string "inf" or "-inf".
-    """
-    if isinstance(value, np.ndarray):
-        return operator_to_dict(value)
+def fields(value) -> dict:
+    """A record's report fields, by name, unencoded: a family's and a control
+    pair's `*_to_dict` form (checked before dataclasses, which they are), a
+    dataclass's fields but those marked `field(metadata={"report": False})`,
+    a NamedTuple's `_asdict()`, a dict itself."""
     if isinstance(value, FrameFamily):
         return family_to_dict(value)
     if isinstance(value, ControlPair):
         return control_pair_to_dict(value)
     if dataclasses.is_dataclass(value):
-        return {
-            f.name: to_json(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if f.metadata.get("report", True)
-        }
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)
+                if f.metadata.get("report", True)}
     if isinstance(value, tuple) and hasattr(value, "_asdict"):
-        value = value._asdict()
+        return value._asdict()
     if isinstance(value, dict):
-        return {key: to_json(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_json(item) for item in value]
-    if isinstance(value, float):
-        value = float(value)
-        return ("inf" if value > 0 else "-inf") if math.isinf(value) else value
-    if value is None or isinstance(value, (bool, int, str)):
         return value
     raise TypeError(f"cannot encode {type(value).__name__} in a report")
 
 
-def dumps(obj: dict) -> str:
-    """Canonical JSON text: sorted keys, fixed separators "," and ":" with no
-    whitespace, one trailing newline.
+_string = json.encoder.encode_basestring_ascii
 
-    With no `indent`, `json` encodes with its C encoder, which writes each
-    float by `float.__repr__` (shortest round-tripping form).
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+def _encode(value):
+    """The canonical JSON text of `value`, in chunks, made as the walk
+    reaches each part: an ndarray as `operator_to_dict` gives it, with its
+    base64 strings written as they are (they need no escaping), lists and
+    tuples as arrays, every other value but a scalar as the object of its
+    `fields`, keys sorted; a float by `float.__repr__`, NaN as `NaN` and
+    +-inf as the strings "inf" and "-inf"."""
+    if isinstance(value, float):
+        if math.isinf(value):
+            yield '"inf"' if value > 0 else '"-inf"'
+        else:
+            yield "NaN" if value != value else float.__repr__(value)
+    elif isinstance(value, str):
+        yield _string(value)
+    elif value is None or value is True or value is False:
+        yield "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    elif isinstance(value, np.ndarray):
+        d = operator_to_dict(value)
+        yield f'{{"cols":{d["cols"]},"im":"'
+        yield d["im"]
+        yield '","re":"'
+        yield d["re"]
+        yield f'","rows":{d["rows"]}}}'
+    elif isinstance(value, (list, tuple)) and not hasattr(value, "_asdict"):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ","
+            yield from _encode(item)
+        yield "]"
+    else:
+        record = fields(value)
+        yield "{"
+        for i, key in enumerate(sorted(record)):
+            yield f'{"," if i else ""}{_string(key)}:'
+            yield from _encode(record[key])
+        yield "}"
+
+
+def chunks(value):
+    """The file text of a report value in chunks: its canonical JSON, one
+    line (sorted keys, the separators "," and ":" with no whitespace outside
+    strings), then a newline.  No more of the text is held at once than
+    one operator's, while it is written."""
+    yield from _encode(value)
+    yield "\n"
+
+
+def dumps(obj) -> str:
+    """The file text of a report value: `chunks` joined."""
+    return "".join(chunks(obj))
 
 
 def _not_json(token):

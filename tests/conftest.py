@@ -213,11 +213,19 @@ JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 def assert_compact_canonical(text):
     """`text` is `serialize.dumps`'s form: JSON with no whitespace outside
     strings, ending in exactly one newline, and a fixed point of
-    dumps(json.loads(text)) (so its keys are sorted)."""
+    dumps(json.loads(text)) and of the standard library's compact,
+    key-sorted encoder."""
     assert text.endswith("\n") and not text.endswith("\n\n")
     outside = JSON_STRING.sub('""', text[:-1])
     assert not any(c.isspace() for c in outside), outside[:200]
-    assert serialize.dumps(json.loads(text)) == text
+    value = json.loads(text)
+    assert serialize.dumps(value) == text
+    assert json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n" == text
+
+
+def as_json(value):
+    """The JSON value of the text that `serialize.dumps` writes for `value`."""
+    return json.loads(serialize.dumps(value))
 
 
 def binary64(values) -> str:

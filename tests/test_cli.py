@@ -20,6 +20,7 @@ from gfusion.linalg import Subspace, projector
 
 import report_diff
 from conftest import (
+    as_json,
     assert_compact_canonical,
     binary64,
     complex_gaussian,
@@ -139,12 +140,11 @@ class TestConstruct:
         # not vanish
         basis = (1 + 1e-8) * np.eye(6)
         docs = {"family": {"ambient_dim": 6, "items": [{
-                    "subspace": {"ambient_dim": 6, "basis": serialize.to_json(basis)},
-                    "lambda": serialize.to_json(np.eye(6)), "weight": 1.0}]},
-                "control": serialize.to_json(ControlPair.identity(6)),
-                "k": serialize.to_json(np.eye(6)), "half": serialize.to_json(0.5 * np.eye(6))}
+                    "subspace": {"ambient_dim": 6, "basis": basis},
+                    "lambda": np.eye(6), "weight": 1.0}]},
+                "control": ControlPair.identity(6), "k": np.eye(6), "half": 0.5 * np.eye(6)}
         for stem, doc in docs.items():
-            (tmp_path / f"{stem}.json").write_text(json.dumps(doc))
+            (tmp_path / f"{stem}.json").write_text(serialize.dumps(doc))
         f, c, k, half = (str(tmp_path / f"{stem}.json") for stem in docs)
         code, rep = run(capsys, "construct", "sum-transform", "--in", f, "--in", f,
                         "--control", c, "--k", k, "--v", half, "--w", half,
@@ -362,7 +362,7 @@ def test_perturb_negative_lambda1_one_parameter_exit_2(tmp_path):
 
 
 def _write(path, obj):
-    path.write_text(serialize.dumps(serialize.to_json(obj)))
+    path.write_text(serialize.dumps(obj))
     return str(path)
 
 
@@ -523,7 +523,7 @@ def schema_argv(tmp_path, argv, inputs=None):
     that input (of `schema_inputs()` by default), written to `tmp_path`."""
     inputs = inputs or schema_inputs()
     for name, obj in inputs.items():
-        (tmp_path / name).write_text(serialize.dumps(serialize.to_json(obj)))
+        (tmp_path / name).write_text(serialize.dumps(obj))
     return [str(tmp_path / a) if a in inputs else a for a in argv]
 
 
@@ -542,14 +542,15 @@ def test_report_schema(tmp_path, capsys, argv, command, keys):
     "argv", [a for a, _, _ in REPORT_SCHEMAS], ids=[c for _, c, _ in REPORT_SCHEMAS]
 )
 def test_report_compact_canonical(tmp_path, capsys, argv):
-    """Every report, on stdout or in --out, is one line of canonical JSON."""
+    """Every report, on stdout or in --out, is one line of canonical JSON:
+    the streamed writer gives both the same bytes and the same exit code."""
     argv = schema_argv(tmp_path, argv)
     out = tmp_path / "report.json"
-    assert main(argv + ["--out", str(out)]) in (0, 1)
-    text = out.read_text()
-    assert_compact_canonical(text)
-    main(argv)
-    assert capsys.readouterr().out == text
+    code = main(argv + ["--out", str(out)])
+    assert code in (0, 1)
+    assert_compact_canonical(out.read_text())
+    assert main(argv) == code
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def _pair(x, control):
@@ -603,7 +604,7 @@ def test_exit_code_is_library_verdict(tmp_path, capsys, argv, command, overrides
         assert (code, rep) == (1, None)
         return
     assert code == (0 if getattr(lib, verdict) else 1)
-    expected = {"command": command, **serialize.to_json(lib)}
+    expected = {"command": command, **serialize.fields(lib)}
     assert rep == json.loads(serialize.dumps(expected))
 
 
@@ -902,13 +903,13 @@ OVERFLOW = "error: operator entries must be finite$"
 HUGE = {"lambda-1e-100-controls-1e160": lambda d: (_times(1e-100, *_lambdas(d)),
                                                    _times(1e160, d["c"]["t"], d["c"]["u"])),
         "lambda-1e-100-vw-1e160": lambda d: (_times(1e-100, *_lambdas(d)), d.update(
-            v=serialize.to_json(1e160 * np.eye(4)), w=serialize.to_json(1e160 * np.eye(4))))}
+            v=as_json(1e160 * np.eye(4)), w=as_json(1e160 * np.eye(4))))}
 
 
 def _docs(fam, cp, k):
     """The JSON documents of the files f, c and k, and of a zero v and w."""
     zero = np.zeros((fam.ambient_dim,) * 2)
-    return dict(zip("fckvw", map(serialize.to_json, (fam, cp, k, zero, zero))))
+    return dict(zip("fckvw", map(as_json, (fam, cp, k, zero, zero))))
 
 
 def _draw(seed, dim, structure, control=lambda x: x.control, edit=lambda docs: None):
@@ -1121,7 +1122,7 @@ def _leaves(doc, path=()):
 # A valid 3-dim instance, as `gfusion random` writes it but with each
 # operator's entries as lists of numbers, and every leaf of it.
 _BASE_INSTANCE = generate.random_instance(5, 3, 3, "scalar-controls")
-_BASE = {stem: report_diff.decoded(serialize.to_json(getattr(_BASE_INSTANCE, stem)))
+_BASE = {stem: report_diff.decoded(as_json(getattr(_BASE_INSTANCE, stem)))
          for stem in ("family", "control", "k")}
 _LEAVES = [(stem, path) for stem, doc in _BASE.items() for path in _leaves(doc)]
 _REPLACEMENTS = [math.nan, math.inf, -1, 0, 4.5, "x", [], {}, None, True, 1e308]

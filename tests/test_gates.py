@@ -10,7 +10,7 @@ below are the plain definitions with `np.linalg.norm(., 2)`; every drawn
 input, scaled by a drawn power of two from near the bottom of the float
 range to near its top, must get the same verdict and the same output from
 both.  The verdicts on a family scaled toward either end of the range are
-the spectral ones too.
+the spectral ones too, and so is the synthesis map's range certificate.
 """
 
 from functools import partial
@@ -23,7 +23,15 @@ from hypothesis import strategies as st
 from gfusion import tolerances as tol
 from gfusion.constructions import sum_transform
 from gfusion.errors import InvalidParameters, ItemCountMismatch, NotHermitian, NotPositive, NotPSD
-from gfusion.frames import ControlPair, FrameFamily, atomic_check, controlled_frame_bounds
+from gfusion.frames import (
+    BlockVector,
+    ControlPair,
+    FrameFamily,
+    analysis,
+    atomic_check,
+    controlled_frame_bounds,
+    synthesis,
+)
 from gfusion.linalg import (
     Subspace,
     factored_sqrt,
@@ -319,3 +327,17 @@ def test_verdicts_near_the_float_range_are_spectral(exponent):
         atomic_check(fam, skewed, np.eye(4))
     assert controlled_frame_bounds(fam, ControlPair.identity(4)).is_frame
     assert coercive_pair_check(pair_frame_operator(fam, np.eye(4), fam, np.eye(4))).is_frame
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e150])
+def test_range_certificate_at_any_scale(scale):
+    # Lambda_j times `scale` makes the coefficients of f that scale: their
+    # squares, and those of C_j's entries in the roots' Gram, leave the float
+    # range at 1e-170.  g = analysis(f) is in the range against f_hint = f,
+    # and 2 g is not
+    fam, cp = scaled_parseval(scale), ControlPair.identity(4)
+    f = np.array([1.0, 2j, -0.5, 3.0])
+    g = analysis(fam, cp, f)
+    assert np.abs(np.concatenate(g.blocks)).max() == pytest.approx(3 * scale, rel=1e-12)
+    assert synthesis(fam, cp, g, f_hint=f)[1]
+    assert not synthesis(fam, cp, BlockVector([2 * b for b in g.blocks]), f_hint=f)[1]

@@ -1,16 +1,20 @@
 import base64
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gfusion import cli
 from gfusion.errors import ParseError
 from gfusion.constructions import Certificate
 from gfusion.frames import AtomicReport, ControlPair
 from gfusion.linalg import SpectralInterval
-from gfusion.resolution import ResolutionBoundsReport, ResolutionReport
+from gfusion.resolution import CanonicalResolutions, ResolutionBoundsReport, ResolutionReport
 from gfusion.serialize import (
+    chunks,
     control_pair_from_dict,
     control_pair_to_dict,
     dumps,
@@ -21,10 +25,10 @@ from gfusion.serialize import (
     operator_to_dict,
     subspace_from_dict,
     subspace_to_dict,
-    to_json,
 )
 
 from conftest import (
+    as_json,
     assert_compact_canonical,
     binary64,
     complex_gaussian,
@@ -89,7 +93,7 @@ def test_operator_missing_key():
 
 def test_subspace_round_trip(rng):
     m = random_subspace(rng, 5, 2)
-    m2 = subspace_from_dict(subspace_to_dict(m))
+    m2 = subspace_from_dict(as_json(subspace_to_dict(m)))
     np.testing.assert_array_equal(m2.basis, m.basis)
     assert m2.ambient_dim == 5
 
@@ -105,7 +109,7 @@ def test_subspace_rejects_non_orthonormal():
 
 def test_family_round_trip(rng):
     fam = random_family(rng, 4, 3)
-    fam2 = family_from_dict(family_to_dict(fam))
+    fam2 = family_from_dict(as_json(family_to_dict(fam)))
     assert fam2.ambient_dim == fam.ambient_dim
     assert fam2.weights == fam.weights
     for (s1, l1, _), (s2, l2, _) in zip(fam.items, fam2.items):
@@ -114,7 +118,7 @@ def test_family_round_trip(rng):
 
 
 def test_family_bad_item_reported_with_index(rng):
-    d = family_to_dict(random_family(rng, 3, 2))
+    d = as_json(family_to_dict(random_family(rng, 3, 2)))
     del d["items"][1]["weight"]
     with pytest.raises(ParseError, match="item 1"):
         family_from_dict(d)
@@ -122,7 +126,7 @@ def test_family_bad_item_reported_with_index(rng):
 
 def test_control_pair_round_trip(rng):
     cp = ControlPair.scalars(3, 0.5, 2.0)
-    cp2 = control_pair_from_dict(control_pair_to_dict(cp))
+    cp2 = control_pair_from_dict(as_json(control_pair_to_dict(cp)))
     np.testing.assert_array_equal(cp2.t, cp.t)
     np.testing.assert_array_equal(cp2.u, cp.u)
 
@@ -156,14 +160,14 @@ class TestCompactCanonical:
         assert_compact_canonical(text)
 
     def test_fixed_point(self, rng):
-        text = dumps(to_json({"family": random_family(rng, 3, 2), "lo": -math.inf}))
+        text = dumps({"family": random_family(rng, 3, 2), "lo": -math.inf})
         assert dumps(json.loads(text)) == text
 
     def test_floats_round_trip_exactly(self):
         values = [0.1 + 0.2, -0.0, 0.0, 5e-324, -1e-310, 2.0**-1022, math.pi,
                   -1.7976931348623157e308, 1e16, 123456789.12345679]
         back = json.loads(dumps({"x": values, "inf": [math.inf, -math.inf]}))
-        assert back["inf"] == [math.inf, -math.inf]
+        assert back["inf"] == ["inf", "-inf"]
         for got, want in zip(back["x"], values, strict=True):
             assert type(got) is float
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
@@ -178,8 +182,7 @@ class TestCompactCanonical:
         assert np.array_equal(np.signbit(b.imag), np.signbit(a.imag))
 
     def test_report_infinities_are_strings(self):
-        rep = to_json({"lo": -math.inf, "hi": math.inf, "z": -0.0})
-        back = json.loads(dumps(rep))
+        back = json.loads(dumps({"lo": -math.inf, "hi": math.inf, "z": -0.0}))
         assert back == {"lo": "-inf", "hi": "inf", "z": 0.0}
         assert math.copysign(1.0, back["z"]) == -1.0
         assert float(back["lo"]) == -math.inf
@@ -205,17 +208,21 @@ def test_full_precision_round_trip():
 
 
 class TestToJson:
+    """Report values to JSON, by the one encoder's rule."""
+
     def test_library_objects_use_their_dict_forms(self, rng):
         fam = random_family(rng, 3, 2)
         cp = ControlPair.identity(3)
         a = complex_gaussian(rng, 2, 3)
-        assert to_json(a) == operator_to_dict(a)
-        assert to_json(fam) == family_to_dict(fam)
-        assert to_json(cp) == control_pair_to_dict(cp)
+        assert as_json(a) == operator_to_dict(a)
+        assert dumps(fam) == dumps(family_to_dict(fam))
+        assert dumps(cp) == dumps(control_pair_to_dict(cp))
+        assert as_json(cp) == {"t": operator_to_dict(cp.t), "u": operator_to_dict(cp.u)}
+        assert as_json(fam)["items"][1]["lambda"] == operator_to_dict(fam.items[1][1])
 
     def test_dataclass_fields_skip_library_only(self):
         rep = AtomicReport(True, 2.0, 3.0, 0.5, lambda: np.eye(2), 1e-16, 2e-16)
-        assert to_json(rep) == {
+        assert as_json(rep) == {
             "is_atomic": True,
             "bessel_bound": 2.0,
             "coefficient_norm_bound": 3.0,
@@ -224,20 +231,76 @@ class TestToJson:
             "literal_residual": 2e-16,
         }
         res = ResolutionBoundsReport(ResolutionReport(1e-9, 3, True), 1, 2, 1, 2, True, 0.0)
-        assert "resolution" not in to_json(res)
-        assert to_json(res)["resolution_residual"] == 1e-9
-        assert to_json(res.resolution) == {"residual": 1e-9, "term_count": 3, "converged": True}
+        assert "resolution" not in as_json(res)
+        assert as_json(res)["resolution_residual"] == 1e-9
+        assert as_json(res.resolution) == {"residual": 1e-9, "term_count": 3, "converged": True}
 
     def test_containers_and_scalars(self):
         certs = (Certificate("a", 0.5), Certificate("b", math.inf))
-        assert to_json(certs) == [{"name": "a", "residual": 0.5}, {"name": "b", "residual": "inf"}]
+        assert as_json(certs) == [{"name": "a", "residual": 0.5}, {"name": "b", "residual": "inf"}]
         assert dict(certs) == {"a": 0.5, "b": math.inf}
-        assert to_json({"x": [np.float64(-math.inf), None, 3, "s", False]}) == {
+        assert as_json({"x": [np.float64(-math.inf), None, 3, "s", False]}) == {
             "x": ["-inf", None, 3, "s", False]
         }
-        assert type(to_json(np.float64(0.25))) is float
-        assert to_json(SpectralInterval(1.0, math.inf)) == {"lambda_min": 1.0, "lambda_max": "inf"}
+        assert dumps(np.float64(0.25)) == "0.25\n"
+        assert as_json(SpectralInterval(1.0, math.inf)) == {"lambda_min": 1.0, "lambda_max": "inf"}
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError, match="complex"):
-            to_json({"z": 1j})
+            dumps({"z": 1j})
+
+
+# Report values and their text, as the two-pass writer (a JSON-ready tree,
+# then json.dumps) wrote it: the one encoder keeps every byte.
+ENCODED = {
+    "floats": ([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1],
+               '[NaN,"inf","-inf",-0.0,5e-324,0.1]'),
+    "escapes": ({"k\"\\\n\u00e9/\t": "v\u2028\"\x00\U0001f600", "a": ""},
+                '{"a":"","k\\"\\\\\\n\\u00e9/\\t":"v\\u2028\\"\\u0000\\ud83d\\ude00"}'),
+    "empty": ({"list": [], "tuple": (), "dict": {}}, '{"dict":{},"list":[],"tuple":[]}'),
+    "0 x n": (np.zeros((0, 3)), '{"cols":3,"im":"","re":"","rows":0}'),
+    "n x 0": (np.zeros((3, 0), dtype=complex), '{"cols":0,"im":"","re":"","rows":3}'),
+    "dataclass in a named tuple": (
+        CanonicalResolutions([], [np.eye(1)], ResolutionReport(None, 0, False),
+                             ResolutionReport(1e-9, 2, True)),
+        '{"left_multiplied":{"converged":true,"residual":1e-09,"term_count":2},'
+        '"right_multiplied":{"converged":false,"residual":null,"term_count":0},'
+        '"terms_left":[{"cols":1,"im":"AAAAAAAAAAA=","re":"AAAAAAAA8D8=","rows":1}],'
+        '"terms_right":[]}'),
+    "true against 1": ([True, 1, False, 0, 1.0, None], '[true,1,false,0,1.0,null]'),
+}
+
+
+@pytest.mark.parametrize("value, text", ENCODED.values(), ids=ENCODED)
+def test_encoded_text(value, text):
+    assert dumps(value) == "".join(chunks(value)) == text + "\n"
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+
+
+def test_grid_files_are_canonical(grid):
+    """Every report and instance file of the grid is the standard library's
+    compact, key-sorted text of its own JSON value."""
+    reports = [outcome[2] for _, argv, outcome in grid if argv[0] != "random" and outcome[2]]
+    files = [path.read_text() for _, argv, _ in grid if argv[0] == "random"
+             for path in sorted(Path(argv[-1]).iterdir())]
+    assert len(reports) > 200 and len(files) > 50
+    for text in reports + files:
+        assert_compact_canonical(text)
+
+
+def test_streamed_report_holds_one_operator_text(tmp_path):
+    # 64 operators of 64 x 64: the text is 64 times one operator's, which
+    # is its two base64 strings of 4096 binary64 entries (about 87 KB)
+    rng = np.random.default_rng(3)
+    report = {"command": "terms", "terms": [complex_gaussian(rng, 64, 64) for _ in range(64)]}
+    one = len(dumps(report["terms"][0]))
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        cli._write_report(report, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 87_000 < one < 88_000
+    assert peak < 4 * one
+    assert out.read_text() == dumps(report)
