@@ -10,13 +10,17 @@ Each command's contract is one row of `COMMANDS`; the parser, the argument
 check, the loader and `main` all read it.  A row names the library module
 it calls, and that module is imported only when the row runs: a checkout
 with no bytecode cache compiles every module it imports on each run, so
-`check-frame` loads no `resolution`, `constructions` or `fourier`.
+`check-frame` loads no `resolution`, `constructions` or `fourier`.  The
+parser takes the options of the invoked command only, and `generate` is
+imported by `random` alone.  A process enters through `run`, which ends it
+without the interpreter's teardown once the report is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import importlib
 import os
 import sys
@@ -24,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import generate, serialize
+from . import serialize
 from . import tolerances as tol
 from .errors import GFusionError, InvalidParameters, ParseError
 from .frames import ControlPair
@@ -144,6 +148,7 @@ HELP = {
     "resolutions": "canonical resolutions of the identity",
     "thm": "theorem-level verification checks",
     "fourier-demo": "truncated Fourier worked example",
+    "random": "generate a seeded instance",
 }
 SECOND_WORD = {"construct": "kind", "thm": "which"}
 
@@ -182,6 +187,8 @@ def _load(args):
 
 def cmd_random(args):
     """Writes the instance files to --out; there is no report."""
+    from . import generate
+
     inst = generate.random_instance(args.seed, args.dim, args.items, args.structure)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -202,17 +209,27 @@ def cmd_random(args):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per first argv word.  It takes an option when some row
-    under that word reads it, and requires the option when every row does."""
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """One subparser per first argv word, of which only `command`'s takes
+    options: one when some row under that word reads it, required when
+    every row does.  The other words are added bare, so that the usage,
+    `--help` and an invalid choice read the same whatever the command."""
     parser = argparse.ArgumentParser(
         prog="gfusion", description="Verification toolkit for controlled g-fusion frames")
     sub = parser.add_subparsers(dest="command", required=True)
-    for first in dict.fromkeys(words[0] for words in COMMANDS):
-        rows = {words[1:]: row for words, row in COMMANDS.items() if words[0] == first}
-        p = sub.add_parser(first, help=HELP[first])
-        if first in SECOND_WORD:
-            p.add_argument(SECOND_WORD[first], choices=[rest[0] for rest in rows])
+    p = {first: sub.add_parser(first, help=text) for first, text in HELP.items()}.get(command)
+    if command == "random":
+        from .generate import STRUCTURES
+
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--dim", type=int, default=6)
+        p.add_argument("--items", type=int, default=3)
+        p.add_argument("--structure", choices=STRUCTURES, default="generic")
+        p.add_argument("--out", dest="out_dir", required=True, help="output directory")
+    elif p is not None:
+        rows = {words[1:]: row for words, row in COMMANDS.items() if words[0] == command}
+        if command in SECOND_WORD:
+            p.add_argument(SECOND_WORD[command], choices=[rest[0] for rest in rows])
         for i, (flag, text) in enumerate(FILE_FLAGS.items()):
             counts = [row.files[i] for row in rows.values()]
             if max(counts):
@@ -224,13 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         for param in dict.fromkeys(q for row in rows.values() for q in row.params):
             required = all(row.params.get(param) is REQUIRED for row in rows.values())
             p.add_argument(f"--{param}", type=PARAM_TYPES[param], required=required)
-
-    p = sub.add_parser("random", help="generate a seeded instance")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dim", type=int, default=6)
-    p.add_argument("--items", type=int, default=3)
-    p.add_argument("--structure", choices=generate.STRUCTURES, default="generic")
-    p.add_argument("--out", dest="out_dir", required=True, help="output directory")
     return parser
 
 
@@ -238,7 +248,12 @@ def main(argv=None) -> int:
     """Run one command: check its arguments against its row, load its files
     and make its library call under the --tol overrides, then write the
     report and exit 0 if the verdict holds, else 1."""
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the command is the first word that is not an option (the top-level
+    # parser takes no option but --help); an unknown word is cached as None
+    first = next((word for word in argv if not word.startswith("-")), None)
+    args = build_parser(first if first in HELP else None).parse_args(argv)
     try:
         if args.command == "random":
             return cmd_random(args)
@@ -269,5 +284,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def run():
+    """The process entry (the `gfusion` script, `python -m gfusion.cli`):
+    `main` on sys.argv, then the exit with its code, or with the code of
+    the SystemExit that argparse raises.  The import heap is frozen first,
+    so that no collection walks it again, and once both streams are flushed
+    the process ends by `os._exit`: no atexit handler, module teardown or
+    final collection runs after the report is written.  Any other
+    exception, and a flush that fails, leaves through the normal exit."""
+    gc.freeze()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

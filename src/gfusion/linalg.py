@@ -241,9 +241,11 @@ def top_eigenvalue(g) -> float:
 
 def range_scaled(a) -> tuple:
     """(a / c, c): c = 1.0 and a itself where ||a||_F^2 lies in [2^-900,
-    2^900], else c the largest |entry| of a (a itself for c = 0), so that
-    no square of an entry leaves the float range.  A non-finite entry is
-    rejected as `as_operator` does."""
+    2^900], else c the largest power of two at most the largest |entry| of
+    a (a itself for c = 0), so that no square of an entry leaves the float
+    range.  The division scales the real and imaginary parts by a power of
+    two (`np.ldexp`): it is exact, where a complex division by a subnormal
+    c overflows.  A non-finite entry is rejected as `as_operator` does."""
     with np.errstate(over="ignore", invalid="ignore"):
         frobenius_sq = float(np.vdot(a, a).real)
     if 2.0**-900 <= frobenius_sq <= 2.0**900:
@@ -251,7 +253,15 @@ def range_scaled(a) -> tuple:
     top = float(np.abs(a).max(initial=0.0))
     if not math.isfinite(top):
         raise InvalidParameters("operator entries must be finite")
-    return (a / top if top else a), top
+    if not top:
+        return a, top
+    shift = 1 - math.frexp(top)[1]  # 2^-shift <= top < 2^(1 - shift)
+    if np.iscomplexobj(a):
+        scaled = np.empty(a.shape, a.dtype)
+        scaled.real, scaled.imag = np.ldexp(a.real, shift), np.ldexp(a.imag, shift)
+    else:
+        scaled = np.ldexp(a, shift)
+    return scaled, math.ldexp(1.0, -shift)
 
 
 def opnorm(a) -> float:

@@ -187,6 +187,17 @@ def tolerance_comparisons(source):
     })
 
 
+def process_calls(source):
+    """Line numbers of the calls to a function of `gc` (`gc.freeze()`) and
+    to `os._exit`, which act on the whole process."""
+    def acts(func):
+        return (getattr(getattr(func, "value", None), "id", None) == "gc"
+                or getattr(func, "attr", getattr(func, "id", None)) == "_exit")
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and acts(node.func))
+
+
 # ------------------------------------------------------------ the rules
 
 
@@ -249,6 +260,12 @@ def function(module, name):
         node for node in ast.parse(read(module)).body
         if isinstance(node, ast.FunctionDef) and node.name == name
     )
+
+
+def process_sites():
+    found = sites(process_calls)
+    return some_site(found, "gc or os._exit call") + outside(
+        "cli.py", function("cli.py", "run"), found)
 
 
 def stack_sites():
@@ -456,6 +473,19 @@ RULES = {
             "except (KeyError, TypeError, ValueError):",
             "    pass",
         ]), [3, 4, 5, 6, 7]),),
+    ),
+    "process_exit": Rule(
+        process_sites,
+        "leave the collector and the process's exit to the process entry, cli.run",
+        ((process_calls, "\n".join([
+            "gc.freeze()",
+            "os._exit(code)",
+            "gc.collect(2)",
+            "sys.exit(code)",
+            "hook = gc.callbacks",
+            "_exit(0)",
+            "exit_code = os.getpid()",
+        ]), [1, 2, 3, 6]),),
     ),
     "one_recorder": Rule(
         lambda: [f"{path.name}:{line}" for path in sorted(TESTS.glob("*.py"))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -634,7 +635,7 @@ def claim_runs(tmp_path, argv):
     argv = schema_argv(tmp_path, argv)
     words = tuple(argv[:2]) if tuple(argv[:2]) in cli.COMMANDS else tuple(argv[:1])
     row = cli.COMMANDS[words]
-    args = cli.build_parser().parse_args(argv)
+    args = cli.build_parser(argv[0]).parse_args(argv)
     params = cli._check(words, row, args)
     runs = {}
     for name, setting in CLAIM_SETTINGS.items():
@@ -777,14 +778,23 @@ def test_library_function_called_once(tmp_path, capsys, argv, command):
 
 
 # Library modules that a command must not import: each row imports its own
-# module when it runs, so a cold process compiles no other.
+# module when it runs, and only `random` imports `generate`, so a cold
+# process compiles no other.
 UNUSED_MODULES = {
-    ("check-frame",): ("constructions", "fourier", "resolution"),
-    ("bounds",): ("constructions", "fourier", "resolution"),
-    ("atomic",): ("constructions", "fourier", "resolution"),
-    ("thm", "4.1"): ("constructions", "fourier"),
-    ("thm", "4.2"): ("constructions", "fourier"),
+    ("check-frame",): ("constructions", "fourier", "generate", "resolution"),
+    ("bounds",): ("constructions", "fourier", "generate", "resolution"),
+    ("atomic",): ("constructions", "fourier", "generate", "resolution"),
+    ("thm", "4.1"): ("constructions", "fourier", "generate"),
+    ("thm", "4.2"): ("constructions", "fourier", "generate"),
 }
+
+# The environment of a fresh interpreter that imports this checkout's gfusion,
+# with buffered stdout and stderr, as a plain shell gives them, so that an
+# unflushed stream loses its tail.
+_SRC_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+            "PYTHONPATH": os.pathsep.join(
+                p for p in (os.path.dirname(os.path.dirname(cli.__file__)),
+                            os.environ.get("PYTHONPATH")) if p)}
 
 _IMPORTED_MODULES = """
 import json, sys
@@ -804,15 +814,119 @@ def test_command_imports_only_its_library_module(tmp_path, words):
     argv = [*words, "--in", str(inst / "family.json"), "--control", str(inst / "control.json"),
             *(["--k", str(inst / "k.json")] if words == ("atomic",) else []),
             "--out", str(tmp_path / "report.json")]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", _IMPORTED_MODULES, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _IMPORTED_MODULES, *argv], env=_SRC_ENV,
                           capture_output=True, text=True, check=True)
     code, modules = json.loads(proc.stdout)
     assert code == 0 and (tmp_path / "report.json").exists()
     assert not {f"gfusion.{name}" for name in UNUSED_MODULES[words]} & set(modules)
     assert f"gfusion.{cli.COMMANDS[words].module}" in modules
+
+
+@pytest.mark.parametrize("command", ["check-frame", "thm", "random", None])
+def test_parser_takes_only_the_invoked_commands_options(command):
+    parser = cli.build_parser(command)
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(cli.HELP)
+    # every subparser has -h; only the invoked one has more
+    assert [first for first, p in subs.choices.items() if len(p._actions) > 1] == (
+        [command] if command else [])
+
+
+def gfusion_process(*argv):
+    """A cold `python -m gfusion.cli` process run to its end: its exit code,
+    stdout bytes and stderr text."""
+    proc = subprocess.run([sys.executable, "-m", "gfusion.cli", *map(str, argv)], env=_SRC_ENV,
+                          capture_output=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+@pytest.fixture(scope="module")
+def entry_instances(tmp_path_factory):
+    """A parseval 16/8 instance, whose `resolutions` report is about 88 KB,
+    and a generic 6/3 one, which fails `thm 4.2`."""
+    d = tmp_path_factory.mktemp("entry")
+    for name, dim, items, structure in (("big", 16, 8, "parseval"), ("gen", 6, 3, "generic")):
+        assert main(["random", "--seed", "42", "--dim", str(dim), "--items", str(items),
+                     "--structure", structure, "--out", str(d / name)]) == 0
+    return d
+
+
+@pytest.mark.parametrize("words, instance, code", [
+    (("resolutions",), "big", 0), (("thm", "4.2"), "gen", 1),
+], ids=["resolutions", "exit-1"])
+def test_process_writes_the_whole_report(entry_instances, words, instance, code):
+    """A process ended by `run` flushes its report first: streamed to a pipe,
+    a report of more than 64 KiB (the pipe's buffer) is its --out bytes,
+    and an exit-1 run still writes its report."""
+    argv = [*words, "--in", entry_instances / instance / "family.json",
+            "--control", entry_instances / instance / "control.json"]
+    out = entry_instances / f"{'-'.join(words)}.json"
+    assert gfusion_process(*argv, "--out", out) == (code, b"", "")
+    streamed = gfusion_process(*argv)
+    assert streamed == (code, out.read_bytes(), "")
+    if instance == "big":
+        assert len(streamed[1]) > 64 * 1024
+
+
+def test_process_bad_input_and_unknown_command_exit_2(entry_instances):
+    code, out, err = gfusion_process("check-frame", "--in", entry_instances / "missing.json",
+                                     "--control", entry_instances / "big" / "control.json")
+    assert (code, out) == (2, b"")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    code, out, err = gfusion_process("nosuch")
+    assert (code, out) == (2, b"")
+    assert err.startswith("usage: gfusion") and "invalid choice: 'nosuch'" in err, err
+
+
+# `run` with an atexit handler registered before it: the handler must not run
+_RUN_WITH_ATEXIT = """
+import atexit, sys
+atexit.register(print, "atexit ran")
+from gfusion import cli
+sys.argv[0] = "gfusion"
+cli.run()
+"""
+
+
+def test_process_help_lists_every_command_and_skips_atexit():
+    proc = subprocess.run([sys.executable, "-c", _RUN_WITH_ATEXIT, "--help"], env=_SRC_ENV,
+                          capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: gfusion")
+    for first in {words[0] for words in cli.COMMANDS} | {"random"}:
+        assert first in proc.stdout
+    assert "atexit ran" not in proc.stdout
+
+
+class Exited(Exception):
+    """Stands in for `os._exit`, which would end the test process."""
+
+
+def _exit(code):
+    raise Exited(code)
+
+
+@pytest.mark.parametrize("outcome, code", [
+    (lambda: 1, 1), (lambda: main(["--help"]), 0), (lambda: main(["nosuch"]), 2),
+], ids=["return", "help", "usage"])
+def test_run_exits_with_the_code_of_main(monkeypatch, capsys, outcome, code):
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)
+    monkeypatch.setattr(cli.os, "_exit", _exit)
+    monkeypatch.setattr(cli, "main", outcome)
+    with pytest.raises(Exited) as info:
+        cli.run()
+    assert info.value.args == (code,)
+
+
+def test_run_lets_other_exceptions_leave_normally(monkeypatch):
+    def fail():
+        raise RuntimeError("from main")
+
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)
+    monkeypatch.setattr(cli.os, "_exit", _exit)
+    monkeypatch.setattr(cli, "main", fail)
+    with pytest.raises(RuntimeError, match="from main"):
+        cli.run()
 
 
 def _construct_verdict(rep):

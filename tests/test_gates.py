@@ -13,6 +13,7 @@ both.  The verdicts on a family scaled toward either end of the range are
 the spectral ones too, and so is the synthesis map's range certificate.
 """
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -341,3 +342,17 @@ def test_range_certificate_at_any_scale(scale):
     assert np.abs(np.concatenate(g.blocks)).max() == pytest.approx(3 * scale, rel=1e-12)
     assert synthesis(fam, cp, g, f_hint=f)[1]
     assert not synthesis(fam, cp, BlockVector([2 * b for b in g.blocks]), f_hint=f)[1]
+
+
+@pytest.mark.parametrize("scale, control", [(1e-155, 1.0), (1.0, 3e-310)])
+def test_range_certificate_with_subnormal_products(scale, control):
+    # Lambda_j times 1e-155 puts the entries of each C_j* C_j, and controls
+    # (c I, c I) with c = 3e-310 those of each cross operator's factor, among
+    # the subnormals: the scaling that keeps them in range divides by a
+    # subnormal, which must raise no overflow
+    fam, cp = scaled_parseval(scale), ControlPair.scalars(4, control, control)
+    f = np.array([1.0, 2j, -0.5, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = analysis(fam, cp, f)
+        assert synthesis(fam, cp, g, f_hint=f)[1]

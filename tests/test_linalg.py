@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,15 @@ class TestGramNorm:
         r = complex_gaussian(rng, 4, 4)
         assert opnorm(scale * r) == pytest.approx(scale * np.linalg.norm(r, 2), rel=1e-14)
 
+    def test_subnormal_largest_entry(self):
+        """A subnormal largest |entry| is scaled out by a power of two: a
+        complex division by it overflows."""
+        a = np.array([[3e-310 + 1e-310j, 0], [0, 1e-311j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = opnorm(a)
+        assert abs(got - np.linalg.norm(a, 2)) <= 1e-15 * np.linalg.norm(a, 2)
+
     def test_empty_and_zero(self):
         assert opnorm(np.zeros((3, 3))) == 0.0
         assert opnorm(np.zeros((3, 0))) == 0.0
@@ -440,8 +450,8 @@ class TestCertifiedTopEigenvalue:
 
     @pytest.mark.parametrize("exponent", [-900, 900])
     def test_rescaled_entries(self, rng, exponent):
-        """Entries near 2^+-900: opnorm divides by the largest |entry| before
-        forming the Gram matrix, and the rescaled Gram takes Lanczos."""
+        """Entries near 2^+-900: opnorm scales the largest |entry| into [1, 2)
+        before forming the Gram matrix, and the rescaled Gram takes Lanczos."""
         r = complex_gaussian(rng, N_ABOVE, N_ABOVE)
         top = np.abs(r).max()
         want = math.sqrt(np.linalg.eigvalsh(gram(r / top))[-1]) * top * 2.0**exponent
