@@ -28,16 +28,20 @@ It prints:
 - every instance file that differs in a value;
 - every run whose exit code or `error:`/`verification error:` line differs;
 - for each report field (command and JSON path, list indices dropped) that
-  moved: the number of reports it moved in and its largest relative move
-  |a - b| / max(|a|, |b|), or `changed` where a value that is not a number
-  (a verdict, a null, a string, a list length) changed;
+  moved: the number of reports it moved in, its largest relative move
+  |a - b| / max(|a|, |b|) and its largest move relative to the parent's
+  report's scale, |a - b| / (its largest finite |number|), the scale
+  `tests/test_routes.py` compares at, or `changed` where a value that is
+  not a number (a verdict, a null, a string, a list length) changed;
 - on the summary line, the number of instance files and reports whose
   values are equal bit for bit but whose operators are encoded otherwise,
   and the number of reports whose values differ in bits while every value
   compares equal (a -0.0 for a 0.0, a 1 for a 1.0): "bytes only".
 
 Exit status 1 when an instance file, an exit code or an error line
-differs, else 0.  Standard library only; one child process at a time.
+differs, else 0.  Without `--work` the runs are made in a new temp dir,
+removed once the comparison is printed; a `--work` dir is kept.  Standard
+library only; one child process at a time.
 """
 
 from __future__ import annotations
@@ -360,12 +364,16 @@ def is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def compare_reports(a: dict, b: dict, moved: dict, command: str) -> bool:
+def compare_reports(a: dict, b: dict, moved: dict, command: str, scaled=None) -> bool:
     """Fold the fields that differ between reports a and b, operators
     `decoded`, into `moved` (key -> [reports, largest relative move or None
-    for `changed`]); True when anything differs."""
+    for `changed`]), and into `scaled`, where given, each field's largest
+    move relative to a's scale, its largest finite |number| (key -> that
+    move or None for `changed`); True when anything differs."""
     la, lb = list(leaves(decoded(a))), list(leaves(decoded(b)))
-    per_field = {}
+    scale = max((abs(v) for p, v in la if is_number(v) and not p.endswith("#len")
+                 and math.isfinite(v)), default=0.0)
+    per_field, per_scale = {}, {}
     if [p for p, _ in la] != [p for p, _ in lb]:
         # lists of other lengths show as their `#len` leaves; any other
         # change of shape (a key, a nesting) as the report's structure
@@ -377,16 +385,21 @@ def compare_reports(a: dict, b: dict, moved: dict, command: str) -> bool:
         if x == y and isinstance(x, bool) == isinstance(y, bool):
             continue
         key = f"{command} {path}"
-        rel = None  # `changed`: not two numbers, or a move to or from inf or nan
+        rel = of_scale = None  # `changed`: not two numbers, or a move to or from inf or nan
         if is_number(x) and is_number(y) and not path.endswith("#len"):
             rel = abs(x - y) / max(abs(x), abs(y))
             rel = rel if math.isfinite(rel) else None
-        prev = per_field.get(key, 0.0)
-        per_field[key] = None if rel is None or prev is None else max(prev, rel)
+            of_scale = abs(x - y) / scale if scale else math.inf
+        for fold, value in ((per_field, rel), (per_scale, of_scale)):
+            prev = fold.get(key, 0.0)
+            fold[key] = None if value is None or prev is None else max(prev, value)
     for key, rel in per_field.items():
         entry = moved.setdefault(key, [0, 0.0])
         entry[0] += 1
         entry[1] = None if rel is None or entry[1] is None else max(entry[1], rel)
+        if scaled is not None:
+            prev, value = scaled.get(key, 0.0), per_scale[key]
+            scaled[key] = None if value is None or prev is None else max(prev, value)
     return bool(per_field)
 
 
@@ -402,11 +415,18 @@ def main(argv=None) -> int:
         return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
-    work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="report_diff-"))
+    with (contextlib.nullcontext(args.work) if args.work
+          else tempfile.TemporaryDirectory(prefix="report_diff-")) as work:
+        return compare(os.path.abspath(work), args.parent, args.change)
+
+
+def compare(work: str, parent: str, change: str) -> int:
+    """Run the grid on the checkouts `parent` and `change` in the directory
+    `work`, print the comparison and return the exit status."""
     shared = os.path.join(work, "shared")
     write_shared(shared)
-    sides = {"parent": args.parent, "change": args.change}
-    found = structures(args.parent)
+    sides = {"parent": parent, "change": change}
+    found = structures(parent)
     inputs = {side: os.path.join(work, side, "inputs") for side in sides}
     runs = grid(inputs["parent"], shared, found)
     reports = [(name, argv) for name, argv in runs if argv[0] != "random"]
@@ -429,7 +449,7 @@ def main(argv=None) -> int:
             differ += 1
             print(f"instance file differs: {path}")
 
-    moved, reports_moved, bytes_only = {}, 0, 0
+    moved, scaled, reports_moved, bytes_only = {}, {}, 0, 0
     for name, _ in runs:
         a, b = (logs[side][name] for side in sides)
         if a["exit"] != b["exit"] or a["errors"] != b["errors"]:
@@ -438,7 +458,7 @@ def main(argv=None) -> int:
                   f"change {b['exit']} {b['errors']}")
         if a["report"] and b["report"]:
             differs = compare_reports(json.loads(a["report"]), json.loads(b["report"]), moved,
-                                      name.partition(" ")[2])
+                                      name.partition(" ")[2], scaled)
             reports_moved += differs
             if not differs and a["report"] != b["report"]:
                 if canonical(a["report"]) == canonical(b["report"]):
@@ -450,10 +470,11 @@ def main(argv=None) -> int:
           f"{encoding} instance files or reports differ in operator encoding only; "
           f"{reports_moved} reports moved; {bytes_only} reports differ in bytes only")
     if moved:
-        print("| field | reports moved | largest relative move |")
-        print("| --- | --- | --- |")
+        print("| field | reports moved | largest relative move | largest move / report scale |")
+        print("| --- | --- | --- | --- |")
         for key, (count, rel) in sorted(moved.items()):
-            print(f"| `{key}` | {count} | {'changed' if rel is None else f'{rel:.2e}'} |")
+            cells = ("changed" if v is None else f"{v:.2e}" for v in (rel, scaled[key]))
+            print(f"| `{key}` | {count} | {' | '.join(cells)} |")
     return 1 if differ else 0
 
 

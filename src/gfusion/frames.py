@@ -466,10 +466,9 @@ class FrameEvaluation:
 
     Holds S = t* F u, F the family's own `operator`.  The norms, the
     Hermitian residual, the spectrum, the frame claims, S^-1, the bounds
-    report, the thin synthesis operator (the only holder of the per-item
-    square roots) and the (m, n, n) stack `terms` of the per-item cross
-    operators G_j = (A_j t)* (A_j u), which only a report that lists them
-    reads, are computed on first use.
+    report and the thin synthesis operator (the only holder of the per-item
+    square roots) are computed on first use.  `terms` stacks the per-item
+    cross operators under two given sides, for a report that lists them.
 
     One `spectrum` serves the bounds, S^-1, atomic's S^+ and `kgf`.  Under
     a positive scalar pair (`ControlPair.scale`: t = c_t I, u = c_u I,
@@ -491,10 +490,11 @@ class FrameEvaluation:
         self.scale = cp.scale
         self.s = as_operator(fam.controlled(cp.t_side, cp.u_side))  # rejects an overflow
 
-    @cached_property
-    def terms(self) -> np.ndarray:
-        """The (m, n, n) stack of G_j = (A_j t)* (A_j u), one slice per item."""
-        return cross_terms(self.cp.t_side, self.fam.factors, self.fam.factors, self.cp.u_side)
+    def terms(self, t, u) -> np.ndarray:
+        """The (m, n, n) stack of (A_j t)* (A_j u) for the sides t and u, one slice
+        per item in O(n^2 dim W_j): G_j S^-1 under (t, u S^-1), S^-1 G_j under
+        (t S^-*, u)."""
+        return cross_terms(t, self.fam.factors, self.fam.factors, u)
 
     def weighted(self, stack) -> np.ndarray:
         """Scale slice j of the stack `stack` by v_j^2 in place; returns it."""

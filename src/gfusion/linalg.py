@@ -176,13 +176,13 @@ def _blocks(a):
     return [(lo, hi) for lo, hi in spans if hi - lo > 1], [lo for lo, hi in spans if hi - lo == 1]
 
 
-# `top_eigenvalue` on a Gram block above LANCZOS_GATE (near side 190 it
-# overtakes a full eigvalsh on one BLAS thread): at most LANCZOS_CAP Lanczos
-# steps, until the top Ritz value grows by at most LANCZOS_STOP relative;
-# tau = CERTIFY_SLACK * side * eps.
-LANCZOS_GATE = 192
+# `top_eigenvalue` on a Gram block above LANCZOS_GATE (from side 104-112 Lanczos
+# and its Cholesky beat a full eigvalsh on one BLAS thread): at most LANCZOS_CAP
+# steps, until the top Ritz value grows by at most LANCZOS_STOP relative (above the
+# few-eps jitter of a converged value with no kept basis); tau = CERTIFY_SLACK * side * eps.
+LANCZOS_GATE = 112
 LANCZOS_CAP = 96
-LANCZOS_STOP = 4 * np.finfo(float).eps
+LANCZOS_STOP = 16 * np.finfo(float).eps
 CERTIFY_SLACK = 8
 
 
@@ -193,21 +193,19 @@ def lanczos_start(n: int) -> np.ndarray:
 
 
 def _ritz_top(g) -> float | None:
-    """The top Ritz value of the Hermitian g by Lanczos from `lanczos_start`,
-    reorthogonalised in full (Gram-Schmidt, twice), read by eigvalsh of the
-    tridiagonal every third step, at the last, and wherever beta is within
-    LANCZOS_STOP of the tridiagonal's Gershgorin radius (which bounds the
-    Ritz values): once it stagnates between reads or the Krylov space
-    closes; None if neither within LANCZOS_CAP steps."""
+    """The top Ritz value of the Hermitian g by the Lanczos three-term recurrence
+    from `lanczos_start`, with no kept basis, read by eigvalsh of the tridiagonal
+    every third step, at the last, and wherever beta is within LANCZOS_STOP of
+    the tridiagonal's Gershgorin radius (which bounds the Ritz values): once it
+    stagnates between reads or the Krylov space closes; None if neither within
+    LANCZOS_CAP steps."""
     n, steps = g.shape[0], min(LANCZOS_CAP, g.shape[0])
-    q, tri = np.empty((2, steps, n), dtype=np.result_type(g, float)), np.zeros((steps + 1, steps))
-    x, top, radius, beta = lanczos_start(n), -math.inf, 0.0, 0.0
+    tri = np.zeros((steps + 1, steps))
+    x, prev, top, radius, beta = lanczos_start(n), 0.0, -math.inf, 0.0, 0.0
     for j in range(steps):
-        q[0, j], q[1, j] = x, x.conj()
-        w = g @ x
+        w = g @ x - beta * prev
         tri[j, j] = np.vdot(x, w).real
-        for _ in range(2):
-            w -= q[0, : j + 1].T @ (q[1, : j + 1] @ w)
+        w -= tri[j, j] * x
         last, beta = beta, np.linalg.norm(w)
         radius = max(radius, abs(tri[j, j]) + last + beta)
         if j % 3 == 0 or j + 1 == steps or beta <= LANCZOS_STOP * radius:
@@ -215,14 +213,14 @@ def _ritz_top(g) -> float | None:
             if min(ritz - top, beta) <= LANCZOS_STOP * abs(ritz):
                 return ritz
             top = ritz
-        tri[j + 1, j], x = beta, w / beta
+        tri[j + 1, j], prev, x = beta, x, w / beta
     return None
 
 
 def certifies(g, theta: float) -> bool:
-    """lambda_max(g) <= theta (1 + tau) for the Hermitian n x n g, tau =
-    CERTIFY_SLACK * n * eps, proved up to its backward error by the one
-    Cholesky factorization of the package, of theta (1 + tau) I - g."""
+    """lambda_max(g) <= theta (1 + tau) for the Hermitian n x n g, tau = CERTIFY_SLACK
+    * n * eps, proved up to its backward error by the package's one Cholesky, of
+    theta (1 + tau) I - g: what bounds a Ritz value, whose Krylov basis is not kept."""
     h = np.negative(g)
     h.flat[:: g.shape[0] + 1] += theta * (1.0 + CERTIFY_SLACK * g.shape[0] * np.finfo(float).eps)
     try:
@@ -232,9 +230,9 @@ def certifies(g, theta: float) -> bool:
 
 
 def top_eigenvalue(g) -> float:
-    """lambda_max of the Hermitian g: above LANCZOS_GATE the Ritz value theta
-    of `_ritz_top` where `certifies` it (theta <= lambda_max by
-    Courant-Fischer); else, and where either fails, the top eigvalsh."""
+    """lambda_max of the Hermitian g: above LANCZOS_GATE the Ritz value theta of
+    `_ritz_top` (within rounding of lambda_max, Paige 1980) where `certifies` it;
+    else, and where either fails, the top eigvalsh."""
     theta = _ritz_top(g) if g.shape[0] > LANCZOS_GATE else None
     return theta if theta is not None and certifies(g, theta) else np.linalg.eigvalsh(g)[-1]
 

@@ -154,21 +154,22 @@ def canonical_resolutions(fam: FrameFamily, cp: ControlPair) -> CanonicalResolut
     Term families {v_j^2 G_j S^{-1}} and {v_j^2 S^{-1} G_j} with G_j the
     per-item cross operators; both must sum to the identity.  A non-frame
     has neither: both lists are empty and both reports are NO_TERMS, with
-    the frame claims that failed.  Under a self-adjoint pair (positive
-    scalar, or t = u) S^-1 and each G_j are Hermitian: the left terms are
-    the right terms' adjoints, with the same residual, and are read so.
+    the frame claims that failed.  The terms are `FrameEvaluation.terms`, from
+    the items' thin factors.  Under a self-adjoint pair (positive scalar, or
+    t = u) S^-1 and each G_j are Hermitian: the left terms are the right
+    terms' adjoints, with the same residual, and are read so.
     """
     ev = FrameEvaluation(fam, cp)
     if not ev.is_frame:
         no_terms = replace(NO_TERMS, claims=ev.frame_claims)
         return CanonicalResolutions([], [], no_terms, no_terms)
-    s_inv = ev.inverse
-    right_terms = ev.weighted(ev.terms @ s_inv)
+    s_inv, t, u = ev.inverse, cp.t_side, cp.u_side
+    right_terms = ev.weighted(ev.terms(t, product(u, s_inv)))
     right = _resolution_report(right_terms.sum(axis=0), len(fam))
     if _self_adjoint(ev, cp):
         return CanonicalResolutions(
             list(right_terms), list(right_terms.conj().swapaxes(1, 2)), right, right)
-    left_terms = ev.weighted(s_inv @ ev.terms)
+    left_terms = ev.weighted(ev.terms(product(t, adjoint(s_inv)), u))
     left = _resolution_report(left_terms.sum(axis=0), len(fam))
     return CanonicalResolutions(list(right_terms), list(left_terms), right, left)
 

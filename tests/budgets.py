@@ -114,7 +114,7 @@ INSTANCES = {
     "generic 24/6": generated("generic"),
     "near-identity-pair 24/6": generated("near-identity-pair"),
     **{f"dense {n} x {n}": lambda kind, n=n: SimpleNamespace(
-        a=complex_gaussian(np.random.default_rng(30), n, n)) for n in (128, 256)},
+        a=complex_gaussian(np.random.default_rng(30), n, n)) for n in (96, 128, 256)},
     "pair near I(5)": lambda kind: SimpleNamespace(pair=near_identity_pair(5)),
     "pairs to sum": lambda kind: SimpleNamespace(sums=[
         (ControlPair.scalars(2, *a), ControlPair.scalars(3, *b)) for a, b in SCALAR_SUMS] + [
@@ -354,13 +354,14 @@ ROWS = [
         {"svd": 9, "eigh": 24, "eigvalsh": 90, "qr": 18, "inv": 1, "opnorm": 71,
          "gfusion.frames.cross_terms": 0}),
     # under a self-adjoint pair the left terms are the right terms' adjoints,
-    # and their sum is not measured again; under a mixed pair it is
+    # and their sum is not measured again; under a mixed pair it is, and the
+    # left terms are cross terms of their own, under (t S^-*, u)
     Row("canonical_resolutions", "random(5, 3)", "first", DU,
         {"eigvalsh": 4, "inv": 1, "opnorm": 3, "gfusion.frames.cross_terms": 1}),
     Row("canonical_resolutions", "random(5, 3)", "canonical_resolutions", P,
         dict(eigvalsh=1, opnorm=1), equal={"S": {}, "F": {}}, holds=lambda r: r.converged),
     Row("canonical_resolutions", "scaled partition(6, 3)", "first", "c I, diagonal",
-        {"opnorm": 2, "gfusion.frames.cross_terms": 1}, holds=lambda r: r.converged),
+        {"opnorm": 2, "gfusion.frames.cross_terms": 2}, holds=lambda r: r.converged),
     # resolution
     Row("inverse_commutation_check", "random(5, 3)", "first", DU,
         dict(eigvalsh=8, inv=1, opnorm=6), equal={"S^-1": {"opnorm": 1}, "cp.t": {}}),
@@ -391,7 +392,9 @@ ROWS = [
         dict(svd=4, eigvalsh=14, opnorm=7), shapes={"svd": [(24, 24)] * 4}),
     Row("direct_sum_frame, cp loaded", "near-identity-pair 24/6", "first", "own",
         dict(opnorm=4)),
-    Row("direct_sum_frame", "partition(128, 4)", "first", P, dict(eigh=3, eigvalsh=9, opnorm=4),
+    # its 128 x 128 Gram blocks lie above LANCZOS_GATE: six Lanczos runs read
+    # their tridiagonals, three eigvalsh see the 128 x 128 spectra
+    Row("direct_sum_frame", "partition(128, 4)", "first", P, dict(eigh=3, eigvalsh=73, opnorm=4),
         largest={"eigh": 128, "eigvalsh": 128}),
     Row("direct_sum_frame, two pairs", "random(4, 3)", "first", DU,
         dict(eigh=4, eigvalsh=18, opnorm=10), equal={"t (+) t'": {}}),
@@ -430,12 +433,15 @@ ROWS = [
     Row("Spectrum(F): scaled copies", "random(5, 3)", SPECTRUM, "-", {}),
     # a Gram block above LANCZOS_GATE: Lanczos, whose eigvalsh calls see only
     # its tridiagonal, read every third step, and one Cholesky that
-    # certifies the Ritz value
+    # certifies the Ritz value; below the gate one full eigvalsh
     Row("opnorm", "dense 256 x 256", "first", "-",
         {"opnorm": 1, "eigvalsh": 16, "numpy.linalg.cholesky": 1},
         largest={"eigvalsh": linalg.LANCZOS_CAP}),
-    Row("opnorm", "dense 128 x 128", "first", "-", {"opnorm": 1, "eigvalsh": 1},
-        shapes={"eigvalsh": [(128, 128)], "numpy.linalg.cholesky": []}),
+    Row("opnorm", "dense 128 x 128", "first", "-",
+        {"opnorm": 1, "eigvalsh": 14, "numpy.linalg.cholesky": 1},
+        largest={"eigvalsh": linalg.LANCZOS_CAP}, shapes={"numpy.linalg.cholesky": [(128, 128)]}),
+    Row("opnorm", "dense 96 x 96", "first", "-", {"opnorm": 1, "eigvalsh": 1},
+        shapes={"eigvalsh": [(96, 96)], "numpy.linalg.cholesky": []}),
     Row("opnorm of three shapes", "random(5, 3)", "first", "-", dict(eigvalsh=3, opnorm=3)),
     Row("opnorm of diagonal and split matrices", "random(5, 3)", "first", "-",
         dict(eigvalsh=2, opnorm=3), equal={"k3 k3*": {"eigvalsh": 1}, "w2 w2*": {"eigvalsh": 1}},

@@ -378,8 +378,10 @@ class TestGramNorm:
             opnorm(np.array([[np.inf, 1.0]]))
 
 
-# One side above LANCZOS_GATE, where `top_eigenvalue` takes Lanczos.
+# Sides above LANCZOS_GATE, where `top_eigenvalue` takes Lanczos: one well
+# above it and the first above it.
 N_ABOVE = 256
+N_JUST_ABOVE = linalg.LANCZOS_GATE + 1
 
 
 def unitary(rng, n):
@@ -404,24 +406,40 @@ def gram(a):
     return a @ a.conj().T
 
 
-# name -> (the Gram matrix from a seeded rng, the route: True for the
+def with_spectrum(rng, eigenvalues):
+    """U diag(eigenvalues) U* for a random unitary U."""
+    u = unitary(rng, len(eigenvalues))
+    return (u * eigenvalues) @ u.conj().T
+
+
+# name -> (the n x n Gram matrix from a seeded rng, the route: True for the
 # certified Ritz value, False for the fallback, None for either)
 TOP_CASES = {
-    "random dense": (lambda rng: gram(complex_gaussian(rng, N_ABOVE, N_ABOVE)), True),
+    "random dense": (lambda rng, n: gram(complex_gaussian(rng, n, n)), True),
     # Q Q* - I for a unitary Q: rounding noise, its top eigenvalues clustered
-    "noise-level residual": (lambda rng: gram(
-        (q := unitary(rng, N_ABOVE)) @ q.conj().T - np.eye(N_ABOVE)), True),
-    "repeated top eigenvalue": (lambda rng: (
-        (u := unitary(rng, N_ABOVE)) * np.r_[5.0, 5.0, 5.0, rng.uniform(0.0, 4.0, N_ABOVE - 3)]
+    "noise-level residual": (lambda rng, n: gram(
+        (q := unitary(rng, n)) @ q.conj().T - np.eye(n)), True),
+    "repeated top eigenvalue": (lambda rng, n: (
+        (u := unitary(rng, n)) * np.r_[5.0, 5.0, 5.0, rng.uniform(0.0, 4.0, n - 3)]
     ) @ u.conj().T, True),
-    "top eigenvector orthogonal to the start": (lambda rng: orthogonal_to_start(rng, N_ABOVE),
-                                                None),
-    "rank one": (lambda rng: gram(complex_gaussian(rng, N_ABOVE, 1)), True),
+    "top eigenvector orthogonal to the start": (orthogonal_to_start, None),
+    "rank one": (lambda rng, n: gram(complex_gaussian(rng, n, 1)), True),
     # the Krylov space closes at step 3 and at step 5, between two Ritz reads
-    "rank two": (lambda rng: gram(complex_gaussian(rng, N_ABOVE, 2)), True),
-    "rank four": (lambda rng: gram(complex_gaussian(rng, N_ABOVE, 4)), True),
-    "2 I": (lambda rng: 2.0 * np.eye(N_ABOVE), True),  # beta = 0 at step one
-    "zero": (lambda rng: np.zeros((N_ABOVE, N_ABOVE)), False),
+    "rank two": (lambda rng, n: gram(complex_gaussian(rng, n, 2)), True),
+    "rank four": (lambda rng, n: gram(complex_gaussian(rng, n, 4)), True),
+    "2 I": (lambda rng, n: 2.0 * np.eye(n), True),  # beta = 0 at step one
+    "zero": (lambda rng, n: np.zeros((n, n)), False),
+    # eigenvalues spread evenly in log scale over [1e-12, 1]
+    "graded": (lambda rng, n: with_spectrum(rng, np.logspace(-12.0, 0.0, n)), True),
+    # 1 and 1 - 1e-3, half the space each: the Krylov space closes at step 2
+    "two-level": (lambda rng, n: with_spectrum(
+        rng, np.r_[np.ones(n // 2), np.full(n - n // 2, 1.0 - 1e-3)]), True),
+    # the top eight eigenvalues within 1e-10 of each other: a spread far
+    # above tau (2e-13 at 113, 4.5e-13 at 256) that LANCZOS_CAP steps do not
+    # split, so the Ritz value stops inside the cluster and the certificate
+    # fails
+    "near-cluster": (lambda rng, n: with_spectrum(
+        rng, np.r_[1.0 - 1e-10 * np.linspace(0.0, 1.0, 8), rng.uniform(0.0, 0.9, n - 8)]), False),
 }
 
 
@@ -431,13 +449,13 @@ class TestCertifiedTopEigenvalue:
     succeeds, else the top eigvalsh; either way within 1e-13 relative of
     eigvalsh."""
 
-    def test_the_gate_lies_between_128_and_256(self):
-        assert 128 <= linalg.LANCZOS_GATE < N_ABOVE
+    def test_the_gate_lies_between_96_and_128(self):
+        assert 96 <= linalg.LANCZOS_GATE < 128 < N_ABOVE
 
-    @pytest.mark.parametrize("name", TOP_CASES)
-    def test_matches_eigvalsh(self, rng, name):
+    @staticmethod
+    def matches_eigvalsh(rng, name, n):
         build, certified = TOP_CASES[name]
-        g = build(rng)
+        g = build(rng, n)
         want = np.linalg.eigvalsh(g)[-1]
         # no step divides by a zero beta, nor overflows or underflows
         with recorded("numpy.linalg.cholesky") as calls, np.errstate(all="raise"):
@@ -447,6 +465,14 @@ class TestCertifiedTopEigenvalue:
         assert [c.routine for c in calls].count("cholesky") == 1
         if certified is not None:
             assert len(full) == (0 if certified else 1)
+
+    @pytest.mark.parametrize("name", TOP_CASES)
+    def test_matches_eigvalsh(self, rng, name):
+        self.matches_eigvalsh(rng, name, N_ABOVE)
+
+    @pytest.mark.parametrize("name", TOP_CASES)
+    def test_matches_eigvalsh_just_above_the_gate(self, rng, name):
+        self.matches_eigvalsh(rng, name, N_JUST_ABOVE)
 
     @pytest.mark.parametrize("exponent", [-900, 900])
     def test_rescaled_entries(self, rng, exponent):
@@ -464,7 +490,7 @@ class TestCertifiedTopEigenvalue:
     def test_a_value_below_the_top_fails_the_certificate(self, rng, monkeypatch):
         """theta below lambda_max fails the Cholesky, and the fallback's
         eigvalsh gives the value."""
-        g = TOP_CASES["random dense"][0](rng)
+        g = TOP_CASES["random dense"][0](rng, N_ABOVE)
         want = np.linalg.eigvalsh(g)[-1]
         assert linalg.certifies(g, want)
         assert not linalg.certifies(g, (1.0 - 1e-6) * want)

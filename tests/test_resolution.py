@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gfusion import serialize
 from gfusion.errors import (
     DimensionMismatch,
     HypothesisFailed,
@@ -8,7 +9,14 @@ from gfusion.errors import (
     ItemCountMismatch,
     NotAFrame,
 )
-from gfusion.frames import ControlPair, FrameEvaluation, FrameFamily, cross_terms, frame_operator
+from gfusion.frames import (
+    ControlPair,
+    FrameEvaluation,
+    FrameFamily,
+    cross_terms,
+    frame_operator,
+    item_cross_operator,
+)
 from gfusion.linalg import Subspace, commutator_residual, opnorm, projector
 from gfusion.resolution import (
     NO_TERMS,
@@ -24,10 +32,12 @@ from gfusion.resolution import (
     swapped,
 )
 
+import report_diff
 from conftest import (
     complex_gaussian,
     near_identity_pair,
     random_family,
+    random_subspace,
     scalar_controls,
     scaled_parseval,
     scaled_partition_family,
@@ -93,6 +103,47 @@ class TestPairOperator:
         sw = swapped(pair)
         assert sw.left_control is pair.right_control
         assert sw.right_control is pair.left_control
+
+
+def mixed_dft_partition():
+    """report_diff.py's `mixed` frame on C^6: a DFT partition under (2 I, D)."""
+    fam, _, cp = report_diff.mixed(6)
+    return serialize.family_from_dict(fam), serialize.control_pair_from_dict(cp)
+
+
+def dense_draw():
+    """A frame on C^5 with a full item, a zero subspace and two rank-one
+    items, under dense t and u = (t* F)^-1 (H + 1e-9 N), H positive and N
+    a draw: S = t* F u is Hermitian only to about 1e-9 (within TOL_FACTOR),
+    so S^-1 and S^-* differ far above the terms' rounding."""
+    rng = np.random.default_rng(3838)
+    n = 5
+    fam = FrameFamily(n, [
+        (Subspace.full(n), complex_gaussian(rng, n, n), 1.2),
+        (Subspace.zero(n), complex_gaussian(rng, 3, n), 0.7),
+        (random_subspace(rng, n, 1), complex_gaussian(rng, 1, n), 1.5),
+        (random_subspace(rng, n, 1), complex_gaussian(rng, 2, n), 0.9),
+    ])
+    t, h = well_conditioned(rng, n), well_conditioned(rng, n)
+    s = h @ h.conj().T + 1e-9 * complex_gaussian(rng, n, n)
+    return fam, ControlPair(t, np.linalg.solve(t.conj().T @ fam.operator, s))
+
+
+@pytest.mark.parametrize("make", [mixed_dft_partition, dense_draw], ids=["mixed DFT", "dense"])
+def test_terms_are_weighted_cross_operators_times_the_inverse(make):
+    """Each right term is v_j^2 G_j S^-1 and each left term v_j^2 S^-1 G_j,
+    G_j the item's cross operator, to 1e-13 of the term's norm, under a
+    pair that is not self-adjoint."""
+    fam, cp = make()
+    ev = FrameEvaluation(fam, cp)
+    assert ev.scale is None and cp.u_side is not cp.t_side and ev.is_frame
+    s_inv = ev.inverse
+    right, left, rep_r, rep_l = canonical_resolutions(fam, cp)
+    assert rep_r.converged and rep_l.converged
+    for (sub, lam, w), r_term, l_term in zip(fam.items, right, left, strict=True):
+        g = item_cross_operator(sub, lam, cp)
+        for got, want in ((r_term, w * w * g @ s_inv), (l_term, w * w * s_inv @ g)):
+            assert np.linalg.norm(got - want, 2) <= 1e-13 * np.linalg.norm(want, 2)
 
 
 class TestCanonicalResolutions:

@@ -139,3 +139,42 @@ def test_canonical_text_is_bit_exact():
     two = json.dumps({"rows": 1, "cols": 2, "re": [1.0, -0.0], "im": binary64([0.0, 5e-324])})
     signed = json.dumps({"rows": 1, "cols": 2, "re": [1.0, 0.0], "im": [0.0, 5e-324]})
     assert report_diff.canonical(one) == report_diff.canonical(two) != report_diff.canonical(signed)
+
+
+SCALED = {  # two reports, and each field's largest move over the first's scale
+    "moved number": ({"x": [2.0, 1.0]}, {"x": [2.0, 1.5]}, {"cmd x[]": 0.25}),
+    # a dust-level field moves by half of itself, and by nothing of the scale
+    "dust beside a large number": ({"x": 1e-20, "y": 4.0}, {"x": 2e-20, "y": 4.0},
+                                   {"cmd x": 2.5e-21}),
+    # a list's length is not a number of the report: the scale is 1e-3
+    "list of small numbers": ({"x": [1e-3] * 5}, {"x": [1e-3] * 4 + [2e-3]}, {"cmd x[]": 1.0}),
+    "list length": ({"x": [1.0, 2.0]}, {"x": [1.0]}, {"cmd x#len": None}),
+    "operator entry": ({"s": {"rows": 1, "cols": 2, "re": binary64([8.0, 1.0]), "im": [0.0, 0.0]}},
+                       {"s": {"rows": 1, "cols": 2, "re": [8.0, 1.5], "im": [0.0, 0.0]}},
+                       {"cmd s.re[]": 0.0625}),
+}
+
+
+@pytest.mark.parametrize("case", SCALED)
+def test_compare_reports_scaled_moves(case):
+    a, b, want = SCALED[case]
+    moved, scaled = {}, {}
+    assert report_diff.compare_reports(a, b, moved, "cmd", scaled)
+    assert scaled == want and moved.keys() == want.keys()
+
+
+def test_main_removes_only_its_own_work_dir(tmp_path, monkeypatch):
+    """report_diff.py without --work removes the temp dir it made once the
+    comparison is printed; a --work dir stays."""
+    def compare(work, parent, change):
+        Path(work, "log.json").write_text("{}")
+        return 0 if Path(work).parent == tmp_path else 3
+
+    monkeypatch.setattr(report_diff, "compare", compare)
+    monkeypatch.setattr(report_diff.tempfile, "tempdir", str(tmp_path))
+    assert report_diff.main(["--parent", ".", "--change", "."]) == 0
+    assert list(tmp_path.iterdir()) == []
+    kept = tmp_path / "work"
+    kept.mkdir()
+    assert report_diff.main(["--parent", ".", "--change", ".", "--work", str(kept)]) == 0
+    assert (kept / "log.json").exists()

@@ -258,7 +258,7 @@ def test_factored_cross_terms_match_projector_form(sub, lam, cp):
     got = item_cross_operator(sub, lam, cp)
     assert np.max(np.abs(got - ref)) <= 1e-12 * scale
     fam = FrameFamily(sub.ambient_dim, [(sub, lam, 1.3), (Subspace.full(sub.ambient_dim), lam, 0.5)])
-    terms = FrameEvaluation(fam, cp).terms
+    terms = FrameEvaluation(fam, cp).terms(cp.t_side, cp.u_side)
     assert np.max(np.abs(terms[0] - ref)) <= 1e-12 * scale
 
 
