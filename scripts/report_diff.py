@@ -385,11 +385,14 @@ def compare_reports(a: dict, b: dict, moved: dict, command: str, scaled=None) ->
         if x == y and isinstance(x, bool) == isinstance(y, bool):
             continue
         key = f"{command} {path}"
-        rel = of_scale = None  # `changed`: not two numbers, or a move to or from inf or nan
+        # `changed`: not two numbers, or a move to or from nan; a move to or from
+        # inf is `changed` relative to itself and an inf move relative to the scale
+        rel = of_scale = None
         if is_number(x) and is_number(y) and not path.endswith("#len"):
             rel = abs(x - y) / max(abs(x), abs(y))
             rel = rel if math.isfinite(rel) else None
-            of_scale = abs(x - y) / scale if scale else math.inf
+            if not math.isnan(x - y):
+                of_scale = abs(x - y) / scale if scale else math.inf
         for fold, value in ((per_field, rel), (per_scale, of_scale)):
             prev = fold.get(key, 0.0)
             fold[key] = None if value is None or prev is None else max(prev, value)

@@ -336,8 +336,6 @@ def orth(a) -> np.ndarray:
     if a.shape[1] == 0 or not np.any(a):
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
     rank = int(np.sum(s > tol.TOL_RANK * s[0]))
     return u[:, :rank]
 
@@ -659,11 +657,12 @@ def condition_number(a) -> float:
 
 
 def times_square(c: float, x: float, op=operator.mul) -> float:
-    """op(c, x^2) for `op` * or /: op(c, x**2) where x**2 is a normal float,
+    """op(c, x^2) for `op` * or /: op(c, x * x) where x * x is a normal float,
     else op(op(c, x), x), which forms no square that overflows or that is
-    subnormal, keeping only a few digits."""
+    subnormal, keeping only a few digits.  The square is a product, which
+    is correctly rounded where a C `pow` may not be."""
     x = float(x)
-    sq = x**2 if abs(x) < 2.0**512 else math.inf  # ** raises OverflowError above
+    sq = x * x
     return op(c, sq) if sys.float_info.min <= sq < math.inf else op(op(c, x), x)
 
 

@@ -1,4 +1,6 @@
 import argparse
+import importlib
+import inspect
 import json
 import math
 import os
@@ -60,32 +62,6 @@ def assert_bad_input(argv, message=""):
 
 
 class TestCheckFrame:
-    def test_pass(self, capsys, partition_inputs):
-        _, fam, cp, _ = partition_inputs
-        code, rep = run(capsys, "check-frame", "--in", str(fam), "--control", str(cp))
-        assert code == 0
-        assert rep["is_frame"] is True
-        assert abs(rep["bounds"]["lambda_min"] - 2.0) < 1e-9
-        assert abs(rep["bounds"]["lambda_max"] - 5.0) < 1e-9
-
-    def test_out_file(self, tmp_path, capsys, partition_inputs):
-        _, fam, cp, _ = partition_inputs
-        out = tmp_path / "report.json"
-        code = main(
-            ["check-frame", "--in", str(fam), "--control", str(cp), "--out", str(out)]
-        )
-        assert code == 0
-        rep = json.loads(out.read_text())
-        assert rep["command"] == "check-frame"
-        assert capsys.readouterr().out == ""
-
-    def test_deterministic_output(self, tmp_path, partition_inputs):
-        _, fam, cp, _ = partition_inputs
-        o1, o2 = tmp_path / "a.json", tmp_path / "b.json"
-        for o in (o1, o2):
-            assert main(["bounds", "--in", str(fam), "--control", str(cp), "--out", str(o)]) == 0
-        assert o1.read_bytes() == o2.read_bytes()
-
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -94,46 +70,7 @@ class TestCheckFrame:
         assert_bad_input(["check-frame", "--in", str(bad), "--control", str(cp)])
 
 
-    def test_zero_residual_is_positive_zero(self, tmp_path, capsys):
-        # parseval controls make S exactly Hermitian: the residual prints as
-        # 0.0, never -0.0
-        inst = tmp_path / "inst"
-        assert main(["random", "--seed", "42", "--dim", "6", "--items", "3",
-                     "--structure", "parseval", "--out", str(inst)]) == 0
-        code, rep = run(capsys, "check-frame", "--in", str(inst / "family.json"),
-                        "--control", str(inst / "control.json"))
-        assert code == 0
-        assert rep["herm_residual"] == 0.0
-        assert math.copysign(1.0, rep["herm_residual"]) == 1.0
-
-class TestAtomic:
-    def test_identity_k(self, capsys, partition_inputs):
-        _, fam, cp, k = partition_inputs
-        code, rep = run(
-            capsys, "atomic", "--in", str(fam), "--control", str(cp), "--k", str(k)
-        )
-        assert code == 0
-        assert rep["is_atomic"] is True
-        assert rep["coefficient_residual"] <= 1e-8
-        assert abs(rep["lower_bound"] - 2.0) < 1e-9
-
-
 class TestConstruct:
-    def test_direct_sum(self, tmp_path, capsys, partition_inputs):
-        _, fam, cp, k = partition_inputs
-        code, rep = run(
-            capsys,
-            "construct", "direct-sum",
-            "--in", str(fam), "--in", str(fam),
-            "--control", str(cp), "--control", str(cp),
-            "--k", str(k), "--k", str(k),
-        )
-        assert code == 0
-        assert rep["all_hypotheses_pass"] is True
-        assert abs(rep["measured"]["lambda_min"] - 2.0) < 1e-9
-        assert abs(rep["measured"]["lambda_max"] - 5.0) < 1e-9
-        assert rep["family_out"]["ambient_dim"] == 8
-
     def test_sum_transform_of_a_family_with_itself(self, tmp_path, capsys):
         # a basis with Gram deviation 2e-8, under tol_orth = 1e-6: with
         # itself its subspaces are the same, though B - B (B* B) is 2e-8 B.
@@ -155,106 +92,13 @@ class TestConstruct:
         assert residuals["cross_terms_lambda_gamma"] == 1.0
 
 
-class TestPairAndResolutions:
-    def test_pair_op_adjoint(self, capsys, partition_inputs):
-        _, fam, cp, _ = partition_inputs
-        code, rep = run(
-            capsys, "pair-op", "--in", str(fam), "--in", str(fam), "--control", str(cp)
-        )
-        assert code == 0
-        assert rep["adjoint_residual"] <= 1e-12
-
-    def test_resolutions(self, capsys, partition_inputs):
-        _, fam, cp, _ = partition_inputs
-        code, rep = run(capsys, "resolutions", "--in", str(fam), "--control", str(cp))
-        assert code == 0
-        assert rep["right_multiplied"]["converged"] is True
-        assert rep["left_multiplied"]["converged"] is True
-        assert rep["right_multiplied"]["term_count"] == 2
-
-
-class TestThm:
-    def test_41(self, capsys, partition_inputs):
-        _, fam, cp, _ = partition_inputs
-        code, rep = run(capsys, "thm", "4.1", "--in", str(fam), "--control", str(cp))
-        assert code == 0
-        assert rep["certified"] is True
-        assert rep["predicted_lower"] <= rep["lower"] + 1e-9
-        assert rep["upper"] <= rep["predicted_upper"] + 1e-9
-
-    def test_42(self, tmp_path, capsys):
-        fam = scaled_partition_family(4, (2.0, 1.5))
-        s = frame_operator(fam, ControlPair.identity(4))
-        cp = ControlPair(np.eye(4), np.linalg.inv(s))
-        fam_path = tmp_path / "f.json"
-        fam_path.write_text(serialize.dumps(serialize.family_to_dict(fam)))
-        cp_path = tmp_path / "c.json"
-        cp_path.write_text(serialize.dumps(serialize.control_pair_to_dict(cp)))
-        code, rep = run(capsys, "thm", "4.2", "--in", str(fam_path), "--control", str(cp_path))
-        assert code == 0
-        assert rep["is_frame"] is True
-        assert abs(rep["predicted_lower"] - 0.5) < 1e-12
-
-    def test_44(self, tmp_path, capsys):
-        fam = scaled_partition_family(4, (0.5, 2.0))
-        fam_path = tmp_path / "f.json"
-        fam_path.write_text(serialize.dumps(serialize.family_to_dict(fam)))
-        cp_path = tmp_path / "c.json"
-        cp_path.write_text(
-            serialize.dumps(serialize.control_pair_to_dict(ControlPair.identity(4)))
-        )
-        code, rep = run(
-            capsys, "thm", "4.4",
-            "--in", str(fam_path), "--in", str(fam_path), "--control", str(cp_path),
-        )
-        assert code == 0
-        assert abs(rep["m"] - 0.5) < 1e-9
-        assert abs(rep["predicted_lower"] - 0.125) < 1e-9
-
-    def test_perturb(self, tmp_path, capsys):
-        fam = scaled_partition_family(4, (1.0, 1.0))
-        fam_path = tmp_path / "f.json"
-        fam_path.write_text(serialize.dumps(serialize.family_to_dict(fam)))
-        cp_path = tmp_path / "c.json"
-        cp_path.write_text(
-            serialize.dumps(serialize.control_pair_to_dict(ControlPair.identity(4)))
-        )
-        code, rep = run(
-            capsys, "thm", "perturb",
-            "--in", str(fam_path), "--in", str(fam_path), "--control", str(cp_path),
-            "--lambda1", "0.0", "--lambda2", "0.0",
-        )
-        assert code == 0
-        assert rep["hyp_certified"] is True
-        assert rep["worst_sample_slack"] >= -1e-12
-
-
 class TestFourierDemo:
-    def test_reference(self, capsys):
-        code, rep = run(
-            capsys, "fourier-demo",
-            "--nmax", "8", "--m", "3", "--alpha", "0.5", "--beta", "0.5",
-        )
-        assert code == 0
-        assert rep["sandwich_ok"] is True
-        assert abs(rep["a_opt"] - 0.25) < 1e-9
-
     def test_invalid_params_exit_2(self):
         assert_bad_input(["fourier-demo", "--nmax", "4", "--m", "9", "--alpha", "0.5",
                           "--beta", "0.5"])
 
 
 class TestRandom:
-    def test_writes_files(self, tmp_path, capsys):
-        out = tmp_path / "inst"
-        code = main(["random", "--seed", "42", "--dim", "5", "--items", "3",
-                     "--out", str(out)])
-        assert code == 0
-        fam = serialize.family_from_dict(serialize.load_json(out / "family.json"))
-        cp = serialize.control_pair_from_dict(serialize.load_json(out / "control.json"))
-        assert fam.ambient_dim == 5
-        assert cp.t.shape == (5, 5)
-
     def test_tol_rejected(self, tmp_path, capsys):
         # random decides no verdict, so it takes no tolerance override
         with pytest.raises(SystemExit) as exc:
@@ -269,14 +113,6 @@ class TestRandom:
         for out in (a, b):
             assert main(["random", "--seed", "7", "--out", str(out)]) == 0
         assert (a / "family.json").read_bytes() == (b / "family.json").read_bytes()
-
-    def test_near_identity_pair_files(self, tmp_path):
-        out = tmp_path / "p"
-        code = main(["random", "--seed", "1", "--structure", "near-identity-pair",
-                     "--out", str(out)])
-        assert code == 0
-        assert (out / "family2.json").exists()
-        assert (out / "pair_control.json").exists()
 
     @pytest.mark.parametrize("structure", generate.STRUCTURES)
     def test_files_compact_canonical(self, tmp_path, structure):
@@ -305,20 +141,6 @@ class TestTolOverride:
         assert captured.err.startswith("error: ")
         assert tolerances.TOL_PSD == saved
 
-    def test_override_applies(self, capsys, partition_inputs):
-        _, fam, cp, _ = partition_inputs
-        saved = tolerances.TOL_PSD
-        try:
-            # absurdly large PSD floor makes the frame verdict fail
-            code, rep = run(
-                capsys, "check-frame", "--in", str(fam), "--control", str(cp),
-                "--tol", "tol_psd=0.9",
-            )
-            assert code == 1
-            assert rep["is_frame"] is False
-        finally:
-            tolerances.TOL_PSD = saved
-
     def test_override_lasts_one_call(self, capsys, partition_inputs):
         _, fam, cp, _ = partition_inputs
         argv = ["check-frame", "--in", str(fam), "--control", str(cp)]
@@ -334,32 +156,6 @@ class TestTolOverride:
             assert tolerances.TOL_PSD == saved
         finally:
             tolerances.TOL_PSD = saved
-
-
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_perturb_nonpositive_trials_exit_2(tmp_path, trials):
-    out = tmp_path / "inst"
-    assert main(["random", "--seed", "5", "--dim", "8", "--items", "4",
-                 "--structure", "near-identity-pair", "--out", str(out)]) == 0
-    assert_bad_input([
-        "thm", "perturb",
-        "--in", str(out / "family.json"), "--in", str(out / "family2.json"),
-        "--control", str(out / "pair_control.json"),
-        "--lambda1", "0.1", "--lambda2", "0.0", "--trials", trials,
-    ], "trials")
-
-
-def test_perturb_negative_lambda1_one_parameter_exit_2(tmp_path):
-    # rejected with the other parameter checks, before any vector is sampled
-    out = tmp_path / "inst"
-    assert main(["random", "--seed", "3", "--dim", "8", "--items", "4",
-                 "--structure", "near-identity-pair", "--out", str(out)]) == 0
-    assert_bad_input([
-        "thm", "perturb",
-        "--in", str(out / "family.json"), "--in", str(out / "family2.json"),
-        "--control", str(out / "pair_control.json"),
-        "--lambda1", "-0.5", "--lambda2", "0",
-    ], "one-parameter path requires lambda1 in [0, 1)")
 
 
 def _write(path, obj):
@@ -457,16 +253,32 @@ INVALID_THEOREM_PARAMETERS = [
 ]
 
 
+def perturb_argv(partition_inputs):
+    """thm perturb on the partition family: S = diag(2, 5) is far from the
+    identity, so a parameter checked after sampling would fail a sample
+    (exit 1) first."""
+    _, fam, cp, _ = partition_inputs
+    return ["thm", "perturb", "--in", str(fam), "--in", str(fam), "--control", str(cp)]
+
+
 @pytest.mark.parametrize("command, params", INVALID_THEOREM_PARAMETERS)
 def test_invalid_theorem_parameters_exit_2(partition_inputs, command, params):
     """Checked before any sampling: exit 2, an error line and no report."""
-    _, fam, cp, _ = partition_inputs
     if command == "thm-perturb":
-        # S = diag(2, 5) is far from the identity: sampling would fail first
-        argv = ["thm", "perturb", "--in", str(fam), "--in", str(fam), "--control", str(cp)]
+        argv = perturb_argv(partition_inputs)
     else:
         argv = ["fourier-demo", "--nmax", "4", "--m", "2"]
     assert_bad_input(argv + params)
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_perturb_nonpositive_trials_exit_2(partition_inputs, trials):
+    assert_bad_input([*perturb_argv(partition_inputs), "--trials", trials], "trials")
+
+
+def test_perturb_negative_lambda1_one_parameter_exit_2(partition_inputs):
+    assert_bad_input([*perturb_argv(partition_inputs), "--lambda1", "-0.5", "--lambda2", "0"],
+                     "one-parameter path requires lambda1 in [0, 1)")
 
 
 FRAME_KEYS = {"is_bessel", "is_frame", "bounds", "herm_residual", "s_c"}
@@ -558,6 +370,10 @@ def _pair(x, control):
     return resolution.pair_frame_operator(x["F"], x[control].t, x["F"], x[control].u)
 
 
+# The row of each command, by its report's `command`.
+ROWS = {"-".join(words): row for words, row in cli.COMMANDS.items()}
+
+
 # The library call behind each REPORT_SCHEMAS command, on the same inputs
 # and options, and the name of the verdict it returns.
 LIBRARY_CALLS = {
@@ -619,15 +435,6 @@ CLAIM_SETTINGS = {
     "sandwich": lambda: mock.patch.object(tolerances, "TOL_SANDWICH", -1.0),
 }
 
-# The commands of each library module.
-COMMAND_GROUPS = {
-    "frames": ("check-frame", "bounds", "atomic"),
-    "constructions": ("construct-direct-sum", "construct-sum-transform", "construct-conjugate"),
-    "resolution": ("pair-op", "resolutions", "thm-4.1", "thm-4.2", "thm-4.4", "thm-perturb"),
-    "fourier": ("fourier-demo",),
-}
-
-
 def claim_runs(tmp_path, argv):
     """{setting: (verdict, claims)} of the COMMANDS row that `argv` names,
     called as `main` calls it, on the REPORT_SCHEMAS inputs; for `bounds`
@@ -668,10 +475,10 @@ def test_claim_names_are_unique(tmp_path, argv):
 
 
 def test_each_group_has_a_failed_verdict_with_a_failing_claim(tmp_path):
-    assert sorted(sum(COMMAND_GROUPS.values(), ())) == sorted(c for _, c, _ in REPORT_SCHEMAS)
-    failed = {group: [] for group in COMMAND_GROUPS}
+    # a group is the library module that a command's row calls
+    failed = {row.module: [] for row in cli.COMMANDS.values()}
     for argv, command, _ in REPORT_SCHEMAS:
-        group = next(g for g, commands in COMMAND_GROUPS.items() if command in commands)
+        group = ROWS[command].module
         for name, (verdict, claims) in claim_runs(tmp_path, argv).items():
             if not verdict:
                 assert any(not c.holds for c in claims), (command, name)
@@ -739,28 +546,10 @@ def test_unread_argument_exit_2(tmp_path, argv, error):
     assert report_diff.run(schema_argv(tmp_path, argv)) == (2, [f"error: {error}"], "")
 
 
-# The library function behind each LIBRARY_CALLS command, by module attribute.
-LIBRARY_FUNCTIONS = {
-    "check-frame": (frames, "controlled_frame_bounds"),
-    "bounds": (frames, "controlled_frame_bounds"),
-    "atomic": (frames, "atomic_check"),
-    "construct-direct-sum": (constructions, "direct_sum_frame"),
-    "construct-sum-transform": (constructions, "sum_transform"),
-    "construct-conjugate": (constructions, "conjugate_transform"),
-    "pair-op": (resolution, "adjoint_check"),
-    "resolutions": (resolution, "canonical_resolutions"),
-    "thm-4.1": (resolution, "inverse_commutation_check"),
-    "thm-4.2": (resolution, "bessel_resolution_frame_check"),
-    "thm-4.4": (resolution, "coercive_pair_check"),
-    "thm-perturb": (resolution, "perturbation_check"),
-    "fourier-demo": (fourier, "verify_fourier"),
-}
-
-
 def test_every_command_has_a_pinned_schema():
     commands = {c for _, c, _ in REPORT_SCHEMAS}
     assert {"-".join(words) for words in cli.COMMANDS} == commands
-    assert set(LIBRARY_CALLS) == set(LIBRARY_FUNCTIONS) == commands
+    assert set(LIBRARY_CALLS) == commands
 
 
 @pytest.mark.parametrize(
@@ -771,7 +560,10 @@ def test_library_function_called_once(tmp_path, capsys, argv, command):
     """Each command calls its library function once, through the module
     attribute, so a rebound attribute (as the benchmark's tracer makes) is
     the one called."""
-    module, name = LIBRARY_FUNCTIONS[command]
+    module = importlib.import_module(f"gfusion.{ROWS[command].module}")
+    # LIBRARY_CALLS names exactly one function of the row's module
+    call, _ = LIBRARY_CALLS[command]
+    name, = (n for n in call.__code__.co_names if inspect.isfunction(getattr(module, n, None)))
     with recorded(f"{module.__name__}.{name}") as calls:
         assert main(schema_argv(tmp_path, argv)) in (0, 1)
     assert [c.routine for c in calls].count(name) == 1

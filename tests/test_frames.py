@@ -56,42 +56,6 @@ def non_bessel_instance(rng, dim=4):
     return fam, cp
 
 
-class TestFrameSum:
-    def test_matches_quadratic_form(self, rng):
-        # oracle: the literal per-item sum equals <S_C f, f>
-        fam = random_family(rng, 6, 4)
-        cp = ControlPair(
-            complex_gaussian(rng, 6, 6) + 3 * np.eye(6),
-            complex_gaussian(rng, 6, 6) + 3 * np.eye(6),
-        )
-        s = frame_operator(fam, cp)
-        for _ in range(10):
-            f = complex_gaussian(rng, 6)
-            lhs = frame_sum(fam, cp, f)
-            rhs = np.vdot(f, s @ f)
-            assert abs(lhs - rhs) < 1e-9 * (1 + abs(rhs))
-
-    def test_identity_controls_partition(self):
-        # projectors onto a coordinate partition resolve the identity
-        fam = scaled_partition_family(6, (1.0, 1.0, 1.0))
-        cp = ControlPair.identity(6)
-        f = np.arange(1, 7, dtype=complex)
-        val = frame_sum(fam, cp, f)
-        assert abs(val - np.vdot(f, f)) < 1e-12
-
-    def test_scalar_controls_scale(self, rng):
-        fam = random_family(rng, 5, 3)
-        f = complex_gaussian(rng, 5)
-        base = frame_sum(fam, ControlPair.identity(5), f)
-        scaled = frame_sum(fam, ControlPair.scalars(5, 0.5, 3.0), f)
-        assert abs(scaled - 1.5 * base) < 1e-9 * (1 + abs(base))
-
-    def test_dimension_mismatch(self, rng):
-        fam = random_family(rng, 4, 2)
-        with pytest.raises(DimensionMismatch):
-            frame_sum(fam, ControlPair.identity(4), np.ones(5))
-
-
 class TestFrameOperator:
     def test_sum_of_items(self, rng):
         fam = random_family(rng, 5, 3)
@@ -785,6 +749,14 @@ class TestImmutableControlPair:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20 and cp.dim == 1024
+
+    def test_a_number_side_reads_plus_zero_off_the_diagonal(self):
+        # c I for c = -1 or -i: (-1) * 0.0 would be -0.0, a byte of the
+        # control_out that a construction report writes
+        cp = ControlPair.scalars(3, -1.0, -1j)
+        for dense in (cp.t, cp.u):
+            off = dense[~np.eye(3, dtype=bool)]
+            assert not np.signbit(off.real).any() and not np.signbit(off.imag).any()
 
     @pytest.mark.parametrize("make", [lambda: ControlPair.scalars(0, 1, 1),
                                       lambda: ControlPair.identity(0)])

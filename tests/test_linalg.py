@@ -10,7 +10,6 @@ from gfusion.errors import (
     InvalidParameters,
     NotHermitian,
     NotInvertible,
-    NotPSD,
     RangeNotContained,
     ZeroDenominator,
 )
@@ -43,54 +42,6 @@ from gfusion.linalg import (
 )
 
 from conftest import complex_gaussian, random_subspace, recorded
-
-
-class TestPositiveSqrt:
-    def test_diagonal(self):
-        np.testing.assert_allclose(positive_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_identity(self):
-        np.testing.assert_allclose(positive_sqrt(np.eye(5)), np.eye(5))
-
-    def test_random_psd_roundtrip(self, rng):
-        # oracle: any PSD matrix built as B* B has positive_sqrt squaring back
-        for _ in range(10):
-            b = complex_gaussian(rng, 5, 5)
-            a = b.conj().T @ b
-            r = positive_sqrt(a)
-            assert np.linalg.norm(r @ r - a, 2) <= 1e-8 * np.linalg.norm(a, 2)
-            # result is Hermitian PSD
-            assert np.linalg.norm(r - r.conj().T, 2) <= 1e-10 * np.linalg.norm(r, 2)
-            assert np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min() >= -1e-10
-
-    def test_idempotent_consistency(self, rng):
-        b = complex_gaussian(rng, 4, 4)
-        p = positive_sqrt(b.conj().T @ b)
-        np.testing.assert_allclose(
-            positive_sqrt(p @ p), p, atol=1e-8 * np.linalg.norm(p, 2)
-        )
-
-    def test_commutes_with_commutant(self, rng):
-        # anything commuting with a commutes with its square root
-        d = np.diag([1.0, 1.0, 4.0])
-        c = np.zeros((3, 3), dtype=complex)
-        c[:2, :2] = complex_gaussian(rng, 2, 2)  # commutes with d (block structure)
-        c[2, 2] = rng.standard_normal()
-        r = positive_sqrt(d)
-        assert np.linalg.norm(r @ c - c @ r, 2) < 1e-12
-
-    def test_not_hermitian(self, rng):
-        with pytest.raises(NotHermitian):
-            positive_sqrt([[0.0, 1.0], [0.0, 0.0]])
-
-    def test_not_psd(self):
-        with pytest.raises(NotPSD):
-            positive_sqrt(np.diag([1.0, -1.0]))
-
-    def test_dust_clamped(self):
-        a = np.diag([1.0, -1e-12])
-        r = positive_sqrt(a)
-        assert r[1, 1] == 0.0
 
 
 class TestPinv:
@@ -199,35 +150,16 @@ class TestDouglas:
             assert ext.lambda_min >= -1e-8 * np.linalg.norm(s @ s.conj().T, 2)
 
 
-class TestHermitianExtremes:
-    def test_identity(self):
-        ext = hermitian_extremes(np.eye(4))
-        assert (ext.lambda_min, ext.lambda_max) == (1.0, 1.0)
-
-    def test_diagonal(self):
-        ext = hermitian_extremes(np.diag([2.0, 5.0, 3.0]))
-        assert (ext.lambda_min, ext.lambda_max) == (2.0, 5.0)
-
-    def test_random_hermitian(self, rng):
-        b = complex_gaussian(rng, 6, 6)
-        h = 0.5 * (b + b.conj().T)
-        vals = np.linalg.eigvalsh(h)
-        ext = hermitian_extremes(h)
-        assert abs(ext.lambda_min - vals[0]) < 1e-10
-        assert abs(ext.lambda_max - vals[-1]) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_extremes([[0.0, 1.0], [0.0, 0.0]])
-
-
 class TestHermitianSpectrum:
     """`Spectrum(a).extremes`: the extremes of the Hermitian part, with no gate."""
 
     def test_no_gate(self):
-        # the Hermitian part of [[0, 1], [0, 0]] has eigenvalues -1/2, 1/2
+        # the Hermitian part of [[0, 1], [0, 0]] has eigenvalues -1/2, 1/2;
+        # hermitian_extremes gates it
         ext = Spectrum(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)).extremes
         assert (ext.lambda_min, ext.lambda_max) == (-0.5, 0.5)
+        with pytest.raises(NotHermitian):
+            hermitian_extremes([[0.0, 1.0], [0.0, 0.0]])
 
     def test_matches_gated_extremes(self, rng):
         b = complex_gaussian(rng, 6, 6)
@@ -498,6 +430,14 @@ class TestCertifiedTopEigenvalue:
         with recorded() as calls:
             assert top_eigenvalue(g) == want
         assert [c.shape for c in calls if c.routine == "eigvalsh"] == [g.shape]
+
+
+def test_times_square_rounds_the_square_correctly():
+    # x * x is correctly rounded; C pow(x, 2) may round this x's square up
+    # by one ulp.  A square beyond the float range reads inf, with no raise
+    x = 1.1646227296982429e-119
+    assert linalg.times_square(1.0, x) == x * x == 1.3563461025297867e-238
+    assert linalg.times_square(1.0, 1e200) == math.inf
 
 
 class TestSingularExtremes:

@@ -115,8 +115,9 @@ def test_block_frame_sum_matches_columns_and_quadratic_form(structure, data):
 
 def test_frame_sum_rejects_three_dimensional_input():
     fam = scaled_partition_family(4, (1.0, 2.0))
-    with pytest.raises(DimensionMismatch):
-        frame_sum(fam, ControlPair.identity(4), np.ones((4, 2, 2)))
+    for f in (np.ones((4, 2, 2)), np.ones(5)):  # and a vector of the wrong length
+        with pytest.raises(DimensionMismatch):
+            frame_sum(fam, ControlPair.identity(4), f)
 
 
 def projector_frame_sums(fam, cp, block):
@@ -202,28 +203,6 @@ def test_verify_fourier_report_carries_its_example():
     np.testing.assert_array_equal(rep.control.t, cp.t)
     assert len(rep.family) == len(fam)
     assert (rep.a_opt, rep.upper, rep.is_kgf) == kgf_bounds(fam, cp, k)
-
-
-def reference_perturbation_slack(s, lambda1, lambda2, trials, seed):
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(trials):
-        f = rng.standard_normal(s.shape[0]) + 1j * rng.standard_normal(s.shape[0])
-        f /= np.linalg.norm(f)
-        sf = s @ f
-        worst = min(worst, lambda1 + lambda2 * np.linalg.norm(sf) - np.linalg.norm(f - sf))
-    return worst
-
-
-@pytest.mark.parametrize(
-    "dim, lambda2, trials",
-    [(4, 0.0, 200), (5, 0.05, SAMPLE_CHUNK), (6, 0.02, 2 * SAMPLE_CHUNK + 17)],
-)
-def test_perturbation_samples_match_reference_loop(dim, lambda2, trials):
-    pair = near_identity_pair(dim)
-    rep = perturbation_check(pair, 0.05, lambda2, 2.0, 2.0, trials=trials, seed=9)
-    ref = reference_perturbation_slack(pair.matrix, 0.05, lambda2, trials, 9)
-    assert abs(rep.worst_sample_slack - ref) <= 1e-12
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -606,21 +585,6 @@ def slack_rounding_bound(s, lambda1, lambda2):
     """The rounding bound between slacks read in real form from the draws
     and in complex arithmetic from the unit vectors."""
     return 8 * np.finfo(float).eps * max(1.0, abs(lambda1) + abs(lambda2) * opnorm(s))
-
-
-@pytest.mark.parametrize("lambda1, lambda2", [(0.05, 0.0), (0.05, 0.5), (0.05, -0.0)])
-def test_worst_sample_slack_is_the_old_expression_within_rounding(lambda1, lambda2):
-    pair = near_identity_pair(5)
-    trials, seed = SAMPLE_CHUNK + 3, 4
-    rep = perturbation_check(pair, lambda1, lambda2, 2.0, 2.0, trials=trials, seed=seed)
-    s = pair.matrix
-    worst = math.inf
-    for f in random_unit_columns(seed, 5, trials):
-        sf = s @ f
-        slack = lambda1 + lambda2 * np.linalg.norm(sf, axis=0) - np.linalg.norm(f - sf, axis=0)
-        worst = min(worst, float(slack.min()))
-    assert math.copysign(1.0, rep.worst_sample_slack) == math.copysign(1.0, worst)
-    assert abs(rep.worst_sample_slack - worst) <= slack_rounding_bound(s, lambda1, lambda2)
 
 
 @pytest.mark.parametrize("lambda2, svds_of_s", [(0.0, 0), (-0.0, 0), (0.5, 1)])
