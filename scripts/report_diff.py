@@ -17,31 +17,22 @@ that is 619 runs: 32 points of 19, 8 shared, 1 Lanczos and 2 Fourier runs.
 Each checkout runs the grid in two child processes, one for its instance
 files and one for its reports, with its own `src` first on `sys.path`,
 calling `gfusion.cli.main` in process (`run`).  Both write their own
-instance files, which are compared by value, bit for bit; both run the
-report commands on the parent's instance files, so that a moved report
-comes from the command and not from its inputs.  Files and reports are
-compared with every operator's entries decoded (`decoded`): an operator
-written as base64 binary64 equals one written as lists of numbers with the
-same values.
+instance files, compared bit for bit by value (`canonical`, whatever the
+operators' encoding); both run the report commands on the parent's instance
+files, so that a moved report comes from the command and not its inputs.
 
-It prints:
-- every instance file that differs in a value;
-- every run whose exit code or `error:`/`verification error:` line differs;
-- for each report field (command and JSON path, list indices dropped) that
-  moved: the number of reports it moved in, its largest relative move
-  |a - b| / max(|a|, |b|) and its largest move relative to the parent's
-  report's scale, |a - b| / (its largest finite |number|), the scale
-  `tests/test_routes.py` compares at, or `changed` where a value that is
-  not a number (a verdict, a null, a string, a list length) changed;
-- on the summary line, the number of instance files and reports whose
-  values are equal bit for bit but whose operators are encoded otherwise,
-  and the number of reports whose values differ in bits while every value
-  compares equal (a -0.0 for a 0.0, a 1 for a 1.0): "bytes only".
+It prints every instance file and every run (exit code, `error:` and
+`verification error:` lines) that differs; the report fields that moved
+(`compare_reports`), with the reports each moved in, its largest relative
+move and its largest move over the parent's report's scale, which
+`tests/test_routes.py` bounds; and a summary line, which counts the files
+and reports that differ in operator encoding only, and the reports that
+differ in bits only (a -0.0 for a 0.0, a 1 for a 1.0).
 
 Exit status 1 when an instance file, an exit code or an error line
 differs, else 0.  Without `--work` the runs are made in a new temp dir,
-removed once the comparison is printed; a `--work` dir is kept.  Standard
-library only; one child process at a time.
+removed once the comparison is printed; a `--work` dir is kept.  numpy and
+the standard library only; one child process at a time.
 """
 
 from __future__ import annotations
@@ -55,10 +46,12 @@ import json
 import math
 import os
 import random
-import struct
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
+
+import numpy as np
 
 DIMS = (1, 2, 6, 16)
 SEEDS = (1, 7)
@@ -265,19 +258,16 @@ def write_shared(shared: str) -> None:
     for name, doc in files.items():
         path = os.path.join(shared, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc))
 
 
 def run_child(plan_path: str) -> None:
     """Make each run of the plan in this process (`run`), and write the log
     of each run's exit code, error lines and report."""
-    with open(plan_path) as fh:
-        plan = json.load(fh)
+    plan = json.loads(Path(plan_path).read_text())
     sys.path.insert(0, os.path.join(plan["root"], "src"))
     log = {name: dict(zip(("exit", "errors", "report"), run(argv))) for name, argv in plan["runs"]}
-    with open(plan["log"], "w") as fh:
-        json.dump(log, fh)
+    Path(plan["log"]).write_text(json.dumps(log))
 
 
 def paired_structures() -> dict:
@@ -307,103 +297,116 @@ def run_grid(root: str, runs: list, plan_stem: str) -> dict:
         json.dump({"root": os.path.abspath(root), "runs": runs, "log": log_path}, fh)
     subprocess.run([sys.executable, os.path.abspath(__file__), "--child", plan_path],
                    check=True, cwd=root)
-    with open(log_path) as fh:
-        return json.load(fh)
+    return json.loads(Path(log_path).read_text())
 
 
 def files_under(top: str) -> dict:
     """Relative path -> bytes of every file under `top`."""
-    out = {}
-    for dirpath, _, names in os.walk(top):
-        for name in names:
-            with open(os.path.join(dirpath, name), "rb") as fh:
-                out[os.path.relpath(fh.name, top)] = fh.read()
-    return out
+    paths = [os.path.join(path, name) for path, _, names in os.walk(top) for name in names]
+    return {os.path.relpath(path, top): Path(path).read_bytes() for path in paths}
 
 
-def leaves(value, path=""):
-    """(path, value) of every leaf of a JSON value, list indices as `[]`;
-    a list's length is a leaf of its own (`path#len`)."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            yield from leaves(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, list):
-        yield f"{path}#len", len(value)
-        for item in value:
-            yield from leaves(item, f"{path}[]")
-    else:
-        yield path, value
+OPERATOR, SUBSPACE = {"rows", "cols", "re", "im"}, {"ambient_dim", "basis"}
 
 
-def decoded(value):
-    """A JSON value with the entries of each operator object (`rows`,
-    `cols`, `re`, `im`) as lists of numbers: a base64 string of
-    little-endian binary64 values, the writer's form, is decoded; a list
-    is kept."""
-    if isinstance(value, list):
-        return [decoded(item) for item in value]
-    if not isinstance(value, dict):
-        return value
-    value = {key: decoded(item) for key, item in value.items()}
-    if value.keys() == {"rows", "cols", "re", "im"}:
-        for key in ("re", "im"):
-            if isinstance(value[key], str):
-                raw = base64.b64decode(value[key], validate=True)
-                value[key] = list(struct.unpack(f"<{len(raw) // 8}d", raw))
-    return value
+def decoded(obj: dict) -> dict:
+    """A JSON object, with an operator's `re` and `im` each as one float array
+    (base64 of little-endian binary64, the writer's form, or numbers)."""
+    if obj.keys() != OPERATOR:
+        return obj
+    return {**obj, **{key: np.frombuffer(base64.b64decode(obj[key], validate=True), "<f8")
+                      if isinstance(obj[key], str) else np.asarray(obj[key], dtype=float)
+                      for key in ("re", "im")}}
 
 
 def canonical(text) -> str:
-    """JSON text of a document with its operators `decoded` and its keys
-    sorted: two documents give the same text exactly where their values
-    are equal bit for bit (`repr` keeps every float's bits)."""
-    return json.dumps(decoded(json.loads(text)), sort_keys=True)
+    """JSON text of a document, operators `decoded` and keys sorted: the same
+    text exactly where the values are equal bit for bit (`repr` keeps them)."""
+    return json.dumps(json.loads(text, object_hook=decoded), sort_keys=True,
+                      default=np.ndarray.tolist)
 
 
-def is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def projector(subspace: dict) -> dict:
+    """The operator object of B B*, B a subspace object's orthonormal (so
+    finite) basis: any orthonormal basis of it gives B B* to rounding."""
+    op = decoded(subspace["basis"])
+    b = (op["re"] + 1j * op["im"]).reshape(op["rows"], op["cols"])
+    p = b @ b.conj().T
+    return {"rows": len(p), "cols": len(p), "re": p.real.ravel(), "im": p.imag.ravel()}
+
+
+def move(x, y):
+    """(largest |x - y| / max(|x|, |y|), largest |x - y|) over the entries that
+    differ of two float arrays of one shape (-0.0 equals 0.0, nan nothing),
+    None for `changed` (not finite; to or from nan); None where none differs."""
+    differ = x != y
+    if not differ.any():
+        return None
+    x, y = x[differ], y[differ]
+    with np.errstate(all="ignore"):
+        d = np.abs(x - y)
+        rel = d / np.maximum(np.abs(x), np.abs(y))
+    return (float(rel.max()) if np.isfinite(rel).all() else None,
+            None if np.isnan(d).any() else float(d.max()))
+
+
+def fold(prev, value):
+    return None if value is None or prev is None else max(prev, value)
 
 
 def compare_reports(a: dict, b: dict, moved: dict, command: str, scaled=None) -> bool:
-    """Fold the fields that differ between reports a and b, operators
-    `decoded`, into `moved` (key -> [reports, largest relative move or None
-    for `changed`]), and into `scaled`, where given, each field's largest
-    move relative to a's scale, its largest finite |number| (key -> that
-    move or None for `changed`); True when anything differs."""
-    la, lb = list(leaves(decoded(a))), list(leaves(decoded(b)))
-    scale = max((abs(v) for p, v in la if is_number(v) and not p.endswith("#len")
-                 and math.isfinite(v)), default=0.0)
-    per_field, per_scale = {}, {}
-    if [p for p, _ in la] != [p for p, _ in lb]:
-        # lists of other lengths show as their `#len` leaves; any other
-        # change of shape (a key, a nesting) as the report's structure
-        la, lb = ([(p, v) for p, v in side if p.endswith("#len")] for side in (la, lb))
-        if [p for p, _ in la] != [p for p, _ in lb] or la == lb:
-            per_field[f"{command} (structure)"] = None
-            la = lb = []
-    for (path, x), (_, y) in zip(la, lb):
-        if x == y and isinstance(x, bool) == isinstance(y, bool):
-            continue
-        key = f"{command} {path}"
-        # `changed`: not two numbers, or a move to or from nan; a move to or from
-        # inf is `changed` relative to itself and an inf move relative to the scale
-        rel = of_scale = None
-        if is_number(x) and is_number(y) and not path.endswith("#len"):
-            rel = abs(x - y) / max(abs(x), abs(y))
-            rel = rel if math.isfinite(rel) else None
-            if not math.isnan(x - y):
-                of_scale = abs(x - y) / scale if scale else math.inf
-        for fold, value in ((per_field, rel), (per_scale, of_scale)):
-            prev = fold.get(key, 0.0)
-            fold[key] = None if value is None or prev is None else max(prev, value)
-    for key, rel in per_field.items():
+    """Fold the fields that differ between the parsed reports a and b into
+    `moved` (key "<command> <JSON path, list indices as []>" -> [reports,
+    largest relative move]) and, where given, `scaled` (key -> largest move
+    over a's scale, its largest finite |number|), None for `changed`; True
+    when any differs.  Reports equal as parsed JSON (Python's `==`: `true`
+    equals 1) are equal at once.  An operator's `re` and `im` compare as one
+    array each, a subspace as its `projector`.  A value that is not a number
+    is `changed` unless equal, and so is a list of another length
+    (`<path>#len`).  The field `(structure)` marks any other change of
+    shape, and a list of objects or lists of another length."""
+    if a == b:
+        return False
+    found, numbers, changed = {}, [[]], (None, None)  # field -> moves; a's numbers
+
+    def note(key, change):
+        if change:
+            found[key] = tuple(map(fold, found.get(key, (0.0, 0.0)), change))
+
+    def walk(x, y, path):
+        if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys() == SUBSPACE:
+            walk(projector(x), projector(y), f"{path}.projector")
+        elif isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+            x, y = decoded(x), decoded(y)
+            for name in x:
+                walk(x[name], y[name], f"{path}.{name}" if path else name)
+        elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            for i, j in zip(x, y):
+                walk(i, j, f"{path}[]")
+        elif isinstance(x, list) and isinstance(y, list):
+            note(f"{path}#len", changed)  # items with fields of their own reshape:
+            note("(structure)", any(isinstance(v, (dict, list)) for v in x + y) and changed)
+        elif isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and x.shape == y.shape:
+            numbers.append(x)
+            note(f"{path}[]", move(x, y))
+        elif any(isinstance(v, (dict, list, np.ndarray)) for v in (x, y)):
+            note("(structure)", changed)
+        else:  # a number is an int or a float, never a bool
+            numbers.append([x] if type(x) in (int, float) else [])
+            if x != y or (type(x) is bool) != (type(y) is bool):
+                note(path, move(np.array([x], dtype=float), np.array([y], dtype=float))
+                     if {type(x), type(y)} <= {int, float} else changed)
+
+    walk(a, b, "")
+    scale = float(np.max(np.abs(x := np.concatenate(numbers)), where=np.isfinite(x), initial=0))
+    for key, (rel, diff) in found.items():
+        key = f"{command} {key}"
         entry = moved.setdefault(key, [0, 0.0])
-        entry[0] += 1
-        entry[1] = None if rel is None or entry[1] is None else max(entry[1], rel)
+        entry[:] = entry[0] + 1, fold(entry[1], rel)
         if scaled is not None:
-            prev, value = scaled.get(key, 0.0), per_scale[key]
-            scaled[key] = None if value is None or prev is None else max(prev, value)
-    return bool(per_field)
+            of_scale = None if diff is None else diff / scale if scale else math.inf
+            scaled[key] = fold(scaled.get(key, 0.0), of_scale)
+    return bool(found)
 
 
 def main(argv=None) -> int:
@@ -440,19 +443,16 @@ def compare(work: str, parent: str, change: str) -> int:
         logs[side] = {**run_grid(root, own, os.path.join(work, f"{side}-random")),
                       **run_grid(root, reports, os.path.join(work, f"{side}-reports"))}
 
-    differ, encoding = 0, 0
+    differ, encoding, moved, scaled, reports_moved, bytes_only = 0, 0, {}, {}, 0, 0
     files = [files_under(inputs[side]) for side in sides]
     for path in sorted(set(files[0]) | set(files[1])):
         a, b = (side.get(path) for side in files)
-        if a == b:
-            continue
-        if a is not None and b is not None and canonical(a) == canonical(b):
+        if a != b and None not in (a, b) and canonical(a) == canonical(b):
             encoding += 1
-        else:
+        elif a != b:
             differ += 1
             print(f"instance file differs: {path}")
 
-    moved, scaled, reports_moved, bytes_only = {}, {}, 0, 0
     for name, _ in runs:
         a, b = (logs[side][name] for side in sides)
         if a["exit"] != b["exit"] or a["errors"] != b["errors"]:
@@ -464,10 +464,8 @@ def compare(work: str, parent: str, change: str) -> int:
                                       name.partition(" ")[2], scaled)
             reports_moved += differs
             if not differs and a["report"] != b["report"]:
-                if canonical(a["report"]) == canonical(b["report"]):
-                    encoding += 1
-                else:
-                    bytes_only += 1
+                same = canonical(a["report"]) == canonical(b["report"])
+                encoding, bytes_only = encoding + same, bytes_only + (not same)
 
     print(f"{len(runs)} runs in {work}; {differ} instance files or runs differ; "
           f"{encoding} instance files or reports differ in operator encoding only; "

@@ -13,6 +13,7 @@ Mutation = namedtuple("Mutation", "id file text replacement kills")
 LINALG, FRAMES = "src/gfusion/linalg.py", "src/gfusion/frames.py"
 RESOLUTION, CONSTRUCTIONS = "src/gfusion/resolution.py", "src/gfusion/constructions.py"
 SERIALIZE, CLI = "src/gfusion/serialize.py", "src/gfusion/cli.py"
+REPORT_DIFF = "scripts/report_diff.py"
 WRITE = '_write_report({"command": "-".join(words), **serialize.fields(rep)}, args.out)'
 
 
@@ -121,8 +122,11 @@ MUTATIONS = [
       "a = side * np.eye(n, dtype=complex)", tests("frames")),
     M("the report file built whole", CLI, "fh.writelines(serialize.chunks(report))",
       "fh.write(serialize.dumps(report))", tests("serialize")),
-    M("compare_reports reads a move to nan as none", "scripts/report_diff.py",
-      "if not math.isnan(x - y):", "if True:", tests("routes")),
+    M("compare_reports reads a move to nan as none", REPORT_DIFF,
+      "None if np.isnan(d).any() else float(d.max())", "float(d.max())", tests("routes")),
+    M("compare_reports leaves the structure row out of scaled", REPORT_DIFF,
+      "if scaled is not None:", 'if scaled is not None and "(structure)" not in key:',
+      tests("routes::test_a_reshaped_report_is_one_structure_row")),
     M("run without its flushes", CLI, "    sys.stdout.flush()\n    sys.stderr.flush()\n", "",
       tests("cli::test_process_writes_the_whole_report")),
     M("run lets SystemExit out", CLI, "except SystemExit as exc:",

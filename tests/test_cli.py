@@ -1028,7 +1028,7 @@ def _leaves(doc, path=()):
 # A valid 3-dim instance, as `gfusion random` writes it but with each
 # operator's entries as lists of numbers, and every leaf of it.
 _BASE_INSTANCE = generate.random_instance(5, 3, 3, "scalar-controls")
-_BASE = {stem: report_diff.decoded(as_json(getattr(_BASE_INSTANCE, stem)))
+_BASE = {stem: json.loads(report_diff.canonical(serialize.dumps(getattr(_BASE_INSTANCE, stem))))
          for stem in ("family", "control", "k")}
 _LEAVES = [(stem, path) for stem, doc in _BASE.items() for path in _leaves(doc)]
 _REPLACEMENTS = [math.nan, math.inf, -1, 0, 4.5, "x", [], {}, None, True, 1e308]
