@@ -363,8 +363,9 @@ def compare_reports(a: dict, b: dict, moved: dict, command: str, scaled=None) ->
     equals 1) are equal at once.  An operator's `re` and `im` compare as one
     array each, a subspace as its `projector`.  A value that is not a number
     is `changed` unless equal, and so is a list of another length
-    (`<path>#len`).  The field `(structure)` marks any other change of
-    shape, and a list of objects or lists of another length."""
+    (`<path>#len`).  Any other change of shape, and a list of objects or
+    lists of another length, is the one field `<path> (structure)` of the
+    first path where the shapes differ (a key added or removed: its path)."""
     if a == b:
         return False
     found, numbers, changed = {}, [[]], (None, None)  # field -> moves; a's numbers
@@ -372,6 +373,10 @@ def compare_reports(a: dict, b: dict, moved: dict, command: str, scaled=None) ->
     def note(key, change):
         if change:
             found[key] = tuple(map(fold, found.get(key, (0.0, 0.0)), change))
+
+    def reshaped(path):
+        if not any(key.endswith(" (structure)") for key in found):
+            found[f"{path} (structure)"] = changed
 
     def walk(x, y, path):
         if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys() == SUBSPACE:
@@ -383,14 +388,18 @@ def compare_reports(a: dict, b: dict, moved: dict, command: str, scaled=None) ->
         elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
             for i, j in zip(x, y):
                 walk(i, j, f"{path}[]")
+        elif isinstance(x, dict) and isinstance(y, dict):
+            name = min(x.keys() ^ y.keys())
+            reshaped(f"{path}.{name}" if path else name)
         elif isinstance(x, list) and isinstance(y, list):
-            note(f"{path}#len", changed)  # items with fields of their own reshape:
-            note("(structure)", any(isinstance(v, (dict, list)) for v in x + y) and changed)
+            note(f"{path}#len", changed)
+            if any(isinstance(v, (dict, list)) for v in x + y):  # items with fields of their own
+                reshaped(path)
         elif isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and x.shape == y.shape:
             numbers.append(x)
             note(f"{path}[]", move(x, y))
         elif any(isinstance(v, (dict, list, np.ndarray)) for v in (x, y)):
-            note("(structure)", changed)
+            reshaped(path)
         else:  # a number is an int or a float, never a bool
             numbers.append([x] if type(x) in (int, float) else [])
             if x != y or (type(x) is bool) != (type(y) is bool):

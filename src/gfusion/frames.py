@@ -64,22 +64,19 @@ class FrameFamily:
 
     Immutable: each operator is held read-only (`linalg.read_only`), as is
     each subspace's basis, so the control-independent algebra (`factors`
-    and their `factor_norms`, `frame_sum`'s `sum_plan`, F as `operator`,
+    and their `factor_norms`, `frame_sum`'s `sum_rows`, F as `operator`,
     and F's `spectrum`, `roots` and `thin_gram`, which every positive
     scalar pair reads) is computed on first use and kept.  Only arrays
-    (with their offsets and norms) and a `Spectrum` of F are kept, never
+    (with their norms) and a `Spectrum` of F are kept, never
     an evaluation or a control pair, so a family is freed by reference
     counting alone.
     """
 
     ambient_dim: int
     items: tuple
-    SUM_GROUP = 2  # `sum_plan` batches or stacks items where at least this many share a product
 
     def __init__(self, ambient_dim: int, items):
-        items = tuple(
-            (sub, read_only(lam), float(w)) for sub, lam, w in items
-        )
+        items = tuple((sub, read_only(lam), float(w)) for sub, lam, w in items)
         if not items:
             raise InvalidParameters("family must have at least one item")
         for i, (sub, lam, w) in enumerate(items):
@@ -108,64 +105,26 @@ class FrameFamily:
     @cached_property
     def factors(self) -> tuple:
         """Per-item factors (B_j, C_j = L_j B_j), read-only, B_j the
-        orthonormal basis of W_j and C_j a view into its run's stack
-        (`factor_runs`).
+        orthonormal basis of W_j: the one place C_j is formed.
 
         The item operator L_j P_j equals C_j B_j*, so no n x n projector is
         formed.
         """
-        stacks, _ = self.factor_runs
-        cs = (c for stack in stacks for c in stack)
-        return tuple((sub.basis, c) for (sub, _, _), c in zip(self.items, cs))
+        return tuple((sub.basis, frozen(lam @ sub.basis)) for sub, lam, _ in self.items)
 
     @cached_property
-    def factor_runs(self) -> tuple:
-        """(stacks, starts): the C_j = L_j B_j of each run of consecutive
-        items whose C_j have one shape, items starts[i]:starts[i + 1], as
-        one read-only (items, rows, d) stack.  This is the one place C_j is
-        formed."""
-        shapes = [(lam.shape[0], sub.basis.shape[1]) for sub, lam, _ in self.items]
-        starts = [0] + [j for j in range(1, len(shapes)) if shapes[j] != shapes[j - 1]]
-        starts.append(len(shapes))
-        stacks = []
-        for lo, hi in zip(starts, starts[1:]):
-            stack = np.empty((hi - lo, *shapes[lo]), dtype=complex)
-            for c, (sub, lam, _) in zip(stack, self.items[lo:hi]):
-                np.matmul(lam, sub.basis, out=c)
-            stacks.append(frozen(stack))
-        return tuple(stacks), tuple(starts)
-
-    @cached_property
-    def sum_plan(self) -> tuple:
-        """(stacked, conj_basis, runs, weights), read-only: how `frame_sum`
-        applies each L_j P_j = C_j B_j*.  A run of `factor_runs` shorter
-        than SUM_GROUP is split into its items.  Where SUM_GROUP or more
-        items stand alone, `stacked` is their C_j B_j* (r_j x n each), one
-        below the next, and their rows come first; fewer stay factored (a
-        lone one would save no product and cost r_j n in place of r_j d_j).
-        Each other run is (stack, the columns of its coordinates in
-        x^T conj_basis, its rows).  `weights` is v_j^2 for each row."""
-        stacks, starts = self.factor_runs
-        spans = [span for stack, lo, hi in zip(stacks, starts, starts[1:])
-                 for span in ([(stack, lo, hi)] if hi - lo >= self.SUM_GROUP else
-                              [(stack[j - lo:j - lo + 1], j, j + 1) for j in range(lo, hi)])]
-        alone = [lo for stack, lo, _ in spans if len(stack) == 1]
-        alone = alone if len(alone) >= self.SUM_GROUP else []
-        spans = [span for span in spans if span[1] not in alone]
-        order = alone + [j for _, lo, hi in spans for j in range(lo, hi)]
-        m, n = len(alone), self.ambient_dim
-        rows = np.cumsum([0] + [self.items[j][1].shape[0] for j in order]).tolist()
-        stacked = np.empty((rows[m], n), dtype=complex)
-        for (b, c), lo, hi in zip((self.factors[j] for j in alone), rows, rows[1:]):
-            np.matmul(c, b.conj().T, out=stacked[lo:hi])
-        bases = [self.items[j][0].basis for j in order[m:]]
-        cols = np.cumsum([0] + [b.shape[1] for b in bases]).tolist()
-        conj_basis = np.conjugate(np.hstack([np.empty((n, 0), dtype=complex), *bases]))
-        ends = np.cumsum([0] + [hi - lo for _, lo, hi in spans]).tolist()
-        runs = tuple((stack, cols[i], cols[j], rows[m + i], rows[m + j])
-                     for (stack, _, _), i, j in zip(spans, ends, ends[1:]))
-        weights = np.repeat([self.items[j][2] * self.items[j][2] for j in order], np.diff(rows))
-        return frozen(stacked), frozen(conj_basis), runs, frozen(weights)
+    def sum_rows(self) -> tuple:
+        """(Y, w), read-only, for `frame_sum`: Y stacks R_j B_j* item by item,
+        R_j = C_j where C_j has at most as many rows as columns, else the R
+        factor of its QR (R_j* R_j = C_j* C_j either way, in min(r_j, d_j)
+        rows); w is v_j^2 for each row of Y."""
+        rs = [c if c.shape[0] <= c.shape[1] else np.linalg.qr(c, mode="r")
+              for _, c in self.factors]
+        rows = np.cumsum([0] + [r.shape[0] for r in rs]).tolist()
+        y = np.empty((rows[-1], self.ambient_dim), dtype=complex)
+        for (b, _), r, lo, hi in zip(self.factors, rs, rows, rows[1:]):
+            np.matmul(r, b.conj().T, out=y[lo:hi])
+        return frozen(y), frozen(np.repeat(np.square(self.weights), np.diff(rows)))
 
     @cached_property
     def operator(self) -> np.ndarray:
@@ -712,14 +671,11 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f):
     """Literal sum  sum_j v_j^2 <L_j P_j u f, L_j P_j t f>.
 
     `f` is one vector of shape (n,), giving a complex number, or a block of
-    k column vectors of shape (n, k), giving the k sums as an array.  The
-    items run as `FrameFamily.sum_plan` sets out, into their rows of one
-    buffer: those that stand alone in `FrameFamily.factor_runs` (where two
-    or more do) in one product with their stacked operators; the others
-    as C_j B_j*, with the family's C_j = L_j B_j, from one product for
-    their coordinates B_j* t f and B_j* u f and one batched product per
-    run of items of one shape.  One vecdot, each row weighted by its
-    item's v_j^2, sums them all.
+    k column vectors of shape (n, k), giving the k sums as an array.  With
+    (Y, w) of `FrameFamily.sum_rows`, item j's term is v_j^2
+    <R_j B_j* u f, R_j B_j* t f>, as R_j* R_j = C_j* C_j for C_j = L_j B_j:
+    one product of Y with [t f, u f] gives every item's rows, and one
+    vecdot, each row weighted by its w, sums them.
     """
     _check_dims(fam, cp)
     f = np.asarray(f, dtype=complex)
@@ -727,29 +683,15 @@ def frame_sum(fam: FrameFamily, cp: ControlPair, f):
         raise DimensionMismatch(f"vector must be 1-D or 2-D, got shape {f.shape}")
     if f.shape[0] != fam.ambient_dim:
         raise DimensionMismatch(f"vector dim {f.shape[0]} != {fam.ambient_dim}")
-    n = fam.ambient_dim
-    block = f.reshape(n, -1)
-    k = block.shape[1]
-    stacked, conj_basis, runs, weights = fam.sum_plan
-    d = conj_basis.shape[1]
-    # one buffer, 2k columns: the k vectors t f beside the k vectors u f,
-    # then their coordinates B_j* t f and B_j* u f, then the rows
-    # C_j B_j* t f and C_j B_j* u f of each item, the stacked items' first
-    work = np.empty((n + d + weights.shape[0], 2 * k), dtype=complex)
-    both, coords, out = work[:n], work[n:n + d], work[n + d:]
+    block = f.reshape(fam.ambient_dim, -1)
+    n, k = block.shape
+    y, weights = fam.sum_rows
+    # one buffer of 2k columns: [t f, u f], and below it Y [t f, u f]
+    work = np.empty((n + y.shape[0], 2 * k), dtype=complex)
+    both, out = work[:n], work[n:]
     product(cp.t_side, block, out=both[:, :k])
     product(cp.u_side, block, out=both[:, k:])
-    if len(stacked):
-        np.matmul(stacked, both, out=out[:len(stacked)])
-    if runs:
-        np.matmul(conj_basis.T, both, out=coords)
-    for stack, lo, hi, r_lo, r_hi in runs:
-        x, y = coords[lo:hi], out[r_lo:r_hi]
-        if len(stack) == 1:
-            np.matmul(stack[0], x, out=y)
-        else:  # a run of items of one shape: one batched product
-            m, r, d = stack.shape
-            np.matmul(stack, x.reshape(m, d, 2 * k), out=y.reshape(m, r, 2 * k))
+    np.matmul(y, both, out=out)
     out[:, k:] *= weights[:, None]
     total = np.vecdot(out[:, :k], out[:, k:], axis=0)
     return complex(total[0]) if f.ndim == 1 else total

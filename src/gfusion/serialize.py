@@ -48,12 +48,12 @@ def _binary64(part) -> str:
 
 def _entries(d, key, count):
     """The entries under `key`: a base64 string of `count` BINARY64 values,
-    or a list of numbers (its count is checked by the caller's reshape)."""
+    or a list of JSON numbers (its count is checked by the caller's reshape)."""
     value = d[key]
-    if isinstance(value, list):
+    if isinstance(value, list) and {int, float}.issuperset(map(type, value)):
         return np.asarray(value, dtype=float)
-    if not isinstance(value, str):
-        raise ParseError(f"{key} must be a base64 string or a list of numbers")
+    if not isinstance(value, str):  # a JSON number is an int or a float, never a bool
+        raise ParseError(f"{key} must be a base64 string or a list of JSON numbers")
     try:
         raw = base64.b64decode(value, validate=True)
     except ValueError as exc:  # binascii.Error, or a character outside ASCII
@@ -117,7 +117,10 @@ def family_from_dict(d) -> FrameFamily:
         for i, it in enumerate(d["items"]):
             where = f"family item {i}"
             sub, lam = subspace_from_dict(it["subspace"]), operator_from_dict(it["lambda"])
-            items.append((sub, lam, it["weight"]))
+            w = it["weight"]
+            if type(w) not in (int, float):
+                raise ParseError(f"weight must be a JSON number, got {json.dumps(w)}")
+            items.append((sub, lam, w))
         where = "family"
         return FrameFamily(_size(d, "ambient_dim"), items)
     except MALFORMED as exc:

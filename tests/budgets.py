@@ -107,9 +107,6 @@ INSTANCES = {
     "scaled partition(7, 7)": on(lambda rng: scaled_partition_family(
         7, tuple(rng.uniform(0.5, 2.0, 7))), 2626),
     "items of dims 0, 2, 3, 6": on(lambda rng: items(rng, 6, [(4, d) for d in (0, 2, 3, 6)]), 4),
-    "items alone": on(lambda rng: items(rng, 7, [(2 + j % 3, 1 + j % 2) for j in range(6)]), 2),
-    "items alone beside runs": on(lambda rng: items(rng, 6, [
-        (2, 1), (3, 2), (3, 2), (1, 1), (2, 2), (2, 2), (2, 2), (4, 3)]), 27),
     **{f"Fourier({nmax}, {m})": fourier(nmax, m) for nmax, m in ((3, 1), (16, 1), (4, 3))},
     "generic 24/6": generated("generic"),
     "near-identity-pair 24/6": generated("near-identity-pair"),
@@ -304,7 +301,6 @@ CALLS = {
     "frame_sum": lambda x: [  # of f, then of a 4-column block
         frames.frame_sum(x.fam, x.cp, f) for f in (x.f, x.k[:, :4])],
     "factors": lambda x: x.fam.factors,
-    "sum_plan": lambda x: x.fam.sum_plan,
     "factor_sum": lambda x: frames.factor_sum(x.fam, x.fam, [1.0] * len(x.fam)),
 }
 
@@ -385,8 +381,9 @@ ROWS = [
         {"opnorm": 1, "gfusion.frames.FrameEvaluation.__init__": 2}),
     Row("thm perturb, cp loaded", "Parseval(4, 2)", "first", "I, I + E",
         dict(svd=2, eigvalsh=2, opnorm=1), equal={"cp.t": {}, "cp.u": {"svd": 2}}),
+    # the one qr is frame_sum's, of the partial-sum item's C_j (13 x 2)
     Row("verify_fourier", "Fourier(3, 1)", "first", "-",
-        {"opnorm": 1, "gfusion.fourier.build_fourier_example": 1}),
+        {"opnorm": 1, "qr": 1, "gfusion.fourier.build_fourier_example": 1}),
     # constructions
     Row("direct_sum_frame, cp loaded", "generic 24/6", "first", "own",
         dict(svd=4, eigvalsh=14, opnorm=7), shapes={"svd": [(24, 24)] * 4}),
@@ -464,18 +461,22 @@ ROWS = [
     Row("ControlPair.scalars, identity", "random(5, 3)", "first", "-",
         {"gfusion.linalg.scalar_multiple": 0, "numpy.array_equal": 0, "numpy.eye": 0,
          "numpy.zeros": 0}),
-    # sampling
-    *(Row("frame_sum", f"random(6, {m})", "first", D, {"numpy.vecdot": 2}) for m in (1, 7, 40)),
+    # sampling: a first frame_sum makes the family's rows Y (`sum_rows`),
+    # with one qr per item with r_j > d_j and one product per item; then
+    # each call takes one product, of Y, and one vecdot
+    Row("frame_sum", "items of dims 0, 2, 3, 6", "first", P, {"qr": 3, "numpy.matmul": 6},
+        shapes={"qr": [(4, 0), (4, 2), (4, 3)]}),
+    Row("frame_sum", "Fourier(16, 1)", "first", P, {"qr": 1, "numpy.matmul": 35}),
+    *(Row("frame_sum", f"random(6, {m})", "first", D, {"qr": q, "numpy.vecdot": 2})
+      for m, q in ((1, 0), (7, 1), (40, 18))),
+    # seven 7 x 1 C_j: one row each
+    Row("frame_sum", "scaled partition(7, 7)", "frame_sum", P, {"numpy.matmul": 2},
+        shapes={"numpy.matmul": [(7, 7)] * 2}),
+    Row("frame_sum", "Fourier(4, 3)", "frame_sum", P, {"numpy.matmul": 2, "numpy.vecdot": 2},
+        shapes={"numpy.matmul": [(11, 9)] * 2}),
+    # dense controls: the two sides' products too
+    Row("frame_sum", "items of dims 0, 2, 3, 6", "frame_sum", D, {"numpy.matmul": 6},
+        shapes={"numpy.matmul": [(6, 6)] * 4 + [(9, 6)] * 2}),
     *(Row("factor_sum", f"Fourier({nmax}, 1)", "factors", "-", {"numpy.matmul": n + 1},
           shapes={"numpy.matmul": [(n, 1)] * n + [(n, n)]}) for nmax, n in ((3, 7), (16, 33))),
-    Row("frame_sum", "scaled partition(7, 7)", "sum_plan", P, {"numpy.matmul": 4},
-        shapes={"numpy.matmul": [(7, 7), (7, 7), (7, 7, 1), (7, 7, 1)]}),
-    Row("frame_sum", "Fourier(4, 3)", "sum_plan", P, {"numpy.matmul": 8},
-        shapes={"numpy.matmul": [(3, 1, 1), (3, 1, 1), (5, 1, 1), (5, 1, 1), (9, 3), (9, 3),
-                                 (11, 9), (11, 9)]}),
-    Row("frame_sum", "items alone", "sum_plan", P, {"numpy.matmul": 2},
-        shapes={"numpy.matmul": [(18, 7)] * 2}),
-    Row("frame_sum", "items alone beside runs", "frame_sum", D, {"numpy.matmul": 12},
-        shapes={"numpy.matmul": sorted([(2, 3, 2), (3, 2, 2), (6, 6), (6, 6), (7, 6), (10, 6)]
-                                       * 2)}),
 ]

@@ -45,10 +45,15 @@ MUTATIONS = [
       "factor_sum(self, self, list(self.weights))", tests("frames")),
     M("resolution terms weighed by v_j", FRAMES, "[w * w for w in self.fam.weights]",
       "list(self.fam.weights)", tests("resolution")),
-    M("frame_sum weighs by v_j", FRAMES, "self.items[j][2] * self.items[j][2] for j",
-      "self.items[j][2] for j", tests("sampling")),
-    M("frame_sum's bases unconjugated", FRAMES, "conj_basis = np.conjugate(np.hstack(",
-      "conj_basis = (np.hstack(", tests("sampling")),
+    M("frame_sum weighs by v_j", FRAMES, "np.square(self.weights)", "np.array(self.weights)",
+      tests("sampling")),
+    M("frame_sum's bases unconjugated", FRAMES, "np.matmul(r, b.conj().T,", "np.matmul(r, b.T,",
+      tests("sampling")),
+    M("frame_sum's R_j transposed", FRAMES, 'np.linalg.qr(c, mode="r")',
+      'np.linalg.qr(c, mode="r").T', tests("sampling")),
+    # the values stay right: only the cost row of the first frame_sum sees it
+    M("frame_sum's QR compression dropped", FRAMES,
+      'c if c.shape[0] <= c.shape[1] else np.linalg.qr(c, mode="r")', "c", tests("budgets")),
     M("frame_sum's sides swapped", FRAMES, "np.vecdot(out[:, :k], out[:, k:], axis=0)",
       "np.vecdot(out[:, k:], out[:, :k], axis=0)", tests("sampling")),
     M("frame_sum's length check dropped", FRAMES, "if f.shape[0] != fam.ambient_dim:",
@@ -116,6 +121,8 @@ MUTATIONS = [
     # reports and the CLI
     M("NaN written as null", SERIALIZE, 'yield "NaN" if value != value',
       'yield "null" if value != value', tests("serialize")),
+    M("decimal entries of any JSON type", SERIALIZE,
+      " and {int, float}.issuperset(map(type, value))", "", tests("serialize")),
     M("the writer drops -0.0", SERIALIZE, "part.astype(BINARY64, copy=False)",
       "(part + 0.0).astype(BINARY64)", tests("serialize")),
     M("a number side written as c * eye", FRAMES, "np.fill_diagonal(a, side)",
@@ -155,7 +162,6 @@ MUTATIONS = [
     route("number sides", FRAMES,
           "return isinstance(self.t_side, Number) and isinstance(self.u_side, Number)",
           "return False"),
-    route("frame_sum batches", FRAMES, "SUM_GROUP = 2", "SUM_GROUP = math.inf"),
     route("number control sides", FRAMES, "(c := scalar_multiple(a)) is None",
           "(c := None) is None"),
 ]

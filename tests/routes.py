@@ -32,9 +32,6 @@ ROUTES = [
     # one norm for both of sum_transform's cross terms; no ||S^-1|| in thm 4.1
     Route("number sides", frames.ControlPair, "number_sides", property(lambda cp: False),
           (*SUM_TRANSFORM, "thm-4.1")),
-    # frame_sum's batched runs and stacked items: each item on its own
-    Route("frame_sum batches", frames.FrameFamily, "SUM_GROUP", math.inf,
-          ("fourier-demo-8", "fourier-demo-24")),
     # a control c I held as the number c
     Route("number control sides", frames, "scalar_multiple", lambda a: None),
 ]

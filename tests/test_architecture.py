@@ -231,11 +231,11 @@ def one_site(found, what):
 
 
 def item_factor_sites():
-    factor_runs = method("frames.py", "FrameFamily", "factor_runs")
+    factors = method("frames.py", "FrameFamily", "factors")
     found = sites(operator_products)
     return (
         some_site(found, "item operator product")
-        + outside("frames.py", factor_runs, found)
+        + outside("frames.py", factors, found)
         + [path.name for path in modules() if "item_factors" in path.read_text()]
     )
 
@@ -293,7 +293,7 @@ def names_read(names):
 def literal_sum_sites():
     found = sites(names_read(EVALUATED_FORMS))
     rest = outside("frames.py", function("frames.py", "frame_sum"), outside(
-        "frames.py", method("frames.py", "FrameFamily", "sum_plan"), found))
+        "frames.py", method("frames.py", "FrameFamily", "sum_rows"), found))
     return [site for site in found if site not in rest]
 
 
@@ -372,7 +372,7 @@ RULES = {
     ),
     "item_factors": Rule(
         item_factor_sites,
-        "read C_j = L_j B_j from FrameFamily.factors (formed in factor_runs)",
+        "read C_j = L_j B_j from FrameFamily.factors, the one place it is formed",
         ((operator_products,
           "c = lam @ b\n"
           "d = (lamG @ sub.basis) @ x\n"
@@ -423,7 +423,7 @@ RULES = {
     ),
     "literal_sum": Rule(
         literal_sum_sites,
-        "frame_sum and its plan apply the items one by one: read no F, S or evaluation",
+        "frame_sum and its sum_rows factor each item's own C_j: read no F, S or evaluation",
         ((names_read(EVALUATED_FORMS),
           "s = fam.operator\nev = FrameEvaluation(fam, cp)\nx = fam.controlled(t, u) @ f\n"
           "vals = fam.spectrum.extremes\nr = fam.roots\nops = fam.factors\n", [1, 2, 3, 4, 5]),),

@@ -985,6 +985,11 @@ BAD_INPUTS = [
     ("ambient-dim-4.5", _edit("family", "ambient_dim", value=4.5), _CHECK),
     ("rows-true", _one_row_lambda, _CHECK),
     ("weight-infinity", _edit("family", "items", 0, "weight", value=math.inf), _CHECK),
+    # a value of the wrong JSON type: a string or a boolean for a number
+    ("weight-string", _edit("family", "items", 0, "weight", value="2"), _CHECK),
+    ("weight-true", _edit("family", "items", 0, "weight", value=True), _CHECK),
+    ("k-string-entry", _entry("k", part="re", index=0, value="1.5"), _ATOMIC),
+    ("k-true-entry", _entry("k", part="im", index=1, value=True), _ATOMIC),
     ("basis-nan", _entry("family", *_BASIS, part="re", index=0, value=math.nan), _CHECK),
     ("random-seed-negative", None, _RANDOM + ["--seed", "-1"]),
     ("random-seed-2**64", None, _RANDOM + ["--seed", str(2**64)]),

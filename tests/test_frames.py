@@ -593,10 +593,9 @@ class TestImmutableFamily:
     def test_arrays_are_read_only(self, rng):
         fam, _, _ = self.family(rng)
         b, c = fam.factors[0]
-        stacked = fam.sum_plan[0]  # both items stand alone: frame_sum stacks them
-        for array in (fam.items[0][1], fam.items[0][0].basis, b, c, stacked):
+        for array in (fam.items[0][1], fam.items[0][0].basis, b, c, *fam.sum_rows):
             with pytest.raises(ValueError):
-                array[0, 0] = 7.0
+                array[..., 0] = 7.0
 
     def test_caller_arrays_are_not_shared(self, rng):
         fam, basis, lam = self.family(rng)
@@ -611,7 +610,7 @@ class TestImmutableFamily:
     def test_factors_formed_once(self, rng):
         fam, _, lam = self.family(rng)
         assert fam.factors is fam.factors
-        assert fam.sum_plan is fam.sum_plan
+        assert fam.sum_rows is fam.sum_rows
         b, c = fam.factors[0]
         assert b is fam.items[0][0].basis
         assert np.array_equal(c, lam @ b)

@@ -72,7 +72,7 @@ CASES = {  # two reports, and what they fold into `moved` ("inf" is a report's i
     "list length": ({"x": [1.0, 2.0], "y": True}, {"x": [1.0], "y": True},
                     {"cmd x#len": [1, None]}),
     "inf to finite": ({"x": "inf"}, {"x": 1.0}, {"cmd x": [1, None]}),
-    "key": ({"x": 1.0}, {"y": 1.0}, {"cmd (structure)": [1, None]}),
+    "key": ({"x": 1.0}, {"y": 1.0}, {"cmd x (structure)": [1, None]}),
     # an operator's entries by value, written as binary64 or as numbers
     "operator forms": ({"s": {"rows": 1, "cols": 2, "re": binary64([1.0, -0.0]),
                               "im": [0.0, 2.0]}},
@@ -129,11 +129,14 @@ def test_compare_reports_scaled_moves(case):
 
 
 def test_a_reshaped_report_is_one_structure_row():
+    # the row names the first path where the shapes differ: a key added or
+    # removed, or a list of objects of another length (z differs too)
     moved, scaled = {}, {}
-    for a, b in (({"x": 1.0}, {"y": 1.0}), ({"x": [{"y": 1.0}]}, {"x": []})):
+    for a, b in (({"a": 1.0, "x": 1.0}, {"a": 1.0, "y": 1.0}),
+                 ({"x": [{"y": 1.0}], "z": [1.0]}, {"x": [], "z": {"w": 1.0}})):
         assert report_diff.compare_reports(a, b, moved, "cmd", scaled)
-    assert moved == {"cmd (structure)": [2, None], "cmd x#len": [1, None]}
-    assert scaled == {"cmd (structure)": None, "cmd x#len": None}
+    assert moved == {"cmd x (structure)": [2, None], "cmd x#len": [1, None]}
+    assert scaled == {"cmd x (structure)": None, "cmd x#len": None}
 
 
 def test_two_bases_of_a_plane_move_its_projector_by_rounding():

@@ -113,6 +113,29 @@ def test_block_frame_sum_matches_columns_and_quadratic_form(structure, data):
         assert abs(value - np.vdot(col, s @ col)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("structure", generate.STRUCTURES)
+@SAMPLING_SETTINGS
+@given(data=st.data())
+def test_sum_rows_give_the_family_operator(structure, data):
+    # Y* diag(w) Y = sum_j v_j^2 B_j R_j* R_j B_j* = F, in min(r_j, d_j) rows
+    # per item: the drawn family (a zero subspace among its items), with
+    # items of r_j > d_j, of r_j < d_j and of no rows added
+    fam, _, _ = data.draw(block_cases(structure))
+    n = fam.ambient_dim
+    rng = np.random.default_rng(n)
+    fam = FrameFamily(n, [*fam.items,
+                          (random_subspace(rng, n, 1), complex_gaussian(rng, 2, n), 0.5),
+                          (Subspace.full(n), complex_gaussian(rng, n - 1, n), 1.2),
+                          (Subspace.full(n), np.zeros((0, n)), 2.0)])
+    y, w = fam.sum_rows
+    shapes = [(lam.shape[0], sub.basis.shape[1]) for sub, lam, _ in fam.items]
+    assert y.shape == (sum(min(r, d) for r, d in shapes), n)
+    assert np.array_equal(w, np.repeat([v * v for v in fam.weights],
+                                       [min(r, d) for r, d in shapes]))
+    f = fam.operator
+    assert opnorm((y.conj().T * w) @ y - f) <= 1e-13 * opnorm(f)
+
+
 def test_frame_sum_rejects_three_dimensional_input():
     fam = scaled_partition_family(4, (1.0, 2.0))
     for f in (np.ones((4, 2, 2)), np.ones(5)):  # and a vector of the wrong length
@@ -631,24 +654,10 @@ def test_real_form_slack_matches_complex_vectors_drawn_one_at_a_time(monkeypatch
     assert abs(rep.worst_sample_slack - worst) <= slack_rounding_bound(s, lambda1, lambda2)
 
 
-def run_families():
-    """(family, run count): one run (a coordinate partition), three runs (the
-    Fourier family: its 1 x 1 zero items on either side of the one nonzero
-    item) and runs of one (shapes that change from each item to the next)."""
-    rng = np.random.default_rng(2626)
-    n = 7
-    one = scaled_partition_family(n, tuple(rng.uniform(0.5, 2.0, n)))
-    three, _, _ = build_fourier_example(FourierParams(4, 3, 0.5, 0.9))
-    singles = FrameFamily(n, [
-        (random_subspace(rng, n, 1 + j % 2), complex_gaussian(rng, 2 + j % 3, n), 0.5 + j)
-        for j in range(6)
-    ])
-    return [(one, 1), (three, 3), (singles, 6)]
-
-
 def per_item_frame_sum(fam, cp, block):
-    """`frame_sum` with each item in factored form by one 2-D product, in
-    item order, the coordinates from one product with conj([B_1 ... B_m])."""
+    """`frame_sum` with each item's rows C_j B_j* t f and C_j B_j* u f by one
+    2-D product of C_j, in item order, the coordinates from one product
+    with conj([B_1 ... B_m])."""
     n, k = block.shape
     bases = [b for b, _ in fam.factors]
     offsets = np.cumsum([0] + [b.shape[1] for b in bases])
@@ -662,57 +671,24 @@ def per_item_frame_sum(fam, cp, block):
     return np.vecdot(out[:, :k], out[:, k:], axis=0)
 
 
-@pytest.mark.parametrize("fam, runs", run_families(), ids=["one-run", "three-runs", "singles"])
-def test_frame_sum_applies_each_run_in_one_product(fam, runs):
-    # its products, one per run and one for the coordinates: budgets.py
-    n = fam.ambient_dim
-    cp = ControlPair.scalars(n, 0.5, 1.5)  # the controls scale: no matmul of their own
-    stacks, starts = fam.factor_runs
-    assert len(stacks) == runs and starts[-1] == len(fam)
-    for stack, lo, hi in zip(stacks, starts, starts[1:]):
-        assert stack.shape[0] == hi - lo and not stack.flags.writeable
-        for (_, c), item in zip(fam.factors[lo:hi], stack):
-            assert np.shares_memory(c, stack) and np.array_equal(c, item)
-    # every item of `singles` stands alone, so all are stacked; the Fourier
-    # family's one item that stands alone keeps its factored form
-    alone = runs == len(fam)
-    stacked = fam.sum_plan[0]
-    assert not stacked.flags.writeable
-    if alone:
-        np.testing.assert_allclose(stacked, np.vstack([c @ b.conj().T for b, c in fam.factors]))
-    else:
-        assert stacked.size == 0
-    rng = np.random.default_rng(runs)
-    for k in (1, 4):
-        block = complex_gaussian(rng, n, k)
-        got, ref = frame_sum(fam, cp, block), per_item_frame_sum(fam, cp, block)
-        if alone:  # one product of the stacked items, and no coordinates
-            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
-        else:  # the coordinates' product, then one product per run
-            np.testing.assert_array_equal(got, ref)
-
-
 def test_the_stacked_items_are_made_on_the_first_frame_sum_only():
-    # items 0, 3 and 7 stand alone, beside runs of two and of three
+    # the items' rows Y, stacked once per family and kept: a second call
+    # under another pair reads the same rows (its cost: budgets.py)
     rng, n = np.random.default_rng(27), 6
     shapes = [(2, 1), (3, 2), (3, 2), (1, 1), (2, 2), (2, 2), (2, 2), (4, 3)]
     fam = FrameFamily(n, [(random_subspace(rng, n, d), complex_gaussian(rng, r, n), 1.0 + j)
                           for j, (r, d) in enumerate(shapes)])
-    cp = ControlPair(well_conditioned(rng, n), well_conditioned(rng, n))
-    stacks, starts = fam.factor_runs
-    alone = [lo for stack, lo in zip(stacks, starts) if len(stack) == 1]
-    assert alone == [0, 3, 7]
-    assert "sum_plan" not in fam.__dict__
+    pairs = [ControlPair(well_conditioned(rng, n), well_conditioned(rng, n)) for _ in range(2)]
     f = complex_gaussian(rng, n)
-    first = frame_sum(fam, cp, f)
-    stacked = fam.__dict__["sum_plan"][0]
-    # exactly the numbers of those items' L_j: r_j x n each
-    assert stacked.size == sum(fam.items[j][1].size for j in alone)
-    # the second call's products (budgets.py): the controls (2), the stacked
-    # items, the coordinates, one per run left
-    assert frame_sum(fam, cp, f) == first
-    assert fam.sum_plan[0] is stacked
-    np.testing.assert_allclose(first, per_item_frame_sum(fam, cp, f[:, None])[0], rtol=1e-14)
+    assert "sum_rows" not in fam.__dict__
+    first = frame_sum(fam, pairs[0], f)
+    y, w = rows = fam.__dict__["sum_rows"]
+    assert y.shape == (sum(min(r, d) for r, d in shapes), n) and w.shape == y.shape[:1]
+    assert frame_sum(fam, pairs[0], f) == first
+    second = frame_sum(fam, pairs[1], f)
+    assert fam.sum_rows is rows
+    for cp, value in zip(pairs, (first, second)):
+        np.testing.assert_allclose(value, per_item_frame_sum(fam, cp, f[:, None])[0], rtol=1e-14)
 
 
 @pytest.mark.parametrize("structure", generate.STRUCTURES)

@@ -124,6 +124,21 @@ def test_family_bad_item_reported_with_index(rng):
         family_from_dict(d)
 
 
+@pytest.mark.parametrize("entries", [["1.5", 0.0], [1.5, True], [[1.5], [0.0]]])
+def test_decimal_entries_are_json_numbers(entries):
+    # a string, a boolean or a nested list is not cast to a number
+    with pytest.raises(ParseError, match="list of JSON numbers"):
+        operator_from_dict({"rows": 1, "cols": 2, "re": entries, "im": [0, 0]})
+
+
+@pytest.mark.parametrize("weight", ["2", True])
+def test_weight_is_a_json_number(rng, weight):
+    d = as_json(family_to_dict(random_family(rng, 3, 2)))
+    d["items"][0]["weight"] = weight
+    with pytest.raises(ParseError, match="item 0: weight must be a JSON number"):
+        family_from_dict(d)
+
+
 def test_control_pair_round_trip(rng):
     cp = ControlPair.scalars(3, 0.5, 2.0)
     cp2 = control_pair_from_dict(as_json(control_pair_to_dict(cp)))
