@@ -82,9 +82,9 @@ def _transform_report(
     )
 
 
-def _hypothesis(name: str, residual: float, tolerance: str = "TOL_FACTOR") -> tol.Claim:
-    """The hypothesis `name`: its residual is at most the named tolerance."""
-    return tol.claim(name, residual, "<=", tolerance)
+def _hypothesis(name: str, residual: float) -> tol.Claim:
+    """The hypothesis `name`: its residual is at most TOL_FACTOR."""
+    return tol.claim(name, residual, "<=", "TOL_FACTOR")
 
 
 def _bessel(name: str, ev: FrameEvaluation) -> tol.Claim:
@@ -281,7 +281,7 @@ def direct_sum_frame(
     evO = FrameEvaluation(fam_out, cp_out)
     # ||S_H (+) S_X|| = max(||S_H||, ||S_X||)
     block_residual = opnorm(evO.s - dsum_op(evH.s, evX.s)) / max(evH.norm, evX.norm, 1e-300)
-    block = _hypothesis("frame_operator_block_diagonal", block_residual, "TOL_DIRECT_SUM")
+    block = _hypothesis("frame_operator_block_diagonal", block_residual)
     measured = _measure(evO, k_out)
     return _transform_report(
         fam_out, cp_out, k_out, predicted_lower, predicted_upper, measured, (*bessel, block)
@@ -337,7 +337,7 @@ def conjugate_transform(
     s_expected = wv @ dsum_op(evH.s, evX.s) @ wv.conj().T
     evO = FrameEvaluation(fam_out, cp_out)
     conj_residual = opnorm(evO.s - s_expected) / max(opnorm(s_expected), 1e-300)
-    hypotheses.append(_hypothesis("frame_operator_conjugated", conj_residual, "TOL_CONJUGATED"))
+    hypotheses.append(_hypothesis("frame_operator_conjugated", conj_residual))
 
     predicted_lower = min(times_square(a_h, w_sigma.sigma_min),
                           times_square(a_x, v_sigma.sigma_min))

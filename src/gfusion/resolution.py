@@ -110,7 +110,7 @@ def adjoint_check(pair: PairOperator) -> AdjointReport:
     construction: ||S_pair* - S_swapped||_2 / ||S_pair||_2."""
     s = pair.matrix
     residual = opnorm(s.conj().T - swapped(pair).matrix) / max(opnorm(s), 1e-300)
-    adjoint = tol.claim("adjoint", residual, "<=", "TOL_ADJOINT")
+    adjoint = tol.claim("adjoint", residual, "<=", "TOL_FACTOR")
     return AdjointReport(s, residual, adjoint.holds, (adjoint,))
 
 
@@ -122,7 +122,7 @@ def _reaches(name: str, measured: float, predicted: float) -> tol.Claim:
 def _resolution_report(total: np.ndarray, term_count: int) -> ResolutionReport:
     """Spectral residual ||total - I||_2 of the sum `total` of `term_count` terms."""
     residual = opnorm(total - np.eye(total.shape[-1]))
-    resolves = tol.claim("resolves_identity", residual, "<=", "TOL_RESOLUTION")
+    resolves = tol.claim("resolves_identity", residual, "<=", "TOL_FACTOR")
     return ResolutionReport(residual, term_count, resolves.holds, (resolves,))
 
 

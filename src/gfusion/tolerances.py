@@ -26,8 +26,12 @@ TOL_HERM = 1e-9
 # anything more negative is genuine indefiniteness.
 TOL_PSD = 1e-9
 
-# Factorization residual: ||v w - s|| <= TOL_FACTOR * ||s|| certifies
-# range inclusion.
+# Relative residual of an identity that holds exactly in exact arithmetic:
+# a factorization ||v w - s|| <= TOL_FACTOR * ||s|| (range inclusion), a
+# commutation hypothesis, a Hermitian (Bessel) residual, a measured bound
+# against its prediction, the pair operator's adjoint against its swapped
+# form, the constructions' frame operators against S_H (+) S_X and
+# (w (+) v)(S_H (+) S_X)(w (+) v)*, and canonical terms summing to I.
 TOL_FACTOR = 1e-8
 
 # Singular values below TOL_RANK * sigma_max count as zero.
@@ -41,17 +45,10 @@ TOL_ORTH = 1e-10
 # operators with bounded inverse).
 COND_MAX = 1e12
 
-# Residual threshold for a family of operators summing to the identity.
-TOL_RESOLUTION = 1e-8
-
-OVERRIDABLE = ("tol_herm", "tol_psd", "tol_factor", "tol_rank", "tol_orth", "cond_max",
-               "tol_resolution")
+OVERRIDABLE = ("tol_herm", "tol_psd", "tol_factor", "tol_rank", "tol_orth", "cond_max")
 
 TOL_SAME_SUBSPACE = 1e-9  # sum transform: ||P_L - P_G||_2 of the shared subspaces
 TOL_CONSTRUCT = 1e-6  # measured lower bound below predicted, relative to max(upper, 1)
-TOL_ADJOINT = 1e-12  # pair operator against the adjoint of its swapped form
-TOL_DIRECT_SUM = 1e-10  # direct-sum frame operator against S_H (+) S_X
-TOL_CONJUGATED = 1e-9  # conjugated frame operator against its prediction
 TOL_PERTURB = 1e-12  # absolute: perturbation inequality, spectral and sampled
 TOL_SANDWICH = 1e-9  # absolute: Fourier sandwich, optimal bounds and samples
 TOL_UNIT_PRODUCT = 1e-12  # absolute: Fourier parameters' alpha * beta <= 1

@@ -12,6 +12,7 @@ Mutation = namedtuple("Mutation", "id file text replacement kills")
 
 LINALG, FRAMES = "src/gfusion/linalg.py", "src/gfusion/frames.py"
 RESOLUTION, CONSTRUCTIONS = "src/gfusion/resolution.py", "src/gfusion/constructions.py"
+TOLERANCES = "src/gfusion/tolerances.py"
 SERIALIZE, CLI = "src/gfusion/serialize.py", "src/gfusion/cli.py"
 REPORT_DIFF = "scripts/report_diff.py"
 WRITE = '_write_report({"command": "-".join(words), **serialize.fields(rep)}, args.out)'
@@ -20,6 +21,10 @@ WRITE = '_write_report({"command": "-".join(words), **serialize.fields(rep)}, ar
 def tests(*names):
     """Test files by the stem after `test_`, or node ids as `stem::name`."""
     return tuple("tests/test_{}.py{}{}".format(*name.partition("::")) for name in names)
+
+
+# the boundary tests of the identity residuals that TOL_FACTOR decides
+AT_TOL_FACTOR = tests("resolution::TestAtTolFactor", "constructions::TestAtTolFactor")
 
 
 def route(name, file, text, replacement):
@@ -118,6 +123,9 @@ MUTATIONS = [
       tests("sampling", "budgets")),
     M("sum_transform's cross sides swap t and u", CONSTRUCTIONS,
       "for c in (cp.t_side, cp.u_side)", "for c in (cp.u_side, cp.t_side)", tests("sampling")),
+    # TOL_FACTOR off its documented value, either way
+    M("TOL_FACTOR x10", TOLERANCES, "TOL_FACTOR = 1e-8", "TOL_FACTOR = 1e-7", AT_TOL_FACTOR),
+    M("TOL_FACTOR /10", TOLERANCES, "TOL_FACTOR = 1e-8", "TOL_FACTOR = 1e-9", AT_TOL_FACTOR),
     # reports and the CLI
     M("NaN written as null", SERIALIZE, 'yield "NaN" if value != value',
       'yield "null" if value != value', tests("serialize")),

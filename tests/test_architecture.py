@@ -187,6 +187,52 @@ def tolerance_comparisons(source):
     })
 
 
+def tolerance_constants(source):
+    """{name: line} of the numeric module-level constants of a tolerances module."""
+    return {
+        node.targets[0].id: node.lineno
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Constant) and type(node.value.value) in (int, float)
+    }
+
+
+def tolerance_names(source):
+    """(line, name) of each tolerance a module names: an upper-case `tol.`
+    attribute it reads, and the tolerance argument of each `claim` call
+    (None unless a string literal)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "tol"
+                and node.attr.isupper()):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "claim":
+            for arg in node.args[3:4] + [k.value for k in node.keywords if k.arg == "tolerance"]:
+                name = getattr(arg, "value", None)
+                found.append((node.lineno, name if isinstance(name, str) else None))
+    return sorted(found)
+
+
+def unknown_tolerances(constants):
+    """The pattern: line numbers where a module names a tolerance not in `constants`."""
+    return lambda source: [line for line, name in tolerance_names(source)
+                           if name not in constants]
+
+
+def unread_tolerances(named):
+    """The pattern: line numbers of a tolerances module's constants not in `named`."""
+    return lambda source: sorted(line for name, line in tolerance_constants(source).items()
+                                 if name not in named)
+
+
+def tolerance_sites():
+    constants = tolerance_constants(read("tolerances.py"))
+    named = {name for path in modules(skip="tolerances.py")
+             for _, name in tolerance_names(path.read_text())}
+    return (sites(unknown_tolerances(constants), skip="tolerances.py")
+            + [f"tolerances.py:{line}" for line in unread_tolerances(named)(read("tolerances.py"))])
+
+
 def process_calls(source):
     """Line numbers of the calls to a function of `gc` (`gc.freeze()`) and
     to `os._exit`, which act on the whole process."""
@@ -449,7 +495,7 @@ RULES = {
             "from .linalg import opnorm",
             "ok = rep.measured.lambda_min >= rep.predicted_lower - tol.TOL_CONSTRUCT * u",
             "scale = max(opnorm(pair.matrix), 1e-300)",
-            "return report, adjoint_residual <= tol.TOL_ADJOINT",
+            "return report, adjoint_residual <= tol.TOL_FACTOR",
             "ok = ok and rep.lower_lambda >= rep.lower_lambda_predicted - tol.TOL_FACTOR",
             "x = np.linalg.inv(s)",
             "import numpy.linalg as la",
@@ -473,6 +519,26 @@ RULES = {
             "except (KeyError, TypeError, ValueError):",
             "    pass",
         ]), [3, 4, 5, 6, 7]),),
+    ),
+    "tolerance_names": Rule(
+        tolerance_sites,
+        "name a tolerance by a constant of tolerances.py, and read every constant",
+        ((unknown_tolerances({"TOL_FACTOR"}), "\n".join([
+            "c = tol.claim('adjoint', residual, '<=', 'TOL_FACTR')",
+            "c = tol.claim('bessel', residual, '<=', tolerance='TOL_FACTOR')",
+            "ok = residual <= tol.TOL_FACTOR * scale",
+            "ok = residual <= tol.TOL_HERMITIAN",
+            "c = tol.claim('gap', residual, '<=', tolerance)",
+            "c = tol.claim('upper', residual, '<=', base=1.0)",
+            "with tol.override(tol_factor=1e-7):",
+            "    pass",
+        ]), [1, 4, 5]),
+         (unread_tolerances({"TOL_FACTOR"}), "\n".join([
+             "TOL_FACTOR = 1e-8",
+             "TOL_UNREAD = 1e-9",
+             "OVERRIDABLE = ('tol_factor',)",
+             "_SENSES = {'<=': operator.le}",
+         ]), [2])),
     ),
     "process_exit": Rule(
         process_sites,
@@ -517,7 +583,7 @@ RULES = {
         # verdict code of these modules before every verdict was a claim, and
         # the two input gates, which stay comparisons
         ((tolerance_comparisons, "\n".join([
-            "return AdjointReport(s, residual, residual <= tol.TOL_ADJOINT)",
+            "return AdjointReport(s, residual, residual <= tol.TOL_FACTOR)",
             "ok = all(res <= tol.TOL_FACTOR for _, res in certs)",
             "certified = (",
             "    lower >= predicted_lower - tol.TOL_FACTOR",
@@ -528,7 +594,7 @@ RULES = {
             "    pass",
             "if np.linalg.norm(d) > tol.TOL_SAME_SUBSPACE:",
             "    pass",
-            "c = tol.claim('adjoint', residual, '<=', 'TOL_ADJOINT')",
+            "c = tol.claim('adjoint', residual, '<=', 'TOL_FACTOR')",
             "ok = c.holds and n <= TOL_LIMIT",
         ]), [1, 2, 4, 5, 7]),),
     ),

@@ -126,20 +126,23 @@ class TestRandom:
 
 
 class TestTolOverride:
+    # tol_resolution was folded into tol_factor and is no longer a name
     @pytest.mark.parametrize("spec", [
-        "nope=1", "tol_psd", "tol_psd=abc", "tol_psd=nan", "tol_psd=inf",
-        "tol_psd=-1e-9",
+        "nope=1", "tol_resolution=1e-8", "tol_psd", "tol_psd=abc", "tol_psd=nan",
+        "tol_psd=inf", "tol_psd=-1e-9",
     ])
     def test_unknown_tol_exit_2(self, capsys, partition_inputs, spec):
         _, fam, cp, _ = partition_inputs
-        saved = tolerances.TOL_PSD
+        saved = (tolerances.TOL_PSD, tolerances.TOL_FACTOR)
         code = main(["check-frame", "--in", str(fam), "--control", str(cp),
                      "--tol", spec])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert tolerances.TOL_PSD == saved
+        name = spec.partition("=")[0]
+        unknown = f"unknown tolerance {name!r}\n" if name != "tol_psd" else ""
+        assert captured.err.startswith(f"error: {unknown}")
+        assert (tolerances.TOL_PSD, tolerances.TOL_FACTOR) == saved
 
     def test_override_lasts_one_call(self, capsys, partition_inputs):
         _, fam, cp, _ = partition_inputs
@@ -740,7 +743,7 @@ VERDICTS = {
     "thm-perturb": lambda r: r["hyp_certified"] and all(
         r[f] is None or r[f] >= r[f"{f}_predicted"] - tolerances.TOL_FACTOR
         for f in ("lower_gamma", "lower_lambda")),
-    "pair-op": lambda r: r["adjoint_residual"] <= tolerances.TOL_ADJOINT,
+    "pair-op": lambda r: r["adjoint_residual"] <= tolerances.TOL_FACTOR,
     "resolutions": lambda r: (r["right_multiplied"]["converged"]
                               and r["left_multiplied"]["converged"]),
     **dict.fromkeys(("construct-direct-sum", "construct-sum-transform", "construct-conjugate"),

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from gfusion import constructions, tolerances
 from gfusion.constructions import (
     conjugate_transform,
     direct_sum_frame,
@@ -314,6 +317,57 @@ class TestConjugate:
                 famH, ControlPair.identity(2), np.eye(2),
                 np.eye(*w_shape), np.eye(*v_shape),
             )
+
+
+class TestAtTolFactor:
+    """The constructions' frame-operator identities decided at TOL_FACTOR's
+    documented value, 1e-8: a residual three times it fails its claim and
+    one a third of it passes."""
+
+    @pytest.mark.parametrize("eps, holds", [(3e-7, False), (3e-8, True)])
+    def test_frame_operator_conjugated(self, eps, holds):
+        # w = I + eps (E_01 + E_10) nearly commutes with t = u = diag(1, 2,
+        # 3, 4): each commutation residual is at most 0.25 eps and the
+        # conjugated frame operator's is 0.09375 eps
+        fam = scaled_partition_family(4, (1.0, 2.0))
+        d = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        cp = ControlPair(d, d)
+        w = np.eye(4, dtype=complex)
+        w[0, 1] = w[1, 0] = eps
+        args = (fam, cp, np.eye(4), fam, cp, np.eye(4), w, np.eye(4))
+        rep = conjugate_transform(*args)
+        conjugated = {c.name: c for c in rep.claims}["frame_operator_conjugated"]
+        assert conjugated.value == pytest.approx(0.09375 * eps, rel=1e-6)
+        assert (conjugated.holds, rep.verified) == (holds, holds)
+        with tolerances.override(tol_factor=1e-7):
+            rep = conjugate_transform(*args)
+        assert {c.name: c.holds for c in rep.claims}["frame_operator_conjugated"]
+        assert rep.verified
+
+    @pytest.mark.parametrize("move, holds", [(3.0, False), (1 / 3, True)],
+                             ids=["three-times", "a-third"])
+    def test_frame_operator_block_diagonal(self, move, holds):
+        # No valid input moves this residual off rounding level: under
+        # controls of condition 1e2 to 1e11 at dims 6 and 16 it stayed at or
+        # below 1.0e-15.  So a test double moves the output frame operator,
+        # on C^10 = C^4 (+) C^6, by move * 1e-8 * ||S_H (+) S_X|| in one entry.
+        famH = scaled_partition_family(4, (2.0, 3.0))
+        famX = scaled_partition_family(6, (1.0, 5.0))
+        shift = np.zeros((10, 10))
+        shift[0, 0] = move * 1e-8 * 5.0  # ||S_H (+) S_X|| = 5
+
+        def evaluate(fam, cp):
+            ev = FrameEvaluation(fam, cp)
+            if fam.ambient_dim == 10:
+                ev.s = ev.s + shift
+            return ev
+
+        with mock.patch.object(constructions, "FrameEvaluation", evaluate):
+            rep = direct_sum_frame(famH, ControlPair.identity(4), np.eye(4),
+                                   famX, ControlPair.identity(6), np.eye(6))
+        block = {c.name: c for c in rep.claims}["frame_operator_block_diagonal"]
+        assert block.value == pytest.approx(move * 1e-8, rel=1e-6)
+        assert (block.holds, rep.verified) == (holds, holds)
 
 
 class TestHeldNorms:

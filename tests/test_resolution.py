@@ -1,7 +1,10 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from gfusion import serialize
+from gfusion import resolution, serialize, tolerances
 from gfusion.errors import (
     DimensionMismatch,
     HypothesisFailed,
@@ -308,7 +311,7 @@ class TestBesselResolution:
 
 class TestResolutionResidual:
     # an identity resolution off by 5e-8 in spectral norm at n = 64 exceeds
-    # TOL_RESOLUTION = 1e-8; the residual is not rescaled by the dimension
+    # TOL_FACTOR = 1e-8; the residual is not rescaled by the dimension
     def test_perturbed_identity_not_converged(self, rng):
         n = 64
         terms = np.stack([np.eye(n, dtype=complex) / 4] * 4)
@@ -325,6 +328,46 @@ class TestResolutionResidual:
         assert rep.resolution_residual == pytest.approx(5e-8, rel=1e-6)
         assert rep.lower == pytest.approx(1.0, rel=1e-12)
         assert rep.upper == pytest.approx(1.0 + 5e-8, rel=1e-12)
+
+
+class TestAtTolFactor:
+    """Identity residuals decided at TOL_FACTOR's documented value, 1e-8: a
+    residual three times it fails its claim and one a third of it passes."""
+
+    @pytest.mark.parametrize("delta, holds", [(3e-8, False), (3e-9, True)])
+    def test_resolves_identity(self, delta, holds):
+        # blocks scaled (1, 1 + delta): the terms sum to I off by delta
+        fam = scaled_partition_family(64, (1.0, 1.0 + delta))
+        rep = bessel_resolution_frame_check(fam, np.eye(64), np.eye(64))
+        resolves = {c.name: c for c in rep.claims}["resolves_identity"]
+        assert resolves.value == pytest.approx(delta, rel=1e-6)
+        assert (resolves.holds, rep.is_frame) == (holds, holds)
+        with tolerances.override(tol_factor=1e-7):
+            rep = bessel_resolution_frame_check(fam, np.eye(64), np.eye(64))
+        assert {c.name: c.holds for c in rep.claims}["resolves_identity"] and rep.is_frame
+
+    @pytest.mark.parametrize("move, holds", [(3.0, False), (1 / 3, True)],
+                             ids=["three-times", "a-third"])
+    def test_adjoint(self, move, holds):
+        # No valid input moves this residual off rounding level: under
+        # controls of condition 1e2 to 1e11 at dims 6 and 16 it stayed at or
+        # below 1.0e-15.  So a test double moves the swapped pair operator by
+        # move * 1e-8 * ||S|| in one entry.
+        fam = scaled_partition_family(4, (0.5, 2.0))
+        pair = pair_frame_operator(fam, np.eye(4), fam, np.eye(4))
+        shift = np.zeros((4, 4))
+        shift[0, 0] = move * 1e-8 * opnorm(pair.matrix)
+
+        def moved(p):
+            sw = swapped(p)
+            return replace(sw, matrix=sw.matrix + shift)
+
+        with mock.patch.object(resolution, "swapped", moved):
+            rep = resolution.adjoint_check(pair)
+        (adjoint,) = rep.claims
+        assert adjoint.name == "adjoint"
+        assert adjoint.value == pytest.approx(move * 1e-8, rel=1e-6)
+        assert (adjoint.holds, rep.is_adjoint) == (holds, holds)
 
 
 class TestCoercivity:
